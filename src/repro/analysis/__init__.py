@@ -2,7 +2,6 @@
 
 from .concentration import ConcentrationReport, gini, measure_lnn_concentration
 from .convergence import ConvergenceReport, analyze_ratio_convergence
-from .graphstats import OverlayStats, analyze_overlay, backbone_connectivity
 from .search_coverage import CoverageReport, measure_coverage
 from .validation import (
     EquationCheck,
@@ -25,3 +24,13 @@ __all__ = [
     "validate_equation_a",
     "validate_equation_b",
 ]
+
+
+def __getattr__(name: str):
+    # Served lazily: graphstats imports networkx (~0.1 s), and every run
+    # imports this package through ``repro.experiments``.
+    if name in ("OverlayStats", "analyze_overlay", "backbone_connectivity"):
+        from . import graphstats
+
+        return getattr(graphstats, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

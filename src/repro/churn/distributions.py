@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from bisect import bisect_right
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -80,7 +81,9 @@ class ScalableDistribution(ABC):
         return self.scale * self._sample_base(rng, n)
 
     def sample_one(self, rng: np.random.Generator) -> float:
-        """Draw a single sample as a float."""
+        """Draw a single sample as a float.  Overrides (the per-join path's
+        scalar draws) must return ``sample(rng, 1)[0]``'s value and leave
+        ``rng`` at the same stream position."""
         return float(self.sample(rng, 1)[0])
 
 
@@ -98,6 +101,10 @@ class LogNormalDistribution(ScalableDistribution):
 
     def _sample_base(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.lognormal(self.mu, self.sigma, size=n)
+
+    def sample_one(self, rng: np.random.Generator) -> float:
+        # ``size=None`` and ``size=1`` run the same C sampler once.
+        return self.scale * rng.lognormal(self.mu, self.sigma)
 
     @property
     def base_mean(self) -> float:
@@ -246,6 +253,8 @@ class BandwidthMixture(ScalableDistribution):
         cdf = self.weights.cumsum()
         cdf /= cdf[-1]
         self._cdf = cdf
+        self._cdf_list = cdf.tolist()
+        self._class_list = list(zip(self.centers.tolist(), self.jitters.tolist()))
 
     def _sample_base(self, rng: np.random.Generator, n: int) -> np.ndarray:
         cls = self._cdf.searchsorted(rng.random(n), side="right")
@@ -254,6 +263,13 @@ class BandwidthMixture(ScalableDistribution):
         # == rng.uniform(centers*(1-jit), centers*(1+jit)) bit for bit.
         low = 1.0 - jit
         return centers * (low + rng.random(n) * ((1.0 + jit) - low))
+
+    def sample_one(self, rng: np.random.Generator) -> float:
+        # ``_sample_base`` at n = 1 without the arrays: bisect_right is
+        # searchsorted(side="right"), the jitter math the same IEEE ops.
+        center, jit = self._class_list[bisect_right(self._cdf_list, rng.random())]
+        low = 1.0 - jit
+        return self.scale * (center * (low + rng.random() * ((1.0 + jit) - low)))
 
     @property
     def base_mean(self) -> float:

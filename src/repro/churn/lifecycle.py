@@ -144,8 +144,8 @@ class ChurnDriver:
         # mirroring the schedule-all-upfront ordering it replaces.
         if event.payload == _BACKLOG:
             self._advance_backlog()
-        capacity = float(self.capacities.sample_one(self._rng_cap))
-        lifetime = float(self.lifetimes.sample_one(self._rng_life))
+        capacity = self.capacities.sample_one(self._rng_cap)
+        lifetime = self.lifetimes.sample_one(self._rng_life)
         eligible = (
             self.eligible_fraction >= 1.0
             or self._rng_cap.random() < self.eligible_fraction

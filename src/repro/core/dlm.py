@@ -93,6 +93,8 @@ class DLMPolicy(LayerPolicy):
         # drain event is outstanding iff the list is non-empty.
         self._drain: List[int] = []
         self._batch_mode = False
+        # Pids the transition being applied touched; a set only mid-batch.
+        self._touched: Optional[Set[int]] = None
         self._sweep: Optional[PeriodicProcess] = None
         self._eval_sweep: Optional[PeriodicProcess] = None
         # Telemetry handles, cached at install time so the hot path pays
@@ -122,6 +124,9 @@ class DLMPolicy(LayerPolicy):
             self.config.batch_eval and type(ctx.knowledge) is OmniscientKnowledge
         )
         ctx.overlay.add_connection_listener(self._on_connection)
+        if self._batch_mode:
+            ctx.overlay.add_link_listener(self._on_link_touch)
+            ctx.overlay.add_role_listener(self._on_role_touch)
         ctx.sim.on(EventKind.DLM_EVALUATE, self._on_evaluate_event)
         if self.config.event_driven:
             # Evaluate when a peer's Phase-1 requests resolve: immediately
@@ -422,9 +427,16 @@ class DLMPolicy(LayerPolicy):
     # commits the verdicts serially in sample order (counters, audit
     # records, RNG draws, transitions).  A plan is only invalidated by an
     # *executed* transition (roles, links, and contact sets change); when
-    # one runs, the rest of the chunk is discarded and replanned, so the
-    # batch path produces the exact verdict/audit/RNG sequence of the
-    # scalar oracle (property- and golden-tested).
+    # one runs, the remaining entries of the chunk that read anything it
+    # changed are replanned (the touched-set rule below), so the batch
+    # path produces the exact verdict/audit/RNG sequence of the scalar
+    # oracle (property- and golden-tested).
+    #
+    # Touched-set rule (argued in DESIGN.md §8): while a batch applies,
+    # listeners collect both endpoints of every link event and, per role
+    # change, the peer plus its super neighbors.  An entry is stale iff
+    # its pid -- or, for a leaf entry that reached the vector phase, one
+    # of its members -- is in that set.
     #
     # Bit-exactness notes: every per-member multiply/compare is the same
     # IEEE-double elementwise operation the scalar loop performs; hit and
@@ -452,18 +464,50 @@ class DLMPolicy(LayerPolicy):
         if hist is not None:
             hist.observe(len(pids))
         pending = self._pending
-        idx = 0
-        n = len(pids)
-        while idx < n:
-            plan = self._plan_chunk(pids[idx : idx + self._BATCH_CHUNK], now)
-            for entry in plan:
-                idx += 1
+        self._touched = set()
+        for start in range(0, len(pids), self._BATCH_CHUNK):
+            plan = self._plan_chunk(pids[start : start + self._BATCH_CHUNK], now)
+            for done, entry in enumerate(plan, 1):
                 if unpend:
                     pending.discard(entry[1])
                 if self._apply_entry(entry, now):
-                    # A transition executed: the remaining planned
-                    # verdicts read pre-transition state.  Replan them.
-                    break
+                    # A transition executed: planned verdicts that read
+                    # what it touched are pre-transition state.
+                    self._replan_stale(plan, done, now)
+        self._touched = None
+
+    def _on_link_touch(self, a: int, b: int, created: bool) -> None:
+        if self._touched is not None:
+            self._touched.update((a, b))
+
+    def _on_role_touch(self, peer: Peer, old_role: Role) -> None:
+        if self._touched is not None:
+            self._touched.update((peer.pid, *peer._store.sn[peer._slot]))
+
+    def _replan_stale(self, plan: List[tuple], start: int, now: float) -> None:
+        """Replan, in place, the entries of ``plan[start:]`` that read a
+        touched pid (entries are independent, so the stale subset plans
+        to what replanning the whole tail would give)."""
+        store = self.ctx.overlay.store
+        role_col = store.role
+        member_col = store.sn if self.config.leaf_g_current_only else store.ct
+        touched = self._touched
+        stale = []
+        for k in range(start, len(plan)):
+            _, pid, peer, _, slot = plan[k]
+            # Only vector-phase entries carry the peer; an untouched pid
+            # still has the role and member tuple it was planned with.
+            if pid in touched or (
+                peer is not None
+                and not role_col[slot]
+                and not touched.isdisjoint(member_col[slot])
+            ):
+                stale.append(k)
+        if stale:
+            fresh = self._plan_chunk([plan[k][1] for k in stale], now)
+            for k, entry in zip(stale, fresh):
+                plan[k] = entry
+        touched.clear()
 
     def _plan_chunk(self, pids: Sequence[int], now: float) -> List[tuple]:
         """Side-effect-free verdict plan for ``pids`` (one entry each)."""

@@ -40,8 +40,14 @@ class AdaptedParameters:
 class ParameterScaler:
     """Computes the adapted parameters for a given µ."""
 
+    _MEMO_LIMIT = 4096  #: entries kept before the memo is cleared
+
     def __init__(self, config: DLMConfig) -> None:
         self.config = config
+        # µ -> AdaptedParameters: µ is log(l_nn / k_l) of an integer (or
+        # an integer sum over a small count), so runs see a few hundred
+        # distinct values; the config is frozen, so entries never go stale.
+        self._memo: dict = {}
 
     def scale_factor(self, mu: float) -> float:
         """X(µ), clamped."""
@@ -67,11 +73,17 @@ class ParameterScaler:
         are reported separately because the metrics are disjoint and an
         extension could weight them differently.
         """
-        x = self.scale_factor(mu)
-        return AdaptedParameters(
-            mu=mu,
-            x_capa=x,
-            x_age=x,
-            z_promote=self.promote_threshold(mu),
-            z_demote=self.demote_threshold(mu),
-        )
+        memo = self._memo
+        params = memo.get(mu)
+        if params is None:
+            if len(memo) >= self._MEMO_LIMIT:
+                memo.clear()
+            x = self.scale_factor(mu)
+            params = memo[mu] = AdaptedParameters(
+                mu=mu,
+                x_capa=x,
+                x_age=x,
+                z_promote=self.promote_threshold(mu),
+                z_demote=self.demote_threshold(mu),
+            )
+        return params

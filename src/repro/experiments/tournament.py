@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from ..analysis import analyze_ratio_convergence, backbone_connectivity
+from ..analysis import analyze_ratio_convergence
 from ..baselines import (
     AdaptiveThresholdPolicy,
     OraclePolicy,
@@ -129,6 +129,8 @@ def _run_arm(spec) -> TournamentRow:
     result = run_experiment(
         cfg, policy_factory=lambda c: build_policy(name, c, threshold)
     )
+    from ..analysis import backbone_connectivity  # lazy: pulls in networkx
+
     series = result.series
     conv = analyze_ratio_convergence(series["ratio"], cfg.eta)
     age_sep = series["super_mean_age"].tail_mean() / max(

@@ -23,7 +23,7 @@ separately (``death_reconnects``) because the ablation benches use it.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 __all__ = ["OverheadCounters", "OverheadLedger", "Table3Row"]
 
@@ -76,69 +76,65 @@ class OverheadLedger:
         if m < 1:
             raise ValueError(f"m must be >= 1, got {m}")
         self.m = m
-        self._c = OverheadCounters()
-        self._mark = self._c
+        # Plain ints keyed by field name: recording runs once per join,
+        # the frozen OverheadCounters is only built when someone reads.
+        self._n = dataclasses.asdict(OverheadCounters())
+        self._mark = OverheadCounters()
         self._mark_time = 0.0
 
     # -- recording --------------------------------------------------------
     def record_leaf_join(self, connections: int | None = None) -> None:
         """A new leaf joined, creating ``connections`` links (default m)."""
-        links = self.m if connections is None else connections
-        self._c = replace(
-            self._c,
-            new_leaf_joins=self._c.new_leaf_joins + 1,
-            nlco_connections=self._c.nlco_connections + links,
-        )
+        n = self._n
+        n["new_leaf_joins"] += 1
+        n["nlco_connections"] += self.m if connections is None else connections
 
     def record_promotion(self) -> None:
         """A leaf was promoted (no PAO: nothing is disconnected)."""
-        self._c = replace(self._c, promotions=self._c.promotions + 1)
+        self._n["promotions"] += 1
 
     def record_demotion(self, orphans: int, reconnections: int) -> None:
         """A super was demoted, orphaning ``orphans`` leaves which made
         ``reconnections`` replacement links (the PAO)."""
-        self._c = replace(
-            self._c,
-            demotions=self._c.demotions + 1,
-            demotion_orphans=self._c.demotion_orphans + orphans,
-            pao_connections=self._c.pao_connections + reconnections,
-        )
+        n = self._n
+        n["demotions"] += 1
+        n["demotion_orphans"] += orphans
+        n["pao_connections"] += reconnections
 
     def record_super_death(self, orphans: int, reconnections: int) -> None:
         """A super-peer died, orphaning ``orphans`` leaves which made
         ``reconnections`` repair links (tracked apart from PAO)."""
-        self._c = replace(
-            self._c,
-            super_deaths=self._c.super_deaths + 1,
-            death_orphans=self._c.death_orphans + orphans,
-            death_reconnects=self._c.death_reconnects + reconnections,
-        )
+        n = self._n
+        n["super_deaths"] += 1
+        n["death_orphans"] += orphans
+        n["death_reconnects"] += reconnections
 
     # -- reading ------------------------------------------------------------
     @property
     def counters(self) -> OverheadCounters:
         """Cumulative counters since the start of the run."""
-        return self._c
+        return OverheadCounters(**self._n)
 
     def window(self, now: float) -> tuple[OverheadCounters, float]:
         """Counters and elapsed time since the previous window mark."""
-        delta = self._c.minus(self._mark)
+        current = self.counters
+        delta = current.minus(self._mark)
         elapsed = now - self._mark_time
-        self._mark = self._c
+        self._mark = current
         self._mark_time = now
         return delta, elapsed
 
     def snapshot(self) -> dict:
         """Checkpoint state: cumulative counters plus the window mark."""
         return {
-            "counters": dataclasses.asdict(self._c),
+            "counters": dict(self._n),
             "mark": dataclasses.asdict(self._mark),
             "mark_time": self._mark_time,
         }
 
     def restore(self, state: dict) -> None:
         """Replace counters and window mark with a :meth:`snapshot`."""
-        self._c = OverheadCounters(**state["counters"])
+        self._n = dataclasses.asdict(OverheadCounters(**state["counters"]))
         self._mark = OverheadCounters(**state["mark"])
         self._mark_time = state["mark_time"]
 

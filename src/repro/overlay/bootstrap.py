@@ -121,16 +121,9 @@ class JoinProcedure:
         if role is None:
             cold_start = self.overlay.n_super < self.seed_supers
             role = Role.SUPER if cold_start else Role.LEAF
-        peer = Peer(
-            pid=pid,
-            role=role,
-            capacity=capacity,
-            join_time=now,
-            lifetime=lifetime,
-            role_change_time=now,
-            eligible=eligible,
+        peer = self.overlay.add_new_peer(
+            pid, role, capacity, now, lifetime, eligible=eligible
         )
-        self.overlay.add_peer(peer)
         if role is Role.SUPER:
             self.family.attach_super(pid)
         else:

@@ -2,17 +2,20 @@
 
 The analysis package (degree distributions, connectivity, backbone
 diameter) and some tests work on a :class:`networkx.Graph` snapshot rather
-than the live adjacency, so exports are explicit copies.
+than the live adjacency, so exports are explicit copies.  ``networkx`` is
+imported inside the functions: every run imports ``repro.overlay``, none
+calls an export.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
-import networkx as nx
+from typing import TYPE_CHECKING, Optional
 
 from .family import OverlayFamily
 from .topology import Overlay
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import networkx as nx
 
 __all__ = ["to_networkx", "backbone_graph"]
 
@@ -32,6 +35,8 @@ def to_networkx(
     attribute ("successor"/"finger") on the backbone edges the ring
     justifies.  The superpeer family adds nothing.
     """
+    import networkx as nx
+
     g = nx.Graph()
     for peer in overlay.peers():
         g.add_node(
@@ -55,6 +60,8 @@ def to_networkx(
 
 def backbone_graph(overlay: Overlay) -> nx.Graph:
     """Snapshot of the super-layer only (the query-flooding backbone)."""
+    import networkx as nx
+
     g = nx.Graph()
     for sid in overlay.super_ids:
         g.add_node(sid)

@@ -33,7 +33,15 @@ from .knowledge import NeighborKnowledge
 from .peerstore import DETACHED, ROLE_LEAF, ROLE_SUPER, CountedIdSet, LinkSet
 from .roles import Role
 
-__all__ = ["Peer"]
+__all__ = ["Peer", "check_peer_metrics"]
+
+
+def check_peer_metrics(capacity: float, lifetime: float) -> None:
+    """The range checks every new peer passes, however its row is made."""
+    if capacity < 0:
+        raise ValueError(f"capacity must be >= 0, got {capacity}")
+    if lifetime <= 0:
+        raise ValueError(f"lifetime must be > 0, got {lifetime}")
 
 
 class Peer:
@@ -98,10 +106,7 @@ class Peer:
         eligible: bool = True,
         knowledge: Optional[NeighborKnowledge] = None,
     ) -> None:
-        if capacity < 0:
-            raise ValueError(f"capacity must be >= 0, got {capacity}")
-        if lifetime <= 0:
-            raise ValueError(f"lifetime must be > 0, got {lifetime}")
+        check_peer_metrics(capacity, lifetime)
         role = Role(role)
         slot = DETACHED.alloc(
             pid,

@@ -21,11 +21,13 @@ Peer state lives in a columnar :class:`~repro.overlay.peerstore.PeerStore`
 owned by the overlay; the registry maps pids to :class:`Peer` views over
 store rows.  Standalone peers are *adopted* into the store on
 :meth:`add_peer` (the view object is rebound, so callers' references stay
-valid) and *evicted* back to the detached pool on :meth:`remove_peer`, so
-leave listeners still read the peer's final state after its overlay slot
-has been recycled.  All mutation paths here write the store columns
-directly -- the degree columns (``n_super_links``/``n_leaf_links``) are
-maintained inline and are what the batch DLM evaluator reads as ``l_nn``.
+valid), joins allocate their row in it directly (:meth:`add_new_peer`),
+and removed peers are *evicted* back to the detached pool on
+:meth:`remove_peer`, so leave listeners still read the peer's final state
+after its overlay slot has been recycled.  All mutation paths here write
+the store columns directly -- the degree columns
+(``n_super_links``/``n_leaf_links``) are maintained inline and are what
+the batch DLM evaluator reads as ``l_nn``.
 
 Observers can subscribe to four event streams, which together are
 sufficient to maintain any derived state (the search index relies on
@@ -53,8 +55,8 @@ import numpy as np
 
 from ..util.indexed_set import IndexedSet
 from .aggregates import OverlayAggregates
-from .peer import Peer
-from .peerstore import DETACHED, ROLE_SUPER, PeerStore
+from .peer import Peer, check_peer_metrics
+from .peerstore import DETACHED, ROLE_LEAF, ROLE_SUPER, PeerStore
 from .roles import Role
 
 __all__ = [
@@ -193,6 +195,34 @@ class Overlay:
         if src.n_super_links[peer._slot] or src.n_leaf_links[peer._slot]:
             raise OverlayError("peer must be added unconnected")
         self.store.adopt(peer)
+        self._admit(peer)
+
+    def add_new_peer(
+        self,
+        pid: int,
+        role: Role,
+        capacity: float,
+        join_time: float,
+        lifetime: float,
+        *,
+        eligible: bool = True,
+    ) -> Peer:
+        """``add_peer(Peer(..., role_change_time=join_time))`` for a peer
+        nobody holds yet: same checks, but one ``alloc`` in the overlay's
+        store instead of a detached row that is adopted and freed."""
+        if pid in self._peers:
+            raise OverlayError(f"duplicate pid {pid}")
+        check_peer_metrics(capacity, lifetime)
+        store = self.store
+        code = ROLE_SUPER if role is Role.SUPER else ROLE_LEAF
+        peer = store.view(
+            store.alloc(pid, code, capacity, join_time, lifetime, join_time, eligible)
+        )
+        self._admit(peer)
+        return peer
+
+    def _admit(self, peer: Peer) -> None:
+        """Register a peer whose row is already in the overlay's store."""
         self._peers[peer.pid] = peer
         (self.super_ids if peer.is_super else self.leaf_ids).add(peer.pid)
         self.total_joins += 1

@@ -9,7 +9,7 @@ same measurement intervals ("on same success rate").
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 __all__ = ["QueryStats", "QueryStatsSnapshot"]
 
@@ -71,37 +71,36 @@ class QueryStats:
     """Mutable accumulator with windowing."""
 
     def __init__(self) -> None:
-        self._c = QueryStatsSnapshot()
-        self._mark = self._c
+        # Plain numbers keyed by field name (one record per query); the
+        # frozen QueryStatsSnapshot is only built on read.
+        self._n = dataclasses.asdict(QueryStatsSnapshot())
+        self._mark = QueryStatsSnapshot()
 
     def record(self, outcome) -> None:
         """Accumulate one outcome (flood or walk; duck-typed fields)."""
+        n = self._n
+        n["issued"] += 1
+        if outcome.found:
+            n["succeeded"] += 1
+        n["total_hits"] += outcome.hits
+        n["total_query_messages"] += outcome.query_messages
+        n["total_hit_messages"] += outcome.hit_messages
+        n["total_supers_visited"] += outcome.supers_visited
         latency = getattr(outcome, "first_hit_latency", None)
-        self._c = replace(
-            self._c,
-            issued=self._c.issued + 1,
-            succeeded=self._c.succeeded + (1 if outcome.found else 0),
-            total_hits=self._c.total_hits + outcome.hits,
-            total_query_messages=self._c.total_query_messages
-            + outcome.query_messages,
-            total_hit_messages=self._c.total_hit_messages + outcome.hit_messages,
-            total_supers_visited=self._c.total_supers_visited
-            + outcome.supers_visited,
-            total_first_hit_latency=self._c.total_first_hit_latency
-            + (latency if latency is not None else 0.0),
-            latency_samples=self._c.latency_samples
-            + (1 if latency is not None else 0),
-        )
+        if latency is not None:
+            n["total_first_hit_latency"] += latency
+            n["latency_samples"] += 1
 
     @property
     def snapshot(self) -> QueryStatsSnapshot:
         """Cumulative counters."""
-        return self._c
+        return QueryStatsSnapshot(**self._n)
 
     def window(self) -> QueryStatsSnapshot:
         """Counters since the previous :meth:`window` call."""
-        delta = self._c.minus(self._mark)
-        self._mark = self._c
+        current = self.snapshot
+        delta = current.minus(self._mark)
+        self._mark = current
         return delta
 
     # ``snapshot`` is the cumulative-counters property above, so the
@@ -110,11 +109,11 @@ class QueryStats:
     def snapshot_state(self) -> dict:
         """Checkpoint state: cumulative counters plus the window mark."""
         return {
-            "counters": dataclasses.asdict(self._c),
+            "counters": dict(self._n),
             "mark": dataclasses.asdict(self._mark),
         }
 
     def restore_state(self, state: dict) -> None:
         """Replace counters and window mark with :meth:`snapshot_state`."""
-        self._c = QueryStatsSnapshot(**state["counters"])
+        self._n = dataclasses.asdict(QueryStatsSnapshot(**state["counters"]))
         self._mark = QueryStatsSnapshot(**state["mark"])

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.churn.distributions import (
     BandwidthMixture,
@@ -11,11 +13,13 @@ from repro.churn.distributions import (
     ExponentialDistribution,
     LogNormalDistribution,
     ParetoDistribution,
+    ScalableDistribution,
     UniformDistribution,
     WeibullDistribution,
     default_capacity_distribution,
     default_lifetime_distribution,
 )
+from repro.churn.multimetric import default_multimetric_capacity
 
 ALL_DISTS = [
     LogNormalDistribution(median=60.0, sigma=1.0),
@@ -61,6 +65,40 @@ class TestCommonContract:
 
     def test_sample_one_is_scalar(self, dist, rng):
         assert isinstance(dist.sample_one(rng), float)
+
+
+# Every distribution class in the package, overriding ``sample_one`` or not.
+SCALAR_CASES = ALL_DISTS + [default_multimetric_capacity()]
+
+
+def test_scalar_cases_cover_every_distribution_class():
+    shipped = {
+        cls
+        for cls in ScalableDistribution.__subclasses__()
+        if cls.__module__.startswith("repro.")
+    }
+    assert shipped <= {type(d) for d in SCALAR_CASES}
+
+
+@pytest.mark.parametrize("dist", SCALAR_CASES, ids=lambda d: type(d).__name__)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    scale=st.floats(min_value=1e-3, max_value=1e3),
+)
+@settings(max_examples=20, deadline=None)
+def test_sample_one_is_the_vector_stream(dist, seed, scale):
+    """``sample_one`` returns the bits ``sample(rng, 1)[0]`` would and
+    leaves the generator where that call would (scalar overrides on the
+    per-join path must not move a single draw)."""
+    scalar_rng, vector_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    dist.set_scale(scale)
+    try:
+        for _ in range(50):
+            one = dist.sample_one(scalar_rng)
+            assert one.hex() == float(dist.sample(vector_rng, 1)[0]).hex()
+        assert scalar_rng.bit_generator.state == vector_rng.bit_generator.state
+    finally:
+        dist.set_scale(1.0)
 
 
 class TestLogNormal:

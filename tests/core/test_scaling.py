@@ -90,3 +90,13 @@ class TestAdapt:
     def test_hysteresis_gap_preserved_near_equilibrium(self, scaler):
         params = scaler.adapt(0.1)
         assert params.z_promote < params.z_demote
+
+    def test_memo_returns_the_same_values_and_stays_bounded(self, scaler):
+        fresh = ParameterScaler(scaler.config)
+        first = scaler.adapt(0.25)
+        assert scaler.adapt(0.25) is first
+        assert first == fresh.adapt(0.25)
+        for i in range(3 * ParameterScaler._MEMO_LIMIT):
+            mu = i / 1000.0
+            assert scaler.adapt(mu) == ParameterScaler(scaler.config).adapt(mu)
+            assert len(scaler._memo) <= ParameterScaler._MEMO_LIMIT

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.metrics.overhead import OverheadCounters, OverheadLedger
@@ -71,6 +73,26 @@ class TestWindows:
         ledger.record_leaf_join()
         delta2, elapsed2 = ledger.window(now=30.0)
         assert delta2.new_leaf_joins == 2 and elapsed2 == 20.0
+
+    def test_snapshot_format_and_round_trip(self):
+        """Checkpoints carry plain field dicts (schema v7), whatever the
+        ledger counts in internally."""
+        ledger = OverheadLedger(m=2)
+        ledger.record_leaf_join()
+        ledger.window(now=4.0)
+        ledger.record_demotion(orphans=3, reconnections=2)
+        state = ledger.snapshot()
+        assert state == {
+            "counters": dataclasses.asdict(ledger.counters),
+            "mark": dataclasses.asdict(OverheadCounters(1, 2)),
+            "mark_time": 4.0,
+        }
+        twin = OverheadLedger(m=2)
+        twin.restore(state)
+        twin.record_promotion()
+        ledger.record_promotion()
+        assert twin.counters == ledger.counters
+        assert twin.window(now=9.0) == ledger.window(now=9.0)
 
     def test_counters_minus(self):
         a = OverheadCounters(new_leaf_joins=5, pao_connections=3)

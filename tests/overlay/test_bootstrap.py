@@ -81,6 +81,14 @@ class TestConnectLeaf:
         assert not set(added) & before
         assert len(leaf.super_neighbors) == 4
 
+    def test_fully_linked_leaf_adds_nothing_and_draws_nothing(self, join):
+        join.join(0.0, 10.0, 50.0)  # the lone cold-start super
+        leaf = join.join(1.0, 5.0, 50.0)
+        assert len(leaf.super_neighbors) == 1
+        before = join.rng.bit_generator.state
+        assert join.connect_leaf(leaf.pid, 2) == []
+        assert join.rng.bit_generator.state == before
+
     def test_pids_are_unique_and_monotone(self, join):
         pids = [join.join(0.0, 1.0, 1.0).pid for _ in range(5)]
         assert pids == sorted(set(pids))

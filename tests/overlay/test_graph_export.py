@@ -47,3 +47,30 @@ class TestBackboneGraph:
         bb = backbone_graph(ov)
         assert bb.number_of_nodes() == 1
         assert bb.number_of_edges() == 0
+
+
+def test_run_path_does_not_import_networkx():
+    """Every bench child, ``REPRO_WORKERS`` worker and shard worker pays
+    the run path's imports; the ~0.1 s networkx import belongs to the
+    callers of an export or of ``repro.analysis.graphstats``."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    code = (
+        "import sys, repro.experiments.runner, repro.experiments.sharded, "
+        "repro.experiments.cli; "
+        "assert 'networkx' not in sys.modules; "
+        "from repro.analysis import backbone_connectivity; "
+        "from repro.overlay import to_networkx; "
+        "assert 'networkx' in sys.modules"
+    )
+    subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        check=True,
+        timeout=120,
+    )

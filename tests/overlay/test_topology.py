@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.overlay.peer import Peer
+from repro.overlay.peerstore import DETACHED
 from repro.overlay.roles import Role
 from repro.overlay.topology import Overlay, OverlayError
 from tests.conftest import build_small_overlay, make_peer
@@ -34,6 +36,43 @@ class TestMembership:
         ov.add_peer(make_peer(0))
         with pytest.raises(OverlayError, match="duplicate"):
             ov.add_peer(make_peer(0))
+
+    def test_add_new_peer_matches_add_peer(self):
+        """The row-direct join path ends in the same state, and the same
+        listener calls, as adopting a standalone peer -- minus the
+        detached row."""
+        def build(direct: bool):
+            ov, seen = Overlay(), []
+            ov.add_membership_listener(
+                lambda peer, joined: seen.append((peer.pid, peer.role, joined))
+            )
+            for pid, role in ((0, Role.SUPER), (1, Role.LEAF)):
+                if direct:
+                    detached = len(DETACHED)
+                    peer = ov.add_new_peer(pid, role, 7.5, 3.0, 40.0, eligible=False)
+                    assert len(DETACHED) == detached
+                else:
+                    peer = Peer(pid, role, 7.5, 3.0, 40.0, role_change_time=3.0, eligible=False)
+                    ov.add_peer(peer)
+                assert ov.get(pid) is peer and peer._store is ov.store
+            return ov, seen
+
+        (a, seen_a), (b, seen_b) = build(True), build(False)
+        assert seen_a == seen_b
+        assert a.snapshot() == b.snapshot()
+        assert a.total_joins == b.total_joins == 2
+        a.check_invariants(aggregates=True)
+
+    def test_add_new_peer_keeps_the_constructor_checks(self):
+        ov = Overlay()
+        ov.add_new_peer(0, Role.SUPER, 1.0, 0.0, 10.0)
+        with pytest.raises(OverlayError, match="duplicate"):
+            ov.add_new_peer(0, Role.LEAF, 1.0, 0.0, 10.0)
+        with pytest.raises(ValueError, match="capacity"):
+            ov.add_new_peer(1, Role.LEAF, -1.0, 0.0, 10.0)
+        with pytest.raises(ValueError, match="lifetime"):
+            ov.add_new_peer(1, Role.LEAF, 1.0, 0.0, 0.0)
+        assert ov.n == 1 and len(ov.store) == 1
 
     def test_preconnected_peer_rejected(self):
         ov = Overlay()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.search.flooding import QueryOutcome
@@ -65,3 +67,19 @@ class TestWindows:
         stats.window()
         stats.record(outcome())
         assert stats.snapshot.issued == 2
+
+    def test_state_format_and_round_trip(self):
+        stats = QueryStats()
+        stats.record(outcome(found=True))
+        stats.window()
+        stats.record(outcome(found=False, hits=0))
+        state = stats.snapshot_state()
+        assert state["counters"] == dataclasses.asdict(stats.snapshot)
+        assert state["mark"]["issued"] == 1
+        assert isinstance(state["counters"]["total_first_hit_latency"], float)
+        twin = QueryStats()
+        twin.restore_state(state)
+        twin.record(outcome())
+        stats.record(outcome())
+        assert twin.snapshot == stats.snapshot
+        assert twin.window() == stats.window()
