@@ -94,14 +94,6 @@ class DLMConfig:
         never reconsidered -- e.g. in a degenerate one-super network no
         leaf ever gets a second connection event, deadlocking bootstrap.
         ``None`` disables it (pure connection-event triggering).
-    batch_eval:
-        Evaluate the sweep's sampled peers as one vectorized batch when
-        the knowledge source is omniscient (plan/apply over columnar
-        index arrays; see DESIGN.md §8).  Verdict-sequence identical to
-        the per-peer path -- the scalar evaluator remains the reference
-        oracle and is used whenever knowledge is message-driven (whose
-        defer-on-missing bookkeeping is inherently per-peer).  Purely a
-        performance switch.
     """
 
     eta: float = 40.0
@@ -126,7 +118,6 @@ class DLMConfig:
     event_driven: bool = True
     periodic_interval: float | None = None
     evaluation_interval: float | None = 20.0
-    batch_eval: bool = True
 
     def __post_init__(self) -> None:
         if self.eta <= 0:

@@ -42,20 +42,18 @@ DESIGN.md):
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Set
+from typing import List, Optional, Set
 
 import numpy as np
 
 from ..context import SystemContext
 from ..overlay.peer import Peer
 from ..overlay.roles import Role
-from ..protocol.knowledge import OmniscientKnowledge
 from ..sim.events import EventKind
 from ..sim.processes import PeriodicProcess
-from .comparison import ComparisonResult, compare_against, compare_leaves_observed
+from .comparison import compare_against, compare_leaves_observed
 from .config import DLMConfig
 from .decisions import Action, Decision, decide
-from .equations import mu_inappropriateness
 from .estimator import RatioEstimator
 from .policy import LayerPolicy
 from .related_set import leaf_related_set
@@ -63,14 +61,6 @@ from .scaling import ParameterScaler
 from .transitions import TransitionExecutor
 
 __all__ = ["DLMPolicy"]
-
-# Batch-plan entry kinds (see ``_plan_chunk``).  Each entry is a tuple
-# whose layout depends on the kind; ``_apply_entry`` is the only reader.
-_SKIP = 0  # peer gone, or the min-eval-interval gate rejected it
-_COUNT = 1  # evaluated but decision-free (cooldown / ineligible / |G| gate)
-_FORCED = 2  # super on the ratio-only forced-demotion branch
-_DECIDE = 3  # full comparison ran; carries the Decision
-_DEFER = 4  # knowledge incomplete (never taken in omniscient mode)
 
 
 class DLMPolicy(LayerPolicy):
@@ -92,16 +82,12 @@ class DLMPolicy(LayerPolicy):
         # is the O(1) dedup view of the same contents; one DLM_EVALUATE
         # drain event is outstanding iff the list is non-empty.
         self._drain: List[int] = []
-        self._batch_mode = False
-        # Pids the transition being applied touched; a set only mid-batch.
-        self._touched: Optional[Set[int]] = None
         self._sweep: Optional[PeriodicProcess] = None
         self._eval_sweep: Optional[PeriodicProcess] = None
         # Telemetry handles, cached at install time so the hot path pays
         # one attribute load + None check when the plane is disabled.
         self._audit = None
         self._span = None
-        self._batch_hist = None
         # Run counters (consumed by reports and tests).
         self.evaluations = 0
         self.promotions = 0
@@ -116,17 +102,7 @@ class DLMPolicy(LayerPolicy):
         # audit hook below to a single `is not None` branch.
         self._audit = ctx.telemetry.audit
         self._span = ctx.telemetry.span
-        if ctx.telemetry.enabled:
-            self._batch_hist = ctx.telemetry.registry.histogram("dlm.batch_size")
-        # Vectorized evaluation applies when every gate input is locally
-        # readable; message-driven (faults) mode keeps the scalar oracle.
-        self._batch_mode = (
-            self.config.batch_eval and type(ctx.knowledge) is OmniscientKnowledge
-        )
         ctx.overlay.add_connection_listener(self._on_connection)
-        if self._batch_mode:
-            ctx.overlay.add_link_listener(self._on_link_touch)
-            ctx.overlay.add_role_listener(self._on_role_touch)
         ctx.sim.on(EventKind.DLM_EVALUATE, self._on_evaluate_event)
         if self.config.event_driven:
             # Evaluate when a peer's Phase-1 requests resolve: immediately
@@ -156,16 +132,6 @@ class DLMPolicy(LayerPolicy):
                 kind="dlm_eval_sweep",
             )
 
-    def role_for_new_peer(
-        self, capacity: float, *, eligible: bool = True
-    ) -> Optional[Role]:
-        """§5: "The new peer is always assigned to leaf layer first"."""
-        return None  # default behavior: leaf (super only during cold start)
-
-    def on_peer_left(self, pid: int) -> None:
-        """Departure bookkeeping (the rate-limit column resets on slot
-        reallocation, so there is nothing to drop here anymore)."""
-
     # -- phase 1: triggers ---------------------------------------------------
     def _on_connection(self, a: int, b: int) -> None:
         # The exchange fires the completion listener (-> evaluation) for
@@ -180,8 +146,7 @@ class DLMPolicy(LayerPolicy):
         drain list.  One join cascade used to schedule one event per
         touched endpoint; at 100k-peer scale those per-pid events were
         the single largest event population, so the drain batches them
-        into one dispatch -- and, in omniscient mode, into one
-        vectorized plan/apply pass.
+        into one dispatch.
         """
         if pid in self._pending:
             return
@@ -193,17 +158,13 @@ class DLMPolicy(LayerPolicy):
     def _on_evaluate_event(self, sim, event) -> None:
         drained = self._drain
         self._drain = []
-        # Small drains (a typical join cascade touches a handful of
-        # peers) stay scalar: the vectorized plan's numpy setup only
-        # pays off past a few dozen peers, and the two paths produce
-        # bit-identical verdicts either way.
-        if self._batch_mode and len(drained) >= 64:
-            self._evaluate_batch(drained, sim.now, unpend=True)
-        else:
-            pending = self._pending
-            for pid in drained:
-                pending.discard(pid)
-                self.evaluate(pid)
+        # Each pid's dedup hold is released right before it is evaluated:
+        # a request arriving mid-drain for a not-yet-evaluated pid still
+        # dedups, one for an already-evaluated pid re-enqueues.
+        pending = self._pending
+        for pid in drained:
+            pending.discard(pid)
+            self.evaluate(pid)
 
     def _periodic_sweep(self, sim, now: float) -> None:
         """The periodic information-exchange policy (ablation A3).
@@ -231,23 +192,14 @@ class DLMPolicy(LayerPolicy):
         rng = ctx.sim.rng.get("dlm-sweep")
         n_leaf = max(1, len(ctx.overlay.leaf_ids) // self._SWEEP_SLICES)
         n_super = max(1, len(ctx.overlay.super_ids) // self._SWEEP_SLICES)
-        batch = self._batch_mode
         # The super sample must be drawn *after* the leaf evaluations ran:
         # a promotion executed in the leaf pass changes the super-id set
-        # the sample indexes into (and the scalar path drew it there).
+        # the sample indexes into.
         with self._span("dlm.eval_sweep"):
-            leaf_pids = ctx.overlay.leaf_ids.sample(rng, n_leaf)
-            if batch:
-                self._evaluate_batch(leaf_pids, now)
-            else:
-                for pid in leaf_pids:
-                    self.evaluate(pid)
-            super_pids = ctx.overlay.super_ids.sample(rng, n_super)
-            if batch:
-                self._evaluate_batch(super_pids, now)
-            else:
-                for pid in super_pids:
-                    self.evaluate(pid)
+            for pid in ctx.overlay.leaf_ids.sample(rng, n_leaf):
+                self.evaluate(pid)
+            for pid in ctx.overlay.super_ids.sample(rng, n_super):
+                self.evaluate(pid)
 
     # -- phases 2-4: evaluation --------------------------------------------
     def evaluate(self, pid: int) -> Optional[Decision]:
@@ -395,401 +347,21 @@ class DLMPolicy(LayerPolicy):
                 audit.record_forced_demotion(now, peer.pid, mu=mu, executed=executed)
         return None
 
-    def _act(self, peer: Peer, decision: Decision) -> bool:
-        """Execute the decision (subject to damping); True iff a
-        transition actually ran (the batch evaluator's replan signal)."""
+    def _act(self, peer: Peer, decision: Decision) -> None:
+        """Execute the decision (subject to damping)."""
         if decision.action is Action.NONE:
-            return False
+            return
         if (
             self.config.action_prob < 1.0
             and self.ctx.sim.rng.get("dlm-damping").random() >= self.config.action_prob
         ):
-            return False
+            return
         assert self._executor is not None
         if decision.action is Action.PROMOTE:
             if self._executor.promote(peer.pid):
                 self.promotions += 1
-                return True
-            return False
-        if self._executor.demote(peer.pid):
+        elif self._executor.demote(peer.pid):
             self.demotions += 1
-            return True
-        return False
-
-    # -- batch evaluation ----------------------------------------------------
-    #
-    # The sweep's sampled peers are evaluated as one vectorized batch when
-    # knowledge is omniscient (DESIGN.md §8).  The batch is *plan/apply*:
-    # ``_plan_chunk`` computes every peer's verdict from current overlay
-    # state with no side effects -- gathering the related-set members of
-    # all planned peers into one concatenated index array and running the
-    # scaled comparisons as segment reductions -- then ``_apply_entry``
-    # commits the verdicts serially in sample order (counters, audit
-    # records, RNG draws, transitions).  A plan is only invalidated by an
-    # *executed* transition (roles, links, and contact sets change); when
-    # one runs, the remaining entries of the chunk that read anything it
-    # changed are replanned (the touched-set rule below), so the batch
-    # path produces the exact verdict/audit/RNG sequence of the scalar
-    # oracle (property- and golden-tested).
-    #
-    # Touched-set rule (argued in DESIGN.md §8): while a batch applies,
-    # listeners collect both endpoints of every link event and, per role
-    # change, the peer plus its super neighbors.  An entry is stale iff
-    # its pid -- or, for a leaf entry that reached the vector phase, one
-    # of its members -- is in that set.
-    #
-    # Bit-exactness notes: every per-member multiply/compare is the same
-    # IEEE-double elementwise operation the scalar loop performs; hit and
-    # usable counts are exact integer segment sums; Y fractions use the
-    # same ``int / int`` division; and the transcendental µ/X/Z math runs
-    # through the identical scalar ``math.log``/``math.exp`` helpers per
-    # peer, never a vectorized approximation.
-
-    #: Peers planned per batch chunk (bounds replan waste after a
-    #: transition while keeping the numpy segments large).
-    _BATCH_CHUNK = 256
-
-    def _evaluate_batch(
-        self, pids: Sequence[int], now: float, *, unpend: bool = False
-    ) -> None:
-        """Evaluate ``pids`` in sample order via chunked plan/apply.
-
-        ``unpend=True`` (the zero-delay drain) releases each pid's
-        ``_pending`` dedup hold right before its entry applies, mirroring
-        the scalar drain's discard-then-evaluate order: a request that
-        arrives mid-drain for a not-yet-applied pid still dedups, one
-        for an already-applied pid re-enqueues.
-        """
-        hist = self._batch_hist
-        if hist is not None:
-            hist.observe(len(pids))
-        pending = self._pending
-        self._touched = set()
-        for start in range(0, len(pids), self._BATCH_CHUNK):
-            plan = self._plan_chunk(pids[start : start + self._BATCH_CHUNK], now)
-            for done, entry in enumerate(plan, 1):
-                if unpend:
-                    pending.discard(entry[1])
-                if self._apply_entry(entry, now):
-                    # A transition executed: planned verdicts that read
-                    # what it touched are pre-transition state.
-                    self._replan_stale(plan, done, now)
-        self._touched = None
-
-    def _on_link_touch(self, a: int, b: int, created: bool) -> None:
-        if self._touched is not None:
-            self._touched.update((a, b))
-
-    def _on_role_touch(self, peer: Peer, old_role: Role) -> None:
-        if self._touched is not None:
-            self._touched.update((peer.pid, *peer._store.sn[peer._slot]))
-
-    def _replan_stale(self, plan: List[tuple], start: int, now: float) -> None:
-        """Replan, in place, the entries of ``plan[start:]`` that read a
-        touched pid (entries are independent, so the stale subset plans
-        to what replanning the whole tail would give)."""
-        store = self.ctx.overlay.store
-        role_col = store.role
-        member_col = store.sn if self.config.leaf_g_current_only else store.ct
-        touched = self._touched
-        stale = []
-        for k in range(start, len(plan)):
-            _, pid, peer, _, slot = plan[k]
-            # Only vector-phase entries carry the peer; an untouched pid
-            # still has the role and member tuple it was planned with.
-            if pid in touched or (
-                peer is not None
-                and not role_col[slot]
-                and not touched.isdisjoint(member_col[slot])
-            ):
-                stale.append(k)
-        if stale:
-            fresh = self._plan_chunk([plan[k][1] for k in stale], now)
-            for k, entry in zip(stale, fresh):
-                plan[k] = entry
-        touched.clear()
-
-    def _plan_chunk(self, pids: Sequence[int], now: float) -> List[tuple]:
-        """Side-effect-free verdict plan for ``pids`` (one entry each)."""
-        ctx = self.ctx
-        store = ctx.overlay.store
-        get = ctx.overlay.get
-        cfg = self.config
-        interval = cfg.min_eval_interval
-        cooldown = cfg.transition_cooldown
-        min_g = cfg.min_related_set
-        k_l = cfg.k_l
-        adapt = self.scaler.adapt
-        role_col = store.role
-        rc_col = store.role_change_time
-        elig_col = store.eligible
-        nll_col = store.n_leaf_links
-        cap_col = store.capacity
-        join_col = store.join_time
-        ln_col = store.ln
-        member_col = store.sn if cfg.leaf_g_current_only else store.ct
-
-        plan: List[tuple] = []
-        # Parallel per-planned-peer accumulators for the vector phases.
-        sup_rows: List[int] = []
-        sup_meta: List[tuple] = []
-        sup_parts: List[np.ndarray] = []
-        sup_counts: List[int] = []
-        sup_x: List[float] = []
-        sup_params: List = []
-        sup_cap: List[float] = []
-        sup_age: List[float] = []
-        leaf_rows: List[int] = []
-        leaf_meta: List[tuple] = []
-        leaf_parts: List[np.ndarray] = []
-        leaf_counts: List[int] = []
-        leaf_cap: List[float] = []
-        leaf_age: List[float] = []
-
-        # -- vectorized gate pass: membership, rate limit, cooldown,
-        # role, and eligibility for the whole chunk in a handful of
-        # array expressions (each compare is the same IEEE-double op the
-        # scalar gates perform).  ``tolist`` turns the masks into plain
-        # Python scalars so the assembly loop below pays no per-element
-        # numpy scalar overhead.
-        arr = np.fromiter(pids, np.int64, count=len(pids))
-        slots = store.slots_of(arr)
-        present = slots >= 0
-        safe = np.where(present, slots, 0)
-        if interval > 0.0:
-            admit = present & ((now - store.last_eval[safe]) >= interval)
-        else:
-            admit = present
-        admit_l = admit.tolist()
-        cooled_l = ((now - rc_col[safe]) >= cooldown).tolist()
-        sup_l = (role_col[safe] != 0).tolist()
-        elig_l = elig_col[safe].tolist()
-        lnn_l = nll_col[safe].tolist()
-        caps_l = cap_col[safe].tolist()
-        ages_l = (now - join_col[safe]).tolist()
-        slot_l = slots.tolist()
-
-        for i, pid in enumerate(pids):
-            if not admit_l[i]:
-                # Gone, or the min-eval-interval gate rejected it.
-                plan.append((_SKIP, pid, None, None, -1))
-                continue
-            slot = slot_l[i]
-            if not cooled_l[i]:
-                plan.append((_COUNT, pid, None, (), slot))
-                continue
-            if sup_l[i]:
-                l_nn = lnn_l[i]
-                mu = mu_inappropriateness(l_nn, k_l)
-                if l_nn >= min_g:
-                    params = adapt(mu)
-                    sup_rows.append(len(plan))
-                    sup_meta.append((pid, get(pid), slot))
-                    sup_parts.append(
-                        np.fromiter(ln_col[slot], np.int64, count=l_nn)
-                    )
-                    sup_counts.append(l_nn)
-                    sup_x.append(params.x_capa)
-                    sup_params.append(params)
-                    sup_cap.append(caps_l[i])
-                    sup_age.append(ages_l[i])
-                    plan.append(None)  # filled by the vector phase
-                elif mu < cfg.force_demote_mu:
-                    plan.append((_FORCED, pid, get(pid), mu, slot))
-                else:
-                    plan.append((_COUNT, pid, None, (), slot))
-            else:
-                if not elig_l[i]:
-                    plan.append((_COUNT, pid, None, (), slot))
-                    continue
-                members = member_col[slot]
-                cnt = len(members)
-                if cnt == 0:
-                    plan.append((_COUNT, pid, None, (), slot))
-                    continue
-                leaf_rows.append(len(plan))
-                leaf_meta.append((pid, get(pid), slot))
-                leaf_parts.append(np.fromiter(members, np.int64, count=cnt))
-                leaf_counts.append(cnt)
-                leaf_cap.append(caps_l[i])
-                leaf_age.append(ages_l[i])
-                plan.append(None)
-
-        # -- vector phase: supers vs their leaf neighbors -------------------
-        if sup_rows:
-            ids = sup_parts[0] if len(sup_parts) == 1 else np.concatenate(sup_parts)
-            counts = np.asarray(sup_counts, dtype=np.int64)
-            starts = np.zeros(len(counts), dtype=np.int64)
-            np.cumsum(counts[:-1], out=starts[1:])
-            slots = store.slots_of(ids)
-            present = slots >= 0
-            safe = np.where(present, slots, 0)
-            ok = present & (role_col[safe] == 0)  # usable: live leaves
-            caps = cap_col[safe]
-            ages = now - join_col[safe]
-            x_rep = np.repeat(np.asarray(sup_x), counts)
-            hc = (caps * x_rep > np.repeat(np.asarray(sup_cap), counts)) & ok
-            ha = (ages * x_rep > np.repeat(np.asarray(sup_age), counts)) & ok
-            usable = np.add.reduceat(ok.astype(np.intp), starts)
-            hits_c = np.add.reduceat(hc.astype(np.intp), starts)
-            hits_a = np.add.reduceat(ha.astype(np.intp), starts)
-            for i, row in enumerate(sup_rows):
-                pid, peer, slot = sup_meta[i]
-                u = int(usable[i])
-                if u < min_g:
-                    # Adjacency invariants make this unreachable in an
-                    # omniscient run; mirror the scalar defer regardless.
-                    plan[row] = (
-                        _DEFER,
-                        pid,
-                        peer,
-                        ("unobserved_leaves", u, 0),
-                        slot,
-                    )
-                    continue
-                y = ComparisonResult(
-                    y_capa=int(hits_c[i]) / u, y_age=int(hits_a[i]) / u, g_size=u
-                )
-                plan[row] = (
-                    _DECIDE,
-                    pid,
-                    peer,
-                    (decide(Role.SUPER, y, sup_params[i]), (), True),
-                    slot,
-                )
-
-        # -- vector phase: leaves vs their contacted supers -----------------
-        if leaf_rows:
-            ids = (
-                leaf_parts[0] if len(leaf_parts) == 1 else np.concatenate(leaf_parts)
-            )
-            counts = np.asarray(leaf_counts, dtype=np.int64)
-            starts = np.zeros(len(counts), dtype=np.int64)
-            np.cumsum(counts[:-1], out=starts[1:])
-            slots = store.slots_of(ids)
-            present = slots >= 0
-            safe = np.where(present, slots, 0)
-            ok = present & (role_col[safe] != 0)  # usable: live supers
-            usable = np.add.reduceat(ok.astype(np.intp), starts)
-            dead_counts = counts - usable
-            lnn_sum = np.add.reduceat(
-                np.where(ok, nll_col[safe].astype(np.int64), 0), starts
-            )
-            caps = cap_col[safe]
-            ages = now - join_col[safe]
-            ends = starts + counts
-            xs = np.zeros(len(leaf_rows))
-            pending: List[tuple] = []
-            for i, row in enumerate(leaf_rows):
-                pid, peer, slot = leaf_meta[i]
-                if dead_counts[i]:
-                    seg = slice(starts[i], ends[i])
-                    dead = tuple(int(s) for s in ids[seg][~ok[seg]])
-                else:
-                    dead = ()
-                u = int(usable[i])
-                if u < min_g:
-                    # Departed members still get pruned at apply time
-                    # (omniscient knowledge has no missing members, so
-                    # the scalar path returns None here, never defers).
-                    plan[row] = (_COUNT, pid, peer, dead, slot)
-                    continue
-                # Every usable super observation carries l_nn, so µ is
-                # the mean over exactly the usable members (exact integer
-                # sum, same division as the scalar estimator).
-                mu = mu_inappropriateness(int(lnn_sum[i]) / u, k_l)
-                params = adapt(mu)
-                xs[i] = params.x_capa
-                pending.append((i, row, pid, peer, params, dead, u, slot))
-            if pending:
-                x_rep = np.repeat(xs, counts)
-                hc = (caps * x_rep > np.repeat(np.asarray(leaf_cap), counts)) & ok
-                ha = (ages * x_rep > np.repeat(np.asarray(leaf_age), counts)) & ok
-                hits_c = np.add.reduceat(hc.astype(np.intp), starts)
-                hits_a = np.add.reduceat(ha.astype(np.intp), starts)
-                for i, row, pid, peer, params, dead, u, slot in pending:
-                    y = ComparisonResult(
-                        y_capa=int(hits_c[i]) / u,
-                        y_age=int(hits_a[i]) / u,
-                        g_size=u,
-                    )
-                    plan[row] = (
-                        _DECIDE,
-                        pid,
-                        peer,
-                        (decide(Role.LEAF, y, params), dead, False),
-                        slot,
-                    )
-        return plan
-
-    def _apply_entry(self, entry: tuple, now: float) -> bool:
-        """Commit one planned verdict; True iff a transition executed."""
-        kind = entry[0]
-        if kind == _SKIP:
-            return False
-        pid = entry[1]
-        if self.config.min_eval_interval > 0.0:
-            self.ctx.overlay.store.last_eval[entry[4]] = now
-        self.evaluations += 1
-        if kind == _COUNT:
-            prune = entry[3]
-            if prune:
-                self._prune_contacts(entry[2], prune)
-            return False
-        if kind == _FORCED:
-            mu = entry[3]
-            if (
-                self.ctx.sim.rng.get("dlm-forced").random()
-                < self.config.force_demote_prob
-            ):
-                self.forced_demotions += 1
-                executed = self._executor.demote(pid)
-                if executed:
-                    self.demotions += 1
-                audit = self._audit
-                if audit is not None:
-                    audit.record_forced_demotion(now, pid, mu=mu, executed=executed)
-                return executed
-            return False
-        if kind == _DEFER:
-            peer = entry[2]
-            reason, g_size, missing = entry[3]
-            self._defer(peer, reason, g_size=g_size, missing=missing)
-            return False
-        peer = entry[2]
-        decision, prune, is_super = entry[3]
-        if prune:
-            self._prune_contacts(peer, prune)
-        audit = self._audit
-        if audit is not None:
-            y, params = decision.y, decision.params
-            audit.record_decision(
-                now,
-                pid,
-                "super" if is_super else "leaf",
-                decision.action.value,
-                mu=params.mu,
-                g_size=y.g_size,
-                y_capa=y.y_capa,
-                y_age=y.y_age,
-                x_capa=params.x_capa,
-                x_age=params.x_age,
-                z_promote=params.z_promote,
-                z_demote=params.z_demote,
-            )
-        return self._act(peer, decision)
-
-    @staticmethod
-    def _prune_contacts(peer: Peer, dead: Sequence[int]) -> None:
-        """Drop departed/demoted members from a leaf's contact history,
-        mirroring :func:`leaf_related_set`'s lazy pruning (including the
-        non-vivifying observation-cache cleanup)."""
-        contacted = peer.contacted_supers
-        cache = peer._store.kn[peer._slot]
-        for sid in dead:
-            contacted.discard(sid)
-            if cache is not None:
-                cache.forget(sid)
 
     def stop(self) -> None:
         """Cancel the periodic sweeps (if any); used by harness teardown."""

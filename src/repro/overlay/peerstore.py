@@ -5,9 +5,9 @@ ceiling: 100k peers cost ~305MB RSS and every DLM evaluation walked
 Python objects one attribute at a time.  ``PeerStore`` keeps the scalar
 peer state -- role, capacity, join time, alive flag, link degrees, the
 exact fields the evaluator reads -- in parallel NumPy columns indexed by
-*slot*, so the batch evaluator (:mod:`repro.core.dlm`) can gather a
-whole evaluation tick into index arrays and compute µ, the scaled
-comparisons, and the Y/Z verdicts as vectorized expressions.
+*slot*, so the evaluator (:mod:`repro.core.dlm`) reads its gates as
+scalar column loads and compares a super against all its leaves in one
+vectorized gather (:func:`repro.core.comparison.compare_leaves_observed`).
 
 :class:`~repro.overlay.peer.Peer` objects are retained as thin
 index-carrying views (a ``(store, slot)`` pair) so the rest of the
@@ -72,8 +72,7 @@ _SCALAR_COLUMNS = (
     ("n_super_links", np.int32, 0),
     ("n_leaf_links", np.int32, 0),
     # Rate-limit bookkeeping for the DLM evaluator: simulated time of the
-    # last committed evaluation, -inf = never evaluated.  Kept columnar so
-    # the batch planner's min-eval-interval gate is one vectorized compare.
+    # last committed evaluation, -inf = never evaluated.
     ("last_eval", np.float64, -np.inf),
     # Ring successor pid for ring-structured overlay families (the Chord
     # family); -1 for leaves, detached rows, and non-ring families.
@@ -543,7 +542,7 @@ class CountedIdSet(IdSet):
     Super-peers' leaf adjacency needs O(1) add/discard at hundreds of
     members, so it stays dict-backed; the subclass keeps the store's
     degree column exact through every mutation path (including direct
-    mutation by tests), which the batch evaluator reads as ``l_nn``.
+    mutation by tests), which the evaluator reads as ``l_nn``.
     """
 
     __slots__ = ("_store", "_slot")

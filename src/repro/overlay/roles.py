@@ -27,17 +27,5 @@ class Role(enum.Enum):
     SUPER = "super"
     LEAF = "leaf"
 
-    @property
-    def other(self) -> "Role":
-        """The opposite layer in a *two-layer* family.
-
-        Valid only for the SUPER/LEAF pair; kept for the two-layer
-        families and tests.  Structure-aware code must ask the bound
-        family's ``transition_target`` instead -- that mapping is the
-        authoritative promotion/demotion contract and raises on roles
-        it does not manage, where this property would silently guess.
-        """
-        return Role.LEAF if self is Role.SUPER else Role.SUPER
-
     def __str__(self) -> str:
         return self.value

@@ -27,7 +27,7 @@ and removed peers are *evicted* back to the detached pool on
 after its overlay slot has been recycled.  All mutation paths here write
 the store columns directly -- the degree columns
 (``n_super_links``/``n_leaf_links``) are maintained inline and are what
-the batch DLM evaluator reads as ``l_nn``.
+the DLM evaluator reads as ``l_nn``.
 
 Observers can subscribe to four event streams, which together are
 sufficient to maintain any derived state (the search index relies on
@@ -90,7 +90,7 @@ class Overlay:
 
     def __init__(self) -> None:
         #: Columnar state for every registered peer (plus the pid->slot
-        #: map used by the batch evaluator's vectorized gathers).
+        #: map behind the super comparison's vectorized gather).
         self.store = PeerStore(track_pids=True)
         self._peers: Dict[int, Peer] = {}
         # Bound-lookup cache: `get` is the hottest overlay call -- DLM's

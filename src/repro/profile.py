@@ -64,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("bench", "largescale"),
         default="bench",
         help="base config family: bench (default) or the columnar "
-        "largescale path (omniscient knowledge, batch DLM eval)",
+        "largescale path (omniscient knowledge)",
     )
     parser.add_argument(
         "--horizon", type=float, default=400.0, help="simulated horizon"

@@ -47,8 +47,9 @@ reports stay honest under faults.
 
 Request lifecycle is observable through :meth:`add_trace_listener`
 (stages: ``sent`` / ``retried`` / ``dropped`` / ``timed_out`` /
-``satisfied`` / ``failed``); :class:`~repro.sim.tracing.TransportTracer`
-is the standard consumer.
+``satisfied`` / ``failed``);
+:func:`~repro.telemetry.plane.attach_transport_trace` is the run-wide
+consumer.
 """
 
 from __future__ import annotations
@@ -184,16 +185,6 @@ class InfoExchange:
     def add_trace_listener(self, fn: TraceListener) -> None:
         """Call ``fn(stage, now, info)`` on request lifecycle events."""
         self._trace_listeners.append(fn)
-
-    def remove_trace_listener(self, fn: TraceListener) -> None:
-        """Detach a trace listener added with :meth:`add_trace_listener`.
-
-        Raises ``ValueError`` if the listener was not attached.
-        """
-        try:
-            self._trace_listeners.remove(fn)
-        except ValueError:
-            raise ValueError("trace listener not attached") from None
 
     def _trace(self, stage: str, info: Mapping[str, object]) -> None:
         if self._trace_listeners:

@@ -2,7 +2,7 @@
 
 The substrate every other subsystem runs on: a deterministic, seedable,
 heap-ordered event queue (:class:`Simulator`), named RNG streams
-(:class:`RngStreams`), recurring-process helpers, and tracing.
+(:class:`RngStreams`), and recurring-process helpers.
 """
 
 from .clock import SimClock
@@ -11,7 +11,6 @@ from .processes import PeriodicProcess, RenewalProcess
 from .rng import RngStreams
 from .scheduler import Simulator, StopSimulation
 from .snapshot import Snapshottable, apply_snapshot, take_snapshot
-from .tracing import Tracer
 
 __all__ = [
     "SimClock",
@@ -23,7 +22,6 @@ __all__ = [
     "Simulator",
     "Snapshottable",
     "StopSimulation",
-    "Tracer",
     "apply_snapshot",
     "take_snapshot",
 ]

@@ -148,8 +148,7 @@ class Simulator:
         binary heap, the pop-order-identical oracle).  Defaults to the
         ``REPRO_SCHED`` environment variable, then ``"wheel"``.
     bucket_width:
-        Calendar window width in time units (default 1.0, or the
-        ``REPRO_SCHED_BUCKET`` environment variable).  Pop order is
+        Calendar window width in time units.  Pop order is
         width-independent; width only trades bucket count against
         active-heap size.
     """
@@ -161,14 +160,12 @@ class Simulator:
         *,
         rng_domain: int = 0,
         engine: Optional[str] = None,
-        bucket_width: Optional[float] = None,
+        bucket_width: float = 1.0,
     ) -> None:
         if engine is None:
             engine = os.environ.get("REPRO_SCHED", "wheel")
         if engine not in ("wheel", "heap"):
             raise ValueError(f"engine must be 'wheel' or 'heap', got {engine!r}")
-        if bucket_width is None:
-            bucket_width = float(os.environ.get("REPRO_SCHED_BUCKET", "1.0"))
         if bucket_width <= 0:
             raise ValueError(f"bucket_width must be positive, got {bucket_width}")
         self.engine = engine

@@ -80,6 +80,37 @@ class TestEventDrivenTriggering:
         )
         assert drains == 1
 
+    def test_mid_drain_requests_dedup_until_the_pid_is_evaluated(self):
+        """The drain releases a pid's dedup hold right before evaluating
+        it: a request made mid-drain for a pid still waiting is dropped,
+        one for a pid already evaluated fires in a second drain event at
+        the same timestamp."""
+        ctx, policy = make_system()
+        for _ in range(3):
+            ctx.join.join(0.0, 10.0, 500.0, role=Role.SUPER)
+        drains = []  # (time, seq) of each DLM_EVALUATE event, after its drain ran
+        ctx.sim.on(
+            EventKind.DLM_EVALUATE, lambda sim, ev: drains.append((ev.time, ev.seq))
+        )
+        evaluated = []  # (index of the drain event it ran in, pid)
+        real = policy.evaluate
+
+        def spy(pid):
+            evaluated.append((len(drains), pid))
+            if evaluated == [(0, 0), (0, 1)]:  # 0 is done, 2 is still queued
+                policy.request_evaluation(2)
+                policy.request_evaluation(0)
+            return real(pid)
+
+        policy.evaluate = spy
+        for pid in (0, 1, 2):
+            policy.request_evaluation(pid)
+        ctx.sim.run()
+        assert evaluated == [(0, 0), (0, 1), (0, 2), (1, 0)]
+        assert len(drains) == 2
+        assert drains[0][0] == drains[1][0] and drains[0][1] < drains[1][1]
+        assert not policy._pending and not policy._drain
+
     def test_info_exchange_charged_on_leaf_links(self):
         ctx, policy = make_system(event_driven=True)
         ctx.join.join(0.0, 10.0, 500.0, role=Role.SUPER)
@@ -239,6 +270,31 @@ class TestSweeps:
         star = ctx.join.join(0.0, 1000.0, 500.0)
         ctx.sim.run(until=100.0)
         assert ctx.overlay.peer(star.pid).is_super
+
+    def test_super_sample_is_drawn_after_the_leaf_pass(self, monkeypatch):
+        """A leaf promoted in the leaf pass is already in the super-id
+        set the same tick's super sample draws from."""
+        from repro.util.indexed_set import IndexedSet
+
+        ctx, policy = make_system()
+        ctx.join.join(0.0, 10.0, 500.0, role=Role.SUPER)
+        ctx.join.join(0.0, 10.0, 500.0, role=Role.SUPER)
+        for _ in range(3):  # whichever leaf the pass samples outclasses G
+            ctx.join.join(0.0, 1000.0, 500.0)
+        advance(ctx, 50.0)
+        sampled_from = []  # members of the super-id set at each draw from it
+        real = IndexedSet.sample
+
+        def spy(self, rng, k):
+            if self is ctx.overlay.super_ids:
+                sampled_from.append(set(self))
+            return real(self, rng, k)
+
+        monkeypatch.setattr(IndexedSet, "sample", spy)
+        policy._evaluation_sweep(ctx.sim, ctx.sim.now)
+        assert policy.promotions == 1
+        (promoted,) = set(ctx.overlay.super_ids) - {0, 1}
+        assert sampled_from == [{0, 1, promoted}]
 
     def test_periodic_refresh_charges_messages(self):
         ctx, policy = make_system(periodic_interval=10.0)

@@ -63,10 +63,6 @@ class TestDerived:
 
 
 class TestRoles:
-    def test_other_role(self):
-        assert Role.SUPER.other is Role.LEAF
-        assert Role.LEAF.other is Role.SUPER
-
     def test_str(self):
         assert str(Role.SUPER) == "super"
         assert str(Role.LEAF) == "leaf"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.overlay.roles import Role
@@ -16,7 +18,6 @@ from repro.protocol.messages import (
 )
 from repro.protocol.transport import MESSAGES_PER_NEW_LINK, InfoExchange
 from repro.sim.scheduler import Simulator
-from repro.sim.tracing import TransportTracer
 from tests.conftest import make_peer
 
 
@@ -100,6 +101,13 @@ class _AlwaysDrop:
         return 0.0
 
 
+def _trace(info) -> list:
+    """Attach a listener; returns the live ``(stage, time)`` list it fills."""
+    stages: list = []
+    info.add_trace_listener(lambda stage, now, data: stages.append((stage, now)))
+    return stages
+
+
 @pytest.fixture
 def driven():
     """A leaf--super pair on a live simulator in message-driven mode."""
@@ -151,7 +159,7 @@ class TestMessageDrivenExchange:
     def test_unanswered_requests_back_off_then_fail(self, driven):
         sim, ov, ledger, make = driven
         info = make(timeout=1.0, max_retries=2, backoff=2.0)
-        tracer = TransportTracer(info)
+        stages = _trace(info)
         completions: list = []
         info.add_completion_listener(completions.append)
         info.on_connection_created(2, 0)
@@ -159,27 +167,29 @@ class TestMessageDrivenExchange:
         sim.run(until=20.0)
         assert info.in_flight == 0
         # Two leaf->super requests, three attempts each.
-        assert tracer.counts["timed_out"] == 6
-        assert tracer.counts["retried"] == 4
-        assert tracer.counts["failed"] == 2
+        counts = Counter(stage for stage, _ in stages)
+        assert counts["timed_out"] == 6
+        assert counts["retried"] == 4
+        assert counts["failed"] == 2
         # The super's own value request was answered by the live leaf.
-        assert tracer.counts["satisfied"] == 1
+        assert counts["satisfied"] == 1
         assert ledger.dlm_timeouts == 6
         assert ledger.dlm_retransmissions == 4
         # Attempts wait 1, 2, then 4 units: failure lands at t = 7.
-        assert all(t == pytest.approx(7.0) for t, _, _ in tracer.of_stage("failed"))
+        assert all(t == pytest.approx(7.0) for stage, t in stages if stage == "failed")
         assert 2 in completions  # the requester still drains and evaluates
 
     def test_dropped_legs_are_traced_and_charged(self, driven):
         sim, ov, ledger, make = driven
         info = make(loss_rate=0.5, timeout=1.0, max_retries=0)
         info._drop_rng = _AlwaysDrop()
-        tracer = TransportTracer(info)
+        stages = _trace(info)
         info.on_connection_created(2, 0)
         sim.run(until=5.0)
-        assert tracer.counts["sent"] == 3
-        assert tracer.counts["dropped"] == 3
-        assert tracer.counts["failed"] == 3
+        counts = Counter(stage for stage, _ in stages)
+        assert counts["sent"] == 3
+        assert counts["dropped"] == 3
+        assert counts["failed"] == 3
         assert ledger.dlm_messages == 3  # sends are charged even if dropped
         assert ledger.dlm_timeouts == 3 and ledger.dlm_retransmissions == 0
         assert ov.peer(2).knowledge.get(0) is None
@@ -205,9 +215,10 @@ class TestMessageDrivenExchange:
     def test_latency_delays_delivery(self, driven):
         sim, ov, ledger, make = driven
         info = make(latency_scale=2.0, timeout=100.0)
-        tracer = TransportTracer(info)
+        stages = _trace(info)
         info.on_connection_created(2, 0)
         sim.run(until=400.0)
         assert info.in_flight == 0
-        assert tracer.counts["satisfied"] == 3
-        assert all(t > 0.0 for t, _, _ in tracer.of_stage("satisfied"))
+        satisfied = [t for stage, t in stages if stage == "satisfied"]
+        assert len(satisfied) == 3
+        assert all(t > 0.0 for t in satisfied)

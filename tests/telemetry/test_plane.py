@@ -118,41 +118,3 @@ class TestStandardProducers:
             )
         after = tel.registry.collect()["overlay.store_bytes"]
         assert after == ctx.overlay.store.nbytes > before
-
-
-class TestBatchEvalInstruments:
-    def test_batch_size_histogram_observes_sweeps(self):
-        from repro.core.config import DLMConfig
-        from repro.experiments.configs import table2_config
-        from repro.experiments.runner import run_experiment
-
-        cfg = table2_config().with_(
-            n=150,
-            seed=7,
-            horizon=120.0,
-            dlm=DLMConfig(batch_eval=True),
-            telemetry=TelemetryConfig(),
-        )
-        res = run_experiment(cfg)
-        out = res.ctx.telemetry.registry.collect()
-        hist = out["dlm.batch_size"]
-        assert hist["count"] > 0
-        # Every observation is one sweep's drained batch, bounded by the
-        # layer the sweep sampled from.
-        assert 0 < hist["max"] <= cfg.n
-
-    def test_scalar_oracle_mode_skips_the_histogram(self):
-        from repro.core.config import DLMConfig
-        from repro.experiments.configs import table2_config
-        from repro.experiments.runner import run_experiment
-
-        cfg = table2_config().with_(
-            n=150,
-            seed=7,
-            horizon=120.0,
-            dlm=DLMConfig(batch_eval=False),
-            telemetry=TelemetryConfig(),
-        )
-        res = run_experiment(cfg)
-        out = res.ctx.telemetry.registry.collect()
-        assert out["dlm.batch_size"]["count"] == 0
