@@ -72,7 +72,9 @@ class LatencyModel(ABC):
         """
 
     def sample_one(self, rng: np.random.Generator) -> float:
-        """One per-hop delay as a float."""
+        """One per-hop delay as a float.  Overrides (one call per message
+        leg) must return ``sample(rng, 1)[0]``'s value and leave ``rng``
+        at the same stream position."""
         return float(self.sample(rng, 1)[0])
 
 
@@ -87,6 +89,9 @@ class ConstantLatency(LatencyModel):
     def sample(self, rng: np.random.Generator, n: int = 1) -> np.ndarray:
         """``n`` identical delays."""
         return np.full(n, self.delay)
+
+    def sample_one(self, rng: np.random.Generator) -> float:
+        return self.delay
 
     @property
     def mean(self) -> float:
@@ -114,6 +119,10 @@ class UniformLatency(LatencyModel):
         """``n`` uniform delays on [lo, hi]."""
         return rng.uniform(self.lo, self.hi, size=n)
 
+    def sample_one(self, rng: np.random.Generator) -> float:
+        # ``size=None`` and ``size=1`` run the same C sampler once.
+        return rng.uniform(self.lo, self.hi)
+
     @property
     def mean(self) -> float:
         """Midpoint of the interval."""
@@ -139,6 +148,10 @@ class LogNormalLatency(LatencyModel):
     def sample(self, rng: np.random.Generator, n: int = 1) -> np.ndarray:
         """``n`` log-normal delays."""
         return rng.lognormal(self.mu, self.sigma, size=n)
+
+    def sample_one(self, rng: np.random.Generator) -> float:
+        # ``size=None`` and ``size=1`` run the same C sampler once.
+        return rng.lognormal(self.mu, self.sigma)
 
     @property
     def mean(self) -> float:
@@ -176,6 +189,9 @@ class ShiftedLatency(LatencyModel):
     def sample(self, rng: np.random.Generator, n: int = 1) -> np.ndarray:
         """``n`` draws from ``base``, each raised by ``shift``."""
         return self.base.sample(rng, n) + self.shift
+
+    def sample_one(self, rng: np.random.Generator) -> float:
+        return self.base.sample_one(rng) + self.shift
 
     @property
     def mean(self) -> float:

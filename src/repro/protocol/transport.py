@@ -186,11 +186,23 @@ class InfoExchange:
         """Call ``fn(stage, now, info)`` on request lifecycle events."""
         self._trace_listeners.append(fn)
 
-    def _trace(self, stage: str, info: Mapping[str, object]) -> None:
-        if self._trace_listeners:
-            now = self.sim.now if self.sim is not None else 0.0
-            for fn in self._trace_listeners:
-                fn(stage, now, info)
+    def _trace(
+        self, stage: str, pending: _Pending, leg: Optional[str] = None
+    ) -> None:
+        if not self._trace_listeners:
+            return  # the common case: build no info dict nobody reads
+        info: Dict[str, object] = {
+            "rid": pending.rid,
+            "requester": pending.requester,
+            "responder": pending.responder,
+            "kind": pending.kind,
+            "attempt": pending.attempt,
+        }
+        if leg is not None:
+            info["leg"] = leg
+        now = self.sim.now if self.sim is not None else 0.0
+        for fn in self._trace_listeners:
+            fn(stage, now, info)
 
     def _notify_complete(self, pid: int) -> None:
         for fn in self._completion_listeners:
@@ -399,15 +411,6 @@ class InfoExchange:
         self._send_attempt(pending)
         return True
 
-    def _pending_info(self, pending: _Pending) -> Dict[str, object]:
-        return {
-            "rid": pending.rid,
-            "requester": pending.requester,
-            "responder": pending.responder,
-            "kind": pending.kind,
-            "attempt": pending.attempt,
-        }
-
     def _send_attempt(self, pending: _Pending) -> None:
         """Send (or resend) the request leg and arm its timeout."""
         sim = self.sim
@@ -415,7 +418,7 @@ class InfoExchange:
         req_type = _REQUEST_TYPES[pending.kind][0]
         retry = pending.attempt > 0
         self.ledger.record(req_type, retransmission=retry)
-        self._trace("retried" if retry else "sent", self._pending_info(pending))
+        self._trace("retried" if retry else "sent", pending)
         self._transmit(pending, "request", None)
         timeout = faults.timeout * faults.backoff**pending.attempt
         pending.timeout_event = sim.schedule(
@@ -434,9 +437,7 @@ class InfoExchange:
         sim = self.sim
         p_loss = self.faults.loss_at(sim.now)
         if p_loss > 0.0 and self._drop_rng.random() < p_loss:
-            info = self._pending_info(pending)
-            info["leg"] = leg
-            self._trace("dropped", info)
+            self._trace("dropped", pending, leg)
             return
         delay = (
             self._latency.sample_one(self._latency_rng)
@@ -491,7 +492,7 @@ class InfoExchange:
                 )
         if pending.timeout_event is not None:
             self.sim.cancel(pending.timeout_event)
-        self._trace("satisfied", self._pending_info(pending))
+        self._trace("satisfied", pending)
         self._resolve(pending)
 
     def _on_timeout(self, sim: Simulator, event) -> None:
@@ -500,7 +501,7 @@ class InfoExchange:
             return  # resolved or superseded in the meantime
         req_type = _REQUEST_TYPES[pending.kind][0]
         self.ledger.record_timeout(req_type)
-        self._trace("timed_out", self._pending_info(pending))
+        self._trace("timed_out", pending)
         if (
             pending.attempt < self.faults.max_retries
             and self.overlay.get(pending.requester) is not None
@@ -508,7 +509,7 @@ class InfoExchange:
             pending.attempt += 1
             self._send_attempt(pending)
             return
-        self._trace("failed", self._pending_info(pending))
+        self._trace("failed", pending)
         self._resolve(pending)
 
     def _resolve(self, pending: _Pending) -> None:

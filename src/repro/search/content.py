@@ -10,6 +10,9 @@ asked for more often -- the regime in which super-peer flooding shines.
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_right
+
 import numpy as np
 
 __all__ = ["ContentCatalog"]
@@ -39,6 +42,8 @@ class ContentCatalog:
         weights = ranks**-s
         self._probs = weights / weights.sum()
         self._cdf = np.cumsum(self._probs)
+        # The same doubles for scalar bisection (8 bytes each, no boxes).
+        self._cdf_scalar = array("d", self._cdf)
 
     @property
     def probabilities(self) -> np.ndarray:
@@ -68,8 +73,12 @@ class ContentCatalog:
         return tuple(set(int(x) for x in self.sample_objects(rng, n_files)))
 
     def query_target(self, rng: np.random.Generator) -> int:
-        """One query target drawn by popularity."""
-        return int(self.sample_objects(rng, 1)[0])
+        """One query target drawn by popularity.
+
+        ``sample_objects(rng, 1)[0]`` without the arrays: the same double
+        off the stream, and ``bisect_right`` is ``searchsorted(side="right")``.
+        """
+        return bisect_right(self._cdf_scalar, rng.random())
 
     def expected_replication(self, n_peers: int, files_per_peer: int) -> np.ndarray:
         """Expected number of copies of each object across the network."""

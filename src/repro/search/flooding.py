@@ -15,25 +15,31 @@ included -- floods pay for redundant deliveries); every hit routes one
 
 Hot-path notes (profiled with ``python -m repro.profile flooding``):
 
-The BFS runs over a *dense snapshot* of the super-layer adjacency
-(contiguous integer indices, neighbor lists materialized once) instead of
-chasing peer objects and hashing pids per hop, and its visited/depth/
-delay state lives in reused stamped arrays -- a per-query ``stamp``
-bump invalidates all three without clearing.  The snapshot subscribes to
-the overlay's existing link/membership/role event streams and is rebuilt
-lazily on the first query after any event that can change backbone
-adjacency (super--super link churn, promotions/demotions, super
-join/leave); between such events every query reuses it.  Expansion order
-matches the old per-query BFS exactly -- neighbor lists are built from
-the same set iteration the old code looped over -- so outcomes are
-bit-identical.
+The flood is *level-synchronous*: level ``d`` is the set of supers at
+backbone distance ``d`` from the entry points, and every outcome field
+is a sum or minimum over levels (``supers_visited = sum |level|``,
+``query_messages`` the summed degree of the levels below the TTL,
+``hits_d = |level & holders|``, ``hit_messages = sum hits_d * d``,
+``first_hit_hops`` the first ``d`` with a hit), independent of the order
+supers are expanded within a level.  So a level costs a few C-level set
+operations, not one interpreted iteration per super and per link:
+``holders`` is the directory's inverted view
+(:meth:`ContentDirectory.holders`), adjacency a ``pid -> super_neighbors``
+dict of the store's own tuples, rebuilt lazily on the first query after
+an event that can change the backbone (super--super link churn, role
+changes, super join/leave).  Once every super is seen the flood stops
+short of its last expansion, whose copies (counted) are all duplicates.
+The per-copy BFS this replaced is the test oracle
+(``tests/search/reference_flood.py``); outcomes are bit-identical.
+
+A timed flood (``latency=``) reports the first hit's round trip as the
+sum of ``2 * d`` fresh i.i.d. hop draws: ``d`` hops out, ``d`` back.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -91,15 +97,9 @@ class FloodRouter:
         self.ledger = ledger
         self.latency = latency
         self.rng = rng
-        # -- backbone snapshot state (rebuilt lazily when dirty) ----------
+        # Backbone snapshot, pid -> super_neighbors (rebuilt lazily).
         self._dirty = True
-        self._pid_index: Dict[int, int] = {}
-        self._pids: List[int] = []
-        self._adjacency: List[List[int]] = []
-        self._seen: List[int] = []
-        self._depth: List[int] = []
-        self._delay: List[float] = []
-        self._stamp = 0
+        self._adj: Dict[int, Tuple[int, ...]] = {}
         overlay.add_link_listener(self._on_link)
         overlay.add_membership_listener(self._on_membership)
         overlay.add_role_listener(self._on_role)
@@ -114,15 +114,10 @@ class FloodRouter:
         """
         self._dirty = True
 
-    def _hop_delay(self) -> float:
-        assert self.latency is not None and self.rng is not None
-        return self.latency.sample_one(self.rng)
-
     # -- snapshot maintenance ---------------------------------------------
     def _on_link(self, a: int, b: int, created: bool) -> None:
-        pa = self.overlay.get(a)
-        pb = self.overlay.get(b)
-        if pa is not None and pb is not None and pa.is_super and pb.is_super:
+        supers = self.overlay.super_ids
+        if a in supers and b in supers:
             self._dirty = True
 
     def _on_membership(self, peer: Peer, joined: bool) -> None:
@@ -134,27 +129,11 @@ class FloodRouter:
         self._dirty = True
 
     def _rebuild(self) -> None:
-        """Materialize the super-layer adjacency with dense indices."""
-        overlay = self.overlay
-        pid_index: Dict[int, int] = {}
-        pids: List[int] = []
-        for sid in overlay.super_ids:
-            pid_index[sid] = len(pids)
-            pids.append(sid)
-        get = overlay.get
-        # Neighbor lists preserve super_neighbors' set-iteration order,
-        # which is what the per-query BFS used to iterate.
-        adjacency = [
-            [pid_index[n] for n in get(sid).super_neighbors] for sid in pids
-        ]
-        n = len(pids)
-        self._pid_index = pid_index
-        self._pids = pids
-        self._adjacency = adjacency
-        self._seen = [0] * n
-        self._depth = [0] * n
-        self._delay = [0.0] * n
-        self._stamp = 0
+        """Snapshot every super's backbone links (the store's own tuples)."""
+        store = self.overlay.store
+        sn = store.sn
+        slot = store.slot
+        self._adj = {sid: sn[slot(sid)] for sid in self.overlay.super_ids}
         self._dirty = False
 
     def query(self, source: int, obj: int) -> QueryOutcome:
@@ -164,12 +143,8 @@ class FloodRouter:
         to each of its super-peers (one message per link); a super source
         starts the flood itself.
         """
-        peer = self.overlay.peer(source)
         directory = self.directory
-        query_messages = 0
-        hits = 0
-        first_hit_hops: Optional[int] = None
-
+        timed = self.latency is not None
         if obj in directory.files(source):
             # Local storage satisfies the query without any traffic.
             return QueryOutcome(
@@ -181,91 +156,55 @@ class FloodRouter:
                 query_messages=0,
                 hit_messages=0,
                 first_hit_hops=0,
-                first_hit_latency=0.0 if self.latency is not None else None,
+                first_hit_latency=0.0 if timed else None,
             )
 
         if self._dirty:
             self._rebuild()
-        pid_index = self._pid_index
-        pids = self._pids
-        adjacency = self._adjacency
-        seen = self._seen
-        depth = self._depth
-        delay = self._delay
-        self._stamp += 1
-        stamp = self._stamp
-        ttl = self.ttl
-        timed = self.latency is not None
-        files_map, index_map = directory.hit_tables()
-        files_get = files_map.get
-        index_get = index_map.get
-
-        # Seed the flood frontier.
-        frontier: deque[int] = deque()
-        if peer.is_super:
-            i = pid_index[source]
-            seen[i] = stamp
-            depth[i] = 0
-            delay[i] = 0.0
-            frontier.append(i)
+        adj = self._adj
+        if source in adj:
+            level = {source}
+            query_messages = 0
+            d = 0
         else:
-            for sid in peer.super_neighbors:
-                query_messages += 1
-                i = pid_index[sid]
-                if seen[i] != stamp:
-                    seen[i] = stamp
-                    depth[i] = 1
-                    delay[i] = self._hop_delay() if timed else 0.0
-                    frontier.append(i)
-
-        hit_messages = 0
-        visited = 0
-        first_hit_latency: Optional[float] = None
-        pop = frontier.popleft
-        push = frontier.append
-        while frontier:
-            i = pop()
-            d = depth[i]
-            visited += 1
-            # Inlined ContentDirectory.super_hit (see hit_tables()).
-            pid = pids[i]
-            own = files_get(pid)
-            if own is not None and obj in own:
-                hit = True
-            else:
-                idx = index_get(pid)
-                hit = idx is not None and idx.get(obj, 0) > 0
-            if hit:
-                hits += 1
-                hit_messages += d  # QueryHit back along the inverse path
-                if first_hit_hops is None:
-                    first_hit_hops = d
-                    if timed:
-                        # Forward delay plus a freshly sampled return
-                        # path of the same hop count.
-                        back = (
-                            float(self.latency.sample(self.rng, d).sum())
-                            if d
-                            else 0.0
-                        )
-                        first_hit_latency = delay[i] + back
+            entry = self.overlay.peer(source).super_neighbors
+            level = set(entry)
+            query_messages = len(entry)  # one copy per access link
+            d = 1
+        holders = directory.holders(obj)
+        ttl = self.ttl
+        seen: set = set()
+        visited = hits = hit_messages = 0
+        first_hit_hops: Optional[int] = None
+        while level:
+            visited += len(level)
+            if holders:
+                h = len(level.intersection(holders))
+                if h:
+                    hits += h
+                    hit_messages += h * d  # QueryHits back along inverse paths
+                    if first_hit_hops is None:
+                        first_hit_hops = d
             if d >= ttl:
-                continue
-            neighbors = adjacency[i]
-            query_messages += len(neighbors)  # every transmission, dup or not
-            d1 = d + 1
-            for j in neighbors:
-                if seen[j] != stamp:
-                    seen[j] = stamp
-                    depth[j] = d1
-                    if timed:
-                        delay[j] = delay[i] + self._hop_delay()
-                    push(j)
+                break
+            seen |= level
+            nbrs = [adj[p] for p in level]
+            query_messages += sum(map(len, nbrs))  # every copy, dup or not
+            if len(seen) == len(adj):
+                break  # whole backbone reached: those copies were all dups
+            level = set().union(*nbrs) - seen
+            d += 1
 
         if self.ledger is not None:
             self.ledger.record(QueryMessage, query_messages)
             self.ledger.record(QueryHitMessage, hit_messages)
 
+        first_hit_latency: Optional[float] = None
+        if timed and first_hit_hops is not None:
+            # d hops out along a shortest path, d back along its inverse.
+            first_hit_latency = float(
+                self.latency.sample(self.rng, 2 * first_hit_hops).sum()
+            )
         return QueryOutcome(
             obj=obj,
             source=source,

@@ -86,6 +86,30 @@ class TestBitIdenticalResume:
         )
         assert_runs_identical(run_experiment(cfg), interrupt_and_resume(cfg))
 
+    def test_restored_holder_view_equals_the_live_one(self):
+        # The directory checkpoints files only; restore() re-derives the
+        # indexes and the inverted holder view the flood router reads.
+        search = SearchConfig(n_objects=400, query_rate=5.0, files_per_peer=5)
+        cfg = small_config(search=search)
+        live = run_experiment(cfg, run=False)
+        live.ctx.sim.run(until=60.0)
+        state = pickle.loads(pickle.dumps(capture_run_state(live)))
+        restored = run_experiment(cfg, resume_from={"state": state}, run=False)
+
+        def view(result):
+            result.directory.check_consistency()
+            return {
+                obj: sorted(result.directory.holders(obj))
+                for obj in range(search.n_objects)
+            }
+
+        assert view(restored) == view(live)
+        assert any(view(live).values())
+        # ...and stays equal under the same incremental updates.
+        live.ctx.sim.run(until=cfg.horizon)
+        restored.ctx.sim.run(until=cfg.horizon)
+        assert view(restored) == view(live)
+
     def test_with_message_driven_faults(self):
         # Requests are genuinely in flight at the checkpoint boundary:
         # drops, latency, retries, and timeout events all cross it.

@@ -1,9 +1,10 @@
 """Property test: the incremental search index never drifts.
 
 Random interleavings of joins, deaths, link churn, and role transitions,
-with the incremental per-super index compared against a from-scratch
-rebuild after every step.  This is the invariant that makes query
-simulation trustworthy.
+with the incremental per-super index -- and the inverted ``holders(obj)``
+view the flood router intersects BFS levels with -- compared against a
+from-scratch rebuild after every step.  This is the invariant that makes
+query simulation trustworthy.
 """
 
 from __future__ import annotations

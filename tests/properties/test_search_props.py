@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 from repro.overlay.peer import Peer
 from repro.overlay.roles import Role
 from repro.overlay.topology import Overlay
+from repro.protocol.latency import ConstantLatency
 from repro.search.content import ContentCatalog
-from repro.search.flooding import FloodRouter
+from repro.search.flooding import FloodRouter, QueryOutcome
 from repro.search.index import ContentDirectory
 from repro.search.walkers import RandomWalkRouter
+from tests.search.reference_flood import reference_query
 
 
 @st.composite
@@ -64,6 +66,43 @@ def test_flood_outcome_invariants(system, ttl, obj, data):
         assert out.first_hit_hops <= ttl + 1
     # a hit at depth d sends d messages back; total bounded accordingly
     assert out.hit_messages <= out.hits * (ttl + 1)
+
+
+@given(random_overlay(), st.integers(1, 6), st.integers(0, 29), st.data())
+@settings(max_examples=100, deadline=None)
+def test_flood_equals_the_per_copy_reference(system, ttl, obj, data):
+    """Level-synchronous set algebra == the per-copy BFS, field by field.
+
+    Also after the overlay moved under a live router (its snapshot and
+    the directory's holder view are maintained, not rebuilt per query).
+    """
+    ov, directory, rng = system
+    router = FloodRouter(ov, directory, ttl=ttl)
+
+    def check():
+        directory.check_consistency()
+        source = data.draw(st.sampled_from(sorted(p.pid for p in ov.peers())))
+        got = router.query(source, obj)
+        want = reference_query(ov, directory, source, obj, ttl=ttl)
+        for field in QueryOutcome.__dataclass_fields__:
+            assert getattr(got, field) == getattr(want, field), field
+        # Timed floods: with a constant (dyadic, so sums are exact) hop
+        # delay, 2*d fresh draws equal the per-node delay array.
+        hop = ConstantLatency(0.5)
+        timed = FloodRouter(ov, directory, ttl=ttl, latency=hop, rng=rng)
+        assert timed.query(source, obj) == reference_query(
+            ov, directory, source, obj, ttl=ttl, latency=hop, rng=rng
+        )
+
+    check()
+    victim = data.draw(st.sampled_from(sorted(p.pid for p in ov.peers())))
+    if ov.peer(victim).is_leaf:
+        ov.promote(victim)
+    elif ov.n_super > 1 and data.draw(st.booleans()):
+        ov.demote(victim, 2, rng)
+    else:
+        ov.remove_peer(victim)
+    check()
 
 
 @given(random_overlay(), st.integers(0, 29), st.data())

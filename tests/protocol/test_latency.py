@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.protocol.latency import (
     ConstantLatency,
+    LatencyModel,
     LogNormalLatency,
     MixtureLatency,
     ShiftedLatency,
@@ -183,6 +186,46 @@ class TestMinDelay:
         assert default_shard_link_model().min_delay() > 0.0
 
 
+# One instance (at least) of every model class in the package,
+# overriding ``sample_one`` or not.
+SCALAR_CASES = [
+    ConstantLatency(1.5),
+    UniformLatency(0.5, 1.5),
+    LogNormalLatency(2.0, 0.5),
+    ShiftedLatency(LogNormalLatency(1.0, 0.5), 0.25),
+    default_shard_link_model(),
+    MixtureLatency(
+        [ShiftedLatency(UniformLatency(0.0, 1.0), 0.25), ConstantLatency(2.0)],
+        [0.8, 0.2],
+    ),
+]
+
+
+def test_scalar_cases_cover_every_latency_model_class():
+    shipped = {
+        cls
+        for cls in LatencyModel.__subclasses__()
+        if cls.__module__.startswith("repro.")
+    }
+    assert shipped <= {type(m) for m in SCALAR_CASES}
+
+
+@pytest.mark.parametrize("model", SCALAR_CASES, ids=repr)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=20, deadline=None)
+def test_sample_one_is_the_vector_stream(model, seed):
+    """``sample_one`` returns the bits ``sample(rng, 1)[0]`` would and
+    leaves the generator where that call would (the scalar overrides on
+    the per-message path must not move a single delivery time)."""
+    scalar_rng, vector_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(50):
+        one = model.sample_one(scalar_rng)
+        assert isinstance(one, float)
+        # The base-class body is the definition the overrides must match.
+        assert one.hex() == LatencyModel.sample_one(model, vector_rng).hex()
+    assert scalar_rng.bit_generator.state == vector_rng.bit_generator.state
+
+
 class TestStableReprs:
     """Model reprs feed the checkpoint config hash; no memory addresses."""
 
@@ -286,6 +329,37 @@ class TestTimedFlooding:
         assert out.found and out.first_hit_hops == 3
         # 3 hops out + 3 hops back at 2.0 each
         assert out.first_hit_latency == pytest.approx(12.0)
+
+    def test_first_hit_latency_is_2d_fresh_hop_draws(self):
+        """The timed flood's whole RNG consumption: one ``sample(rng,
+        2*d)`` for the first hit (d hops out, d back), nothing on a miss."""
+        from repro.overlay.roles import Role
+        from repro.overlay.topology import Overlay
+        from repro.search.content import ContentCatalog
+        from repro.search.flooding import FloodRouter
+        from repro.search.index import ContentDirectory
+        from tests.conftest import make_peer
+
+        ov = Overlay()
+        directory = ContentDirectory(
+            ov, ContentCatalog(50), np.random.default_rng(1), files_per_peer=0
+        )
+        for sid in range(4):
+            ov.add_peer(make_peer(sid, Role.SUPER))
+            if sid:
+                ov.connect(sid - 1, sid)
+        ov.add_peer(make_peer(100, Role.LEAF))
+        directory._files[100] = (7,)
+        ov.connect(100, 3)
+
+        model = LogNormalLatency(1.0, 0.5)
+        flood_rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+        router = FloodRouter(ov, directory, ttl=5, latency=model, rng=flood_rng)
+        out = router.query(0, 7)
+        assert out.first_hit_hops == 3
+        assert out.first_hit_latency == float(model.sample(twin, 6).sum())
+        assert router.query(0, 8).first_hit_latency is None  # a miss
+        assert flood_rng.bit_generator.state == twin.bit_generator.state
 
     def test_local_hit_has_zero_latency(self, rng):
         from repro.overlay.roles import Role

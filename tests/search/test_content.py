@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.search.content import ContentCatalog
 
@@ -72,3 +74,22 @@ class TestSharedSets:
         cat = ContentCatalog(n_objects=100, s=0.8)
         repl = cat.expected_replication(n_peers=1000, files_per_peer=10)
         assert repl.sum() == pytest.approx(10_000)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n_objects=st.integers(min_value=1, max_value=300),
+    s=st.floats(min_value=0.0, max_value=2.0),
+)
+@settings(max_examples=40, deadline=None)
+def test_query_target_is_the_vector_stream(seed, n_objects, s):
+    """``query_target`` returns what ``sample_objects(rng, 1)[0]`` would
+    and leaves the generator where that call would (the scalar draw on
+    the query-issue path must not move a single query)."""
+    cat = ContentCatalog(n_objects=n_objects, s=s)
+    scalar_rng, vector_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(50):
+        one = cat.query_target(scalar_rng)
+        assert type(one) is int
+        assert one == int(cat.sample_objects(vector_rng, 1)[0])
+    assert scalar_rng.bit_generator.state == vector_rng.bit_generator.state
