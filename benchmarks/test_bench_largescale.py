@@ -3,9 +3,12 @@
 Runs the ``largescale_config`` dynamic scenario (replacement churn plus
 the Figure-4/5 mean shifts) end to end and reports simulator throughput
 and peak memory.  The default population here is CI-scale (n = 5 000);
-the full 100k-peer run executes through ``benchmarks/record.py`` (the
-``largescale`` section) or ``REPRO_BENCH_N=100000 pytest
-benchmarks/test_bench_largescale.py``.
+``REPRO_BENCH_N`` / ``REPRO_BENCH_HORIZON`` set the scale (the preset's
+warm-up is 60 units, so the horizon must exceed that): the full run is
+``REPRO_BENCH_N=100000 pytest benchmarks/test_bench_largescale.py``, the
+CI smoke legs run n = 10 000 and a shortened n = 100 000, and
+``REPRO_BENCH_N=1000000 REPRO_BENCH_HORIZON=90`` is the million-peer
+memory probe of EXPERIMENTS.md.
 
 What makes 100k reachable (see DESIGN.md "Aggregate plane"):
 

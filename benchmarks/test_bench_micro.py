@@ -1,8 +1,9 @@
 """Micro-benchmarks of the hot paths.
 
 These are the throughput numbers that justify the implementation
-choices (heap scheduler, O(1) sampling set, loop/NumPy hybrid in the
-scaled comparison) and give a baseline for regression tracking.
+choices (calendar-queue scheduler, O(1) sampling set, loop/NumPy hybrid
+in the scaled comparison).  They are indicative, not gated: a speed
+claim about a change is made with ``python3 bench/run.py``.
 """
 
 from __future__ import annotations

@@ -23,10 +23,6 @@ which point real Events exist -- briefly, in the active heap -- until
 delivery.  Cancellation (churn replacement kills, injected failures) is
 a column write while unmaterialized, and falls through to
 :meth:`Simulator.cancel_lazy` once harvested.
-
-Under the heap oracle (``REPRO_SCHED=heap``) the active window is
-infinite, every death materializes at schedule time, and the ledger's
-columns stay empty -- reproducing the old eager engine exactly.
 """
 
 from __future__ import annotations
@@ -89,8 +85,7 @@ class DeathLedger:
 
         Pulls the staged entry straight back into the columns (no Event
         is built) unless its time falls inside the restored active
-        window, in which case the engine rematerializes it -- always, in
-        heap mode.
+        window, in which case the engine rematerializes it.
         """
         time, _payload, rematerialized = sim.reclaim_lazy(seq)
         store = self.store

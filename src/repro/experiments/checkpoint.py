@@ -48,6 +48,7 @@ __all__ = [
     "restore_run_state",
     "config_hash",
     "resume_run",
+    "write_checkpoint",
 ]
 
 #: Bumped whenever the captured state layout changes incompatibly.
@@ -59,8 +60,8 @@ __all__ = [
 #: superpeer); restores refuse a family mismatch outright.
 #: v5: the scheduler queue is canonical -- sorted by ``(time, seq)``,
 #: with unmaterialized lazy deaths folded in from the store columns and
-#: cancelled lazy tombstones dropped -- so both calendar-queue engines
-#: (``wheel``/``heap``) write byte-identical state.  v4 checkpoints
+#: cancelled lazy tombstones dropped -- so the bytes do not depend on
+#: the calendar's window layout.  v4 checkpoints
 #: serialized the raw heap array (arbitrary sibling order, tombstones
 #: included), so they are refused rather than reinterpreted.
 #: v6: the header records the logical shard count; sharded runs write
@@ -202,6 +203,44 @@ def restore_run_state(result, state: dict, *, restore_rng: bool = True) -> None:
         monitor.restore(state.get("health"))
 
 
+def write_checkpoint(
+    path: str,
+    config: ExperimentConfig,
+    scenario: Optional[Scenario],
+    *,
+    policy: str,
+    time: float,
+    **body,
+) -> None:
+    """Durably replace the file at ``path`` with one checkpoint envelope.
+
+    The one place that knows the file format: the versioned header, the
+    config and scenario, then the caller's ``body`` -- ``state=`` for a
+    classic run, ``shard_states=`` (index order) for a sharded one; the
+    header's ``shards`` count says which to expect.  The payload lands
+    in a sibling temp file first and moves into place with
+    :func:`os.replace`, so a crash mid-write leaves the previous
+    checkpoint intact, never a torn file.
+    """
+    payload = {
+        "header": {
+            "schema": SCHEMA_VERSION,
+            "config_hash": config_hash(config),
+            "family": config.family,
+            "policy": policy,
+            "time": time,
+            "shards": config.shards,
+        },
+        "config": config,
+        "scenario": scenario,
+        **body,
+    }
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as fh:
+        pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
+    os.replace(tmp, path)
+
+
 class CheckpointManager:
     """Durable checkpoint files with a versioned, validated envelope."""
 
@@ -219,29 +258,15 @@ class CheckpointManager:
 
     # -- writing --------------------------------------------------------------
     def write(self, result) -> None:
-        """Capture ``result`` and durably replace the file at ``path``.
-
-        The payload lands in a sibling temp file first and moves into
-        place with :func:`os.replace`, so a crash mid-write leaves the
-        previous checkpoint intact, never a torn file.
-        """
-        payload = {
-            "header": {
-                "schema": SCHEMA_VERSION,
-                "config_hash": config_hash(self.config),
-                "family": self.config.family,
-                "policy": result.policy.name,
-                "time": result.ctx.sim.now,
-                "shards": self.config.shards,
-            },
-            "config": self.config,
-            "scenario": self.scenario,
-            "state": capture_run_state(result),
-        }
-        tmp = f"{self.path}.tmp"
-        with open(tmp, "wb") as fh:
-            pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
-        os.replace(tmp, self.path)
+        """Capture ``result`` and durably replace the file at ``path``."""
+        write_checkpoint(
+            self.path,
+            self.config,
+            self.scenario,
+            policy=result.policy.name,
+            time=result.ctx.sim.now,
+            state=capture_run_state(result),
+        )
         self.writes += 1
 
     # -- reading --------------------------------------------------------------

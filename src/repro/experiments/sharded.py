@@ -45,8 +45,6 @@ from __future__ import annotations
 
 import dataclasses
 import multiprocessing
-import os
-import pickle
 import time
 import traceback
 from dataclasses import dataclass
@@ -67,11 +65,10 @@ from ..sim.shard import (
 from ..telemetry import WindowProgress, export_run
 from ..telemetry.export import write_sharded_chrome_trace
 from .checkpoint import (
-    SCHEMA_VERSION,
     CheckpointError,
     capture_run_state,
-    config_hash,
     restore_run_state,
+    write_checkpoint,
 )
 from .configs import ExperimentConfig
 
@@ -82,7 +79,6 @@ __all__ = [
     "ShardedRunResult",
     "run_sharded_experiment",
     "resume_sharded_run",
-    "write_sharded_checkpoint",
 ]
 
 #: Simulated-time period of the ring gossip each shard sends its
@@ -347,46 +343,6 @@ class ShardedRunResult:
     def query_stats(self):
         """None: the search plane samples per shard, not globally."""
         return None
-
-
-# ---------------------------------------------------------------------------
-# Checkpoints (schema v6 envelope for sharded runs)
-# ---------------------------------------------------------------------------
-
-
-def write_sharded_checkpoint(
-    path: str,
-    config: ExperimentConfig,
-    scenario: Optional[Scenario],
-    policy_name: str,
-    now: float,
-    shard_states: List[dict],
-) -> None:
-    """Durably write K shard states into one canonical checkpoint file.
-
-    Same envelope and atomic write-rename as the classic
-    :class:`~repro.experiments.checkpoint.CheckpointManager`; the
-    ``shard_states`` list (index order) replaces the single ``state``
-    entry, and the header's ``shards`` count makes the layout
-    self-describing.
-    """
-    payload = {
-        "header": {
-            "schema": SCHEMA_VERSION,
-            "config_hash": config_hash(config),
-            "family": config.family,
-            "policy": policy_name,
-            "time": now,
-            "shards": config.shards,
-        },
-        "config": config,
-        "scenario": scenario,
-        "shard_states": shard_states,
-    }
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
-    os.replace(tmp, path)
 
 
 # ---------------------------------------------------------------------------
@@ -662,13 +618,13 @@ def _execute(
             if progress is not None:
                 progress.update(t_end, total_events)
             if next_due is not None and t_end >= next_due - 1e-12:
-                write_sharded_checkpoint(
+                write_checkpoint(
                     config.checkpoint_path,
                     config,
                     scenario,
-                    executor.policy_name,
-                    t_end,
-                    executor.capture(),
+                    policy=executor.policy_name,
+                    time=t_end,
+                    shard_states=executor.capture(),
                 )
                 checkpoint_writes += 1
                 while next_due <= t_end + 1e-12:

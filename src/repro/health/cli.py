@@ -129,12 +129,11 @@ def cmd_postmortem(args, out=None) -> int:
     sim = bundle.get("sim", {})
     out.write(
         "sim: t={now:g} | {events} events | {live} live pending "
-        "({pending} scheduled) | engine={engine}\n".format(
+        "({pending} scheduled)\n".format(
             now=sim.get("now", 0.0),
             events=sim.get("events_processed"),
             live=sim.get("live_pending"),
             pending=sim.get("pending"),
-            engine=sim.get("engine"),
         )
     )
     verdicts = bundle.get("verdicts") or {}

@@ -8,8 +8,8 @@ a postmortem needs and nothing unbounded:
   tail -- audit decisions, transport stages, prior health firings);
 * the newest ``audit_tail`` DLM audit records, separately, so decision
   evidence survives even when transport records dominate the ring;
-* scheduler state (simulated now, events processed, pending counts,
-  engine name) and the exact verdict tallies;
+* scheduler state (simulated now, events processed, pending counts)
+  and the exact verdict tallies;
 * the registry metrics namespace at dump time;
 * the active config hash, so ``repro postmortem`` output can be matched
   to the checkpoint/config that produced it.
@@ -80,7 +80,6 @@ def build_flight_bundle(
             "events_processed": sim.events_processed,
             "pending": sim.pending,
             "live_pending": sim.live_pending,
-            "engine": getattr(sim, "engine", None),
         },
         "verdicts": (
             {} if audit is None else dict(sorted(audit.verdict_counts.items()))

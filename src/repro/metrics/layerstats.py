@@ -8,15 +8,15 @@ harnesses can pull them out by name.
 
 Sampling is O(1) per tick: all values are constant-time reads of the
 overlay's incremental :class:`~repro.overlay.aggregates.OverlayAggregates`
-plane, not a walk over ``overlay.peers()``.  The retired full scan
-survives as :func:`scan_layer_stats`, the reference implementation the
-equivalence tests (and the aggregate-plane invariant check) compare
-against.
+plane, not a walk over ``overlay.peers()``.  The exact brute-force
+rebuild those counters are audited against is
+:meth:`OverlayAggregates.scan`, which ``check_invariants(aggregates=True)``
+runs.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 from ..overlay.topology import Overlay
 from ..sim.events import EventKind
@@ -24,7 +24,7 @@ from ..sim.processes import PeriodicProcess
 from ..sim.scheduler import Simulator
 from .timeseries import SeriesBundle
 
-__all__ = ["LayerStatsSampler", "SERIES_NAMES", "scan_layer_stats"]
+__all__ = ["LayerStatsSampler", "SERIES_NAMES"]
 
 #: All series a sampler produces.
 SERIES_NAMES = (
@@ -38,40 +38,6 @@ SERIES_NAMES = (
     "leaf_mean_capacity",
     "super_mean_lnn",
 )
-
-
-def scan_layer_stats(overlay: Overlay, now: float) -> Dict[str, float]:
-    """The reference full scan: one pass over every peer (O(n)).
-
-    Kept for equivalence tests against the O(1) aggregate reads; the
-    sampler itself never calls this.
-    """
-    sup_age = sup_cap = sup_lnn = 0.0
-    leaf_age = leaf_cap = 0.0
-    n_sup = 0
-    n_leaf = 0
-    for peer in overlay.peers():
-        age = now - peer.join_time
-        if peer.is_super:
-            n_sup += 1
-            sup_age += age
-            sup_cap += peer.capacity
-            sup_lnn += len(peer.leaf_neighbors)
-        else:
-            n_leaf += 1
-            leaf_age += age
-            leaf_cap += peer.capacity
-    return {
-        "n": n_sup + n_leaf,
-        "n_super": n_sup,
-        "n_leaf": n_leaf,
-        "ratio": n_leaf / n_sup if n_sup else float("inf"),
-        "super_mean_age": sup_age / n_sup if n_sup else 0.0,
-        "leaf_mean_age": leaf_age / n_leaf if n_leaf else 0.0,
-        "super_mean_capacity": sup_cap / n_sup if n_sup else 0.0,
-        "leaf_mean_capacity": leaf_cap / n_leaf if n_leaf else 0.0,
-        "super_mean_lnn": sup_lnn / n_sup if n_sup else 0.0,
-    }
 
 
 class LayerStatsSampler:

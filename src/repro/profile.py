@@ -94,14 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--queries", type=int, default=200, help="queries for the flooding workload"
     )
     parser.add_argument(
-        "--sched",
-        choices=("wheel", "heap"),
-        default=None,
-        help="event-engine override (sets REPRO_SCHED for the whole "
-        "workload); the before/after flame profile of the calendar "
-        "queue is one command per engine",
-    )
-    parser.add_argument(
         "--sort",
         choices=("cumulative", "tottime"),
         default="cumulative",
@@ -187,10 +179,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
 
-    if args.sched is not None:
-        # Through the environment, not a ctor kwarg: experiment harnesses
-        # build their own Simulators, so every one of them must inherit it.
-        os.environ["REPRO_SCHED"] = args.sched
     if args.workers is not None:
         os.environ["REPRO_WORKERS"] = str(args.workers)
 

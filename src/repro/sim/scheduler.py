@@ -30,13 +30,11 @@ hot operations are O(1) instead of O(log n):
   Event.  A million pending peer deaths therefore cost two numpy
   columns, not a million Event objects on a heap.
 
-``REPRO_SCHED=heap`` (or ``engine="heap"``) keeps the flat-heap
-behavior as a pop-order-identical oracle: the active window is set to
-infinity, so every event -- including lazy ones, materialized
-immediately -- lands in the active heap and the engine degenerates to
-the original heap+now-buffer core.  Snapshots are canonical (sorted by
-``(time, seq)``, unmaterialized lazy entries folded in), so both
-engines serialize byte-identical state.
+Snapshots are canonical (sorted by ``(time, seq)``, unmaterialized lazy
+entries folded in), so the serialized state does not depend on where the
+windows fall.  The flat heap survives as an independent model in
+``tests/sim/reference_heap.py``, which the property tests hold the
+engine's pop order, counters and snapshots against.
 
 Handlers are callables ``handler(sim, event)`` registered per event
 kind; multiple handlers per kind fire in registration order.  The
@@ -64,7 +62,6 @@ Hot-path notes (profiled with ``python -m repro.profile scheduler``):
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from heapq import heappop, heappush
 from math import inf
@@ -143,10 +140,6 @@ class Simulator:
         subsystems must draw from ``sim.rng``.
     start:
         Initial clock value (time units).
-    engine:
-        ``"wheel"`` (calendar queue, the default) or ``"heap"`` (flat
-        binary heap, the pop-order-identical oracle).  Defaults to the
-        ``REPRO_SCHED`` environment variable, then ``"wheel"``.
     bucket_width:
         Calendar window width in time units.  Pop order is
         width-independent; width only trades bucket count against
@@ -159,16 +152,10 @@ class Simulator:
         start: float = 0.0,
         *,
         rng_domain: int = 0,
-        engine: Optional[str] = None,
         bucket_width: float = 1.0,
     ) -> None:
-        if engine is None:
-            engine = os.environ.get("REPRO_SCHED", "wheel")
-        if engine not in ("wheel", "heap"):
-            raise ValueError(f"engine must be 'wheel' or 'heap', got {engine!r}")
         if bucket_width <= 0:
             raise ValueError(f"bucket_width must be positive, got {bucket_width}")
-        self.engine = engine
         self.clock = SimClock(start)
         self.rng = RngStreams(seed, domain=rng_domain)
         self._width = bucket_width
@@ -179,19 +166,16 @@ class Simulator:
         self._buckets: Dict[int, List[Tuple[float, int, Event]]] = {}
         self._bucket_heap: List[int] = []  # occupied window indices
         self._bucket_count = 0
-        if engine == "heap":
-            self._active_end = inf
-        else:
-            self._active_end = (self._bucket_of(start) + 1) * bucket_width
+        self._active_end = (self._bucket_of(start) + 1) * bucket_width
         #: The single attached lazy source (peer deaths), if any.
         self._source: Optional[LazyEventSource] = None
         self._source_kind: Optional[str] = None
         #: Materialized-but-undelivered lazy events, by seq (cancel path).
         self._lazy_events: Dict[int, Event] = {}
         #: Seqs of cancelled lazy events still sitting in the active heap
-        #: as tombstones; snapshots skip them so both engines serialize
-        #: the same canonical queue (the wheel never materializes a
-        #: cancelled unmaterialized row at all).
+        #: as tombstones; snapshots skip them so the canonical queue does
+        #: not depend on whether a cancelled row had been materialized
+        #: (one cancelled while still in the source is simply gone).
         self._cancelled_lazy: Set[int] = set()
         #: Cancelled events still queued (drained as tombstones pop).
         self._cancelled_pending = 0
@@ -237,7 +221,12 @@ class Simulator:
         Exact when cancellations are routed through :meth:`cancel` /
         :meth:`cancel_lazy` (every built-in subsystem does); a direct
         ``Event.cancel()`` on a queued event bypasses the counter and
-        makes this an overestimate until the tombstone pops.
+        makes this an overestimate until the tombstone pops.  The other
+        way round, :meth:`cancel` does not check that its event is still
+        queued: cancelling one that was already delivered counts a
+        tombstone that will never pop, so this reads one low (as low as
+        -1) until the next :meth:`restore`, which recounts the cancelled
+        entries from the restored queue.
         """
         return self.pending - self._cancelled_pending
 
@@ -359,11 +348,11 @@ class Simulator:
         Returns ``(seq, materialized)``.  The seq is allocated exactly
         where :meth:`schedule_at` would have allocated it, so a run that
         schedules lazily is trajectory-identical to one that schedules
-        eagerly.  If ``time`` falls inside the active window (always, in
-        heap mode) the Event is materialized immediately and
-        ``materialized`` is True -- the caller must not record the row in
-        the source.  Otherwise the caller owns the ``(time, payload)``
-        row until the engine harvests it (or the source cancels it).
+        eagerly.  If ``time`` falls inside the active window the Event
+        is materialized immediately and ``materialized`` is True -- the
+        caller must not record the row in the source.  Otherwise the
+        caller owns the ``(time, payload)`` row until the engine
+        harvests it (or the source cancels it).
         """
         now = self.clock._now
         if time < now:
@@ -621,10 +610,11 @@ class Simulator:
             # Drained early: jump the clock to the horizon so that metric
             # timestamps computed from `now` are well defined.  Live
             # emptiness, not physical emptiness: a cancelled tombstone
-            # beyond the horizon still sits in the heap engine's queue but
-            # is already gone from the wheel's columns, and the clocks
-            # must agree (the old core purged tombstones first and
-            # jumped, so live emptiness is also the seed semantics).
+            # beyond the horizon still sits in the queue if it had been
+            # materialized but is already gone if it was a source row,
+            # and the clock must not depend on which (the old core purged
+            # tombstones first and jumped, so live emptiness is also the
+            # seed semantics).
             clock._now = until
 
     # -- checkpointing -------------------------------------------------------
@@ -634,10 +624,11 @@ class Simulator:
         The queue is serialized canonically: plain ``(time, seq, kind,
         payload, cancelled)`` tuples sorted by ``(time, seq)``, with
         unmaterialized lazy rows folded in from the source and cancelled
-        lazy tombstones skipped.  Both engines therefore serialize
-        byte-identical state, and a sorted array is a valid heap for the
-        restore path.  Payloads must be plain data (ints/floats/strings
-        and dicts thereof), which every built-in subsystem honors.
+        lazy tombstones skipped.  The bytes therefore do not depend on
+        the bucket width or on which rows had been materialized, and a
+        sorted array is a valid heap for the restore path.  Payloads
+        must be plain data (ints/floats/strings and dicts thereof),
+        which every built-in subsystem honors.
         Handler wiring is deliberately *not* captured: the composition
         root re-derives it by re-wiring the system from config.
         """
@@ -703,10 +694,7 @@ class Simulator:
         self._bucket_count = 0
         self._lazy_events = {}
         self._cancelled_lazy = set()
-        if self.engine == "heap":
-            self._active_end = inf
-        else:
-            self._active_end = (self._bucket_of(self.clock._now) + 1) * self._width
+        self._active_end = (self._bucket_of(self.clock._now) + 1) * self._width
         staging: Dict[int, tuple] = {}
         cancelled = 0
         for entry in state["queue"]:
@@ -761,9 +749,9 @@ class Simulator:
         """Hand a staged entry back to the lazy source after restore.
 
         Returns ``(time, payload, rematerialized)``.  When the entry's
-        time falls inside the active window (always, in heap mode) it is
-        materialized into the calendar instead -- ``rematerialized`` is
-        True and the caller must not record the row in the source.
+        time falls inside the active window it is materialized into the
+        calendar instead -- ``rematerialized`` is True and the caller
+        must not record the row in the source.
         Raises ``KeyError`` for an unknown seq and ``RuntimeError`` once
         the staging area has been finalized.
         """
@@ -819,6 +807,6 @@ class Simulator:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"Simulator(engine={self.engine}, now={self.now:.3f}, "
+            f"Simulator(now={self.now:.3f}, "
             f"pending={self.pending}, processed={self._events_processed})"
         )

@@ -6,7 +6,8 @@ telemetry plane on for that run.  ``None`` (the default everywhere) is
 the **disabled** mode: the composition root wires the module-level
 :data:`~repro.telemetry.plane.NULL_TELEMETRY` no-op singleton and the
 instrumented code paths reduce to one attribute load plus a branch --
-the zero-overhead contract the benchmark regression gate enforces.
+the zero-overhead contract; the benchmark's ``churn_observed`` workload
+prices the enabled mode against ``churn_steady``.
 
 Every field here is trajectory-neutral: telemetry observes the
 simulation, it never draws from its RNG streams or schedules events, so

@@ -4,8 +4,9 @@ The logical shard count K is a *model* parameter (part of the config
 hash, like the seed); the worker process count N is execution-only.
 These tests pin the load-bearing guarantee -- a K-shard run produces
 bit-identical results on 1 worker and N workers, through checkpoints,
-in fresh processes, and under the debug aggregate audits -- plus the
-dispatch seams (``shards=1`` is the classic engine; goldens stand).
+in fresh processes, with every shard's aggregates passing the
+brute-force audit -- plus the dispatch seams (``shards=1`` is the
+classic engine; goldens stand).
 """
 
 from __future__ import annotations
@@ -24,7 +25,11 @@ from repro.experiments.checkpoint import (
     resume_run,
 )
 from repro.experiments.configs import table2_config
-from repro.experiments.runner import RunResult, run_experiment
+from repro.experiments.runner import (
+    RunResult,
+    default_policy_factory,
+    run_experiment,
+)
 from repro.experiments.sharded import (
     ShardedRunResult,
     run_sharded_experiment,
@@ -143,12 +148,25 @@ class TestGlobalSeries:
             result.config.horizon / result.stats.window
         )
 
-    def test_debug_aggregates_audit_passes(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DEBUG_AGGREGATES", "1")
-        cfg = sharded_config(horizon=30.0)
-        a = run_sharded_experiment(cfg, workers=1)
-        b = run_sharded_experiment(cfg, workers=1)
-        assert_sharded_identical(a, b)
+    def test_debug_aggregates_audit_passes(self):
+        # The in-process executor leaves each shard's system reachable
+        # through the policy it was handed; audit every overlay at the
+        # horizon against the brute-force rebuild of its aggregates.
+        policies = []
+
+        def capturing_factory(cfg):
+            policies.append(default_policy_factory(cfg))
+            return policies[-1]
+
+        result = run_sharded_experiment(
+            sharded_config(horizon=30.0),
+            policy_factory=capturing_factory,
+            workers=1,
+        )
+        assert len(policies) == 2
+        for policy in policies:
+            policy.ctx.overlay.check_invariants(aggregates=True)
+        assert sum(p.ctx.overlay.n_super for p in policies) == result.n_super
 
 
 class TestShardedCheckpoint:
@@ -189,6 +207,20 @@ class TestShardedCheckpoint:
         assert payload["header"]["shards"] == 2
         assert len(payload["shard_states"]) == 2
         assert "state" not in payload
+
+    def test_classic_and_sharded_share_one_header(self, tmp_path):
+        sharded = self._checkpointed(tmp_path, horizon=30.0)
+        run_sharded_experiment(sharded, workers=1)
+        classic = sharded.with_(
+            shards=1, checkpoint_path=str(tmp_path / "classic.ckpt")
+        )
+        run_experiment(classic)
+        headers = [
+            CheckpointManager.load(cfg.checkpoint_path)["header"]
+            for cfg in (classic, sharded)
+        ]
+        assert list(headers[0]) == list(headers[1])
+        assert [h["shards"] for h in headers] == [1, 2]
 
     def test_resume_refuses_shard_count_mismatch(self, tmp_path):
         cfg = self._checkpointed(tmp_path, horizon=30.0)

@@ -11,6 +11,40 @@ from repro.sim.scheduler import Simulator
 from tests.conftest import make_peer
 
 
+def reference_layer_stats(overlay, now):
+    """Every series by one plain-float pass over the peers (O(n)).
+
+    Independent of the aggregate plane and of its fixed-point sums: the
+    reference ``test_matches_reference_scan`` holds the sampler to.
+    """
+    sup_age = sup_cap = sup_lnn = 0.0
+    leaf_age = leaf_cap = 0.0
+    n_sup = 0
+    n_leaf = 0
+    for peer in overlay.peers():
+        age = now - peer.join_time
+        if peer.is_super:
+            n_sup += 1
+            sup_age += age
+            sup_cap += peer.capacity
+            sup_lnn += len(peer.leaf_neighbors)
+        else:
+            n_leaf += 1
+            leaf_age += age
+            leaf_cap += peer.capacity
+    return {
+        "n": n_sup + n_leaf,
+        "n_super": n_sup,
+        "n_leaf": n_leaf,
+        "ratio": n_leaf / n_sup if n_sup else float("inf"),
+        "super_mean_age": sup_age / n_sup if n_sup else 0.0,
+        "leaf_mean_age": leaf_age / n_leaf if n_leaf else 0.0,
+        "super_mean_capacity": sup_cap / n_sup if n_sup else 0.0,
+        "leaf_mean_capacity": leaf_cap / n_leaf if n_leaf else 0.0,
+        "super_mean_lnn": sup_lnn / n_sup if n_sup else 0.0,
+    }
+
+
 @pytest.fixture
 def system():
     sim = Simulator(seed=0)
@@ -110,12 +144,10 @@ class TestConstantTimeSampling:
         assert sampler.bundle["super_mean_lnn"].last()[1] == 2.0
 
     def test_matches_reference_scan(self, system):
-        from repro.metrics.layerstats import scan_layer_stats
-
         sim, ov = system
         sampler = LayerStatsSampler(sim, ov, interval=5.0)
         sim.run(until=15.0)
-        reference = scan_layer_stats(ov, now=sim.now)
+        reference = reference_layer_stats(ov, now=sim.now)
         for name, value in reference.items():
             assert sampler.bundle[name].last()[1] == pytest.approx(
                 value, rel=1e-12

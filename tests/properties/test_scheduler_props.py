@@ -1,17 +1,19 @@
-"""Property tests: the calendar-queue engine against the heap oracle.
+"""Property tests: the calendar-queue engine against a flat-heap model.
 
 The wheel engine's contract is *bit-identical pop order* with the flat
 binary heap it replaced, including zero-delay follow-ups, cancellation,
 lazy (source-owned) events, and snapshot/restore at arbitrary points.
-These properties drive both engines through identical randomized op
-scripts and require:
+The oracle is :class:`tests.sim.reference_heap.ReferenceHeap`, an
+independent model that shares no code with the engine.  These properties
+drive both through identical randomized op scripts, at several bucket
+widths, and require:
 
 * identical ``(time, seq, kind)`` delivery sequences,
-* identical ``live_pending`` at every observation point (``pending``
-  legitimately differs transiently: a cancelled-but-unmaterialized lazy
-  row vanishes from the wheel's columns immediately but stays a
-  tombstone on the heap until popped),
-* byte-identical canonical snapshots,
+* identical ``(now, events_processed, live_pending)`` at every
+  observation point (``pending`` is not compared: a
+  cancelled-but-unmaterialized lazy row vanishes from the wheel's
+  columns immediately but is a tombstone in a heap until popped),
+* identical canonical queues at every snapshot point and at the end,
 
 and separately that lazy scheduling is *equivalent to eager
 scheduling*: the same script with every ``schedule_lazy`` replaced by
@@ -28,6 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.scheduler import Simulator
+from tests.sim.reference_heap import ReferenceHeap
 
 KIND = "lazy_tick"
 
@@ -99,20 +102,20 @@ ops_strategy = st.lists(
 class Script:
     """Replays one op sequence against a simulator, logging deliveries."""
 
-    def __init__(self, engine: str, *, lazy: bool, width: float = 1.0) -> None:
+    def __init__(self, *, lazy: bool, width: float = 1.0) -> None:
         self.lazy = lazy
         self.log = []
         self.observed = []
-        self.sim = self._fresh(engine, width)
+        self.queues = []
         self.width = width
-        self.engine = engine
+        self.sim = self._fresh()
         # (tag, handle) per schedule op; cleared on restore because a
         # pre-restore Event object no longer identifies a queue entry.
         self.created = []
         self.live_lazy = set()
 
-    def _fresh(self, engine: str, width: float) -> Simulator:
-        sim = Simulator(seed=7, engine=engine, bucket_width=width)
+    def _fresh(self) -> Simulator:
+        sim = Simulator(seed=7, bucket_width=self.width)
         sim.on("tick", self._on_event)
         sim.on(KIND, self._on_event)
         self.source = DictSource(sim)
@@ -158,9 +161,9 @@ class Script:
                 self.observe()
             else:
                 self.restore_roundtrip()
-        sim = self.sim
-        sim.run()
+        self.sim.run()
         self.observe()
+        self.queues.append(self.sim.snapshot()["queue"])
 
     def _eager_lazy_event(self, seq):
         for ev in self.sim.queued_events():
@@ -175,10 +178,8 @@ class Script:
     def restore_roundtrip(self) -> None:
         state = self.sim.snapshot()
         self.last_snapshot = pickle.dumps(state, protocol=4)
-        restored = Simulator(seed=7, engine=self.engine, bucket_width=self.width)
-        restored.on("tick", self._on_event)
-        restored.on(KIND, self._on_event)
-        self.source = DictSource(restored)
+        self.queues.append(state["queue"])
+        restored = self._fresh()
         restored.restore(state)
         if self.lazy:
             for seq in sorted(self.live_lazy):
@@ -190,25 +191,72 @@ class Script:
         self.created = []
 
 
-@given(ops=ops_strategy)
-@settings(max_examples=80, deadline=None)
-def test_wheel_matches_heap_oracle(ops):
-    wheel = Script("wheel", lazy=True)
-    heap = Script("heap", lazy=True)
+class ModelScript:
+    """The same op interpreter over the flat-heap reference model."""
+
+    def __init__(self) -> None:
+        self.model = ReferenceHeap()
+        self.observed = []
+        self.queues = []
+
+    @property
+    def log(self):
+        return self.model.log
+
+    def apply(self, ops) -> None:
+        model = self.model
+        created = []
+        for op, arg in ops:
+            if op == "eager":
+                created.append(model.schedule_at(model.now + float(arg), "tick"))
+            elif op == "zero":
+                created.append(model.schedule_at(model.now + 0.0, "tick"))
+            elif op == "lazy":
+                created.append(
+                    model.schedule_at(model.now + float(arg), KIND, lazy=True)
+                )
+            elif op == "cancel":
+                if created:
+                    model.cancel(created[arg % len(created)])
+            elif op == "run":
+                model.run(until=model.now + float(arg))
+                self.observe()
+            elif op == "step":
+                model.step()
+                self.observe()
+            else:
+                self.queues.append(model.queue())
+                model.restore()
+                created = []
+        model.run()
+        self.observe()
+        self.queues.append(model.queue())
+
+    def observe(self) -> None:
+        model = self.model
+        self.observed.append((model.now, model.events_processed, model.live_pending))
+
+
+WIDTHS = [0.25, 1.0, 2.5]
+
+
+@given(ops=ops_strategy, width=st.sampled_from(WIDTHS))
+@settings(max_examples=120, deadline=None)
+def test_wheel_matches_heap_oracle(ops, width):
+    wheel = Script(lazy=True, width=width)
+    model = ModelScript()
     wheel.apply(ops)
-    heap.apply(ops)
-    assert wheel.log == heap.log
-    assert wheel.observed == heap.observed
-    final_wheel = pickle.dumps(wheel.sim.snapshot(), protocol=4)
-    final_heap = pickle.dumps(heap.sim.snapshot(), protocol=4)
-    assert final_wheel == final_heap
+    model.apply(ops)
+    assert wheel.log == model.log
+    assert wheel.observed == model.observed
+    assert wheel.queues == model.queues
 
 
-@given(ops=ops_strategy, width=st.sampled_from([0.25, 1.0, 2.5]))
+@given(ops=ops_strategy, width=st.sampled_from(WIDTHS))
 @settings(max_examples=80, deadline=None)
 def test_lazy_is_equivalent_to_eager(ops, width):
-    lazy = Script("wheel", lazy=True, width=width)
-    eager = Script("wheel", lazy=False, width=width)
+    lazy = Script(lazy=True, width=width)
+    eager = Script(lazy=False, width=width)
     lazy.apply(ops)
     eager.apply(ops)
     assert lazy.log == eager.log
@@ -218,11 +266,14 @@ def test_lazy_is_equivalent_to_eager(ops, width):
 @given(ops=ops_strategy)
 @settings(max_examples=40, deadline=None)
 def test_snapshots_are_engine_independent_mid_script(ops):
-    # Force at least one snapshot point by appending one.
+    # Force at least one snapshot point by appending one.  Where the
+    # windows fall must not leak into the serialized state: every bucket
+    # width writes the same bytes, and they carry the model's queue.
     ops = list(ops) + [("snaprestore", None)]
-    wheel = Script("wheel", lazy=True)
-    heap = Script("heap", lazy=True)
-    wheel.apply(ops)
-    heap.apply(ops)
-    assert wheel.last_snapshot == heap.last_snapshot
-    assert wheel.log == heap.log
+    scripts = [Script(lazy=True, width=width) for width in WIDTHS]
+    for script in scripts:
+        script.apply(ops)
+    model = ModelScript()
+    model.apply(ops)
+    assert len({script.last_snapshot for script in scripts}) == 1
+    assert pickle.loads(scripts[0].last_snapshot)["queue"] == model.queues[-2]
