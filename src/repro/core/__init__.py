@@ -20,7 +20,7 @@ from .equations import (
 )
 from .estimator import RatioEstimator
 from .policy import LayerPolicy
-from .related_set import RelatedSetView, leaf_related_set, super_related_set
+from .related_set import RelatedSetView, leaf_related_set
 from .scaling import AdaptedParameters, ParameterScaler
 from .transitions import TransitionExecutor
 
@@ -44,7 +44,6 @@ __all__ = [
     "LayerPolicy",
     "RelatedSetView",
     "leaf_related_set",
-    "super_related_set",
     "AdaptedParameters",
     "ParameterScaler",
     "TransitionExecutor",

@@ -49,9 +49,3 @@ class RatioEstimator:
         if len(view) == 0 or not view.leaf_counts:
             return None
         return mu_inappropriateness(view.mean_leaf_count, self.config.k_l)
-
-    def mu_for(self, peer: Peer, view: RelatedSetView) -> float | None:
-        """Role-dispatching µ."""
-        if peer.is_super:
-            return self.mu_for_super(peer)
-        return self.mu_for_leaf(view)

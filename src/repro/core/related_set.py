@@ -29,7 +29,7 @@ from typing import List, Tuple
 from ..overlay.peer import Peer
 from ..protocol.knowledge import UNKNOWN, KnowledgeSource
 
-__all__ = ["RelatedSetView", "super_related_set", "leaf_related_set"]
+__all__ = ["RelatedSetView", "leaf_related_set"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -62,27 +62,6 @@ class RelatedSetView:
         return sum(self.leaf_counts) / len(self.leaf_counts)
 
 
-def super_related_set(
-    knowledge: KnowledgeSource, peer: Peer, now: float
-) -> RelatedSetView:
-    """G(s): the super-peer's current leaf neighbors, as observed."""
-    members: List[int] = []
-    caps: List[float] = []
-    ages: List[float] = []
-    missing = 0
-    for lid in peer.leaf_neighbors:
-        obs = knowledge.observe_leaf(peer, lid, now)
-        if obs is None:
-            continue
-        if obs is UNKNOWN:
-            missing += 1
-            continue
-        members.append(lid)
-        caps.append(obs[0])
-        ages.append(obs[1])
-    return RelatedSetView(tuple(members), tuple(caps), tuple(ages), missing=missing)
-
-
 def leaf_related_set(
     knowledge: KnowledgeSource,
     peer: Peer,
@@ -92,10 +71,10 @@ def leaf_related_set(
 ) -> RelatedSetView:
     """G(l): live super-peers contacted since join, pruning the departed.
 
-    Mutates ``peer.contacted_supers`` (and the observation cache) to
-    drop members that have left the network or been demoted (their
-    values are gone for good), keeping the set's size bounded by churn
-    rather than history length.
+    Drops members that have left the network or been demoted from the
+    peer's ``ct`` column (and the observation cache) -- their values are
+    gone for good -- keeping the set's size bounded by churn rather than
+    history length.
 
     ``current_only=True`` restricts G(l) to the leaf's *current* super
     links instead of its contact history -- the A4 ablation comparing the
@@ -122,13 +101,13 @@ def leaf_related_set(
         if obs[2] is not None:
             lnn.append(obs[2])
     if dead:
-        contacted = peer.contacted_supers
+        store, slot = peer._store, peer._slot
         # Read the observation cache without vivifying it: in omniscient
         # mode no cache is ever populated, and pruning a dead member must
         # not allocate one per evaluated leaf.
-        cache = peer._store.kn[peer._slot]
+        cache = store.kn[slot]
         for sid in dead:
-            contacted.discard(sid)
+            store.ct_discard(slot, sid)
             if cache is not None:
                 cache.forget(sid)
     return RelatedSetView(

@@ -38,7 +38,7 @@ class TransitionExecutor:
             return False
         self._check_target(peer.role, Role.SUPER)
         ctx.overlay.promote(pid)
-        peer.role_change_time = ctx.now
+        ctx.overlay.store.role_change_time[peer._slot] = ctx.now
         ctx.maintenance.after_promotion(pid)
         ctx.overhead.record_promotion()
         return True
@@ -55,7 +55,7 @@ class TransitionExecutor:
         self._check_target(peer.role, Role.LEAF)
         rng = ctx.sim.rng.get("transitions")
         orphans = ctx.overlay.demote(pid, ctx.m, rng)
-        peer.role_change_time = ctx.now
+        ctx.overlay.store.role_change_time[peer._slot] = ctx.now
         report = ctx.maintenance.after_demotion(pid, orphans)
         ctx.overhead.record_demotion(len(orphans), report.leaf_reconnections)
         return True

@@ -16,7 +16,6 @@ from typing import Dict, List, Tuple
 
 from ..context import SystemContext, build_context
 from ..core.transitions import TransitionExecutor
-from ..overlay.peer import Peer
 from ..overlay.roles import Role
 from ..util.tables import render_table
 
@@ -62,7 +61,7 @@ def _snapshot(ctx: SystemContext, labels: Dict[int, str]):
         peer = ctx.overlay.get(pid)
         if peer is None:
             continue
-        nbrs = sorted(peer.super_neighbors | peer.leaf_neighbors)
+        nbrs = sorted({*peer.super_neighbors, *peer.leaf_neighbors})
         rows.append(
             (
                 labels[pid],
@@ -75,9 +74,7 @@ def _snapshot(ctx: SystemContext, labels: Dict[int, str]):
 
 def _add(ctx: SystemContext, pid: int, role: Role, capacity: float) -> int:
     """Insert an unwired peer (the join procedure would auto-connect)."""
-    ctx.overlay.add_peer(
-        Peer(pid=pid, role=role, capacity=capacity, join_time=0.0, lifetime=500.0)
-    )
+    ctx.overlay.add_peer(pid, role, capacity, join_time=0.0, lifetime=500.0)
     return pid
 
 

@@ -19,8 +19,7 @@ each cell reports:
 Every cell also re-checks the overlay's structural invariants, the
 family's own invariants (ring/successor/finger exactness for Chord),
 and the O(1) aggregate mirrors against a from-scratch scan before it
-reports (``check_invariants(aggregates=True)``, asked for explicitly
-rather than through the ``REPRO_DEBUG_AGGREGATES`` default).
+reports (``check_invariants(aggregates=True)``).
 
 Cells are independent seeded runs and fan out across processes via
 :func:`~repro.experiments.parallel.parallel_map`.

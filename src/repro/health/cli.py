@@ -9,6 +9,9 @@ gate on it directly.
 ``repro postmortem <bundle.json>`` renders a flight-recorder bundle:
 the reason, scheduler state, verdict tallies, and the retained record
 and audit tails.
+
+Both are dispatched by :func:`repro.telemetry.cli.main`, which also
+answers an unreadable input file (``error: <path>: ...``, exit 2).
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional
 
 from .aggregate import resolve_run_stream
 from .flight import load_flight_bundle
@@ -27,7 +29,6 @@ __all__ = [
     "add_postmortem_parser",
     "cmd_health",
     "cmd_postmortem",
-    "main",
 ]
 
 
@@ -87,12 +88,7 @@ def add_postmortem_parser(subparsers) -> argparse.ArgumentParser:
 
 def cmd_health(args, out=None) -> int:
     out = out if out is not None else sys.stdout
-    try:
-        stream = resolve_run_stream(args.run)
-        report = build_report(stream)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report = build_report(resolve_run_stream(args.run))
     if args.json:
         out.write(report_as_json(report))
     else:
@@ -104,11 +100,7 @@ def cmd_health(args, out=None) -> int:
 
 def cmd_postmortem(args, out=None) -> int:
     out = out if out is not None else sys.stdout
-    try:
-        bundle = load_flight_bundle(args.bundle)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    bundle = load_flight_bundle(args.bundle)
     if args.json:
         out.write(json.dumps(bundle, indent=2, sort_keys=True) + "\n")
         return 0
@@ -166,17 +158,3 @@ def cmd_postmortem(args, out=None) -> int:
             out.write(f"  {line}\n")
     return 0
 
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro-health", description=__doc__.splitlines()[0]
-    )
-    subparsers = parser.add_subparsers(dest="command", required=True)
-    add_health_parser(subparsers)
-    add_postmortem_parser(subparsers)
-    args = parser.parse_args(argv)
-    return args.func(args)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -121,7 +121,7 @@ class JoinProcedure:
         if role is None:
             cold_start = self.overlay.n_super < self.seed_supers
             role = Role.SUPER if cold_start else Role.LEAF
-        peer = self.overlay.add_new_peer(
+        peer = self.overlay.add_peer(
             pid, role, capacity, now, lifetime, eligible=eligible
         )
         if role is Role.SUPER:
@@ -138,9 +138,8 @@ class JoinProcedure:
         super-peers actually connected.
         """
         store = self.overlay.store
-        # Column-direct read: the sn tuple IS the neighbor set, and this
-        # runs on every join and every repair, so the LinkSet view (and
-        # its per-element indirection) is measurable overhead here.
+        # Column-direct read: this runs on every join and every repair,
+        # so even resolving the pid to its Peer view is measurable here.
         exclude = set(store.sn[store.slot(pid)])
         exclude.add(pid)
         chosen = self.overlay.random_supers(self.rng, want, exclude=exclude)

@@ -69,8 +69,8 @@ class Maintenance:
     def ensure_leaf_links(self, pid: int) -> int:
         """Top a leaf's super links back up to ``m``; returns links added."""
         store = self.overlay.store
-        # Degree column instead of materializing the LinkSet view: this
-        # is called for every leaf on every sweep and usually returns 0.
+        # Degree column, not ``len(peer.super_neighbors)``: this is
+        # called for every leaf on every sweep and usually returns 0.
         deficit = self.m - int(store.n_super_links[store.slot(pid)])
         if deficit <= 0:
             return 0

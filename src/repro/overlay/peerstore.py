@@ -9,27 +9,28 @@ exact fields the evaluator reads -- in parallel NumPy columns indexed by
 scalar column loads and compares a super against all its leaves in one
 vectorized gather (:func:`repro.core.comparison.compare_leaves_observed`).
 
-:class:`~repro.overlay.peer.Peer` objects are retained as thin
-index-carrying views (a ``(store, slot)`` pair) so the rest of the
-codebase keeps its existing API; adjacency stays per-peer but compact:
+A row lives in exactly one place -- the store of the
+:class:`~repro.overlay.topology.Overlay` that created it -- from
+``alloc`` to ``free``; :class:`~repro.overlay.peer.Peer` objects are
+read-only ``(store, slot)`` windows on it.  Adjacency stays per-peer but
+compact, and is written only here and in
+:mod:`~repro.overlay.topology` -- the ``sn_``/``ln_`` helpers below keep
+the degree columns exact through every add and discard:
 
-* ``super_neighbors`` / ``contacted_supers`` are stored as small tuples
-  (a leaf holds ``m`` links; tuples cost ~72B against ~184B for a dict-
-  backed set at 1M peers that difference is ~200MB) and exposed through
-  :class:`LinkSet` views with the ordered-set API of
-  :class:`~repro.util.idset.IdSet`;
-* ``leaf_neighbors`` is a lazily created :class:`CountedIdSet` -- only
-  super-peers ever allocate one, so a million leaves pay nothing;
-* ``knowledge`` (the message-driven observation cache) is lazily
-  created -- omniscient runs never allocate a single cache.
+* ``sn`` / ``ct`` (super links, contacted supers) are small tuples (a
+  leaf holds ``m`` links; tuples cost ~72B against ~184B for a dict-
+  backed set -- at 1M peers that difference is ~200MB), and the tuple
+  itself is what ``Peer.super_neighbors`` / ``contacted_supers`` return;
+* ``ln`` (leaf links) is a lazily created
+  :class:`~repro.util.idset.IdSet` -- a super holds hundreds of leaves
+  and needs O(1) add/discard; only super-peers ever allocate one, so a
+  million leaves pay nothing;
+* ``kn`` (the message-driven observation cache) is lazily created --
+  omniscient runs never allocate a single cache.
 
-Slot lifecycle: slots are recycled through a LIFO free list.  A
-standalone ``Peer`` (tests, figure harnesses) lives in the module's
-*detached* store; :meth:`PeerStore.adopt` migrates the row into an
-overlay's store when the peer is added, rebinding the same view object,
-and :meth:`PeerStore.evict` migrates it back out on removal so that
-listeners (and any caller still holding the view) keep reading valid
-state after the overlay slot is freed for reuse.
+Slots are recycled through a LIFO free list, so a slot number outlives
+the peer that held it; the overlay invalidates a departed peer's view
+when it frees the slot.
 
 Iteration-order discipline is unchanged from the IdSet design: tuples
 append on add and preserve order on discard, so neighbor iteration
@@ -39,7 +40,7 @@ reconstructible from a checkpoint.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
 
@@ -49,7 +50,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .knowledge import NeighborKnowledge
     from .peer import Peer
 
-__all__ = ["PeerStore", "LinkSet", "CountedIdSet", "ROLE_LEAF", "ROLE_SUPER"]
+__all__ = ["PeerStore", "ROLE_LEAF", "ROLE_SUPER"]
 
 #: Integer role codes used by the ``role`` column.
 ROLE_LEAF = 0
@@ -75,7 +76,7 @@ _SCALAR_COLUMNS = (
     # last committed evaluation, -inf = never evaluated.
     ("last_eval", np.float64, -np.inf),
     # Ring successor pid for ring-structured overlay families (the Chord
-    # family); -1 for leaves, detached rows, and non-ring families.
+    # family); -1 for leaves and non-ring families.
     ("ring_succ", np.int64, -1),
     # Pending natural-death bookkeeping, owned by the churn driver's
     # DeathLedger (the calendar queue's lazy-event source): ``dv`` is the
@@ -113,13 +114,11 @@ class PeerStore:
         "views",
         "_free",
         "_size",
-        "_track_pids",
         "_slot_by_pid",
         "_slot_spill",
-        "ephemeral",
     )
 
-    def __init__(self, *, track_pids: bool = False, ephemeral: bool = False) -> None:
+    def __init__(self) -> None:
         cap = 64
         for name, dtype, fill in _SCALAR_COLUMNS:
             col = np.zeros(cap, dtype=dtype)
@@ -134,17 +133,13 @@ class PeerStore:
         #: ``()`` outside the Chord family, so non-ring runs pay only the
         #: list slot.
         self.fg: List[tuple] = [()] * cap
-        self.ln: List[Optional[CountedIdSet]] = [None] * cap
+        self.ln: List[Optional[IdSet]] = [None] * cap
         self.kn: List[Optional["NeighborKnowledge"]] = [None] * cap
         self.views: List[Optional["Peer"]] = [None] * cap
         self._free: List[int] = []
         self._size = 0  # high-water mark: slots ever handed out
-        self._track_pids = track_pids
         self._slot_by_pid = np.full(0, -1, dtype=np.int64)
         self._slot_spill: Dict[int, int] = {}
-        #: Ephemeral stores (the detached pool) free rows from
-        #: ``Peer.__del__`` when the last view reference dies.
-        self.ephemeral = ephemeral
 
     # -- capacity ----------------------------------------------------------
     def __len__(self) -> int:
@@ -268,14 +263,12 @@ class PeerStore:
         self.ln[s] = None
         self.kn[s] = None
         self.views[s] = None
-        if self._track_pids:
-            self._register(pid, s)
+        self._register(pid, s)
         return s
 
     def free(self, slot: int) -> None:
         """Release a slot back to the free list."""
-        if self._track_pids:
-            self._unregister(int(self.pid[slot]))
+        self._unregister(int(self.pid[slot]))
         self.pid[slot] = -1
         self.alive[slot] = False
         self.ring_succ[slot] = -1
@@ -289,56 +282,6 @@ class PeerStore:
         self.views[slot] = None
         self._free.append(slot)
 
-    def adopt(self, peer: "Peer") -> int:
-        """Migrate ``peer``'s row from its current store into this one.
-
-        The view object is rebound in place, so every existing reference
-        to it keeps working; the old row is freed.  Returns the new slot.
-        """
-        src = peer._store
-        s_old = peer._slot
-        s = self.alloc(
-            int(src.pid[s_old]),
-            int(src.role[s_old]),
-            float(src.capacity[s_old]),
-            float(src.join_time[s_old]),
-            float(src.lifetime[s_old]),
-            float(src.role_change_time[s_old]),
-            bool(src.eligible[s_old]),
-        )
-        self.n_super_links[s] = src.n_super_links[s_old]
-        self.n_leaf_links[s] = src.n_leaf_links[s_old]
-        self.dv[s] = src.dv[s_old]
-        self.dseq[s] = src.dseq[s_old]
-        self.sn[s] = src.sn[s_old]
-        self.ct[s] = src.ct[s_old]
-        self.ln[s] = src.ln[s_old]
-        self.kn[s] = src.kn[s_old]
-        ln = self.ln[s]
-        if ln is not None:
-            ln._store, ln._slot = self, s
-        src.free(s_old)
-        peer._store, peer._slot = self, s
-        # Ephemeral stores never hold a strong reference to their views:
-        # the detached pool relies on ``Peer.__del__`` to free rows, which
-        # a ``views[s] = peer`` backreference would keep alive forever.
-        if not self.ephemeral:
-            self.views[s] = peer
-        return s
-
-    def evict(self, slot: int, detached: "PeerStore") -> "Peer":
-        """Move a row out to ``detached`` (on removal from an overlay).
-
-        The cached view is rebound to the detached row so that removal
-        listeners -- and any caller that kept the ``Peer`` -- continue to
-        read the peer's final state; the overlay slot is freed for reuse.
-        """
-        peer = self.views[slot]
-        if peer is None:
-            peer = self.view(slot)
-        detached.adopt(peer)
-        return peer
-
     # -- views -------------------------------------------------------------
     def view(self, slot: int) -> "Peer":
         """The cached :class:`Peer` view of ``slot`` (created on demand)."""
@@ -350,22 +293,10 @@ class PeerStore:
             v.pid = int(self.pid[slot])
             v._store = self
             v._slot = slot
-            v._sn_view = None
-            v._ct_view = None
-            if not self.ephemeral:
-                self.views[slot] = v
+            self.views[slot] = v
         return v
 
     # -- adjacency helpers --------------------------------------------------
-    def leaf_set(self, slot: int) -> "CountedIdSet":
-        """The slot's leaf-neighbor set, vivified on first use."""
-        ln = self.ln[slot]
-        if ln is None:
-            ln = CountedIdSet()
-            ln._store, ln._slot = self, slot
-            self.ln[slot] = ln
-        return ln
-
     def knowledge_of(self, slot: int) -> "NeighborKnowledge":
         """The slot's observation cache, vivified on first use."""
         kn = self.kn[slot]
@@ -389,12 +320,24 @@ class PeerStore:
             self.n_super_links[slot] -= 1
 
     def ln_add(self, slot: int, pid: int) -> None:
-        self.leaf_set(slot).add(pid)
+        ln = self.ln[slot]
+        if ln is None:
+            ln = self.ln[slot] = IdSet()
+        if pid not in ln:
+            ln[pid] = None
+            self.n_leaf_links[slot] += 1
 
     def ln_discard(self, slot: int, pid: int) -> None:
         ln = self.ln[slot]
-        if ln is not None:
-            ln.discard(pid)
+        if ln is not None and pid in ln:
+            del ln[pid]
+            self.n_leaf_links[slot] -= 1
+
+    def ln_clear(self, slot: int) -> None:
+        ln = self.ln[slot]
+        if ln:
+            ln.clear()
+            self.n_leaf_links[slot] = 0
 
     def ct_add(self, slot: int, pid: int) -> None:
         t = self.ct[slot]
@@ -409,175 +352,3 @@ class PeerStore:
     def live_slots(self) -> np.ndarray:
         """Slots currently alive, in slot order (scans the columns)."""
         return np.nonzero(self.alive[: self._size])[0]
-
-
-#: The pool standalone peers live in until an overlay adopts them.
-DETACHED = PeerStore(ephemeral=True)
-
-
-class LinkSet:
-    """Ordered-set view over a store's tuple-backed link column.
-
-    Mirrors the :class:`~repro.util.idset.IdSet` API (the pre-columnar
-    adjacency type): insertion-ordered, deletions preserve order, content
-    equality against sets/IdSets/other views.  Mutations rewrite the
-    backing tuple and keep the degree column in sync.  The view is bound
-    to the *peer*, not a ``(store, slot)`` pair, so it follows the row
-    through adopt/evict migrations and can be cached on the Peer.
-    """
-
-    __slots__ = ("_peer", "_kind")
-
-    def __init__(self, peer: "Peer", kind: str) -> None:
-        self._peer = peer
-        self._kind = kind  # "sn" or "ct"
-
-    def _get(self) -> tuple:
-        p = self._peer
-        return getattr(p._store, self._kind)[p._slot]
-
-    def _set(self, value: tuple) -> None:
-        p = self._peer
-        getattr(p._store, self._kind)[p._slot] = value
-        if self._kind == "sn":
-            p._store.n_super_links[p._slot] = len(value)
-
-    # -- set API ----------------------------------------------------------
-    def add(self, x: int) -> None:
-        t = self._get()
-        if x not in t:
-            self._set(t + (x,))
-
-    def discard(self, x: int) -> None:
-        t = self._get()
-        if x in t:
-            self._set(tuple(v for v in t if v != x))
-
-    def remove(self, x: int) -> None:
-        t = self._get()
-        if x not in t:
-            raise KeyError(x)
-        self._set(tuple(v for v in t if v != x))
-
-    def clear(self) -> None:
-        self._set(())
-
-    def update(self, items: Iterable[int]) -> None:
-        t = self._get()
-        for x in items:
-            if x not in t:
-                t = t + (x,)
-        self._set(t)
-
-    def copy(self) -> IdSet:
-        """An order-preserving detached copy."""
-        return IdSet(self._get())
-
-    def pop_last(self) -> int:
-        t = self._get()
-        if not t:
-            raise KeyError("pop from an empty LinkSet")
-        self._set(t[:-1])
-        return t[-1]
-
-    # -- queries ----------------------------------------------------------
-    def __contains__(self, x: int) -> bool:
-        return x in self._get()
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._get())
-
-    def __len__(self) -> int:
-        return len(self._get())
-
-    def __bool__(self) -> bool:
-        return bool(self._get())
-
-    def __or__(self, other: Iterable[int]) -> set:
-        out = set(self._get())
-        out.update(other)
-        return out
-
-    __ror__ = __or__
-
-    def __le__(self, other) -> bool:
-        return all(x in other for x in self._get())
-
-    def __ge__(self, other: Iterable[int]) -> bool:
-        t = self._get()
-        return all(x in t for x in other)
-
-    def issubset(self, other) -> bool:
-        return self.__le__(other)
-
-    def issuperset(self, other: Iterable[int]) -> bool:
-        return self.__ge__(other)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, LinkSet):
-            return set(self._get()) == set(other._get())
-        if isinstance(other, (set, frozenset)):
-            return set(self._get()) == other
-        if isinstance(other, dict):  # IdSet
-            return set(self._get()) == set(other)
-        if isinstance(other, (tuple, list)):
-            return set(self._get()) == set(other)
-        return NotImplemented
-
-    def __ne__(self, other: object) -> bool:
-        result = self.__eq__(other)
-        if result is NotImplemented:
-            return result
-        return not result
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"LinkSet({list(self._get())!r})"
-
-
-class CountedIdSet(IdSet):
-    """An :class:`IdSet` that mirrors its size into ``n_leaf_links``.
-
-    Super-peers' leaf adjacency needs O(1) add/discard at hundreds of
-    members, so it stays dict-backed; the subclass keeps the store's
-    degree column exact through every mutation path (including direct
-    mutation by tests), which the evaluator reads as ``l_nn``.
-    """
-
-    __slots__ = ("_store", "_slot")
-
-    def __init__(self, items: Iterable[int] = ()) -> None:
-        self._store: Optional[PeerStore] = None
-        self._slot = -1
-        super().__init__(items)
-
-    def _sync(self) -> None:
-        if self._store is not None:
-            self._store.n_leaf_links[self._slot] = len(self)
-
-    def add(self, x: int) -> None:
-        self[x] = None
-        self._sync()
-
-    def discard(self, x: int) -> None:
-        dict.pop(self, x, None)
-        self._sync()
-
-    def remove(self, x: int) -> None:
-        del self[x]
-        self._sync()
-
-    def update(self, items: Iterable[int]) -> None:  # type: ignore[override]
-        for x in items:
-            self[x] = None
-        self._sync()
-
-    def clear(self) -> None:  # type: ignore[override]
-        dict.clear(self)
-        self._sync()
-
-    def pop(self, *args):  # type: ignore[override]
-        out = dict.pop(self, *args)
-        self._sync()
-        return out

@@ -18,16 +18,15 @@ Role transitions (the mechanics of Figures 2 and 3) are implemented here:
   (Figure 3).  Those reconnects are the Peer Adjustment Overhead of §6.
 
 Peer state lives in a columnar :class:`~repro.overlay.peerstore.PeerStore`
-owned by the overlay; the registry maps pids to :class:`Peer` views over
-store rows.  Standalone peers are *adopted* into the store on
-:meth:`add_peer` (the view object is rebound, so callers' references stay
-valid), joins allocate their row in it directly (:meth:`add_new_peer`),
-and removed peers are *evicted* back to the detached pool on
-:meth:`remove_peer`, so leave listeners still read the peer's final state
-after its overlay slot has been recycled.  All mutation paths here write
-the store columns directly -- the degree columns
-(``n_super_links``/``n_leaf_links``) are maintained inline and are what
-the DLM evaluator reads as ``l_nn``.
+owned by the overlay, and a row lives nowhere else: :meth:`add_peer` is
+the one place a row is created, :meth:`remove_peer` the one place it is
+freed, and the methods here (through the store's ``sn_``/``ln_``/``ct_``
+helpers, which keep the ``n_super_links``/``n_leaf_links`` degree columns
+the DLM evaluator reads as ``l_nn``) are the only writers of its role and
+link columns.  The registry maps pids to read-only :class:`Peer` views of
+the rows.  ``remove_peer`` fires its leave listeners while the severed
+row is still in place, then frees the slot for reuse and invalidates the
+view: any later read through it raises :class:`OverlayError`.
 
 Observers can subscribe to four event streams, which together are
 sufficient to maintain any derived state (the search index relies on
@@ -39,24 +38,24 @@ this):
 * **connection listeners** -- creation-only convenience stream (DLM's
   event-driven information exchange hangs off it);
 * **membership events** -- ``fn(peer, joined)``; the leave notification
-  fires after the peer's links have been dropped but carries the full
-  :class:`Peer` object;
+  fires after the peer's links have been dropped and it has left the
+  registry, and is the last moment its :class:`Peer` view is readable;
 * **role events** -- ``fn(peer, old_role)`` after a promotion/demotion
   has re-filed the peer's links.
 """
 
 from __future__ import annotations
 
-import os
 import itertools
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, NoReturn, Optional, Tuple
 
 import numpy as np
 
+from ..util.idset import IdSet
 from ..util.indexed_set import IndexedSet
 from .aggregates import OverlayAggregates
-from .peer import Peer, check_peer_metrics
-from .peerstore import DETACHED, ROLE_LEAF, ROLE_SUPER, PeerStore
+from .peer import Peer
+from .peerstore import ROLE_LEAF, ROLE_SUPER, PeerStore
 from .roles import Role
 
 __all__ = [
@@ -66,14 +65,7 @@ __all__ = [
     "LinkListener",
     "MembershipListener",
     "RoleListener",
-    "AGGREGATE_CHECKS",
 ]
-
-#: Debug flag (env ``REPRO_DEBUG_AGGREGATES``): when set,
-#: :meth:`Overlay.check_invariants` also verifies the O(1) aggregate
-#: counters against a brute-force scan by default.  The scan is O(n), so
-#: production runs leave it off; tests opt in per call.
-AGGREGATE_CHECKS = os.environ.get("REPRO_DEBUG_AGGREGATES", "") not in ("", "0")
 
 ConnectionListener = Callable[[int, int], None]
 LinkListener = Callable[[int, int, bool], None]
@@ -85,13 +77,26 @@ class OverlayError(RuntimeError):
     """Structural violation of the two-layer overlay rules."""
 
 
+class _Departed:
+    """What a view's ``_store`` becomes when its peer leaves: the slot
+    may already belong to another peer, so every column read raises."""
+
+    __slots__ = ()
+
+    def __getattr__(self, name: str) -> NoReturn:
+        raise OverlayError("peer has left the overlay; its view is stale")
+
+
+_DEPARTED = _Departed()
+
+
 class Overlay:
     """Registry + adjacency for a two-layer super-peer network."""
 
     def __init__(self) -> None:
         #: Columnar state for every registered peer (plus the pid->slot
         #: map behind the super comparison's vectorized gather).
-        self.store = PeerStore(track_pids=True)
+        self.store = PeerStore()
         self._peers: Dict[int, Peer] = {}
         # Bound-lookup cache: `get` is the hottest overlay call -- DLM's
         # Phase-1/2 paths (info exchange, related-set construction, the
@@ -182,22 +187,7 @@ class Overlay:
                 fn(a, b)
 
     # -- membership --------------------------------------------------------
-    def add_peer(self, peer: Peer) -> None:
-        """Insert an unconnected peer into its layer.
-
-        The peer's row is adopted into the overlay's store; the ``peer``
-        object itself is rebound to the new row and becomes the
-        registered view, so the caller's reference stays authoritative.
-        """
-        if peer.pid in self._peers:
-            raise OverlayError(f"duplicate pid {peer.pid}")
-        src = peer._store
-        if src.n_super_links[peer._slot] or src.n_leaf_links[peer._slot]:
-            raise OverlayError("peer must be added unconnected")
-        self.store.adopt(peer)
-        self._admit(peer)
-
-    def add_new_peer(
+    def add_peer(
         self,
         pid: int,
         role: Role,
@@ -207,27 +197,30 @@ class Overlay:
         *,
         eligible: bool = True,
     ) -> Peer:
-        """``add_peer(Peer(..., role_change_time=join_time))`` for a peer
-        nobody holds yet: same checks, but one ``alloc`` in the overlay's
-        store instead of a detached row that is adopted and freed."""
+        """Create an unconnected peer in ``role``'s layer; returns its view.
+
+        The only way a peer row comes into existence.  ``role`` may be a
+        :class:`Role` or its string value; the row's ``role_change_time``
+        starts at ``join_time`` (joining counts as a role change).
+        """
         if pid in self._peers:
             raise OverlayError(f"duplicate pid {pid}")
-        check_peer_metrics(capacity, lifetime)
+        role = Role(role)
+        if capacity < 0:
+            raise ValueError(f"capacity must be >= 0, got {capacity}")
+        if lifetime <= 0:
+            raise ValueError(f"lifetime must be > 0, got {lifetime}")
         store = self.store
         code = ROLE_SUPER if role is Role.SUPER else ROLE_LEAF
         peer = store.view(
             store.alloc(pid, code, capacity, join_time, lifetime, join_time, eligible)
         )
-        self._admit(peer)
-        return peer
-
-    def _admit(self, peer: Peer) -> None:
-        """Register a peer whose row is already in the overlay's store."""
-        self._peers[peer.pid] = peer
-        (self.super_ids if peer.is_super else self.leaf_ids).add(peer.pid)
+        self._peers[pid] = peer
+        (self.super_ids if role is Role.SUPER else self.leaf_ids).add(pid)
         self.total_joins += 1
         for fn in self._membership_listeners:
             fn(peer, True)
+        return peer
 
     def remove_peer(self, pid: int) -> Tuple[List[int], List[int]]:
         """Remove a peer and sever all its links.
@@ -263,17 +256,17 @@ class Overlay:
             store.sn_discard(peers[lid]._slot, pid)
         store.sn[slot] = ()
         store.n_super_links[slot] = 0
-        if ln is not None:
-            ln.clear()
+        store.ln_clear(slot)
         del peers[pid]
         (self.super_ids if is_super else self.leaf_ids).discard(pid)
-        # Evict the row to the detached pool so the view handed to the
-        # leave listeners (and kept by any caller) stays readable after
-        # the overlay slot is recycled.
-        store.evict(slot, DETACHED)
         self.total_leaves += 1
+        # Leave listeners read the peer's final state from the row, so it
+        # is freed only after they ran; a view kept past this point must
+        # not show whichever peer takes the slot next.
         for fn in self._membership_listeners:
             fn(peer, False)
+        store.free(slot)
+        peer._store = _DEPARTED
         return orphans, former_supers
 
     # -- links --------------------------------------------------------------
@@ -351,7 +344,7 @@ class Overlay:
             raise OverlayError(f"pid {pid} is already a super-peer")
         store = self.store
         slot = peer._slot
-        peer.role = Role.SUPER
+        store.role[slot] = ROLE_SUPER
         self.leaf_ids.discard(pid)
         self.super_ids.add(pid)
         peers = self._peers
@@ -404,10 +397,9 @@ class Overlay:
         for lid in orphans:
             self._notify_link(pid, lid, False)
             store.sn_discard(peers[lid]._slot, pid)
-        if ln is not None:
-            ln.clear()
+        store.ln_clear(slot)
 
-        peer.role = Role.LEAF
+        store.role[slot] = ROLE_LEAF
         self.super_ids.discard(pid)
         self.leaf_ids.add(pid)
         # Re-file the retained links on the other endpoints.
@@ -482,17 +474,15 @@ class Overlay:
         return out
 
     # -- invariants -------------------------------------------------------------
-    def check_invariants(self, *, aggregates: Optional[bool] = None) -> None:
+    def check_invariants(self, *, aggregates: bool = False) -> None:
         """Verify the structural rules; raises :class:`OverlayError`.
 
         Intended for tests and debugging -- O(edges).  With
-        ``aggregates=True`` (default: the module's
-        :data:`AGGREGATE_CHECKS` debug flag, off in production) the O(1)
-        aggregate counters are additionally verified against a
-        brute-force scan.  Also cross-verifies the store's degree columns
-        against the actual adjacency containers.
+        ``aggregates=True`` the O(1) aggregate counters are additionally
+        verified against a brute-force scan.  Also cross-verifies the
+        store's degree columns against the actual adjacency containers.
         """
-        if aggregates if aggregates is not None else AGGREGATE_CHECKS:
+        if aggregates:
             problems = self.aggregates.mismatches()
             if problems:
                 raise OverlayError(
@@ -643,7 +633,8 @@ class Overlay:
             store.n_super_links[slot] = len(sn)
             ln = state["ln"][i]
             if ln:
-                store.leaf_set(slot).update(ln)
+                store.ln[slot] = IdSet(ln)
+                store.n_leaf_links[slot] = len(ln)
             store.ct[slot] = tuple(state["ct"][i])
             kn = state["knowledge"][i]
             if kn:

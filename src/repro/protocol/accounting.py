@@ -191,9 +191,9 @@ class MessageLedger:
 
     # -- checkpointing ---------------------------------------------------------
     # ``snapshot``/``window`` are the public marker API above, so the
-    # Snapshottable protocol is implemented under the alternate spelling
-    # (see repro.sim.snapshot): full-state capture including the window
-    # mark.  The per-type cost cache is derived and rebuilt lazily.
+    # checkpoint pair uses the alternate spelling: full-state capture
+    # including the window mark.  The per-type cost cache is derived and
+    # rebuilt lazily.
     def snapshot_state(self) -> dict:
         """Full checkpoint state: counters plus the window mark."""
         mark = self._mark

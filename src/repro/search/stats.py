@@ -104,8 +104,7 @@ class QueryStats:
         return delta
 
     # ``snapshot`` is the cumulative-counters property above, so the
-    # Snapshottable protocol uses the alternate spelling here (see
-    # repro.sim.snapshot).
+    # checkpoint pair uses the alternate spelling here.
     def snapshot_state(self) -> dict:
         """Checkpoint state: cumulative counters plus the window mark."""
         return {

@@ -10,7 +10,6 @@ from .events import Event, EventKind
 from .processes import PeriodicProcess, RenewalProcess
 from .rng import RngStreams
 from .scheduler import Simulator, StopSimulation
-from .snapshot import Snapshottable, apply_snapshot, take_snapshot
 
 __all__ = [
     "SimClock",
@@ -20,8 +19,5 @@ __all__ = [
     "RenewalProcess",
     "RngStreams",
     "Simulator",
-    "Snapshottable",
     "StopSimulation",
-    "apply_snapshot",
-    "take_snapshot",
 ]

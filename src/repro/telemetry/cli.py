@@ -246,7 +246,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     add_health_parser(subparsers)
     add_postmortem_parser(subparsers)
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError) as exc:
+        # The one place a bad input file is answered, for all four
+        # readers: a missing path or shard (OSError), a torn JSONL line
+        # (JSONDecodeError is a ValueError), a file that is not a bundle.
+        path = args.bundle if args.command == "postmortem" else args.run
+        print(f"error: {path}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -92,7 +92,7 @@ class IdSet(dict):
 
     # -- equality ------------------------------------------------------------
     # Content equality against plain sets keeps existing call sites and
-    # tests (``peer.contacted_supers == {0, 1}``) working; IdSet-to-IdSet
+    # tests (``peer.leaf_neighbors == {4, 5}``) working; IdSet-to-IdSet
     # equality is dict equality, which ignores order like a set would.
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (set, frozenset)):

@@ -8,7 +8,7 @@ import pytest
 from repro.analysis.concentration import gini, measure_lnn_concentration
 from repro.overlay.roles import Role
 from repro.overlay.topology import Overlay
-from tests.conftest import make_peer
+from tests.conftest import add_peer
 
 
 class TestGini:
@@ -42,10 +42,10 @@ def build_overlay(lnn_counts):
     ov = Overlay()
     pid = 1000
     for sid, count in enumerate(lnn_counts):
-        ov.add_peer(make_peer(sid, Role.SUPER))
+        add_peer(ov, sid, Role.SUPER)
     for sid, count in enumerate(lnn_counts):
         for _ in range(count):
-            ov.add_peer(make_peer(pid, Role.LEAF))
+            add_peer(ov, pid, Role.LEAF)
             ov.connect(pid, sid)
             pid += 1
     return ov
@@ -76,7 +76,7 @@ class TestConcentration:
 
     def test_validation(self):
         ov = Overlay()
-        ov.add_peer(make_peer(0, Role.LEAF))
+        add_peer(ov, 0, Role.LEAF)
         with pytest.raises(ValueError):
             measure_lnn_concentration(ov, k_l=10.0)
         with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ import pytest
 from repro.analysis.graphstats import analyze_overlay, backbone_connectivity
 from repro.overlay.roles import Role
 from repro.overlay.topology import Overlay
-from tests.conftest import build_small_overlay, make_peer
+from tests.conftest import add_peer, build_small_overlay
 
 
 class TestAnalyzeOverlay:
@@ -33,7 +33,7 @@ class TestAnalyzeOverlay:
     def test_partitioned_backbone_detected(self):
         ov = Overlay()
         for sid in range(4):
-            ov.add_peer(make_peer(sid, Role.SUPER))
+            add_peer(ov, sid, Role.SUPER)
         ov.connect(0, 1)
         ov.connect(2, 3)
         stats = analyze_overlay(ov)
@@ -42,7 +42,7 @@ class TestAnalyzeOverlay:
 
     def test_isolated_leaves_counted(self):
         ov = build_small_overlay(n_supers=2, leaves_per_super=1)
-        ov.add_peer(make_peer(99, Role.LEAF))
+        add_peer(ov, 99, Role.LEAF)
         stats = analyze_overlay(ov)
         assert stats.isolated_leaves == 1
 

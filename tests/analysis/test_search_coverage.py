@@ -7,19 +7,19 @@ import pytest
 from repro.analysis.search_coverage import measure_coverage
 from repro.overlay.roles import Role
 from repro.overlay.topology import Overlay
-from tests.conftest import build_small_overlay, make_peer
+from tests.conftest import add_peer, build_small_overlay
 
 
 def chain_overlay(n_supers: int, leaves_per_super: int = 0) -> Overlay:
     ov = Overlay()
     for sid in range(n_supers):
-        ov.add_peer(make_peer(sid, Role.SUPER))
+        add_peer(ov, sid, Role.SUPER)
         if sid:
             ov.connect(sid - 1, sid)
     pid = 1000
     for sid in range(n_supers):
         for _ in range(leaves_per_super):
-            ov.add_peer(make_peer(pid, Role.LEAF))
+            add_peer(ov, pid, Role.LEAF)
             ov.connect(pid, sid)
             pid += 1
     return ov
@@ -42,10 +42,10 @@ class TestMeasureCoverage:
     def test_leaves_counted_once(self, rng):
         """A leaf with links to two visited supers must not double count."""
         ov = Overlay()
-        ov.add_peer(make_peer(0, Role.SUPER))
-        ov.add_peer(make_peer(1, Role.SUPER))
+        add_peer(ov, 0, Role.SUPER)
+        add_peer(ov, 1, Role.SUPER)
         ov.connect(0, 1)
-        ov.add_peer(make_peer(10, Role.LEAF))
+        add_peer(ov, 10, Role.LEAF)
         ov.connect(10, 0)
         ov.connect(10, 1)
         report = measure_coverage(ov, rng, ttl=2, samples=2)
@@ -53,14 +53,14 @@ class TestMeasureCoverage:
 
     def test_empty_super_layer(self, rng):
         ov = Overlay()
-        ov.add_peer(make_peer(0, Role.LEAF))
+        add_peer(ov, 0, Role.LEAF)
         report = measure_coverage(ov, rng)
         assert report.backbone_coverage == 0.0 and report.samples == 0
 
     def test_partitioned_backbone_partial_coverage(self, rng):
         ov = Overlay()
         for sid in range(4):
-            ov.add_peer(make_peer(sid, Role.SUPER))
+            add_peer(ov, sid, Role.SUPER)
         ov.connect(0, 1)
         ov.connect(2, 3)
         report = measure_coverage(ov, rng, ttl=5, samples=4)

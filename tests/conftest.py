@@ -12,7 +12,8 @@ from repro.overlay.topology import Overlay
 from repro.sim.scheduler import Simulator
 
 
-def make_peer(
+def add_peer(
+    ov: Overlay,
     pid: int,
     role: Role = Role.LEAF,
     *,
@@ -20,15 +21,17 @@ def make_peer(
     join_time: float = 0.0,
     lifetime: float = 1000.0,
 ) -> Peer:
-    """A detached peer with sensible defaults."""
-    return Peer(
-        pid=pid,
-        role=role,
-        capacity=capacity,
-        join_time=join_time,
-        lifetime=lifetime,
-        role_change_time=join_time,
-    )
+    """Add an unconnected peer with sensible defaults to ``ov``."""
+    return ov.add_peer(pid, role, capacity, join_time, lifetime)
+
+
+def super_with_lnn(l_nn: int) -> Peer:
+    """A lone super-peer whose degree column claims ``l_nn`` leaf links --
+    the one input ``RatioEstimator.mu_for_super`` reads."""
+    ov = Overlay()
+    sup = add_peer(ov, 0, Role.SUPER)
+    ov.store.n_leaf_links[sup._slot] = l_nn
+    return sup
 
 
 def build_small_overlay(n_supers: int = 3, leaves_per_super: int = 4) -> Overlay:
@@ -39,13 +42,13 @@ def build_small_overlay(n_supers: int = 3, leaves_per_super: int = 4) -> Overlay
     """
     ov = Overlay()
     for sid in range(n_supers):
-        ov.add_peer(make_peer(sid, Role.SUPER, capacity=200.0 + sid))
+        add_peer(ov, sid, Role.SUPER, capacity=200.0 + sid)
     for sid in range(n_supers):
         ov.connect(sid, (sid + 1) % n_supers) if n_supers > 1 else None
     pid = n_supers
     for sid in range(n_supers):
         for _ in range(leaves_per_super):
-            ov.add_peer(make_peer(pid, Role.LEAF, capacity=50.0 + pid))
+            add_peer(ov, pid, Role.LEAF, capacity=50.0 + pid)
             ov.connect(pid, sid)
             pid += 1
     return ov

@@ -17,7 +17,7 @@ from repro.core.comparison import compare_against
 from repro.core.config import DLMConfig
 from repro.core.decisions import decide
 from repro.core.dlm import DLMPolicy
-from repro.core.related_set import super_related_set
+from tests.core.reference_related_set import super_related_set
 from repro.overlay.roles import Role
 
 

@@ -8,11 +8,8 @@ import pytest
 
 from repro.core.config import DLMConfig
 from repro.core.estimator import RatioEstimator
-from repro.core.related_set import RelatedSetView, leaf_related_set
-from repro.overlay.roles import Role
-from repro.overlay.topology import Overlay
-from repro.protocol.knowledge import OmniscientKnowledge
-from tests.conftest import make_peer
+from repro.core.related_set import RelatedSetView
+from tests.conftest import super_with_lnn
 
 
 @pytest.fixture
@@ -22,24 +19,20 @@ def estimator():
 
 class TestSuperMu:
     def test_zero_at_kl(self, estimator):
-        sup = make_peer(0, Role.SUPER)
-        sup.leaf_neighbors.update(range(100, 180))  # exactly 80
+        sup = super_with_lnn(80)
         assert estimator.mu_for_super(sup) == pytest.approx(0.0)
 
     def test_positive_when_overloaded(self, estimator):
         """l_nn = 160 > k_l: too few supers, mu = log 2."""
-        sup = make_peer(0, Role.SUPER)
-        sup.leaf_neighbors.update(range(100, 260))
+        sup = super_with_lnn(160)
         assert estimator.mu_for_super(sup) == pytest.approx(math.log(2))
 
     def test_negative_when_underloaded(self, estimator):
-        sup = make_peer(0, Role.SUPER)
-        sup.leaf_neighbors.update(range(100, 140))  # 40
+        sup = super_with_lnn(40)
         assert estimator.mu_for_super(sup) == pytest.approx(-math.log(2))
 
     def test_leafless_super_strongly_negative_but_finite(self, estimator):
-        sup = make_peer(0, Role.SUPER)
-        mu = estimator.mu_for_super(sup)
+        mu = estimator.mu_for_super(super_with_lnn(0))
         assert math.isfinite(mu) and mu < -3
 
 
@@ -75,16 +68,3 @@ class TestLeafMu:
         assert estimator.mu_for_leaf(crowded) > 0
         assert estimator.mu_for_leaf(sparse) < 0
 
-
-class TestRoleDispatch:
-    def test_mu_for_dispatches_by_role(self, estimator):
-        ov = Overlay()
-        sup = make_peer(0, Role.SUPER)
-        leaf = make_peer(1, Role.LEAF)
-        ov.add_peer(sup)
-        ov.add_peer(leaf)
-        ov.connect(1, 0)
-        know = OmniscientKnowledge(ov)
-        view = leaf_related_set(know, leaf, now=1.0)
-        assert estimator.mu_for(leaf, view) == estimator.mu_for_leaf(view)
-        assert estimator.mu_for(sup, view) == estimator.mu_for_super(sup)

@@ -4,20 +4,21 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.related_set import leaf_related_set, super_related_set
+from repro.core.related_set import leaf_related_set
 from repro.overlay.roles import Role
 from repro.overlay.topology import Overlay
 from repro.protocol.knowledge import ObservedKnowledge, OmniscientKnowledge
-from tests.conftest import make_peer
+from tests.conftest import add_peer
+from tests.core.reference_related_set import super_related_set
 
 
 @pytest.fixture
 def overlay():
     ov = Overlay()
-    ov.add_peer(make_peer(0, Role.SUPER, capacity=200.0, join_time=0.0))
-    ov.add_peer(make_peer(1, Role.SUPER, capacity=300.0, join_time=5.0))
-    ov.add_peer(make_peer(10, Role.LEAF, capacity=50.0, join_time=10.0))
-    ov.add_peer(make_peer(11, Role.LEAF, capacity=60.0, join_time=12.0))
+    add_peer(ov, 0, Role.SUPER, capacity=200.0, join_time=0.0)
+    add_peer(ov, 1, Role.SUPER, capacity=300.0, join_time=5.0)
+    add_peer(ov, 10, Role.LEAF, capacity=50.0, join_time=10.0)
+    add_peer(ov, 11, Role.LEAF, capacity=60.0, join_time=12.0)
     ov.connect(10, 0)
     ov.connect(10, 1)
     ov.connect(11, 0)
@@ -78,7 +79,7 @@ class TestLeafRelatedSet:
         leaf = overlay.peer(10)
         view = leaf_related_set(know, leaf, now=20.0)
         assert view.members == (0,)
-        assert leaf.contacted_supers == {0}  # lazily pruned
+        assert leaf.contacted_supers == (0,)  # lazily pruned
 
     def test_prunes_demoted_supers(self, overlay, know, rng):
         overlay.demote(1, 2, rng)
@@ -87,8 +88,7 @@ class TestLeafRelatedSet:
         assert view.members == (0,)
 
     def test_empty_view_mean_is_zero(self, overlay, know):
-        fresh = make_peer(99, Role.LEAF, join_time=15.0)
-        overlay.add_peer(fresh)
+        fresh = add_peer(overlay, 99, Role.LEAF, join_time=15.0)
         view = leaf_related_set(know, fresh, now=20.0)
         assert len(view) == 0 and view.mean_leaf_count == 0.0
 

@@ -42,9 +42,6 @@ class Args:
 
 
 class TestHealthExitCodes:
-    def test_missing_file_is_exit_2(self, tmp_path):
-        assert cmd_health(Args(str(tmp_path / "nope.jsonl")), out=io.StringIO()) == 2
-
     def test_stream_without_health_is_exit_2(self, tmp_path):
         jsonl = run_with_health(tmp_path, health=None)
         out = io.StringIO()

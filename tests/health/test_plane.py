@@ -6,11 +6,11 @@ import io
 import json
 
 from repro.experiments.configs import table2_config
-from repro.health.cli import main as health_main
 from repro.health.config import HealthConfig
 from repro.health.flight import load_flight_bundle
 from repro.experiments.runner import run_experiment
 from repro.telemetry import TelemetryConfig
+from repro.telemetry.cli import main as telemetry_main
 
 
 def small_config(**kw):
@@ -171,4 +171,4 @@ class TestFlightRecorder:
     def test_postmortem_cli_rejects_a_non_bundle(self, tmp_path):
         bogus = tmp_path / "bogus.json"
         bogus.write_text('{"kind": "something-else"}\n')
-        assert health_main(["postmortem", str(bogus)]) == 2
+        assert telemetry_main(["postmortem", str(bogus)]) == 2

@@ -8,7 +8,7 @@ from repro.metrics.layerstats import SERIES_NAMES, LayerStatsSampler
 from repro.overlay.roles import Role
 from repro.overlay.topology import Overlay
 from repro.sim.scheduler import Simulator
-from tests.conftest import make_peer
+from tests.conftest import add_peer
 
 
 def reference_layer_stats(overlay, now):
@@ -49,9 +49,9 @@ def reference_layer_stats(overlay, now):
 def system():
     sim = Simulator(seed=0)
     ov = Overlay()
-    ov.add_peer(make_peer(0, Role.SUPER, capacity=200.0, join_time=0.0))
-    ov.add_peer(make_peer(1, Role.LEAF, capacity=40.0, join_time=0.0))
-    ov.add_peer(make_peer(2, Role.LEAF, capacity=60.0, join_time=0.0))
+    add_peer(ov, 0, Role.SUPER, capacity=200.0, join_time=0.0)
+    add_peer(ov, 1, Role.LEAF, capacity=40.0, join_time=0.0)
+    add_peer(ov, 2, Role.LEAF, capacity=60.0, join_time=0.0)
     ov.connect(1, 0)
     ov.connect(2, 0)
     return sim, ov
@@ -84,7 +84,7 @@ class TestSampling:
     def test_empty_layer_degenerates_to_zero(self):
         sim = Simulator(seed=0)
         ov = Overlay()
-        ov.add_peer(make_peer(0, Role.SUPER))
+        add_peer(ov, 0, Role.SUPER)
         sampler = LayerStatsSampler(sim, ov, interval=1.0)
         sim.run(until=1.0)
         b = sampler.bundle
@@ -94,7 +94,7 @@ class TestSampling:
     def test_no_supers_ratio_inf(self):
         sim = Simulator(seed=0)
         ov = Overlay()
-        ov.add_peer(make_peer(0, Role.LEAF))
+        add_peer(ov, 0, Role.LEAF)
         sampler = LayerStatsSampler(sim, ov, interval=1.0)
         sim.run(until=1.0)
         assert sampler.bundle["ratio"].last()[1] == float("inf")

@@ -14,17 +14,13 @@ import math
 import numpy as np
 import pytest
 
-from repro.overlay import topology as topology_mod
 from repro.overlay.aggregates import OverlayAggregates
-from repro.overlay.peer import Peer
 from repro.overlay.roles import Role
 from repro.overlay.topology import Overlay, OverlayError
 
 
-def make_peer(pid, role, capacity=1.0, join_time=0.0):
-    return Peer(
-        pid=pid, role=role, capacity=capacity, join_time=join_time, lifetime=100.0
-    )
+def add_peer(ov, pid, role, capacity=1.0, join_time=0.0):
+    return ov.add_peer(pid, role, capacity, join_time, lifetime=100.0)
 
 
 def assert_consistent(overlay):
@@ -41,8 +37,8 @@ class TestMembership:
 
     def test_join_counts_into_role_layer(self):
         ov = Overlay()
-        ov.add_peer(make_peer(0, Role.SUPER, capacity=8.0, join_time=2.0))
-        ov.add_peer(make_peer(1, Role.LEAF, capacity=3.0, join_time=5.0))
+        add_peer(ov, 0, Role.SUPER, capacity=8.0, join_time=2.0)
+        add_peer(ov, 1, Role.LEAF, capacity=3.0, join_time=5.0)
         agg = ov.aggregates
         assert agg.super_layer.count == 1
         assert agg.leaf_layer.count == 1
@@ -54,22 +50,22 @@ class TestMembership:
 
     def test_leave_is_exact_inverse_of_join(self):
         ov = Overlay()
-        ov.add_peer(make_peer(0, Role.SUPER, capacity=0.1, join_time=0.3))
-        ov.add_peer(make_peer(1, Role.SUPER, capacity=0.2, join_time=0.7))
+        add_peer(ov, 0, Role.SUPER, capacity=0.1, join_time=0.3)
+        add_peer(ov, 1, Role.SUPER, capacity=0.2, join_time=0.7)
         ov.remove_peer(1)
         agg = ov.aggregates
         # Exact fixed-point sums: after removal the counters equal those
         # of an overlay that never saw peer 1, even though
         # (0.1 + 0.2) - 0.2 != 0.1 in float arithmetic.
         solo = Overlay()
-        solo.add_peer(make_peer(0, Role.SUPER, capacity=0.1, join_time=0.3))
+        add_peer(solo, 0, Role.SUPER, capacity=0.1, join_time=0.3)
         assert agg.super_layer == solo.aggregates.super_layer
         assert_consistent(ov)
 
     def test_leave_drops_leaf_links(self):
         ov = Overlay()
-        ov.add_peer(make_peer(0, Role.SUPER))
-        ov.add_peer(make_peer(1, Role.LEAF))
+        add_peer(ov, 0, Role.SUPER)
+        add_peer(ov, 1, Role.LEAF)
         ov.connect(0, 1)
         assert ov.aggregates.leaf_link_count == 1
         ov.remove_peer(0)
@@ -80,8 +76,8 @@ class TestMembership:
 class TestLinks:
     def test_leaf_super_link_counted(self):
         ov = Overlay()
-        ov.add_peer(make_peer(0, Role.SUPER))
-        ov.add_peer(make_peer(1, Role.LEAF))
+        add_peer(ov, 0, Role.SUPER)
+        add_peer(ov, 1, Role.LEAF)
         ov.connect(0, 1)
         assert ov.aggregates.leaf_link_count == 1
         assert ov.aggregates.super_mean_lnn() == 1.0
@@ -91,8 +87,8 @@ class TestLinks:
 
     def test_super_super_link_not_counted(self):
         ov = Overlay()
-        ov.add_peer(make_peer(0, Role.SUPER))
-        ov.add_peer(make_peer(1, Role.SUPER))
+        add_peer(ov, 0, Role.SUPER)
+        add_peer(ov, 1, Role.SUPER)
         ov.connect(0, 1)
         assert ov.aggregates.leaf_link_count == 0
         assert_consistent(ov)
@@ -102,10 +98,10 @@ class TestRoleTransitions:
     def _backbone(self):
         """Two supers, each with a leaf; supers interconnected."""
         ov = Overlay()
-        ov.add_peer(make_peer(0, Role.SUPER, capacity=8.0, join_time=1.0))
-        ov.add_peer(make_peer(1, Role.SUPER, capacity=6.0, join_time=2.0))
-        ov.add_peer(make_peer(2, Role.LEAF, capacity=2.0, join_time=3.0))
-        ov.add_peer(make_peer(3, Role.LEAF, capacity=1.0, join_time=4.0))
+        add_peer(ov, 0, Role.SUPER, capacity=8.0, join_time=1.0)
+        add_peer(ov, 1, Role.SUPER, capacity=6.0, join_time=2.0)
+        add_peer(ov, 2, Role.LEAF, capacity=2.0, join_time=3.0)
+        add_peer(ov, 3, Role.LEAF, capacity=1.0, join_time=4.0)
         ov.connect(0, 1)
         ov.connect(0, 2)
         ov.connect(1, 3)
@@ -143,15 +139,15 @@ class TestDerivedReads:
     def test_ratio_matches_definition(self):
         ov = Overlay()
         for pid in range(3):
-            ov.add_peer(make_peer(pid, Role.SUPER))
+            add_peer(ov, pid, Role.SUPER)
         for pid in range(3, 9):
-            ov.add_peer(make_peer(pid, Role.LEAF))
+            add_peer(ov, pid, Role.LEAF)
         assert ov.aggregates.ratio() == 2.0
         assert ov.aggregates.n == 9
 
     def test_ratio_inf_without_supers(self):
         ov = Overlay()
-        ov.add_peer(make_peer(0, Role.LEAF))
+        add_peer(ov, 0, Role.LEAF)
         assert math.isinf(ov.aggregates.ratio())
         assert ov.aggregates.super_mean_lnn() == 0.0
 
@@ -165,12 +161,10 @@ class TestExactness:
     def test_float_pathological_churn_leaves_no_residue(self):
         """0.1-style capacities through many add/removes: exactly zero residue."""
         ov = Overlay()
-        ov.add_peer(make_peer(0, Role.SUPER, capacity=0.1, join_time=0.1))
+        add_peer(ov, 0, Role.SUPER, capacity=0.1, join_time=0.1)
         for round_ in range(50):
             pid = 1 + round_
-            ov.add_peer(
-                make_peer(pid, Role.LEAF, capacity=0.2, join_time=0.3 * round_)
-            )
+            add_peer(ov, pid, Role.LEAF, capacity=0.2, join_time=0.3 * round_)
             ov.remove_peer(pid)
         agg = ov.aggregates
         assert agg.leaf_layer.count == 0
@@ -183,7 +177,7 @@ class TestExactness:
 class TestVerification:
     def _corrupted(self):
         ov = Overlay()
-        ov.add_peer(make_peer(0, Role.SUPER))
+        add_peer(ov, 0, Role.SUPER)
         ov.aggregates.super_layer.count += 1  # simulate a maintenance bug
         return ov
 
@@ -200,19 +194,10 @@ class TestVerification:
         with pytest.raises(OverlayError, match="aggregate counters diverged"):
             self._corrupted().check_invariants(aggregates=True)
 
-    def test_debug_flag_enables_check_by_default(self, monkeypatch):
-        monkeypatch.setattr(topology_mod, "AGGREGATE_CHECKS", True)
-        with pytest.raises(OverlayError, match="aggregate counters diverged"):
-            self._corrupted().check_invariants()
-
-    def test_explicit_false_overrides_debug_flag(self, monkeypatch):
-        monkeypatch.setattr(topology_mod, "AGGREGATE_CHECKS", True)
-        self._corrupted().check_invariants(aggregates=False)
-
     def test_scan_of_consistent_overlay_equals_live_plane(self):
         ov = Overlay()
-        ov.add_peer(make_peer(0, Role.SUPER, capacity=5.0))
-        ov.add_peer(make_peer(1, Role.LEAF, capacity=2.0, join_time=1.0))
+        add_peer(ov, 0, Role.SUPER, capacity=5.0)
+        add_peer(ov, 1, Role.LEAF, capacity=2.0, join_time=1.0)
         ov.connect(0, 1)
         fresh = ov.aggregates.scan()
         assert isinstance(fresh, OverlayAggregates)

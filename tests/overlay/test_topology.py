@@ -5,11 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.overlay.peer import Peer
-from repro.overlay.peerstore import DETACHED
 from repro.overlay.roles import Role
 from repro.overlay.topology import Overlay, OverlayError
-from tests.conftest import build_small_overlay, make_peer
+from tests.conftest import add_peer, build_small_overlay
 
 
 @pytest.fixture
@@ -19,9 +17,9 @@ def rng():
 
 def two_supers_one_leaf() -> Overlay:
     ov = Overlay()
-    ov.add_peer(make_peer(0, Role.SUPER))
-    ov.add_peer(make_peer(1, Role.SUPER))
-    ov.add_peer(make_peer(2, Role.LEAF))
+    add_peer(ov, 0, Role.SUPER)
+    add_peer(ov, 1, Role.SUPER)
+    add_peer(ov, 2, Role.LEAF)
     return ov
 
 
@@ -33,53 +31,25 @@ class TestMembership:
 
     def test_duplicate_pid_rejected(self):
         ov = Overlay()
-        ov.add_peer(make_peer(0))
+        add_peer(ov, 0)
         with pytest.raises(OverlayError, match="duplicate"):
-            ov.add_peer(make_peer(0))
+            add_peer(ov, 0)
 
-    def test_add_new_peer_matches_add_peer(self):
-        """The row-direct join path ends in the same state, and the same
-        listener calls, as adopting a standalone peer -- minus the
-        detached row."""
-        def build(direct: bool):
-            ov, seen = Overlay(), []
-            ov.add_membership_listener(
-                lambda peer, joined: seen.append((peer.pid, peer.role, joined))
-            )
-            for pid, role in ((0, Role.SUPER), (1, Role.LEAF)):
-                if direct:
-                    detached = len(DETACHED)
-                    peer = ov.add_new_peer(pid, role, 7.5, 3.0, 40.0, eligible=False)
-                    assert len(DETACHED) == detached
-                else:
-                    peer = Peer(pid, role, 7.5, 3.0, 40.0, role_change_time=3.0, eligible=False)
-                    ov.add_peer(peer)
-                assert ov.get(pid) is peer and peer._store is ov.store
-            return ov, seen
-
-        (a, seen_a), (b, seen_b) = build(True), build(False)
-        assert seen_a == seen_b
-        assert a.snapshot() == b.snapshot()
-        assert a.total_joins == b.total_joins == 2
-        a.check_invariants(aggregates=True)
-
-    def test_add_new_peer_keeps_the_constructor_checks(self):
+    def test_add_peer_validates_its_arguments(self):
         ov = Overlay()
-        ov.add_new_peer(0, Role.SUPER, 1.0, 0.0, 10.0)
+        ov.add_peer(0, Role.SUPER, 1.0, 0.0, 10.0)
         with pytest.raises(OverlayError, match="duplicate"):
-            ov.add_new_peer(0, Role.LEAF, 1.0, 0.0, 10.0)
+            ov.add_peer(0, Role.LEAF, 1.0, 0.0, 10.0)
         with pytest.raises(ValueError, match="capacity"):
-            ov.add_new_peer(1, Role.LEAF, -1.0, 0.0, 10.0)
+            ov.add_peer(1, Role.LEAF, -1.0, 0.0, 10.0)
         with pytest.raises(ValueError, match="lifetime"):
-            ov.add_new_peer(1, Role.LEAF, 1.0, 0.0, 0.0)
+            ov.add_peer(1, Role.LEAF, 1.0, 0.0, 0.0)
+        with pytest.raises(ValueError, match="boss"):
+            ov.add_peer(1, "boss", 1.0, 0.0, 10.0)
         assert ov.n == 1 and len(ov.store) == 1
-
-    def test_preconnected_peer_rejected(self):
-        ov = Overlay()
-        p = make_peer(0, Role.SUPER)
-        p.super_neighbors.add(99)
-        with pytest.raises(OverlayError, match="unconnected"):
-            ov.add_peer(p)
+        # A role given by value is coerced, not silently filed as a leaf.
+        assert ov.add_peer(1, "super", 1.0, 0.0, 10.0).role is Role.SUPER
+        assert 1 in ov.super_ids and ov.n_super == 2
 
     def test_remove_unknown_pid_raises(self):
         with pytest.raises(OverlayError, match="unknown"):
@@ -110,7 +80,7 @@ class TestLinks:
 
     def test_leaf_leaf_link_rejected(self):
         ov = two_supers_one_leaf()
-        ov.add_peer(make_peer(3, Role.LEAF))
+        add_peer(ov, 3, Role.LEAF)
         with pytest.raises(OverlayError, match="leaf-leaf"):
             ov.connect(2, 3)
 
@@ -139,7 +109,7 @@ class TestLinks:
         ov.connect(2, 1)
         ov.disconnect(2, 0)
         # contacted set is history, not current links
-        assert ov.peer(2).contacted_supers == {0, 1}
+        assert ov.peer(2).contacted_supers == (0, 1)
 
 
 class TestRemovePeer:
@@ -157,7 +127,7 @@ class TestRemovePeer:
         ov.connect(0, 1)
         orphans, former = ov.remove_peer(0)
         assert orphans == [2] and former == [1]
-        assert ov.peer(2).super_neighbors == set()
+        assert ov.peer(2).super_neighbors == ()
         ov.check_invariants()
 
     def test_counters(self):
@@ -165,6 +135,31 @@ class TestRemovePeer:
         assert ov.total_joins == 3
         ov.remove_peer(2)
         assert ov.total_leaves == 1
+
+    def test_leave_listener_reads_final_row_then_slot_is_reused(self):
+        ov = Overlay()
+        add_peer(ov, 0, Role.SUPER)
+        gone = add_peer(ov, 1, Role.SUPER, capacity=7.5, join_time=3.0)
+        ov.connect(0, 1)
+        slot, seen = gone._slot, []
+        ov.add_membership_listener(
+            lambda p, joined: joined
+            or seen.append((p.capacity, p.join_time, p.role, p.super_neighbors))
+        )
+        ov.remove_peer(1)
+        assert seen == [(7.5, 3.0, Role.SUPER, ())]
+        assert len(ov.store) == ov.n == 1
+        assert add_peer(ov, 2)._slot == slot
+
+    def test_view_kept_past_removal_raises(self):
+        ov = two_supers_one_leaf()
+        kept = ov.peer(2)
+        ov.remove_peer(2)
+        recycled = add_peer(ov, 3, Role.SUPER, capacity=9.0)
+        assert recycled._slot == kept._slot and kept.pid == 2
+        for field in ("capacity", "role", "super_neighbors"):
+            with pytest.raises(OverlayError, match="stale"):
+                getattr(kept, field)
 
 
 class TestPromotion:
@@ -176,7 +171,7 @@ class TestPromotion:
         ov.promote(2)
         peer = ov.peer(2)
         assert peer.is_super
-        assert peer.super_neighbors == {0, 1}
+        assert peer.super_neighbors == (0, 1)
         assert 2 in ov.peer(0).super_neighbors
         assert 2 not in ov.peer(0).leaf_neighbors
         ov.check_invariants()
@@ -190,7 +185,7 @@ class TestPromotion:
         ov = two_supers_one_leaf()
         ov.connect(2, 0)
         ov.promote(2)
-        assert ov.peer(2).contacted_supers == set()
+        assert ov.peer(2).contacted_supers == ()
 
     def test_promote_super_rejected(self):
         ov = two_supers_one_leaf()
@@ -208,11 +203,11 @@ class TestDemotion:
         """Super 0 with backbone {1,2,3} and leaves {10,11,12}."""
         ov = Overlay()
         for sid in range(4):
-            ov.add_peer(make_peer(sid, Role.SUPER))
+            add_peer(ov, sid, Role.SUPER)
         for sid in (1, 2, 3):
             ov.connect(0, sid)
         for lid in (10, 11, 12):
-            ov.add_peer(make_peer(lid, Role.LEAF))
+            add_peer(ov, lid, Role.LEAF)
             ov.connect(lid, 0)
         return ov
 
@@ -222,7 +217,7 @@ class TestDemotion:
         peer = ov.peer(0)
         assert peer.is_leaf
         assert len(peer.super_neighbors) == 2
-        assert peer.super_neighbors <= {1, 2, 3}
+        assert set(peer.super_neighbors) <= {1, 2, 3}
         ov.check_invariants()
 
     def test_demote_returns_orphans(self, rng):
@@ -231,7 +226,7 @@ class TestDemotion:
         orphans = ov.demote(0, 2, rng)
         assert sorted(orphans) == [10, 11, 12]
         for lid in orphans:
-            assert ov.peer(lid).super_neighbors == set()
+            assert ov.peer(lid).super_neighbors == ()
 
     def test_demoted_peer_refiled_as_leaf_on_keepers(self, rng):
         ov = self.build()
@@ -243,11 +238,11 @@ class TestDemotion:
 
     def test_demote_with_fewer_than_m_super_links_keeps_all(self, rng):
         ov = Overlay()
-        ov.add_peer(make_peer(0, Role.SUPER))
-        ov.add_peer(make_peer(1, Role.SUPER))
+        add_peer(ov, 0, Role.SUPER)
+        add_peer(ov, 1, Role.SUPER)
         ov.connect(0, 1)
         ov.demote(0, 2, rng)
-        assert ov.peer(0).super_neighbors == {1}
+        assert ov.peer(0).super_neighbors == (1,)
         ov.check_invariants()
 
     def test_demote_leaf_rejected(self, rng):
@@ -258,7 +253,8 @@ class TestDemotion:
     def test_contacted_supers_reset_to_keepers(self, rng):
         ov = self.build()
         ov.demote(0, 2, rng)
-        assert ov.peer(0).contacted_supers == ov.peer(0).super_neighbors
+        kept = ov.peer(0)
+        assert set(kept.contacted_supers) == set(kept.super_neighbors)
 
 
 class TestRatio:
@@ -268,7 +264,7 @@ class TestRatio:
 
     def test_ratio_infinite_without_supers(self):
         ov = Overlay()
-        ov.add_peer(make_peer(0, Role.LEAF))
+        add_peer(ov, 0, Role.LEAF)
         assert ov.layer_size_ratio() == float("inf")
 
 
@@ -315,7 +311,7 @@ class TestListeners:
         ov = Overlay()
         seen = []
         ov.add_membership_listener(lambda p, joined: seen.append((p.pid, joined)))
-        ov.add_peer(make_peer(0, Role.SUPER))
+        add_peer(ov, 0, Role.SUPER)
         ov.remove_peer(0)
         assert seen == [(0, True), (0, False)]
 
@@ -358,18 +354,18 @@ class TestInvariants:
     def test_detects_asymmetric_link(self):
         ov = two_supers_one_leaf()
         ov.connect(2, 0)
-        ov.peer(0).leaf_neighbors.discard(2)  # sabotage
+        ov.store.ln_discard(ov.peer(0)._slot, 2)  # sabotage
         with pytest.raises(OverlayError, match="asymmetric"):
             ov.check_invariants()
 
     def test_detects_role_registry_drift(self):
         ov = two_supers_one_leaf()
-        ov.peer(2).role = Role.SUPER  # sabotage without registry update
+        ov.store.role[ov.peer(2)._slot] = 1  # sabotage without registry update
         with pytest.raises(OverlayError):
             ov.check_invariants()
 
     def test_detects_leaf_with_leaf_neighbors(self):
         ov = two_supers_one_leaf()
-        ov.peer(2).leaf_neighbors.add(0)  # sabotage
+        ov.store.ln_add(ov.peer(2)._slot, 0)  # sabotage
         with pytest.raises(OverlayError):
             ov.check_invariants()

@@ -17,7 +17,6 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from repro.overlay.peer import Peer
 from repro.overlay.roles import Role
 from repro.overlay.topology import Overlay
 
@@ -43,15 +42,7 @@ class AggregatesMachine(RuleBasedStateMachine):
     def _new_peer(self, role, capacity, join_time):
         pid = self.next_pid
         self.next_pid += 1
-        self.overlay.add_peer(
-            Peer(
-                pid=pid,
-                role=role,
-                capacity=capacity,
-                join_time=join_time,
-                lifetime=1.0,
-            )
-        )
+        self.overlay.add_peer(pid, role, capacity, join_time, lifetime=1.0)
 
     @rule(capacity=_capacities, join_time=_join_times)
     def join_super(self, capacity, join_time):
@@ -78,7 +69,7 @@ class AggregatesMachine(RuleBasedStateMachine):
         pids = sorted(p.pid for p in self.overlay.peers())
         a = data.draw(st.sampled_from(pids))
         peer = self.overlay.peer(a)
-        nbrs = sorted(peer.super_neighbors | peer.leaf_neighbors)
+        nbrs = sorted({*peer.super_neighbors, *peer.leaf_neighbors})
         if nbrs:
             b = data.draw(st.sampled_from(nbrs))
             self.overlay.disconnect(a, b)

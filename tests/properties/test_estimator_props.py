@@ -22,8 +22,7 @@ from hypothesis import given, strategies as st
 from repro.core.config import DLMConfig
 from repro.core.estimator import RatioEstimator
 from repro.core.related_set import RelatedSetView
-from repro.overlay.roles import Role
-from tests.conftest import make_peer
+from tests.conftest import super_with_lnn
 
 #: The floor mu_inappropriateness applies before the log (l_nn = 0 case).
 FLOOR = 0.25
@@ -53,9 +52,7 @@ class TestSuperMu:
     @given(eta=etas, m=ms, l_nn=st.integers(min_value=0, max_value=5000))
     def test_sign_matches_lnn_vs_kl_ordering(self, eta, m, l_nn):
         est = estimator_for(eta, m)
-        sup = make_peer(0, Role.SUPER)
-        sup.leaf_neighbors.update(range(1000, 1000 + l_nn))
-        mu = est.mu_for_super(sup)
+        mu = est.mu_for_super(super_with_lnn(l_nn))
         assert math.isfinite(mu)
         effective = max(l_nn, FLOOR)  # the documented l_nn = 0 floor
         if effective > est.config.k_l:
@@ -75,9 +72,7 @@ class TestSuperMu:
     @given(eta=etas, m=ms, l_nn=st.integers(min_value=1, max_value=4999))
     def test_monotone_in_lnn(self, eta, m, l_nn):
         est = estimator_for(eta, m)
-        lo, hi = make_peer(0, Role.SUPER), make_peer(1, Role.SUPER)
-        lo.leaf_neighbors.update(range(l_nn))
-        hi.leaf_neighbors.update(range(l_nn + 1))
+        lo, hi = super_with_lnn(l_nn), super_with_lnn(l_nn + 1)
         assert est.mu_for_super(lo) < est.mu_for_super(hi)
 
 

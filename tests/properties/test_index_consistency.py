@@ -14,7 +14,6 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from repro.overlay.peer import Peer
 from repro.overlay.roles import Role
 from repro.overlay.topology import Overlay
 from repro.search.content import ContentCatalog
@@ -37,9 +36,7 @@ class IndexMachine(RuleBasedStateMachine):
     def _join(self, role: Role) -> int:
         pid = self.next_pid
         self.next_pid += 1
-        self.overlay.add_peer(
-            Peer(pid=pid, role=role, capacity=1.0, join_time=0.0, lifetime=1.0)
-        )
+        self.overlay.add_peer(pid, role, capacity=1.0, join_time=0.0, lifetime=1.0)
         return pid
 
     @rule()
@@ -70,7 +67,7 @@ class IndexMachine(RuleBasedStateMachine):
     def disconnect_random(self, data):
         pid = data.draw(st.sampled_from(sorted(p.pid for p in self.overlay.peers())))
         peer = self.overlay.peer(pid)
-        nbrs = sorted(peer.super_neighbors | peer.leaf_neighbors)
+        nbrs = sorted({*peer.super_neighbors, *peer.leaf_neighbors})
         if nbrs:
             self.overlay.disconnect(pid, data.draw(st.sampled_from(nbrs)))
 

@@ -12,7 +12,6 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from repro.overlay.peer import Peer
 from repro.overlay.roles import Role
 from repro.overlay.topology import Overlay
 
@@ -27,9 +26,7 @@ class OverlayMachine(RuleBasedStateMachine):
     def _new_peer(self, role: Role) -> int:
         pid = self.next_pid
         self.next_pid += 1
-        self.overlay.add_peer(
-            Peer(pid=pid, role=role, capacity=1.0, join_time=0.0, lifetime=1.0)
-        )
+        self.overlay.add_peer(pid, role, capacity=1.0, join_time=0.0, lifetime=1.0)
         return pid
 
     @rule()
@@ -57,7 +54,7 @@ class OverlayMachine(RuleBasedStateMachine):
         pids = sorted(p.pid for p in self.overlay.peers())
         a = data.draw(st.sampled_from(pids))
         peer = self.overlay.peer(a)
-        nbrs = sorted(peer.super_neighbors | peer.leaf_neighbors)
+        nbrs = sorted({*peer.super_neighbors, *peer.leaf_neighbors})
         if nbrs:
             b = data.draw(st.sampled_from(nbrs))
             self.overlay.disconnect(a, b)
@@ -80,9 +77,22 @@ class OverlayMachine(RuleBasedStateMachine):
         pid = data.draw(st.sampled_from(sorted(p.pid for p in self.overlay.peers())))
         self.overlay.remove_peer(pid)
 
+    @rule()
+    def restore_roundtrip(self):
+        """A restored twin re-derives every degree column and aggregate
+        from the snapshot alone -- nothing syncs them behind its back."""
+        twin = Overlay()
+        twin.restore(self.overlay.snapshot())
+        assert twin.snapshot() == self.overlay.snapshot()
+        twin.check_invariants(aggregates=True)
+
     @invariant()
     def structural_invariants_hold(self):
         self.overlay.check_invariants()
+
+    @invariant()
+    def no_row_outside_the_registry(self):
+        assert len(self.overlay.store) == self.overlay.n
 
     @invariant()
     def counters_consistent(self):

@@ -6,7 +6,6 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.overlay.peer import Peer
 from repro.overlay.roles import Role
 from repro.overlay.topology import Overlay
 from repro.protocol.latency import ConstantLatency
@@ -29,9 +28,7 @@ def random_overlay(draw):
         ov, ContentCatalog(n_objects=30, s=0.7), rng, files_per_peer=3
     )
     for sid in range(n_supers):
-        ov.add_peer(
-            Peer(pid=sid, role=Role.SUPER, capacity=1, join_time=0, lifetime=1)
-        )
+        ov.add_peer(sid, Role.SUPER, capacity=1, join_time=0, lifetime=1)
         if sid:
             # chain ensures connectivity; extra random edges add cycles
             ov.connect(sid - 1, sid)
@@ -42,9 +39,7 @@ def random_overlay(draw):
             ov.connect(int(a), int(b))
     for i in range(n_leaves):
         pid = 1000 + i
-        ov.add_peer(
-            Peer(pid=pid, role=Role.LEAF, capacity=1, join_time=0, lifetime=1)
-        )
+        ov.add_peer(pid, Role.LEAF, capacity=1, join_time=0, lifetime=1)
         ov.connect(pid, int(rng.integers(n_supers)))
     return ov, directory, rng
 

@@ -308,17 +308,17 @@ class TestTimedFlooding:
         from repro.search.content import ContentCatalog
         from repro.search.flooding import FloodRouter
         from repro.search.index import ContentDirectory
-        from tests.conftest import make_peer
+        from tests.conftest import add_peer
 
         ov = Overlay()
         directory = ContentDirectory(
             ov, ContentCatalog(50), np.random.default_rng(1), files_per_peer=0
         )
         for sid in range(4):
-            ov.add_peer(make_peer(sid, Role.SUPER))
+            add_peer(ov, sid, Role.SUPER)
             if sid:
                 ov.connect(sid - 1, sid)
-        ov.add_peer(make_peer(100, Role.LEAF))
+        add_peer(ov, 100, Role.LEAF)
         directory._files[100] = (7,)
         ov.connect(100, 3)
 
@@ -338,17 +338,17 @@ class TestTimedFlooding:
         from repro.search.content import ContentCatalog
         from repro.search.flooding import FloodRouter
         from repro.search.index import ContentDirectory
-        from tests.conftest import make_peer
+        from tests.conftest import add_peer
 
         ov = Overlay()
         directory = ContentDirectory(
             ov, ContentCatalog(50), np.random.default_rng(1), files_per_peer=0
         )
         for sid in range(4):
-            ov.add_peer(make_peer(sid, Role.SUPER))
+            add_peer(ov, sid, Role.SUPER)
             if sid:
                 ov.connect(sid - 1, sid)
-        ov.add_peer(make_peer(100, Role.LEAF))
+        add_peer(ov, 100, Role.LEAF)
         directory._files[100] = (7,)
         ov.connect(100, 3)
 
@@ -367,13 +367,13 @@ class TestTimedFlooding:
         from repro.search.content import ContentCatalog
         from repro.search.flooding import FloodRouter
         from repro.search.index import ContentDirectory
-        from tests.conftest import make_peer
+        from tests.conftest import add_peer
 
         ov = Overlay()
         directory = ContentDirectory(
             ov, ContentCatalog(50), np.random.default_rng(1), files_per_peer=0
         )
-        ov.add_peer(make_peer(0, Role.SUPER))
+        add_peer(ov, 0, Role.SUPER)
         directory._files[0] = (7,)
         router = FloodRouter(
             ov, directory, ttl=5, latency=ConstantLatency(2.0), rng=rng
@@ -387,13 +387,13 @@ class TestTimedFlooding:
         from repro.search.content import ContentCatalog
         from repro.search.flooding import FloodRouter
         from repro.search.index import ContentDirectory
-        from tests.conftest import make_peer
+        from tests.conftest import add_peer
 
         ov = Overlay()
         directory = ContentDirectory(
             ov, ContentCatalog(50), np.random.default_rng(1), files_per_peer=0
         )
-        ov.add_peer(make_peer(0, Role.SUPER))
+        add_peer(ov, 0, Role.SUPER)
         directory._files[0] = (7,)
         out = FloodRouter(ov, directory).query(0, 7)
         assert out.first_hit_latency is None

@@ -18,15 +18,15 @@ from repro.protocol.messages import (
 )
 from repro.protocol.transport import MESSAGES_PER_NEW_LINK, InfoExchange
 from repro.sim.scheduler import Simulator
-from tests.conftest import make_peer
+from tests.conftest import add_peer
 
 
 @pytest.fixture
 def system():
     ov = Overlay()
-    ov.add_peer(make_peer(0, Role.SUPER))
-    ov.add_peer(make_peer(1, Role.SUPER))
-    ov.add_peer(make_peer(2, Role.LEAF))
+    add_peer(ov, 0, Role.SUPER)
+    add_peer(ov, 1, Role.SUPER)
+    add_peer(ov, 2, Role.LEAF)
     ov.connect(2, 0)
     ledger = MessageLedger()
     return ov, ledger, InfoExchange(ov, ledger)
@@ -113,8 +113,8 @@ def driven():
     """A leaf--super pair on a live simulator in message-driven mode."""
     sim = Simulator(seed=7)
     ov = Overlay()
-    ov.add_peer(make_peer(0, Role.SUPER, capacity=200.0))
-    ov.add_peer(make_peer(2, Role.LEAF, capacity=50.0))
+    add_peer(ov, 0, Role.SUPER, capacity=200.0)
+    add_peer(ov, 2, Role.LEAF, capacity=50.0)
     ov.connect(2, 0)
     ledger = MessageLedger()
 

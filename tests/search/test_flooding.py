@@ -11,7 +11,7 @@ from repro.protocol.accounting import MessageLedger
 from repro.search.content import ContentCatalog
 from repro.search.flooding import FloodRouter
 from repro.search.index import ContentDirectory
-from tests.conftest import make_peer
+from tests.conftest import add_peer
 
 
 def build_chain(n_supers=5, files=()):
@@ -22,10 +22,10 @@ def build_chain(n_supers=5, files=()):
         ov, catalog, np.random.default_rng(3), files_per_peer=0
     )
     for sid in range(n_supers):
-        ov.add_peer(make_peer(sid, Role.SUPER))
+        add_peer(ov, sid, Role.SUPER)
         if sid:
             ov.connect(sid - 1, sid)
-    ov.add_peer(make_peer(100, Role.LEAF))
+    add_peer(ov, 100, Role.LEAF)
     # hand the far leaf a known object before its link is indexed
     directory._files[100] = (42,)
     ov.connect(100, n_supers - 1)
@@ -57,7 +57,7 @@ class TestFloodReach:
 
     def test_leaf_source_without_local_copy(self):
         ov, directory, ledger = build_chain(n_supers=3)
-        ov.add_peer(make_peer(101, Role.LEAF))
+        add_peer(ov, 101, Role.LEAF)
         ov.connect(101, 0)
         router = FloodRouter(ov, directory, ttl=5)
         out = router.query(101, 42)
@@ -96,7 +96,7 @@ class TestMultipleHits:
     def test_counts_all_holders(self):
         ov, directory, _ = build_chain(n_supers=4)
         # give another super's leaf the same object
-        ov.add_peer(make_peer(101, Role.LEAF))
+        add_peer(ov, 101, Role.LEAF)
         directory._files[101] = (42,)
         ov.connect(101, 1)
         out = FloodRouter(ov, directory, ttl=5).query(0, 42)

@@ -9,7 +9,7 @@ from repro.overlay.roles import Role
 from repro.overlay.topology import Overlay
 from repro.search.content import ContentCatalog
 from repro.search.index import ContentDirectory
-from tests.conftest import make_peer
+from tests.conftest import add_peer
 
 
 @pytest.fixture
@@ -19,8 +19,8 @@ def system():
     directory = ContentDirectory(
         ov, catalog, np.random.default_rng(7), files_per_peer=5
     )
-    ov.add_peer(make_peer(0, Role.SUPER))
-    ov.add_peer(make_peer(1, Role.SUPER))
+    add_peer(ov, 0, Role.SUPER)
+    add_peer(ov, 1, Role.SUPER)
     ov.connect(0, 1)
     return ov, directory
 
@@ -28,12 +28,12 @@ def system():
 class TestFileAssignment:
     def test_files_assigned_at_join(self, system):
         ov, directory = system
-        ov.add_peer(make_peer(10, Role.LEAF))
+        add_peer(ov, 10, Role.LEAF)
         assert len(directory.files(10)) >= 1
 
     def test_files_cleared_on_leave(self, system):
         ov, directory = system
-        ov.add_peer(make_peer(10, Role.LEAF))
+        add_peer(ov, 10, Role.LEAF)
         ov.remove_peer(10)
         assert directory.files(10) == ()
 
@@ -46,21 +46,21 @@ class TestFileAssignment:
         directory = ContentDirectory(
             ov, ContentCatalog(10), np.random.default_rng(0), files_per_peer=0
         )
-        ov.add_peer(make_peer(0, Role.SUPER))
+        add_peer(ov, 0, Role.SUPER)
         assert directory.files(0) == ()
 
 
 class TestIndexMaintenance:
     def test_link_creation_indexes_leaf_files(self, system):
         ov, directory = system
-        ov.add_peer(make_peer(10, Role.LEAF))
+        add_peer(ov, 10, Role.LEAF)
         ov.connect(10, 0)
         for obj in directory.files(10):
             assert directory.super_hit(0, obj)
 
     def test_link_drop_unindexes(self, system):
         ov, directory = system
-        ov.add_peer(make_peer(10, Role.LEAF))
+        add_peer(ov, 10, Role.LEAF)
         ov.connect(10, 0)
         ov.disconnect(10, 0)
         for obj in directory.files(10):
@@ -69,8 +69,8 @@ class TestIndexMaintenance:
 
     def test_multiplicity_across_leaves(self, system):
         ov, directory = system
-        ov.add_peer(make_peer(10, Role.LEAF))
-        ov.add_peer(make_peer(11, Role.LEAF))
+        add_peer(ov, 10, Role.LEAF)
+        add_peer(ov, 11, Role.LEAF)
         ov.connect(10, 0)
         ov.connect(11, 0)
         obj_common = directory.files(10)[0]
@@ -79,7 +79,7 @@ class TestIndexMaintenance:
 
     def test_leaf_death_unindexes(self, system):
         ov, directory = system
-        ov.add_peer(make_peer(10, Role.LEAF))
+        add_peer(ov, 10, Role.LEAF)
         ov.connect(10, 0)
         files = directory.files(10)
         ov.remove_peer(10)
@@ -88,7 +88,7 @@ class TestIndexMaintenance:
 
     def test_super_death_drops_its_index(self, system):
         ov, directory = system
-        ov.add_peer(make_peer(10, Role.LEAF))
+        add_peer(ov, 10, Role.LEAF)
         ov.connect(10, 0)
         ov.remove_peer(0)
         assert directory.index_size(0) == 0
@@ -102,7 +102,7 @@ class TestIndexMaintenance:
 class TestRoleTransitions:
     def test_promotion_refiles_index_entries(self, system):
         ov, directory = system
-        ov.add_peer(make_peer(10, Role.LEAF))
+        add_peer(ov, 10, Role.LEAF)
         ov.connect(10, 0)
         ov.promote(10)
         directory.check_consistency()
@@ -111,9 +111,9 @@ class TestRoleTransitions:
 
     def test_demotion_refiles_index_entries(self, system, rng):
         ov, directory = system
-        ov.add_peer(make_peer(10, Role.LEAF))
+        add_peer(ov, 10, Role.LEAF)
         ov.connect(10, 0)
-        ov.add_peer(make_peer(20, Role.SUPER))
+        add_peer(ov, 20, Role.SUPER)
         ov.connect(20, 0)
         ov.connect(20, 1)
         ov.demote(20, 2, rng)
@@ -133,7 +133,7 @@ class TestRoleTransitions:
 class TestConsistencyCheck:
     def test_detects_drift(self, system):
         ov, directory = system
-        ov.add_peer(make_peer(10, Role.LEAF))
+        add_peer(ov, 10, Role.LEAF)
         ov.connect(10, 0)
         directory._index[0].clear()  # sabotage
         with pytest.raises(AssertionError, match="drift"):

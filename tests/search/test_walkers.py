@@ -10,7 +10,7 @@ from repro.overlay.topology import Overlay
 from repro.search.content import ContentCatalog
 from repro.search.index import ContentDirectory
 from repro.search.walkers import RandomWalkRouter
-from tests.conftest import make_peer
+from tests.conftest import add_peer
 
 
 def build_ring(n_supers=8):
@@ -20,11 +20,11 @@ def build_ring(n_supers=8):
         ov, catalog, np.random.default_rng(3), files_per_peer=0
     )
     for sid in range(n_supers):
-        ov.add_peer(make_peer(sid, Role.SUPER))
+        add_peer(ov, sid, Role.SUPER)
     for sid in range(n_supers):
         ov.connect(sid, (sid + 1) % n_supers)
     # object 42 indexed at super n/2 via a leaf
-    ov.add_peer(make_peer(100, Role.LEAF))
+    add_peer(ov, 100, Role.LEAF)
     directory._files[100] = (42,)
     ov.connect(100, n_supers // 2)
     return ov, directory
@@ -75,7 +75,7 @@ class TestWalkers:
 
     def test_leaf_source_fans_out_over_supers(self, rng):
         ov, directory = build_ring()
-        ov.add_peer(make_peer(101, Role.LEAF))
+        add_peer(ov, 101, Role.LEAF)
         ov.connect(101, 0)
         router = RandomWalkRouter(ov, directory, rng, walkers=4, max_steps=16)
         out = router.query(101, 42)
@@ -83,7 +83,7 @@ class TestWalkers:
 
     def test_isolated_leaf_fails_gracefully(self, rng):
         ov, directory = build_ring()
-        ov.add_peer(make_peer(102, Role.LEAF))
+        add_peer(ov, 102, Role.LEAF)
         router = RandomWalkRouter(ov, directory, rng)
         out = router.query(102, 42)
         assert not out.found and out.total_messages == 0

@@ -12,7 +12,7 @@ from repro.search.flooding import FloodRouter
 from repro.search.index import ContentDirectory
 from repro.search.workload import QueryWorkload
 from repro.sim.scheduler import Simulator
-from tests.conftest import make_peer
+from tests.conftest import add_peer
 
 
 def build(peers):
@@ -23,7 +23,7 @@ def build(peers):
         ov, catalog, np.random.default_rng(2), files_per_peer=3
     )
     for pid, role in peers:
-        ov.add_peer(make_peer(pid, role))
+        add_peer(ov, pid, role)
     router = FloodRouter(ov, directory, ttl=3)
     wl = QueryWorkload(sim, ov, catalog, router, rate=1.0)
     return sim, ov, wl

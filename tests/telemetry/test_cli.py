@@ -131,3 +131,15 @@ class TestReproDispatch:
         assert "records: 4" in capsys.readouterr().out
         assert repro_main(["trace", jsonl, "--limit", "1"]) == 0
         assert capsys.readouterr().out.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["stats", "trace", "health"])
+    @pytest.mark.parametrize("damage", ["missing", "torn"])
+    def test_unreadable_run_is_an_error_line_and_exit_2(
+        self, capsys, tmp_path, command, damage
+    ):
+        path = tmp_path / "run.jsonl"
+        if damage == "torn":
+            path.write_text('{"kind":"run","name":"x"\n')
+        assert repro_main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1

@@ -102,7 +102,6 @@ class TestStandardProducers:
         assert build_context(seed=1).telemetry is NULL_TELEMETRY
 
     def test_store_bytes_gauge_tracks_columnar_store(self):
-        from repro.overlay.peer import Peer
         from repro.overlay.roles import Role
 
         tel = Telemetry()
@@ -114,7 +113,7 @@ class TestStandardProducers:
         # producer is a live view, so collect() sees the new footprint.
         for pid in range(2000):
             ctx.overlay.add_peer(
-                Peer(pid, Role.LEAF, capacity=1.0, join_time=0.0, lifetime=1.0)
+                pid, Role.LEAF, capacity=1.0, join_time=0.0, lifetime=1.0
             )
         after = tel.registry.collect()["overlay.store_bytes"]
         assert after == ctx.overlay.store.nbytes > before
