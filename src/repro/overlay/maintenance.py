@@ -67,11 +67,16 @@ class Maintenance:
 
     # -- leaf side -------------------------------------------------------
     def ensure_leaf_links(self, pid: int) -> int:
-        """Top a leaf's super links back up to ``m``; returns links added."""
+        """Top a leaf's super links back up to ``m``; returns links added.
+
+        Safe to call on a departed pid or a super-peer (returns 0,
+        draws nothing).
+        """
         store = self.overlay.store
-        # Degree column, not ``len(peer.super_neighbors)``: this is
-        # called for every leaf on every sweep and usually returns 0.
-        deficit = self.m - int(store.n_super_links[store.slot(pid)])
+        slot = store.slot(pid)
+        if slot < 0 or store.role[slot] != ROLE_LEAF:
+            return 0
+        deficit = self.m - int(store.n_super_links[slot])
         if deficit <= 0:
             return 0
         return len(self.join.connect_leaf(pid, deficit))
@@ -148,10 +153,26 @@ class Maintenance:
         super-peer have nothing to reconnect to until the next join seeds
         the layer); the periodic sweep retries those, modeling the
         connection-maintenance loop every real client runs.
+
+        The leaf pass is by exception: a leaf can gain a link iff its
+        degree is below ``min(m, n_super)`` (linked to every super, the
+        sampler returns ``[]`` undrawn).  One column scan finds those
+        rows; visiting them in ``leaf_ids`` registry order makes exactly
+        the calls, in the order, of a walk over every leaf, and the pass
+        changes none of the scan's inputs (DESIGN.md §8).  The super
+        pass stays a walk: one super's repair changes another's degree.
         """
         report = RepairReport()
-        for pid in list(self.overlay.leaf_ids):
+        overlay = self.overlay
+        store = overlay.store
+        live = store.live_slots()
+        short = live[
+            (store.role[live] == ROLE_LEAF)
+            & (store.n_super_links[live] < min(self.m, overlay.n_super))
+        ]
+        order = overlay.leaf_ids._index.__getitem__
+        for pid in sorted(store.pid[short].tolist(), key=order):
             report.leaf_reconnections += self.ensure_leaf_links(pid)
-        for pid in list(self.overlay.super_ids):
+        for pid in list(overlay.super_ids):
             report.super_reconnections += self.ensure_super_links(pid)
         return report

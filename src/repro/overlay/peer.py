@@ -34,8 +34,7 @@ from typing import Tuple, Union
 
 from ..util.idset import IdSet
 from .knowledge import NeighborKnowledge
-from .peerstore import ROLE_LEAF, ROLE_SUPER
-from .roles import Role
+from .roles import ROLE_LEAF, ROLE_SUPER, Role
 
 __all__ = ["Peer"]
 

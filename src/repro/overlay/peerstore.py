@@ -40,21 +40,16 @@ reconstructible from a checkpoint.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from ..util.idset import IdSet
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .knowledge import NeighborKnowledge
-    from .peer import Peer
+from .knowledge import NeighborKnowledge
+from .peer import Peer
+from .roles import ROLE_LEAF, ROLE_SUPER
 
 __all__ = ["PeerStore", "ROLE_LEAF", "ROLE_SUPER"]
-
-#: Integer role codes used by the ``role`` column.
-ROLE_LEAF = 0
-ROLE_SUPER = 1
 
 #: pids below this bound map to slots through a dense array; larger
 #: (or negative) pids spill to a dict so a stray huge pid cannot force
@@ -134,8 +129,8 @@ class PeerStore:
         #: list slot.
         self.fg: List[tuple] = [()] * cap
         self.ln: List[Optional[IdSet]] = [None] * cap
-        self.kn: List[Optional["NeighborKnowledge"]] = [None] * cap
-        self.views: List[Optional["Peer"]] = [None] * cap
+        self.kn: List[Optional[NeighborKnowledge]] = [None] * cap
+        self.views: List[Optional[Peer]] = [None] * cap
         self._free: List[int] = []
         self._size = 0  # high-water mark: slots ever handed out
         self._slot_by_pid = np.full(0, -1, dtype=np.int64)
@@ -235,7 +230,11 @@ class PeerStore:
         role_change_time: float,
         eligible: bool,
     ) -> int:
-        """Allocate a slot and write the scalar row; returns the slot."""
+        """Allocate a slot and write what differs per peer; returns the slot.
+
+        Every other column already reads its default: the fill on a fresh
+        slot, what :meth:`free` restored on a recycled one.
+        """
         if self._free:
             s = self._free.pop()
         else:
@@ -251,26 +250,18 @@ class PeerStore:
         self.role_change_time[s] = role_change_time
         self.eligible[s] = eligible
         self.alive[s] = True
-        self.n_super_links[s] = 0
-        self.n_leaf_links[s] = 0
-        self.last_eval[s] = -np.inf
-        self.ring_succ[s] = -1
-        self.dv[s] = np.inf
-        self.dseq[s] = -1
-        self.sn[s] = ()
-        self.ct[s] = ()
-        self.fg[s] = ()
-        self.ln[s] = None
-        self.kn[s] = None
-        self.views[s] = None
         self._register(pid, s)
         return s
 
     def free(self, slot: int) -> None:
-        """Release a slot back to the free list."""
+        """Release a slot to the free list with every degree, bookkeeping
+        and object column back at its default (:meth:`alloc` relies on it)."""
         self._unregister(int(self.pid[slot]))
         self.pid[slot] = -1
         self.alive[slot] = False
+        self.n_super_links[slot] = 0
+        self.n_leaf_links[slot] = 0
+        self.last_eval[slot] = -np.inf
         self.ring_succ[slot] = -1
         self.dv[slot] = np.inf
         self.dseq[slot] = -1
@@ -283,26 +274,23 @@ class PeerStore:
         self._free.append(slot)
 
     # -- views -------------------------------------------------------------
-    def view(self, slot: int) -> "Peer":
-        """The cached :class:`Peer` view of ``slot`` (created on demand)."""
+    def view(self, slot: int, pid: int) -> Peer:
+        """The cached :class:`Peer` view of ``slot`` (created on demand for
+        ``pid``, which the caller has just allocated the slot to)."""
         v = self.views[slot]
         if v is None:
-            from .peer import Peer
-
             v = Peer.__new__(Peer)
-            v.pid = int(self.pid[slot])
+            v.pid = pid
             v._store = self
             v._slot = slot
             self.views[slot] = v
         return v
 
     # -- adjacency helpers --------------------------------------------------
-    def knowledge_of(self, slot: int) -> "NeighborKnowledge":
+    def knowledge_of(self, slot: int) -> NeighborKnowledge:
         """The slot's observation cache, vivified on first use."""
         kn = self.kn[slot]
         if kn is None:
-            from .knowledge import NeighborKnowledge
-
             kn = NeighborKnowledge()
             self.kn[slot] = kn
         return kn

@@ -18,7 +18,11 @@ from __future__ import annotations
 
 import enum
 
-__all__ = ["Role"]
+__all__ = ["Role", "ROLE_LEAF", "ROLE_SUPER"]
+
+#: Integer role codes of the ``PeerStore.role`` column.
+ROLE_LEAF = 0
+ROLE_SUPER = 1
 
 
 class Role(enum.Enum):

@@ -213,7 +213,8 @@ class Overlay:
         store = self.store
         code = ROLE_SUPER if role is Role.SUPER else ROLE_LEAF
         peer = store.view(
-            store.alloc(pid, code, capacity, join_time, lifetime, join_time, eligible)
+            store.alloc(pid, code, capacity, join_time, lifetime, join_time, eligible),
+            pid,
         )
         self._peers[pid] = peer
         (self.super_ids if role is Role.SUPER else self.leaf_ids).add(pid)
@@ -429,6 +430,10 @@ class Overlay:
         attempt (DESIGN.md §8).  When exclusion leaves at most ``k``
         candidates the result is forced, so no randomness is consumed
         at all.
+
+        ``exclude`` is any iterable of pids, never mutated (a set is read
+        in place, anything else copied into one); non-supers in it are
+        ignored.  A caller linked to every super gets ``[]`` undrawn.
         """
         supers = self.super_ids
         items = supers._items
@@ -641,7 +646,7 @@ class Overlay:
                 knowledge = NeighborKnowledge()
                 knowledge.restore(kn)
                 store.kn[slot] = knowledge
-            self._peers[pid] = store.view(slot)
+            self._peers[pid] = store.view(slot, pid)
         self.super_ids.restore(state["super_ids"])
         self.leaf_ids.restore(state["leaf_ids"])
         self.total_joins = state["total_joins"]

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Type
+from typing import Dict, Iterable, Mapping, Tuple, Type
 
 from .messages import (
     DLM_MESSAGE_TYPES,
@@ -57,7 +57,12 @@ class LedgerSnapshot:
 
 
 class MessageLedger:
-    """Per-type message and byte counters with window checkpoints."""
+    """Per-type message and byte counters with window checkpoints.
+
+    :meth:`record` charges one type; a fixed bundle that recurs per link
+    (the omniscient exchange) is costed once by :meth:`plan` and charged
+    by one :meth:`charge` call.
+    """
 
     def __init__(self, *, piggyback: bool = False) -> None:
         #: When True, DLM control messages ride inside existing protocol
@@ -92,22 +97,37 @@ class MessageLedger:
         """
         if count < 0:
             raise ValueError(f"count must be >= 0, got {count}")
-        cached = self._cost_cache.get(msg_type)
-        if cached is None:
-            name = msg_type.wire_name
-            pig = self.piggyback and msg_type in DLM_MESSAGE_TYPES
-            unit = (
-                VALUE_BYTES * msg_type.n_values if pig else msg_type.size_bytes()
-            )
-            cached = (name, unit, pig)
-            self._cost_cache[msg_type] = cached
-        name, unit, pig = cached
+        name, unit, pig = self._cost_cache.get(msg_type) or self._cost(msg_type)
         self._counts[name] += count
         if pig:
             self._piggybacked[name] += count
         if retransmission:
             self._retransmissions[name] += count
         self._bytes[name] += unit * count
+
+    def _cost(self, msg_type: Type[Message]) -> tuple:
+        """Resolve and cache ``(wire name, bytes per message, piggybacked)``."""
+        pig = self.piggyback and msg_type in DLM_MESSAGE_TYPES
+        unit = VALUE_BYTES * msg_type.n_values if pig else msg_type.size_bytes()
+        cost = self._cost_cache[msg_type] = (msg_type.wire_name, unit, pig)
+        return cost
+
+    def plan(self, charges: Iterable[Tuple[Type[Message], int]]) -> tuple:
+        """Cost a fixed bundle of ``(msg_type, count)`` charges once, for
+        :meth:`charge`: ``(wire name, count, bytes, piggybacked)`` each."""
+        costed = [(self._cost(msg_type), n) for msg_type, n in charges]
+        return tuple((name, n, unit * n, pig) for (name, unit, pig), n in costed)
+
+    def charge(self, plan: tuple) -> None:
+        """Charge a :meth:`plan`: counter for counter one :meth:`record`
+        per entry, in entry order (first use inserts the keys in that
+        order -- checkpoints compare the dicts byte for byte)."""
+        counts, nbytes, piggybacked = self._counts, self._bytes, self._piggybacked
+        for name, count, size, pig in plan:
+            counts[name] += count
+            if pig:
+                piggybacked[name] += count
+            nbytes[name] += size
 
     def record_message(self, msg: Message) -> None:
         """Charge a concrete message instance."""

@@ -150,6 +150,12 @@ class InfoExchange:
         self.faults = faults
         self._completion_listeners: List[CompletionListener] = []
         self._trace_listeners: List[TraceListener] = []
+        # The omniscient exchange on a new leaf--super link: the neigh_num
+        # pair and a value pair each way (each end queries the other's).
+        self._link_charge = ledger.plan(
+            [(NeighNumRequest, 1), (NeighNumResponse, 1)]
+            + [(ValueRequest, 2), (ValueResponse, 2)]
+        )
         if faults is not None:
             assert sim is not None
             self._next_rid = 0
@@ -234,20 +240,16 @@ class InfoExchange:
             self._notify_complete(a)
             self._notify_complete(b)
             return False
-        leaf, sup = (a, b) if a_leaf else (b, a)
         if self.faults is None:
-            ledger = self.ledger
-            ledger.record(NeighNumRequest)
-            ledger.record(NeighNumResponse)
-            # The super queries the leaf's values and the leaf queries the
-            # super's: one request/response pair each way, charged fused
-            # (counter totals are identical to four single records).
-            ledger.record(ValueRequest, 2)
-            ledger.record(ValueResponse, 2)
-            self._notify_complete(a)
-            self._notify_complete(b)
+            self.ledger.charge(self._link_charge)
+            listeners = self._completion_listeners
+            for fn in listeners:
+                fn(a)
+            for fn in listeners:
+                fn(b)
             return True
         # Message-driven: the same six messages, now really in flight.
+        leaf, sup = (a, b) if a_leaf else (b, a)
         started = self._start_request(leaf, sup, "neigh_num")
         started |= self._start_request(leaf, sup, "value")
         started |= self._start_request(sup, leaf, "value")

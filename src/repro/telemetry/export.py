@@ -62,9 +62,11 @@ def write_jsonl(path: str, lines: Iterable[dict]) -> int:
     target = Path(path)
     if target.parent != Path(""):
         target.parent.mkdir(parents=True, exist_ok=True)
+    # ``json.dumps`` with non-default arguments builds an encoder per call.
+    encode = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
     with open(target, "w", encoding="utf-8") as fh:
         for line in lines:
-            fh.write(json.dumps(line, separators=(",", ":"), sort_keys=True))
+            fh.write(encode(line))
             fh.write("\n")
             count += 1
     return count

@@ -36,6 +36,27 @@ class TestLeafRepair:
         leaf = join.join(1.0, 5.0, 50.0)
         assert maint.ensure_leaf_links(leaf.pid) == 0
 
+    def test_ensure_leaf_links_on_departed_pid_is_noop(self, system):
+        """Was: slot -1 read the last row, drew, then KeyError in connect."""
+        ov, join, maint = system
+        dead = join.join(1.0, 5.0, 50.0)
+        ov.remove_peer(dead.pid)
+        before = join.rng.bit_generator.state
+        assert maint.ensure_leaf_links(dead.pid) == 0
+        assert join.rng.bit_generator.state == before
+
+    def test_ensure_leaf_links_on_super_is_noop(self, system):
+        """Was: a super below ``m`` backbone links got topped up to the
+        *leaf* target with backbone links."""
+        ov, join, maint = system
+        sup = join.join(1.0, 10.0, 50.0, role=Role.SUPER)
+        for sid in list(sup.super_neighbors):
+            ov.disconnect(sup.pid, sid)
+        before = join.rng.bit_generator.state
+        assert maint.ensure_leaf_links(sup.pid) == 0
+        assert sup.super_neighbors == ()
+        assert join.rng.bit_generator.state == before
+
     def test_reconnect_orphans_single_link_each(self, system):
         """PAO semantics: a demotion orphan re-creates exactly one link."""
         ov, join, maint = system
@@ -143,6 +164,50 @@ class TestSweep:
         maint.sweep()
         second = maint.sweep()
         assert second.leaf_reconnections == 0
+
+
+    def test_cold_start_sweep_never_calls_the_sampler(self, monkeypatch):
+        """One super, m = 2: every leaf is below target but already linked
+        to every super that exists, so the sweep has nothing to try."""
+        ov = Overlay()
+        join = JoinProcedure(ov, m=2, rng=np.random.default_rng(1), k_s=3)
+        maint = Maintenance(ov, join, m=2, k_s=3)
+        for _ in range(51):
+            join.join(0.0, 10.0, 50.0)
+        assert (ov.n_super, ov.n_leaf) == (1, 50)
+        asked = []
+        sampler = Overlay.random_supers
+        monkeypatch.setattr(
+            Overlay,
+            "random_supers",
+            lambda self, rng, k, exclude: asked.append(k)
+            or sampler(self, rng, k, exclude),
+        )
+        before = join.rng.bit_generator.state
+        report = maint.sweep()
+        # Only the lone super's (forced-empty) attempt at k_s backbone
+        # links; the full scan also asked once per leaf.
+        assert asked == [3]
+        assert (report.leaf_reconnections, report.super_reconnections) == (0, 0)
+        assert join.rng.bit_generator.state == before
+
+    def test_sweep_repairs_in_registry_order(self, system):
+        ov, join, maint = system
+        leaves = [join.join(1.0, 5.0, 50.0).pid for _ in range(8)]
+        # Swap-remove scrambles the registry: its order is neither pid
+        # nor slot order any more.
+        ov.remove_peer(leaves[0])
+        ov.remove_peer(leaves[2])
+        short = [leaves[5], leaves[1], leaves[7]]
+        for pid in short:
+            ov.disconnect(pid, ov.peer(pid).super_neighbors[0])
+        repaired = []
+        ov.add_connection_listener(lambda a, b: repaired.append(a))
+        report = maint.sweep()
+        assert repaired == [pid for pid in ov.leaf_ids if pid in short]
+        assert repaired != sorted(repaired)
+        assert report.leaf_reconnections == 3
+        ov.check_invariants(aggregates=True)
 
 
 class TestRepairReport:

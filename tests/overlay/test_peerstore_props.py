@@ -97,3 +97,47 @@ def test_columns_match_fresh_view_scan(ops):
     # store's own live scan agrees.
     assert seen_slots == set(store.live_slots())
     ov.check_invariants()
+
+
+def _scribble(store, slot) -> None:
+    """Every column ``alloc`` leaves alone, written the way its owner
+    does (topology, evaluator, death ledger, Chord family, Phase 1)."""
+    store.sn_add(slot, 900)
+    store.ln_add(slot, 901)
+    store.ct_add(slot, 900)
+    store.last_eval[slot] = 3.0
+    store.dv[slot], store.dseq[slot] = 8.0, 7
+    store.ring_succ[slot], store.fg[slot] = 900, (902,)
+    store.knowledge_of(slot)
+
+
+@given(
+    ops=st.lists(
+        st.tuples(st.sampled_from(["alloc", "scribble", "free"]), st.integers(0, 7)),
+        max_size=80,
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_allocated_slot_reads_documented_defaults(ops):
+    """``alloc`` writes only what differs per peer: whatever was done to
+    a slot's previous tenant, ``free`` must have handed it back reading
+    the documented default in every other column."""
+    from repro.overlay.peerstore import PeerStore
+
+    store = PeerStore()
+    live = []
+    for pid, (op, i) in enumerate(ops):
+        if op == "alloc" or not live:
+            slot = store.alloc(pid, 0, 1.0, 0.0, 1.0, 0.0, True)
+            live.append(slot)
+            assert (store.n_super_links[slot], store.n_leaf_links[slot]) == (0, 0)
+            assert store.last_eval[slot] == -np.inf and store.dv[slot] == np.inf
+            assert (store.ring_succ[slot], store.dseq[slot]) == (-1, -1)
+            assert (store.sn[slot], store.ct[slot], store.fg[slot]) == ((), (), ())
+            assert store.ln[slot] is store.kn[slot] is store.views[slot] is None
+            assert store.view(slot, pid).pid == pid == store.pid[slot]
+        elif op == "scribble":
+            _scribble(store, live[i % len(live)])
+        else:
+            store.free(live.pop(i % len(live)))
+    assert len(store) == len(live)

@@ -34,6 +34,24 @@ class TestRecording:
         ledger.record(QueryMessage, 0)
         assert ledger.count(QueryMessage) == 0
 
+    @pytest.mark.parametrize("piggyback", [False, True])
+    def test_charging_a_plan_is_one_record_per_entry(self, piggyback):
+        """Same counters *and* same key order (checkpoints are compared
+        byte for byte), whether or not a type was seen before."""
+        bundle = [(ValueResponse, 2), (QueryMessage, 1), (NeighNumRequest, 3)]
+        fused, single = (MessageLedger(piggyback=piggyback) for _ in range(2))
+        plan = fused.plan(bundle)
+        for ledger in (fused, single):
+            ledger.record(QueryMessage)
+        for _ in range(2):
+            fused.charge(plan)
+            for msg_type, count in bundle:
+                single.record(msg_type, count)
+        a, b = fused.snapshot_state(), single.snapshot_state()
+        assert a == b
+        assert all(list(a[k]) == list(b[k]) for k in ("counts", "bytes", "piggybacked"))
+        assert list(a["counts"]) == ["query", "value_response", "neigh_num_request"]
+
 
 class TestAggregates:
     def test_dlm_vs_search_totals(self):
