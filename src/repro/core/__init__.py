@@ -7,7 +7,7 @@ by :class:`DLMPolicy`.
 """
 
 from .capacity import CapacityModel, bandwidth_only_model
-from .comparison import ComparisonResult, compare_against, scaled_fractions
+from .comparison import ComparisonResult, scaled_fractions
 from .config import DLMConfig
 from .decisions import Action, Decision, decide
 from .dlm import DLMPolicy
@@ -20,7 +20,6 @@ from .equations import (
 )
 from .estimator import RatioEstimator
 from .policy import LayerPolicy
-from .related_set import RelatedSetView, leaf_related_set
 from .scaling import AdaptedParameters, ParameterScaler
 from .transitions import TransitionExecutor
 
@@ -28,7 +27,6 @@ __all__ = [
     "CapacityModel",
     "bandwidth_only_model",
     "ComparisonResult",
-    "compare_against",
     "scaled_fractions",
     "DLMConfig",
     "Action",
@@ -42,8 +40,6 @@ __all__ = [
     "optimal_leaf_neighbors",
     "RatioEstimator",
     "LayerPolicy",
-    "RelatedSetView",
-    "leaf_related_set",
     "AdaptedParameters",
     "ParameterScaler",
     "TransitionExecutor",

@@ -9,10 +9,16 @@ Per §4, every peer independently runs the four phases:
    it registers a *completion listener* with the exchange and evaluates
    a peer when that peer's requests resolve -- immediately in omniscient
    mode, on response arrival in message-driven mode.
-2. **Ratio estimation** -- µ from ``l_nn`` observations
-   (:class:`~repro.core.estimator.RatioEstimator`).
+2. **Ratio estimation** -- µ from ``l_nn`` observations: a super-peer's
+   own leaf count (:class:`~repro.core.estimator.RatioEstimator`), a
+   leaf-peer's mean over what the supers of G(l) reported.
 3. **Scaled comparison** -- Y counters against the related set with
-   µ-adapted scale factors (:mod:`repro.core.comparison`).
+   µ-adapted scale factors (:mod:`repro.core.comparison`).  Phases 2-3
+   are one pass per role from evidence to verdict: a leaf walks G(l)
+   once (:meth:`DLMPolicy._evaluate_leaf` -- observe, prune the
+   departed, sum ``l_nn``, compare), a super gathers its leaves' columns
+   (:func:`~repro.core.comparison.compare_leaves_observed`); neither
+   materializes the related set.
 4. **Promotion/demotion** -- threshold rule with µ-adapted thresholds,
    executed through :class:`~repro.core.transitions.TransitionExecutor`.
 
@@ -49,14 +55,15 @@ import numpy as np
 from ..context import SystemContext
 from ..overlay.peer import Peer
 from ..overlay.roles import Role
+from ..protocol.knowledge import UNKNOWN
 from ..sim.events import EventKind
 from ..sim.processes import PeriodicProcess
-from .comparison import compare_against, compare_leaves_observed
+from .comparison import compare_leaves_observed, scaled_fractions
 from .config import DLMConfig
 from .decisions import Action, Decision, decide
+from .equations import mu_inappropriateness
 from .estimator import RatioEstimator
 from .policy import LayerPolicy
-from .related_set import leaf_related_set
 from .scaling import ParameterScaler
 from .transitions import TransitionExecutor
 
@@ -88,6 +95,10 @@ class DLMPolicy(LayerPolicy):
         # one attribute load + None check when the plane is disabled.
         self._audit = None
         self._span = None
+        # What every nudge resolves, bound once at install time: the
+        # registry's own lookup, the clock as the scheduler advances it,
+        # the scheduler, and the knowledge plane a verdict reads through.
+        self._get = self._clock = self._sim = self._knowledge = None
         # Run counters (consumed by reports and tests).
         self.evaluations = 0
         self.promotions = 0
@@ -102,7 +113,13 @@ class DLMPolicy(LayerPolicy):
         # audit hook below to a single `is not None` branch.
         self._audit = ctx.telemetry.audit
         self._span = ctx.telemetry.span
-        ctx.overlay.add_connection_listener(self._on_connection)
+        self._get = ctx.overlay.get
+        self._clock = ctx.sim.clock
+        self._sim = ctx.sim
+        self._knowledge = ctx.knowledge
+        # Phase 1 is the exchange's: it fires the completion listener
+        # (-> evaluation) for both endpoints once their requests resolve.
+        ctx.overlay.add_connection_listener(ctx.info.on_connection_created)
         ctx.sim.on(EventKind.DLM_EVALUATE, self._on_evaluate_event)
         if self.config.event_driven:
             # Evaluate when a peer's Phase-1 requests resolve: immediately
@@ -133,11 +150,6 @@ class DLMPolicy(LayerPolicy):
             )
 
     # -- phase 1: triggers ---------------------------------------------------
-    def _on_connection(self, a: int, b: int) -> None:
-        # The exchange fires the completion listener (-> evaluation) for
-        # both endpoints once their requests resolve.
-        self.ctx.info.on_connection_created(a, b)
-
     def request_evaluation(self, pid: int) -> None:
         """Queue a deduplicated zero-delay evaluation of ``pid``.
 
@@ -151,9 +163,10 @@ class DLMPolicy(LayerPolicy):
         if pid in self._pending:
             return
         self._pending.add(pid)
-        if not self._drain:
-            self.ctx.sim.schedule(0.0, EventKind.DLM_EVALUATE)
-        self._drain.append(pid)
+        drain = self._drain
+        if not drain:
+            self._sim.schedule(0.0, EventKind.DLM_EVALUATE)
+        drain.append(pid)
 
     def _on_evaluate_event(self, sim, event) -> None:
         drained = self._drain
@@ -162,9 +175,22 @@ class DLMPolicy(LayerPolicy):
         # a request arriving mid-drain for a not-yet-evaluated pid still
         # dedups, one for an already-evaluated pid re-enqueues.
         pending = self._pending
-        for pid in drained:
-            pending.discard(pid)
-            self.evaluate(pid)
+        try:
+            for pid in drained:
+                pending.discard(pid)
+                self.evaluate(pid)
+        except BaseException:
+            # The pids behind the one that raised still hold their dedup
+            # entry but sit in no list: put them back ahead of whatever
+            # was requested mid-drain and make sure a drain event is
+            # outstanding, so the two views agree again (a pid occurs
+            # once per drain, so ``index`` finds the failing position).
+            tail = drained[drained.index(pid) + 1 :]
+            if tail:
+                if not self._drain:
+                    sim.schedule(0.0, EventKind.DLM_EVALUATE)
+                self._drain[:0] = tail
+            raise
 
     def _periodic_sweep(self, sim, now: float) -> None:
         """The periodic information-exchange policy (ablation A3).
@@ -205,23 +231,23 @@ class DLMPolicy(LayerPolicy):
     def evaluate(self, pid: int) -> Optional[Decision]:
         """Run phases 2-4 for one peer; returns the decision (or None if
         the peer is gone or still in cooldown)."""
-        ctx = self.ctx
-        peer = ctx.overlay.get(pid)
+        peer = self._get(pid)
         if peer is None:
             return None
-        now = ctx.now
+        now = self._clock._now
         # Columnar prologue: one slot resolution, then scalar column loads
         # instead of Peer property dispatch (this path runs per zero-delay
         # evaluation event, millions of times per run).
         store = peer._store
         slot = peer._slot
-        interval = self.config.min_eval_interval
+        config = self.config
+        interval = config.min_eval_interval
         if interval > 0.0:
             if now - store.last_eval[slot] < interval:
                 return None
             store.last_eval[slot] = now
         self.evaluations += 1
-        if now - store.role_change_time[slot] < self.config.transition_cooldown:
+        if now - store.role_change_time[slot] < config.transition_cooldown:
             return None
         is_super = bool(store.role[slot])
         if is_super:
@@ -250,12 +276,7 @@ class DLMPolicy(LayerPolicy):
         return decision
 
     def _defer(
-        self,
-        peer: Peer,
-        reason: str,
-        *,
-        g_size: Optional[int] = None,
-        missing: Optional[int] = None,
+        self, pid: int, now: float, role: str, reason: str, g_size: int, missing: int
     ) -> None:
         """Phase-1 knowledge is incomplete: refresh instead of acting.
 
@@ -267,76 +288,104 @@ class DLMPolicy(LayerPolicy):
         self.deferrals += 1
         audit = self._audit
         if audit is not None:
-            audit.record_defer(
-                self.ctx.now,
-                peer.pid,
-                "super" if peer.is_super else "leaf",
-                reason,
-                g_size=g_size,
-                missing=missing,
-            )
-        self.ctx.info.ensure_fresh(peer.pid)
+            audit.record_defer(now, pid, role, reason, g_size=g_size, missing=missing)
+        self.ctx.info.ensure_fresh(pid)
 
     def _evaluate_leaf(self, peer: Peer, now: float) -> Optional[Decision]:
-        if not peer.eligible:
+        """Phases 2-4 for a leaf in one walk over G(l).
+
+        G(l) is the ``ct`` column (every super contacted since join), or
+        the current links under ``leaf_g_current_only`` (ablation A4).
+        Member values come through the knowledge source, never from live
+        state; a member that has left or been demoted is dropped from
+        ``ct`` and from the observation cache (DESIGN.md: ghosts would
+        let a leaf compare itself against peers that no longer exist).
+        """
+        store = peer._store
+        slot = peer._slot
+        if not store.eligible[slot]:
             return None  # §2 capability requirements gate promotion
-        ctx = self.ctx
-        view = leaf_related_set(
-            ctx.knowledge, peer, now, current_only=self.config.leaf_g_current_only
-        )
-        if len(view) < self.config.min_related_set:
-            if view.missing:
-                self._defer(
-                    peer,
-                    "missing_members",
-                    g_size=len(view),
-                    missing=view.missing,
-                )
+        config = self.config
+        observe = self._knowledge.observe_super
+        caps: List[float] = []
+        ages: List[float] = []
+        dead: List[int] = []
+        missing = 0
+        lnn_sum = 0
+        lnn_n = 0
+        for sid in (store.sn if config.leaf_g_current_only else store.ct)[slot]:
+            obs = observe(peer, sid, now)
+            if obs is None:
+                dead.append(sid)
+            elif obs is UNKNOWN:
+                missing += 1
+            else:
+                cap, age, l_nn = obs
+                caps.append(cap)
+                ages.append(age)
+                if l_nn is not None:
+                    lnn_sum += l_nn
+                    lnn_n += 1
+        if dead:
+            # Read the observation cache without vivifying it: omniscient
+            # runs never populate one, and pruning must not allocate one
+            # per evaluated leaf.
+            cache = store.kn[slot]
+            for sid in dead:
+                store.ct_discard(slot, sid)
+                if cache is not None:
+                    cache.forget(sid)
+        g_size = len(caps)
+        if g_size < config.min_related_set:
+            if missing:
+                self._defer(peer.pid, now, "leaf", "missing_members", g_size, missing)
             return None
-        mu = self.estimator.mu_for_leaf(view)
-        if mu is None:
+        if not lnn_n:
             # Members are observed but no l_nn has been delivered yet
             # (message-driven mode only): never fabricate a ratio.
-            self._defer(peer, "no_mu", g_size=len(view), missing=view.missing)
+            self._defer(peer.pid, now, "leaf", "no_mu", g_size, missing)
             return None
-        params = self.scaler.adapt(mu)
-        y = compare_against(
-            view, peer.capacity, peer.age(now), params.x_capa, params.x_age
+        # µ from the mean *observed* l_nn -- over observations, not members.
+        params = self.scaler.adapt(mu_inappropriateness(lnn_sum / lnn_n, config.k_l))
+        y = scaled_fractions(
+            float(store.capacity[slot]),
+            now - float(store.join_time[slot]),
+            caps,
+            ages,
+            params.x_capa,
+            params.x_age,
         )
         return decide(Role.LEAF, y, params)
 
     def _evaluate_super(self, peer: Peer, now: float) -> Optional[Decision]:
-        ctx = self.ctx
+        config = self.config
         mu = self.estimator.mu_for_super(peer)
         params = self.scaler.adapt(mu)
-        if len(peer.leaf_neighbors) >= self.config.min_related_set:
-            # Fused fast path: G(s) is the current leaf neighbors, so the
-            # Y counters are computed in one observed pass over the
-            # adjacency without materializing a RelatedSetView.
-            y, _missing = compare_leaves_observed(
-                ctx.knowledge,
-                peer,
-                peer.leaf_neighbors,
-                now,
-                params.x_capa,
-                params.x_age,
+        members = peer._store.ln[peer._slot]
+        if members is not None and len(members) >= config.min_related_set:
+            # G(s) is the current leaf neighbors, so the Y counters are
+            # computed in one observed pass over the adjacency.
+            y, missing = compare_leaves_observed(
+                self._knowledge, peer, members, now, params.x_capa, params.x_age
             )
-            if y is None or y.g_size < self.config.min_related_set:
+            if y is None or y.g_size < config.min_related_set:
                 # Enough leaf links, too few *observed* leaves
                 # (message-driven mode only): refresh and retry.
                 self._defer(
-                    peer,
+                    peer.pid,
+                    now,
+                    "super",
                     "unobserved_leaves",
-                    g_size=0 if y is None else y.g_size,
-                    missing=_missing,
+                    0 if y is None else y.g_size,
+                    missing,
                 )
                 return None
             return decide(Role.SUPER, y, params)
         # Too few leaves for a comparison (|G(s)| = l_nn here); fall
         # back to the ratio-only forced-demotion rule.
         if (
-            mu < self.config.force_demote_mu
-            and ctx.sim.rng.get("dlm-forced").random() < self.config.force_demote_prob
+            mu < config.force_demote_mu
+            and self._sim.rng.get("dlm-forced").random() < config.force_demote_prob
         ):
             self.forced_demotions += 1
             executed = self._executor.demote(peer.pid)
@@ -353,7 +402,7 @@ class DLMPolicy(LayerPolicy):
             return
         if (
             self.config.action_prob < 1.0
-            and self.ctx.sim.rng.get("dlm-damping").random() >= self.config.action_prob
+            and self._sim.rng.get("dlm-damping").random() >= self.config.action_prob
         ):
             return
         assert self._executor is not None

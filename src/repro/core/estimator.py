@@ -8,12 +8,15 @@ super-peers reflect the current global ratio: the average ``l_nn`` equals
     µ = log(l_nn / k_l) = log(η_current / η_target)
 
 up to sampling noise.  A super-peer uses its *own* ``l_nn`` (local
-knowledge: the size of its leaf adjacency); a leaf-peer averages the
-``l_nn`` values its related set's supers *reported* -- carried in the
-view built from observations, never read from live state.  A view with
-members but no delivered ``l_nn`` observations yields ``None`` (the
-evaluator defers; a mean over zero observations would fabricate µ=µ_min
-from the floor).
+knowledge: the size of its leaf adjacency) -- :class:`RatioEstimator`
+below.  A leaf-peer averages the ``l_nn`` values its related set's supers
+*reported*; that mean is accumulated in the same walk over G(l) that
+gathers the comparison values
+(:meth:`repro.core.dlm.DLMPolicy._evaluate_leaf`) and goes through the
+same :func:`~repro.core.equations.mu_inappropriateness`.  With members
+but no delivered ``l_nn`` observation there is no µ (the evaluator
+defers; a mean over zero observations would fabricate µ=µ_min from the
+floor).
 """
 
 from __future__ import annotations
@@ -21,13 +24,12 @@ from __future__ import annotations
 from ..overlay.peer import Peer
 from .config import DLMConfig
 from .equations import mu_inappropriateness
-from .related_set import RelatedSetView
 
 __all__ = ["RatioEstimator"]
 
 
 class RatioEstimator:
-    """Computes µ for either role from local observations."""
+    """Computes a super-peer's µ from its own leaf count."""
 
     def __init__(self, config: DLMConfig) -> None:
         self.config = config
@@ -40,12 +42,3 @@ class RatioEstimator:
         """
         l_nn = int(peer._store.n_leaf_links[peer._slot])
         return mu_inappropriateness(l_nn, self.config.k_l)
-
-    def mu_for_leaf(self, view: RelatedSetView) -> float | None:
-        """µ from the mean observed ``l_nn`` over G(l).
-
-        None when G is empty or no member's ``l_nn`` has been observed.
-        """
-        if len(view) == 0 or not view.leaf_counts:
-            return None
-        return mu_inappropriateness(view.mean_leaf_count, self.config.k_l)

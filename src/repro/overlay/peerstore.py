@@ -183,9 +183,15 @@ class PeerStore:
         return self._slot_spill.get(pid, -1)
 
     def slots_of(self, pids: np.ndarray) -> np.ndarray:
-        """Vectorized pid->slot lookup (absent pids map to -1)."""
+        """Vectorized pid->slot lookup (absent pids map to -1).
+
+        When every pid indexes the dense map -- the super comparison's
+        case: a live super's leaf ids -- the answer is one gather.
+        """
         dense = self._slot_by_pid
         n = len(dense)
+        if len(pids) and 0 <= pids.min() and pids.max() < n:
+            return dense[pids]
         in_range = (pids >= 0) & (pids < n)
         out = np.full(len(pids), -1, dtype=np.int64)
         idx = pids[in_range]

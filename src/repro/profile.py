@@ -10,6 +10,11 @@ cProfile and prints the top functions by cumulative and internal time.
 Workload setup (settling an overlay for the flooding micro-workload)
 runs outside the profiled region, so the report shows only the hot path.
 
+``evaluate`` is a timer, not a profile: it settles one overlay per
+knowledge plane and prints the cost of one DLM verdict (phases 2-4,
+nothing executed) per role in µs, with the mean related-set size --
+the figure DESIGN.md §8 "Verdict path" quotes, as one command.
+
 This is the tool that guided the scheduler/flooding/topology hot-path
 optimizations; re-run it after touching the simulation core to see where
 the time went.
@@ -19,6 +24,7 @@ Examples::
     python -m repro.profile figure6 --n 500 --horizon 300
     python -m repro.profile scheduler --events 200000
     python -m repro.profile flooding --queries 500 --sort tottime
+    python -m repro.profile evaluate -n 2000
     python -m repro.profile figure6 --config-scale largescale -n 100000
 """
 
@@ -29,12 +35,17 @@ import cProfile
 import os
 import pstats
 import sys
+from itertools import cycle, islice
+from time import perf_counter
 from typing import Callable, Optional, Sequence
 
 __all__ = ["main", "build_parser"]
 
 #: Synthetic micro-workloads profiled without a registry entry.
-MICRO_WORKLOADS = ("scheduler", "flooding")
+MICRO_WORKLOADS = ("scheduler", "flooding", "evaluate")
+
+#: Verdicts timed per role and knowledge plane by ``evaluate``.
+_VERDICTS = 20_000
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -160,6 +171,53 @@ def _flooding_workload(queries: int, n: int) -> Callable[[], object]:
     return run
 
 
+def _time_verdicts(n: int) -> None:
+    """Print µs per DLM verdict per role over a settled overlay, per
+    knowledge plane.
+
+    Times :meth:`DLMPolicy._evaluate_leaf` / ``_evaluate_super`` -- µ, the
+    scaled comparison and the threshold rule, without the action -- on
+    the peers that reach them (eligible leaves, supers with enough
+    leaves), cycling until :data:`_VERDICTS` ran.  ``decided`` is how
+    many returned a decision; the rest deferred for missing knowledge
+    (observed plane only).  The settling run is outside the timed region.
+    """
+    from .experiments.configs import bench_config
+    from .experiments.runner import run_experiment
+    from .protocol.faults import FaultPlan
+
+    for plane, faults in (
+        ("omniscient", None),
+        ("observed", FaultPlan(loss_rate=0.05, latency_scale=0.2)),
+    ):
+        result = run_experiment(bench_config().with_(n=n, horizon=400.0, faults=faults))
+        overlay, policy, now = result.overlay, result.policy, result.ctx.now
+        floor = policy.config.min_related_set
+        leaves = [p for p in map(overlay.peer, overlay.leaf_ids) if p.eligible]
+        supers = [
+            p
+            for p in map(overlay.peer, overlay.super_ids)
+            if len(p.leaf_neighbors) >= floor
+        ]
+        for role, peers, verdict in (
+            ("leaf", leaves, policy._evaluate_leaf),
+            ("super", supers, policy._evaluate_super),
+        ):
+            decided = g_total = 0
+            t0 = perf_counter()
+            for peer in islice(cycle(peers), _VERDICTS):
+                decision = verdict(peer, now)
+                if decision is not None:
+                    decided += 1
+                    g_total += decision.y.g_size
+            elapsed = perf_counter() - t0
+            print(
+                f"{plane:10s} {role:5s} {elapsed / _VERDICTS * 1e6:7.2f} us/verdict"
+                f"  mean |G| {g_total / max(decided, 1):5.1f}"
+                f"  decided {decided}/{_VERDICTS}  ({len(peers)} peers)"
+            )
+
+
 def _experiment_workload(args: argparse.Namespace) -> Callable[[], object]:
     """One registered experiment harness at the requested scale."""
     from .experiments.configs import bench_config, largescale_config
@@ -182,6 +240,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.workers is not None:
         os.environ["REPRO_WORKERS"] = str(args.workers)
 
+    if args.experiment == "evaluate":
+        _time_verdicts(args.n)  # a timer: prints its own figures, no profiler
+        return 0
     if args.experiment == "scheduler":
         workload = _scheduler_workload(args.events)
     elif args.experiment == "flooding":

@@ -5,8 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.comparison import _VECTOR_THRESHOLD, scaled_fractions
-from repro.core.related_set import RelatedSetView
-from repro.core.comparison import compare_against
+from tests.core.reference_related_set import RelatedSetView, compare_against
 
 
 class TestScaledFractions:

@@ -111,6 +111,61 @@ class TestEventDrivenTriggering:
         assert drains[0][0] == drains[1][0] and drains[0][1] < drains[1][1]
         assert not policy._pending and not policy._drain
 
+    def test_an_evaluation_that_raises_mid_drain_leaves_the_two_views_equal(self):
+        """The drain swaps the list out before evaluating; a raise at
+        position k must not strand the pids behind k in the dedup set
+        (every later request for them would be swallowed, and
+        ``snapshot()`` -- which serializes the list -- would checkpoint
+        a different state than the process holds)."""
+        ctx, policy = make_system()
+        for _ in range(4):
+            ctx.join.join(0.0, 10.0, 500.0, role=Role.SUPER)
+        evaluated = []
+        real = policy.evaluate
+
+        def flaky(pid):
+            if pid == 1 and not evaluated.count(1):
+                evaluated.append(1)
+                policy.request_evaluation(0)  # mid-drain, 0 already done
+                raise RuntimeError("boom")
+            evaluated.append(pid)
+            return real(pid)
+
+        policy.evaluate = flaky
+        for pid in (0, 1, 2, 3):
+            policy.request_evaluation(pid)
+        with pytest.raises(RuntimeError, match="boom"):
+            ctx.sim.run()
+        # The undrained tail is back, in order, ahead of the mid-drain request.
+        assert policy._drain == [2, 3, 0]
+        assert set(policy._drain) == policy._pending
+        assert policy.snapshot()["pending"] == [2, 3, 0]
+        policy.request_evaluation(2)  # still deduplicated, not lost
+        assert policy._drain == [2, 3, 0]
+        ctx.sim.run()  # exactly the drain event(s) already outstanding
+        assert evaluated == [0, 1, 2, 3, 0]
+        assert not policy._drain and not policy._pending
+
+    def test_a_raise_with_nothing_requested_mid_drain_rearms_the_drain(self):
+        ctx, policy = make_system()
+        for _ in range(3):
+            ctx.join.join(0.0, 10.0, 500.0, role=Role.SUPER)
+        evaluated = []
+
+        def flaky(pid):
+            evaluated.append(pid)
+            if evaluated == [0]:
+                raise RuntimeError("boom")
+
+        policy.evaluate = flaky
+        for pid in (0, 1, 2):
+            policy.request_evaluation(pid)
+        with pytest.raises(RuntimeError, match="boom"):
+            ctx.sim.run()
+        assert policy._drain == [1, 2] and policy._pending == {1, 2}
+        ctx.sim.run()  # a fresh drain event was scheduled for the tail
+        assert evaluated == [0, 1, 2]
+
     def test_info_exchange_charged_on_leaf_links(self):
         ctx, policy = make_system(event_driven=True)
         ctx.join.join(0.0, 10.0, 500.0, role=Role.SUPER)
@@ -219,6 +274,57 @@ class TestCooldown:
         advance(ctx, 50.0)
         decision = policy.evaluate(star.pid)
         assert decision is not None
+
+
+class TestNoOpNudges:
+    """The four early exits of ``evaluate``: what each may and may not touch."""
+
+    def system(self, **overrides):
+        ctx, policy = make_system(min_eval_interval=1.0, **overrides)
+        s0 = ctx.join.join(0.0, 10.0, 500.0, role=Role.SUPER)
+        ctx.join.join(0.0, 10.0, 500.0, role=Role.SUPER)
+        leaf = ctx.join.join(0.0, 5.0, 500.0)
+        advance(ctx, 50.0)
+        return ctx, policy, s0, leaf
+
+    @staticmethod
+    def last_eval(peer):
+        return float(peer._store.last_eval[peer._slot])
+
+    def test_rate_limited_moves_neither_the_counter_nor_the_stamp(self):
+        ctx, policy, _, leaf = self.system()
+        assert policy.evaluate(leaf.pid) is not None
+        assert (policy.evaluations, self.last_eval(leaf)) == (1, 50.0)
+        advance(ctx, 50.5)  # inside min_eval_interval
+        assert policy.evaluate(leaf.pid) is None
+        assert (policy.evaluations, self.last_eval(leaf)) == (1, 50.0)
+
+    def test_cooldown_stamps_and_counts_once_and_returns_none(self):
+        ctx, policy, _, leaf = self.system(transition_cooldown=1000.0)
+        assert policy.evaluate(leaf.pid) is None
+        assert (policy.evaluations, self.last_eval(leaf)) == (1, 50.0)
+        assert policy.deferrals == 0
+
+    def test_departed_pid_does_neither(self):
+        ctx, policy, _, leaf = self.system()
+        pid, store, slot = leaf.pid, leaf._store, leaf._slot
+        ctx.overlay.remove_peer(pid)
+        assert policy.evaluate(pid) is None
+        assert policy.evaluations == 0
+        assert store.last_eval[slot] == -math.inf  # the freed row's default
+
+    def test_ineligible_leaf_counts_but_walks_and_prunes_nothing(self):
+        ctx, policy, s0, leaf = self.system()
+        store, slot = leaf._store, leaf._slot
+        store.eligible[slot] = False
+        ctx.overlay.remove_peer(s0.pid)  # a ghost in G(l) a walk would prune
+        assert s0.pid in leaf.contacted_supers
+        observed = []
+        ctx.knowledge.observe_super = lambda *a: observed.append(a)
+        assert policy.evaluate(leaf.pid) is None
+        assert (policy.evaluations, self.last_eval(leaf)) == (1, 50.0)
+        assert observed == []
+        assert s0.pid in leaf.contacted_supers and store.kn[slot] is None
 
 
 class TestForcedDemotion:

@@ -13,12 +13,11 @@ import numpy as np
 import pytest
 
 from repro.context import build_context
-from repro.core.comparison import compare_against
 from repro.core.config import DLMConfig
 from repro.core.decisions import decide
 from repro.core.dlm import DLMPolicy
-from tests.core.reference_related_set import super_related_set
 from repro.overlay.roles import Role
+from tests.core.reference_related_set import compare_against, super_related_set
 
 
 def reference_super_decision(policy, peer, now):

@@ -8,8 +8,8 @@ import pytest
 
 from repro.core.config import DLMConfig
 from repro.core.estimator import RatioEstimator
-from repro.core.related_set import RelatedSetView
 from tests.conftest import super_with_lnn
+from tests.core.reference_related_set import RelatedSetView, mu_for_leaf
 
 
 @pytest.fixture
@@ -44,11 +44,11 @@ class TestLeafMu:
             ages=(1.0, 1.0),
             leaf_counts=(60, 100),  # mean 80 = k_l
         )
-        assert estimator.mu_for_leaf(view) == pytest.approx(0.0)
+        assert mu_for_leaf(estimator.config, view) == pytest.approx(0.0)
 
     def test_none_for_empty_g(self, estimator):
         view = RelatedSetView(members=(), capacities=(), ages=())
-        assert estimator.mu_for_leaf(view) is None
+        assert mu_for_leaf(estimator.config, view) is None
 
     def test_none_without_lnn_observations(self, estimator):
         """Members observed but no l_nn delivered: µ must not be
@@ -60,11 +60,11 @@ class TestLeafMu:
             leaf_counts=(),
             missing=0,
         )
-        assert estimator.mu_for_leaf(view) is None
+        assert mu_for_leaf(estimator.config, view) is None
 
     def test_sign_matches_global_imbalance(self, estimator):
         crowded = RelatedSetView((1,), (1.0,), (1.0,), (160,))
         sparse = RelatedSetView((1,), (1.0,), (1.0,), (20,))
-        assert estimator.mu_for_leaf(crowded) > 0
-        assert estimator.mu_for_leaf(sparse) < 0
+        assert mu_for_leaf(estimator.config, crowded) > 0
+        assert mu_for_leaf(estimator.config, sparse) < 0
 

@@ -4,12 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.related_set import leaf_related_set
 from repro.overlay.roles import Role
 from repro.overlay.topology import Overlay
 from repro.protocol.knowledge import ObservedKnowledge, OmniscientKnowledge
 from tests.conftest import add_peer
-from tests.core.reference_related_set import super_related_set
+from tests.core.reference_related_set import leaf_related_set, super_related_set
 
 
 @pytest.fixture

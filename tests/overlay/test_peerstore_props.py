@@ -141,3 +141,36 @@ def test_allocated_slot_reads_documented_defaults(ops):
         else:
             store.free(live.pop(i % len(live)))
     assert len(store) == len(live)
+
+
+#: Dense-range pids, pids around the dense map's first length (1024),
+#: spill pids (at or beyond ``_DENSE_PID_LIMIT``) and negatives.
+_ANY_PID = st.one_of(
+    st.integers(0, 40),
+    st.integers(1020, 1030),
+    st.integers(1 << 24, (1 << 24) + 3),
+    st.integers(-5, -1),
+)
+
+
+@given(
+    registered=st.lists(_ANY_PID, unique=True, max_size=24),
+    freed=st.lists(st.integers(0, 23), max_size=6),
+    queries=st.lists(_ANY_PID, max_size=40),
+)
+@settings(max_examples=100, deadline=None)
+def test_slots_of_matches_scalar_slot(registered, freed, queries):
+    """The gather -- dense fast path or general -- answers what ``slot``
+    answers for each pid: dense, spilled, negative, out of range, freed,
+    and for no pids at all."""
+    from repro.overlay.peerstore import PeerStore
+
+    store = PeerStore()
+    slots = [store.alloc(pid, 0, 1.0, 0.0, 1.0, 0.0, True) for pid in registered]
+    for i in freed:
+        if slots:
+            store.free(slots.pop(i % len(slots)))
+    pids = np.asarray(queries + registered, dtype=np.int64)
+    got = store.slots_of(pids)
+    assert got.dtype == np.int64 and got.shape == pids.shape
+    assert got.tolist() == [store.slot(int(pid)) for pid in pids]

