@@ -24,7 +24,7 @@ import numpy as np
 from .family import OverlayFamily
 from .peer import Peer
 from .roles import Role
-from .topology import Overlay
+from .topology import Overlay, OverlayError
 
 __all__ = ["JoinProcedure"]
 
@@ -137,12 +137,15 @@ class JoinProcedure:
         restores links lost to super-peer deaths/demotions.  Returns the
         super-peers actually connected.
         """
-        store = self.overlay.store
+        overlay = self.overlay
+        if pid not in overlay.leaf_ids._index:
+            raise OverlayError(f"connect_leaf: pid {pid} is not a leaf here")
+        store = overlay.store
         # Column-direct read: this runs on every join and every repair,
         # so even resolving the pid to its Peer view is measurable here.
         exclude = set(store.sn[store.slot(pid)])
         exclude.add(pid)
-        chosen = self.overlay.random_supers(self.rng, want, exclude=exclude)
+        chosen = overlay.random_supers(self.rng, want, exclude=exclude)
         for sid in chosen:
-            self.overlay.connect(pid, sid)
+            overlay.connect(pid, sid)
         return chosen

@@ -12,7 +12,11 @@ Keeps the overlay's degree targets after disruptive events:
 Leaf-side repairs go through :class:`~repro.overlay.bootstrap.
 JoinProcedure`'s random selection so repaired links are statistically
 indistinguishable from join-time links (the randomness assumption §3
-relies on).  Super-side repair is structure-specific and delegates to
+relies on).  A pass over many leaves -- the orphans of a dead or demoted
+super, the short leaves a sweep finds -- picks for all of them from one
+generator call per chunk and then connects in order; the stream, and so
+every link, is what one call per leaf produced (DESIGN.md §8 "Repair
+passes draw once").  Super-side repair is structure-specific and delegates to
 the bound :class:`~repro.overlay.family.OverlayFamily`: the superpeer
 family tops backbone degree back up with random picks, the Chord family
 stabilizes ring successors/fingers.
@@ -21,7 +25,7 @@ stabilizes ring successors/fingers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 from .bootstrap import JoinProcedure
 from .family import OverlayFamily
@@ -29,6 +33,10 @@ from .peerstore import ROLE_LEAF
 from .topology import Overlay
 
 __all__ = ["Maintenance", "RepairReport"]
+
+#: Leaves planned per sampler draw: the draw's fixed cost is gone by
+#: then, and a 17 646-leaf sweep does not show in peak RSS (DESIGN.md §8).
+_CHUNK = 256
 
 
 @dataclass(slots=True)
@@ -72,14 +80,7 @@ class Maintenance:
         Safe to call on a departed pid or a super-peer (returns 0,
         draws nothing).
         """
-        store = self.overlay.store
-        slot = store.slot(pid)
-        if slot < 0 or store.role[slot] != ROLE_LEAF:
-            return 0
-        deficit = self.m - int(store.n_super_links[slot])
-        if deficit <= 0:
-            return 0
-        return len(self.join.connect_leaf(pid, deficit))
+        return self.reconnect_orphans((pid,), links_each=self.m).leaf_reconnections
 
     def reconnect_orphans(
         self, orphans: Iterable[int], *, links_each: int = 1
@@ -89,16 +90,33 @@ class Maintenance:
         ``links_each = 1`` matches the paper's demotion accounting (each
         disconnected leaf makes one new connection); deaths use the same
         single-link repair since only one link was lost.
+
+        Departed pids, supers and leaves at ``m`` are skipped, undrawn.
+        The rest are planned a chunk ahead of their connects, one sampler
+        draw per chunk: connecting a leaf changes nothing another leaf's
+        pick reads (the argument :meth:`sweep` makes).  A repeated pid
+        ends the chunk early -- its second deficit depends on its first
+        repair.
         """
+        overlay = self.overlay
+        store = overlay.store
+        leaves = overlay.leaf_ids._index
+        rng = self.join.rng
         report = RepairReport()
-        store = self.overlay.store
-        for lid in orphans:
-            slot = store.slot(lid)
-            if slot < 0 or store.role[slot] != ROLE_LEAF:
-                continue
-            want = min(links_each, max(0, self.m - int(store.n_super_links[slot])))
-            if want:
-                report.leaf_reconnections += len(self.join.connect_leaf(lid, want))
+        chunk: Dict[int, int] = {}
+
+        def flush() -> None:
+            report.leaf_reconnections += overlay.connect_leaves(rng, list(chunk.items()))
+            chunk.clear()
+
+        for pid in orphans:
+            if pid in chunk or len(chunk) == _CHUNK:
+                flush()
+            if pid in leaves:
+                deficit = self.m - int(store.n_super_links[store.slot(pid)])
+                if deficit > 0 and links_each > 0:
+                    chunk[pid] = min(links_each, deficit)
+        flush()
         return report
 
     # -- super side --------------------------------------------------------
@@ -158,11 +176,12 @@ class Maintenance:
         degree is below ``min(m, n_super)`` (linked to every super, the
         sampler returns ``[]`` undrawn).  One column scan finds those
         rows; visiting them in ``leaf_ids`` registry order makes exactly
-        the calls, in the order, of a walk over every leaf, and the pass
-        changes none of the scan's inputs (DESIGN.md §8).  The super
-        pass stays a walk: one super's repair changes another's degree.
+        the repairs, in the order, of a walk over every leaf, and the pass
+        changes none of the scan's inputs (DESIGN.md §8) -- which is also
+        why it may be planned ahead as one :meth:`reconnect_orphans` pass.
+        The super pass stays a walk: one super's repair changes another's
+        degree.
         """
-        report = RepairReport()
         overlay = self.overlay
         store = overlay.store
         live = store.live_slots()
@@ -171,8 +190,9 @@ class Maintenance:
             & (store.n_super_links[live] < min(self.m, overlay.n_super))
         ]
         order = overlay.leaf_ids._index.__getitem__
-        for pid in sorted(store.pid[short].tolist(), key=order):
-            report.leaf_reconnections += self.ensure_leaf_links(pid)
+        report = self.reconnect_orphans(
+            sorted(store.pid[short].tolist(), key=order), links_each=self.m
+        )
         for pid in list(overlay.super_ids):
             report.super_reconnections += self.ensure_super_links(pid)
         return report

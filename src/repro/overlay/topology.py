@@ -90,6 +90,49 @@ class _Departed:
 _DEPARTED = _Departed()
 
 
+class _Replay:
+    """A generator's ``integers``/``choice``, with ``integers`` served
+    from ``count`` values drawn ahead in one call.
+
+    NumPy fills ``integers(n, size=a + b)`` as ``size=a`` then ``size=b``
+    would, values and final state (pinned in
+    ``tests/util/test_indexed_set.py``), so the slices handed out are
+    what sequential calls return.  Past ``count`` a request draws its
+    exact shortfall: when ``count`` is no more than what gets consumed,
+    the generator ends where the sequential calls leave it.
+    """
+
+    __slots__ = ("rng", "n", "state", "buf", "pos")
+
+    def __init__(self, rng: np.random.Generator, n: int, count: int) -> None:
+        self.rng = rng
+        self.n = n
+        self.pos = 0
+        self.buf: List[int] = []
+        if count:
+            self.state = rng.bit_generator.state
+            self.buf = rng.integers(n, size=count).tolist()
+
+    def integers(self, n: int, size: int) -> List[int]:
+        pos = self.pos
+        end = self.pos = pos + size
+        buf = self.buf
+        if end > len(buf):
+            buf += self.rng.integers(n, size=end - len(buf)).tolist()
+        return buf[pos:end]
+
+    def choice(self, *args, **kwargs):
+        # Must start where the sequential call does: rewind to the last
+        # value handed out.  What was drawn ahead is void after it, so
+        # later requests draw for themselves.
+        if self.pos < len(self.buf):
+            self.rng.bit_generator.state = self.state
+            self.rng.integers(self.n, size=self.pos)
+        self.pos = 0
+        self.buf = []
+        return self.rng.choice(*args, **kwargs)
+
+
 class Overlay:
     """Registry + adjacency for a two-layer super-peer network."""
 
@@ -425,9 +468,11 @@ class Overlay:
         mechanisms currently used" (§3).
 
         Sampling is block-rejection over the super layer's dense member
-        list: one vectorized ``rng.integers`` draw covers the whole
-        request in the common case instead of one scalar draw per
-        attempt (DESIGN.md §8).  When exclusion leaves at most ``k``
+        list (:meth:`IndexedSet._fresh`).  One ``rng.integers`` call
+        costs microseconds whether it returns 5 indices or 500, more than
+        everything else in this method, so a repair pass goes through
+        :meth:`connect_leaves`, which makes one such call for all its
+        orphans (DESIGN.md §8).  When exclusion leaves at most ``k``
         candidates the result is forced, so no randomness is consumed
         at all.
 
@@ -436,9 +481,7 @@ class Overlay:
         ignored.  A caller linked to every super gets ``[]`` undrawn.
         """
         supers = self.super_ids
-        items = supers._items
-        n = len(items)
-        if k <= 0 or n == 0:
+        if k <= 0 or not supers._items:
             return []
         excl = exclude if isinstance(exclude, (set, frozenset)) else set(exclude)
         if not excl:
@@ -448,35 +491,65 @@ class Overlay:
         for x in excl:
             if x in index:
                 n_excl += 1
-        avail = n - n_excl
+        return self._pick_supers(rng, k, excl, len(supers._items) - n_excl)
+
+    def _pick_supers(self, rng, k: int, excl: set, avail: int) -> List[int]:
+        """:meth:`random_supers` once ``avail``, the supers outside
+        ``excl``, is counted (``k > 0``); ``rng`` may be a
+        :class:`_Replay`."""
+        supers = self.super_ids
+        items = supers._items
         if avail <= 0:
             return []
         if avail <= k:
             # Every non-excluded super is chosen: the outcome is forced,
             # draw nothing.
             return [s for s in items if s not in excl]
-        out: List[int] = []
         seen = set(excl)
-        need = k
-        drawn = 0
-        limit = 16 * k
-        while need and drawn < limit:
-            block = min(need + 4, limit - drawn)
-            drawn += block
-            for i in rng.integers(n, size=block):
-                x = items[i]
-                if x not in seen:
-                    seen.add(x)
-                    out.append(x)
-                    need -= 1
-                    if not need:
-                        break
-        if need:
+        out = supers._fresh(rng, k, seen, 16 * k)
+        if len(out) < k:
             # Dense exclusion defeated rejection; exact filtered draw.
             pool = [s for s in items if s not in seen]
-            idx = rng.choice(len(pool), size=min(need, len(pool)), replace=False)
+            size = min(k - len(out), len(pool))
+            idx = rng.choice(len(pool), size=size, replace=False)
             out.extend(pool[int(i)] for i in np.atleast_1d(idx))
         return out
+
+    def connect_leaves(
+        self, rng: np.random.Generator, requests: List[Tuple[int, int]]
+    ) -> int:
+        """Link each leaf ``pid`` of ``(pid, k)`` to ``random_supers(rng,
+        k, exclude=sn(pid) | {pid})``, in order; returns the links made.
+
+        Same links, same order, same final generator state as one sampler
+        call per request, from one ``rng.integers`` call for all of them.
+        Pids must be distinct, and a listener that changes the super
+        layer mid-pass voids the values drawn ahead: :class:`OverlayError`
+        (DESIGN.md §8 "Repair passes draw once").
+        """
+        leaves = self.leaf_ids._index
+        peers, sn = self._peers, self.store.sn
+        n = len(self.super_ids)
+        ahead = 0
+        for pid, k in requests:
+            if pid not in leaves:
+                raise OverlayError(f"connect_leaves: pid {pid} is not a leaf here")
+            # A leaf's links are distinct supers, so `n - len(links)` is
+            # its `avail`: past `k`, the request draws, and consumes its
+            # first block whole.
+            if 0 < k < n - len(sn[peers[pid]._slot]):
+                ahead += k + 4
+        replay = _Replay(rng, n, ahead)
+        made = 0
+        for pid, k in requests:
+            if k > 0:
+                links = sn[peers[pid]._slot]
+                for sid in self._pick_supers(replay, k, {pid, *links}, n - len(links)):
+                    self.connect(pid, sid)
+                    made += 1
+        if len(self.super_ids) != n:
+            raise OverlayError("the super layer changed inside a repair pass")
+        return made
 
     # -- invariants -------------------------------------------------------------
     def check_invariants(self, *, aggregates: bool = False) -> None:

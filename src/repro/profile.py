@@ -14,6 +14,9 @@ runs outside the profiled region, so the report shows only the hot path.
 knowledge plane and prints the cost of one DLM verdict (phases 2-4,
 nothing executed) per role in µs, with the mean related-set size --
 the figure DESIGN.md §8 "Verdict path" quotes, as one command.
+``repair`` is its sibling for DESIGN.md §8 "Repair passes draw once":
+it kills supers of a settled overlay and prints µs per reconnected
+orphan, orphans per pass and sampler draws per pass.
 
 This is the tool that guided the scheduler/flooding/topology hot-path
 optimizations; re-run it after touching the simulation core to see where
@@ -25,6 +28,7 @@ Examples::
     python -m repro.profile scheduler --events 200000
     python -m repro.profile flooding --queries 500 --sort tottime
     python -m repro.profile evaluate -n 2000
+    python -m repro.profile repair -n 2000
     python -m repro.profile figure6 --config-scale largescale -n 100000
 """
 
@@ -42,7 +46,7 @@ from typing import Callable, Optional, Sequence
 __all__ = ["main", "build_parser"]
 
 #: Synthetic micro-workloads profiled without a registry entry.
-MICRO_WORKLOADS = ("scheduler", "flooding", "evaluate")
+MICRO_WORKLOADS = ("scheduler", "flooding", "evaluate", "repair")
 
 #: Verdicts timed per role and knowledge plane by ``evaluate``.
 _VERDICTS = 20_000
@@ -218,6 +222,56 @@ def _time_verdicts(n: int) -> None:
             )
 
 
+class _CountedDraws:
+    """A generator that counts its ``integers`` calls."""
+
+    def __init__(self, rng) -> None:
+        self._rng = rng
+        self.calls = 0
+
+    def integers(self, *args, **kwargs):
+        self.calls += 1
+        return self._rng.integers(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+def _time_repairs(n: int) -> None:
+    """Print µs per reconnected orphan over a settled overlay.
+
+    Kills two supers in three, one at a time, and times the orphan pass
+    (:meth:`Maintenance.reconnect_orphans`) each death needs; backbone
+    repair and the settling run are outside the timed region.
+    """
+    from .experiments.configs import bench_config
+    from .experiments.runner import run_experiment
+
+    result = run_experiment(bench_config().with_(n=n, horizon=400.0))
+    overlay, maint = result.overlay, result.ctx.maintenance
+    maint.join.rng = draws = _CountedDraws(maint.join.rng)
+    passes = made = calls = 0
+    elapsed = 0.0
+    for sid in list(overlay.super_ids)[: overlay.n_super * 2 // 3]:
+        orphans, former = overlay.remove_peer(sid)
+        calls -= draws.calls
+        t0 = perf_counter()
+        made += maint.reconnect_orphans(orphans).leaf_reconnections
+        elapsed += perf_counter() - t0
+        calls += draws.calls
+        passes += 1
+        maint.repair_backbone(former)
+    print(
+        f"{elapsed / max(made, 1) * 1e6:7.2f} us/orphan  {made / max(passes, 1):6.1f}"
+        f" orphans/pass  {calls / max(passes, 1):6.1f} sampler draws/pass"
+        f"  ({passes} passes)"
+    )
+
+
+#: The micro-workloads that are timers, not profiles.
+_TIMERS = {"evaluate": _time_verdicts, "repair": _time_repairs}
+
+
 def _experiment_workload(args: argparse.Namespace) -> Callable[[], object]:
     """One registered experiment harness at the requested scale."""
     from .experiments.configs import bench_config, largescale_config
@@ -240,8 +294,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.workers is not None:
         os.environ["REPRO_WORKERS"] = str(args.workers)
 
-    if args.experiment == "evaluate":
-        _time_verdicts(args.n)  # a timer: prints its own figures, no profiler
+    if args.experiment in _TIMERS:
+        _TIMERS[args.experiment](args.n)  # prints its own figures, no profiler
         return 0
     if args.experiment == "scheduler":
         workload = _scheduler_workload(args.events)

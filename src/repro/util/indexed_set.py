@@ -10,6 +10,7 @@ insertion, deletion, and uniform choice are all O(1).
 
 from __future__ import annotations
 
+from math import inf
 from typing import Dict, Iterator, List, Sequence
 
 import numpy as np
@@ -61,27 +62,39 @@ class IndexedSet:
             return list(self._items)
         if k <= 0:
             return []
-        # For tiny k relative to n, rejection sampling beats permutation.
-        # Draw indices in vectorized blocks: at k*8 < n the duplicate
-        # probability is low enough that the first block almost always
-        # covers the whole request.
+        # For tiny k relative to n, rejection sampling beats permutation:
+        # at k*8 < n the duplicate probability is low enough that the
+        # first block almost always covers the whole request.
         if k * 8 < n:
-            items = self._items
-            seen: set = set()
-            out: List[int] = []
-            need = k
-            while need:
-                for i in rng.integers(n, size=need + 4):
-                    x = items[i]
-                    if x not in seen:
-                        seen.add(x)
-                        out.append(x)
-                        need -= 1
-                        if not need:
-                            break
-            return out
+            return self._fresh(rng, k, set(), inf)
         idx = rng.choice(n, size=k, replace=False)
         return [self._items[int(i)] for i in idx]
+
+    def _fresh(self, rng, k: int, seen: set, limit: float) -> List[int]:
+        """Block rejection: the first ``k`` members outside ``seen``
+        (which grows by them), in draw order, from at most ``limit``
+        indices.  Indices come in blocks of four more than are still
+        needed -- one ``rng.integers`` call each, since the call and not
+        the count is what costs (DESIGN.md §8) -- and a block's tail past
+        the last pick is discarded.  Short only when ``limit`` ran out.
+        """
+        items = self._items
+        n = len(items)
+        out: List[int] = []
+        need = k
+        drawn = 0
+        while need and drawn < limit:
+            block = min(need + 4, limit - drawn)
+            drawn += block
+            for i in rng.integers(n, size=block):
+                x = items[i]
+                if x not in seen:
+                    seen.add(x)
+                    out.append(x)
+                    need -= 1
+                    if not need:
+                        break
+        return out
 
     def snapshot(self) -> List[int]:
         """The members in exact internal order (swap-remove history and all).

@@ -7,7 +7,7 @@ import pytest
 
 from repro.overlay.bootstrap import JoinProcedure
 from repro.overlay.roles import Role
-from repro.overlay.topology import Overlay
+from repro.overlay.topology import Overlay, OverlayError
 
 
 @pytest.fixture
@@ -88,6 +88,26 @@ class TestConnectLeaf:
         before = join.rng.bit_generator.state
         assert join.connect_leaf(leaf.pid, 2) == []
         assert join.rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("entry", ["single", "batch"])
+    @pytest.mark.parametrize("who", ["absent", "super"])
+    def test_not_a_leaf_fails_before_anything_is_read_or_drawn(self, join, entry, who):
+        # An absent pid used to resolve to slot -1 -- the *last* row --
+        # draw against that peer's links, and only then die in connect.
+        supers = [join.join(0.0, 10.0, 50.0, role=Role.SUPER).pid for _ in range(6)]
+        leaf = join.join(1.0, 5.0, 50.0).pid
+        pid = 9999 if who == "absent" else supers[0]
+        ov = join.overlay
+        before = join.rng.bit_generator.state
+        links = ov.total_connections_created
+        with pytest.raises(OverlayError):
+            if entry == "single":
+                join.connect_leaf(pid, 1)
+            else:
+                ov.connect_leaves(join.rng, [(leaf, 1), (pid, 1)])
+        assert join.rng.bit_generator.state == before
+        assert ov.total_connections_created == links
+        assert len(ov.peer(leaf).super_neighbors) == 2
 
     def test_pids_are_unique_and_monotone(self, join):
         pids = [join.join(0.0, 1.0, 1.0).pid for _ in range(5)]

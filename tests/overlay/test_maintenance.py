@@ -8,7 +8,8 @@ import pytest
 from repro.overlay.bootstrap import JoinProcedure
 from repro.overlay.maintenance import Maintenance, RepairReport
 from repro.overlay.roles import Role
-from repro.overlay.topology import Overlay
+from repro.overlay.topology import Overlay, OverlayError
+from tests.overlay.reference_sweep import reference_reconnect_orphans
 
 
 @pytest.fixture
@@ -208,6 +209,76 @@ class TestSweep:
         assert repaired != sorted(repaired)
         assert report.leaf_reconnections == 3
         ov.check_invariants(aggregates=True)
+
+
+class TestPassesDrawOnce:
+    """A repair pass is the per-orphan loop replayed from one draw per
+    chunk (``tests/overlay/reference_sweep.py`` is that loop)."""
+
+    @staticmethod
+    def twins(n_supers=40, n_leaves=600):
+        out = []
+        for _ in range(2):
+            ov = Overlay()
+            join = JoinProcedure(ov, m=2, rng=np.random.default_rng(1), k_s=3)
+            maint = Maintenance(ov, join, m=2, k_s=3)
+            for _ in range(n_supers):
+                join.join(0.0, 10.0, 50.0, role=Role.SUPER)
+            leaves = [join.join(1.0, 5.0, 50.0).pid for _ in range(n_leaves)]
+            for pid in leaves:
+                ov.disconnect(pid, ov.peer(pid).super_neighbors[0])
+            links = []
+            ov.add_connection_listener(lambda a, b, links=links: links.append((a, b)))
+            out.append((ov, join, maint, leaves, links))
+        return out
+
+    def test_a_pass_longer_than_a_chunk_with_a_repeated_pid(self, monkeypatch):
+        (ov, join, maint, leaves, links), (_, rjoin, rmaint, _, rlinks) = self.twins()
+        # 600 orphans over 256-pid chunks; the eighth comes round again
+        # while it still wants a link (m = 2 and both were dropped), and
+        # once more when it no longer does.
+        ov.disconnect(leaves[7], ov.peer(leaves[7]).super_neighbors[0])
+        rov = rmaint.overlay
+        rov.disconnect(leaves[7], rov.peer(leaves[7]).super_neighbors[0])
+        orphans = leaves[:100] + [leaves[7]] + leaves[100:] + [leaves[7], 10**9]
+        plans = []
+        planned = Overlay.connect_leaves
+        monkeypatch.setattr(
+            Overlay,
+            "connect_leaves",
+            lambda self, rng, reqs: plans.append(len(reqs)) or planned(self, rng, reqs),
+        )
+        report = maint.reconnect_orphans(orphans)
+        assert report == reference_reconnect_orphans(rmaint, orphans)
+        assert report.leaf_reconnections == 601
+        assert plans == [100, 256, 245]  # a new chunk at the repeat, then full ones
+        assert links == rlinks
+        assert join.rng.bit_generator.state == rjoin.rng.bit_generator.state
+        ov.check_invariants(aggregates=True)
+
+    def test_a_listener_that_changes_roles_mid_pass_fails_loudly(self):
+        (ov, join, maint, leaves, links), _ = self.twins(n_supers=6, n_leaves=10)
+        bystander = join.join(2.0, 5.0, 50.0).pid
+        del links[:]
+        promoted = []
+
+        def promote_once(a, b):
+            if not promoted:
+                promoted.append(bystander)
+                ov.promote(bystander)
+
+        ov.add_connection_listener(promote_once)
+        with pytest.raises(OverlayError, match="super layer changed"):
+            maint.reconnect_orphans(leaves)
+        assert promoted and len(links) == 10  # the planned chunk, then the check
+
+    def test_links_each_above_the_deficit_is_capped(self):
+        (ov, join, maint, leaves, links), (_, rjoin, rmaint, _, rlinks) = self.twins(8, 20)
+        assert maint.reconnect_orphans(leaves, links_each=3) == (
+            reference_reconnect_orphans(rmaint, leaves, links_each=3)
+        )
+        assert links == rlinks and len(links) == 20
+        assert join.rng.bit_generator.state == rjoin.rng.bit_generator.state
 
 
 class TestRepairReport:

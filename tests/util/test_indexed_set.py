@@ -99,3 +99,34 @@ class TestSampling:
             s.discard(i)
         out = s.sample(rng, 20)
         assert all(x % 2 == 1 for x in out)
+
+
+class TestNumpyPartitionInvariance:
+    """The NumPy behaviour a repair pass's single draw rests on
+    (``repro.overlay.topology._Replay``): a bounded-integer request may
+    be split anywhere without moving a value or the generator."""
+
+    @pytest.mark.parametrize("bound", [1, 2, 49, 500, 2**32 + 5])
+    @pytest.mark.parametrize(
+        "parts", [(1, 1), (5, 5), (3, 4), (1, 6), (7, 1, 5), (5,) * 9, (2, 0, 3)]
+    )
+    def test_integers_of_a_plus_b_is_integers_a_then_integers_b(self, bound, parts):
+        whole, split = np.random.default_rng(77), np.random.default_rng(77)
+        for gen in (whole, split):
+            gen.integers(bound, size=3)  # leaves a buffered 32-bit half
+        together = whole.integers(bound, size=sum(parts)).tolist()
+        pieces = [x for n in parts for x in split.integers(bound, size=n).tolist()]
+        assert pieces == together
+        # PCG64's state dict carries has_uint32 / uinteger, the half word.
+        assert split.bit_generator.state == whole.bit_generator.state
+        assert whole.integers(bound, size=4).tolist() == split.integers(bound, size=4).tolist()
+
+    def test_a_sample_is_the_shared_block_rejection(self, rng):
+        # `sample` and `Overlay.random_supers` share `_fresh`: blocks of
+        # need + 4, first-seen order, the block's tail discarded.
+        s = IndexedSet(range(100, 1100))
+        twin = np.random.default_rng(1234)
+        block = twin.integers(1000, size=3 + 4).tolist()
+        assert len(set(block[:3])) == 3  # this seed: no repeat in the first three
+        assert s.sample(rng, 3) == [100 + i for i in block[:3]]
+        assert rng.bit_generator.state == twin.bit_generator.state
