@@ -6,17 +6,18 @@ dynamic run, surviving the mid-run halving of arrival lifetimes.
 
 from __future__ import annotations
 
-from repro.experiments.figure4 import run_figure4
+from repro.experiments.registry import get_experiment
 
 from .conftest import emit
 
 
 def test_bench_figure4(benchmark, bench_cfg):
-    result = benchmark.pedantic(run_figure4, args=(bench_cfg,), rounds=1, iterations=1)
-    shape = result.check_shape()
+    exp = get_experiment("figure4")
+    result = benchmark.pedantic(exp.run, args=(bench_cfg,), rounds=1, iterations=1)
+    shape = exp.shape(result)
     emit(
         "Figure 4 -- average age per layer (dynamic network)",
-        result.render() + f"\nshape: {shape}",
+        exp.render(result) + f"\nshape: {shape}",
     )
     # Paper: "the age of super-layer is much larger than that of
     # leaf-layer, regardless [of] the changing environments".

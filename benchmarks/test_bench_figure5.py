@@ -6,17 +6,18 @@ and tracking upward after the capacity-mean doubling at mid-run.
 
 from __future__ import annotations
 
-from repro.experiments.figure5 import run_figure5
+from repro.experiments.registry import get_experiment
 
 from .conftest import emit
 
 
 def test_bench_figure5(benchmark, bench_cfg):
-    result = benchmark.pedantic(run_figure5, args=(bench_cfg,), rounds=1, iterations=1)
-    shape = result.check_shape()
+    exp = get_experiment("figure5")
+    result = benchmark.pedantic(exp.run, args=(bench_cfg,), rounds=1, iterations=1)
+    shape = exp.shape(result)
     emit(
         "Figure 5 -- average capacity per layer (dynamic network)",
-        result.render() + f"\nshape: {shape}",
+        exp.render(result) + f"\nshape: {shape}",
     )
     # Paper: "the average capacity value of super-layer is always larger
     # than that of leaf-layer".  We require it in both steady regimes;

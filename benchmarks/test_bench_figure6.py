@@ -6,17 +6,18 @@ simulation process, even [as] the network environment is changing".
 
 from __future__ import annotations
 
-from repro.experiments.figure6 import run_figure6
+from repro.experiments.registry import get_experiment
 
 from .conftest import emit
 
 
 def test_bench_figure6(benchmark, bench_cfg):
-    result = benchmark.pedantic(run_figure6, args=(bench_cfg,), rounds=1, iterations=1)
-    shape = result.check_shape()
+    exp = get_experiment("figure6")
+    result = benchmark.pedantic(exp.run, args=(bench_cfg,), rounds=1, iterations=1)
+    shape = exp.shape(result)
     emit(
         "Figure 6 -- layer sizes (log scale, dynamic network)",
-        result.render() + f"\nshape: {shape}",
+        exp.render(result) + f"\nshape: {shape}",
     )
     # Tail ratio within ~25% of the protocol target eta=40 ...
     assert shape["tail_ratio_error"] < 0.25

@@ -7,17 +7,18 @@ on the same query workload ("on Same Success Rate").
 
 from __future__ import annotations
 
-from repro.experiments.figure7 import run_figure7
+from repro.experiments.registry import get_experiment
 
 from .conftest import emit
 
 
 def test_bench_figure7(benchmark, bench_cfg):
-    result = benchmark.pedantic(run_figure7, args=(bench_cfg,), rounds=1, iterations=1)
-    shape = result.check_shape()
+    exp = get_experiment("figure7")
+    result = benchmark.pedantic(exp.run, args=(bench_cfg,), rounds=1, iterations=1)
+    shape = exp.shape(result)
     emit(
         "Figure 7 -- layer size ratio under periodic capacity shifts",
-        result.render() + f"\nshape: {shape}",
+        exp.render(result) + f"\nshape: {shape}",
     )
     # DLM holds the target; the fixed threshold oscillates with the
     # workload -- its swing should be clearly larger.

@@ -7,17 +7,18 @@ algorithm".
 
 from __future__ import annotations
 
-from repro.experiments.figure8 import run_figure8
+from repro.experiments.registry import get_experiment
 
 from .conftest import emit
 
 
 def test_bench_figure8(benchmark, bench_cfg):
-    result = benchmark.pedantic(run_figure8, args=(bench_cfg,), rounds=1, iterations=1)
-    shape = result.check_shape()
+    exp = get_experiment("figure8")
+    result = benchmark.pedantic(exp.run, args=(bench_cfg,), rounds=1, iterations=1)
+    shape = exp.shape(result)
     emit(
         "Figure 8 -- average age comparisons (DLM vs preconfigured)",
-        result.render() + f"\nshape: {shape}",
+        exp.render(result) + f"\nshape: {shape}",
     )
     # DLM separates the layers by age; the capacity threshold does not
     # (it elects young-but-fast peers as readily as old ones).

@@ -8,7 +8,7 @@ figure benches.
 
 from __future__ import annotations
 
-from repro.experiments.figure6 import run_figure6
+from repro.experiments.registry import get_experiment
 from repro.experiments.replication import replicate
 
 from .conftest import emit
@@ -19,8 +19,8 @@ def test_bench_figure6_replicated(benchmark, bench_cfg):
 
     result = benchmark.pedantic(
         replicate,
-        args=(run_figure6,),
-        kwargs={"seeds": (11, 22, 33), "config": cfg, "experiment": "figure6"},
+        args=(get_experiment("figure6"),),
+        kwargs={"seeds": (11, 22, 33), "config": cfg},
         rounds=1,
         iterations=1,
     )

@@ -21,7 +21,8 @@ import tempfile
 from pathlib import Path
 
 from repro.core import DLMPolicy
-from repro.experiments import bench_config, run_experiment, sweep_dlm_parameters
+from repro.experiments import bench_config, run_experiment
+from repro.experiments.sweeps import sweep_dlm_parameters
 from repro.results import compare_runs, load_run, write_run
 from repro.util.tables import render_table
 

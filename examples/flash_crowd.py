@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from repro.baselines import PreconfiguredPolicy
 from repro.churn.scenarios import Scenario, Shift
-from repro.experiments import bench_config, matched_threshold, run_experiment
+from repro.experiments import bench_config, run_experiment
+from repro.experiments.comparison_run import matched_threshold
 from repro.util.ascii_plot import ascii_plot
 
 

@@ -1,6 +1,6 @@
-"""``python -m repro`` == the ``repro-experiment`` CLI."""
+"""``python -m repro`` == the ``repro`` console script."""
 
-from .experiments.cli import main
+from .cli import main
 
 if __name__ == "__main__":
     raise SystemExit(main())

@@ -1,8 +1,12 @@
 """Experiment harnesses reproducing every table and figure of the paper.
 
-See DESIGN.md section 3 for the per-experiment index.  Entry points:
-the :mod:`.registry`, the ``repro-experiment`` CLI, and one
-``run_<artifact>`` function per paper artifact.
+The package namespace is the run path only -- configs, the runner and
+checkpoints -- so a process that runs one simulation imports no figure,
+sweep or report.  Everything else is imported from its own module: the
+artifacts from :mod:`.registry` (the ``repro`` CLI's table, indexed in
+DESIGN.md section 3), the report from :mod:`.report`, the sweeps from
+:mod:`.sweeps`, :mod:`.replication`, :mod:`.warmstart` and
+:mod:`.tournament`.
 """
 
 from .checkpoint import (
@@ -11,90 +15,19 @@ from .checkpoint import (
     config_hash,
     resume_run,
 )
-from .comparison_run import ComparisonRun, matched_threshold, run_comparison
 from .configs import ExperimentConfig, SearchConfig, bench_config, table2_config
-from .dynamic_run import DynamicRun, run_dynamic_scenario
-from .figure1 import Figure1Result, run_figure1
-from .figure23 import Figure23Result, run_figure2, run_figure23, run_figure3
-from .figure4 import Figure4Result, run_figure4
-from .figure5 import Figure5Result, run_figure5
-from .figure6 import Figure6Result, run_figure6
-from .figure7 import Figure7Result, run_figure7
-from .figure8 import Figure8Result, run_figure8
-from .figure_families import (
-    FamilyCell,
-    FigureFamiliesResult,
-    run_figure_families,
-)
-from .parallel import WORKERS_ENV, parallel_map, resolve_workers
-from .registry import EXPERIMENTS, Experiment, all_ids, get_experiment
-from .replication import MetricStats, ReplicationResult, replicate
-from .report import generate_experiments_report
 from .runner import RunResult, default_policy_factory, run_experiment
-from .sweeps import SweepPoint, SweepResult, sweep_dlm_parameters
-from .table3 import BENCH_SIZES, PAPER_SIZES, Table3Result, run_table3
-from .tournament import TournamentResult, TournamentRow, run_tournament
-from .warmstart import WarmStart, build_warm_start, fork_run, warm_replicate
 
 __all__ = [
     "CheckpointError",
     "CheckpointManager",
     "config_hash",
     "resume_run",
-    "ComparisonRun",
-    "matched_threshold",
-    "run_comparison",
     "ExperimentConfig",
     "SearchConfig",
     "bench_config",
     "table2_config",
-    "DynamicRun",
-    "run_dynamic_scenario",
-    "Figure1Result",
-    "run_figure1",
-    "Figure23Result",
-    "run_figure2",
-    "run_figure23",
-    "run_figure3",
-    "Figure4Result",
-    "run_figure4",
-    "Figure5Result",
-    "run_figure5",
-    "Figure6Result",
-    "run_figure6",
-    "Figure7Result",
-    "run_figure7",
-    "Figure8Result",
-    "run_figure8",
-    "FamilyCell",
-    "FigureFamiliesResult",
-    "run_figure_families",
-    "WORKERS_ENV",
-    "parallel_map",
-    "resolve_workers",
-    "EXPERIMENTS",
-    "MetricStats",
-    "ReplicationResult",
-    "replicate",
-    "Experiment",
-    "all_ids",
-    "get_experiment",
-    "generate_experiments_report",
     "RunResult",
-    "SweepPoint",
-    "SweepResult",
-    "sweep_dlm_parameters",
     "default_policy_factory",
     "run_experiment",
-    "BENCH_SIZES",
-    "PAPER_SIZES",
-    "Table3Result",
-    "run_table3",
-    "TournamentResult",
-    "TournamentRow",
-    "run_tournament",
-    "WarmStart",
-    "build_warm_start",
-    "fork_run",
-    "warm_replicate",
 ]

@@ -24,8 +24,7 @@ The split of responsibilities is deliberate:
 form.  :class:`CheckpointManager` adds the durable envelope: a versioned
 header with a config hash (so a checkpoint cannot silently resume under
 a different experiment), atomic write-rename, and refusal on mismatch.
-:func:`resume_run` is the one-call entry point the CLI's ``--resume``
-uses.
+:func:`resume_run` is the one-call entry point ``repro resume`` uses.
 """
 
 from __future__ import annotations
@@ -78,7 +77,14 @@ __all__ = [
 #: config gained the hash-excluded ``health`` field; v6 files lack the
 #: entry and are refused rather than resumed with silently reset
 #: detectors.
-SCHEMA_VERSION = 7
+#: v8: an integrity digest.  The file is one text line ``repro-checkpoint
+#: 8 <sha256 of the rest>`` and then the pickled payload, so a flipped
+#: byte anywhere or a truncated file is refused before any state is
+#: trusted (a v7 file, a bare pickle, could resume on altered bytes).
+#: The payload layout is v7's; v7 files have no such line and are refused.
+SCHEMA_VERSION = 8
+#: First field of a checkpoint file's header line.
+_MAGIC = b"repro-checkpoint"
 
 #: Config fields that never affect the simulated trajectory, excluded
 #: from the compatibility hash: the run's label, how far it runs,
@@ -93,6 +99,14 @@ _HASH_EXCLUDED_FIELDS = frozenset(
         "telemetry",
         "health",
     }
+)
+
+
+#: Entries every payload carries besides its ``state`` (classic run) or
+#: ``shard_states`` (sharded run), and the entries of its header.
+_PAYLOAD_KEYS = frozenset({"header", "config", "scenario"})
+_HEADER_KEYS = frozenset(
+    {"schema", "config_hash", "family", "policy", "time", "shards"}
 )
 
 
@@ -217,8 +231,9 @@ def write_checkpoint(
     The one place that knows the file format: the versioned header, the
     config and scenario, then the caller's ``body`` -- ``state=`` for a
     classic run, ``shard_states=`` (index order) for a sharded one; the
-    header's ``shards`` count says which to expect.  The payload lands
-    in a sibling temp file first and moves into place with
+    header's ``shards`` count says which to expect.  The pickled payload
+    follows a header line carrying its SHA-256.  The file lands in a
+    sibling temp file first and moves into place with
     :func:`os.replace`, so a crash mid-write leaves the previous
     checkpoint intact, never a torn file.
     """
@@ -235,9 +250,12 @@ def write_checkpoint(
         "scenario": scenario,
         **body,
     }
+    body = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+    digest = hashlib.sha256(body).hexdigest().encode()
     tmp = f"{path}.tmp"
     with open(tmp, "wb") as fh:
-        pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
+        fh.write(b"%s %d %s\n" % (_MAGIC, SCHEMA_VERSION, digest))
+        fh.write(body)
     os.replace(tmp, path)
 
 
@@ -272,20 +290,49 @@ class CheckpointManager:
     # -- reading --------------------------------------------------------------
     @staticmethod
     def load(path: str) -> dict:
-        """Read and structurally validate a checkpoint payload."""
+        """Read, verify and structurally validate a checkpoint payload.
+
+        Every way a file can fail to be a checkpoint this code wrote --
+        unreadable, not a checkpoint, another schema, a digest mismatch
+        (a flipped byte, a truncation), a missing entry -- raises
+        :class:`CheckpointError`.
+        """
         try:
             with open(path, "rb") as fh:
-                payload = pickle.load(fh)
-        except (OSError, pickle.UnpicklingError, EOFError) as exc:
+                raw = fh.read()
+        except OSError as exc:
             raise CheckpointError(f"cannot read checkpoint {path!r}: {exc}") from exc
-        header = payload.get("header") if isinstance(payload, dict) else None
-        if not isinstance(header, dict):
-            raise CheckpointError(f"{path!r} is not a checkpoint file")
-        if header.get("schema") != SCHEMA_VERSION:
+        line, _, body = raw.partition(b"\n")
+        fields = line.split(b" ")
+        if len(fields) != 3 or fields[0] != _MAGIC:
             raise CheckpointError(
-                f"checkpoint {path!r} has schema {header.get('schema')!r}, "
+                f"{path!r} is not a checkpoint file (this code reads schema "
+                f"{SCHEMA_VERSION})"
+            )
+        schema = fields[1].decode(errors="replace")
+        if schema != str(SCHEMA_VERSION):
+            raise CheckpointError(
+                f"checkpoint {path!r} has schema {schema!r}, "
                 f"this code reads schema {SCHEMA_VERSION}"
             )
+        if fields[2] != hashlib.sha256(body).hexdigest().encode():
+            raise CheckpointError(
+                f"checkpoint {path!r} is corrupt: its contents do not match "
+                "the digest written with them"
+            )
+        try:
+            payload = pickle.loads(body)
+        except Exception as exc:
+            # The digest matched, so the bytes are the writer's: this is
+            # a payload this code cannot rebuild (e.g. a class it lacks).
+            raise CheckpointError(f"cannot read checkpoint {path!r}: {exc!r}") from exc
+        if not (
+            isinstance(payload, dict)
+            and _PAYLOAD_KEYS <= payload.keys()
+            and ("state" in payload or "shard_states" in payload)
+            and _HEADER_KEYS <= payload["header"].keys()
+        ):
+            raise CheckpointError(f"checkpoint {path!r} is missing entries")
         return payload
 
     @staticmethod
@@ -316,7 +363,7 @@ class CheckpointManager:
 
 
 def resume_run(
-    path: str,
+    checkpoint: str | dict,
     *,
     horizon: Optional[float] = None,
     policy_factory=None,
@@ -325,21 +372,26 @@ def resume_run(
 ):
     """Rebuild the checkpointed system and run it to the horizon.
 
-    The checkpoint's own config drives the wiring (optionally with a
-    longer ``horizon``); the policy is reconstructed by
-    ``policy_factory`` (default: the runner's) and must match the name
-    recorded at capture time.  ``telemetry`` overrides the checkpointed
-    telemetry settings -- it is hash-excluded, so a run checkpointed
-    without telemetry can be resumed with it (and vice versa); when the
-    checkpoint carries telemetry state the resumed plane continues its
-    record stream seamlessly.  ``health`` overrides the checkpointed
-    health settings under the same hash-excluded contract.
+    ``checkpoint`` is a file path or a payload
+    :meth:`CheckpointManager.load` already read.  The checkpoint's own
+    config drives the wiring (optionally with a longer ``horizon``); the
+    policy is reconstructed by ``policy_factory`` (default: the
+    runner's) and must match the name recorded at capture time.
+    ``telemetry`` overrides the checkpointed telemetry settings -- it is
+    hash-excluded, so a run checkpointed without telemetry can be
+    resumed with it (and vice versa); when the checkpoint carries
+    telemetry state the resumed plane continues its record stream
+    seamlessly.  ``health`` overrides the checkpointed health settings
+    under the same hash-excluded contract.
     """
     # Runner imports this module for the periodic writer; import lazily
     # to keep the module graph acyclic at import time.
     from .runner import default_policy_factory, run_experiment
 
-    payload = CheckpointManager.load(path)
+    if isinstance(checkpoint, dict):
+        payload = checkpoint
+    else:
+        payload = CheckpointManager.load(checkpoint)
     config: ExperimentConfig = payload["config"]
     if horizon is not None:
         if horizon < payload["header"]["time"]:

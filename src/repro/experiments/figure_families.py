@@ -33,6 +33,7 @@ from typing import Dict, Optional, Sequence, Tuple
 from ..metrics.summary import oscillation_amplitude, relative_error, summarize
 from .comparison_run import matched_threshold
 from .configs import ExperimentConfig, SearchConfig, bench_config
+from .dynamic_run import tail_start
 from .parallel import parallel_map
 from .runner import run_experiment
 from .tournament import POLICY_NAMES, build_policy
@@ -82,10 +83,7 @@ def _run_cell(spec) -> FamilyCell:
     result.ctx.overlay.check_invariants(aggregates=True)
     result.ctx.family.check_invariants()
     ratio = result.series["ratio"]
-    # Figure-6 transient convention, clamped for short-horizon runs.
-    t0 = 2 * cfg.warmup
-    if t0 >= cfg.horizon:
-        t0 = cfg.warmup
+    t0 = tail_start(cfg)
     tail = summarize(ratio, t_from=t0, t_to=cfg.horizon)
     stats = result.query_stats
     return FamilyCell(

@@ -22,7 +22,7 @@ from typing import Dict, Optional, Sequence, Tuple
 from ..metrics.summary import oscillation_amplitude, relative_error, summarize
 from ..protocol.faults import FaultPlan
 from .configs import ExperimentConfig, bench_config
-from .dynamic_run import run_dynamic_scenario
+from .dynamic_run import run_dynamic_scenario, tail_start
 from .parallel import parallel_map
 
 __all__ = ["FaultCell", "FigureFaultsResult", "run_figure_faults"]
@@ -57,10 +57,7 @@ def _run_cell(config: ExperimentConfig) -> FaultCell:
     result = run.result
     cfg = result.config
     ratio = result.series["ratio"]
-    # Figure-6 transient convention, clamped for short-horizon runs.
-    t0 = 2 * cfg.warmup
-    if t0 >= cfg.horizon:
-        t0 = cfg.warmup
+    t0 = tail_start(cfg)
     tail = summarize(ratio, t_from=t0, t_to=cfg.horizon)
     ledger = result.ctx.messages
     faults = cfg.faults

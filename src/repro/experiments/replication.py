@@ -3,18 +3,21 @@
 A single seed proves an experiment *can* land on the paper's shape;
 replication shows the shape is a property of the system, not of one
 sample path.  :func:`replicate` re-runs any registered experiment over a
-seed set and aggregates every numeric field its ``check_shape`` reports.
+seed set and aggregates every numeric field its shape metrics report.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Sequence
+from typing import TYPE_CHECKING, Dict, List, Mapping, Sequence
 
 from ..util.tables import render_table
 from .configs import ExperimentConfig, bench_config
 from .parallel import parallel_map
+
+if TYPE_CHECKING:
+    from .registry import Experiment
 
 __all__ = [
     "MetricStats",
@@ -114,38 +117,36 @@ def _shape_worker(spec) -> Dict[str, object]:
     """Worker: one seeded run, reduced to its picklable shape metrics.
 
     The full run result (live overlay, listeners) never leaves the
-    worker process -- only the ``check_shape()`` dict crosses back.
+    worker process -- only the shape dict crosses back.
     """
-    run_fn, cfg = spec
-    return dict(run_fn(cfg).check_shape())
+    exp, cfg = spec
+    return dict(exp.shape(exp.run(cfg)))
 
 
 def replicate(
-    run_fn: Callable[[ExperimentConfig], object],
+    experiment: "Experiment",
     *,
     seeds: Sequence[int] = (1, 2, 3),
     config: ExperimentConfig | None = None,
-    experiment: str = "experiment",
     n_workers: int | None = None,
 ) -> ReplicationResult:
-    """Run ``run_fn(config-with-seed)`` per seed and aggregate shapes.
+    """Run a registry row on ``config``-with-seed per seed and aggregate
+    its shape metrics.
 
-    ``run_fn`` is any harness returning an object with ``check_shape()``
-    (every ``run_figure*``/``run_table3`` qualifies via a lambda).
     Boolean metrics aggregate as the fraction of seeds where they held.
-
     Seeds are independent runs, so they fan across processes
     (``n_workers`` / ``REPRO_WORKERS``; see :mod:`.parallel`).  Each
     worker derives all randomness from its own ``cfg.with_(seed=s)``, so
-    the aggregate is bit-identical to a serial run.  A lambda ``run_fn``
-    falls back to the serial path automatically (lambdas don't pickle).
+    the aggregate is bit-identical to a serial run.  A row whose ``run``
+    or ``shape`` is a lambda falls back to the serial path automatically
+    (lambdas don't pickle).
     """
     if not seeds:
         raise ValueError("at least one seed is required")
     cfg0 = config if config is not None else bench_config()
-    specs = [(run_fn, cfg0.with_(seed=int(seed))) for seed in seeds]
+    specs = [(experiment, cfg0.with_(seed=int(seed))) for seed in seeds]
     shapes = parallel_map(_shape_worker, specs, n_workers=n_workers)
     metrics = aggregate_shapes(shapes)
     return ReplicationResult(
-        experiment=experiment, seeds=tuple(seeds), metrics=metrics
+        experiment=experiment.exp_id, seeds=tuple(seeds), metrics=metrics
     )

@@ -1,11 +1,11 @@
 """EXPERIMENTS.md generation: paper-vs-measured for every artifact.
 
-Runs every registered reproduction at the requested scale and renders a
-markdown report with, per table/figure: the paper's claim, the expected
-shape, the measured shape metrics, and the ASCII rendition.  The
-checked-in ``EXPERIMENTS.md`` is the output of::
+Runs every registry row that carries a paper claim at the requested
+scale and renders a markdown report with, per table/figure: the paper's
+claim, the measured shape metrics, the ASCII rendition, and how to read
+them.  The checked-in ``EXPERIMENTS.md`` is the output of::
 
-    repro-experiment report            # bench scale, ~4 minutes
+    repro report            # bench scale, ~4 minutes
 
 so it can be regenerated after any change.
 """
@@ -17,55 +17,10 @@ import time
 from typing import Mapping, Optional
 
 from .configs import ExperimentConfig, bench_config
-from .figure1 import run_figure1
-from .figure4 import run_figure4
-from .figure5 import run_figure5
-from .figure6 import run_figure6
-from .figure7 import run_figure7
-from .figure8 import run_figure8
-from .table3 import BENCH_SIZES, run_table3
+from .registry import EXPERIMENTS
+from .table3 import BENCH_SIZES
 
 __all__ = ["generate_experiments_report"]
-
-_PAPER_CLAIMS: Mapping[str, str] = {
-    "figure1": (
-        "A fixed capacity threshold cannot hold the layer-size ratio: "
-        "high-capacity arrival mixes flood the super-layer (Fig. 1b) and "
-        "low-capacity mixes starve it (Fig. 1c)."
-    ),
-    "figure4": (
-        "Under DLM 'the age of super-layer is much larger than that of "
-        "leaf-layer, regardless [of] the changing environments' -- the "
-        "t=300 halving of arrival lifetime means does not invert the "
-        "ordering."
-    ),
-    "figure5": (
-        "'DLM adaptively promotes the peers with large-capacities to "
-        "super-layers and the average capacity value of super-layer is "
-        "always larger than that of leaf-layer'; after t=1000 the "
-        "super-layer mean tracks the doubled arrival capacities upward."
-    ),
-    "figure6": (
-        "'An almost constant ratio is maintained throughout the "
-        "simulation process, even [as] the network environment is "
-        "changing' (log-scale layer sizes)."
-    ),
-    "figure7": (
-        "'DLM maintains the layer size ratio very well, while in the "
-        "preconfigured algorithm, the layer size ratio changes "
-        "periodically' -- at the same query success rate."
-    ),
-    "figure8": (
-        "Under DLM the layer mean ages 'are sharply divided and the "
-        "average age of super-layer is much larger than that of the "
-        "preconfigured algorithm'."
-    ),
-    "table3": (
-        "Peer Adjustment Overhead is small relative to join-driven "
-        "connection traffic (PAO/NLCO of 0.39%/0.27%/0.19% at "
-        "5k/20k/80k) and decreases with network size."
-    ),
-}
 
 
 def _shape_table(shape: Mapping[str, object]) -> str:
@@ -86,20 +41,24 @@ def generate_experiments_report(
     table3_settle: float = 800.0,
     table3_window: float = 400.0,
 ) -> str:
-    """Run every reproduction and return the markdown report.
+    """Run every reported artifact and return the markdown report.
 
     ``table3_sizes``/``table3_settle``/``table3_window`` let callers
     shrink the Table-3 sweep (it dominates the report's runtime at the
     defaults); the checked-in EXPERIMENTS.md uses the defaults.
     """
     cfg = config if config is not None else bench_config()
-    sizes = table3_sizes if table3_sizes is not None else BENCH_SIZES
+    sweep = {
+        "sizes": table3_sizes if table3_sizes is not None else BENCH_SIZES,
+        "settle": table3_settle,
+        "window": table3_window,
+    }
     out = io.StringIO()
     w = out.write
 
     w("# EXPERIMENTS — paper vs. measured\n\n")
     w(
-        "Generated by `repro-experiment report` at **bench scale** "
+        "Generated by `repro report` at **bench scale** "
         f"(n = {cfg.n}, horizon = {cfg.horizon:.0f} time units; the paper "
         "uses n = 50 000 over the same horizon — the reproduced "
         "quantities are intensive ratios/separations, which scaling "
@@ -111,42 +70,26 @@ def generate_experiments_report(
         "(Figure 5's transient inversion), follow each artifact.\n\n"
     )
 
-    artifacts = [
-        (
-            "Figure 1",
-            "figure1",
-            lambda: run_figure1(cfg.with_(horizon=min(600.0, cfg.horizon))),
-        ),
-        ("Figure 4", "figure4", lambda: run_figure4(cfg)),
-        ("Figure 5", "figure5", lambda: run_figure5(cfg)),
-        ("Figure 6", "figure6", lambda: run_figure6(cfg)),
-        ("Figure 7", "figure7", lambda: run_figure7(cfg)),
-        ("Figure 8", "figure8", lambda: run_figure8(cfg)),
-        (
-            "Table 3",
-            "table3",
-            lambda: run_table3(
-                sizes, base=cfg, settle=table3_settle, window=table3_window
-            ),
-        ),
-    ]
-
-    for title, key, runner in artifacts:
+    for exp in EXPERIMENTS.values():
+        if not exp.claim:
+            continue
+        run_cfg = cfg
+        if exp.report_horizon is not None:
+            run_cfg = cfg.with_(horizon=min(exp.report_horizon, cfg.horizon))
         started = time.perf_counter()
-        result = runner()
+        result = exp.run(run_cfg, **sweep) if exp.paper_sizes else exp.run(run_cfg)
         elapsed = time.perf_counter() - started
-        w(f"## {title}\n\n")
-        w(f"**Paper claim.** {_PAPER_CLAIMS[key]}\n\n")
-        shape = result.check_shape()
+        w(f"## {exp.paper_artifact}\n\n")
+        w(f"**Paper claim.** {exp.claim}\n\n")
         w("**Measured shape.**\n\n")
-        w(_shape_table(shape))
+        w(_shape_table(exp.shape(result)))
         w("\n\n")
         if include_renders:
             w("```\n")
-            w(result.render())
+            w(exp.render(result))
             w("\n```\n\n")
         w(f"*Run time: {elapsed:.1f}s.*\n\n")
-        w(_commentary(key, shape))
+        w(exp.reading)
         w("\n\n")
 
     w("## Tables 1 and 2\n\n")
@@ -160,71 +103,3 @@ def generate_experiments_report(
         "derives from it.\n"
     )
     return out.getvalue()
-
-
-def _commentary(key: str, shape: Mapping[str, object]) -> str:
-    if key == "figure1":
-        return (
-            "**Reading.** The preconfigured ratio moves by the measured "
-            "`pre_b_over_a`/`pre_c_over_a` factors purely because the "
-            "arrival mix changed; DLM's spread across the same three "
-            "mixes (`dlm_spread`) stays near 1.  Matches Figure 1's "
-            "argument."
-        )
-    if key == "figure4":
-        return (
-            "**Reading.** Super-layer mean age exceeds the leaf-layer's "
-            "at every sample after warm-up (`ordering_violations = 0`), "
-            "through the lifetime-mean halving.  Matches the paper."
-        )
-    if key == "figure5":
-        return (
-            "**Reading & deviation.** Separation holds before the shift "
-            "and re-establishes afterwards, and the super-layer mean "
-            "rises by `super_capacity_uplift` as the doubled-capacity "
-            "generation is promoted.  Deviation: for a few hundred time "
-            "units after t=1000 the *leaf* mean transiently leads "
-            "(`transient_inversions` samples) because every new strong "
-            "peer starts as a leaf and DLM's conjunctive rule makes it "
-            "wait out the age gate before promotion; the paper's figure "
-            "shows no such inversion.  We judge the inversion the "
-            "honest consequence of the algorithm as specified -- "
-            "electing young peers on capacity alone is exactly what the "
-            "paper criticizes the threshold baseline for."
-        )
-    if key == "figure6":
-        return (
-            "**Reading.** `tail_ratio_error` is the relative distance of "
-            "the maintained ratio from η = 40; on the paper's log-scale "
-            "axis the measured swing renders as the same near-flat "
-            "parallel lines."
-        )
-    if key == "figure7":
-        return (
-            "**Reading.** The preconfigured baseline's ratio oscillates "
-            "with the workload period (`pre_ratio_swing`) while DLM's "
-            "stays pinned (`dlm_ratio_swing`), at success rates within a "
-            "few percent of each other -- the paper's 'on same success "
-            "rate' framing."
-        )
-    if key == "figure8":
-        return (
-            "**Reading.** DLM separates the layers by age "
-            "(`dlm_age_separation`) where the capacity threshold cannot "
-            "(`pre_age_separation` ≈ 1 or below: its super-peers are no "
-            "older than its leaves), and DLM's super-layer is older in "
-            "absolute terms (`super_age_advantage`)."
-        )
-    if key == "table3":
-        return (
-            "**Reading & deviation.** PAO/NLCO stays a small percentage "
-            "and the largest network does no worse than the smallest "
-            "(`monotone_trend`).  The absolute percentages exceed the "
-            "paper's sub-percent values: our calibrated DLM demotes more "
-            "readily at laptop scale (hundreds of super-peers rather "
-            "than thousands, so ``l_nn`` concentration -- the very "
-            "mechanism the paper credits for the decreasing trend -- is "
-            "weaker).  The paper's own explanation thus predicts our "
-            "numbers too."
-        )
-    return ""

@@ -96,18 +96,19 @@ def _run_size(spec) -> Table3Row:
 
 
 def run_table3(
+    base: ExperimentConfig | None = None,
     sizes: Sequence[int] = BENCH_SIZES,
     *,
     settle: float = 800.0,
     window: float = 400.0,
-    base: ExperimentConfig | None = None,
     n_workers: int | None = None,
 ) -> Table3Result:
     """Reproduce Table 3 over the given network sizes.
 
-    Each size runs the Table-2 configuration (scaled) under steady
-    replacement churn; counters are windowed over ``[settle, settle +
-    window]``.  The settle period must outlast the bootstrap transient --
+    Each size runs ``base`` (default: the Table-2 configuration), scaled
+    to that size, under steady replacement churn; counters are windowed
+    over ``[settle, settle + window]``, which is also each run's
+    horizon.  The settle period must outlast the bootstrap transient --
     the super-layer grows from a single seed, and the promotion overshoot
     it corrects would otherwise be misread as steady-state demotion
     overhead (calibration: 300 units is too short, 800 is clean).

@@ -1,14 +1,11 @@
-"""cProfile entry point for the simulation hot paths.
+"""cProfile and timers for the simulation hot paths (``repro profile``).
 
-Usage::
-
-    PYTHONPATH=src python -m repro.profile <experiment> [options]
-
-Profiles one registered experiment (``figure6``, ``table3``, ...) or one
-of the synthetic micro-workloads (``scheduler``, ``flooding``) under
-cProfile and prints the top functions by cumulative and internal time.
-Workload setup (settling an overlay for the flooding micro-workload)
-runs outside the profiled region, so the report shows only the hot path.
+``repro profile TARGET`` profiles one registered experiment (``figure6``,
+``table3``, ...) under the same run options as ``repro <id>``, or one of
+the synthetic micro-workloads below, and prints the top functions by
+cumulative and internal time.  Workload setup (settling an overlay for
+the flooding micro-workload) runs outside the profiled region, so the
+report shows only the hot path.
 
 ``evaluate`` is a timer, not a profile: it settles one overlay per
 knowledge plane and prints the cost of one DLM verdict (phases 2-4,
@@ -24,108 +21,37 @@ the time went.
 
 Examples::
 
-    python -m repro.profile figure6 --n 500 --horizon 300
-    python -m repro.profile scheduler --events 200000
-    python -m repro.profile flooding --queries 500 --sort tottime
-    python -m repro.profile evaluate -n 2000
-    python -m repro.profile repair -n 2000
-    python -m repro.profile figure6 --config-scale largescale -n 100000
+    repro profile figure6 --n 500 --horizon 300
+    repro profile scheduler --events 200000
+    repro profile flooding --queries 500 --sort tottime
+    repro profile evaluate --n 2000
+    repro profile repair --n 2000
+    repro profile figure6 --scale
 """
 
 from __future__ import annotations
 
-import argparse
 import cProfile
-import os
 import pstats
 import sys
 from itertools import cycle, islice
 from time import perf_counter
-from typing import Callable, Optional, Sequence
+from typing import Callable, Dict, Optional, Tuple
 
-__all__ = ["main", "build_parser"]
-
-#: Synthetic micro-workloads profiled without a registry entry.
-MICRO_WORKLOADS = ("scheduler", "flooding", "evaluate", "repair")
+__all__ = ["MICRO_WORKLOADS", "profile_call"]
 
 #: Verdicts timed per role and knowledge plane by ``evaluate``.
 _VERDICTS = 20_000
+#: Default sizes of the scheduler and flooding workloads.
+_EVENTS = 100_000
+_QUERIES = 200
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The ``repro.profile`` argument parser."""
-    from .experiments.registry import all_ids
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.profile",
-        description="Profile an experiment harness or micro-workload.",
-    )
-    parser.add_argument(
-        "experiment",
-        choices=sorted(all_ids()) + list(MICRO_WORKLOADS),
-        help="registered experiment id or a micro-workload",
-    )
-    parser.add_argument(
-        "-n",
-        "--n",
-        "--scale",
-        dest="n",
-        type=int,
-        default=1000,
-        help="network size (aliases: -n, --scale)",
-    )
-    parser.add_argument(
-        "--config-scale",
-        choices=("bench", "largescale"),
-        default="bench",
-        help="base config family: bench (default) or the columnar "
-        "largescale path (omniscient knowledge)",
-    )
-    parser.add_argument(
-        "--horizon", type=float, default=400.0, help="simulated horizon"
-    )
-    parser.add_argument("--seed", type=int, default=None, help="root seed")
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="K",
-        help="profile the conservative sharded engine at K logical "
-        "shards (experiment harnesses only; the profile covers the "
-        "parent's window loop plus, when serial, the shard schedulers)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes for sharded runs (sets REPRO_WORKERS; "
-        "only in-process work appears in the profile)",
-    )
-    parser.add_argument(
-        "--events", type=int, default=100_000, help="events for the scheduler workload"
-    )
-    parser.add_argument(
-        "--queries", type=int, default=200, help="queries for the flooding workload"
-    )
-    parser.add_argument(
-        "--sort",
-        choices=("cumulative", "tottime"),
-        default="cumulative",
-        help="primary sort order of the report",
-    )
-    parser.add_argument(
-        "--limit", type=int, default=25, help="rows to print per report"
-    )
-    parser.add_argument(
-        "--out", default=None, help="also dump raw pstats data to this path"
-    )
-    return parser
-
-
-def _scheduler_workload(events: int) -> Callable[[], object]:
+def _scheduler_workload(config, opts) -> Callable[[], object]:
     """Self-perpetuating event chain: pure scheduler overhead."""
     from .sim.scheduler import Simulator
+
+    events = opts.events if opts.events is not None else _EVENTS
 
     def run() -> int:
         sim = Simulator(seed=0)
@@ -144,23 +70,25 @@ def _scheduler_workload(events: int) -> Callable[[], object]:
     return run
 
 
-def _flooding_workload(queries: int, n: int) -> Callable[[], object]:
-    """Repeated flood queries over a settled bench-scale backbone.
+def _flooding_workload(config, opts) -> Callable[[], object]:
+    """Repeated flood queries over a settled backbone.
 
     The settling run happens here, outside the profiled region.
     """
-    from .experiments.configs import SearchConfig, bench_config
+    from .experiments.configs import SearchConfig
     from .experiments.runner import run_experiment
     from .search.flooding import FloodRouter
 
-    cfg = bench_config().with_(
-        n=n, horizon=300.0, search=SearchConfig(query_rate=0.001, n_objects=5000)
+    result = run_experiment(
+        config.with_(
+            horizon=300.0, search=SearchConfig(query_rate=0.001, n_objects=5000)
+        )
     )
-    result = run_experiment(cfg)
     router = FloodRouter(result.overlay, result.directory, ttl=7)
     rng = result.ctx.sim.rng.get("profile")
     sources = result.overlay.leaf_ids.sample(rng, 64)
     catalog = result.workload.catalog
+    queries = opts.queries if opts.queries is not None else _QUERIES
     pairs = [
         (sources[i % len(sources)], catalog.query_target(rng))
         for i in range(queries)
@@ -175,7 +103,7 @@ def _flooding_workload(queries: int, n: int) -> Callable[[], object]:
     return run
 
 
-def _time_verdicts(n: int) -> None:
+def _time_verdicts(config, opts) -> None:
     """Print µs per DLM verdict per role over a settled overlay, per
     knowledge plane.
 
@@ -186,7 +114,6 @@ def _time_verdicts(n: int) -> None:
     many returned a decision; the rest deferred for missing knowledge
     (observed plane only).  The settling run is outside the timed region.
     """
-    from .experiments.configs import bench_config
     from .experiments.runner import run_experiment
     from .protocol.faults import FaultPlan
 
@@ -194,7 +121,7 @@ def _time_verdicts(n: int) -> None:
         ("omniscient", None),
         ("observed", FaultPlan(loss_rate=0.05, latency_scale=0.2)),
     ):
-        result = run_experiment(bench_config().with_(n=n, horizon=400.0, faults=faults))
+        result = run_experiment(config.with_(horizon=400.0, faults=faults))
         overlay, policy, now = result.overlay, result.policy, result.ctx.now
         floor = policy.config.min_related_set
         leaves = [p for p in map(overlay.peer, overlay.leaf_ids) if p.eligible]
@@ -237,17 +164,16 @@ class _CountedDraws:
         return getattr(self._rng, name)
 
 
-def _time_repairs(n: int) -> None:
+def _time_repairs(config, opts) -> None:
     """Print µs per reconnected orphan over a settled overlay.
 
     Kills two supers in three, one at a time, and times the orphan pass
     (:meth:`Maintenance.reconnect_orphans`) each death needs; backbone
     repair and the settling run are outside the timed region.
     """
-    from .experiments.configs import bench_config
     from .experiments.runner import run_experiment
 
-    result = run_experiment(bench_config().with_(n=n, horizon=400.0))
+    result = run_experiment(config.with_(horizon=400.0))
     overlay, maint = result.overlay, result.ctx.maintenance
     maint.join.rng = draws = _CountedDraws(maint.join.rng)
     passes = made = calls = 0
@@ -268,42 +194,26 @@ def _time_repairs(n: int) -> None:
     )
 
 
-#: The micro-workloads that are timers, not profiles.
-_TIMERS = {"evaluate": _time_verdicts, "repair": _time_repairs}
+#: Micro-workload -> (function, the options it reads).  The function
+#: takes the built config and the parsed ``repro profile`` options and
+#: returns the callable to profile, or None for a timer that printed its
+#: own figures.
+MICRO_WORKLOADS: Dict[str, Tuple[Callable, Tuple[str, ...]]] = {
+    "scheduler": (_scheduler_workload, ("events", "sort", "limit", "out")),
+    "flooding": (
+        _flooding_workload,
+        ("n", "seed", "queries", "sort", "limit", "out"),
+    ),
+    "evaluate": (_time_verdicts, ("n", "seed")),
+    "repair": (_time_repairs, ("n", "seed")),
+}
 
 
-def _experiment_workload(args: argparse.Namespace) -> Callable[[], object]:
-    """One registered experiment harness at the requested scale."""
-    from .experiments.configs import bench_config, largescale_config
-    from .experiments.registry import get_experiment
-
-    base = largescale_config if args.config_scale == "largescale" else bench_config
-    cfg = base().with_(n=args.n, horizon=args.horizon)
-    if args.seed is not None:
-        cfg = cfg.with_(seed=args.seed)
-    if args.shards is not None:
-        cfg = cfg.with_(shards=args.shards)
-    exp = get_experiment(args.experiment)
-    return lambda: exp.run(cfg)
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI entry point; returns a process exit code."""
-    args = build_parser().parse_args(argv)
-
-    if args.workers is not None:
-        os.environ["REPRO_WORKERS"] = str(args.workers)
-
-    if args.experiment in _TIMERS:
-        _TIMERS[args.experiment](args.n)  # prints its own figures, no profiler
-        return 0
-    if args.experiment == "scheduler":
-        workload = _scheduler_workload(args.events)
-    elif args.experiment == "flooding":
-        workload = _flooding_workload(args.queries, args.n)
-    else:
-        workload = _experiment_workload(args)
-
+def profile_call(
+    workload: Callable[[], object], sort: str, limit: int, out: Optional[str]
+) -> None:
+    """Run ``workload`` under cProfile and print the top ``limit`` rows by
+    ``sort`` (stdout) and by the other order (stderr header)."""
     profiler = cProfile.Profile()
     profiler.enable()
     workload()
@@ -311,14 +221,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     stats = pstats.Stats(profiler)
     stats.strip_dirs()
-    stats.sort_stats(args.sort).print_stats(args.limit)
-    secondary = "tottime" if args.sort == "cumulative" else "cumulative"
+    stats.sort_stats(sort).print_stats(limit)
+    secondary = "tottime" if sort == "cumulative" else "cumulative"
     print(f"--- top by {secondary} ---", file=sys.stderr)
-    stats.sort_stats(secondary).print_stats(args.limit)
-    if args.out:
-        stats.dump_stats(args.out)
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())
+    stats.sort_stats(secondary).print_stats(limit)
+    if out:
+        stats.dump_stats(out)

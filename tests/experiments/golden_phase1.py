@@ -61,15 +61,16 @@ def series_digest(bundle) -> str:
 
 def figure4_fingerprint() -> dict:
     """One seeded figure4 run reduced to bit-sensitive scalars."""
-    from repro.experiments.figure4 import run_figure4
+    from repro.experiments.registry import get_experiment
 
-    result = run_figure4(golden_config())
-    run = result.run.result
+    figure4 = get_experiment("figure4")
+    result = figure4.run(golden_config())
+    run = result.result
     overlay = run.overlay
     ledger = run.ctx.messages
     return {
         "series_digest": series_digest(run.series),
-        "check_shape": dict(result.check_shape()),
+        "check_shape": dict(figure4.shape(result)),
         "n_super": overlay.n_super,
         "n_leaf": overlay.n_leaf,
         "total_promotions": overlay.total_promotions,
@@ -83,14 +84,13 @@ def figure4_fingerprint() -> dict:
 
 def replication_fingerprint() -> dict:
     """Replication aggregate over the golden seeds (serial path)."""
-    from repro.experiments.figure4 import run_figure4
+    from repro.experiments.registry import get_experiment
     from repro.experiments.replication import replicate
 
     rep = replicate(
-        run_figure4,
+        get_experiment("figure4"),
         seeds=GOLDEN_SEEDS,
         config=golden_config(),
-        experiment="figure4",
         n_workers=1,
     )
     return {

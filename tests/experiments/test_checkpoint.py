@@ -186,6 +186,28 @@ class TestCheckpointManager:
             CheckpointManager.load(str(path))
 
 
+class TestCorruptCheckpoints:
+    def test_flips_and_truncations_are_refused(self, tmp_path):
+        """Forty single-byte flips spread over the file and truncations
+        at three lengths each raise CheckpointError: none resumes on the
+        altered bytes, none escapes as another exception type."""
+        path = tmp_path / "run.ckpt"
+        run_experiment(small_config(checkpoint_every=60.0, checkpoint_path=str(path)))
+        raw = path.read_bytes()
+        damaged = []
+        for i in range(40):
+            data = bytearray(raw)
+            data[i * len(raw) // 40] ^= 0xFF
+            damaged.append(bytes(data))
+        damaged += [raw[:n] for n in (40, len(raw) // 2, len(raw) - 1)]
+        bad = tmp_path / "bad.ckpt"
+        for data in damaged:
+            bad.write_bytes(data)
+            with pytest.raises(CheckpointError):
+                CheckpointManager.load(str(bad))
+        assert CheckpointManager.load(str(path))["header"]["time"] == 120.0
+
+
 class TestConfigHash:
     def test_trajectory_fields_change_hash(self):
         assert config_hash(small_config()) != config_hash(small_config(seed=12))

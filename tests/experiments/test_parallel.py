@@ -2,18 +2,20 @@
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
 
 import numpy as np
 import pytest
 
 from repro.experiments.configs import bench_config
-from repro.experiments.figure6 import run_figure6
+from repro.experiments.dynamic_run import run_dynamic_scenario
 from repro.experiments.parallel import (
     WORKERS_ENV,
     parallel_map,
     resolve_workers,
 )
+from repro.experiments.registry import get_experiment
 from repro.experiments.replication import replicate
 from repro.sim.rng import RngStreams
 
@@ -119,8 +121,9 @@ class TestReplicateParity:
         4 seeds (the engine's determinism contract)."""
         cfg = _tiny_config()
         seeds = (1, 2, 3, 4)
-        serial = replicate(run_figure6, seeds=seeds, config=cfg, n_workers=1)
-        fanned = replicate(run_figure6, seeds=seeds, config=cfg, n_workers=2)
+        figure6 = get_experiment("figure6")
+        serial = replicate(figure6, seeds=seeds, config=cfg, n_workers=1)
+        fanned = replicate(figure6, seeds=seeds, config=cfg, n_workers=2)
         assert serial.seeds == fanned.seeds
         assert serial.metrics.keys() == fanned.metrics.keys()
         for name in serial.metrics:
@@ -136,8 +139,9 @@ class TestReplicateParity:
             faults=FaultPlan(loss_rate=0.05, latency_scale=1.0)
         )
         seeds = (1, 2, 3)
-        serial = replicate(run_figure6, seeds=seeds, config=cfg, n_workers=1)
-        fanned = replicate(run_figure6, seeds=seeds, config=cfg, n_workers=2)
+        figure6 = get_experiment("figure6")
+        serial = replicate(figure6, seeds=seeds, config=cfg, n_workers=1)
+        fanned = replicate(figure6, seeds=seeds, config=cfg, n_workers=2)
         assert serial.metrics.keys() == fanned.metrics.keys()
         for name in serial.metrics:
             assert serial.metrics[name] == fanned.metrics[name], name
@@ -145,7 +149,8 @@ class TestReplicateParity:
     def test_lambda_run_fn_still_works(self):
         """An unpicklable run_fn transparently uses the serial path."""
         cfg = _tiny_config()
-        result = replicate(
-            lambda c: run_figure6(c), seeds=(1,), config=cfg, n_workers=2
+        unpicklable = dataclasses.replace(
+            get_experiment("figure6"), run=lambda c: run_dynamic_scenario(c)
         )
+        result = replicate(unpicklable, seeds=(1,), config=cfg, n_workers=2)
         assert result.metrics

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments.configs import bench_config
-from repro.experiments.figure6 import run_figure6
+from repro.experiments.registry import Experiment, get_experiment
 from repro.experiments.replication import MetricStats, replicate
 
 TINY = bench_config().with_(n=250, horizon=300.0, warmup=30.0)
@@ -14,9 +14,7 @@ TINY = bench_config().with_(n=250, horizon=300.0, warmup=30.0)
 class TestReplicate:
     @pytest.fixture(scope="class")
     def result(self):
-        return replicate(
-            run_figure6, seeds=(1, 2, 3), config=TINY, experiment="figure6"
-        )
+        return replicate(get_experiment("figure6"), seeds=(1, 2, 3), config=TINY)
 
     def test_aggregates_every_numeric_metric(self, result):
         assert "tail_ratio_mean" in result.metrics
@@ -41,7 +39,7 @@ class TestReplicate:
 
     def test_empty_seed_set_rejected(self):
         with pytest.raises(ValueError):
-            replicate(run_figure6, seeds=(), config=TINY)
+            replicate(get_experiment("figure6"), seeds=(), config=TINY)
 
 
 class TestMetricStats:
@@ -70,5 +68,6 @@ class TestBooleanAggregation:
         def run_fn(cfg):
             return FakeResult(next(calls))
 
-        result = replicate(run_fn, seeds=(1, 2, 3), experiment="fake")
+        fake = Experiment("fake", "", "", run_fn, FakeResult.check_shape, str)
+        result = replicate(fake, seeds=(1, 2, 3))
         assert result.metrics["held"].mean == pytest.approx(2 / 3)

@@ -7,14 +7,13 @@ import json
 
 import pytest
 
-from repro.experiments.cli import main as repro_main
+from repro.cli import cmd_health
+from repro.cli import main as repro_main
 from repro.experiments.configs import table2_config
 from repro.experiments.runner import run_experiment
-from repro.health.cli import cmd_health
 from repro.health.config import HealthConfig
 from repro.health.slo import build_report, render_report
 from repro.telemetry import TelemetryConfig
-from repro.telemetry.cli import main as telemetry_main
 from repro.telemetry.export import iter_jsonl
 
 
@@ -158,20 +157,20 @@ class TestShardedReadBack:
     def test_stats_and_trace_accept_the_prefix(self, sharded_run, capsys):
         # Remove nothing: the merged file exists, so the prefix resolves
         # to it directly; dropping it must fall back to the .shard files.
-        assert telemetry_main(["stats", str(sharded_run)]) == 0
+        assert repro_main(["stats", str(sharded_run)]) == 0
         merged_stats = capsys.readouterr().out
 
         renamed = sharded_run.with_suffix(".moved")
         sharded_run.rename(renamed)
         try:
-            assert telemetry_main(["stats", str(sharded_run)]) == 0
+            assert repro_main(["stats", str(sharded_run)]) == 0
             prefix_stats = capsys.readouterr().out
             # Same records and metrics whether read from the engine's
             # merged file or merged on the fly from the shard streams.
             assert self._strip_header(prefix_stats) == self._strip_header(
                 merged_stats
             )
-            assert telemetry_main(
+            assert repro_main(
                 ["trace", str(sharded_run), "--kind", "health", "--limit", "5"]
             ) == 0
             traced = capsys.readouterr().out.strip().splitlines()

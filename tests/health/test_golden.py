@@ -134,17 +134,17 @@ class TestClassicPrefixEquivalence:
     def test_single_file_and_shard_prefix_read_identically(
         self, tmp_path, capsys
     ):
-        from repro.telemetry.cli import main as telemetry_main
+        from repro.cli import main as repro_main
 
         jsonl = tmp_path / "classic.jsonl"
         run_experiment(self.config(jsonl))
-        assert telemetry_main(["stats", str(jsonl)]) == 0
+        assert repro_main(["stats", str(jsonl)]) == 0
         direct = capsys.readouterr().out
 
         # The same stream presented as a one-shard "sharded run".
         prefix = tmp_path / "aspfx.jsonl"
         shutil.copy(jsonl, str(prefix) + ".shard0")
-        assert telemetry_main(["stats", str(prefix)]) == 0
+        assert repro_main(["stats", str(prefix)]) == 0
         via_prefix = capsys.readouterr().out
         assert via_prefix == direct
 

@@ -10,7 +10,7 @@ from repro.health.config import HealthConfig
 from repro.health.flight import load_flight_bundle
 from repro.experiments.runner import run_experiment
 from repro.telemetry import TelemetryConfig
-from repro.telemetry.cli import main as telemetry_main
+from repro.cli import main as repro_main
 
 
 def small_config(**kw):
@@ -140,7 +140,7 @@ class TestFlightRecorder:
     def test_postmortem_cli_renders_the_bundle(self, tmp_path):
         _, flight = self.force_critical(tmp_path)
         out = io.StringIO()
-        from repro.health.cli import cmd_postmortem
+        from repro.cli import cmd_postmortem
 
         class Args:
             bundle = str(flight)
@@ -157,7 +157,7 @@ class TestFlightRecorder:
     def test_postmortem_cli_json_roundtrips(self, tmp_path):
         _, flight = self.force_critical(tmp_path)
         out = io.StringIO()
-        from repro.health.cli import cmd_postmortem
+        from repro.cli import cmd_postmortem
 
         class Args:
             bundle = str(flight)
@@ -171,4 +171,4 @@ class TestFlightRecorder:
     def test_postmortem_cli_rejects_a_non_bundle(self, tmp_path):
         bogus = tmp_path / "bogus.json"
         bogus.write_text('{"kind": "something-else"}\n')
-        assert telemetry_main(["postmortem", str(bogus)]) == 2
+        assert repro_main(["postmortem", str(bogus)]) == 2

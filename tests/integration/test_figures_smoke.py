@@ -11,11 +11,7 @@ import pytest
 
 from repro.experiments.configs import bench_config
 from repro.experiments.figure1 import run_figure1
-from repro.experiments.figure4 import run_figure4
-from repro.experiments.figure5 import run_figure5
-from repro.experiments.figure6 import run_figure6
-from repro.experiments.figure7 import run_figure7
-from repro.experiments.figure8 import run_figure8
+from repro.experiments.registry import get_experiment
 from repro.experiments.table3 import run_table3
 
 TINY = bench_config().with_(n=300, horizon=300.0, warmup=30.0, seed=5)
@@ -24,54 +20,57 @@ TINY = bench_config().with_(n=300, horizon=300.0, warmup=30.0, seed=5)
 class TestDynamicFigures:
     @pytest.fixture(scope="class")
     def fig4(self):
-        return run_figure4(TINY)
+        return get_experiment("figure4").run(TINY)
 
     def test_figure4_shape_metrics(self, fig4):
-        shape = fig4.check_shape()
+        shape = get_experiment("figure4").shape(fig4)
         assert shape["samples"] > 10
         assert shape["separation_factor"] > 1.0
 
     def test_figure4_renders(self, fig4):
-        out = fig4.render()
+        out = get_experiment("figure4").render(fig4)
         assert "Figure 4" in out and "super-layer" in out
 
     def test_figure5_runs_and_renders(self):
-        fig5 = run_figure5(TINY)
-        shape = fig5.check_shape()
+        figure5 = get_experiment("figure5")
+        fig5 = figure5.run(TINY)
+        shape = figure5.shape(fig5)
         # Smoke only: at n=300 over 300 units the capacity separation is
         # deep in sampling noise (few dozen supers, shift at t=150); the
         # real shape assertion lives in benchmarks/test_bench_figure5.py.
         assert shape["separation_pre_shift"] > 0.5
         assert shape["super_capacity_uplift"] > 0
-        assert "Figure 5" in fig5.render()
+        assert "Figure 5" in figure5.render(fig5)
 
     def test_figure6_runs_and_renders(self):
-        fig6 = run_figure6(TINY)
-        shape = fig6.check_shape()
+        figure6 = get_experiment("figure6")
+        fig6 = figure6.run(TINY)
+        shape = figure6.shape(fig6)
         assert shape["eta_target"] == TINY.eta
         assert shape["tail_ratio_mean"] > 0
-        assert "log" in fig6.render()
+        assert "log" in figure6.render(fig6)
 
 
 class TestComparisonFigures:
     @pytest.fixture(scope="class")
     def fig7(self):
-        return run_figure7(TINY)
+        return get_experiment("figure7").run(TINY)
 
     def test_figure7_shape_metrics(self, fig7):
-        shape = fig7.check_shape()
+        shape = get_experiment("figure7").shape(fig7)
         assert shape["dlm_ratio_mean"] > 0
         assert shape["pre_ratio_mean"] > 0
         assert 0.0 <= shape["dlm_success_rate"] <= 1.0
 
     def test_figure7_renders(self, fig7):
-        assert "preconfigured" in fig7.render()
+        assert "preconfigured" in get_experiment("figure7").render(fig7)
 
     def test_figure8_runs(self):
-        fig8 = run_figure8(TINY)
-        shape = fig8.check_shape()
+        figure8 = get_experiment("figure8")
+        fig8 = figure8.run(TINY)
+        shape = figure8.shape(fig8)
         assert shape["dlm_age_separation"] > 0
-        assert "Figure 8" in fig8.render()
+        assert "Figure 8" in figure8.render(fig8)
 
 
 class TestFigure1:

@@ -62,7 +62,7 @@ def test_run_path_does_not_import_networkx():
     src = os.path.dirname(os.path.dirname(repro.__file__))
     code = (
         "import sys, repro.experiments.runner, repro.experiments.sharded, "
-        "repro.experiments.cli; "
+        "repro.cli; "
         "assert 'networkx' not in sys.modules; "
         "from repro.analysis import backbone_connectivity; "
         "from repro.overlay import to_networkx; "

@@ -6,8 +6,7 @@ import json
 
 import pytest
 
-from repro.experiments.cli import main as repro_main
-from repro.telemetry.cli import main as telemetry_main
+from repro.cli import main as repro_main
 
 
 @pytest.fixture(scope="module")
@@ -79,7 +78,7 @@ def jsonl(tmp_path_factory):
 
 
 def _trace(capsys, jsonl, *flags):
-    assert telemetry_main(["trace", jsonl, *flags]) == 0
+    assert repro_main(["trace", jsonl, *flags]) == 0
     out = capsys.readouterr().out.strip()
     return [json.loads(line) for line in out.splitlines() if line]
 
@@ -109,7 +108,7 @@ class TestTrace:
 
 class TestStats:
     def test_text_summary(self, capsys, jsonl):
-        assert telemetry_main(["stats", jsonl]) == 0
+        assert repro_main(["stats", jsonl]) == 0
         out = capsys.readouterr().out
         assert "run: t (n=10, seed=1" in out
         assert "records: 4 (audit=3, transport=1)" in out
@@ -118,7 +117,7 @@ class TestStats:
         assert "run.execute: 0.500s over 1 call(s), 99 events" in out
 
     def test_json_summary(self, capsys, jsonl):
-        assert telemetry_main(["stats", jsonl, "--json"]) == 0
+        assert repro_main(["stats", jsonl, "--json"]) == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary["records"] == {"audit": 3, "transport": 1}
         assert summary["t_range"] == [10.0, 35.0]

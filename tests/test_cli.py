@@ -1,0 +1,243 @@
+"""The ``repro`` front door: flags reach the harness or are refused, one
+exit-code contract, documented command lines parse, and the run path
+imports no harness it does not run."""
+
+from __future__ import annotations
+
+import dataclasses
+import json
+import os
+import re
+import shlex
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from repro.cli import build_parser, main
+from repro.experiments import report
+from repro.experiments.registry import EXPERIMENTS
+from repro.protocol.faults import FaultPlan
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _capture_row(monkeypatch, exp_id):
+    """Swap a registry row's run for a recorder of what it received."""
+    calls = []
+
+    def run(config, **sweep):
+        calls.append((config, sweep))
+        return None
+
+    row = dataclasses.replace(
+        EXPERIMENTS[exp_id], run=run, shape=lambda r: {}, render=lambda r: ""
+    )
+    monkeypatch.setitem(EXPERIMENTS, exp_id, row)
+    return calls
+
+
+class TestFlagsReachTheHarness:
+    def test_table3_gets_the_built_config_as_base(self, monkeypatch, tmp_path):
+        calls = _capture_row(monkeypatch, "table3")
+        jsonl = str(tmp_path / "t3.jsonl")
+        argv = ["table3", "--seed", "9", "--loss", "0.05", "--family", "chord"]
+        argv += ["--shards", "2", "--audit-jsonl", jsonl]
+        assert main(argv) == 0
+        (config, sweep), = calls
+        assert config.seed == 9
+        assert config.faults == FaultPlan(loss_rate=0.05, latency_scale=0.0)
+        assert (config.family, config.shards) == ("chord", 2)
+        assert config.telemetry.jsonl_path == jsonl
+        assert sweep == {}  # the bench sweep
+
+    def test_table3_sizes_follow_n_and_full(self, monkeypatch):
+        calls = _capture_row(monkeypatch, "table3")
+        assert main(["table3", "--n", "200"]) == 0
+        assert main(["table3", "--full"]) == 0
+        assert calls[0][1] == {"sizes": (200,)}
+        assert calls[1][1] == {"sizes": EXPERIMENTS["table3"].paper_sizes}
+        assert calls[1][0].n == 50_000
+
+    @pytest.mark.parametrize(
+        "argv, want",
+        [
+            (["--n", "300", "--horizon", "200", "--seed", "5"], (300, 200.0, 5)),
+            (["--scale"], (100_000, 240.0, 2004)),
+            (["--full"], (50_000, 2000.0, 2004)),
+        ],
+    )
+    def test_report_gets_the_overridden_config(self, monkeypatch, capsys, argv, want):
+        seen = []
+        monkeypatch.setattr(
+            report, "generate_experiments_report", lambda cfg: seen.append(cfg) or ""
+        )
+        assert main(["report", *argv]) == 0
+        (cfg,) = seen
+        assert (cfg.n, cfg.horizon, cfg.seed) == want
+
+
+# Each entry: argv (with {tmp} for a scratch directory), expected exit code.
+_EXIT_CODES = [
+    (["list"], 0),
+    (["stats", "{tmp}/ok.jsonl"], 0),
+    (["trace", "{tmp}/ok.jsonl", "--limit", "1"], 0),
+    (["health", "{tmp}/healthy.jsonl"], 0),
+    (["health", "{tmp}/critical.jsonl"], 1),
+    (["health", "{tmp}/ok.jsonl"], 2),  # no health plane in the run
+    (["stats", "{tmp}/missing.jsonl"], 2),
+    (["trace", "{tmp}/torn.jsonl"], 2),
+    (["health", "{tmp}/torn.jsonl"], 2),
+    (["postmortem", "{tmp}/ok.jsonl"], 2),  # not a bundle
+    (["resume", "{tmp}/missing.ckpt"], 2),
+    (["resume", "{tmp}/junk.ckpt"], 2),
+    (["figure6", "--slo", "bogus_key=1"], 2),
+    (["figure6", "--checkpoint-path", "{tmp}/x.ckpt"], 2),
+    (["figure6", "--horizon", "50"], 2),  # not past the warm-up
+    (["table3", "--horizon", "100"], 2),
+    (["families", "--family", "chord"], 2),
+    (["figure_faults", "--loss", "0.1"], 2),
+    (["report", "--save", "{tmp}/out"], 2),
+    (["resume", "{tmp}/junk.ckpt", "--seed", "3"], 2),
+    (["profile", "scheduler", "--n", "500"], 2),
+    (["profile", "evaluate", "--sort", "tottime"], 2),
+    (["profile", "table3", "--horizon", "100"], 2),
+]
+
+
+@pytest.fixture
+def inputs(tmp_path):
+    def write(name, lines):
+        (tmp_path / name).write_text("".join(json.dumps(x) + "\n" for x in lines))
+
+    header = {"kind": "run", "name": "t", "n": 10, "seed": 1, "horizon": 50.0}
+    header["policy"] = "dlm"
+    audit = {"seq": 0, "t": 10.0, "kind": "audit", "pid": 1, "verdict": "promote"}
+    ticks = {"kind": "metrics", "t": 50.0, "data": {"health.ticks": 5}}
+    firing = {"kind": "health.ratio_drift", "t": 20.0, "severity": "critical"}
+    firing.update(value=1.0, threshold=0.5)
+    write("ok.jsonl", [header, audit])
+    write("healthy.jsonl", [header, ticks])
+    write("critical.jsonl", [header, firing, ticks])
+    (tmp_path / "torn.jsonl").write_text('{"kind":"run","name":"x"\n')
+    (tmp_path / "junk.ckpt").write_bytes(b"not a checkpoint\n")
+    return tmp_path
+
+
+@pytest.mark.parametrize("argv, code", _EXIT_CODES)
+def test_exit_code_contract(inputs, capsys, argv, code):
+    """0 OK; 1 only for a failed verdict; 2 for bad usage or input, which
+    is one ``error:`` line on stderr (argparse's own usage errors aside)."""
+    assert main([a.format(tmp=inputs) for a in argv]) == code
+    err = capsys.readouterr().err
+    if code == 2 and argv[0] != "health":
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+# -- documented command lines ------------------------------------------------
+
+_DOCS = (
+    "README.md",
+    "EXPERIMENTS.md",
+    "DESIGN.md",
+    "docs/ALGORITHM.md",
+    ".github/workflows/ci.yml",
+    ".claude/skills/verify/SKILL.md",
+)
+#: A command line: optional env assignments, then ``repro`` or
+#: ``python -m repro`` (a CI step may open with ``run:``).
+_COMMAND = re.compile(r"(?:run:\s+)?(?:[A-Z_]+=\S*\s+)*((?:python3? -m )?repro\s.*)")
+_SHELL_STOPS = {"|", "||", "&&", ";", ">", ">>", "2>&1"}
+
+
+def _doc_commands(name: str, text: str):
+    """Every ``repro`` command line in a doc: lines of code blocks (all of
+    a CI file) and inline code spans, backslash continuations joined."""
+    text = re.sub(r"\\\n\s*", " ", text)
+    if name.endswith(".yml"):
+        candidates = text.splitlines()
+    else:
+        fenced = re.compile(r"^```[^\n]*\n(.*?)^```", re.M | re.S)
+        candidates = [
+            line for block in fenced.findall(text) for line in block.splitlines()
+        ]
+        prose = fenced.sub("", text)
+        candidates += [" ".join(span.split()) for span in re.findall(r"`([^`]+)`", prose)]
+    for line in candidates:
+        match = _COMMAND.match(line.strip())
+        if match:
+            yield match.group(1).strip()
+
+
+def _argv(command: str):
+    tokens = shlex.split(command, comments=True)
+    while tokens[0] in ("python", "python3", "-m"):
+        tokens.pop(0)
+    assert tokens.pop(0) == "repro"
+    for i, token in enumerate(tokens):
+        if token in _SHELL_STOPS or token.startswith(("2>", ">")):
+            return tokens[:i]
+    return tokens
+
+
+def _documented():
+    found = []
+    for name in _DOCS:
+        for command in _doc_commands(name, (ROOT / name).read_text()):
+            found.append(pytest.param(command, id=f"{name}:{command[:60]}"))
+    return found
+
+
+_DOCUMENTED = _documented()
+
+
+def test_every_doc_documents_commands():
+    files = {p.id.split(":")[0] for p in _DOCUMENTED}
+    assert files == set(_DOCS)
+    assert len(_DOCUMENTED) >= 40
+
+
+@pytest.mark.parametrize("command", _DOCUMENTED)
+def test_documented_command_parses(command):
+    build_parser().parse_args(_argv(command))
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "repro figur6 --n 400",
+        "python -m repro figure6 --horizn 150",
+        "repro profile repair -n 500",
+        "repro --resume run.ckpt",
+    ],
+)
+def test_a_misspelt_command_fails_to_parse(command):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(_argv(command))
+
+
+def test_run_path_imports_no_harness():
+    """A bench child or a worker imports the runner and nothing it does
+    not run: no figure, sweep, report or registry, and no process pool."""
+    code = (
+        "import sys, repro.experiments.runner; "
+        "print('\\n'.join(sorted(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    ).stdout.split()
+    harnesses = ("figure", "table3", "sweeps", "tournament", "replication")
+    harnesses += ("warmstart", "report", "registry")
+    loaded = [
+        m
+        for m in out
+        if m.startswith(tuple(f"repro.experiments.{h}" for h in harnesses))
+        or m.startswith("concurrent.futures")
+    ]
+    assert loaded == []
