@@ -17,10 +17,11 @@ The run options are one parent parser shared by ``<id>``, ``report``,
 they become an ``ExperimentConfig``.  A command refuses an option it
 cannot honour rather than drop it.
 
-Exit codes: 0 OK; 1 the run's verdict failed (``repro health`` on an SLO
-failure); 2 bad usage or input -- an inapplicable option, a malformed
-``--slo``, an unreadable or corrupt checkpoint, a missing JSONL or
-shard, a torn line -- reported as one ``error: ...`` line on stderr.
+Exit codes: 0 OK; 1 the run or its health verdict failed (a shard
+worker died; ``repro health`` on an SLO failure); 2 bad usage or input
+-- an inapplicable option, a malformed ``--slo``, an unreadable or
+corrupt checkpoint, a missing JSONL or shard, a torn line.  A 1 for a
+failed run and every 2 are one ``error: ...`` line on stderr.
 Status lines go through :mod:`logging` on stderr (``-v``/``-q``);
 rendered figures and tables go to stdout, where they can be piped.
 """
@@ -378,6 +379,14 @@ def build_config(args):
     return cfg
 
 
+def _checked(exp, cfg):
+    """``cfg``, unless the artifact's own check refuses it."""
+    problem = exp.check(cfg) if exp.check is not None else None
+    if problem:
+        raise UsageError(problem)
+    return cfg
+
+
 def _sweep(exp, args, cfg) -> dict:
     """A size sweep's keywords: ``--n`` runs that one size and ``--full``
     the paper's sizes; otherwise the sweep keeps its own."""
@@ -395,7 +404,7 @@ def _cmd_run(args) -> int:
     """``repro <id>``: run one artifact, print its render and shape."""
     exp = args.exp
     _refuse(args, exp.ignores, exp.exp_id)
-    cfg = build_config(args)
+    cfg = _checked(exp, build_config(args))
     started = time.perf_counter()
     result = exp.run(cfg, **_sweep(exp, args, cfg))
     elapsed = time.perf_counter() - started
@@ -493,7 +502,7 @@ def _cmd_profile(args) -> int:
     exp = EXPERIMENTS.get(args.target)
     if exp is not None:
         _refuse(args, (*exp.ignores, "save", "events", "queries"), command)
-        cfg = build_config(args)
+        cfg = _checked(exp, build_config(args))
         sweep = _sweep(exp, args, cfg)
 
         def workload():
@@ -753,6 +762,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        from .experiments.sharded import ShardWorkerError
+
+        if not isinstance(exc, ShardWorkerError):
+            raise
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

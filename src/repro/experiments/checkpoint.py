@@ -21,10 +21,13 @@ The split of responsibilities is deliberate:
 
 :func:`capture_run_state` / :func:`restore_run_state` convert a wired
 :class:`~repro.experiments.runner.RunResult` to/from that plain-data
-form.  :class:`CheckpointManager` adds the durable envelope: a versioned
-header with a config hash (so a checkpoint cannot silently resume under
-a different experiment), atomic write-rename, and refusal on mismatch.
-:func:`resume_run` is the one-call entry point ``repro resume`` uses.
+form, and :func:`state_digest` hashes it per component.
+:func:`write_checkpoint` adds the durable envelope: a versioned header
+with a config hash (so a checkpoint cannot silently resume under a
+different experiment) and an atomic write-rename.  The run loop calls it
+at its barriers; :class:`CheckpointManager` reads and validates a file,
+and :func:`resume_run` is the one-call entry point ``repro resume``
+uses.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ __all__ = [
     "CheckpointManager",
     "capture_run_state",
     "restore_run_state",
+    "state_digest",
     "config_hash",
     "resume_run",
     "write_checkpoint",
@@ -82,7 +86,13 @@ __all__ = [
 #: byte anywhere or a truncated file is refused before any state is
 #: trusted (a v7 file, a bare pickle, could resume on altered bytes).
 #: The payload layout is v7's; v7 files have no such line and are refused.
-SCHEMA_VERSION = 8
+#: v9: one payload shape and no writer in the trajectory.  The run loop
+#: writes every K at a barrier, so the payload is always ``shard_states``
+#: (one entry when K = 1), never a lone single-system state; and the
+#: state no longer has an entry for an in-sim writer process, because
+#: writes no longer consume scheduler seqs or count as events.  v8 files
+#: are refused.
+SCHEMA_VERSION = 9
 #: First field of a checkpoint file's header line.
 _MAGIC = b"repro-checkpoint"
 
@@ -102,9 +112,8 @@ _HASH_EXCLUDED_FIELDS = frozenset(
 )
 
 
-#: Entries every payload carries besides its ``state`` (classic run) or
-#: ``shard_states`` (sharded run), and the entries of its header.
-_PAYLOAD_KEYS = frozenset({"header", "config", "scenario"})
+#: Entries every payload carries, and the entries of its header.
+_PAYLOAD_KEYS = frozenset({"header", "config", "scenario", "shard_states"})
 _HEADER_KEYS = frozenset(
     {"schema", "config_hash", "family", "policy", "time", "shards"}
 )
@@ -152,11 +161,6 @@ def capture_run_state(result) -> dict:
         "directory": (
             None if result.directory is None else result.directory.snapshot()
         ),
-        "checkpoint_process": (
-            None
-            if result.checkpoint_process is None
-            else result.checkpoint_process.snapshot()
-        ),
         "telemetry": ctx.telemetry.snapshot(),
         "health": (
             None
@@ -165,6 +169,22 @@ def capture_run_state(result) -> dict:
         ),
     }
     return state
+
+
+def state_digest(result) -> dict:
+    """``{component: sha256}`` over :func:`capture_run_state`.
+
+    Two runs on the same trajectory have equal digests component by
+    component, whatever code produced them, so a refactor that must not
+    move a draw proves it here.  The telemetry component leaves out its
+    span aggregates: wall-clock performance data, never trajectory.
+    """
+    state = capture_run_state(result)
+    state["telemetry"].pop("spans", None)
+    return {
+        name: hashlib.sha256(pickle.dumps(value, protocol=4)).hexdigest()
+        for name, value in state.items()
+    }
 
 
 def restore_run_state(result, state: dict, *, restore_rng: bool = True) -> None:
@@ -202,8 +222,6 @@ def restore_run_state(result, state: dict, *, restore_rng: bool = True) -> None:
         # Routers keep derived lookup state (backbone snapshot, provider
         # registry) maintained by listeners restore never fires.
         result.workload.router.resync()
-    if result.checkpoint_process is not None and state["checkpoint_process"]:
-        result.checkpoint_process.restore(state["checkpoint_process"], sim)
     # Absent in pre-telemetry checkpoints; restore() itself tolerates a
     # disabled-mode snapshot (fresh buffers) and a disabled plane ignores
     # everything, so every old/new combination resumes cleanly.
@@ -224,16 +242,15 @@ def write_checkpoint(
     *,
     policy: str,
     time: float,
-    **body,
+    shard_states: list,
 ) -> None:
     """Durably replace the file at ``path`` with one checkpoint envelope.
 
     The one place that knows the file format: the versioned header, the
-    config and scenario, then the caller's ``body`` -- ``state=`` for a
-    classic run, ``shard_states=`` (index order) for a sharded one; the
-    header's ``shards`` count says which to expect.  The pickled payload
-    follows a header line carrying its SHA-256.  The file lands in a
-    sibling temp file first and moves into place with
+    config and scenario, then ``shard_states`` -- one captured state per
+    shard in index order, a single entry when ``config.shards == 1``.
+    The pickled payload follows a header line carrying its SHA-256.  The
+    file lands in a sibling temp file first and moves into place with
     :func:`os.replace`, so a crash mid-write leaves the previous
     checkpoint intact, never a torn file.
     """
@@ -248,7 +265,7 @@ def write_checkpoint(
         },
         "config": config,
         "scenario": scenario,
-        **body,
+        "shard_states": shard_states,
     }
     body = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
     digest = hashlib.sha256(body).hexdigest().encode()
@@ -260,34 +277,8 @@ def write_checkpoint(
 
 
 class CheckpointManager:
-    """Durable checkpoint files with a versioned, validated envelope."""
+    """Reading side of the envelope :func:`write_checkpoint` writes."""
 
-    def __init__(
-        self,
-        path: str,
-        config: ExperimentConfig,
-        *,
-        scenario: Optional[Scenario] = None,
-    ) -> None:
-        self.path = path
-        self.config = config
-        self.scenario = scenario
-        self.writes = 0
-
-    # -- writing --------------------------------------------------------------
-    def write(self, result) -> None:
-        """Capture ``result`` and durably replace the file at ``path``."""
-        write_checkpoint(
-            self.path,
-            self.config,
-            self.scenario,
-            policy=result.policy.name,
-            time=result.ctx.sim.now,
-            state=capture_run_state(result),
-        )
-        self.writes += 1
-
-    # -- reading --------------------------------------------------------------
     @staticmethod
     def load(path: str) -> dict:
         """Read, verify and structurally validate a checkpoint payload.
@@ -329,7 +320,7 @@ class CheckpointManager:
         if not (
             isinstance(payload, dict)
             and _PAYLOAD_KEYS <= payload.keys()
-            and ("state" in payload or "shard_states" in payload)
+            and isinstance(payload["shard_states"], list)
             and _HEADER_KEYS <= payload["header"].keys()
         ):
             raise CheckpointError(f"checkpoint {path!r} is missing entries")
@@ -369,8 +360,9 @@ def resume_run(
     policy_factory=None,
     telemetry=None,
     health=None,
+    workers: Optional[int] = None,
 ):
-    """Rebuild the checkpointed system and run it to the horizon.
+    """Rebuild the checkpointed systems and run them to the horizon.
 
     ``checkpoint`` is a file path or a payload
     :meth:`CheckpointManager.load` already read.  The checkpoint's own
@@ -382,11 +374,13 @@ def resume_run(
     resumed with it (and vice versa); when the checkpoint carries
     telemetry state the resumed plane continues its record stream
     seamlessly.  ``health`` overrides the checkpointed health settings
-    under the same hash-excluded contract.
+    under the same hash-excluded contract.  The run loop resumes from
+    the barrier the checkpoint recorded, on any ``workers`` count
+    (execution-only, like everywhere else).
     """
-    # Runner imports this module for the periodic writer; import lazily
-    # to keep the module graph acyclic at import time.
-    from .runner import default_policy_factory, run_experiment
+    # The loop imports this module for the writer; import lazily to keep
+    # the module graph acyclic at import time.
+    from .sharded import execute
 
     if isinstance(checkpoint, dict):
         payload = checkpoint
@@ -405,17 +399,11 @@ def resume_run(
     if health is not None:
         config = config.with_(health=health)
     CheckpointManager.validate(payload, config)
-    if "shard_states" in payload:
-        # A sharded (schema-v6, shards > 1) checkpoint: the window loop
-        # resumes from the recorded barrier, under any worker count.
-        from .sharded import resume_sharded_run
-
-        return resume_sharded_run(
-            payload, config, policy_factory=policy_factory
-        )
-    return run_experiment(
+    return execute(
         config,
-        policy_factory=policy_factory or default_policy_factory,
-        scenario=payload["scenario"],
-        resume_from=payload,
+        policy_factory,
+        payload["scenario"],
+        workers=workers,
+        t_start=payload["header"]["time"],
+        states=payload["shard_states"],
     )

@@ -86,11 +86,13 @@ class ExperimentConfig:
     #: Trajectory-determining, so it participates in the checkpoint
     #: config hash (and the checkpoint header records it explicitly).
     family: str = "superpeer"
-    #: Write a checkpoint every this many time units (None: no writer).
-    #: Excluded from the checkpoint-compat config hash: changing the
-    #: writing cadence never changes the simulated trajectory.
+    #: Checkpoint cadence: the run loop writes at the first barrier at or
+    #: after each multiple of this many time units (None: no writes).
+    #: Excluded from the checkpoint-compat config hash: the loop writes
+    #: from outside the simulation, so the cadence never changes the
+    #: trajectory.
     checkpoint_every: Optional[float] = None
-    #: Where the periodic writer puts its checkpoint (required with
+    #: Where the loop puts its checkpoint (required with
     #: ``checkpoint_every``); also excluded from the config hash.
     checkpoint_path: Optional[str] = None
     #: Telemetry plane settings (None: disabled, the zero-overhead
@@ -104,7 +106,7 @@ class ExperimentConfig:
     #: ``telemetry`` it is excluded from the checkpoint config hash.
     health: Optional[HealthConfig] = None
     #: Number of logical shards the population partitions into.  1 (the
-    #: default) runs the classic single-process engine.  K > 1 runs K
+    #: default) is one system, the run loop's one-shard case.  K > 1 runs K
     #: regional sub-overlays coupled only through the shard-link mailbox
     #: protocol (see :mod:`repro.experiments.sharded`).  Like ``seed``,
     #: the shard count is a *model* parameter -- it determines the

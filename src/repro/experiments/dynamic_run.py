@@ -12,7 +12,7 @@ it to keep measurements honest.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -34,6 +34,7 @@ __all__ = [
     "tail_start",
     "figure4_shape",
     "figure4_render",
+    "figure5_check",
     "figure5_shape",
     "figure5_render",
     "figure6_shape",
@@ -123,6 +124,21 @@ def figure4_render(run: DynamicRun) -> str:
     )
 
 
+def figure5_check(cfg: ExperimentConfig) -> Optional[str]:
+    """Why ``cfg`` cannot produce Figure 5, or None when it can.
+
+    The pre-shift window runs from the warm-up to the capacity shift at
+    half the horizon, so the horizon must exceed twice the warm-up.
+    """
+    if cfg.warmup >= 0.5 * cfg.horizon:
+        return (
+            f"figure5 needs a horizon above {2 * cfg.warmup:g} (twice the "
+            f"warm-up), got {cfg.horizon:g}: its pre-shift window runs from "
+            "the warm-up to the capacity shift at half the horizon"
+        )
+    return None
+
+
 def figure5_shape(run: DynamicRun) -> Dict[str, float]:
     """Figure 5: capacity separation, ordering, and post-shift uplift.
 
@@ -134,8 +150,11 @@ def figure5_shape(run: DynamicRun) -> Dict[str, float]:
     paper's idealized 'always larger').
     """
     cfg = run.result.config
-    t0 = tail_start(cfg)
     shift = run.capacity_shift_at
+    # The steady tail when it starts before the shift, else all of the
+    # post-warm-up stretch before it (figure5_check guarantees one).
+    t0 = tail_start(cfg)
+    t0 = t0 if t0 < shift else cfg.warmup
     recovery = shift + 0.6 * (cfg.horizon - shift)
     sup = run.result.series["super_mean_capacity"]
     leaf = run.result.series["leaf_mean_capacity"]

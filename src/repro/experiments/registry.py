@@ -24,6 +24,7 @@ from .comparison_run import (
 from .dynamic_run import (
     figure4_render,
     figure4_shape,
+    figure5_check,
     figure5_render,
     figure5_shape,
     figure6_render,
@@ -62,6 +63,9 @@ class Experiment:
     paper_sizes: Tuple[int, ...] = ()
     #: Run options the harness sets itself, so the CLI refuses them.
     ignores: Tuple[str, ...] = ()
+    #: ``check(config)``: why the config cannot produce the artifact (the
+    #: CLI refuses it before running), or None.
+    check: Optional[Callable[[Any], Optional[str]]] = None
     #: ``repro report`` runs the artifact to at most this horizon.
     report_horizon: Optional[float] = None
 
@@ -129,6 +133,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
             run_dynamic_scenario,
             figure5_shape,
             figure5_render,
+            check=figure5_check,
             claim=(
                 "'DLM adaptively promotes the peers with large-capacities to "
                 "super-layers and the average capacity value of super-layer "
@@ -234,8 +239,9 @@ EXPERIMENTS: Dict[str, Experiment] = {
                 "numbers too."
             ),
             paper_sizes=PAPER_SIZES,
-            # Each size runs to settle + window.
-            ignores=("horizon",),
+            # Each size runs to settle + window on a single-engine
+            # harness that steps its run by hand.
+            ignores=("horizon", "shards"),
         ),
         Experiment(
             "figure_faults",
@@ -244,8 +250,9 @@ EXPERIMENTS: Dict[str, Experiment] = {
             run_figure_faults,
             FigureFaultsResult.check_shape,
             FigureFaultsResult.render,
-            # The sweep's cells are the loss x latency grid.
-            ignores=("loss", "latency_scale"),
+            # The sweep's cells are the loss x latency grid, and each
+            # cell reads its one system's ledger.
+            ignores=("loss", "latency_scale", "shards"),
         ),
         Experiment(
             "families",
@@ -254,8 +261,8 @@ EXPERIMENTS: Dict[str, Experiment] = {
             run_figure_families,
             FigureFamiliesResult.check_shape,
             FigureFamiliesResult.render,
-            # The sweep runs every family.
-            ignores=("family",),
+            # The sweep runs every family and reads each run's system.
+            ignores=("family", "shards"),
         ),
     )
 }

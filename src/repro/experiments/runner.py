@@ -1,9 +1,11 @@
 """The experiment runner: composition root for one simulated run.
 
 Wires a full system -- engine, overlay, churn, layer policy, samplers,
-optional search plane -- from an :class:`ExperimentConfig`, runs it to
-the horizon, and returns a :class:`RunResult` with every recorded
-artifact.  All figure/table harnesses and examples run through here.
+optional search plane -- from an :class:`ExperimentConfig` and returns a
+:class:`RunResult` with every recorded artifact.  Executing it is the
+barrier loop's job (:mod:`repro.experiments.sharded`), for one system
+and for K shards alike.  All figure/table harnesses and examples run
+through here.
 """
 
 from __future__ import annotations
@@ -29,14 +31,13 @@ from ..search.index import ContentDirectory
 from ..search.workload import QueryWorkload
 from ..sim.processes import PeriodicProcess
 from ..telemetry import (
-    ProgressReporter,
     TelemetryConfig,
     attach_transport_trace,
     bind_standard_producers,
-    export_run,
+    export_run,  # noqa: F401 -- bench/trace.py patches it here by name
     telemetry_from_config,
 )
-from .checkpoint import CheckpointManager, restore_run_state
+from .checkpoint import restore_run_state
 from .configs import ExperimentConfig
 
 __all__ = ["RunResult", "run_experiment", "default_policy_factory"]
@@ -57,9 +58,9 @@ class RunResult:
     maintenance_process: PeriodicProcess = None  # set by run_experiment
     workload: Optional[QueryWorkload] = None
     directory: Optional[ContentDirectory] = None
-    checkpoint_manager: Optional[CheckpointManager] = None
-    checkpoint_process: Optional[PeriodicProcess] = None
     health_monitor: Optional["HealthMonitor"] = None
+    #: Checkpoints the run loop wrote at its barriers.
+    checkpoint_writes: int = 0
 
     @property
     def overlay(self):
@@ -105,39 +106,50 @@ def run_experiment(
 ) -> "RunResult":
     """Wire and (by default) execute one run to ``config.horizon``.
 
-    With ``run=False`` the caller receives the fully wired system before
-    any event fires -- used by tests that want to single-step.
+    Execution is the barrier loop's (:func:`repro.experiments.sharded
+    .execute`): it wires ``config.shards`` systems through this function
+    with ``run=False`` and drives them to the horizon.  K = 1 is its
+    one-shard case and returns that system's :class:`RunResult`; K > 1
+    returns a :class:`~repro.experiments.sharded.ShardedRunResult` --
+    same ``config``/``series`` surface, no single ``ctx``.
 
-    ``resume_from`` takes a checkpoint payload (at least its ``"state"``
-    entry): the system is wired exactly as for a fresh run -- which
-    re-derives all listeners, handlers, and process tokens -- then the
-    captured state replaces the fresh state before the run continues.
-    ``fresh_rng_domain`` (warm-start forks) keeps the checkpoint's RNG
+    With ``run=False`` the caller receives the fully wired system before
+    any event fires -- used by tests and harnesses that single-step.
+
+    ``resume_from`` takes ``{"state": capture_run_state(...)}``: the
+    system is wired exactly as for a fresh run -- which re-derives all
+    listeners, handlers, and process tokens -- then the captured state
+    replaces the fresh state before the run continues.
+    ``fresh_rng_domain`` (warm-start forks) keeps the captured RNG
     streams *out*: the wired system draws from the given RNG domain
     instead, so forked futures are independent of the prefix's draws.
 
-    ``populate=False`` wires the system without seeding its population
-    -- the sharded resume path, which restores captured state *after*
-    attaching its own shard-plane processes so their wiring order (and
-    hence process tokens) matches a fresh sharded run.
-
-    ``config.shards > 1`` dispatches the whole run to the sharded
-    engine (:mod:`repro.experiments.sharded`) and returns its
-    :class:`~repro.experiments.sharded.ShardedRunResult` -- same
-    ``config``/``series`` surface, no single ``ctx``.
+    ``populate=False`` wires without seeding the population: the loop's
+    resume path, which restores captured state *after* attaching a
+    shard's mailbox processes so their wiring order (and hence process
+    tokens) matches a fresh run.
     """
-    if config.shards > 1:
-        if not run or resume_from is not None or fresh_rng_domain is not None:
-            raise ValueError(
-                "sharded configs (shards > 1) support neither run=False, "
-                "direct resume_from, nor warm-start forks through "
-                "run_experiment; use repro.experiments.sharded entry "
-                "points (resume goes through resume_run)"
-            )
-        from .sharded import run_sharded_experiment
+    if config.shards > 1 and (
+        not run or resume_from is not None or fresh_rng_domain is not None
+    ):
+        raise ValueError(
+            "run=False, resume_from and warm-start forks wire one system; "
+            "a sharded config (shards > 1) only runs through the loop "
+            "(resume it from its checkpoint with resume_run)"
+        )
+    if run:
+        from .sharded import execute
 
-        return run_sharded_experiment(
-            config, policy_factory=policy_factory, scenario=scenario
+        if resume_from is None:
+            return execute(config, policy_factory, scenario)
+        state = resume_from["state"]
+        return execute(
+            config,
+            policy_factory,
+            scenario,
+            t_start=state["sim"]["clock"],
+            states=[{"run": state}],
+            fresh_rng_domain=fresh_rng_domain,
         )
     telemetry_cfg = config.telemetry
     if telemetry_cfg is None and config.health is not None:
@@ -226,45 +238,8 @@ def run_experiment(
         health_monitor=health_monitor,
     )
 
-    if config.checkpoint_every is not None:
-        manager = CheckpointManager(
-            config.checkpoint_path, config, scenario=scenario
-        )
-        result.checkpoint_manager = manager
-        result.checkpoint_process = PeriodicProcess(
-            ctx.sim,
-            config.checkpoint_every,
-            lambda sim, now: manager.write(result),
-            start=config.checkpoint_every,
-            kind="checkpoint_write",
-        )
-
     if resume_from is not None:
         restore_run_state(
             result, resume_from["state"], restore_rng=fresh_rng_domain is None
         )
-
-    if run:
-        reporter = None
-        if telemetry.enabled and telemetry.config.progress_every is not None:
-            reporter = ProgressReporter(
-                ctx.sim,
-                horizon=config.horizon,
-                every=telemetry.config.progress_every,
-                label=config.name,
-            ).attach()
-        try:
-            with telemetry.span("run.execute"):
-                ctx.sim.run(until=config.horizon)
-        except Exception as exc:
-            # The flight recorder's crash half: dump the postmortem
-            # bundle (record/audit tails, scheduler state) before the
-            # exception propagates.
-            if health_monitor is not None:
-                health_monitor.crash_dump(exc)
-            raise
-        finally:
-            if reporter is not None:
-                reporter.detach()
-        export_run(result)
     return result

@@ -1,49 +1,35 @@
-"""The sharded engine: conservative parallel execution of one run.
+"""The run loop: every run executes here, one system or K shards.
 
-``ExperimentConfig.shards = K > 1`` turns a run into a federation of K
-*logical shards*.  Each shard is a complete sub-system -- its own
-calendar-wheel :class:`~repro.sim.scheduler.Simulator`, named RNG
-streams rooted at :func:`~repro.sim.shard.shard_seed`, its own columnar
-peer-store slice, churn driver, DLM policy, and sampler -- built by the
-same composition root as a classic run (:func:`run_experiment` with
-``run=False``).  Shards interact only through the timestamped mailbox
-protocol of :mod:`repro.sim.shard`: a periodic ring gossip carries each
-shard's layer-aggregate summary to its successor over the shard-link
-latency model, and every delivery is merged deterministically by the
-``(arrival, origin_shard, origin_seq)`` total order.
+``run_experiment(config)`` wires ``K = config.shards`` systems and
+drives them through one barrier loop (:func:`execute`), which also owns
+checkpoints (written at barriers, after routing *and* delivery, so no
+message is in transit), run-level progress, every shard's crash bundle
+when a window raises, and the telemetry export.  K = 1 is its one-shard
+case: ``shard_config(config, 0)`` is ``config`` itself, there is no
+mailbox, the result is the system's :class:`~repro.experiments.runner
+.RunResult`, and its barriers (the sample grid) only pause the simulator
+between events, which cannot move the trajectory.
 
-Execution is windowed conservative PDES.  The lookahead window is the
-link model's exact ``min_delay()``; shards advance window by window and
-exchange mailboxes at each barrier, which the module docstring of
-:mod:`repro.sim.shard` proves is always in time.  The window loop runs
-either serially in-process or across long-lived worker processes
-(``--workers`` / ``REPRO_WORKERS``); by construction the two layouts
-are **bit-identical** -- every shard's trajectory is a pure function of
-``(config, shard index, scenario, merged inboxes)`` and the merge key
-erases worker scheduling -- which is the parity discipline the tests
-and the CI smoke job gate on.  The logical shard count K, by contrast,
-is a *model* parameter like ``seed``: K = 1 is exactly the classic
-engine (the runner never even dispatches here), and different K are
-different (equally valid) trajectories of the same experiment, so K
-participates in the checkpoint config hash.
-
-Global metrics come from exact reduction, not averaging: each shard
-logs its raw big-int aggregate rows per sample tick
-(:class:`~repro.metrics.shardstats.ShardSampleLog`) and the parent sums
-them with :func:`~repro.metrics.shardstats.reduce_sample_logs`, so the
-reduced layer series are bit-equal to a single sampler scanning the
-union population, regardless of worker layout or reduction order.
-
-Checkpoints (schema v6) are written only at window barriers, after
-routing *and* delivery: in-flight messages are then already scheduled
-in their destination shard's queue, so the canonical file is just the
-K per-shard states plus the envelope -- and a resume is free to use
-any worker count.
+K > 1 is a federation of *logical shards*, each a complete sub-system
+(scheduler, RNG streams rooted at :func:`~repro.sim.shard.shard_seed`,
+peer-store slice, churn driver, policy, sampler) built by the same
+composition root.  Shards interact only through the timestamped mailbox
+of :mod:`repro.sim.shard`: a ring gossip carries each shard's aggregate
+summary to its successor over the shard-link latency model, merged by
+the ``(arrival, origin_shard, origin_seq)`` total order.  Execution is
+conservative PDES with the link model's exact ``min_delay()`` as the
+window, serially in-process or across worker processes (``--workers``);
+the two layouts are **bit-identical** by construction, while K itself
+is a *model* parameter in the checkpoint config hash.  Global series
+come from exact big-int reduction of each shard's per-tick aggregate
+rows (:func:`~repro.metrics.shardstats.reduce_sample_logs`), bit-equal
+to one sampler over the union population.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import multiprocessing
 import time
 import traceback
@@ -71,14 +57,17 @@ from .checkpoint import (
     write_checkpoint,
 )
 from .configs import ExperimentConfig
+from .runner import RunResult, default_policy_factory, run_experiment
 
 __all__ = [
     "GOSSIP_INTERVAL",
+    "SystemRun",
     "ShardRun",
     "ShardPlaneStats",
     "ShardedRunResult",
+    "ShardWorkerError",
+    "execute",
     "run_sharded_experiment",
-    "resume_sharded_run",
 ]
 
 #: Simulated-time period of the ring gossip each shard sends its
@@ -93,12 +82,15 @@ def _suffix_path(path: Optional[str], index: int) -> Optional[str]:
 def shard_config(config: ExperimentConfig, index: int) -> ExperimentConfig:
     """The sub-config shard ``index`` of ``config`` is wired from.
 
-    A shard is a classic single-engine run over its population slice:
-    ``shards`` collapses to 1 (the composition root must not recurse),
-    the seed is the shard's derived root, checkpointing moves up to the
-    plane (barrier-aligned, one canonical file), and telemetry export
-    paths get a per-shard suffix so K exporters never collide.
+    With one shard that is ``config`` itself.  Otherwise a shard is a
+    one-system run over its population slice: ``shards`` collapses to 1
+    (the composition root must not recurse), the seed is the shard's
+    derived root, checkpointing stays with the loop (barrier-aligned,
+    one canonical file), and telemetry export and flight-recorder paths
+    get a per-shard suffix so K writers never collide.
     """
+    if config.shards == 1:
+        return config
     sizes = partition_counts(config.n, config.shards)
     telemetry = config.telemetry
     if telemetry is not None:
@@ -106,13 +98,9 @@ def shard_config(config: ExperimentConfig, index: int) -> ExperimentConfig:
             telemetry,
             jsonl_path=_suffix_path(telemetry.jsonl_path, index),
             chrome_trace_path=_suffix_path(telemetry.chrome_trace_path, index),
-            # K interleaved stderr reporters are noise; the plane's
-            # barrier loop reduces to run-level WindowProgress lines.
-            progress_every=None,
         )
     health = config.health
     if health is not None and health.flight_path is not None:
-        # K flight recorders must never clobber one shared bundle path.
         health = dataclasses.replace(
             health, flight_path=_suffix_path(health.flight_path, index)
         )
@@ -129,15 +117,12 @@ def shard_config(config: ExperimentConfig, index: int) -> ExperimentConfig:
     )
 
 
-class ShardRun:
-    """One logical shard: a full sub-system plus its mailbox endpoint.
+class SystemRun:
+    """One wired system the loop drives window by window.
 
-    Wiring order is part of the determinism contract: the classic
-    composition root runs first (assigning the same process tokens as
-    any classic run), then the shard plane attaches its gossip process
-    and sample listeners.  The resume path wires identically (with
-    ``populate=False``) and only then restores captured state, so
-    process tokens and handler registrations always line up.
+    This is the whole of a K = 1 run; :class:`ShardRun` adds the mailbox
+    plane for K > 1.  The ``run.execute`` span opens in :meth:`start`
+    and closes in :meth:`finish`, so it covers every window once.
     """
 
     def __init__(
@@ -145,31 +130,90 @@ class ShardRun:
         config: ExperimentConfig,
         index: int,
         *,
-        policy_factory=None,
+        policy_factory=default_policy_factory,
         scenario: Optional[Scenario] = None,
         populate: bool = True,
+        fresh_rng_domain: Optional[int] = None,
     ) -> None:
-        from .runner import default_policy_factory, run_experiment
-
         self.index = index
-        self.nshards = config.shards
-        self.link = config.shard_link_model()
-        lookahead = self.link.min_delay()
-        sub = shard_config(config, index)
-        self.result = run_experiment(
-            sub,
-            policy_factory=policy_factory or default_policy_factory,
+        self.result: RunResult = run_experiment(
+            shard_config(config, index),
+            policy_factory=policy_factory,
             scenario=scenario,
             run=False,
             populate=populate,
+            fresh_rng_domain=fresh_rng_domain,
         )
+        self._restore_rng = fresh_rng_domain is None
+        self.telemetry = self.result.ctx.telemetry
+        self._execute_span = self.telemetry.span("run.execute")
+
+    def start(self, state: Optional[Mapping[str, Any]] = None) -> None:
+        """Adopt captured state (a resume), then open ``run.execute``."""
+        if state is not None:
+            self.restore_state(state)
+        self._execute_span.__enter__()
+
+    # -- window execution ----------------------------------------------------
+    def advance(self, until: float) -> int:
+        """Execute one window; returns events delivered."""
+        sim = self.result.ctx.sim
+        before = sim.events_processed
+        sim.run(until=until)
+        return sim.events_processed - before
+
+    def drain(self) -> List[ShardMessage]:
+        """The window's outbound messages: none without a mailbox."""
+        return []
+
+    def deliver(self, inbox: Sequence[ShardMessage]) -> int:
+        """Nothing arrives without a mailbox."""
+        return 0
+
+    # -- checkpoint state ----------------------------------------------------
+    def snapshot_state(self) -> Dict[str, Any]:
+        """This system's complete barrier state, as plain data."""
+        return {"run": capture_run_state(self.result)}
+
+    def restore_state(self, state: Mapping[str, Any]) -> None:
+        """Adopt captured state into this freshly wired (unpopulated) system."""
+        restore_run_state(self.result, state["run"], restore_rng=self._restore_rng)
+
+    # -- the epilogue --------------------------------------------------------
+    def crash(self, exc: BaseException) -> None:
+        """Write the flight recorder's crash bundle (if one is configured)."""
+        if self.result.health_monitor is not None:
+            self.result.health_monitor.crash_dump(exc)
+
+    def finish(self, wall_time: float):
+        """Close ``run.execute``, export telemetry; returns the result."""
+        self._execute_span.__exit__(None, None, None)
+        export_run(self.result)
+        return self.result
+
+
+class ShardRun(SystemRun):
+    """One logical shard: a full sub-system plus its mailbox endpoint.
+
+    Wiring order is part of the determinism contract: the composition
+    root runs first (assigning the same process tokens as any one-system
+    run), then the shard plane attaches its gossip process and sample
+    listeners.  The resume path wires identically (with
+    ``populate=False``) and only then restores captured state, so
+    process tokens and handler registrations always line up.
+    """
+
+    def __init__(self, config: ExperimentConfig, index: int, **wiring) -> None:
+        super().__init__(config, index, **wiring)
+        self.nshards = config.shards
+        self.link = config.shard_link_model()
+        lookahead = self.link.min_delay()
         sim = self.result.ctx.sim
         self.shard = ShardContext(sim, index, config.shards, lookahead)
         self._link_rng = sim.rng.get("shard-link")
         #: Last population each shard reported (own entry kept live).
         self.view: List[int] = [0] * config.shards
         self.busy_wall = 0.0
-        self.telemetry = self.result.ctx.telemetry
         if self.telemetry.enabled:
             reg = self.telemetry.registry
             reg.gauge("shard.index").set(index)
@@ -244,7 +288,7 @@ class ShardRun:
     def snapshot_state(self) -> Dict[str, Any]:
         """This shard's complete barrier state, as plain data."""
         return {
-            "run": capture_run_state(self.result),
+            **super().snapshot_state(),
             "shard": self.shard.snapshot(),
             "gossip_process": self.gossip_process.snapshot(),
             "view": list(self.view),
@@ -253,7 +297,7 @@ class ShardRun:
 
     def restore_state(self, state: Mapping[str, Any]) -> None:
         """Adopt captured state into this freshly wired (unpopulated) shard."""
-        restore_run_state(self.result, state["run"])
+        super().restore_state(state)
         self.shard.restore(state["shard"])
         self.gossip_process.restore(
             state["gossip_process"], self.result.ctx.sim
@@ -262,17 +306,17 @@ class ShardRun:
         self.sample_log.restore(state["sample_log"])
 
     # -- completion ----------------------------------------------------------
-    def finish_payload(self, wall_time: float) -> Dict[str, Any]:
+    def finish(self, wall_time: float) -> Dict[str, Any]:
         """Reduced, picklable final artifacts (also exports telemetry)."""
-        result = self.result
-        agg = result.ctx.overlay.aggregates
         idle = 0.0
         if wall_time > 0:
             idle = max(0.0, 1.0 - self.busy_wall / wall_time)
+        if self._idle_gauge is not None:
+            self._idle_gauge.set(idle)
+        result = super().finish(wall_time)
+        agg = result.ctx.overlay.aggregates
         spans = None
         if self.telemetry.enabled:
-            self._idle_gauge.set(idle)
-            export_run(result)
             spans = list(self.telemetry.spans.intervals())
         return {
             "index": self.index,
@@ -345,6 +389,19 @@ class ShardedRunResult:
         return None
 
 
+class ShardWorkerError(RuntimeError):
+    """A shard worker process died without reporting an error."""
+
+    def __init__(self, shards: Sequence[int], exitcode: Optional[int]) -> None:
+        self.shards = tuple(shards)
+        self.exitcode = exitcode
+        names = ", ".join(str(k) for k in self.shards)
+        super().__init__(
+            f"the worker running shard(s) {names} died with exit code "
+            f"{exitcode} without reporting an error"
+        )
+
+
 # ---------------------------------------------------------------------------
 # Executors: the same barrier protocol, in-process or across processes
 # ---------------------------------------------------------------------------
@@ -358,23 +415,24 @@ def _route(messages: Sequence[ShardMessage], nshards: int) -> List[List[ShardMes
 
 
 class _SerialExecutor:
-    """All K shards in this process; the reference executor."""
+    """Shards in this process: the reference executor, and each worker's."""
 
-    def __init__(self, config, policy_factory, scenario, resume_states) -> None:
-        populate = resume_states is None
-        self.runs = [
-            ShardRun(
+    def __init__(
+        self, config, shard_ids, policy_factory, scenario, states, fresh_rng_domain
+    ) -> None:
+        cls = ShardRun if config.shards > 1 else SystemRun
+        self.runs = []
+        for k in shard_ids:
+            run = cls(
                 config,
                 k,
                 policy_factory=policy_factory,
                 scenario=scenario,
-                populate=populate,
+                populate=states is None,
+                fresh_rng_domain=fresh_rng_domain,
             )
-            for k in range(config.shards)
-        ]
-        if resume_states is not None:
-            for run, state in zip(self.runs, resume_states):
-                run.restore_state(state)
+            run.start(None if states is None else states[k])
+            self.runs.append(run)
         self.policy_name = self.runs[0].result.policy.name
 
     def advance(self, t_end: float) -> tuple:
@@ -385,68 +443,50 @@ class _SerialExecutor:
             outgoing.extend(run.drain())
         return outgoing, events
 
-    def deliver(self, inboxes: List[List[ShardMessage]]) -> None:
+    def deliver(self, inboxes) -> None:
         for run in self.runs:
             run.deliver(inboxes[run.index])
 
-    def capture(self) -> List[dict]:
-        return [run.snapshot_state() for run in self.runs]
+    def capture(self) -> Dict[int, dict]:
+        return {run.index: run.snapshot_state() for run in self.runs}
 
-    def finish(self, wall: float) -> List[dict]:
-        return [run.finish_payload(wall) for run in self.runs]
+    def crash(self, exc: BaseException) -> None:
+        for run in self.runs:
+            run.crash(exc)
+
+    def finish(self, wall: float) -> dict:
+        return {run.index: run.finish(wall) for run in self.runs}
 
     def close(self) -> None:
         pass
 
 
 def _shard_worker(conn, config, policy_factory, scenario, shard_ids, states):
-    """Worker-process main loop: build assigned shards, serve barriers.
+    """Worker-process main loop: a serial executor behind a pipe.
 
     Everything a worker needs is a pure function of its arguments, and
     everything it returns crosses the pipe as plain data -- the same
-    contract as :mod:`repro.experiments.parallel`.
+    contract as :mod:`repro.experiments.parallel`.  On any failure the
+    worker writes its shards' crash bundles before it reports.
     """
+    local = None
     try:
-        runs = {
-            k: ShardRun(
-                config,
-                k,
-                policy_factory=policy_factory,
-                scenario=scenario,
-                populate=states is None,
-            )
-            for k in shard_ids
-        }
-        if states is not None:
-            for k in shard_ids:
-                runs[k].restore_state(states[k])
-        conn.send(("ready", runs[shard_ids[0]].result.policy.name))
+        local = _SerialExecutor(
+            config, shard_ids, policy_factory, scenario, states, None
+        )
+        conn.send(("ready", local.policy_name))
         while True:
-            msg = conn.recv()
-            op = msg[0]
-            if op == "advance":
-                outgoing: List[ShardMessage] = []
-                events = 0
-                for k in shard_ids:
-                    events += runs[k].advance(msg[1])
-                    outgoing.extend(runs[k].drain())
-                conn.send(("ok", outgoing, events))
-            elif op == "deliver":
-                for k in shard_ids:
-                    runs[k].deliver(msg[1][k])
-            elif op == "capture":
-                conn.send(
-                    ("ok", {k: runs[k].snapshot_state() for k in shard_ids})
-                )
-            elif op == "finish":
-                conn.send(
-                    ("ok", {k: runs[k].finish_payload(msg[1]) for k in shard_ids})
-                )
-            elif op == "stop":
+            op, *args = conn.recv()
+            if op == "stop":
                 return
-            else:  # pragma: no cover - protocol bug guard
-                raise RuntimeError(f"unknown shard-worker op {op!r}")
-    except BaseException:  # noqa: BLE001 - report, then die
+            if op == "crash":
+                raise RuntimeError(f"another shard failed:\n{args[0]}")
+            reply = getattr(local, op)(*args)
+            if op != "deliver":  # the pipe is ordered: no ack needed
+                conn.send(("ok", reply))
+    except Exception as exc:  # dump, report, then die
+        if local is not None:
+            local.crash(exc)
         try:
             conn.send(("error", traceback.format_exc()))
         except OSError:  # pragma: no cover - parent already gone
@@ -457,7 +497,7 @@ class _ProcessExecutor:
     """K shards spread round-robin over long-lived worker processes."""
 
     def __init__(
-        self, config, policy_factory, scenario, resume_states, workers, mp_ctx
+        self, config, policy_factory, scenario, states, workers, mp_ctx
     ) -> None:
         nshards = config.shards
         self.assignments = [
@@ -467,11 +507,6 @@ class _ProcessExecutor:
         self.procs = []
         for ids in self.assignments:
             parent_conn, child_conn = mp_ctx.Pipe()
-            states = (
-                None
-                if resume_states is None
-                else {k: resume_states[k] for k in ids}
-            )
             proc = mp_ctx.Process(
                 target=_shard_worker,
                 args=(child_conn, config, policy_factory, scenario, ids, states),
@@ -482,92 +517,135 @@ class _ProcessExecutor:
             self.conns.append(parent_conn)
             self.procs.append(proc)
         self.policy_name = ""
-        for conn in self.conns:
-            self.policy_name = self._recv(conn)[1]
-
-    def _recv(self, conn):
         try:
-            msg = conn.recv()
+            for w in range(workers):
+                self.policy_name = self._recv(w)[1]
+        except Exception as exc:
+            self.crash(exc)
+            self.close()
+            raise
+
+    def _recv(self, w: int):
+        try:
+            msg = self.conns[w].recv()
         except EOFError:
-            self.close()
-            raise RuntimeError(
-                "a shard worker died without reporting an error"
-            ) from None
+            proc = self.procs[w]
+            proc.join(timeout=30)
+            raise ShardWorkerError(self.assignments[w], proc.exitcode) from None
         if msg[0] == "error":
-            self.close()
             raise RuntimeError(f"shard worker failed:\n{msg[1]}")
         return msg
 
-    def advance(self, t_end: float) -> tuple:
+    def _all(self, *op) -> list:
         for conn in self.conns:
-            conn.send(("advance", t_end))
+            conn.send(op)
+        return [self._recv(w)[1] for w in range(len(self.conns))]
+
+    def advance(self, t_end: float) -> tuple:
         outgoing: List[ShardMessage] = []
         events = 0
-        for conn in self.conns:
-            msg = self._recv(conn)
-            outgoing.extend(msg[1])
-            events += msg[2]
+        for out, count in self._all("advance", t_end):
+            outgoing.extend(out)
+            events += count
         return outgoing, events
 
     def deliver(self, inboxes: List[List[ShardMessage]]) -> None:
-        # No ack: the pipe is ordered, so the next command finds the
-        # delivery already applied.
         for ids, conn in zip(self.assignments, self.conns):
             conn.send(("deliver", {k: inboxes[k] for k in ids}))
 
-    def capture(self) -> List[dict]:
-        for conn in self.conns:
-            conn.send(("capture",))
-        states: Dict[int, dict] = {}
-        for conn in self.conns:
-            states.update(self._recv(conn)[1])
-        return [states[k] for k in sorted(states)]
+    def capture(self) -> Dict[int, dict]:
+        return {k: v for reply in self._all("capture") for k, v in reply.items()}
 
-    def finish(self, wall: float) -> List[dict]:
+    def crash(self, exc: BaseException) -> None:
+        # Workers that are still alive dump their shards' bundles too.
+        text = "".join(traceback.format_exception_only(type(exc), exc))
         for conn in self.conns:
-            conn.send(("finish", wall))
-        payloads: Dict[int, dict] = {}
-        for conn in self.conns:
-            payloads.update(self._recv(conn)[1])
-        return [payloads[k] for k in sorted(payloads)]
+            try:
+                conn.send(("crash", text))
+            except OSError:
+                pass
+
+    def finish(self, wall: float) -> dict:
+        return {k: v for reply in self._all("finish", wall) for k, v in reply.items()}
 
     def close(self) -> None:
+        """Stop and reap every worker, whatever state it is in."""
         for conn in self.conns:
             try:
                 conn.send(("stop",))
-            except (OSError, BrokenPipeError):
+            except OSError:
                 pass
         for proc in self.procs:
             proc.join(timeout=30)
             if proc.is_alive():  # pragma: no cover - hung worker
                 proc.terminate()
+                proc.join()
         for conn in self.conns:
             conn.close()
 
 
 # ---------------------------------------------------------------------------
-# The window loop
+# The loop
 # ---------------------------------------------------------------------------
 
 
-def _resolve_shard_workers(requested: Optional[int], nshards: int) -> int:
-    from .parallel import resolve_workers
-
-    return max(1, min(resolve_workers(requested), nshards))
+def _in_order(by_shard: Dict[int, Any]) -> list:
+    return [by_shard[k] for k in sorted(by_shard)]
 
 
-def _execute(
+def _barriers(config: ExperimentConfig, t_start: float) -> List[float]:
+    """The barrier times after ``t_start``, the last one at the horizon.
+
+    K > 1: the lookahead grid ``i * W`` from t = 0 (config validation
+    puts the horizon on it, and a resume starts from the barrier its
+    checkpoint recorded).  K = 1 has no lookahead: the sample grid, the
+    last barrier clamped to the horizon.
+    """
+    if config.shards > 1:
+        window = config.shard_link_model().min_delay()
+        first = round(t_start / window) + 1
+        last = round(config.horizon / window)
+        return [i * window for i in range(first, last + 1)]
+    step = config.sample_interval
+    i = math.floor(t_start / step) + 1
+    times = []
+    while i * step < config.horizon:
+        times.append(i * step)
+        i += 1
+    times.append(config.horizon)
+    return times
+
+
+def execute(
     config: ExperimentConfig,
-    policy_factory,
-    scenario: Optional[Scenario],
+    policy_factory=None,
+    scenario: Optional[Scenario] = None,
     *,
-    workers: Optional[int],
-    t_start: float,
-    resume_states: Optional[List[dict]],
-) -> ShardedRunResult:
+    workers: Optional[int] = None,
+    t_start: float = 0.0,
+    states: Optional[List[dict]] = None,
+    fresh_rng_domain: Optional[int] = None,
+):
+    """Wire ``config.shards`` systems and drive them to the horizon.
+
+    ``states`` (one per shard, index order) resumes captured systems
+    from ``t_start``; ``fresh_rng_domain`` is the warm-start fork's
+    (K = 1 only).  Returns the system's
+    :class:`~repro.experiments.runner.RunResult` when K = 1, a
+    :class:`ShardedRunResult` otherwise.
+    """
     nshards = config.shards
-    window = config.shard_link_model().min_delay()
-    n_workers = _resolve_shard_workers(workers, nshards)
+    policy_factory = policy_factory or default_policy_factory
+    if states is not None and len(states) != nshards:
+        raise CheckpointError(
+            f"checkpoint holds {len(states)} shard states but the config "
+            f"declares shards={nshards}"
+        )
+    n_workers = 1
+    if nshards > 1:
+        from .parallel import resolve_workers
+
+        n_workers = max(1, min(resolve_workers(workers), nshards))
     mp_ctx = None
     if n_workers > 1:
         try:
@@ -578,11 +656,11 @@ def _execute(
     wall0 = time.perf_counter()
     if n_workers > 1:
         executor = _ProcessExecutor(
-            config, policy_factory, scenario, resume_states, n_workers, mp_ctx
+            config, policy_factory, scenario, states, n_workers, mp_ctx
         )
     else:
         executor = _SerialExecutor(
-            config, policy_factory, scenario, resume_states
+            config, range(nshards), policy_factory, scenario, states, fresh_rng_domain
         )
 
     checkpoint_writes = 0
@@ -596,8 +674,6 @@ def _execute(
         config.telemetry is not None
         and config.telemetry.progress_every is not None
     ):
-        # Per-shard reporters are suppressed in shard_config(); the
-        # barrier loop reduces to one run-level line instead.
         progress = WindowProgress(
             horizon=config.horizon,
             every=config.telemetry.progress_every,
@@ -605,35 +681,46 @@ def _execute(
         )
     total_events = 0
     try:
-        # The barrier grid is i * window from t = 0; config validation
-        # guarantees the horizon is a grid point, and a resume starts
-        # from the barrier recorded in the checkpoint header.
-        first_step = round(t_start / window) + 1
-        last_step = round(config.horizon / window)
-        for i in range(first_step, last_step + 1):
-            t_end = i * window
-            outgoing, events = executor.advance(t_end)
-            total_events += events
-            executor.deliver(_route(outgoing, nshards))
-            if progress is not None:
-                progress.update(t_end, total_events)
-            if next_due is not None and t_end >= next_due - 1e-12:
-                write_checkpoint(
-                    config.checkpoint_path,
-                    config,
-                    scenario,
-                    policy=executor.policy_name,
-                    time=t_end,
-                    shard_states=executor.capture(),
-                )
-                checkpoint_writes += 1
-                while next_due <= t_end + 1e-12:
-                    next_due += config.checkpoint_every
+        try:
+            for t_end in _barriers(config, t_start):
+                outgoing, events = executor.advance(t_end)
+                total_events += events
+                executor.deliver(_route(outgoing, nshards))
+                if progress is not None:
+                    progress.update(t_end, total_events)
+                if next_due is not None and t_end >= next_due - 1e-12:
+                    write_checkpoint(
+                        config.checkpoint_path,
+                        config,
+                        scenario,
+                        policy=executor.policy_name,
+                        time=t_end,
+                        shard_states=_in_order(executor.capture()),
+                    )
+                    checkpoint_writes += 1
+                    while next_due <= t_end + 1e-12:
+                        next_due += config.checkpoint_every
+        except Exception as exc:
+            # The flight recorder's crash half: every shard dumps its
+            # postmortem bundle before the exception propagates.
+            executor.crash(exc)
+            raise
         wall = time.perf_counter() - wall0
-        payloads = executor.finish(wall)
+        payloads = _in_order(executor.finish(wall))
     finally:
         executor.close()
 
+    if nshards == 1:
+        (result,) = payloads
+        result.checkpoint_writes = checkpoint_writes
+        return result
+    return _reduce(
+        config, payloads, executor.policy_name, n_workers, wall, checkpoint_writes
+    )
+
+
+def _reduce(config, payloads, policy_name, n_workers, wall, checkpoint_writes):
+    """The K shards' final payloads as one :class:`ShardedRunResult`."""
     series = reduce_sample_logs([p["sample_log"] for p in payloads])
     shard_series = []
     for p in payloads:
@@ -641,9 +728,9 @@ def _execute(
         bundle.restore(p["series"])
         shard_series.append(bundle)
     stats = ShardPlaneStats(
-        shards=nshards,
+        shards=config.shards,
         workers=n_workers,
-        window=window,
+        window=config.shard_link_model().min_delay(),
         sync_rounds=payloads[0]["sync_rounds"],
         cross_messages=sum(p["sent"] for p in payloads),
         events_processed=sum(p["events"] for p in payloads),
@@ -664,14 +751,14 @@ def _execute(
     if config.telemetry is not None and config.telemetry.jsonl_path:
         # The run-level stream: per-shard exports merged by the
         # (t, shard, seq) total order, so every read-back CLI sees a
-        # sharded run exactly like a classic one.
+        # sharded run exactly like a one-system one.
         from ..health.aggregate import write_merged_run
 
         write_merged_run(
             config.telemetry.jsonl_path,
             [
                 _suffix_path(config.telemetry.jsonl_path, k)
-                for k in range(nshards)
+                for k in range(config.shards)
             ],
             header_overrides={
                 "name": config.name,
@@ -689,7 +776,7 @@ def _execute(
         deaths=sum(p["deaths"] for p in payloads),
         n_super=sum(p["n_super"] for p in payloads),
         n_leaf=sum(p["n_leaf"] for p in payloads),
-        policy_name=executor.policy_name,
+        policy_name=policy_name,
         checkpoint_writes=checkpoint_writes,
     )
 
@@ -700,68 +787,12 @@ def run_sharded_experiment(
     policy_factory=None,
     scenario: Optional[Scenario] = None,
     workers: Optional[int] = None,
-) -> ShardedRunResult:
-    """Execute a ``shards > 1`` config to its horizon.
+):
+    """Execute ``config`` to its horizon on an explicit worker count.
 
     ``workers`` is execution-only (default: ``REPRO_WORKERS`` / CPU
     count, capped at the shard count); any value yields bit-identical
-    results.  Reached through :func:`~repro.experiments.runner
-    .run_experiment`'s dispatch, or directly.
+    results.  :func:`~repro.experiments.runner.run_experiment` is the
+    same call with the default worker count.
     """
-    if config.shards < 2:
-        raise ValueError(
-            "run_sharded_experiment needs shards >= 2; a single-shard "
-            "run is the classic engine (run_experiment)"
-        )
-    if config.checkpoint_every is not None and config.checkpoint_path is None:
-        raise ValueError("checkpoint_every requires checkpoint_path")
-    from .runner import default_policy_factory
-
-    return _execute(
-        config,
-        policy_factory or default_policy_factory,
-        scenario,
-        workers=workers,
-        t_start=0.0,
-        resume_states=None,
-    )
-
-
-def resume_sharded_run(
-    payload: dict,
-    config: ExperimentConfig,
-    *,
-    policy_factory=None,
-    workers: Optional[int] = None,
-) -> ShardedRunResult:
-    """Continue a sharded checkpoint payload to ``config.horizon``.
-
-    The worker count is free to differ from the writing run's -- shard
-    states are worker-agnostic by construction.  Called by
-    :func:`~repro.experiments.checkpoint.resume_run` after envelope
-    validation.
-    """
-    states = payload.get("shard_states")
-    if not isinstance(states, list):
-        raise CheckpointError("checkpoint has no shard_states list")
-    if len(states) != config.shards:
-        raise CheckpointError(
-            f"checkpoint holds {len(states)} shard states but the config "
-            f"declares shards={config.shards}"
-        )
-    header = payload["header"]
-    if header.get("shards") != config.shards:
-        raise CheckpointError(
-            f"checkpoint header records shards={header.get('shards')} but "
-            f"the config declares shards={config.shards}"
-        )
-    from .runner import default_policy_factory
-
-    return _execute(
-        config,
-        policy_factory or default_policy_factory,
-        payload.get("scenario"),
-        workers=workers,
-        t_start=header["time"],
-        resume_states=states,
-    )
+    return execute(config, policy_factory, scenario, workers=workers)

@@ -18,8 +18,8 @@ itself is a pure function of (config, seed).
 Checkpointing: the record log, audit tallies, registry-owned
 instruments, and span aggregates are state (:meth:`snapshot` /
 :meth:`restore`, same shape as every other stateful component); bound
-producers, the progress reporter, and exporter paths are wiring,
-re-derived by the composition root.
+producers and exporter paths are wiring, re-derived by the composition
+root.
 """
 
 from __future__ import annotations

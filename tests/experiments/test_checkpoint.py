@@ -133,7 +133,7 @@ class TestCheckpointManager:
             checkpoint_every=60.0, checkpoint_path=str(tmp_path / "run.ckpt")
         )
         result = run_experiment(cfg)
-        assert result.checkpoint_manager.writes == 2  # t=60 and t=120
+        assert result.checkpoint_writes == 2  # t=60 and t=120
         path = tmp_path / "run.ckpt"
         assert path.exists()
         assert not (tmp_path / "run.ckpt.tmp").exists()
@@ -228,7 +228,7 @@ import numpy as np
 from repro.experiments.checkpoint import resume_run
 
 ckpt, expected = sys.argv[1], sys.argv[2]
-result = resume_run(ckpt)
+result = resume_run(ckpt, horizon=120.0)
 with open(expected, "rb") as fh:
     want = pickle.load(fh)
 got = {name: result.series[name].values.tolist() for name in result.series.names()}
@@ -248,9 +248,8 @@ class TestFreshProcessResume:
         )
         # Stop the writer's own run at H/2 so the file holds the t=60
         # checkpoint, then compute the uninterrupted reference here.
-        partial = run_experiment(cfg, run=False)
-        partial.ctx.sim.run(until=60.0)
-        assert partial.checkpoint_manager.writes == 1
+        partial = run_experiment(cfg.with_(horizon=60.0))
+        assert partial.checkpoint_writes == 1
         ref = run_experiment(small_config())
         expected = {
             name: ref.series[name].values.tolist() for name in ref.series.names()

@@ -35,6 +35,13 @@ def family_config(family, **overrides):
     )
 
 
+def _write_checkpoint(cfg, path, *, at):
+    """Run ``cfg`` to ``at`` with one checkpoint there."""
+    run_experiment(
+        cfg.with_(horizon=at, checkpoint_every=at, checkpoint_path=str(path))
+    )
+
+
 class TestCrossFamilyResume:
     @pytest.mark.parametrize("family", family_names())
     def test_bit_identical_resume(self, family):
@@ -56,9 +63,7 @@ class TestFamilyRefusal:
     def test_wrong_family_refused(self, tmp_path, written, resumed):
         cfg = family_config(written)
         path = tmp_path / "run.ckpt"
-        result = run_experiment(cfg, run=False)
-        result.ctx.sim.run(until=cfg.horizon / 2)
-        CheckpointManager(str(path), cfg).write(result)
+        _write_checkpoint(cfg, path, at=cfg.horizon / 2)
         payload = CheckpointManager.load(str(path))
         assert payload["header"]["family"] == written
         with pytest.raises(CheckpointError, match="overlay family"):
@@ -69,9 +74,7 @@ class TestFamilyRefusal:
         # mismatch the family change would also cause.
         cfg = family_config("chord")
         path = tmp_path / "run.ckpt"
-        result = run_experiment(cfg, run=False)
-        result.ctx.sim.run(until=10.0)
-        CheckpointManager(str(path), cfg).write(result)
+        _write_checkpoint(cfg, path, at=30.0)
         payload = CheckpointManager.load(str(path))
         with pytest.raises(CheckpointError) as err:
             CheckpointManager.validate(payload, cfg.with_(family="superpeer"))
@@ -81,8 +84,6 @@ class TestFamilyRefusal:
     def test_same_family_validates(self, tmp_path):
         cfg = family_config("chord")
         path = tmp_path / "run.ckpt"
-        result = run_experiment(cfg, run=False)
-        result.ctx.sim.run(until=10.0)
-        CheckpointManager(str(path), cfg).write(result)
+        _write_checkpoint(cfg, path, at=30.0)
         payload = CheckpointManager.load(str(path))
         CheckpointManager.validate(payload, cfg)  # no raise

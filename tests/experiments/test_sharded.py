@@ -6,7 +6,8 @@ These tests pin the load-bearing guarantee -- a K-shard run produces
 bit-identical results on 1 worker and N workers, through checkpoints,
 in fresh processes, with every shard's aggregates passing the
 brute-force audit -- plus the dispatch seams (``shards=1`` is the
-classic engine; goldens stand).
+loop's one-shard case and returns its system's RunResult; goldens
+stand).
 """
 
 from __future__ import annotations
@@ -81,9 +82,13 @@ class TestDispatch:
         with pytest.raises(ValueError, match="resume"):
             run_experiment(sharded_config(), resume_from={"state": {}})
 
-    def test_run_sharded_experiment_needs_two_shards(self):
-        with pytest.raises(ValueError, match="shards >= 2"):
-            run_sharded_experiment(sharded_config(shards=1))
+    def test_run_sharded_experiment_runs_one_shard(self):
+        cfg = sharded_config(shards=1)
+        one = run_sharded_experiment(cfg, workers=4)
+        assert isinstance(one, RunResult)
+        assert one.ctx.sim.events_processed == (
+            run_experiment(cfg).ctx.sim.events_processed
+        )
 
     def test_checkpoint_cadence_needs_a_path(self):
         with pytest.raises(ValueError, match="checkpoint_path"):
@@ -192,12 +197,8 @@ class TestShardedCheckpoint:
         cfg = self._checkpointed(tmp_path, horizon=30.0)
         run_sharded_experiment(cfg, workers=2)
         ref = run_sharded_experiment(sharded_config(), workers=1)
-        payload = CheckpointManager.load(cfg.checkpoint_path)
-        from repro.experiments.sharded import resume_sharded_run
-
-        resumed = resume_sharded_run(
-            payload, payload["config"].with_(horizon=60.0), workers=2
-        )
+        resumed = resume_run(cfg.checkpoint_path, horizon=60.0, workers=2)
+        assert resumed.stats.workers == 2
         assert_sharded_identical(ref, resumed)
 
     def test_header_records_shard_count(self, tmp_path):
@@ -226,11 +227,9 @@ class TestShardedCheckpoint:
         cfg = self._checkpointed(tmp_path, horizon=30.0)
         run_sharded_experiment(cfg, workers=1)
         payload = CheckpointManager.load(cfg.checkpoint_path)
-        from repro.experiments.sharded import resume_sharded_run
-
-        bad = payload["config"].with_(n=300, shards=3)
+        payload["shard_states"] = payload["shard_states"][:1]
         with pytest.raises(CheckpointError, match="shard states"):
-            resume_sharded_run(payload, bad)
+            resume_run(payload)
 
     def test_classic_checkpoint_still_resumes_classically(self, tmp_path):
         path = str(tmp_path / "classic.ckpt")

@@ -1,12 +1,17 @@
-"""ProgressReporter: cadence, non-perturbation, attach/detach."""
+"""WindowProgress: cadence, line format, and a reporter that lives in
+the run loop, outside every simulator."""
 
 from __future__ import annotations
 
+import logging
+
+import numpy as np
 import pytest
 
-from repro.sim.events import EventKind
-from repro.sim.scheduler import Simulator
-from repro.telemetry.progress import ProgressReporter
+from repro.experiments.configs import table2_config
+from repro.experiments.runner import run_experiment
+from repro.telemetry import TelemetryConfig
+from repro.telemetry.progress import WindowProgress
 
 
 class FakeClock:
@@ -21,76 +26,70 @@ class FakeClock:
         return self.t
 
 
-def _sim_with_samples(n: int, spacing: float = 1.0) -> Simulator:
-    sim = Simulator(seed=0)
-    sim.on(EventKind.METRICS_SAMPLE, lambda s, e: None)
+def _config(**overrides):
+    base = dict(name="prog", n=120, horizon=60.0, warmup=20.0, seed=5)
+    base.update(overrides)
+    return table2_config().with_(**base)
+
+
+def _barriers(reporter: WindowProgress, n: int) -> None:
     for i in range(1, n + 1):
-        sim.schedule_at(i * spacing, EventKind.METRICS_SAMPLE)
-    return sim
+        reporter.update(float(i), 10 * i)
 
 
 class TestCadence:
     def test_reports_at_wall_clock_cadence(self):
-        sim = _sim_with_samples(10)
         clock = FakeClock()
-        reporter = ProgressReporter(sim, horizon=10.0, every=5.0, clock=clock)
-        reporter.attach()
-        clock.step = 2.0  # each sample advances the wall clock 2s
-        sim.run()
-        # 10 samples x 2s apart, one report every >= 5s of wall time.
+        reporter = WindowProgress(horizon=10.0, every=5.0, clock=clock)
+        clock.step = 2.0  # each barrier advances the wall clock 2s
+        _barriers(reporter, 10)
+        # 10 barriers x 2s apart, one report every >= 5s of wall time.
         assert 3 <= reporter.reports <= 4
-        reporter.detach()
 
     def test_no_reports_when_wall_clock_stalls(self):
-        sim = _sim_with_samples(10)
-        reporter = ProgressReporter(sim, horizon=10.0, every=5.0, clock=FakeClock())
-        reporter.attach()
-        sim.run()  # clock never advances past the cadence
+        reporter = WindowProgress(horizon=10.0, every=5.0, clock=FakeClock())
+        _barriers(reporter, 10)  # clock never advances past the cadence
         assert reporter.reports == 0
 
     def test_rejects_nonpositive_cadence(self):
         with pytest.raises(ValueError):
-            ProgressReporter(_sim_with_samples(1), horizon=1.0, every=0.0)
+            WindowProgress(horizon=1.0, every=0.0)
 
 
 class TestNonPerturbation:
     def test_reporter_schedules_no_events(self):
-        plain = _sim_with_samples(8)
-        plain.run()
+        plain = run_experiment(_config())
+        observed = run_experiment(
+            _config(telemetry=TelemetryConfig(progress_every=1e-9))
+        )
+        assert observed.ctx.sim.events_processed == plain.ctx.sim.events_processed
+        for name in plain.series.names():
+            a, b = plain.series[name], observed.series[name]
+            assert np.array_equal(a.values, b.values), name
 
-        observed = _sim_with_samples(8)
-        clock = FakeClock()
-        with ProgressReporter(observed, horizon=8.0, every=0.5, clock=clock):
-            clock.step = 1.0
-            observed.run()
-        assert observed.events_processed == plain.events_processed
-
-    def test_detach_stops_reporting(self):
-        sim = _sim_with_samples(6)
-        clock = FakeClock()
-        reporter = ProgressReporter(sim, horizon=6.0, every=0.5, clock=clock)
-        reporter.attach()
-        reporter.detach()
-        reporter.detach()  # idempotent
-        clock.step = 1.0
-        sim.run()
-        assert reporter.reports == 0
+    def test_detach_stops_reporting(self, caplog):
+        # The reporter lives in the loop, not in a simulator: once the
+        # run has returned, nothing is left attached to report.
+        cfg = _config(telemetry=TelemetryConfig(progress_every=1e-9))
+        with caplog.at_level(logging.INFO, logger="repro.progress"):
+            result = run_experiment(cfg)
+            during = [r.getMessage() for r in caplog.records]
+            result.ctx.sim.run(until=cfg.horizon + 20.0)
+        assert during and all(line.startswith("prog: t=") for line in during)
+        assert len(caplog.records) == len(during)
 
 
 class TestEmit:
     def test_line_carries_label_progress_and_rates(self):
-        sim = _sim_with_samples(4)
         clock = FakeClock()
-        reporter = ProgressReporter(
-            sim, horizon=8.0, every=1.0, label="fig6", clock=clock
-        )
-        sim.run()
+        reporter = WindowProgress(horizon=8.0, every=1.0, label="fig6", clock=clock)
         clock.step = 2.0
-        line = reporter.emit()
+        line = reporter.update(4.0, 40)
         assert line.startswith("fig6: t=4/8 (50.0%)")
         assert "events" in line and "ev/s" in line and "eta" in line
 
     def test_eta_unknown_without_sim_progress(self):
-        sim = _sim_with_samples(1)
-        reporter = ProgressReporter(sim, horizon=5.0, every=1.0, clock=FakeClock())
-        assert "eta ?" in reporter.emit(wall=1.0)
+        clock = FakeClock()
+        reporter = WindowProgress(horizon=5.0, every=1.0, clock=clock)
+        clock.step = 1.0
+        assert "eta ?" in reporter.update(0.0, 0)

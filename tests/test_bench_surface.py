@@ -13,14 +13,25 @@ from repro.experiments.runner import run_experiment
 _TRACE = Path(__file__).resolve().parent.parent / "bench" / "trace.py"
 
 
-def test_every_traced_method_is_defined_on_its_class():
+def _bench_trace():
     # By file path: a bare ``import trace`` finds the stdlib module.
     spec = importlib.util.spec_from_file_location("bench_trace", _TRACE)
     bench_trace = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_trace)
+    return bench_trace
+
+
+def test_every_traced_method_is_defined_on_its_class():
+    bench_trace = _bench_trace()
     for span, (module, cls, method) in bench_trace.METHOD_SPANS.items():
         owner = getattr(importlib.import_module(module), cls)
         assert callable(vars(owner).get(method)), f"{span}: {module}.{cls}.{method}"
+
+
+def test_export_run_is_an_attribute_of_every_patched_module():
+    # The tracer swaps ``vars(module)["export_run"]`` in each of these.
+    for module in _bench_trace()._EXPORT_RUN_SITES:
+        assert callable(vars(importlib.import_module(module)).get("export_run")), module
 
 
 def test_a_finished_run_has_what_bench_verify_reads():

@@ -43,12 +43,12 @@ class TestFlagsReachTheHarness:
         calls = _capture_row(monkeypatch, "table3")
         jsonl = str(tmp_path / "t3.jsonl")
         argv = ["table3", "--seed", "9", "--loss", "0.05", "--family", "chord"]
-        argv += ["--shards", "2", "--audit-jsonl", jsonl]
+        argv += ["--audit-jsonl", jsonl]
         assert main(argv) == 0
         (config, sweep), = calls
         assert config.seed == 9
         assert config.faults == FaultPlan(loss_rate=0.05, latency_scale=0.0)
-        assert (config.family, config.shards) == ("chord", 2)
+        assert config.family == "chord"
         assert config.telemetry.jsonl_path == jsonl
         assert sweep == {}  # the bench sweep
 
@@ -103,6 +103,12 @@ _EXIT_CODES = [
     (["profile", "scheduler", "--n", "500"], 2),
     (["profile", "evaluate", "--sort", "tottime"], 2),
     (["profile", "table3", "--horizon", "100"], 2),
+    # Each reads its runs' one system, so --shards is refused, not dropped.
+    (["families", "--shards", "2"], 2),
+    (["figure_faults", "--shards", "2"], 2),
+    (["table3", "--n", "300", "--shards", "2"], 2),
+    (["figure5", "--n", "200", "--horizon", "180"], 2),  # horizon <= 2 x warm-up
+    (["figure5", "--n", "200", "--horizon", "250"], 0),  # tail starts after the shift
 ]
 
 
@@ -127,12 +133,27 @@ def inputs(tmp_path):
 
 @pytest.mark.parametrize("argv, code", _EXIT_CODES)
 def test_exit_code_contract(inputs, capsys, argv, code):
-    """0 OK; 1 only for a failed verdict; 2 for bad usage or input, which
-    is one ``error:`` line on stderr (argparse's own usage errors aside)."""
+    """0 OK; 1 for a failed run or verdict; 2 for bad usage or input,
+    which is one ``error:`` line on stderr (argparse's own usage errors
+    aside)."""
     assert main([a.format(tmp=inputs) for a in argv]) == code
     err = capsys.readouterr().err
     if code == 2 and argv[0] != "health":
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_a_dead_shard_worker_is_one_error_line_and_exit_1(monkeypatch, capsys):
+    from repro.experiments.sharded import ShardWorkerError
+
+    def run(config, **sweep):
+        raise ShardWorkerError((1,), 9)
+
+    row = dataclasses.replace(EXPERIMENTS["figure6"], run=run)
+    monkeypatch.setitem(EXPERIMENTS, "figure6", row)
+    assert main(["figure6", "--shards", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "exit code 9" in err
 
 
 # -- documented command lines ------------------------------------------------
