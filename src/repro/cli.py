@@ -18,10 +18,12 @@ they become an ``ExperimentConfig``.  A command refuses an option it
 cannot honour rather than drop it.
 
 Exit codes: 0 OK; 1 the run or its health verdict failed (a shard
-worker died; ``repro health`` on an SLO failure); 2 bad usage or input
--- an inapplicable option, a malformed ``--slo``, an unreadable or
-corrupt checkpoint, a missing JSONL or shard, a torn line.  A 1 for a
-failed run and every 2 are one ``error: ...`` line on stderr.
+worker died, a flight bundle could not be written mid-run; ``repro
+health`` on an SLO failure); 2 bad usage or input -- an inapplicable
+option, a malformed ``--slo``, a flight-recorder path that cannot be
+created, an unreadable or corrupt checkpoint, a missing JSONL or shard,
+a torn line.  A 1 for a failed run and every 2 are one ``error: ...``
+line on stderr.
 Status lines go through :mod:`logging` on stderr (``-v``/``-q``);
 rendered figures and tables go to stdout, where they can be piped.
 """
@@ -318,6 +320,12 @@ def _health_config(args):
                 )
             overrides[key] = _coerce_slo_value(value.strip())
     if args.flight_recorder is not None:
+        from .health.flight import FlightRecorderError, check_flight_path
+
+        try:
+            check_flight_path(args.flight_recorder)
+        except FlightRecorderError as exc:
+            raise UsageError(str(exc)) from exc
         overrides["flight_path"] = args.flight_recorder
     try:
         return HealthConfig(**overrides)
@@ -762,10 +770,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:
+    except (RuntimeError, OSError) as exc:
         from .experiments.sharded import ShardWorkerError
+        from .health.flight import FlightRecorderError
 
-        if not isinstance(exc, ShardWorkerError):
+        if not isinstance(exc, (ShardWorkerError, FlightRecorderError)):
             raise
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import pickle
@@ -178,13 +179,21 @@ def state_digest(result) -> dict:
     component, whatever code produced them, so a refactor that must not
     move a draw proves it here.  The telemetry component leaves out its
     span aggregates: wall-clock performance data, never trajectory.
+
+    The pickler keeps no memo, so the bytes see values, not which of
+    them share one object: a resumed run holds unpickled copies of
+    strings the uninterrupted run shares (event kinds, message names).
     """
     state = capture_run_state(result)
     state["telemetry"].pop("spans", None)
-    return {
-        name: hashlib.sha256(pickle.dumps(value, protocol=4)).hexdigest()
-        for name, value in state.items()
-    }
+    digests = {}
+    for name, value in state.items():
+        buf = io.BytesIO()
+        pickler = pickle.Pickler(buf, protocol=4)
+        pickler.fast = True
+        pickler.dump(value)
+        digests[name] = hashlib.sha256(buf.getvalue()).hexdigest()
+    return digests
 
 
 def restore_run_state(result, state: dict, *, restore_rng: bool = True) -> None:

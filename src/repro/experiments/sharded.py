@@ -244,7 +244,7 @@ class ShardRun(SystemRun):
         agg = self.result.ctx.overlay.aggregates
         self.view[self.index] = agg.n
         dest = (self.index + 1) % self.nshards
-        delay = self.link.sample_one(self._link_rng)
+        delay = float(self.link.sample(self._link_rng, 1)[0])
         self.shard.send(
             dest, delay, {"n": agg.n, "n_super": agg.super_layer.count}
         )

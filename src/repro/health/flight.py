@@ -21,10 +21,15 @@ record tails and scheduler state.
 
 ``load_flight_bundle`` is the reader half, used by the
 ``repro postmortem`` CLI.
+
+A bundle that cannot be written raises :class:`FlightRecorderError` and
+leaves no ``.tmp`` file behind; :func:`check_flight_path` lets a caller
+refuse an unusable path before the run starts.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from pathlib import Path
@@ -32,10 +37,33 @@ from typing import Optional
 
 from ..telemetry.records import record_as_dict
 
-__all__ = ["FLIGHT_SCHEMA_VERSION", "write_flight_bundle", "load_flight_bundle"]
+__all__ = [
+    "FLIGHT_SCHEMA_VERSION",
+    "FlightRecorderError",
+    "check_flight_path",
+    "write_flight_bundle",
+    "load_flight_bundle",
+]
 
 #: Bumped when the bundle layout changes incompatibly.
 FLIGHT_SCHEMA_VERSION = 1
+
+
+class FlightRecorderError(OSError):
+    """A flight bundle could not be written where it was configured to go."""
+
+
+def check_flight_path(path: str) -> None:
+    """Raise :class:`FlightRecorderError` unless the nearest existing
+    ancestor of ``path`` is a writable directory.  Creates nothing: the
+    writer makes the missing directories when it first dumps."""
+    parent = Path(path).absolute().parent
+    while not parent.exists():
+        parent = parent.parent
+    if not parent.is_dir() or not os.access(parent, os.W_OK | os.X_OK):
+        raise FlightRecorderError(
+            f"flight recorder path {path!r}: {str(parent)!r} is not a writable directory"
+        )
 
 
 def build_flight_bundle(
@@ -94,14 +122,18 @@ def build_flight_bundle(
 def write_flight_bundle(path: str, **kwargs) -> dict:
     """Build and atomically write one bundle; returns the bundle dict."""
     bundle = build_flight_bundle(**kwargs)
-    target = Path(path)
-    if target.parent != Path(""):
-        target.parent.mkdir(parents=True, exist_ok=True)
     tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(bundle, fh, separators=(",", ":"), sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)
+    try:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(bundle, fh, separators=(",", ":"), sort_keys=True)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        message = f"cannot write flight bundle {path!r}: {exc}"
+        raise FlightRecorderError(message) from exc
     return bundle
 
 

@@ -168,18 +168,32 @@ class HealthMonitor:
 
         Written next to the configured flight path (``<path>.crash``)
         so it never clobbers a detector-triggered bundle from earlier
-        in the same run.  No-op without a flight path.
+        in the same run.  No-op without a flight path.  A bundle that
+        cannot be written never masks ``exc``: the failure is logged as a
+        warning and, on Python 3.11+, added as a note on ``exc``; None is
+        returned for the caller to re-raise ``exc``.
         """
         if self.config.flight_path is None:
             return None
         import traceback
 
+        from .flight import FlightRecorderError
+
         tb = "".join(
             traceback.format_exception(type(exc), exc, exc.__traceback__)
         )
-        return self.dump(
-            f"{self.config.flight_path}.crash", reason="exception", error=tb
-        )
+        try:
+            return self.dump(
+                f"{self.config.flight_path}.crash", reason="exception", error=tb
+            )
+        except FlightRecorderError as failure:
+            import logging
+
+            message = f"flight recorder: no crash bundle: {failure}"
+            logging.getLogger("repro.health").warning(message)
+            if hasattr(exc, "add_note"):  # Python 3.11+
+                exc.add_note(message)
+            return None
 
     # -- checkpointing -----------------------------------------------------
     def snapshot(self) -> dict:

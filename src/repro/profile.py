@@ -13,7 +13,10 @@ nothing executed) per role in µs, with the mean related-set size --
 the figure DESIGN.md §8 "Verdict path" quotes, as one command.
 ``repair`` is its sibling for DESIGN.md §8 "Repair passes draw once":
 it kills supers of a settled overlay and prints µs per reconnected
-orphan, orphans per pass and sampler draws per pass.
+orphan, orphans per pass and sampler draws per pass.  ``transport``
+times the message-driven Phase-1 exchange per link (DESIGN.md §10
+"Lazy timeouts") with its timeouts armed, fired and materialized, and
+the drop/latency NumPy calls per 1000 legs.
 
 This is the tool that guided the scheduler/flooding/topology hot-path
 optimizations; re-run it after touching the simulation core to see where
@@ -26,6 +29,7 @@ Examples::
     repro profile flooding --queries 500 --sort tottime
     repro profile evaluate --n 2000
     repro profile repair --n 2000
+    repro profile transport --n 2000
     repro profile figure6 --scale
 """
 
@@ -194,6 +198,68 @@ def _time_repairs(config, opts) -> None:
     )
 
 
+def _time_transport(config, opts) -> None:
+    """Print µs per message-driven link exchange over a settled overlay.
+
+    Settles a message-driven run (the ``msg_faults`` fault plan unless
+    ``--loss``/``--latency-scale`` give one), then runs the Phase-1
+    exchange of every leaf--super link on a fresh transport and
+    simulator until it drains.  Per link: timeouts armed (request legs
+    sent), fired, and materialized (built as an Event); per 1000
+    message legs: NumPy calls of the drop and latency streams.
+    """
+    from .experiments.runner import run_experiment
+    from .protocol.accounting import MessageLedger
+    from .protocol.faults import FaultPlan
+    from .protocol.messages import NeighNumRequest, ValueRequest
+    from .protocol.transport import InfoExchange
+    from .sim.scheduler import Simulator
+
+    faults = config.faults or FaultPlan(loss_rate=0.05, latency_scale=0.2)
+    result = run_experiment(config.with_(horizon=200.0, faults=faults))
+    overlay = result.overlay
+    sim = Simulator(seed=config.seed, start=result.ctx.now)
+    ledger = MessageLedger()
+    info = InfoExchange(overlay, ledger, sim=sim, faults=faults)
+    # Block draws of the drop/latency streams, and timeout Events built:
+    # a timeout of >= one calendar window is never materialized when it
+    # is armed, so the rows harvested are every timeout Event.
+    counts = {"draws": 0, "built": 0}
+
+    def counted(fn, key, size):
+        def call(*args):
+            out = fn(*args)
+            counts[key] += size(out)
+            return out
+
+        return call
+
+    for ahead in sim.rng._ahead.values():
+        ahead.draw = counted(ahead.draw, "draws", lambda out: 1)
+    info._timeouts.harvest = counted(info._timeouts.harvest, "built", len)
+    links = [
+        (lid, sid)
+        for lid in overlay.leaf_ids
+        for sid in overlay.peer(lid).super_neighbors
+    ]
+    t0 = perf_counter()
+    for leaf, sup in links:
+        info.on_connection_created(leaf, sup)
+    sim.run()
+    elapsed = perf_counter() - t0
+    sent = ledger.snapshot()
+    legs = sent.total_count()
+    armed = sent.total_count(t.wire_name for t in (NeighNumRequest, ValueRequest))
+    n = max(len(links), 1)
+    print(
+        f"{elapsed / n * 1e6:7.2f} us/link  timeouts/link: armed {armed / n:.3f}"
+        f" fired {sum(sent.timeouts.values()) / n:.3f}"
+        f" materialized {counts['built'] / n:.3f}"
+        f"  {counts['draws'] / max(legs, 1) * 1000:6.1f}"
+        f" draws/1000 legs  ({len(links)} links, {legs} legs)"
+    )
+
+
 #: Micro-workload -> (function, the options it reads).  The function
 #: takes the built config and the parsed ``repro profile`` options and
 #: returns the callable to profile, or None for a timer that printed its
@@ -206,6 +272,7 @@ MICRO_WORKLOADS: Dict[str, Tuple[Callable, Tuple[str, ...]]] = {
     ),
     "evaluate": (_time_verdicts, ("n", "seed")),
     "repair": (_time_repairs, ("n", "seed")),
+    "transport": (_time_transport, ("n", "seed", "loss", "latency_scale")),
 }
 
 

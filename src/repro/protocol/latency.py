@@ -55,7 +55,14 @@ class LatencyModel(ABC):
 
     @abstractmethod
     def sample(self, rng: np.random.Generator, n: int = 1) -> np.ndarray:
-        """Draw ``n`` per-hop delays."""
+        """Draw ``n`` per-hop delays.
+
+        Every model but :class:`MixtureLatency` (which draws all its
+        component picks first) is partition invariant: ``sample(a + b)``
+        is ``sample(a)`` then ``sample(b)``, values and generator state,
+        so a caller may draw a block ahead
+        (:meth:`~repro.sim.rng.RngStreams.prefetch`).
+        """
 
     @property
     @abstractmethod
@@ -71,12 +78,6 @@ class LatencyModel(ABC):
         lookahead for parallel simulation.
         """
 
-    def sample_one(self, rng: np.random.Generator) -> float:
-        """One per-hop delay as a float.  Overrides (one call per message
-        leg) must return ``sample(rng, 1)[0]``'s value and leave ``rng``
-        at the same stream position."""
-        return float(self.sample(rng, 1)[0])
-
 
 class ConstantLatency(LatencyModel):
     """Every hop takes exactly ``delay`` units."""
@@ -89,9 +90,6 @@ class ConstantLatency(LatencyModel):
     def sample(self, rng: np.random.Generator, n: int = 1) -> np.ndarray:
         """``n`` identical delays."""
         return np.full(n, self.delay)
-
-    def sample_one(self, rng: np.random.Generator) -> float:
-        return self.delay
 
     @property
     def mean(self) -> float:
@@ -119,10 +117,6 @@ class UniformLatency(LatencyModel):
         """``n`` uniform delays on [lo, hi]."""
         return rng.uniform(self.lo, self.hi, size=n)
 
-    def sample_one(self, rng: np.random.Generator) -> float:
-        # ``size=None`` and ``size=1`` run the same C sampler once.
-        return rng.uniform(self.lo, self.hi)
-
     @property
     def mean(self) -> float:
         """Midpoint of the interval."""
@@ -148,10 +142,6 @@ class LogNormalLatency(LatencyModel):
     def sample(self, rng: np.random.Generator, n: int = 1) -> np.ndarray:
         """``n`` log-normal delays."""
         return rng.lognormal(self.mu, self.sigma, size=n)
-
-    def sample_one(self, rng: np.random.Generator) -> float:
-        # ``size=None`` and ``size=1`` run the same C sampler once.
-        return rng.lognormal(self.mu, self.sigma)
 
     @property
     def mean(self) -> float:
@@ -189,9 +179,6 @@ class ShiftedLatency(LatencyModel):
     def sample(self, rng: np.random.Generator, n: int = 1) -> np.ndarray:
         """``n`` draws from ``base``, each raised by ``shift``."""
         return self.base.sample(rng, n) + self.shift
-
-    def sample_one(self, rng: np.random.Generator) -> float:
-        return self.base.sample_one(rng) + self.shift
 
     @property
     def mean(self) -> float:

@@ -36,7 +36,10 @@ in an in-flight table, may be dropped (``FaultPlan.loss_at``), is
 delayed by a per-leg log-normal latency
 (:class:`~repro.protocol.latency.LogNormalLatency`), and is guarded by a
 timeout that retries with exponential backoff up to
-``FaultPlan.max_retries`` before giving up.  Responses carry the values
+``FaultPlan.max_retries`` before giving up.  Drop and latency values are
+drawn a block ahead (:meth:`~repro.sim.rng.RngStreams.prefetch`), and a
+timeout is a lazy row (:class:`_TimeoutRows`) that becomes an Event only
+if its window opens before the response arrives.  Responses carry the values
 sampled *at the responder at response time* and populate the requester's
 :class:`~repro.overlay.knowledge.NeighborKnowledge` cache on arrival;
 once a peer has no requests left in flight its completion listeners fire
@@ -54,14 +57,16 @@ consumer.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from collections import deque
+from math import inf
+from typing import Callable, Deque, Dict, List, Mapping, Optional, Tuple
 
 from ..overlay.topology import Overlay
 from ..sim.events import EventKind
 from ..sim.scheduler import Simulator
 from .accounting import MessageLedger
 from .faults import FaultPlan
-from .latency import LogNormalLatency
+from .latency import ConstantLatency, LogNormalLatency
 from .messages import (
     NeighNumRequest,
     NeighNumResponse,
@@ -106,7 +111,7 @@ class _Pending:
         "responder",
         "kind",
         "attempt",
-        "timeout_event",
+        "timeout_seq",
     )
 
     def __init__(self, rid: int, requester: int, responder: int, kind: str) -> None:
@@ -119,7 +124,8 @@ class _Pending:
         self.responder = responder
         self.kind = kind
         self.attempt = 0
-        self.timeout_event = None
+        #: Scheduler seq of the armed timeout (its event or its row).
+        self.timeout_seq: Optional[int] = None
 
     @property
     def key(self) -> Tuple[int, int, str]:
@@ -129,6 +135,62 @@ class _Pending:
 #: Upper bound on pooled ``_Pending`` records (memory backstop; the pool
 #: only ever holds what was simultaneously in flight).
 _PENDING_POOL_MAX = 4096
+
+class _TimeoutRows:
+    """Armed timeouts beyond the active window, as a lazy event source.
+
+    A row is ``(time, seq, rid, attempt)``.  Attempt ``i`` always waits
+    ``timeout * backoff**i`` and the clock never runs back, so the rows
+    of one attempt level arrive sorted by ``(time, seq)``: one FIFO per
+    level is the whole queue.  A row is live while its request is in
+    flight on that very timeout (``_Pending.timeout_seq``); a response
+    kills it without touching the FIFO (the transport decrements
+    :attr:`live`), and dead rows are dropped as they reach a head.
+    """
+
+    kind = EventKind.TRANSPORT_TIMEOUT
+
+    def __init__(self, levels: int, inflight: Dict[int, _Pending]) -> None:
+        self.levels: List[Deque[tuple]] = [deque() for _ in range(levels)]
+        self.inflight = inflight
+        #: Live rows (dead ones may still sit in the FIFOs).
+        self.live = 0
+
+    def _alive(self, row: tuple) -> bool:
+        pending = self.inflight.get(row[2])
+        return pending is not None and pending.timeout_seq == row[1]
+
+    @staticmethod
+    def _entry(row: tuple) -> tuple:
+        t, seq, rid, attempt = row
+        return t, seq, {"rid": rid, "attempt": attempt}
+
+    # -- LazyEventSource protocol ------------------------------------------
+    def lazy_count(self) -> int:
+        return self.live
+
+    def next_lazy_time(self) -> float:
+        best = inf
+        for rows in self.levels:
+            while rows and not self._alive(rows[0]):
+                rows.popleft()
+            if rows and rows[0][0] < best:
+                best = rows[0][0]
+        return best
+
+    def harvest(self, t_end: float):
+        out = []
+        for rows in self.levels:
+            while rows and rows[0][0] < t_end:
+                row = rows.popleft()
+                if self._alive(row):
+                    out.append(self._entry(row))
+        self.live -= len(out)
+        return out
+
+    def pending_lazy(self):
+        alive = self._alive
+        return [self._entry(r) for rows in self.levels for r in rows if alive(r)]
 
 
 class InfoExchange:
@@ -163,13 +225,21 @@ class InfoExchange:
             self._by_key: Dict[Tuple[int, int, str], _Pending] = {}
             self._outstanding: Dict[int, int] = {}
             self._pool: List[_Pending] = []
-            self._drop_rng = sim.rng.get("transport-drop")
-            self._latency_rng = sim.rng.get("transport-latency")
-            self._latency = (
+            self._draw_drop = sim.rng.prefetch(
+                "transport-drop", lambda gen, n: gen.random(n)
+            ).next
+            latency = (
                 LogNormalLatency(faults.latency_scale, faults.latency_sigma)
                 if faults.latency_scale > 0
-                else None
+                else ConstantLatency(0.0)
             )
+            self._draw_latency = sim.rng.prefetch(
+                "transport-latency", latency.sample
+            ).next
+            levels = faults.max_retries + 1
+            self._delays = [faults.timeout * faults.backoff**i for i in range(levels)]
+            self._timeouts = _TimeoutRows(levels, self._inflight)
+            sim.set_lazy_source(self._timeouts)
             sim.on(EventKind.TRANSPORT_DELIVER, self._on_deliver)
             sim.on(EventKind.TRANSPORT_TIMEOUT, self._on_timeout)
 
@@ -344,8 +414,9 @@ class InfoExchange:
     def snapshot(self) -> dict:
         """Checkpoint state: rid counter plus the live in-flight table.
 
-        Pending requests serialize by value with their timeout events
-        referenced by scheduler ``seq``; the ``_Pending`` free-list pool
+        Pending requests serialize by value with their timeouts
+        referenced by scheduler ``seq`` (the simulator's snapshot folds
+        the live rows into its queue); the ``_Pending`` free-list pool
         is a pure allocation cache and is rebuilt empty on restore.
         Deliver events in flight live in the scheduler queue and re-bind
         through the handler registry, not here.
@@ -362,7 +433,7 @@ class InfoExchange:
                     p.responder,
                     p.kind,
                     p.attempt,
-                    None if p.timeout_event is None else p.timeout_event.seq,
+                    p.timeout_seq,
                 )
                 for p in self._inflight.values()
             ],
@@ -370,7 +441,7 @@ class InfoExchange:
         }
 
     def restore(self, state: dict, sim: Simulator) -> None:
-        """Rebuild the in-flight table, re-linking timeouts by seq."""
+        """Rebuild the in-flight table, reclaiming timeouts by seq."""
         if state["message_driven"] != self.message_driven:
             raise ValueError(
                 "checkpoint transport mode (message-driven="
@@ -380,18 +451,24 @@ class InfoExchange:
         if self.faults is None:
             return
         self._next_rid = state["next_rid"]
-        self._inflight = {}
+        # In place: the timeout rows read liveness through this dict.
+        self._inflight.clear()
         self._by_key = {}
         self._pool = []
+        levels: List[list] = [[] for _ in self._delays]
         for rid, requester, responder, kind, attempt, timeout_seq in state[
             "inflight"
         ]:
             pending = _Pending(rid, requester, responder, kind)
             pending.attempt = attempt
-            if timeout_seq is not None:
-                pending.timeout_event = sim.restored_event(timeout_seq)
+            pending.timeout_seq = timeout_seq
+            t, _payload, rematerialized = sim.reclaim_lazy(timeout_seq)
+            if not rematerialized:
+                levels[attempt].append((t, timeout_seq, rid, attempt))
             self._inflight[rid] = pending
             self._by_key[pending.key] = pending
+        self._timeouts.levels = [deque(sorted(rows)) for rows in levels]
+        self._timeouts.live = sum(map(len, levels))
         self._outstanding = dict(state["outstanding"])
 
     # -- the in-flight engine -------------------------------------------------
@@ -414,20 +491,28 @@ class InfoExchange:
         return True
 
     def _send_attempt(self, pending: _Pending) -> None:
-        """Send (or resend) the request leg and arm its timeout."""
-        sim = self.sim
-        faults = self.faults
-        req_type = _REQUEST_TYPES[pending.kind][0]
-        retry = pending.attempt > 0
-        self.ledger.record(req_type, retransmission=retry)
-        self._trace("retried" if retry else "sent", pending)
-        self._transmit(pending, "request", None)
-        timeout = faults.timeout * faults.backoff**pending.attempt
-        pending.timeout_event = sim.schedule(
-            timeout,
-            EventKind.TRANSPORT_TIMEOUT,
-            {"rid": pending.rid, "attempt": pending.attempt},
+        """Send (or resend) the request leg and arm its timeout.
+
+        The timeout's seq is reserved right after the request leg's, as
+        an eager ``schedule`` would; beyond the active window it is only
+        a row in its attempt level's FIFO.
+        """
+        attempt = pending.attempt
+        self.ledger.record(
+            _REQUEST_TYPES[pending.kind][0], retransmission=attempt > 0
         )
+        self._trace("retried" if attempt else "sent", pending)
+        self._transmit(pending, "request", None)
+        sim = self.sim
+        t = sim.clock._now + self._delays[attempt]
+        rid = pending.rid
+        seq, materialized = sim.schedule_lazy(
+            t, EventKind.TRANSPORT_TIMEOUT, {"rid": rid, "attempt": attempt}
+        )
+        pending.timeout_seq = seq
+        if not materialized:
+            self._timeouts.levels[attempt].append((t, seq, rid, attempt))
+            self._timeouts.live += 1
 
     def _transmit(
         self,
@@ -437,20 +522,18 @@ class InfoExchange:
     ) -> None:
         """Carry one message leg across the link: maybe drop, else delay."""
         sim = self.sim
-        p_loss = self.faults.loss_at(sim.now)
-        if p_loss > 0.0 and self._drop_rng.random() < p_loss:
+        now = sim.clock._now
+        p_loss = self.faults.loss_at(now)
+        if p_loss > 0.0 and self._draw_drop() < p_loss:
             self._trace("dropped", pending, leg)
             return
-        delay = (
-            self._latency.sample_one(self._latency_rng)
-            if self._latency is not None
-            else 0.0
-        )
         payload: Dict[str, object] = {"rid": pending.rid, "leg": leg}
         if values is not None:
             payload["values"] = values
-            payload["at"] = sim.now
-        sim.schedule(delay, EventKind.TRANSPORT_DELIVER, payload)
+            payload["at"] = now
+        sim.schedule_at(
+            now + self._draw_latency(), EventKind.TRANSPORT_DELIVER, payload
+        )
 
     def _on_deliver(self, sim: Simulator, event) -> None:
         pending = self._inflight.get(event.payload["rid"])
@@ -492,8 +575,10 @@ class InfoExchange:
                 requester.knowledge.observe_values(
                     pending.responder, values["capacity"], values["age"], at
                 )
-        if pending.timeout_event is not None:
-            self.sim.cancel(pending.timeout_event)
+        # A timeout already materialized is cancelled in the calendar; a
+        # row dies by itself once the request leaves the in-flight table.
+        if not self.sim.cancel_lazy(pending.timeout_seq):
+            self._timeouts.live -= 1
         self._trace("satisfied", pending)
         self._resolve(pending)
 
@@ -519,7 +604,6 @@ class InfoExchange:
         del self._inflight[pending.rid]
         del self._by_key[pending.key]
         requester = pending.requester
-        pending.timeout_event = None  # drop the Event ref before pooling
         if len(self._pool) < _PENDING_POOL_MAX:
             self._pool.append(pending)
         remaining = self._outstanding[requester] - 1

@@ -32,16 +32,68 @@ worker is bit-identical to the same seed run serially in the parent.
 Harnesses that need distinct runs therefore vary the *seed* (e.g.
 ``cfg.with_(seed=s)`` per replication seed, ``seed + n`` per Table-3
 size) and never hand out generators across the process boundary.
+
+Draw-ahead streams
+------------------
+
+A stream read one scalar at a time on a hot path (the transport's drop
+and latency draws, one each per message leg) can be read through a
+:class:`DrawAhead` (:meth:`RngStreams.prefetch`): one NumPy call per
+:data:`PREFETCH_BLOCK` values instead of one per value.  By NumPy's
+partition invariance (``draw(a + b)`` is ``draw(a)`` then ``draw(b)``,
+values and final state; pinned in ``tests/util/test_indexed_set.py``)
+the values are the scalar stream's, and :meth:`RngStreams.snapshot`
+settles every buffer first, so no snapshot sees a value drawn ahead.
 """
 
 from __future__ import annotations
 
 import zlib
-from typing import Dict, Iterator
+from typing import Callable, Dict, Iterator, List, Optional
 
 import numpy as np
 
-__all__ = ["RngStreams"]
+__all__ = ["RngStreams", "DrawAhead", "PREFETCH_BLOCK"]
+
+#: Values a :class:`DrawAhead` takes per NumPy call.
+PREFETCH_BLOCK = 256
+
+
+class DrawAhead:
+    """``next()`` returns the values of a partition-invariant
+    ``draw(gen, n)`` one at a time, from a block drawn ahead."""
+
+    __slots__ = ("gen", "draw", "block", "pos", "state")
+
+    def __init__(self, gen: np.random.Generator, draw: Callable) -> None:
+        self.gen = gen
+        self.draw = draw
+        self.drop()
+
+    def next(self) -> float:
+        pos = self.pos
+        block = self.block
+        if pos == len(block):
+            self.state = self.gen.bit_generator.state
+            block = self.block = self.draw(self.gen, PREFETCH_BLOCK).tolist()
+            pos = 0
+        self.pos = pos + 1
+        return block[pos]
+
+    def settle(self) -> None:
+        """Rewind to the block start and redraw what was handed out:
+        the generator ends where one-at-a-time draws would leave it."""
+        if self.pos < len(self.block):
+            self.gen.bit_generator.state = self.state
+            self.draw(self.gen, self.pos)
+        self.drop()
+
+    def drop(self) -> None:
+        """Forget the block (its values are void after a restore)."""
+        self.block: List[float] = []
+        self.pos = 0
+        #: The generator state just before ``block`` was drawn.
+        self.state: Optional[dict] = None
 
 
 class RngStreams:
@@ -62,6 +114,7 @@ class RngStreams:
         self._domain = int(domain)
         self._root = np.random.SeedSequence(self._seed)
         self._streams: Dict[str, np.random.Generator] = {}
+        self._ahead: Dict[str, DrawAhead] = {}
 
     @property
     def seed(self) -> int:
@@ -93,8 +146,19 @@ class RngStreams:
             self._streams[name] = gen
         return gen
 
+    def prefetch(self, name: str, draw: Callable) -> DrawAhead:
+        """Stream ``name`` read through a :class:`DrawAhead` of ``draw``
+        (one per stream: a second would draw past the first's block)."""
+        if name in self._ahead:
+            raise ValueError(f"stream {name!r} is already prefetched")
+        self._ahead[name] = DrawAhead(self.get(name), draw)
+        return self._ahead[name]
+
     def snapshot(self) -> dict:
-        """Per-stream ``bit_generator.state`` dicts, in creation order."""
+        """Per-stream ``bit_generator.state`` dicts, in creation order,
+        with every draw-ahead buffer settled first."""
+        for ahead in self._ahead.values():
+            ahead.settle()
         return {
             name: gen.bit_generator.state
             for name, gen in self._streams.items()
@@ -108,8 +172,11 @@ class RngStreams:
         components valid.  Streams named in ``state`` but not yet created
         by the re-wired system are instantiated first; streams the wiring
         created that the snapshot never drew from keep their fresh
-        derivation, which is identical by construction.
+        derivation, which is identical by construction.  Draw-ahead
+        buffers are emptied: their blocks came from the old states.
         """
+        for ahead in self._ahead.values():
+            ahead.drop()
         for name, bg_state in state.items():
             self.get(name).bit_generator.state = bg_state
 

@@ -22,13 +22,15 @@ hot operations are O(1) instead of O(log n):
   drains, the next occupied window's bucket is merged into the active
   heap (:meth:`_advance`).  Each event is touched O(1) times amortized.
 * **Lazy events** -- far-future events whose parameters live in an
-  external columnar *source* (peer death times in the PeerStore ``dv``
-  column) are never materialized at schedule time: :meth:`schedule_lazy`
-  reserves a seq (keeping trajectories bit-identical to eager
-  scheduling) and the source hands back ``(time, seq, payload)`` rows
-  per window via ``harvest``, at which point the engine builds the
-  Event.  A million pending peer deaths therefore cost two numpy
-  columns, not a million Event objects on a heap.
+  external *source*, one per event kind (peer death times in the
+  PeerStore ``dv`` column, transport timeouts in per-attempt FIFOs), are
+  never materialized at schedule time: :meth:`schedule_lazy` reserves a
+  seq (keeping trajectories bit-identical to eager scheduling) and the
+  source hands back ``(time, seq, payload)`` rows per window via
+  ``harvest``, at which point the engine builds the Event.  A million
+  pending peer deaths therefore cost two numpy columns, not a million
+  Event objects on a heap, and a timeout answered in time costs no
+  Event at all.
 
 Snapshots are canonical (sorted by ``(time, seq)``, unmaterialized lazy
 entries folded in), so the serialized state does not depend on where the
@@ -92,7 +94,8 @@ class LazyEventSource:
     objects do not exist yet.  The engine calls:
 
     * ``kind`` (attribute) -- the event kind every lazy row materializes
-      as; :meth:`Simulator.schedule_lazy` refuses other kinds.
+      as; :meth:`Simulator.schedule_lazy` routes a kind to its source
+      and refuses kinds no source owns.
     * ``lazy_count() -> int`` -- number of unmaterialized rows.
     * ``next_lazy_time() -> float`` -- earliest pending time (``inf``
       when empty); used to pick the next window to open.
@@ -167,9 +170,9 @@ class Simulator:
         self._bucket_heap: List[int] = []  # occupied window indices
         self._bucket_count = 0
         self._active_end = (self._bucket_of(start) + 1) * bucket_width
-        #: The single attached lazy source (peer deaths), if any.
-        self._source: Optional[LazyEventSource] = None
-        self._source_kind: Optional[str] = None
+        #: Attached lazy sources, one per event kind (peer deaths,
+        #: transport timeouts).
+        self._sources: Dict[str, LazyEventSource] = {}
         #: Materialized-but-undelivered lazy events, by seq (cancel path).
         self._lazy_events: Dict[int, Event] = {}
         #: Seqs of cancelled lazy events still sitting in the active heap
@@ -210,8 +213,8 @@ class Simulator:
         n = len(self._active) + len(self._now_buffer) + self._bucket_count
         if self._staging:
             n += len(self._staging)
-        if self._source is not None:
-            n += self._source.lazy_count()
+        for source in self._sources.values():
+            n += source.lazy_count()
         return n
 
     @property
@@ -248,11 +251,11 @@ class Simulator:
         for idx in sorted(self._buckets):
             for entry in self._buckets[idx]:
                 yield entry[2]
-        if self._source is not None:
-            for t, seq, payload in sorted(self._source.pending_lazy()):
+        for kind, source in self._sources.items():
+            for t, seq, payload in sorted(source.pending_lazy()):
                 yield Event(
                     time=t,
-                    kind=self._source_kind,
+                    kind=kind,
                     payload=_EMPTY_PAYLOAD if payload is None else payload,
                     seq=seq,
                 )
@@ -284,16 +287,18 @@ class Simulator:
         self._handlers[kind] = current[:i] + current[i + 1 :]
 
     def set_lazy_source(self, source: LazyEventSource) -> None:
-        """Attach the columnar source that owns unmaterialized events.
+        """Attach the source that owns unmaterialized events of its kind.
 
-        One source per simulator: the engine merges exactly one lazy
-        stream per window.  Re-attaching the same object is a no-op;
-        attaching a second source is a wiring bug and raises.
+        One source per event kind; the engine merges every source's rows
+        per window.  Re-attaching the same object is a no-op; attaching
+        a second source for a kind is a wiring bug and raises.
         """
-        if self._source is not None and self._source is not source:
-            raise RuntimeError("a lazy event source is already attached")
-        self._source = source
-        self._source_kind = source.kind
+        owner = self._sources.get(source.kind)
+        if owner is not None and owner is not source:
+            raise RuntimeError(
+                f"a lazy event source for kind {source.kind!r} is already attached"
+            )
+        self._sources[source.kind] = source
 
     # -- scheduling ----------------------------------------------------------
     def schedule(
@@ -372,7 +377,7 @@ class Simulator:
             else:
                 heappush(self._active, (time, seq, ev))
             return seq, True
-        if self._source is None or kind != self._source_kind:
+        if kind not in self._sources:
             raise RuntimeError(
                 "schedule_lazy beyond the active window needs a lazy source "
                 f"registered for kind {kind!r} (set_lazy_source)"
@@ -454,7 +459,7 @@ class Simulator:
 
         Candidates: the active heap's own head (a head at/past
         ``_active_end`` just means the window moved on without draining
-        it), the earliest occupied bucket, and the lazy source's
+        it), the earliest occupied bucket, and each lazy source's
         earliest row.  Windows only move forward, so a bucket index is
         pushed to ``_bucket_heap`` once and never goes stale.
         """
@@ -465,8 +470,8 @@ class Simulator:
         heap = self._bucket_heap
         if heap and (best is None or heap[0] < best):
             best = heap[0]
-        source = self._source
-        if source is not None:
+        sources = self._sources
+        for source in sources.values():
             t = source.next_lazy_time()
             if t != inf:
                 b = self._bucket_of(t)
@@ -486,11 +491,10 @@ class Simulator:
             self._bucket_count -= len(entries)
             for entry in entries:
                 heappush(active, entry)
-        if source is not None:
+        for kind, source in sources.items():
             harvested = source.harvest(end)
             if harvested:
                 lazy = self._lazy_events
-                kind = self._source_kind
                 for t, seq, payload in harvested:
                     ev = Event(
                         time=t,
@@ -651,9 +655,8 @@ class Simulator:
                 )
         if self._staging:
             entries.extend(self._staging.values())
-        if self._source is not None:
-            kind = self._source_kind
-            for t, seq, payload in self._source.pending_lazy():
+        for kind, source in self._sources.items():
+            for t, seq, payload in source.pending_lazy():
                 entries.append((t, seq, kind, payload, False))
         entries.sort(key=lambda e: (e[0], e[1]))
         return {
@@ -673,9 +676,10 @@ class Simulator:
         restored queue *is* the complete pending-event set.  The queue
         is *staged*, not materialized: components holding references
         into it re-link via :meth:`restored_event` (materializing just
-        their own entries), the churn driver hands its pending deaths
-        straight back to the lazy source via :meth:`reclaim_lazy`
-        (never building their Events at all), and whatever remains is
+        their own entries), the churn driver and the transport hand their
+        pending deaths and timeouts straight back to their lazy sources
+        via :meth:`reclaim_lazy` (never building their Events at all),
+        and whatever remains is
         finalized into the calendar at the first :meth:`run` /
         :meth:`step`.
 
@@ -775,9 +779,9 @@ class Simulator:
         """Materialize whatever is still staged and resume normal service.
 
         By the time this runs (first ``run()``/``step()`` after a
-        restore) the churn driver has reclaimed every lazy death into
-        its columns, so what remains is the small eager set: periodic
-        firings, scenario shifts, protocol timeouts.
+        restore) the churn driver and the transport have reclaimed every
+        lazy death and timeout, so what remains is the small eager set:
+        periodic firings, scenario shifts, messages in flight.
         """
         staging = self._staging
         self._staging = None

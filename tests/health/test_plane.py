@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import io
 import json
+import sys
+
+import pytest
 
 from repro.experiments.configs import table2_config
 from repro.health.config import HealthConfig
-from repro.health.flight import load_flight_bundle
+from repro.health.flight import FlightRecorderError, load_flight_bundle
 from repro.experiments.runner import run_experiment
 from repro.telemetry import TelemetryConfig
 from repro.cli import main as repro_main
@@ -136,6 +139,77 @@ class TestFlightRecorder:
         crash = load_flight_bundle(str(flight) + ".crash")
         assert crash["reason"] == "exception"
         assert "injected mid-run failure" in crash["error"]
+
+    def test_an_uncreatable_flight_path_is_refused_before_the_run(
+        self, tmp_path, capsys
+    ):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory\n")
+        code = repro_main(
+            ["figure6", "--n", "200", "--horizon", "120", "--health"]
+            + ["--flight-recorder", str(blocker / "flight.json")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: flight recorder path")
+
+    def test_a_refused_command_creates_no_flight_directory(self, tmp_path):
+        flight = tmp_path / "new" / "dir" / "flight.json"
+        code = repro_main(
+            ["figure5", "--horizon", "180", "--flight-recorder", str(flight)]
+        )
+        assert code == 2
+        assert not (tmp_path / "new").exists()
+
+    def test_a_failed_dump_is_a_typed_error_and_leaves_no_tmp(self, tmp_path):
+        # The directory exists (the pre-run check passes), but the bundle
+        # cannot replace a directory of the same name.
+        flight = tmp_path / "flight.json"
+        flight.mkdir()
+        cfg = small_config(
+            health=HealthConfig(
+                ratio_band=0.0, critical_after=1, flight_path=str(flight)
+            )
+        )
+        with pytest.raises(FlightRecorderError, match="cannot write flight bundle"):
+            run_experiment(cfg)
+        assert not list(tmp_path.glob("*.tmp"))
+        # The crash half still records why the run died.
+        crash = load_flight_bundle(f"{flight}.crash")
+        assert "FlightRecorderError" in crash["error"]
+
+    def test_a_failed_crash_dump_never_masks_the_run_exception(
+        self, tmp_path, caplog
+    ):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory\n")
+        cfg = small_config(
+            health=HealthConfig(flight_path=str(blocker / "flight.json"))
+        )
+        policy_state = {"calls": 0}
+
+        def dividing_policy(config):
+            from repro.core.dlm import DLMPolicy
+
+            policy = DLMPolicy(config.dlm_config())
+            original = policy.evaluate
+
+            def evaluate(*a, **kw):
+                policy_state["calls"] += 1
+                if policy_state["calls"] > 40:
+                    return 1 / 0
+                return original(*a, **kw)
+
+            policy.evaluate = evaluate
+            return policy
+
+        with caplog.at_level("WARNING", logger="repro.health"):
+            with pytest.raises(ZeroDivisionError) as err:
+                run_experiment(cfg, policy_factory=dividing_policy)
+        (record,) = [r for r in caplog.records if r.name == "repro.health"]
+        assert record.getMessage().startswith("flight recorder: no crash bundle:")
+        if sys.version_info >= (3, 11):
+            assert err.value.__notes__ == [record.getMessage()]
 
     def test_postmortem_cli_renders_the_bundle(self, tmp_path):
         _, flight = self.force_critical(tmp_path)

@@ -18,7 +18,9 @@ widths, and require:
 and separately that lazy scheduling is *equivalent to eager
 scheduling*: the same script with every ``schedule_lazy`` replaced by
 ``schedule_at`` delivers the exact same sequence, because the seq is
-reserved at schedule time either way.
+reserved at schedule time either way.  Every script runs two lazy
+sources of different kinds side by side (the engine keeps one per kind,
+as deaths and transport timeouts share it in a run).
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 import pickle
 from math import inf
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,21 +36,23 @@ from repro.sim.scheduler import Simulator
 from tests.sim.reference_heap import ReferenceHeap
 
 KIND = "lazy_tick"
+KIND2 = "lazy_tock"
+#: Schedule op -> the lazy kind it schedules.
+LAZY_OPS = {"lazy": KIND, "lazy2": KIND2}
 
 
 class DictSource:
     """Toy columnar lazy source: a dict of seq -> (time, payload) rows."""
 
-    kind = KIND
-
-    def __init__(self, sim: Simulator) -> None:
+    def __init__(self, sim: Simulator, kind: str) -> None:
+        self.kind = kind
         self.rows = {}
         self.sim = sim
         sim.set_lazy_source(self)
 
     # -- driver side -----------------------------------------------------
     def schedule(self, time: float) -> int:
-        seq, materialized = self.sim.schedule_lazy(time, KIND, None)
+        seq, materialized = self.sim.schedule_lazy(time, self.kind, None)
         if not materialized:
             self.rows[seq] = time
         return seq
@@ -90,6 +95,7 @@ ops_strategy = st.lists(
         st.tuples(st.just("eager"), st.floats(min_value=0.0, max_value=5.0)),
         st.tuples(st.just("zero"), st.none()),
         st.tuples(st.just("lazy"), st.floats(min_value=0.0, max_value=5.0)),
+        st.tuples(st.just("lazy2"), st.floats(min_value=0.0, max_value=5.0)),
         st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=40)),
         st.tuples(st.just("run"), st.floats(min_value=0.0, max_value=3.0)),
         st.tuples(st.just("step"), st.none()),
@@ -112,18 +118,21 @@ class Script:
         # (tag, handle) per schedule op; cleared on restore because a
         # pre-restore Event object no longer identifies a queue entry.
         self.created = []
-        self.live_lazy = set()
+        #: seq -> kind of every lazy event not yet delivered or cancelled.
+        self.live_lazy = {}
 
     def _fresh(self) -> Simulator:
         sim = Simulator(seed=7, bucket_width=self.width)
         sim.on("tick", self._on_event)
-        sim.on(KIND, self._on_event)
-        self.source = DictSource(sim)
+        self.sources = {}
+        for kind in LAZY_OPS.values():
+            sim.on(kind, self._on_event)
+            self.sources[kind] = DictSource(sim, kind)
         return sim
 
     def _on_event(self, sim, ev):
         self.log.append((ev.time, ev.seq, ev.kind))
-        self.live_lazy.discard(ev.seq)
+        self.live_lazy.pop(ev.seq, None)
 
     def apply(self, ops) -> None:
         for op, arg in ops:
@@ -132,14 +141,15 @@ class Script:
                 self.created.append(("eager", sim.schedule(float(arg), "tick")))
             elif op == "zero":
                 self.created.append(("eager", sim.schedule(0.0, "tick")))
-            elif op == "lazy":
+            elif op in LAZY_OPS:
+                kind = LAZY_OPS[op]
                 time = sim.now + float(arg)
                 if self.lazy:
-                    seq = self.source.schedule(time)
+                    seq = self.sources[kind].schedule(time)
                 else:
-                    seq = sim.schedule_at(time, KIND).seq
+                    seq = sim.schedule_at(time, kind).seq
                 self.created.append(("lazy", seq))
-                self.live_lazy.add(seq)
+                self.live_lazy[seq] = kind
             elif op == "cancel":
                 if not self.created:
                     continue
@@ -147,12 +157,13 @@ class Script:
                 if tag == "eager":
                     sim.cancel(handle)
                 elif self.lazy:
-                    if self.source.cancel(handle):
-                        self.live_lazy.discard(handle)
+                    kind = self.live_lazy.get(handle)
+                    if kind is not None and self.sources[kind].cancel(handle):
+                        del self.live_lazy[handle]
                 else:
                     ev = self._eager_lazy_event(handle)
                     if ev is not None and sim.cancel(ev):
-                        self.live_lazy.discard(handle)
+                        del self.live_lazy[handle]
             elif op == "run":
                 sim.run(until=sim.now + float(arg))
                 self.observe()
@@ -182,8 +193,8 @@ class Script:
         restored = self._fresh()
         restored.restore(state)
         if self.lazy:
-            for seq in sorted(self.live_lazy):
-                self.source.adopt(seq, restored)
+            for seq, kind in sorted(self.live_lazy.items()):
+                self.sources[kind].adopt(seq, restored)
         self.sim = restored
         # Pre-restore handles no longer name queue entries; later cancel
         # ops target post-restore schedules only (same in every variant,
@@ -211,9 +222,9 @@ class ModelScript:
                 created.append(model.schedule_at(model.now + float(arg), "tick"))
             elif op == "zero":
                 created.append(model.schedule_at(model.now + 0.0, "tick"))
-            elif op == "lazy":
+            elif op in LAZY_OPS:
                 created.append(
-                    model.schedule_at(model.now + float(arg), KIND, lazy=True)
+                    model.schedule_at(model.now + float(arg), LAZY_OPS[op], lazy=True)
                 )
             elif op == "cancel":
                 if created:
@@ -277,3 +288,14 @@ def test_snapshots_are_engine_independent_mid_script(ops):
     model.apply(ops)
     assert len({script.last_snapshot for script in scripts}) == 1
     assert pickle.loads(scripts[0].last_snapshot)["queue"] == model.queues[-2]
+
+
+def test_one_lazy_source_per_kind():
+    sim = Simulator(seed=7)
+    ticks = DictSource(sim, KIND)
+    DictSource(sim, KIND2)  # a source of a new kind is accepted
+    sim.set_lazy_source(ticks)  # re-attaching the same one is a no-op
+    with pytest.raises(RuntimeError, match="already attached"):
+        DictSource(sim, KIND)
+    with pytest.raises(RuntimeError, match="needs a lazy source"):
+        sim.schedule_lazy(10.0, "unowned_kind")

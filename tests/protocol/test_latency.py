@@ -27,7 +27,7 @@ class TestConstantLatency:
         assert ConstantLatency(3.0).mean == 3.0
 
     def test_zero_allowed(self, rng):
-        assert ConstantLatency(0.0).sample_one(rng) == 0.0
+        np.testing.assert_array_equal(ConstantLatency(0.0).sample(rng, 3), 0.0)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -186,8 +186,7 @@ class TestMinDelay:
         assert default_shard_link_model().min_delay() > 0.0
 
 
-# One instance (at least) of every model class in the package,
-# overriding ``sample_one`` or not.
+# One instance (at least) of every model class in the package.
 SCALAR_CASES = [
     ConstantLatency(1.5),
     UniformLatency(0.5, 1.5),
@@ -210,20 +209,38 @@ def test_scalar_cases_cover_every_latency_model_class():
     assert shipped <= {type(m) for m in SCALAR_CASES}
 
 
-@pytest.mark.parametrize("model", SCALAR_CASES, ids=repr)
-@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+@pytest.mark.parametrize(
+    "model",
+    [m for m in SCALAR_CASES if not isinstance(m, MixtureLatency)],
+    ids=repr,
+)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    parts=st.lists(st.integers(min_value=0, max_value=300), max_size=6),
+)
 @settings(max_examples=20, deadline=None)
-def test_sample_one_is_the_vector_stream(model, seed):
-    """``sample_one`` returns the bits ``sample(rng, 1)[0]`` would and
-    leaves the generator where that call would (the scalar overrides on
-    the per-message path must not move a single delivery time)."""
-    scalar_rng, vector_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    for _ in range(50):
-        one = model.sample_one(scalar_rng)
-        assert isinstance(one, float)
-        # The base-class body is the definition the overrides must match.
-        assert one.hex() == LatencyModel.sample_one(model, vector_rng).hex()
-    assert scalar_rng.bit_generator.state == vector_rng.bit_generator.state
+def test_sample_one_is_the_vector_stream(model, seed, parts):
+    """Values taken one at a time, or in any split, are the vector
+    stream: ``sample(a + b)`` is ``sample(a)`` then ``sample(b)``,
+    values and generator state.  The transport's draw-ahead buffer
+    (``RngStreams.prefetch``) rests on it: a block of 256 hands out what
+    per-leg draws would, and settling redraws exactly the used prefix."""
+    parts = [1, 1, *parts, 1]
+    split_rng, whole_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    pieces = [x for n in parts for x in model.sample(split_rng, n).tolist()]
+    whole = model.sample(whole_rng, sum(parts)).tolist()
+    assert [x.hex() for x in pieces] == [x.hex() for x in whole]
+    assert split_rng.bit_generator.state == whole_rng.bit_generator.state
+
+
+def test_a_mixture_is_not_block_splittable():
+    # It draws every component pick before any delay, so it may not be
+    # read through a draw-ahead buffer (see ``LatencyModel.sample``).
+    model = SCALAR_CASES[-1]
+    assert isinstance(model, MixtureLatency)
+    split_rng, whole_rng = np.random.default_rng(3), np.random.default_rng(3)
+    pieces = [float(model.sample(split_rng, 1)[0]) for _ in range(8)]
+    assert pieces != model.sample(whole_rng, 8).tolist()
 
 
 class TestStableReprs:

@@ -17,6 +17,7 @@ from repro.protocol.messages import (
     ValueResponse,
 )
 from repro.protocol.transport import MESSAGES_PER_NEW_LINK, InfoExchange
+from repro.sim.rng import RngStreams
 from repro.sim.scheduler import Simulator
 from tests.conftest import add_peer
 
@@ -92,13 +93,6 @@ class TestPeriodicRefresh:
         ov, ledger, info = system
         assert info.ensure_fresh(2) == 0
         assert ledger.dlm_messages == 0
-
-
-class _AlwaysDrop:
-    """Stands in for the drop RNG: every Bernoulli draw says 'drop'."""
-
-    def random(self) -> float:
-        return 0.0
 
 
 def _trace(info) -> list:
@@ -181,8 +175,11 @@ class TestMessageDrivenExchange:
 
     def test_dropped_legs_are_traced_and_charged(self, driven):
         sim, ov, ledger, make = driven
-        info = make(loss_rate=0.5, timeout=1.0, max_retries=0)
-        info._drop_rng = _AlwaysDrop()
+        # The seam is the named stream itself: a leg drops when its draw
+        # from "transport-drop" falls below the loss rate, and under the
+        # fixture's seed the first three draws (one per request) do.
+        assert (RngStreams(7).get("transport-drop").random(3) < 0.9).all()
+        info = make(loss_rate=0.9, timeout=1.0, max_retries=0)
         stages = _trace(info)
         info.on_connection_created(2, 0)
         sim.run(until=5.0)

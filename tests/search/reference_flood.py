@@ -78,7 +78,7 @@ def reference_query(
             if not seen[i]:
                 seen[i] = True
                 depth[i] = 1
-                delay[i] = latency.sample_one(rng) if timed else 0.0
+                delay[i] = float(latency.sample(rng, 1)[0]) if timed else 0.0
                 frontier.append(i)
 
     hit_messages = 0
@@ -114,7 +114,7 @@ def reference_query(
                 seen[j] = True
                 depth[j] = d + 1
                 if timed:
-                    delay[j] = delay[i] + latency.sample_one(rng)
+                    delay[j] = delay[i] + float(latency.sample(rng, 1)[0])
                 frontier.append(j)
 
     return QueryOutcome(

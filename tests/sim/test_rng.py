@@ -72,3 +72,38 @@ class TestIntrospection:
         streams.get("b")
         streams.get("a")
         assert sorted(streams) == ["a", "b"]
+
+
+def _uniform(gen, n):
+    return gen.random(n)
+
+
+class TestDrawAhead:
+    """A prefetched stream hands out the scalar stream, and every
+    snapshot sees the generator where scalar draws would have left it."""
+
+    @pytest.mark.parametrize("taken", [0, 1, 255, 256, 257, 600])
+    def test_values_and_snapshot_equal_scalar_draws(self, taken):
+        ahead_streams, scalar_streams = RngStreams(5), RngStreams(5)
+        ahead = ahead_streams.prefetch("s", _uniform)
+        scalar = scalar_streams.get("s")
+        assert [ahead.next() for _ in range(taken)] == [
+            scalar.random() for _ in range(taken)
+        ]
+        assert ahead_streams.snapshot() == scalar_streams.snapshot()
+        # Drawing on after a snapshot continues the same stream.
+        assert [ahead.next() for _ in range(300)] == list(scalar.random(300))
+
+    def test_restore_voids_the_block_drawn_ahead(self):
+        streams = RngStreams(5)
+        ahead = streams.prefetch("s", _uniform)
+        start = streams.snapshot()
+        first = [ahead.next() for _ in range(3)]
+        streams.restore(start)
+        assert [ahead.next() for _ in range(3)] == first
+
+    def test_one_buffer_per_stream(self):
+        streams = RngStreams(5)
+        streams.prefetch("s", _uniform)
+        with pytest.raises(ValueError, match="already prefetched"):
+            streams.prefetch("s", _uniform)

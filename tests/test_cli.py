@@ -109,6 +109,8 @@ _EXIT_CODES = [
     (["table3", "--n", "300", "--shards", "2"], 2),
     (["figure5", "--n", "200", "--horizon", "180"], 2),  # horizon <= 2 x warm-up
     (["figure5", "--n", "200", "--horizon", "250"], 0),  # tail starts after the shift
+    (["profile", "transport", "--horizon", "300"], 2),  # it settles to 200
+    (["figure6", "--flight-recorder", "{tmp}/ok.jsonl/flight.json"], 2),
 ]
 
 

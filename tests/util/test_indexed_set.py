@@ -104,7 +104,25 @@ class TestSampling:
 class TestNumpyPartitionInvariance:
     """The NumPy behaviour a repair pass's single draw rests on
     (``repro.overlay.topology._Replay``): a bounded-integer request may
-    be split anywhere without moving a value or the generator."""
+    be split anywhere without moving a value or the generator.  The
+    transport's drop and latency draws (``random``, ``lognormal``
+    through ``repro.sim.rng.DrawAhead``) rest on the same property."""
+
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            lambda gen, n: gen.random(n),
+            lambda gen, n: gen.lognormal(-1.6, 0.5, size=n),
+        ],
+        ids=["random", "lognormal"],
+    )
+    @pytest.mark.parametrize("parts", [(1, 1), (3, 4), (1, 255), (256, 7), (2, 0, 3)])
+    def test_random_and_lognormal_split_anywhere(self, draw, parts):
+        whole, split = np.random.default_rng(77), np.random.default_rng(77)
+        together = draw(whole, sum(parts)).tolist()
+        pieces = [x for n in parts for x in draw(split, n).tolist()]
+        assert pieces == together
+        assert split.bit_generator.state == whole.bit_generator.state
 
     @pytest.mark.parametrize("bound", [1, 2, 49, 500, 2**32 + 5])
     @pytest.mark.parametrize(
