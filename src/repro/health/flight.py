@@ -83,10 +83,8 @@ def build_flight_bundle(
     from ..experiments.checkpoint import config_hash
 
     log = telemetry.log
-    records = [record_as_dict(r) for r in tuple(log)[-record_tail:]]
-    audit_records = [
-        record_as_dict(r) for r in log.records("audit")[-audit_tail:]
-    ]
+    records = [record_as_dict(r) for r in log.tail(record_tail)]
+    audit_records = [record_as_dict(r) for r in log.tail(audit_tail, "audit")]
     audit = telemetry.audit
     return {
         "kind": "postmortem",

@@ -8,10 +8,10 @@ time, peer ids, metric values.  No wall-clock, no memory addresses --
 two runs of the same config produce bit-identical record streams, which
 is what the serial/parallel and checkpoint-resume golden tests assert.
 
-Records are stored compactly as ``(seq, t, kind, values)`` tuples whose
-``values`` follow :data:`SCHEMAS`; :func:`record_as_dict` re-inflates
-one for export (``None`` fields are dropped, so a defer record does not
-carry thirteen nulls).
+Records read back as ``(seq, t, kind, values)`` tuples whose ``values``
+follow :data:`SCHEMAS`; :func:`record_as_dict` re-inflates one for
+export (``None`` fields are dropped, so a defer record does not carry
+thirteen nulls).  They are stored as typed columns, one block per shape.
 
 The :class:`AuditLog` is the decision-level consumer: every DLM
 promotion/demotion evaluation that reaches the decision rule lands here
@@ -22,8 +22,14 @@ the defer reason when Phase-1 knowledge was missing.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Dict, Iterator, Optional, Tuple
+import math
+import sys
+from array import array
+from itertools import compress, islice, repeat
+from types import NoneType
+from typing import Dict, Iterator, List, Optional, Tuple
+
+import numpy as np
 
 __all__ = [
     "RecordLog",
@@ -110,26 +116,100 @@ def record_as_dict(record: Record) -> dict:
     return out
 
 
+#: Exact value type -> ``array`` typecode; any other type is a list column.
+_TYPECODES = {float: "d", int: "q"}
+
+
+class _Block:
+    """The records of one **shape** -- the kind plus the exact type of
+    ``t`` and of each value -- one column per position (0 is ``t``,
+    ``i + 1`` is ``values[i]``) except the always-``None`` ones.  The
+    first ``head`` rows have been evicted by the ring."""
+
+    __slots__ = ("sid", "kind", "types", "present", "columns", "appends", "head")
+
+    def __init__(self, sid: int, kind: str, types: tuple) -> None:
+        self.sid = sid
+        self.kind = kind
+        self.types = types
+        self.present = tuple(tp is not NoneType for tp in types)
+        self.columns = [
+            array(_TYPECODES[tp]) if tp in _TYPECODES else []
+            for tp in compress(types, self.present)
+        ]
+        self.appends = tuple(c.append for c in self.columns)
+        self.head = 0
+
+    def widen(self, row: tuple) -> None:
+        """Finish appending ``row`` after an int overflowed an ``array('q')``:
+        that column holds Python objects from now on."""
+        n = min(map(len, self.columns))
+        for j, value in enumerate(compress(row, self.present)):
+            column = self.columns[j]
+            if len(column) == n:
+                try:
+                    column.append(value)
+                except OverflowError:
+                    self.columns[j] = column.tolist() + [value]
+        self.appends = tuple(c.append for c in self.columns)
+
+    def drop_oldest(self) -> None:
+        """Evict the oldest row; compact once evicted rows are the majority."""
+        self.head += 1
+        if self.columns and 2 * self.head > len(self.columns[0]):
+            for column in self.columns:
+                del column[: self.head]
+            self.head = 0
+
+    def rows(self, start: int) -> Iterator[tuple]:
+        """``(t, *values)`` per row from column index ``start`` on."""
+        columns = iter(self.columns)
+        cells = [
+            islice(next(columns), start, None) if p else repeat(None)
+            for p in self.present
+        ]
+        return zip(*cells)
+
+
 class RecordLog:
     """Ordered structured records under one global sequence number.
 
-    ``capacity`` bounds retention (newest records win); evictions are
-    counted exactly in :attr:`dropped` so a bounded log is still honest
-    about its coverage.
+    The shape-id column ``_ids`` from ``_head`` on is the ring in seq
+    order (the retained seqs are the last ``len(self)`` ones); each row
+    lives in its shape's :class:`_Block`.  ``capacity`` bounds retention
+    (newest records win); evictions are counted exactly in
+    :attr:`dropped` so a bounded log is still honest about its coverage.
     """
 
     def __init__(self, capacity: Optional[int] = None) -> None:
-        self._records: Deque[Record] = deque(maxlen=capacity)
+        self._capacity = math.inf if capacity is None else capacity
         self._next_seq = 0
         self.dropped = 0
+        self.clear()
 
     def emit(self, kind: str, t: float, values: tuple) -> None:
         """Append one record (fields per ``SCHEMAS[kind]``)."""
-        records = self._records
-        if records.maxlen is not None and len(records) == records.maxlen:
-            self.dropped += 1
-        records.append((self._next_seq, t, kind, values))
+        key = (kind, type(t), *map(type, values))
+        block = self._shapes.get(key)
+        if block is None:
+            block = self._shapes[key] = _Block(len(self.blocks), kind, key[1:])
+            self.blocks.append(block)
+        row = (t, *values)
+        try:
+            for append, value in zip(block.appends, compress(row, block.present)):
+                append(value)
+        except OverflowError:
+            block.widen(row)
+        ids = self._ids
+        ids.append(block.sid)
         self._next_seq += 1
+        if len(ids) - self._head > self._capacity:
+            self.blocks[ids[self._head]].drop_oldest()
+            self._head += 1
+            self.dropped += 1
+            if 2 * self._head > len(ids):
+                del ids[: self._head]
+                self._head = 0
 
     # -- querying ----------------------------------------------------------
     @property
@@ -138,16 +218,46 @@ class RecordLog:
         return self._next_seq
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._ids) - self._head
 
     def __iter__(self) -> Iterator[Record]:
-        return iter(self._records)
+        return self._rows()
 
     def records(self, kind: Optional[str] = None) -> Tuple[Record, ...]:
         """Retained records, oldest first, optionally filtered by kind."""
-        if kind is None:
-            return tuple(self._records)
-        return tuple(r for r in self._records if r[2] == kind)
+        return tuple(self._rows(0, kind))
+
+    def tail(self, n: int, kind: Optional[str] = None) -> Tuple[Record, ...]:
+        """The newest ``n`` retained records (of ``kind`` if given),
+        oldest first; reads the shape-id column and those rows only."""
+        if n <= 0:
+            return ()
+        start = max(len(self) - n, 0)
+        if kind is not None:
+            sids = [b.sid for b in self.blocks if b.kind == kind]
+            hits = np.flatnonzero(np.isin(self.shape_ids(), sids))
+            start = int(hits[-n]) if len(hits) >= n else 0
+        return tuple(self._rows(start, kind))
+
+    def _rows(self, start: int = 0, kind: Optional[str] = None) -> Iterator[Record]:
+        """Retained records from ring position ``start`` on, oldest first."""
+        ids = self._ids[self._head + start :]
+        skipped = np.bincount(self.shape_ids()[:start], minlength=len(self.blocks))
+        sources = [
+            (b.kind, b.rows(b.head + int(k))) if kind in (None, b.kind) else None
+            for b, k in zip(self.blocks, skipped)
+        ]
+        seq = self._next_seq - len(ids)
+        for sid in ids:
+            source = sources[sid]
+            if source is not None:
+                row = next(source[1])
+                yield seq, row[0], source[0], row[1:]
+            seq += 1
+
+    def shape_ids(self) -> np.ndarray:
+        """The retained shape-id column (a copy), oldest first."""
+        return np.frombuffer(self._ids[self._head :], dtype=np.uintc)
 
     def dicts(self, kind: Optional[str] = None) -> list:
         """Retained records as export-shaped dicts."""
@@ -155,22 +265,30 @@ class RecordLog:
 
     def clear(self) -> None:
         """Drop retained records (the sequence number keeps counting)."""
-        self._records.clear()
+        self._shapes: Dict[tuple, _Block] = {}
+        #: Every shape's block, by shape id (what the JSONL exporter renders).
+        self.blocks: List[_Block] = []
+        self._ids = array("I")
+        self._head = 0
 
     # -- checkpointing -----------------------------------------------------
     def snapshot(self) -> dict:
         return {
             "next_seq": self._next_seq,
             "dropped": self.dropped,
-            "records": [list(r[:3]) + [list(r[3])] for r in self._records],
+            "records": [[seq, t, kind, list(values)] for seq, t, kind, values in self],
         }
 
     def restore(self, state: dict) -> None:
-        self._next_seq = state["next_seq"]
+        """Adopt a snapshot; rows beyond ``capacity`` are evicted and
+        counted in :attr:`dropped`, as if emitted into this ring."""
+        records = state["records"]
+        self.clear()
+        self._next_seq = state["next_seq"] - len(records)
         self.dropped = state["dropped"]
-        self._records.clear()
-        for seq, t, kind, values in state["records"]:
-            self._records.append((seq, t, kind, tuple(values)))
+        for _seq, t, kind, values in records:
+            strings = (sys.intern(v) if type(v) is str else v for v in values)
+            self.emit(sys.intern(kind), t, tuple(strings))
 
 
 class AuditLog:

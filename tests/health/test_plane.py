@@ -8,11 +8,16 @@ import sys
 
 import pytest
 
-from repro.experiments.configs import table2_config
+from repro.experiments.configs import bench_config, table2_config
 from repro.health.config import HealthConfig
-from repro.health.flight import FlightRecorderError, load_flight_bundle
+from repro.health.flight import (
+    FlightRecorderError,
+    build_flight_bundle,
+    load_flight_bundle,
+)
 from repro.experiments.runner import run_experiment
 from repro.telemetry import TelemetryConfig
+from repro.telemetry.records import record_as_dict
 from repro.cli import main as repro_main
 
 
@@ -92,6 +97,38 @@ class TestFlightRecorder:
         assert bundle["records"]  # tail is non-empty
         assert bundle["sim"]["events_processed"] > 0
         assert bundle["config_hash"]
+
+    def test_bundle_tails_equal_slices_of_a_wrapped_ring(self):
+        cfg = bench_config().with_(
+            n=300,
+            horizon=150.0,
+            warmup=50.0,
+            seed=11,
+            telemetry=TelemetryConfig(record_capacity=500),
+            health=HealthConfig(ratio_band=0.2, critical_after=2),
+        )
+        result = run_experiment(cfg)
+        log = result.telemetry.log
+        assert log.dropped > 0 and len(log) == 500  # the ring has wrapped
+        for record_tail, audit_tail in ((400, 150), (25, 900), (1, 1)):
+            bundle = build_flight_bundle(
+                telemetry=result.telemetry,
+                sim=result.ctx.sim,
+                config=cfg,
+                policy_name="dlm",
+                reason="test",
+                record_tail=record_tail,
+                audit_tail=audit_tail,
+            )
+            # The expressions the bundle used before RecordLog.tail.
+            assert bundle["records"] == [
+                record_as_dict(r) for r in tuple(log)[-record_tail:]
+            ]
+            assert bundle["audit"] == [
+                record_as_dict(r) for r in log.records("audit")[-audit_tail:]
+            ]
+            if record_tail == 400:  # the tail crosses a health firing
+                assert {r["kind"] for r in bundle["records"]} > {"audit"}
 
     def test_crash_dump_writes_a_sibling_bundle_with_the_traceback(
         self, tmp_path

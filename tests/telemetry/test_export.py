@@ -8,7 +8,8 @@ import pytest
 
 from repro.experiments.configs import table2_config
 from repro.experiments.runner import run_experiment
-from repro.telemetry import TelemetryConfig, export_run, iter_jsonl
+from repro.telemetry import TelemetryConfig, export_run, iter_jsonl, write_jsonl
+from repro.telemetry.export import _CHUNK
 
 
 @pytest.fixture(scope="module")
@@ -92,3 +93,28 @@ class TestExportRun:
         assert written["jsonl"] > 0
         assert target.exists()
         assert "chrome_trace" not in written
+
+
+class TestAtomicWrite:
+    def test_a_writer_failing_after_the_first_chunk_leaves_the_old_file(
+        self, tmp_path
+    ):
+        target = tmp_path / "run.jsonl"
+        target.write_text("previous\n")
+        tmp = tmp_path / "run.jsonl.tmp"
+
+        def lines():
+            yield from ({"i": i, "pad": "x" * 64} for i in range(_CHUNK))
+            assert tmp.stat().st_size > 0  # the first chunk went out
+            raise RuntimeError("writer died")
+
+        with pytest.raises(RuntimeError, match="writer died"):
+            write_jsonl(str(target), lines())
+        assert target.read_text() == "previous\n"
+        assert sorted(tmp_path.iterdir()) == [target]
+
+    def test_a_completed_write_replaces_the_file(self, tmp_path):
+        target = tmp_path / "sub" / "run.jsonl"
+        assert write_jsonl(str(target), [{"b": 1, "a": [0.5, None]}]) == 1
+        assert target.read_text() == '{"a":[0.5,null],"b":1}\n'
+        assert sorted(target.parent.iterdir()) == [target]

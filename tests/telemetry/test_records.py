@@ -63,6 +63,27 @@ class TestRecordLog:
         fresh.emit("audit", 2.0, (2, "super"))
         assert fresh.records()[-1][0] == 1  # sequence continues
 
+    def test_restore_into_a_smaller_ring_counts_the_overflow(self):
+        log = RecordLog()
+        for i in range(10):
+            log.emit("audit", float(i), (i, "leaf"))
+        small = RecordLog(capacity=4)
+        small.restore(log.snapshot())
+        assert len(small) == 4
+        assert small.dropped == 6  # was 0: the overflow vanished silently
+        assert small.total_emitted == 10
+        assert [r[0] for r in small] == [6, 7, 8, 9]
+
+    def test_tail_reads_the_newest_rows_per_kind(self):
+        log = RecordLog(capacity=6)
+        for i in range(9):
+            log.emit("audit" if i % 3 else "transport", float(i), (i,))
+        assert [r[0] for r in log.tail(2)] == [7, 8]
+        assert [r[0] for r in log.tail(50)] == [3, 4, 5, 6, 7, 8]
+        assert [r[0] for r in log.tail(3, "audit")] == [5, 7, 8]
+        assert [r[0] for r in log.tail(9, "transport")] == [3, 6]
+        assert log.tail(0) == () and log.tail(2, "absent") == ()
+
 
 class TestRecordAsDict:
     def test_schema_fields_zipped_and_nones_dropped(self):
