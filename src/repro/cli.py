@@ -453,9 +453,10 @@ def _cmd_list(args) -> int:
 
 def _cmd_report(args) -> int:
     """``repro report``: EXPERIMENTS.md content on stdout."""
+    from .experiments.registry import SINGLE_RUN_OUTPUTS
     from .experiments.report import generate_experiments_report
 
-    _refuse(args, ("save",), "report")
+    _refuse(args, ("save", *SINGLE_RUN_OUTPUTS), "report")
     print(generate_experiments_report(build_config(args)))
     return 0
 

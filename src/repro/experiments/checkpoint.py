@@ -216,7 +216,10 @@ def restore_run_state(result, state: dict, *, restore_rng: bool = True) -> None:
     ctx.overhead.restore(state["overhead"])
     ctx.info.restore(state["info"], sim)
     result.driver.restore(state["driver"], sim)
-    result.policy.restore(state["policy"], sim)
+    try:
+        result.policy.restore(state["policy"], sim)
+    except ValueError as exc:  # captured under another policy
+        raise CheckpointError(str(exc)) from exc
     result.maintenance_process.restore(state["maintenance_process"], sim)
     result.sampler.restore(state["sampler"], sim)
     if (result.workload is None) != (state["workload"] is None):

@@ -37,7 +37,19 @@ from .figure_families import FigureFamiliesResult, run_figure_families
 from .figure_faults import FigureFaultsResult, run_figure_faults
 from .table3 import PAPER_SIZES, Table3Result, run_table3
 
-__all__ = ["Experiment", "EXPERIMENTS", "get_experiment", "all_ids"]
+__all__ = [
+    "Experiment",
+    "EXPERIMENTS",
+    "SINGLE_RUN_OUTPUTS",
+    "get_experiment",
+    "all_ids",
+]
+
+#: Run options that name one run's output file.  A harness that runs
+#: several systems would have each run overwrite the last one's file,
+#: so its row refuses them.
+SINGLE_RUN_OUTPUTS = ("audit_jsonl", "chrome_trace", "flight_recorder")
+SINGLE_RUN_OUTPUTS += ("checkpoint_every", "checkpoint_path")
 
 
 @dataclass(frozen=True)
@@ -98,6 +110,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
                 "argument."
             ),
             report_horizon=600.0,
+            ignores=SINGLE_RUN_OUTPUTS,
         ),
         Experiment(
             "figure2_3",
@@ -194,6 +207,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
                 "few percent of each other -- the paper's 'on same success "
                 "rate' framing."
             ),
+            ignores=SINGLE_RUN_OUTPUTS,
         ),
         Experiment(
             "figure8",
@@ -214,6 +228,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
                 "older than its leaves), and DLM's super-layer is older in "
                 "absolute terms (`super_age_advantage`)."
             ),
+            ignores=SINGLE_RUN_OUTPUTS,
         ),
         Experiment(
             "table3",
@@ -241,7 +256,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
             paper_sizes=PAPER_SIZES,
             # Each size runs to settle + window on a single-engine
             # harness that steps its run by hand.
-            ignores=("horizon", "shards"),
+            ignores=("horizon", "shards", *SINGLE_RUN_OUTPUTS),
         ),
         Experiment(
             "figure_faults",
@@ -252,7 +267,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
             FigureFaultsResult.render,
             # The sweep's cells are the loss x latency grid, and each
             # cell reads its one system's ledger.
-            ignores=("loss", "latency_scale", "shards"),
+            ignores=("loss", "latency_scale", "shards", *SINGLE_RUN_OUTPUTS),
         ),
         Experiment(
             "families",
@@ -262,7 +277,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
             FigureFamiliesResult.check_shape,
             FigureFamiliesResult.render,
             # The sweep runs every family and reads each run's system.
-            ignores=("family", "shards"),
+            ignores=("family", "shards", *SINGLE_RUN_OUTPUTS),
         ),
     )
 }

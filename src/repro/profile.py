@@ -7,6 +7,10 @@ cumulative and internal time.  Workload setup (settling an overlay for
 the flooding micro-workload) runs outside the profiled region, so the
 report shows only the hot path.
 
+``flooding`` also times the queries of its settling run, cold (the
+first of an entry set after a backbone change) and warm apart -- the
+figures DESIGN.md §5 "Flood by lookup" quotes.
+
 ``evaluate`` is a timer, not a profile: it settles one overlay per
 knowledge plane and prints the cost of one DLM verdict (phases 2-4,
 nothing executed) per role in µs, with the mean related-set size --
@@ -75,19 +79,50 @@ def _scheduler_workload(config, opts) -> Callable[[], object]:
 
 
 def _flooding_workload(config, opts) -> Callable[[], object]:
-    """Repeated flood queries over a settled backbone.
+    """Flood queries timed inside a run, then replayed to be profiled.
 
-    The settling run happens here, outside the profiled region.
+    The settling run queries at ``search_reads``' rate with every
+    :meth:`FloodRouter.query` timed: a cold query built a reach row (the
+    first of its entry set since the backbone changed), a warm one -- a
+    lookup or a local hit -- did not.  It prints µs per cold and per warm
+    query and reach rows built per 1000 queries.  The profiled replay,
+    outside the run, issues ``--queries`` queries from 64 fixed leaves of
+    the settled overlay and drops the router's snapshot as often as the
+    run rebuilt it.
     """
     from .experiments.configs import SearchConfig
     from .experiments.runner import run_experiment
     from .search.flooding import FloodRouter
 
-    result = run_experiment(
-        config.with_(
-            horizon=300.0, search=SearchConfig(query_rate=0.001, n_objects=5000)
+    spent = {"cold": 0.0, "warm": 0.0}
+    count = {"cold": 0, "warm": 0, "snapshots": 0}
+    query = FloodRouter.query
+
+    def timed(router, source, obj):
+        rows, n_rows = router._reach, len(router._reach)
+        t0 = perf_counter()
+        out = query(router, source, obj)
+        kind = "warm" if router._reach is rows and len(rows) == n_rows else "cold"
+        spent[kind] += perf_counter() - t0
+        count[kind] += 1
+        count["snapshots"] += router._reach is not rows
+        return out
+
+    FloodRouter.query = timed
+    try:
+        result = run_experiment(
+            config.with_(horizon=300.0, search=SearchConfig(query_rate=120.0))
         )
+    finally:
+        FloodRouter.query = query
+    cold, total = count["cold"], count["cold"] + count["warm"]
+    print(
+        f"{spent['cold'] / max(cold, 1) * 1e6:7.2f} us/cold query"
+        f"  {spent['warm'] / max(total - cold, 1) * 1e6:6.2f} us/warm query"
+        f"  {cold / max(total, 1) * 1000:6.1f} reach rows/1000 queries"
+        f"  ({total} queries, {count['snapshots']} snapshots)"
     )
+
     router = FloodRouter(result.overlay, result.directory, ttl=7)
     rng = result.ctx.sim.rng.get("profile")
     sources = result.overlay.leaf_ids.sample(rng, 64)
@@ -97,10 +132,13 @@ def _flooding_workload(config, opts) -> Callable[[], object]:
         (sources[i % len(sources)], catalog.query_target(rng))
         for i in range(queries)
     ]
+    every = max(total // max(count["snapshots"], 1), 1)
 
     def run() -> int:
         hits = 0
-        for src, obj in pairs:
+        for i, (src, obj) in enumerate(pairs):
+            if i % every == 0:
+                router.resync()
             hits += router.query(src, obj).found
         return hits
 

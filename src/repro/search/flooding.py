@@ -13,24 +13,25 @@ the query over a backbone link is one ``query`` message (duplicates
 included -- floods pay for redundant deliveries); every hit routes one
 ``query_hit`` back along the inverse path, one message per hop.
 
-Hot-path notes (profiled with ``python -m repro.profile flooding``):
+Hot-path notes (profiled and timed with ``repro profile flooding``):
 
-The flood is *level-synchronous*: level ``d`` is the set of supers at
-backbone distance ``d`` from the entry points, and every outcome field
-is a sum or minimum over levels (``supers_visited = sum |level|``,
-``query_messages`` the summed degree of the levels below the TTL,
-``hits_d = |level & holders|``, ``hit_messages = sum hits_d * d``,
-``first_hit_hops`` the first ``d`` with a hit), independent of the order
-supers are expanded within a level.  So a level costs a few C-level set
-operations, not one interpreted iteration per super and per link:
-``holders`` is the directory's inverted view
-(:meth:`ContentDirectory.holders`), adjacency a ``pid -> super_neighbors``
-dict of the store's own tuples, rebuilt lazily on the first query after
-an event that can change the backbone (super--super link churn, role
-changes, super join/leave).  Once every super is seen the flood stops
-short of its last expansion, whose copies (counted) are all duplicates.
-The per-copy BFS this replaced is the test oracle
-(``tests/search/reference_flood.py``); outcomes are bit-identical.
+Apart from its hits, a flood's outcome is a function of the backbone
+snapshot, the entry set and the TTL (level ``d`` is the set of supers at
+distance ``d`` from the entry points; ``supers_visited`` sums the levels,
+``query_messages`` their degrees below the TTL).  So each entry -- a
+super source's pid, or the frozenset of a leaf source's *live* supers,
+since leaf--super links leave the backbone alone -- is flooded once per
+snapshot, level by level in C-level set operations, into a reach row:
+``(visited, expansion messages, dist)``, ``dist`` one small int per
+super in dense snapshot order (``ttl + 1`` if unreached, and for a pid
+absent from the snapshot; a ``bytearray`` while that fits a byte -- not
+sets, which cost megabytes).  A query is one pass over
+:meth:`ContentDirectory.holders`: a holder at ``d <= ttl`` is a hit that
+sends ``d`` QueryHit messages back, and the least ``d`` is
+``first_hit_hops``.  The snapshot and its rows are rebuilt on the first
+query after super--super link churn, a role change, a super join/leave
+or :meth:`resync`.  The per-copy BFS all this replaced is the test
+oracle (``tests/search/reference_flood.py``); outcomes are bit-identical.
 
 A timed flood (``latency=``) reports the first hit's round trip as the
 sum of ``2 * d`` fresh i.i.d. hop draws: ``d`` hops out, ``d`` back.
@@ -39,7 +40,7 @@ sum of ``2 * d`` fresh i.i.d. hop draws: ``d`` hops out, ``d`` back.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -97,9 +98,12 @@ class FloodRouter:
         self.ledger = ledger
         self.latency = latency
         self.rng = rng
-        # Backbone snapshot, pid -> super_neighbors (rebuilt lazily).
+        # Backbone snapshot (rebuilt lazily): pid -> dense index, and each
+        # super's links as dense indices; reach rows, entry key -> row.
         self._dirty = True
-        self._adj: Dict[int, Tuple[int, ...]] = {}
+        self._pos: Dict[int, int] = {}
+        self._adj: List[List[int]] = []
+        self._reach: Dict[object, Tuple[int, int, Sequence[int]]] = {}
         overlay.add_link_listener(self._on_link)
         overlay.add_membership_listener(self._on_membership)
         overlay.add_role_listener(self._on_role)
@@ -129,12 +133,48 @@ class FloodRouter:
         self._dirty = True
 
     def _rebuild(self) -> None:
-        """Snapshot every super's backbone links (the store's own tuples)."""
+        """Snapshot the backbone: number the supers densely, keep each
+        one's links as dense indices, and drop every reach row."""
         store = self.overlay.store
-        sn = store.sn
-        slot = store.slot
-        self._adj = {sid: sn[slot(sid)] for sid in self.overlay.super_ids}
+        ids = list(self.overlay.super_ids)
+        pos = self._pos = dict(zip(ids, range(len(ids))))
+        index = pos.__getitem__
+        slots = store.slots_of(np.array(ids, dtype=np.int64)).tolist()
+        self._adj = [[*map(index, t)] for t in map(store.sn.__getitem__, slots)]
+        self._reach = {}
         self._dirty = False
+
+    def _flood(self, key) -> Tuple[int, int, Sequence[int]]:
+        """Flood the snapshot once from the entry ``key`` names -- a super
+        source's pid (depth 0), or a leaf source's frozenset of supers
+        (depth 1) -- and keep the result as its reach row."""
+        pos = self._pos
+        if type(key) is frozenset:
+            level, d = set(map(pos.__getitem__, key)), 1
+        else:
+            level, d = {pos[key]}, 0
+        adj = self._adj
+        ttl = self.ttl
+        fill = ttl + 1  # unreached; the extra last slot is every absent pid
+        n = len(adj) + 1
+        dist = bytearray((fill,)) * n if fill < 256 else [fill] * n
+        seen: set = set()
+        visited = messages = 0
+        while level:
+            visited += len(level)
+            for i in level:
+                dist[i] = d
+            if d >= ttl:
+                break
+            seen |= level
+            nbrs = [adj[i] for i in level]
+            messages += sum(map(len, nbrs))  # every copy, dup or not
+            if len(seen) == len(adj):
+                break  # whole backbone reached: those copies were all dups
+            level = set().union(*nbrs) - seen
+            d += 1
+        row = self._reach[key] = (visited, messages, dist)
+        return row
 
     def query(self, source: int, obj: int) -> QueryOutcome:
         """Issue a query for ``obj`` from peer ``source``.
@@ -161,39 +201,31 @@ class FloodRouter:
 
         if self._dirty:
             self._rebuild()
-        adj = self._adj
-        if source in adj:
-            level = {source}
-            query_messages = 0
-            d = 0
+        pos = self._pos
+        if source in pos:
+            entry: Tuple[int, ...] = ()
+            key = source
         else:
+            # Read live: leaf--super links do not dirty the snapshot.
             entry = self.overlay.peer(source).super_neighbors
-            level = set(entry)
-            query_messages = len(entry)  # one copy per access link
-            d = 1
-        holders = directory.holders(obj)
+            key = frozenset(entry)
+        row = self._reach.get(key)
+        if row is None:
+            row = self._flood(key)
+        visited, query_messages, dist = row
+        query_messages += len(entry)  # one copy per access link
+
         ttl = self.ttl
-        seen: set = set()
-        visited = hits = hit_messages = 0
+        absent = len(pos)
+        hits = hit_messages = 0
         first_hit_hops: Optional[int] = None
-        while level:
-            visited += len(level)
-            if holders:
-                h = len(level.intersection(holders))
-                if h:
-                    hits += h
-                    hit_messages += h * d  # QueryHits back along inverse paths
-                    if first_hit_hops is None:
-                        first_hit_hops = d
-            if d >= ttl:
-                break
-            seen |= level
-            nbrs = [adj[p] for p in level]
-            query_messages += sum(map(len, nbrs))  # every copy, dup or not
-            if len(seen) == len(adj):
-                break  # whole backbone reached: those copies were all dups
-            level = set().union(*nbrs) - seen
-            d += 1
+        for h in directory.holders(obj):
+            d = dist[pos.get(h, absent)]
+            if d <= ttl:
+                hits += 1
+                hit_messages += d  # a QueryHit back along the inverse path
+                if first_hit_hops is None or d < first_hit_hops:
+                    first_hit_hops = d
 
         if self.ledger is not None:
             self.ledger.record(QueryMessage, query_messages)

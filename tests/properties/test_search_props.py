@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -63,41 +64,148 @@ def test_flood_outcome_invariants(system, ttl, obj, data):
     assert out.hit_messages <= out.hits * (ttl + 1)
 
 
-@given(random_overlay(), st.integers(1, 6), st.integers(0, 29), st.data())
-@settings(max_examples=100, deadline=None)
-def test_flood_equals_the_per_copy_reference(system, ttl, obj, data):
-    """Level-synchronous set algebra == the per-copy BFS, field by field.
+def _assert_matches_reference(routers, ov, directory, rng, source, obj):
+    """Every field of an untimed and a timed query equals the oracle's."""
+    router, timed = routers
+    got = router.query(source, obj)
+    want = reference_query(ov, directory, source, obj, ttl=router.ttl)
+    for field in QueryOutcome.__dataclass_fields__:
+        assert getattr(got, field) == getattr(want, field), field
+    # With a constant (dyadic, so sums are exact) hop delay, 2*d fresh
+    # draws equal the per-node delay array.
+    assert timed.query(source, obj) == reference_query(
+        ov, directory, source, obj, ttl=timed.ttl, latency=timed.latency, rng=rng
+    )
 
-    Also after the overlay moved under a live router (its snapshot and
-    the directory's holder view are maintained, not rebuilt per query).
+
+def _toggle(ov, a, b):
+    if not ov.disconnect(a, b):
+        ov.connect(a, b)
+
+
+#: What may happen between two queries to one live router.  Leaf joins,
+#: leaf departures and leaf--super links keep the backbone snapshot and
+#: its reach rows; the other changes invalidate them, a restore only
+#: through ``resync()``.
+_OPS = (
+    "query",
+    "sibling",
+    "leaf_link",
+    "backbone_link",
+    "promote",
+    "demote",
+    "join_super",
+    "leave",
+    "restore",
+)
+
+
+@given(
+    random_overlay(),
+    st.sampled_from([1, 2, 3, 4, 5, 6, None]),
+    st.lists(st.sampled_from(_OPS), min_size=1, max_size=20),
+    st.data(),
+)
+@settings(max_examples=100, deadline=None)
+def test_flood_equals_the_per_copy_reference(system, ttl, ops, data):
+    """One live router == the per-copy BFS, field by field, over queries
+    interleaved with every kind of overlay change.
+
+    Queries repeat sources within a snapshot and come from leaves that
+    share an entry set; ``ttl=None`` is ``n_super + 1`` (no TTL cut).
     """
     ov, directory, rng = system
-    router = FloodRouter(ov, directory, ttl=ttl)
+    ttl = ttl or ov.n_super + 1
+    routers = (
+        FloodRouter(ov, directory, ttl=ttl),
+        FloodRouter(ov, directory, ttl=ttl, latency=ConstantLatency(0.5), rng=rng),
+    )
+    fresh = iter(range(2000, 3000))
 
-    def check():
+    def pick(ids):
+        return data.draw(st.sampled_from(sorted(ids)))
+
+    def query(source):
+        obj = data.draw(st.integers(0, 29))
+        for _ in range(2):  # the second one reads the first one's row
+            _assert_matches_reference(routers, ov, directory, rng, source, obj)
+
+    for op in ops:
+        leaves, supers = list(ov.leaf_ids), list(ov.super_ids)
+        if op == "query" and ov.n:
+            query(pick(p.pid for p in ov.peers()))
+        elif op == "sibling" and leaves:
+            # A joining leaf on the same supers shares the entry set.
+            twin = ov.peer(pick(leaves))
+            pid = next(fresh)
+            ov.add_peer(pid, Role.LEAF, capacity=1, join_time=0, lifetime=1)
+            for sid in twin.super_neighbors:
+                ov.connect(pid, sid)
+            query(twin.pid)
+            query(pid)
+        elif op == "leaf_link" and leaves and supers:
+            _toggle(ov, pick(leaves), pick(supers))
+        elif op == "backbone_link" and len(supers) > 1:
+            a = pick(supers)
+            _toggle(ov, a, pick(s for s in supers if s != a))
+        elif op == "promote" and leaves:
+            ov.promote(pick(leaves))
+        elif op == "demote" and len(supers) > 1:
+            ov.demote(pick(supers), 2, rng)
+        elif op == "join_super":
+            pid = next(fresh)
+            ov.add_peer(pid, Role.SUPER, capacity=1, join_time=0, lifetime=1)
+            if supers:
+                ov.connect(pid, pick(supers))
+        elif op == "leave" and ov.n > 1:
+            ov.remove_peer(pick(p.pid for p in ov.peers()))
+        elif op == "restore" and len(supers) > 1:
+            # A restore loads topology without link events: change the
+            # backbone behind the routers' backs, then resync them.
+            a = pick(supers)
+            b = pick(s for s in supers if s != a)
+            slot_a, slot_b = ov.peer(a)._slot, ov.peer(b)._slot
+            if b in ov.peer(a).super_neighbors:
+                ov.store.sn_discard(slot_a, b)
+                ov.store.sn_discard(slot_b, a)
+            else:
+                ov.store.sn_add(slot_a, b)
+                ov.store.sn_add(slot_b, a)
+            directory.restore(directory.snapshot())
+            for router in routers:
+                router.resync()
         directory.check_consistency()
-        source = data.draw(st.sampled_from(sorted(p.pid for p in ov.peers())))
-        got = router.query(source, obj)
-        want = reference_query(ov, directory, source, obj, ttl=ttl)
-        for field in QueryOutcome.__dataclass_fields__:
-            assert getattr(got, field) == getattr(want, field), field
-        # Timed floods: with a constant (dyadic, so sums are exact) hop
-        # delay, 2*d fresh draws equal the per-node delay array.
-        hop = ConstantLatency(0.5)
-        timed = FloodRouter(ov, directory, ttl=ttl, latency=hop, rng=rng)
-        assert timed.query(source, obj) == reference_query(
-            ov, directory, source, obj, ttl=ttl, latency=hop, rng=rng
-        )
+    if ov.n:
+        query(pick(p.pid for p in ov.peers()))
+    # An absent source raises KeyError, as it always did.
+    absent = next(fresh)
+    for router in routers:
+        with pytest.raises(KeyError):
+            router.query(absent, 0)
 
-    check()
-    victim = data.draw(st.sampled_from(sorted(p.pid for p in ov.peers())))
-    if ov.peer(victim).is_leaf:
-        ov.promote(victim)
-    elif ov.n_super > 1 and data.draw(st.booleans()):
-        ov.demote(victim, 2, rng)
-    else:
-        ov.remove_peer(victim)
-    check()
+
+@pytest.mark.parametrize("ttl", [254, 255, 300])
+def test_flood_distances_past_a_byte(ttl):
+    """On a 300-super chain distances reach past 255: TTLs on both sides
+    of the one-byte row still equal the oracle."""
+    rng = np.random.default_rng(5)
+    ov = Overlay()
+    directory = ContentDirectory(
+        ov, ContentCatalog(n_objects=30, s=0.7), rng, files_per_peer=3
+    )
+    for sid in range(300):
+        ov.add_peer(sid, Role.SUPER, capacity=1, join_time=0, lifetime=1)
+        if sid:
+            ov.connect(sid - 1, sid)
+    ov.add_peer(1000, Role.LEAF, capacity=1, join_time=0, lifetime=1)
+    ov.connect(1000, 0)
+    routers = (
+        FloodRouter(ov, directory, ttl=ttl),
+        FloodRouter(ov, directory, ttl=ttl, latency=ConstantLatency(0.5), rng=rng),
+    )
+    for source in (1000, 0, 150, 299):
+        for obj in range(30):
+            _assert_matches_reference(routers, ov, directory, rng, source, obj)
 
 
 @given(random_overlay(), st.integers(0, 29), st.data())

@@ -17,7 +17,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.experiments import report
-from repro.experiments.registry import EXPERIMENTS
+from repro.experiments.registry import EXPERIMENTS, SINGLE_RUN_OUTPUTS
 from repro.protocol.faults import FaultPlan
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -39,17 +39,16 @@ def _capture_row(monkeypatch, exp_id):
 
 
 class TestFlagsReachTheHarness:
-    def test_table3_gets_the_built_config_as_base(self, monkeypatch, tmp_path):
+    def test_table3_gets_the_built_config_as_base(self, monkeypatch):
         calls = _capture_row(monkeypatch, "table3")
-        jsonl = str(tmp_path / "t3.jsonl")
         argv = ["table3", "--seed", "9", "--loss", "0.05", "--family", "chord"]
-        argv += ["--audit-jsonl", jsonl]
+        argv += ["--audit-level", "actions"]
         assert main(argv) == 0
         (config, sweep), = calls
         assert config.seed == 9
         assert config.faults == FaultPlan(loss_rate=0.05, latency_scale=0.0)
         assert config.family == "chord"
-        assert config.telemetry.jsonl_path == jsonl
+        assert config.telemetry.audit_level == "actions"
         assert sweep == {}  # the bench sweep
 
     def test_table3_sizes_follow_n_and_full(self, monkeypatch):
@@ -142,6 +141,39 @@ def test_exit_code_contract(inputs, capsys, argv, code):
     err = capsys.readouterr().err
     if code == 2 and argv[0] != "health":
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+#: Rows whose harness runs more than one system: one output path would
+#: hold only the last run's file, so each refuses every such flag.
+_MULTI_RUN = ("figure1", "figure7", "figure8", "table3", "figure_faults", "families")
+
+
+@pytest.mark.parametrize("flag", SINGLE_RUN_OUTPUTS)
+@pytest.mark.parametrize("exp_id", [*_MULTI_RUN, "report"])
+def test_a_single_run_output_on_several_runs_is_refused(
+    monkeypatch, tmp_path, capsys, exp_id, flag
+):
+    if exp_id != "report":
+        _capture_row(monkeypatch, exp_id)  # a regression must not run it
+    value = "50" if flag == "checkpoint_every" else str(tmp_path / "out")
+    assert main([exp_id, "--" + flag.replace("_", "-"), value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --") and err.count("\n") == 1, err
+
+
+def test_a_checkpoint_of_another_policy_is_refused_on_resume(tmp_path, capsys):
+    from repro.baselines.preconfigured import PreconfiguredPolicy
+    from repro.experiments.configs import table2_config
+    from repro.experiments.runner import run_experiment
+
+    path = str(tmp_path / "pre.ckpt")
+    cfg = table2_config().with_(n=150, horizon=60.0, warmup=20.0, seed=3)
+    cfg = cfg.with_(checkpoint_every=40.0, checkpoint_path=path)
+    run_experiment(cfg, policy_factory=lambda c: PreconfiguredPolicy(50.0))
+    assert main(["resume", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "'preconfigured'" in err
 
 
 def test_a_dead_shard_worker_is_one_error_line_and_exit_1(monkeypatch, capsys):
