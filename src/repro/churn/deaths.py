@@ -7,10 +7,10 @@ session times make distant deaths the common case).  The ledger keeps
 each pending death as two scalars in the :class:`PeerStore` columns
 instead:
 
-* ``dv`` (float64) -- the death time; ``+inf`` means "no unmaterialized
+* ``dv`` (``array('d')``) -- the death time; ``+inf`` means "no unmaterialized
   death pending for this slot" (none scheduled, already harvested into
   the active window, or cancelled).
-* ``dseq`` (int64) -- the scheduler seq reserved for the death at
+* ``dseq`` (``array('q')``) -- the scheduler seq reserved for the death at
   schedule time; ``-1`` means none.  The seq is allocated by
   :meth:`Simulator.schedule_lazy` exactly where the old eager
   ``schedule_at`` allocated it, so trajectories (and checkpoint bytes)
@@ -70,7 +70,7 @@ class DeathLedger:
         event.
         """
         store = self.store
-        seq = int(store.dseq[slot])
+        seq = store.dseq[slot]
         if seq < 0:
             return False
         store.dseq[slot] = -1
@@ -101,8 +101,7 @@ class DeathLedger:
     def next_lazy_time(self) -> float:
         if not self._pending:
             return inf
-        store = self.store
-        return float(store.dv[: store._size].min())
+        return float(self.store.column("dv").min())
 
     def harvest(self, t_end: float):
         """Remove and return rows with ``dv < t_end`` as engine tuples.
@@ -113,18 +112,12 @@ class DeathLedger:
         """
         if not self._pending:
             return ()
-        store = self.store
-        n = store._size
-        dv = store.dv[:n]
-        slots = np.nonzero(dv < t_end)[0]
+        view = self.store.column("dv")
+        slots = np.nonzero(view < t_end)[0]
         if not len(slots):
             return ()
-        dseq = store.dseq
-        pid = store.pid
-        out = [
-            (float(dv[s]), int(dseq[s]), int(pid[s])) for s in slots
-        ]
-        dv[slots] = inf
+        out = self._rows(slots)
+        view[slots] = inf
         self._pending -= len(slots)
         return out
 
@@ -132,10 +125,10 @@ class DeathLedger:
         """Non-destructive enumeration of unmaterialized rows (snapshot)."""
         if not self._pending:
             return ()
+        return self._rows(np.nonzero(self.store.column("dv") < inf)[0])
+
+    def _rows(self, slots: np.ndarray) -> list:
+        """``(time, seq, pid)`` of each slot, as builtins."""
         store = self.store
-        n = store._size
-        dv = store.dv[:n]
-        slots = np.nonzero(dv < inf)[0]
-        dseq = store.dseq
-        pid = store.pid
-        return [(float(dv[s]), int(dseq[s]), int(pid[s])) for s in slots]
+        dv, dseq, pid = store.dv, store.dseq, store.pid
+        return [(dv[s], dseq[s], pid[s]) for s in slots.tolist()]

@@ -161,7 +161,7 @@ class ChurnDriver:
         store, slot = peer._store, peer._slot
         self.death_ledger.schedule(slot, peer.pid, peer.death_time)
         if peer.is_leaf:
-            self.ctx.overhead.record_leaf_join(int(store.n_super_links[slot]))
+            self.ctx.overhead.record_leaf_join(store.n_super_links[slot])
         self.joins += 1
         self.policy.on_peer_joined(peer)
 
@@ -217,9 +217,7 @@ class ChurnDriver:
         store = self.ctx.overlay.store
         dseq, pid_col = store.dseq, store.pid
         leave_events = sorted(
-            (int(pid_col[s]), int(dseq[s]))
-            for s in store.live_slots()
-            if dseq[s] >= 0
+            (pid_col[s], dseq[s]) for s in store.live_slots().tolist() if dseq[s] >= 0
         )
         return {
             "joins": self.joins,

@@ -20,10 +20,10 @@ cannot honour rather than drop it.
 Exit codes: 0 OK; 1 the run or its health verdict failed (a shard
 worker died, a flight bundle could not be written mid-run; ``repro
 health`` on an SLO failure); 2 bad usage or input -- an inapplicable
-option, a malformed ``--slo``, a flight-recorder path that cannot be
-created, an unreadable or corrupt checkpoint, a missing JSONL or shard,
-a torn line.  A 1 for a failed run and every 2 are one ``error: ...``
-line on stderr.
+option, a malformed ``--slo``, an output path that cannot be written
+(checked before the run starts), an unreadable or corrupt checkpoint, a
+missing JSONL or shard, a torn line.  A 1 for a failed run and every 2
+are one ``error: ...`` line on stderr.
 Status lines go through :mod:`logging` on stderr (``-v``/``-q``);
 rendered figures and tables go to stdout, where they can be piped.
 """
@@ -38,6 +38,7 @@ import re
 import sys
 import time
 from collections import Counter
+from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 __all__ = ["main", "build_parser", "build_config", "cmd_health", "cmd_postmortem"]
@@ -275,6 +276,9 @@ def _telemetry_config(args):
         return None
     from .telemetry.config import TelemetryConfig
 
+    _check_output("--audit-jsonl", args.audit_jsonl)
+    _check_output("--chrome-trace", args.chrome_trace)
+
     return TelemetryConfig(
         audit_level=args.audit_level if args.audit_level is not None else "full",
         jsonl_path=args.audit_jsonl,
@@ -320,12 +324,7 @@ def _health_config(args):
                 )
             overrides[key] = _coerce_slo_value(value.strip())
     if args.flight_recorder is not None:
-        from .health.flight import FlightRecorderError, check_flight_path
-
-        try:
-            check_flight_path(args.flight_recorder)
-        except FlightRecorderError as exc:
-            raise UsageError(str(exc)) from exc
+        _check_output("--flight-recorder", args.flight_recorder)
         overrides["flight_path"] = args.flight_recorder
     try:
         return HealthConfig(**overrides)
@@ -333,11 +332,34 @@ def _health_config(args):
         raise UsageError(str(exc)) from exc
 
 
+def _check_output(flag: str, path: Optional[str], *, directory: bool = False) -> None:
+    """Refuse an output path a run could only fail on after it finished.
+
+    Creates nothing (the writers make missing directories): the target
+    must not exist as the wrong kind -- a directory where a file goes,
+    or a file where ``--save``'s directory goes -- and its nearest
+    existing ancestor must be a writable directory.
+    """
+    if path is None:
+        return
+    target = Path(path).absolute()
+    if target.exists() and target.is_dir() != directory:
+        raise UsageError(f"{flag} {path!r} is {'not ' * directory}a directory")
+    parent = target.parent
+    while not parent.exists():
+        parent = parent.parent
+    if not parent.is_dir() or not os.access(parent, os.W_OK | os.X_OK):
+        raise UsageError(
+            f"{flag} {path!r}: {str(parent)!r} is not a writable directory"
+        )
+
+
 def build_config(args):
     """The run options as one ExperimentConfig: the preset (``--full``,
     ``--scale`` or the bench scale), then each override on top.
 
-    Raises :class:`UsageError` when they do not make a valid config.
+    Raises :class:`UsageError` when they do not make a valid config, or
+    when an output path is one the run could not write at its end.
     """
     from .experiments.configs import bench_config, largescale_config, table2_config
 
@@ -349,6 +371,8 @@ def build_config(args):
         cfg = bench_config()
     if args.checkpoint_path is not None and args.checkpoint_every is None:
         raise UsageError("--checkpoint-path needs --checkpoint-every")
+    _check_output("--checkpoint-path", args.checkpoint_path)
+    _check_output("--save", args.save, directory=True)
     try:
         if args.n is not None:
             cfg = cfg.scaled(args.n)
@@ -424,8 +448,6 @@ def _cmd_run(args) -> int:
     for key, value in shape.items():
         print(f"  {key}: {value}")
     if args.save:
-        from pathlib import Path
-
         out = Path(args.save)
         out.mkdir(parents=True, exist_ok=True)
         (out / f"{exp.exp_id}.txt").write_text(rendered + "\n")

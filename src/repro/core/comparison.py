@@ -126,11 +126,11 @@ def compare_leaves_observed(
             ids = np.fromiter(members, dtype=np.int64, count=len(members))
             slots = store.slots_of(ids)
             slots = slots[slots >= 0]
-            slots = slots[store.role[slots] == 0]  # ROLE_LEAF
+            slots = slots[store.column("role")[slots] == 0]  # ROLE_LEAF
             usable = len(slots)
             if usable:
-                caps = store.capacity[slots]
-                ages = now - store.join_time[slots]
+                caps = store.column("capacity")[slots]
+                ages = now - store.column("join_time")[slots]
                 hits_c = int(np.count_nonzero(caps * x_capa > own_cap))
                 hits_a = int(np.count_nonzero(ages * x_age > own_age))
         else:

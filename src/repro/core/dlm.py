@@ -54,7 +54,7 @@ import numpy as np
 
 from ..context import SystemContext
 from ..overlay.peer import Peer
-from ..overlay.roles import Role
+from ..overlay.roles import ROLE_SUPER, Role
 from ..protocol.knowledge import UNKNOWN
 from ..sim.events import EventKind
 from ..sim.processes import PeriodicProcess
@@ -249,7 +249,7 @@ class DLMPolicy(LayerPolicy):
         self.evaluations += 1
         if now - store.role_change_time[slot] < config.transition_cooldown:
             return None
-        is_super = bool(store.role[slot])
+        is_super = store.role[slot] == ROLE_SUPER
         if is_super:
             decision = self._evaluate_super(peer, now)
         else:
@@ -348,8 +348,8 @@ class DLMPolicy(LayerPolicy):
         # µ from the mean *observed* l_nn -- over observations, not members.
         params = self.scaler.adapt(mu_inappropriateness(lnn_sum / lnn_n, config.k_l))
         y = scaled_fractions(
-            float(store.capacity[slot]),
-            now - float(store.join_time[slot]),
+            store.capacity[slot],
+            now - store.join_time[slot],
             caps,
             ages,
             params.x_capa,
@@ -432,12 +432,9 @@ class DLMPolicy(LayerPolicy):
         the pid->slot map anyway."""
         store = self.ctx.overlay.store
         live = store.live_slots()
-        le = store.last_eval[live]
-        sel = live[le > -np.inf]
-        return sorted(
-            (int(p), float(t))
-            for p, t in zip(store.pid[sel], store.last_eval[sel])
-        )
+        pid, le = store.pid, store.last_eval
+        stamped = live[store.column("last_eval")[live] > -np.inf]
+        return sorted((pid[s], le[s]) for s in stamped.tolist())
 
     def snapshot(self) -> dict:
         """Counters, dedup/rate-limit bookkeeping, and sweep processes.

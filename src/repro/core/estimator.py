@@ -40,5 +40,5 @@ class RatioEstimator:
         ``l_nn`` is the store's degree column -- no adjacency container
         is touched (a leaf-less super never allocates one).
         """
-        l_nn = int(peer._store.n_leaf_links[peer._slot])
+        l_nn = peer._store.n_leaf_links[peer._slot]
         return mu_inappropriateness(l_nn, self.config.k_l)

@@ -123,6 +123,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ValueError("n must be >= 2")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.eta <= 0:
             raise ValueError("eta must be positive")
         if self.horizon <= self.warmup:

@@ -23,8 +23,8 @@ record tails and scheduler state.
 ``repro postmortem`` CLI.
 
 A bundle that cannot be written raises :class:`FlightRecorderError` and
-leaves no ``.tmp`` file behind; :func:`check_flight_path` lets a caller
-refuse an unusable path before the run starts.
+leaves no ``.tmp`` file behind; the CLI refuses an unusable path before
+the run starts (``repro.cli.build_config``).
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from ..telemetry.records import record_as_dict
 __all__ = [
     "FLIGHT_SCHEMA_VERSION",
     "FlightRecorderError",
-    "check_flight_path",
     "write_flight_bundle",
     "load_flight_bundle",
 ]
@@ -51,19 +50,6 @@ FLIGHT_SCHEMA_VERSION = 1
 
 class FlightRecorderError(OSError):
     """A flight bundle could not be written where it was configured to go."""
-
-
-def check_flight_path(path: str) -> None:
-    """Raise :class:`FlightRecorderError` unless the nearest existing
-    ancestor of ``path`` is a writable directory.  Creates nothing: the
-    writer makes the missing directories when it first dumps."""
-    parent = Path(path).absolute().parent
-    while not parent.exists():
-        parent = parent.parent
-    if not parent.is_dir() or not os.access(parent, os.W_OK | os.X_OK):
-        raise FlightRecorderError(
-            f"flight recorder path {path!r}: {str(parent)!r} is not a writable directory"
-        )
 
 
 def build_flight_bundle(

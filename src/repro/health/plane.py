@@ -99,8 +99,8 @@ class HealthMonitor:
     def _collect(self, now: float, agg) -> HealthSample:
         store = self.ctx.overlay.store
         slots = store.live_slots()
-        deg = store.n_leaf_links[slots]
-        deg = deg[store.role[slots] == ROLE_SUPER]
+        deg = store.column("n_leaf_links")[slots]
+        deg = deg[store.column("role")[slots] == ROLE_SUPER]
         if deg.size:
             max_deg = float(deg.max())
             mean_deg = float(np.float64(deg.sum(dtype=np.int64)) / deg.size)

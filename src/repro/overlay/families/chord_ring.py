@@ -195,7 +195,7 @@ class ChordRingFamily(OverlayFamily):
         store = overlay.store
         slot = store.slot(pid)
         added = 0
-        succ = int(store.ring_succ[slot])
+        succ = store.ring_succ[slot]
         if succ != pid and succ >= 0:
             if overlay.connect(pid, succ):
                 added += 1
@@ -239,7 +239,7 @@ class ChordRingFamily(OverlayFamily):
         # link *from either endpoint's perspective* (the neighbor's
         # columns may be one sweep stale; its own stabilization will
         # re-add anything pruned prematurely).
-        my_succ = int(store.ring_succ[slot])
+        my_succ = store.ring_succ[slot]
         my_fg = store.fg[slot]
         for sid in list(store.sn[slot]):
             if sid == my_succ or sid in my_fg:
@@ -247,7 +247,7 @@ class ChordRingFamily(OverlayFamily):
             oslot = store.slot(sid)
             if oslot < 0:  # pragma: no cover - defensive
                 continue
-            if int(store.ring_succ[oslot]) == pid or pid in store.fg[oslot]:
+            if store.ring_succ[oslot] == pid or pid in store.fg[oslot]:
                 continue
             overlay.disconnect(pid, sid)
         return added
@@ -299,7 +299,7 @@ class ChordRingFamily(OverlayFamily):
                 raise AssertionError(f"stale ring key for pid {pid}")
             slot = store.slot(pid)
             want = ring[(j + 1) % len(ring)][1]
-            have = int(store.ring_succ[slot])
+            have = store.ring_succ[slot]
             if have != want:
                 raise AssertionError(
                     f"ring_succ drift for pid {pid}: {have} != {want}"
@@ -311,7 +311,7 @@ class ChordRingFamily(OverlayFamily):
                     )
         for pid in overlay.leaf_ids:
             slot = store.slot(pid)
-            if int(store.ring_succ[slot]) != -1 or store.fg[slot]:
+            if store.ring_succ[slot] != -1 or store.fg[slot]:
                 raise AssertionError(f"leaf {pid} carries ring state")
 
     # -- graph export ------------------------------------------------------
@@ -330,7 +330,7 @@ class ChordRingFamily(OverlayFamily):
             g.nodes[pid]["ring_key"] = _k
             g.nodes[pid]["pos"] = (math.cos(angle), math.sin(angle))
             slot = store.slot(pid)
-            succ = int(store.ring_succ[slot])
+            succ = store.ring_succ[slot]
             if succ != pid and g.has_edge(pid, succ):
                 g.edges[pid, succ]["ring"] = "successor"
             for fid in store.fg[slot]:

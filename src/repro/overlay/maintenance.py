@@ -113,7 +113,7 @@ class Maintenance:
             if pid in chunk or len(chunk) == _CHUNK:
                 flush()
             if pid in leaves:
-                deficit = self.m - int(store.n_super_links[store.slot(pid)])
+                deficit = self.m - store.n_super_links[store.slot(pid)]
                 if deficit > 0 and links_each > 0:
                     chunk[pid] = min(links_each, deficit)
         flush()
@@ -186,12 +186,12 @@ class Maintenance:
         store = overlay.store
         live = store.live_slots()
         short = live[
-            (store.role[live] == ROLE_LEAF)
-            & (store.n_super_links[live] < min(self.m, overlay.n_super))
+            (store.column("role")[live] == ROLE_LEAF)
+            & (store.column("n_super_links")[live] < min(self.m, overlay.n_super))
         ]
         order = overlay.leaf_ids._index.__getitem__
         report = self.reconnect_orphans(
-            sorted(store.pid[short].tolist(), key=order), links_each=self.m
+            sorted(store.column("pid")[short].tolist(), key=order), links_each=self.m
         )
         for pid in list(overlay.super_ids):
             report.super_reconnections += self.ensure_super_links(pid)

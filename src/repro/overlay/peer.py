@@ -17,10 +17,9 @@ sees ages).
 
 A ``Peer`` is a read-only ``(store, slot)`` window on one row of its
 overlay's :class:`~repro.overlay.peerstore.PeerStore`: the scalar state
-lives in NumPy columns, adjacency in the store's tuple/IdSet columns,
-and every property converts NumPy scalars back to builtins so values
-print, hash, and digest as plain Python numbers.  Nothing is written
-through it -- rows are created by
+lives in the store's typed ``array`` columns, whose reads are already
+plain Python ``int`` and ``float``, and adjacency in its tuple/IdSet
+columns.  Nothing is written through it -- rows are created by
 :meth:`~repro.overlay.topology.Overlay.add_peer`, changed by ``Overlay``
 / ``PeerStore`` methods and freed by ``remove_peer``, after which any
 read through a view somebody kept raises
@@ -95,19 +94,19 @@ class Peer:
 
     @property
     def capacity(self) -> float:
-        return float(self._store.capacity[self._slot])
+        return self._store.capacity[self._slot]
 
     @property
     def join_time(self) -> float:
-        return float(self._store.join_time[self._slot])
+        return self._store.join_time[self._slot]
 
     @property
     def lifetime(self) -> float:
-        return float(self._store.lifetime[self._slot])
+        return self._store.lifetime[self._slot]
 
     @property
     def role_change_time(self) -> float:
-        return float(self._store.role_change_time[self._slot])
+        return self._store.role_change_time[self._slot]
 
     @property
     def eligible(self) -> bool:
@@ -133,7 +132,7 @@ class Peer:
     # -- derived quantities --------------------------------------------------
     def age(self, now: float) -> float:
         """Definition 2: time since join, up to ``now``."""
-        join_time = float(self._store.join_time[self._slot])
+        join_time = self._store.join_time[self._slot]
         if now < join_time:
             raise ValueError(f"now={now} precedes join_time={join_time}")
         return now - join_time
@@ -142,23 +141,23 @@ class Peer:
     def death_time(self) -> float:
         """When the churn process will remove this peer."""
         s = self._store
-        return float(s.join_time[self._slot] + s.lifetime[self._slot])
+        return s.join_time[self._slot] + s.lifetime[self._slot]
 
     @property
     def is_super(self) -> bool:
         """Whether the peer is currently in the super-layer."""
-        return bool(self._store.role[self._slot] == ROLE_SUPER)
+        return self._store.role[self._slot] == ROLE_SUPER
 
     @property
     def is_leaf(self) -> bool:
         """Whether the peer is currently in the leaf-layer."""
-        return bool(self._store.role[self._slot] == ROLE_LEAF)
+        return self._store.role[self._slot] == ROLE_LEAF
 
     @property
     def degree(self) -> int:
         """Total number of overlay links."""
         s = self._store
-        return int(s.n_super_links[self._slot]) + int(s.n_leaf_links[self._slot])
+        return s.n_super_links[self._slot] + s.n_leaf_links[self._slot]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

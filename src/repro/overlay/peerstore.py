@@ -4,10 +4,20 @@ At Table-3 scale the per-peer object web was the memory and throughput
 ceiling: 100k peers cost ~305MB RSS and every DLM evaluation walked
 Python objects one attribute at a time.  ``PeerStore`` keeps the scalar
 peer state -- role, capacity, join time, alive flag, link degrees, the
-exact fields the evaluator reads -- in parallel NumPy columns indexed by
-*slot*, so the evaluator (:mod:`repro.core.dlm`) reads its gates as
-scalar column loads and compares a super against all its leaves in one
-vectorized gather (:func:`repro.core.comparison.compare_leaves_observed`).
+exact fields the evaluator reads -- in parallel typed columns indexed by
+*slot*.  Each scalar column is an :class:`array.array` of one fixed
+width (typecodes ``q``, ``b``, ``d``, ``i``), so a Python read returns a
+plain ``int`` or ``float`` and a write stores one, with no NumPy scalar
+boxed on either side.  Vector passes -- the super comparison's gather
+(:func:`repro.core.comparison.compare_leaves_observed`), the liveness
+scan, the death ledger, the checkpoint -- read the same bytes through
+:meth:`PeerStore.column`, a zero-copy NumPy view.
+
+**The view rule.**  A NumPy view pins its array's buffer, and
+``array.extend`` raises :class:`BufferError` while one is alive.  The
+store caches one view per column and drops the cache before it grows a
+column; a caller may use a view only until its next call that can
+allocate a slot (``alloc``, hence any join).
 
 A row lives in exactly one place -- the store of the
 :class:`~repro.overlay.topology.Overlay` that created it -- from
@@ -40,6 +50,8 @@ reconstructible from a checkpoint.
 
 from __future__ import annotations
 
+from array import array
+from math import inf
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -56,30 +68,31 @@ __all__ = ["PeerStore", "ROLE_LEAF", "ROLE_SUPER"]
 #: a giant allocation.
 _DENSE_PID_LIMIT = 1 << 24
 
+#: ``(name, array typecode, fill)``; booleans are ``b`` columns of 0/1.
 _SCALAR_COLUMNS = (
-    ("pid", np.int64, -1),
-    ("role", np.int8, ROLE_LEAF),
-    ("capacity", np.float64, 0.0),
-    ("join_time", np.float64, 0.0),
-    ("lifetime", np.float64, 0.0),
-    ("role_change_time", np.float64, 0.0),
-    ("eligible", np.bool_, False),
-    ("alive", np.bool_, False),
-    ("n_super_links", np.int32, 0),
-    ("n_leaf_links", np.int32, 0),
+    ("pid", "q", -1),
+    ("role", "b", ROLE_LEAF),
+    ("capacity", "d", 0.0),
+    ("join_time", "d", 0.0),
+    ("lifetime", "d", 0.0),
+    ("role_change_time", "d", 0.0),
+    ("eligible", "b", 0),
+    ("alive", "b", 0),
+    ("n_super_links", "i", 0),
+    ("n_leaf_links", "i", 0),
     # Rate-limit bookkeeping for the DLM evaluator: simulated time of the
     # last committed evaluation, -inf = never evaluated.
-    ("last_eval", np.float64, -np.inf),
+    ("last_eval", "d", -inf),
     # Ring successor pid for ring-structured overlay families (the Chord
     # family); -1 for leaves and non-ring families.
-    ("ring_succ", np.int64, -1),
+    ("ring_succ", "q", -1),
     # Pending natural-death bookkeeping, owned by the churn driver's
     # DeathLedger (the calendar queue's lazy-event source): ``dv`` is the
     # unmaterialized death time (+inf = none pending -- never scheduled,
     # already harvested into the scheduler's active window, or cancelled)
     # and ``dseq`` the scheduler seq reserved for it (-1 = none).
-    ("dv", np.float64, np.inf),
-    ("dseq", np.int64, -1),
+    ("dv", "d", inf),
+    ("dseq", "q", -1),
 )
 
 
@@ -111,15 +124,13 @@ class PeerStore:
         "_size",
         "_slot_by_pid",
         "_slot_spill",
+        "_np",
     )
 
     def __init__(self) -> None:
         cap = 64
-        for name, dtype, fill in _SCALAR_COLUMNS:
-            col = np.zeros(cap, dtype=dtype)
-            if fill:
-                col.fill(fill)
-            setattr(self, name, col)
+        for name, code, fill in _SCALAR_COLUMNS:
+            setattr(self, name, array(code, (fill,)) * cap)
         #: Object columns: super/contacted link tuples, lazy leaf IdSet,
         #: lazy knowledge cache, and the cached Peer view per slot.
         self.sn: List[tuple] = [()] * cap
@@ -133,8 +144,10 @@ class PeerStore:
         self.views: List[Optional[Peer]] = [None] * cap
         self._free: List[int] = []
         self._size = 0  # high-water mark: slots ever handed out
-        self._slot_by_pid = np.full(0, -1, dtype=np.int64)
+        self._slot_by_pid = array("q")
         self._slot_spill: Dict[int, int] = {}
+        #: Cached whole-length NumPy views, column name -> ndarray.
+        self._np: Dict[str, np.ndarray] = {}
 
     # -- capacity ----------------------------------------------------------
     def __len__(self) -> int:
@@ -146,15 +159,10 @@ class PeerStore:
         return len(self.pid)
 
     def _grow(self) -> None:
-        old = len(self.pid)
-        new = old * 2
-        for name, dtype, fill in _SCALAR_COLUMNS:
-            col = getattr(self, name)
-            grown = np.empty(new, dtype=dtype)
-            grown[:old] = col
-            grown[old:] = fill
-            setattr(self, name, grown)
-        pad = new - old
+        pad = len(self.pid)
+        self._np.clear()  # a live view would make extend raise BufferError
+        for name, code, fill in _SCALAR_COLUMNS:
+            getattr(self, name).extend(array(code, (fill,)) * pad)
         self.sn.extend([()] * pad)
         self.ct.extend([()] * pad)
         self.fg.extend([()] * pad)
@@ -162,24 +170,39 @@ class PeerStore:
         self.kn.extend([None] * pad)
         self.views.extend([None] * pad)
 
+    def _full(self, name: str) -> np.ndarray:
+        """The cached zero-copy view of the whole ``name`` array; NumPy
+        reads the array's typecode as the same C type, so the view's
+        width is the array's own itemsize."""
+        v = self._np.get(name)
+        if v is None:
+            col = getattr(self, name)
+            v = self._np[name] = np.frombuffer(col, dtype=col.typecode)
+        return v
+
+    def column(self, name: str) -> np.ndarray:
+        """A zero-copy, writable NumPy view of the used slots of scalar
+        column ``name`` -- valid until the next call that can allocate a
+        slot (see the view rule in the module docstring)."""
+        return self._full(name)[: self._size]
+
     @property
     def nbytes(self) -> int:
         """Approximate resident bytes of the columnar state.
 
-        Counts the NumPy columns and the pid->slot map exactly, plus a
+        Counts the scalar columns and the pid->slot map exactly, plus a
         per-entry estimate for the object columns (list slots only; the
         tuples/IdSets themselves are shared Python objects).
         """
-        total = sum(getattr(self, name).nbytes for name, _d, _f in _SCALAR_COLUMNS)
-        total += self._slot_by_pid.nbytes
-        total += 6 * 8 * len(self.pid)  # the six object-column list slots
-        return total
+        cols = [getattr(self, name) for name, _c, _f in _SCALAR_COLUMNS]
+        total = sum(len(col) * col.itemsize for col in [*cols, self._slot_by_pid])
+        return total + 6 * 8 * len(self.pid)  # the six object-column list slots
 
     # -- pid -> slot mapping ------------------------------------------------
     def slot(self, pid: int) -> int:
         """The live slot of ``pid``, or -1 if absent."""
         if 0 <= pid < len(self._slot_by_pid):
-            return int(self._slot_by_pid[pid])
+            return self._slot_by_pid[pid]
         return self._slot_spill.get(pid, -1)
 
     def slots_of(self, pids: np.ndarray) -> np.ndarray:
@@ -188,7 +211,7 @@ class PeerStore:
         When every pid indexes the dense map -- the super comparison's
         case: a live super's leaf ids -- the answer is one gather.
         """
-        dense = self._slot_by_pid
+        dense = self._full("_slot_by_pid")
         n = len(dense)
         if len(pids) and 0 <= pids.min() and pids.max() < n:
             return dense[pids]
@@ -206,11 +229,9 @@ class PeerStore:
         if 0 <= pid < _DENSE_PID_LIMIT:
             dense = self._slot_by_pid
             if pid >= len(dense):
-                new_len = max(1024, len(dense) * 2, pid + 1)
-                grown = np.full(min(new_len, _DENSE_PID_LIMIT), -1, dtype=np.int64)
-                grown[: len(dense)] = dense
-                self._slot_by_pid = grown
-                dense = grown
+                new_len = min(max(1024, len(dense) * 2, pid + 1), _DENSE_PID_LIMIT)
+                self._np.clear()
+                dense.extend(array("q", (-1,)) * (new_len - len(dense)))
             if dense[pid] != -1:
                 raise ValueError(f"duplicate pid {pid} in store")
             dense[pid] = slot
@@ -262,14 +283,14 @@ class PeerStore:
     def free(self, slot: int) -> None:
         """Release a slot to the free list with every degree, bookkeeping
         and object column back at its default (:meth:`alloc` relies on it)."""
-        self._unregister(int(self.pid[slot]))
+        self._unregister(self.pid[slot])
         self.pid[slot] = -1
         self.alive[slot] = False
         self.n_super_links[slot] = 0
         self.n_leaf_links[slot] = 0
-        self.last_eval[slot] = -np.inf
+        self.last_eval[slot] = -inf
         self.ring_succ[slot] = -1
-        self.dv[slot] = np.inf
+        self.dv[slot] = inf
         self.dseq[slot] = -1
         self.sn[slot] = ()
         self.ct[slot] = ()
@@ -345,4 +366,4 @@ class PeerStore:
 
     def live_slots(self) -> np.ndarray:
         """Slots currently alive, in slot order (scans the columns)."""
-        return np.nonzero(self.alive[: self._size])[0]
+        return np.nonzero(self.column("alive"))[0]

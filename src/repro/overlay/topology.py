@@ -47,6 +47,7 @@ this):
 from __future__ import annotations
 
 import itertools
+from array import array
 from typing import Callable, Dict, Iterable, List, NoReturn, Optional, Tuple
 
 import numpy as np
@@ -88,6 +89,12 @@ class _Departed:
 
 
 _DEPARTED = _Departed()
+
+#: The store columns a snapshot carries, in snapshot order -- which is
+#: also :meth:`PeerStore.alloc`'s argument order.
+_SNAPSHOT_COLUMNS = (
+    "pid", "role", "capacity", "join_time", "lifetime", "role_change_time", "eligible"
+)
 
 
 class _Replay:
@@ -279,7 +286,7 @@ class Overlay:
             raise OverlayError(f"unknown pid {pid}")
         store = self.store
         slot = peer._slot
-        is_super = bool(store.role[slot] == ROLE_SUPER)
+        is_super = store.role[slot] == ROLE_SUPER
         former_supers = list(store.sn[slot])
         ln = store.ln[slot]
         orphans = list(ln) if ln else []
@@ -626,11 +633,10 @@ class Overlay:
         """Full topology state: columnar peer arrays (with ordered
         adjacency), layers, cumulative counters.
 
-        The scalar columns are emitted as NumPy arrays in registry
-        (insertion) order -- compact to pickle and exactly sufficient to
-        rebuild the store.  Listener lists are wiring, not state, and the
-        aggregates are derived -- both are re-established by the
-        composition root.
+        The scalar columns are emitted in registry (insertion) order --
+        compact to pickle and exactly sufficient to rebuild the store.
+        Listener lists are wiring, not state, and the aggregates are
+        derived -- both are re-established by the composition root.
         """
         store = self.store
         n = len(self._peers)
@@ -643,13 +649,7 @@ class Overlay:
         return {
             "n": n,
             "columns": {
-                "pid": store.pid[slots].tobytes(),
-                "role": store.role[slots].tobytes(),
-                "capacity": store.capacity[slots].tobytes(),
-                "join_time": store.join_time[slots].tobytes(),
-                "lifetime": store.lifetime[slots].tobytes(),
-                "role_change_time": store.role_change_time[slots].tobytes(),
-                "eligible": store.eligible[slots].tobytes(),
+                name: store.column(name)[slots].tobytes() for name in _SNAPSHOT_COLUMNS
             },
             "sn": [store.sn[s] for s in slots],
             "ln": [tuple(store.ln[s]) if store.ln[s] else None for s in slots],
@@ -681,31 +681,12 @@ class Overlay:
             raise OverlayError("restore requires an empty overlay")
         from .knowledge import NeighborKnowledge
 
-        raw = state["columns"]
-        n = state["n"]
-        cols = {
-            "pid": np.frombuffer(raw["pid"], dtype=np.int64),
-            "role": np.frombuffer(raw["role"], dtype=np.int8),
-            "capacity": np.frombuffer(raw["capacity"], dtype=np.float64),
-            "join_time": np.frombuffer(raw["join_time"], dtype=np.float64),
-            "lifetime": np.frombuffer(raw["lifetime"], dtype=np.float64),
-            "role_change_time": np.frombuffer(
-                raw["role_change_time"], dtype=np.float64
-            ),
-            "eligible": np.frombuffer(raw["eligible"], dtype=np.bool_),
-        }
         store = self.store
-        for i in range(n):
-            pid = int(cols["pid"][i])
-            slot = store.alloc(
-                pid,
-                int(cols["role"][i]),
-                float(cols["capacity"][i]),
-                float(cols["join_time"][i]),
-                float(cols["lifetime"][i]),
-                float(cols["role_change_time"][i]),
-                bool(cols["eligible"][i]),
-            )
+        raw = state["columns"]
+        cols = [array(getattr(store, c).typecode, raw[c]) for c in _SNAPSHOT_COLUMNS]
+        for i, row in enumerate(zip(*cols)):
+            pid = row[0]
+            slot = store.alloc(*row)
             sn = tuple(state["sn"][i])
             store.sn[slot] = sn
             store.n_super_links[slot] = len(sn)

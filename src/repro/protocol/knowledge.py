@@ -88,8 +88,8 @@ class OmniscientKnowledge(KnowledgeSource):
     Reads go straight to the overlay's columnar store: one registry
     lookup resolves the slot, then capacity/join_time/degree are scalar
     column loads -- no Peer property dispatch on this per-member hot
-    path.  The returned values are builtins (classic floats/ints), so
-    downstream arithmetic and digests are unchanged.
+    path.  The columns are ``array.array``, so the returned values are
+    builtins (classic floats/ints) without a conversion.
     """
 
     __slots__ = ("_get", "_store")
@@ -108,9 +108,9 @@ class OmniscientKnowledge(KnowledgeSource):
         if not store.role[slot]:  # ROLE_LEAF
             return None
         return (
-            float(store.capacity[slot]),
-            now - float(store.join_time[slot]),
-            int(store.n_leaf_links[slot]),
+            store.capacity[slot],
+            now - store.join_time[slot],
+            store.n_leaf_links[slot],
         )
 
     def observe_leaf(self, observer: "Peer", lid: int, now: float):
@@ -122,7 +122,7 @@ class OmniscientKnowledge(KnowledgeSource):
         slot = p._slot
         if store.role[slot]:  # ROLE_SUPER
             return None
-        return (float(store.capacity[slot]), now - float(store.join_time[slot]))
+        return (store.capacity[slot], now - store.join_time[slot])
 
 
 class ObservedKnowledge(KnowledgeSource):

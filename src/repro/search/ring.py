@@ -191,7 +191,7 @@ class RingRouter:
             if hops >= _MAX_HOPS:  # pragma: no cover - broken-ring guard
                 break
             slot = store.slot(cur)
-            succ = int(store.ring_succ[slot])
+            succ = store.ring_succ[slot]
             d_cur = (target - ring_key(cur)) & _MASK
             # closest_preceding_node: the candidate clockwise-closest to
             # the target without passing it; the exact successor is the

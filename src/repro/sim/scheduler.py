@@ -28,7 +28,7 @@ hot operations are O(1) instead of O(log n):
   seq (keeping trajectories bit-identical to eager scheduling) and the
   source hands back ``(time, seq, payload)`` rows per window via
   ``harvest``, at which point the engine builds the Event.  A million
-  pending peer deaths therefore cost two numpy columns, not a million
+  pending peer deaths therefore cost two store columns, not a million
   Event objects on a heap, and a timeout answered in time costs no
   Event at all.
 

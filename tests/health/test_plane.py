@@ -188,7 +188,7 @@ class TestFlightRecorder:
         )
         assert code == 2
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error: flight recorder path")
+        assert len(err) == 1 and err[0].startswith("error: --flight-recorder")
 
     def test_a_refused_command_creates_no_flight_directory(self, tmp_path):
         flight = tmp_path / "new" / "dir" / "flight.json"

@@ -11,6 +11,8 @@ container sizes, and the pid registry round-trips every live slot
 
 from __future__ import annotations
 
+from array import array
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -174,3 +176,104 @@ def test_slots_of_matches_scalar_slot(registered, freed, queries):
     got = store.slots_of(pids)
     assert got.dtype == np.int64 and got.shape == pids.shape
     assert got.tolist() == [store.slot(int(pid)) for pid in pids]
+
+
+# -- the storage contract: array columns, NumPy views -------------------------
+
+#: Reader ops: each vector reader of the store, run against scalar reads.
+_READERS = ("live", "slots_of", "columns", "harvest", "snapshot", "sweep")
+#: One step: an alloc (a super one time in four), then one more op.
+_STORAGE_OP = st.tuples(
+    st.sampled_from([Role.LEAF, Role.LEAF, Role.LEAF, Role.SUPER]),
+    st.floats(1, 500),
+    st.one_of(
+        st.tuples(st.just("remove"), st.integers(0, 200), st.none()),
+        st.tuples(st.just("death"), st.integers(0, 200), st.floats(1000, 2000)),
+        st.tuples(st.just("read"), st.sampled_from(_READERS), st.floats(1000, 2000)),
+    ),
+)
+
+
+def _check_scalar_reads(ov) -> None:
+    """Every live row read through the arrays is builtins, and so are
+    the ``Peer`` properties built on them."""
+    store = ov.store
+    for peer in map(ov.get, [*ov.super_ids, *ov.leaf_ids]):
+        s = peer._slot
+        assert type(store.capacity[s]) is float and type(store.dv[s]) is float
+        assert type(store.role[s]) is int and type(store.n_leaf_links[s]) is int
+        assert type(store.pid[s]) is int and type(store.slot(peer.pid)) is int
+        assert type(peer.is_super) is bool and type(peer.eligible) is bool
+        assert type(peer.capacity) is float and type(peer.degree) is int
+
+
+def _read(ctx, ledger, reader: str, t_end: float) -> None:
+    """Run one vector reader and hold it to the scalar reads."""
+    from repro.overlay.peerstore import _SCALAR_COLUMNS
+
+    ov = ctx.overlay
+    store = ov.store
+    if reader == "live":
+        live = sorted(p._slot for p in map(ov.get, [*ov.super_ids, *ov.leaf_ids]))
+        assert store.live_slots().tolist() == live
+    elif reader == "slots_of":
+        pids = [*ov.leaf_ids, *ov.super_ids, -1, 10**6, 1 << 25]
+        got = store.slots_of(np.asarray(pids, dtype=np.int64)).tolist()
+        assert got == [store.slot(pid) for pid in pids]
+    elif reader == "columns":
+        for name, _code, _fill in _SCALAR_COLUMNS:
+            col = getattr(store, name)
+            view = store.column(name)
+            assert view.itemsize == col.itemsize and len(view) == store._size
+            assert view.tolist() == [col[s] for s in range(store._size)], name
+    elif reader == "harvest":
+        want = sorted(
+            (store.dv[s], store.dseq[s], store.pid[s])
+            for s in range(store._size)
+            if store.dv[s] < t_end
+        )
+        rows = ledger.harvest(t_end)
+        assert sorted(rows) == want
+        assert all(type(t) is float and type(q) is int for t, q, _p in rows)
+        assert all(store.dv[s] >= t_end for s in range(store._size))
+    elif reader == "snapshot":
+        snap = ov.snapshot()
+        for name, raw in snap["columns"].items():
+            col = getattr(store, name)
+            rows = [col[ov.get(pid)._slot] for pid in ov._peers]
+            assert raw == array(col.typecode, rows).tobytes(), name
+    else:
+        ctx.maintenance.sweep()
+        ov.check_invariants()
+
+
+@given(steps=st.lists(_STORAGE_OP, min_size=70, max_size=140))
+@settings(max_examples=25, deadline=None)
+def test_array_columns_and_their_views_agree_across_growth(steps):
+    """Slots allocated past the first ``_grow`` (64 slots), each alloc
+    followed by a free, a death or one vector reader: no view outlives
+    a growth (``BufferError``), each view reads what the scalar reads
+    read, and the scalar reads are builtins."""
+    from repro.churn.deaths import DeathLedger
+    from repro.context import build_context
+
+    ctx = build_context(seed=0)
+    ov = ctx.overlay
+    ledger = DeathLedger(ctx.sim, ov.store)
+    for pid, (role, capacity, (op, a, b)) in enumerate(steps):
+        ov.add_peer(pid, role, capacity=capacity, join_time=0.0, lifetime=1e6)
+        if op == "read":
+            _read(ctx, ledger, a, b)
+            continue
+        peer = ov.get(a)  # pids are the step numbers
+        if peer is None:
+            continue
+        if op == "remove":
+            ledger.cancel(peer._slot)
+            ov.remove_peer(a)
+        elif ov.store.dseq[peer._slot] < 0:
+            ledger.schedule(peer._slot, a, b)
+    assert ov.store.capacity_slots > 64
+    _check_scalar_reads(ov)
+    for reader in _READERS:
+        _read(ctx, ledger, reader, 2000.0)

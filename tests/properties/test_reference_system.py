@@ -1,0 +1,65 @@
+"""One whole-run differential: every fast path against its oracle at once.
+
+Each plane's oracle is already held against its fast twin on a
+plane-sized machine.  This property runs a generated configuration end
+to end twice -- fast, then inside :func:`tests.reference_system.
+reference_system` with the un-fused DLM policy -- and asserts that the
+two runs end in the same state, component by component of
+``checkpoint.state_digest``: every RNG stream position, the event queue,
+the overlay columns, the ledger, the policy's counters.  So a fast path
+that is right alone but wrong in company (a cache invalidated by one
+plane and read by another) shows here as the first differing component.
+"""
+
+from __future__ import annotations
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.experiments.checkpoint import state_digest
+from repro.experiments.configs import ExperimentConfig, SearchConfig
+from repro.experiments.runner import run_experiment
+from repro.protocol.faults import FaultPlan
+from repro.telemetry.config import TelemetryConfig
+from tests.reference_system import reference_policy_factory, reference_system
+
+
+@st.composite
+def run_configs(draw) -> ExperimentConfig:
+    warmup = draw(st.sampled_from([20.0, 50.0]))
+    faults = st.builds(
+        FaultPlan,
+        loss_rate=st.floats(0.0, 0.2),
+        latency_scale=st.floats(0.0, 0.5),
+    )
+    search = st.builds(
+        SearchConfig, n_objects=st.integers(20, 300), query_rate=st.floats(1.0, 10.0)
+    )
+    return ExperimentConfig(
+        name="differential",
+        n=draw(st.integers(40, 200)),
+        eta=draw(st.sampled_from([10.0, 40.0])),
+        m=draw(st.sampled_from([1, 2, 3])),
+        warmup=warmup,
+        horizon=draw(st.integers(int(warmup) + 10, 150)),
+        seed=draw(st.integers(0, 2**16)),
+        family=draw(st.sampled_from(["superpeer", "chord"])),
+        faults=draw(st.none() | faults),
+        search=draw(st.none() | search),
+        # The full audit puts every verdict's Y and µ in the digest, so
+        # a comparison that is off without flipping a decision shows too.
+        telemetry=TelemetryConfig(),
+    )
+
+
+@given(config=run_configs())
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_a_run_ends_where_its_reference_run_ends(config):
+    fast = state_digest(run_experiment(config))
+    with reference_system():
+        slow = state_digest(
+            run_experiment(config, policy_factory=reference_policy_factory)
+        )
+    assert fast.keys() == slow.keys()
+    differ = [name for name in fast if fast[name] != slow[name]]
+    assert not differ, f"components differ from the reference run: {differ}"

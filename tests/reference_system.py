@@ -1,0 +1,75 @@
+"""The slow simulator: the plane oracles installed in a whole run.
+
+Inside ``with reference_system():`` two fast paths are replaced *at
+class level* by their oracles, the way ``bench/trace.py`` installs its
+spans, and put back on exit, also when the block raises:
+
+* ``Maintenance.sweep`` runs :func:`tests.overlay.reference_sweep.
+  reference_sweep` (every leaf in registry order, one sampler call per
+  repair);
+* ``FloodRouter.query`` runs :func:`tests.search.reference_flood.
+  reference_query` (a per-copy BFS over a freshly built snapshot) and
+  charges the router's ledger the same two totals the router charges.
+
+The DLM verdicts go in through the public hook instead:
+``run_experiment(config, policy_factory=reference_policy_factory)``
+builds :class:`tests.core.reference_related_set.ReferenceDLMPolicy`.
+A run made that way inside the block differs from a fast run only in how
+those three planes compute their answers, so the two runs'
+``checkpoint.state_digest`` must agree in every component
+(``tests/properties/test_reference_system.py``).
+
+Not installed: the heap scheduler (``tests/sim/reference_heap.py``) and
+the export ring (``tests/telemetry/reference_export.py``).  Both model
+their plane on a reduced interface -- neither is a drop-in replacement
+for the class it checks.
+"""
+
+from __future__ import annotations
+
+from contextlib import contextmanager
+from typing import Iterator
+
+from repro.overlay.maintenance import Maintenance
+from repro.protocol.messages import QueryHitMessage, QueryMessage
+from repro.search.flooding import FloodRouter, QueryOutcome
+from tests.core.reference_related_set import ReferenceDLMPolicy
+from tests.overlay.reference_sweep import reference_sweep
+from tests.search.reference_flood import reference_query
+
+__all__ = ["reference_policy_factory", "reference_system"]
+
+
+def reference_policy_factory(config) -> ReferenceDLMPolicy:
+    """``default_policy_factory`` with both verdicts un-fused."""
+    return ReferenceDLMPolicy(config.dlm_config())
+
+
+def _reference_flood(router: FloodRouter, source: int, obj: int) -> QueryOutcome:
+    """``FloodRouter.query`` by the per-copy BFS.  A query its source
+    answers from local storage sends nothing and charges nothing."""
+    if router.latency is not None:
+        raise NotImplementedError("a run never times its floods")
+    local = obj in router.directory.files(source)
+    out = reference_query(router.overlay, router.directory, source, obj, ttl=router.ttl)
+    if router.ledger is not None and not local:
+        router.ledger.record(QueryMessage, out.query_messages)
+        router.ledger.record(QueryHitMessage, out.hit_messages)
+    return out
+
+
+@contextmanager
+def reference_system() -> Iterator[None]:
+    """Install the sweep and flood oracles for the duration of the block."""
+    seams = [
+        (Maintenance, "sweep", reference_sweep),
+        (FloodRouter, "query", _reference_flood),
+    ]
+    originals = [(cls, name, vars(cls)[name]) for cls, name, _ in seams]
+    try:
+        for cls, name, oracle in seams:
+            setattr(cls, name, oracle)
+        yield
+    finally:
+        for cls, name, original in reversed(originals):
+            setattr(cls, name, original)

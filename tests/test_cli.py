@@ -110,6 +110,16 @@ _EXIT_CODES = [
     (["figure5", "--n", "200", "--horizon", "250"], 0),  # tail starts after the shift
     (["profile", "transport", "--horizon", "300"], 2),  # it settles to 200
     (["figure6", "--flight-recorder", "{tmp}/ok.jsonl/flight.json"], 2),
+    # Output paths are probed before the run, not written to after it.
+    (["figure6", "--n", "300", "--horizon", "150", "--audit-jsonl", "{tmp}"], 2),
+    (["figure6", "--n", "300", "--horizon", "150", "--chrome-trace", "{tmp}"], 2),
+    (["figure6", "--checkpoint-every", "50", "--checkpoint-path", "{tmp}"], 2),
+    (["figure6", "--audit-jsonl", "{tmp}/ok.jsonl/run.jsonl"], 2),
+    (["figure6", "--flight-recorder", "{tmp}"], 2),
+    (["figure6", "--save", "{tmp}/ok.jsonl"], 2),
+    (["resume", "{tmp}/junk.ckpt", "--chrome-trace", "{tmp}"], 2),
+    (["figure6", "--n", "300", "--horizon", "150", "--seed", "-3"], 2),
+    (["profile", "evaluate", "--seed", "-1"], 2),
 ]
 
 
