@@ -279,13 +279,16 @@ def _telemetry_config(args):
     _check_output("--audit-jsonl", args.audit_jsonl)
     _check_output("--chrome-trace", args.chrome_trace)
 
-    return TelemetryConfig(
-        audit_level=args.audit_level if args.audit_level is not None else "full",
-        jsonl_path=args.audit_jsonl,
-        chrome_trace_path=args.chrome_trace,
-        progress_every=args.progress,
-        transport_trace=args.transport_trace,
-    )
+    try:
+        return TelemetryConfig(
+            audit_level=args.audit_level if args.audit_level is not None else "full",
+            jsonl_path=args.audit_jsonl,
+            chrome_trace_path=args.chrome_trace,
+            progress_every=args.progress,
+            transport_trace=args.transport_trace,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _coerce_slo_value(text: str):

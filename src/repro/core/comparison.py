@@ -10,22 +10,21 @@ Directly from the paper's pseudo-code::
 (scaled) metric values exceed the local peer's -- both in [0, 1].  Small
 Y means the local peer is relatively strong; large Y, relatively weak.
 
-The comparison is branchless NumPy when the related set is large (a
-super-peer's G holds around k_l = 80 leaves) and a plain loop when small
-(a leaf's G holds a handful of supers; a young super a handful of
-leaves).  The vectorized form costs ~14 NumPy calls whatever the size
-(12-15 µs warm, about twice that cold inside a run) against ~0.4 µs a
-member for the loop; the two cross near 28 members warm, and
-:data:`_VECTOR_THRESHOLD` sits just below (DESIGN.md §8 "Verdict path").
-Either way the hit counts are exact integers and each element's
-multiply/compare is the same IEEE-double operation, so which branch ran
-cannot be told from the result.
+The comparison is a plain loop when the related set is small (a leaf's G
+holds a handful of supers) and branchless NumPy when large.  A super's
+leaf links carry each leaf's store slot, so in a run its loop reads two
+columns at a slot, ~0.14 µs a member, while the vector pass costs ~15 µs
+plus ~0.04 µs a member; they cross near 110 members and
+:data:`_VECTOR_THRESHOLD` sits there (DESIGN.md §8 "Leaf links carry
+their rows").  Either way the hit counts are exact integers and each
+element's multiply/compare is the same IEEE-double operation, so which
+branch ran cannot be told from the result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection, Optional, Sequence, Tuple
+from typing import Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,7 +38,7 @@ __all__ = [
 ]
 
 #: Related sets at or above this size take the vectorized path.
-_VECTOR_THRESHOLD = 24
+_VECTOR_THRESHOLD = 112
 
 
 @dataclass(frozen=True, slots=True)
@@ -88,7 +87,7 @@ def scaled_fractions(
 def compare_leaves_observed(
     knowledge: KnowledgeSource,
     peer: Peer,
-    members: Collection[int],
+    members: Mapping[int, int],
     now: float,
     x_capa: float,
     x_age: float,
@@ -96,13 +95,13 @@ def compare_leaves_observed(
     """Fused Y-counter pass for a super against its observed leaves.
 
     Reads each member's (capacity, age) through ``knowledge`` and
-    compares in one pass without materializing a view (a super verdict is
-    ~29 µs in a run at |G| = 85, against a leaf's ~8).  ``members`` is the
-    super's leaf adjacency itself -- sized, iterated once, never copied
-    into a list.  Returns the :class:`ComparisonResult` over the *usable*
-    members (None when no member is usable) plus the count of members
-    that are alive but unobserved/stale, so the caller can defer instead
-    of acting on a partial picture.  Equivalence with the view-based path
+    compares in one pass without materializing a view.  ``members`` is
+    the super's leaf adjacency itself, leaf pid -> leaf slot -- sized,
+    iterated once, never copied into a list.  Returns the
+    :class:`ComparisonResult` over the *usable* members (None when no
+    member is usable) plus the count of members that are alive but
+    unobserved/stale, so the caller can defer instead of acting on a
+    partial picture.  Equivalence with the view-based path
     (``tests/core/reference_related_set.py``) is property-tested.
     """
     own_cap = peer.capacity
@@ -112,38 +111,25 @@ def compare_leaves_observed(
     hits_c = 0
     hits_a = 0
     if type(knowledge) is OmniscientKnowledge:
-        # Fast path for the paper's default knowledge plane: gather the
-        # members' capacity/join_time straight from the columnar store.
-        # Observations are never UNKNOWN here, so ``missing`` stays 0;
-        # semantics are otherwise identical to the generic loop below
-        # (equivalence is unit-tested).  The Y counters are exact integer
-        # hit counts, so the vectorized comparison is bit-identical to
-        # the scalar loop: each element's multiply/compare is the same
-        # IEEE double operation, and the final division is the same
-        # ``hits / usable``.
+        # The paper's default knowledge plane: each adjacency value is the
+        # leaf's store slot, carried since the link was made, and ``ln``
+        # holds live leaves only (``Overlay.check_invariants`` proves it),
+        # so every member is usable and ``missing`` stays 0.  The Y
+        # counters are exact integer hit counts, so both branches make
+        # the same IEEE-double multiply/compare per member and the same
+        # ``hits / usable`` division.
         store = knowledge._store
-        if len(members) >= _VECTOR_THRESHOLD:
-            ids = np.fromiter(members, dtype=np.int64, count=len(members))
-            slots = store.slots_of(ids)
-            slots = slots[slots >= 0]
-            slots = slots[store.column("role")[slots] == 0]  # ROLE_LEAF
-            usable = len(slots)
-            if usable:
-                caps = store.column("capacity")[slots]
-                ages = now - store.column("join_time")[slots]
-                hits_c = int(np.count_nonzero(caps * x_capa > own_cap))
-                hits_a = int(np.count_nonzero(ages * x_age > own_age))
+        usable = len(members)
+        if usable >= _VECTOR_THRESHOLD:
+            slots = np.fromiter(members.values(), dtype=np.intp, count=usable)
+            caps = store.column("capacity")[slots]
+            ages = now - store.column("join_time")[slots]
+            hits_c = int(np.count_nonzero(caps * x_capa > own_cap))
+            hits_a = int(np.count_nonzero(ages * x_age > own_age))
         else:
-            get = knowledge._get
-            role_col = store.role
             cap_col = store.capacity
             join_col = store.join_time
-            for lid in members:
-                p = get(lid)
-                if p is None or role_col[p._slot]:  # pragma: no cover - live
-                    continue
-                s = p._slot
-                usable += 1
+            for s in members.values():
                 if cap_col[s] * x_capa > own_cap:
                     hits_c += 1
                 if (now - join_col[s]) * x_age > own_age:

@@ -405,7 +405,10 @@ def resume_run(
                 f"horizon {horizon} precedes the checkpoint time "
                 f"{payload['header']['time']}"
             )
-        config = config.with_(horizon=horizon)
+        try:
+            config = config.with_(horizon=horizon)
+        except ValueError as exc:  # a horizon the config refuses (NaN, inf)
+            raise CheckpointError(str(exc)) from exc
     if telemetry is not None:
         config = config.with_(telemetry=telemetry)
     if health is not None:

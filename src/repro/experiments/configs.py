@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from math import isfinite
 from typing import Optional
 
 from ..core.config import DLMConfig
@@ -127,6 +128,8 @@ class ExperimentConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.eta <= 0:
             raise ValueError("eta must be positive")
+        if not (isfinite(self.horizon) and isfinite(self.warmup)):
+            raise ValueError("horizon and warmup must be finite")
         if self.horizon <= self.warmup:
             raise ValueError("horizon must exceed warmup")
         if self.sample_interval <= 0 or self.maintenance_interval <= 0:

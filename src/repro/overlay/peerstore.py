@@ -32,9 +32,12 @@ the degree columns exact through every add and discard:
   backed set -- at 1M peers that difference is ~200MB), and the tuple
   itself is what ``Peer.super_neighbors`` / ``contacted_supers`` return;
 * ``ln`` (leaf links) is a lazily created
-  :class:`~repro.util.idset.IdSet` -- a super holds hundreds of leaves
-  and needs O(1) add/discard; only super-peers ever allocate one, so a
-  million leaves pay nothing;
+  :class:`~repro.util.idset.IdSet` mapping each leaf pid to the leaf's
+  own slot (the very ``int`` its view holds, so an entry adds no
+  object) -- a super holds hundreds of leaves and needs O(1)
+  add/discard, and the super comparison reads the leaves' columns at
+  the carried slots; only super-peers ever allocate one, so a million
+  leaves pay nothing;
 * ``kn`` (the message-driven observation cache) is lazily created --
   omniscient runs never allocate a single cache.
 
@@ -170,21 +173,17 @@ class PeerStore:
         self.kn.extend([None] * pad)
         self.views.extend([None] * pad)
 
-    def _full(self, name: str) -> np.ndarray:
-        """The cached zero-copy view of the whole ``name`` array; NumPy
-        reads the array's typecode as the same C type, so the view's
-        width is the array's own itemsize."""
+    def column(self, name: str) -> np.ndarray:
+        """A zero-copy, writable NumPy view of the used slots of scalar
+        column ``name`` -- valid until the next call that can allocate a
+        slot (see the view rule in the module docstring).  The whole
+        array's view is cached; NumPy reads the array's typecode as the
+        same C type, so the view's width is the array's own itemsize."""
         v = self._np.get(name)
         if v is None:
             col = getattr(self, name)
             v = self._np[name] = np.frombuffer(col, dtype=col.typecode)
-        return v
-
-    def column(self, name: str) -> np.ndarray:
-        """A zero-copy, writable NumPy view of the used slots of scalar
-        column ``name`` -- valid until the next call that can allocate a
-        slot (see the view rule in the module docstring)."""
-        return self._full(name)[: self._size]
+        return v[: self._size]
 
     @property
     def nbytes(self) -> int:
@@ -205,32 +204,11 @@ class PeerStore:
             return self._slot_by_pid[pid]
         return self._slot_spill.get(pid, -1)
 
-    def slots_of(self, pids: np.ndarray) -> np.ndarray:
-        """Vectorized pid->slot lookup (absent pids map to -1).
-
-        When every pid indexes the dense map -- the super comparison's
-        case: a live super's leaf ids -- the answer is one gather.
-        """
-        dense = self._full("_slot_by_pid")
-        n = len(dense)
-        if len(pids) and 0 <= pids.min() and pids.max() < n:
-            return dense[pids]
-        in_range = (pids >= 0) & (pids < n)
-        out = np.full(len(pids), -1, dtype=np.int64)
-        idx = pids[in_range]
-        out[in_range] = dense[idx] if len(idx) else -1
-        if not in_range.all():
-            spill = self._slot_spill
-            for i in np.nonzero(~in_range)[0]:
-                out[i] = spill.get(int(pids[i]), -1)
-        return out
-
     def _register(self, pid: int, slot: int) -> None:
         if 0 <= pid < _DENSE_PID_LIMIT:
             dense = self._slot_by_pid
             if pid >= len(dense):
                 new_len = min(max(1024, len(dense) * 2, pid + 1), _DENSE_PID_LIMIT)
-                self._np.clear()
                 dense.extend(array("q", (-1,)) * (new_len - len(dense)))
             if dense[pid] != -1:
                 raise ValueError(f"duplicate pid {pid} in store")
@@ -334,12 +312,12 @@ class PeerStore:
             self.sn[slot] = tuple(x for x in t if x != pid)
             self.n_super_links[slot] -= 1
 
-    def ln_add(self, slot: int, pid: int) -> None:
+    def ln_add(self, slot: int, pid: int, leaf_slot: int) -> None:
         ln = self.ln[slot]
         if ln is None:
             ln = self.ln[slot] = IdSet()
         if pid not in ln:
-            ln[pid] = None
+            ln[pid] = leaf_slot
             self.n_leaf_links[slot] += 1
 
     def ln_discard(self, slot: int, pid: int) -> None:

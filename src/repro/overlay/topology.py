@@ -303,8 +303,8 @@ class Overlay:
                 store.sn_discard(oslot, pid)
             else:
                 store.ln_discard(oslot, pid)
-        for lid in orphans:
-            store.sn_discard(peers[lid]._slot, pid)
+        for lslot in ln.values() if ln else ():
+            store.sn_discard(lslot, pid)
         store.sn[slot] = ()
         store.n_super_links[slot] = 0
         store.ln_clear(slot)
@@ -351,11 +351,11 @@ class Overlay:
         if b in store.sn[sa] or (ln_a is not None and b in ln_a):
             return False
         if b_leaf:
-            store.ln_add(sa, b)
+            store.ln_add(sa, b, sb)
         else:
             store.sn_add(sa, b)
         if a_leaf:
-            store.ln_add(sb, a)
+            store.ln_add(sb, a, sa)
         else:
             store.sn_add(sb, a)
         if a_leaf:
@@ -445,9 +445,9 @@ class Overlay:
                 self._notify_link(pid, sid, False)
                 store.sn_discard(peers[sid]._slot, pid)
                 store.sn_discard(slot, sid)
-        for lid in orphans:
+        for lid, lslot in ln.items() if ln else ():
             self._notify_link(pid, lid, False)
-            store.sn_discard(peers[lid]._slot, pid)
+            store.sn_discard(lslot, pid)
         store.ln_clear(slot)
 
         store.role[slot] = ROLE_LEAF
@@ -457,7 +457,7 @@ class Overlay:
         for sid in kept:
             oslot = peers[sid]._slot
             store.sn_discard(oslot, pid)
-            store.ln_add(oslot, pid)
+            store.ln_add(oslot, pid, slot)
         store.ct[slot] = tuple(kept)
         self.total_demotions += 1
         for fn in self._role_listeners:
@@ -619,12 +619,19 @@ class Overlay:
                 )
                 if peer.pid not in back:
                     raise OverlayError(f"asymmetric link {peer.pid}--{sid}")
-            for lid in ln or ():
+            for lid, s in ln.items() if ln else ():
                 other = self._peers.get(lid)
                 if other is None or not other.is_leaf:
                     raise OverlayError(
                         f"pid {peer.pid} lists non-leaf {lid} as leaf neighbor"
                     )
+                # The carried slot is the leaf's own, live, leaf row.
+                if (
+                    other._slot is not s
+                    or store.pid[s] != lid
+                    or not (store.alive[s] and store.role[s] == ROLE_LEAF)
+                ):
+                    raise OverlayError(f"pid {peer.pid} carries slot {s!r} for {lid}")
                 if peer.pid not in other.super_neighbors:
                     raise OverlayError(f"asymmetric link {peer.pid}--{lid}")
 
@@ -684,16 +691,15 @@ class Overlay:
         store = self.store
         raw = state["columns"]
         cols = [array(getattr(store, c).typecode, raw[c]) for c in _SNAPSHOT_COLUMNS]
+        linked = []
         for i, row in enumerate(zip(*cols)):
             pid = row[0]
             slot = store.alloc(*row)
             sn = tuple(state["sn"][i])
             store.sn[slot] = sn
             store.n_super_links[slot] = len(sn)
-            ln = state["ln"][i]
-            if ln:
-                store.ln[slot] = IdSet(ln)
-                store.n_leaf_links[slot] = len(ln)
+            if state["ln"][i]:
+                linked.append((slot, state["ln"][i]))
             store.ct[slot] = tuple(state["ct"][i])
             kn = state["knowledge"][i]
             if kn:
@@ -701,6 +707,11 @@ class Overlay:
                 knowledge.restore(kn)
                 store.kn[slot] = knowledge
             self._peers[pid] = store.view(slot, pid)
+        # Each leaf link carries the leaf's slot: the int its view holds.
+        peers = self._peers
+        for slot, ln in linked:
+            store.ln[slot] = IdSet({lid: peers[lid]._slot for lid in ln})
+            store.n_leaf_links[slot] = len(ln)
         self.super_ids.restore(state["super_ids"])
         self.leaf_ids.restore(state["leaf_ids"])
         self.total_joins = state["total_joins"]

@@ -154,8 +154,12 @@ def _time_verdicts(config, opts) -> None:
     the peers that reach them (eligible leaves, supers with enough
     leaves), cycling until :data:`_VERDICTS` ran.  ``decided`` is how
     many returned a decision; the rest deferred for missing knowledge
-    (observed plane only).  The settling run is outside the timed region.
+    (observed plane only).  The omniscient super verdict is also timed on
+    each comparison branch, the threshold forced to the loop and to the
+    vector pass (DESIGN.md §8 "Leaf links carry their rows").  The
+    settling run is outside the timed region.
     """
+    from .core import comparison
     from .experiments.runner import run_experiment
     from .protocol.faults import FaultPlan
 
@@ -172,20 +176,27 @@ def _time_verdicts(config, opts) -> None:
             for p in map(overlay.peer, overlay.super_ids)
             if len(p.leaf_neighbors) >= floor
         ]
-        for role, peers, verdict in (
-            ("leaf", leaves, policy._evaluate_leaf),
-            ("super", supers, policy._evaluate_super),
-        ):
+        runs = [("leaf", leaves, policy._evaluate_leaf, None)]
+        runs += [("super", supers, policy._evaluate_super, None)]
+        if faults is None:  # and forced onto each comparison branch
+            runs += [("super loop", supers, policy._evaluate_super, sys.maxsize)]
+            runs += [("super vector", supers, policy._evaluate_super, 0)]
+        kept = comparison._VECTOR_THRESHOLD
+        for role, peers, verdict, threshold in runs:
+            comparison._VECTOR_THRESHOLD = kept if threshold is None else threshold
             decided = g_total = 0
             t0 = perf_counter()
-            for peer in islice(cycle(peers), _VERDICTS):
-                decision = verdict(peer, now)
-                if decision is not None:
-                    decided += 1
-                    g_total += decision.y.g_size
+            try:
+                for peer in islice(cycle(peers), _VERDICTS):
+                    decision = verdict(peer, now)
+                    if decision is not None:
+                        decided += 1
+                        g_total += decision.y.g_size
+            finally:
+                comparison._VECTOR_THRESHOLD = kept
             elapsed = perf_counter() - t0
             print(
-                f"{plane:10s} {role:5s} {elapsed / _VERDICTS * 1e6:7.2f} us/verdict"
+                f"{plane:10s} {role:12s} {elapsed / _VERDICTS * 1e6:7.2f} us/verdict"
                 f"  mean |G| {g_total / max(decided, 1):5.1f}"
                 f"  decided {decided}/{_VERDICTS}  ({len(peers)} peers)"
             )

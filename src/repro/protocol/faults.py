@@ -75,8 +75,8 @@ class FaultPlan:
     def __post_init__(self) -> None:
         if not 0.0 <= self.loss_rate < 1.0:
             raise ValueError(f"loss_rate must be in [0, 1), got {self.loss_rate}")
-        if self.latency_scale < 0:
-            raise ValueError("latency_scale must be >= 0")
+        if not 0 <= self.latency_scale < math.inf:
+            raise ValueError("latency_scale must be finite and >= 0")
         if self.latency_sigma <= 0:
             raise ValueError("latency_sigma must be positive")
         if self.timeout <= 0:

@@ -135,12 +135,11 @@ class FloodRouter:
     def _rebuild(self) -> None:
         """Snapshot the backbone: number the supers densely, keep each
         one's links as dense indices, and drop every reach row."""
-        store = self.overlay.store
+        sn = self.overlay.store.sn
         ids = list(self.overlay.super_ids)
         pos = self._pos = dict(zip(ids, range(len(ids))))
         index = pos.__getitem__
-        slots = store.slots_of(np.array(ids, dtype=np.int64)).tolist()
-        self._adj = [[*map(index, t)] for t in map(store.sn.__getitem__, slots)]
+        self._adj = [[*map(index, sn[p._slot])] for p in map(self.overlay.get, ids)]
         self._reach = {}
         self._dirty = False
 

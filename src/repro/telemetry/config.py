@@ -18,6 +18,7 @@ checkpointed run may be resumed with different telemetry settings.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 from typing import Optional
 
 __all__ = ["TelemetryConfig", "AUDIT_LEVELS"]
@@ -84,5 +85,5 @@ class TelemetryConfig:
             )
         if self.record_capacity is not None and self.record_capacity < 1:
             raise ValueError("record_capacity must be >= 1 or None")
-        if self.progress_every is not None and self.progress_every <= 0:
-            raise ValueError("progress_every must be positive or None")
+        if self.progress_every is not None and not 0 < self.progress_every < inf:
+            raise ValueError("progress_every must be positive and finite, or None")

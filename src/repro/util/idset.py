@@ -9,13 +9,16 @@ original, and neighbor iteration order feeds directly into RNG-indexed
 selection (demotion keeps ``rng.choice`` over the iterated list), flood
 order, and maintenance repair order -- so checkpoint resume would diverge.
 
-``IdSet`` is a thin ``dict`` subclass (keys are the members, values are
-``None``).  Dict keys iterate in insertion order with deletions simply
-dropping out, so the order is a pure function of the operation sequence
-*and* can be captured and reproduced exactly by re-inserting a snapshot's
-``list(s)``.  Membership, ``add``, ``discard``, ``len`` and iteration all
-stay at C-dict speed; only ``add``/``discard`` pay one extra Python frame
-over built-in ``set``.
+``IdSet`` is a thin ``dict`` subclass whose keys are the members.  The
+set API stores ``None`` as the value; a super's leaf adjacency stores
+each leaf's store slot there (``PeerStore.ln_add``) for the comparison
+to read.  Membership and equality ignore values.  Dict keys iterate in
+insertion order with deletions simply dropping out, so the order is a
+pure function of the operation sequence *and* can be captured and
+reproduced exactly by re-inserting a snapshot's ``list(s)``.
+Membership, ``add``, ``discard``, ``len`` and iteration all stay at
+C-dict speed; only ``add``/``discard`` pay one extra Python frame over
+built-in ``set``.
 """
 
 from __future__ import annotations
@@ -26,14 +29,14 @@ __all__ = ["IdSet"]
 
 
 class IdSet(dict):
-    """Ordered set of ints: dict keys, insertion-ordered, values unused."""
+    """Ordered set of ints: dict keys, insertion-ordered; a value is a
+    member's payload (``None`` from the set API)."""
 
     __slots__ = ()
 
     def __init__(self, items: Iterable[int] = ()) -> None:
-        super().__init__()
-        for x in items:
-            self[x] = None
+        # A mapping (another IdSet, a restore's pid -> slot) keeps its values.
+        super().__init__(items if isinstance(items, dict) else dict.fromkeys(items))
 
     # -- set API -------------------------------------------------------------
     def add(self, x: int) -> None:
@@ -54,7 +57,7 @@ class IdSet(dict):
             self[x] = None
 
     def copy(self) -> "IdSet":
-        """An order-preserving copy."""
+        """An order-preserving copy, values kept."""
         return IdSet(self)
 
     def __or__(self, other: Iterable[int]) -> set:  # type: ignore[override]
@@ -93,12 +96,13 @@ class IdSet(dict):
     # -- equality ------------------------------------------------------------
     # Content equality against plain sets keeps existing call sites and
     # tests (``peer.leaf_neighbors == {4, 5}``) working; IdSet-to-IdSet
-    # equality is dict equality, which ignores order like a set would.
+    # equality compares members only, ignoring order like a set would and
+    # values too (a restored super's leaves carry different slots).
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (set, frozenset)):
             return set(self) == other
         if isinstance(other, dict):
-            return dict.__eq__(self, other)
+            return self.keys() == other.keys()
         return NotImplemented
 
     def __ne__(self, other: object) -> bool:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.core.config import DLMConfig
@@ -79,6 +81,14 @@ class TestValidation:
     def test_horizon_must_exceed_warmup(self):
         with pytest.raises(ValueError):
             ExperimentConfig(horizon=50.0, warmup=100.0)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"horizon": math.nan}, {"horizon": math.inf}, {"warmup": math.nan}],
+    )
+    def test_horizon_and_warmup_must_be_finite(self, kwargs):
+        with pytest.raises(ValueError, match="finite"):
+            ExperimentConfig(**kwargs)
 
     def test_invalid_intervals(self):
         with pytest.raises(ValueError):

@@ -378,6 +378,6 @@ class TestInvariants:
 
     def test_detects_leaf_with_leaf_neighbors(self):
         ov = two_supers_one_leaf()
-        ov.store.ln_add(ov.peer(2)._slot, 0)  # sabotage
+        ov.store.ln_add(ov.peer(2)._slot, 0, ov.peer(0)._slot)  # sabotage
         with pytest.raises(OverlayError):
             ov.check_invariants()

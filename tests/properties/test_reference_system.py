@@ -9,6 +9,8 @@ two runs end in the same state, component by component of
 the overlay columns, the ledger, the policy's counters.  So a fast path
 that is right alone but wrong in company (a cache invalidated by one
 plane and read by another) shows here as the first differing component.
+The fast run's overlay must also pass ``check_invariants(aggregates=True)``
+at its end, the carried leaf slots included.
 """
 
 from __future__ import annotations
@@ -55,7 +57,9 @@ def run_configs(draw) -> ExperimentConfig:
 @given(config=run_configs())
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_a_run_ends_where_its_reference_run_ends(config):
-    fast = state_digest(run_experiment(config))
+    result = run_experiment(config)
+    fast = state_digest(result)
+    result.overlay.check_invariants(aggregates=True)
     with reference_system():
         slow = state_digest(
             run_experiment(config, policy_factory=reference_policy_factory)

@@ -21,6 +21,8 @@ class TestValidation:
             {"loss_rate": 1.0},
             {"loss_rate": -0.1},
             {"latency_scale": -1.0},
+            {"latency_scale": math.nan},
+            {"latency_scale": math.inf},
             {"latency_sigma": 0.0},
             {"timeout": 0.0},
             {"max_retries": -1},

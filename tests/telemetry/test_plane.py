@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.context import build_context
@@ -23,8 +25,9 @@ class TestConfigValidation:
     def test_rejects_bad_capacity_and_cadence(self):
         with pytest.raises(ValueError):
             TelemetryConfig(record_capacity=0)
-        with pytest.raises(ValueError):
-            TelemetryConfig(progress_every=0.0)
+        for every in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                TelemetryConfig(progress_every=every)
 
 
 class TestTelemetry:

@@ -120,6 +120,14 @@ _EXIT_CODES = [
     (["resume", "{tmp}/junk.ckpt", "--chrome-trace", "{tmp}"], 2),
     (["figure6", "--n", "300", "--horizon", "150", "--seed", "-3"], 2),
     (["profile", "evaluate", "--seed", "-1"], 2),
+    # A value no comparison-based check can see is still refused.
+    (["figure6", "--n", "300", "--horizon", "150", "--progress", "0"], 2),
+    (["figure6", "--n", "300", "--horizon", "150", "--progress", "-1"], 2),
+    (["figure6", "--n", "300", "--horizon", "150", "--progress", "nan"], 2),
+    (["figure6", "--n", "300", "--horizon", "nan"], 2),
+    (["figure6", "--n", "300", "--horizon", "inf"], 2),
+    (["figure6", "--n", "300", "--horizon", "150", "--latency-scale", "inf"], 2),
+    (["figure6", "--n", "300", "--horizon", "150", "--latency-scale", "nan"], 2),
 ]
 
 
@@ -184,6 +192,19 @@ def test_a_checkpoint_of_another_policy_is_refused_on_resume(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "'preconfigured'" in err
+
+
+@pytest.mark.parametrize("horizon", ["nan", "inf"])
+def test_a_non_finite_resume_horizon_is_refused(tmp_path, capsys, horizon):
+    from repro.experiments.configs import table2_config
+    from repro.experiments.runner import run_experiment
+
+    path = str(tmp_path / "run.ckpt")
+    cfg = table2_config().with_(n=150, horizon=60.0, warmup=20.0, seed=3)
+    run_experiment(cfg.with_(checkpoint_every=40.0, checkpoint_path=path))
+    assert main(["resume", path, "--horizon", horizon]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_a_dead_shard_worker_is_one_error_line_and_exit_1(monkeypatch, capsys):

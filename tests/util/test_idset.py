@@ -97,3 +97,17 @@ class TestSetInterop:
 
     def test_repr(self):
         assert repr(IdSet([2, 1])) == "IdSet([2, 1])"
+
+
+class TestValues:
+    """A leaf adjacency stores each member's slot as its value."""
+
+    def test_equality_compares_members_only(self):
+        a, b = IdSet({4: 10, 5: 11}), IdSet({5: 2, 4: 3})
+        assert a == b and not a != b
+        assert IdSet({4: 10}) != IdSet({4: 10, 5: 11})
+
+    def test_copy_and_mapping_construction_keep_values(self):
+        s = IdSet({4: 10, 5: 11})
+        assert dict(s.copy()) == {4: 10, 5: 11} and list(s.copy()) == [4, 5]
+        assert dict(IdSet([4, 5])) == {4: None, 5: None}
