@@ -785,13 +785,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     logging.basicConfig(
         level=level, stream=sys.stderr, format="%(message)s", force=True
     )
-    if getattr(args, "workers", None) is not None:
-        from .experiments.parallel import WORKERS_ENV
-
-        # Harnesses resolve REPRO_WORKERS themselves, so the env var
-        # reaches them through the registry's plain run(config) signature.
-        os.environ[WORKERS_ENV] = str(args.workers)
     try:
+        if hasattr(args, "workers"):
+            from .experiments.parallel import WORKERS_ENV, resolve_workers
+
+            try:  # refused before the run, not inside its first pool
+                resolve_workers(args.workers)
+            except ValueError as exc:
+                source = WORKERS_ENV if args.workers is None else "--workers"
+                raise UsageError(str(exc).replace("n_workers", source)) from None
+            if args.workers is not None:
+                # Harnesses resolve REPRO_WORKERS themselves, so the env var
+                # reaches them through the registry's plain run(config) signature.
+                os.environ[WORKERS_ENV] = str(args.workers)
         return args.handler(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

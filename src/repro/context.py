@@ -125,7 +125,7 @@ def build_context(
     overlay = Overlay()
     family_obj = make_family(family) if isinstance(family, str) else family
     join = JoinProcedure(
-        overlay, m, sim.rng.get("bootstrap"), k_s=k_s, family=family_obj
+        overlay, m, sim.rng.prefetch("bootstrap"), k_s=k_s, family=family_obj
     )
     maintenance = Maintenance(overlay, join, m=m, k_s=k_s)
     messages = MessageLedger(piggyback=piggyback)

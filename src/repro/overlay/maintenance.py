@@ -13,10 +13,10 @@ Leaf-side repairs go through :class:`~repro.overlay.bootstrap.
 JoinProcedure`'s random selection so repaired links are statistically
 indistinguishable from join-time links (the randomness assumption §3
 relies on).  A pass over many leaves -- the orphans of a dead or demoted
-super, the short leaves a sweep finds -- picks for all of them from one
-generator call per chunk and then connects in order; the stream, and so
-every link, is what one call per leaf produced (DESIGN.md §8 "Repair
-passes draw once").  Super-side repair is structure-specific and delegates to
+super, the short leaves a sweep finds -- is one such call per leaf, in
+order; the bootstrap stream is read a block ahead, so each call's draw is
+a slice (DESIGN.md §8 "Draw by the block, charge by the count").
+Super-side repair is structure-specific and delegates to
 the bound :class:`~repro.overlay.family.OverlayFamily`: the superpeer
 family tops backbone degree back up with random picks, the Chord family
 stabilizes ring successors/fingers.
@@ -25,7 +25,7 @@ stabilizes ring successors/fingers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Iterable, List, Optional
 
 from .bootstrap import JoinProcedure
 from .family import OverlayFamily
@@ -33,10 +33,6 @@ from .peerstore import ROLE_LEAF
 from .topology import Overlay
 
 __all__ = ["Maintenance", "RepairReport"]
-
-#: Leaves planned per sampler draw: the draw's fixed cost is gone by
-#: then, and a 17 646-leaf sweep does not show in peak RSS (DESIGN.md §8).
-_CHUNK = 256
 
 
 @dataclass(slots=True)
@@ -92,31 +88,15 @@ class Maintenance:
         single-link repair since only one link was lost.
 
         Departed pids, supers and leaves at ``m`` are skipped, undrawn.
-        The rest are planned a chunk ahead of their connects, one sampler
-        draw per chunk: connecting a leaf changes nothing another leaf's
-        pick reads (the argument :meth:`sweep` makes).  A repeated pid
-        ends the chunk early -- its second deficit depends on its first
-        repair.
         """
-        overlay = self.overlay
-        store = overlay.store
-        leaves = overlay.leaf_ids._index
-        rng = self.join.rng
+        leaves = self.overlay.leaf_ids._index
+        store = self.overlay.store
         report = RepairReport()
-        chunk: Dict[int, int] = {}
-
-        def flush() -> None:
-            report.leaf_reconnections += overlay.connect_leaves(rng, list(chunk.items()))
-            chunk.clear()
-
         for pid in orphans:
-            if pid in chunk or len(chunk) == _CHUNK:
-                flush()
             if pid in leaves:
-                deficit = self.m - store.n_super_links[store.slot(pid)]
-                if deficit > 0 and links_each > 0:
-                    chunk[pid] = min(links_each, deficit)
-        flush()
+                want = min(links_each, self.m - store.n_super_links[store.slot(pid)])
+                if want > 0:
+                    report.leaf_reconnections += len(self.join.connect_leaf(pid, want))
         return report
 
     # -- super side --------------------------------------------------------
@@ -178,7 +158,7 @@ class Maintenance:
         rows; visiting them in ``leaf_ids`` registry order makes exactly
         the repairs, in the order, of a walk over every leaf, and the pass
         changes none of the scan's inputs (DESIGN.md §8) -- which is also
-        why it may be planned ahead as one :meth:`reconnect_orphans` pass.
+        why the rows may be found before one :meth:`reconnect_orphans` pass.
         The super pass stays a walk: one super's repair changes another's
         degree.
         """

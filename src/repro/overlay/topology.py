@@ -42,6 +42,9 @@ this):
   registry, and is the last moment its :class:`Peer` view is readable;
 * **role events** -- ``fn(peer, old_role)`` after a promotion/demotion
   has re-filed the peer's links.
+
+:meth:`random_supers` draws call by call from a stream a run reads a
+block ahead (DESIGN.md §8 "Draw by the block, charge by the count").
 """
 
 from __future__ import annotations
@@ -95,49 +98,6 @@ _DEPARTED = _Departed()
 _SNAPSHOT_COLUMNS = (
     "pid", "role", "capacity", "join_time", "lifetime", "role_change_time", "eligible"
 )
-
-
-class _Replay:
-    """A generator's ``integers``/``choice``, with ``integers`` served
-    from ``count`` values drawn ahead in one call.
-
-    NumPy fills ``integers(n, size=a + b)`` as ``size=a`` then ``size=b``
-    would, values and final state (pinned in
-    ``tests/util/test_indexed_set.py``), so the slices handed out are
-    what sequential calls return.  Past ``count`` a request draws its
-    exact shortfall: when ``count`` is no more than what gets consumed,
-    the generator ends where the sequential calls leave it.
-    """
-
-    __slots__ = ("rng", "n", "state", "buf", "pos")
-
-    def __init__(self, rng: np.random.Generator, n: int, count: int) -> None:
-        self.rng = rng
-        self.n = n
-        self.pos = 0
-        self.buf: List[int] = []
-        if count:
-            self.state = rng.bit_generator.state
-            self.buf = rng.integers(n, size=count).tolist()
-
-    def integers(self, n: int, size: int) -> List[int]:
-        pos = self.pos
-        end = self.pos = pos + size
-        buf = self.buf
-        if end > len(buf):
-            buf += self.rng.integers(n, size=end - len(buf)).tolist()
-        return buf[pos:end]
-
-    def choice(self, *args, **kwargs):
-        # Must start where the sequential call does: rewind to the last
-        # value handed out.  What was drawn ahead is void after it, so
-        # later requests draw for themselves.
-        if self.pos < len(self.buf):
-            self.rng.bit_generator.state = self.state
-            self.rng.integers(self.n, size=self.pos)
-        self.pos = 0
-        self.buf = []
-        return self.rng.choice(*args, **kwargs)
 
 
 class Overlay:
@@ -477,9 +437,9 @@ class Overlay:
         Sampling is block-rejection over the super layer's dense member
         list (:meth:`IndexedSet._fresh`).  One ``rng.integers`` call
         costs microseconds whether it returns 5 indices or 500, more than
-        everything else in this method, so a repair pass goes through
-        :meth:`connect_leaves`, which makes one such call for all its
-        orphans (DESIGN.md §8).  When exclusion leaves at most ``k``
+        everything else in this method, so a run reads the stream through
+        a :class:`~repro.sim.rng.DrawAhead`, which makes it a slice of a
+        block (DESIGN.md §8).  When exclusion leaves at most ``k``
         candidates the result is forced, so no randomness is consumed
         at all.
 
@@ -488,24 +448,17 @@ class Overlay:
         ignored.  A caller linked to every super gets ``[]`` undrawn.
         """
         supers = self.super_ids
-        if k <= 0 or not supers._items:
+        items = supers._items
+        if k <= 0 or not items:
             return []
         excl = exclude if isinstance(exclude, (set, frozenset)) else set(exclude)
         if not excl:
             return supers.sample(rng, k)
         index = supers._index
-        n_excl = 0
+        avail = len(items)
         for x in excl:
             if x in index:
-                n_excl += 1
-        return self._pick_supers(rng, k, excl, len(supers._items) - n_excl)
-
-    def _pick_supers(self, rng, k: int, excl: set, avail: int) -> List[int]:
-        """:meth:`random_supers` once ``avail``, the supers outside
-        ``excl``, is counted (``k > 0``); ``rng`` may be a
-        :class:`_Replay`."""
-        supers = self.super_ids
-        items = supers._items
+                avail -= 1
         if avail <= 0:
             return []
         if avail <= k:
@@ -521,42 +474,6 @@ class Overlay:
             idx = rng.choice(len(pool), size=size, replace=False)
             out.extend(pool[int(i)] for i in np.atleast_1d(idx))
         return out
-
-    def connect_leaves(
-        self, rng: np.random.Generator, requests: List[Tuple[int, int]]
-    ) -> int:
-        """Link each leaf ``pid`` of ``(pid, k)`` to ``random_supers(rng,
-        k, exclude=sn(pid) | {pid})``, in order; returns the links made.
-
-        Same links, same order, same final generator state as one sampler
-        call per request, from one ``rng.integers`` call for all of them.
-        Pids must be distinct, and a listener that changes the super
-        layer mid-pass voids the values drawn ahead: :class:`OverlayError`
-        (DESIGN.md §8 "Repair passes draw once").
-        """
-        leaves = self.leaf_ids._index
-        peers, sn = self._peers, self.store.sn
-        n = len(self.super_ids)
-        ahead = 0
-        for pid, k in requests:
-            if pid not in leaves:
-                raise OverlayError(f"connect_leaves: pid {pid} is not a leaf here")
-            # A leaf's links are distinct supers, so `n - len(links)` is
-            # its `avail`: past `k`, the request draws, and consumes its
-            # first block whole.
-            if 0 < k < n - len(sn[peers[pid]._slot]):
-                ahead += k + 4
-        replay = _Replay(rng, n, ahead)
-        made = 0
-        for pid, k in requests:
-            if k > 0:
-                links = sn[peers[pid]._slot]
-                for sid in self._pick_supers(replay, k, {pid, *links}, n - len(links)):
-                    self.connect(pid, sid)
-                    made += 1
-        if len(self.super_ids) != n:
-            raise OverlayError("the super layer changed inside a repair pass")
-        return made
 
     # -- invariants -------------------------------------------------------------
     def check_invariants(self, *, aggregates: bool = False) -> None:

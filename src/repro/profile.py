@@ -15,9 +15,12 @@ figures DESIGN.md §5 "Flood by lookup" quotes.
 knowledge plane and prints the cost of one DLM verdict (phases 2-4,
 nothing executed) per role in µs, with the mean related-set size --
 the figure DESIGN.md §8 "Verdict path" quotes, as one command.
-``repair`` is its sibling for DESIGN.md §8 "Repair passes draw once":
-it kills supers of a settled overlay and prints µs per reconnected
-orphan, orphans per pass and sampler draws per pass.  ``transport``
+``repair`` is its sibling for orphan passes: it kills supers of a
+settled overlay and prints µs per reconnected orphan, orphans per pass
+and NumPy calls on the bootstrap stream per pass.  ``join`` prints µs
+per leaf join, split into the sampler draw, the row write, the links and
+the evaluation requests (DESIGN.md §8 "Draw by the block, charge by the
+count").  ``transport``
 times the message-driven Phase-1 exchange per link (DESIGN.md §10
 "Lazy timeouts") with its timeouts armed, fired and materialized, and
 the drop/latency NumPy calls per 1000 legs.
@@ -33,6 +36,7 @@ Examples::
     repro profile flooding --queries 500 --sort tottime
     repro profile evaluate --n 2000
     repro profile repair --n 2000
+    repro profile join --n 2000
     repro profile transport --n 2000
     repro profile figure6 --scale
 """
@@ -53,6 +57,8 @@ _VERDICTS = 20_000
 #: Default sizes of the scheduler and flooding workloads.
 _EVENTS = 100_000
 _QUERIES = 200
+#: Leaves ``join`` adds to its settled overlay.
+_JOINS = 2_000
 
 
 def _scheduler_workload(config, opts) -> Callable[[], object]:
@@ -203,18 +209,14 @@ def _time_verdicts(config, opts) -> None:
 
 
 class _CountedDraws:
-    """A generator that counts its ``integers`` calls."""
+    """A generator that counts its NumPy calls."""
 
-    def __init__(self, rng) -> None:
-        self._rng = rng
-        self.calls = 0
+    def __init__(self, gen) -> None:
+        self.bit_generator, self.calls, self._gen = gen.bit_generator, 0, gen
 
-    def integers(self, *args, **kwargs):
+    def __getattr__(self, name):  # integers, choice: fetched to be called
         self.calls += 1
-        return self._rng.integers(*args, **kwargs)
-
-    def __getattr__(self, name):
-        return getattr(self._rng, name)
+        return getattr(self._gen, name)
 
 
 def _time_repairs(config, opts) -> None:
@@ -228,7 +230,8 @@ def _time_repairs(config, opts) -> None:
 
     result = run_experiment(config.with_(horizon=400.0))
     overlay, maint = result.overlay, result.ctx.maintenance
-    maint.join.rng = draws = _CountedDraws(maint.join.rng)
+    bootstrap = maint.join.rng  # a DrawAhead: count under its blocks too
+    bootstrap.gen = draws = _CountedDraws(bootstrap.gen)
     passes = made = calls = 0
     elapsed = 0.0
     for sid in list(overlay.super_ids)[: overlay.n_super * 2 // 3]:
@@ -242,9 +245,49 @@ def _time_repairs(config, opts) -> None:
         maint.repair_backbone(former)
     print(
         f"{elapsed / max(made, 1) * 1e6:7.2f} us/orphan  {made / max(passes, 1):6.1f}"
-        f" orphans/pass  {calls / max(passes, 1):6.1f} sampler draws/pass"
+        f" orphans/pass  {calls / max(passes, 1):6.1f} NumPy calls/pass"
         f"  ({passes} passes)"
     )
+
+
+def _time_joins(config, opts) -> None:
+    """Print µs per leaf join over a settled overlay, split into the
+    sampler draw (``random_supers``), the row write with its membership
+    listeners (``add_peer``), the links with their listeners
+    (``connect``, less the requests) and the evaluation requests.  Each
+    part carries its timing wrapper (about 0.2 µs a call); the settling
+    run and each join's evaluation drain are outside the timed region.
+    """
+    from .experiments.runner import run_experiment
+
+    result = run_experiment(config.with_(horizon=400.0))
+    ctx, overlay, store = result.ctx, result.overlay, result.overlay.store
+    spent = dict.fromkeys(("draw", "row", "links", "requests"), 0.0)
+
+    def timed(fn, part):
+        def call(*args, **kwargs):
+            t0 = perf_counter()
+            out = fn(*args, **kwargs)
+            spent[part] += perf_counter() - t0
+            return out
+
+        return call
+
+    overlay.random_supers = timed(overlay.random_supers, "draw")
+    overlay.add_peer = timed(overlay.add_peer, "row")
+    overlay.connect = timed(overlay.connect, "links")
+    listeners = ctx.info._completion_listeners
+    listeners[:] = [timed(fn, "requests") for fn in listeners]
+    capacities = cycle(store.column("capacity")[store.live_slots()].tolist())
+    elapsed = 0.0
+    for _ in range(_JOINS):
+        t0 = perf_counter()
+        ctx.join.join(ctx.now, next(capacities), 1e9)
+        elapsed += perf_counter() - t0
+        ctx.sim.run(until=ctx.now)
+    spent["links"] -= spent["requests"]
+    parts = "  ".join(f"{k} {v / _JOINS * 1e6:.2f}" for k, v in spent.items())
+    print(f"{elapsed / _JOINS * 1e6:7.2f} us/join  ({parts})  ({_JOINS} joins)")
 
 
 def _time_transport(config, opts) -> None:
@@ -321,6 +364,7 @@ MICRO_WORKLOADS: Dict[str, Tuple[Callable, Tuple[str, ...]]] = {
     ),
     "evaluate": (_time_verdicts, ("n", "seed")),
     "repair": (_time_repairs, ("n", "seed")),
+    "join": (_time_joins, ("n", "seed")),
     "transport": (_time_transport, ("n", "seed", "loss", "latency_scale")),
 }
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Tuple, Type
+from typing import Dict, Iterable, List, Mapping, Tuple, Type
 
 from .messages import (
     DLM_MESSAGE_TYPES,
@@ -31,6 +31,9 @@ from .messages import (
 )
 
 __all__ = ["MessageLedger", "LedgerSnapshot"]
+
+#: The counter tables, in :class:`LedgerSnapshot` field order.
+_TABLES = ("counts", "bytes", "piggybacked", "retransmissions", "timeouts")
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,12 +59,22 @@ class LedgerSnapshot:
         return sum(self.bytes.get(n, 0) for n in names)
 
 
+@dataclass(slots=True)
+class _Plan:
+    """A :meth:`MessageLedger.plan`: its costed entries, and the charges
+    not yet folded in (``-1``: none made since the plan or a restore)."""
+
+    entries: tuple
+    owed: int = -1
+
+
 class MessageLedger:
     """Per-type message and byte counters with window checkpoints.
 
     :meth:`record` charges one type; a fixed bundle that recurs per link
     (the omniscient exchange) is costed once by :meth:`plan` and charged
-    by one :meth:`charge` call.
+    by one :meth:`charge` call, which after the plan's first charge only
+    counts: every reader folds what is owed into the counters first.
     """
 
     def __init__(self, *, piggyback: bool = False) -> None:
@@ -78,6 +91,7 @@ class MessageLedger:
         # thousands at bench scale); resolving wire_name/size_bytes()
         # once per type instead of per call is a measurable win.
         self._cost_cache: Dict[Type[Message], tuple] = {}
+        self._plans: List[_Plan] = []
         self._mark: LedgerSnapshot = self.snapshot()
 
     # -- recording --------------------------------------------------------
@@ -112,22 +126,39 @@ class MessageLedger:
         cost = self._cost_cache[msg_type] = (msg_type.wire_name, unit, pig)
         return cost
 
-    def plan(self, charges: Iterable[Tuple[Type[Message], int]]) -> tuple:
+    def plan(self, charges: Iterable[Tuple[Type[Message], int]]) -> _Plan:
         """Cost a fixed bundle of ``(msg_type, count)`` charges once, for
-        :meth:`charge`: ``(wire name, count, bytes, piggybacked)`` each."""
+        :meth:`charge` on this ledger: ``(wire name, count, bytes,
+        piggybacked)`` per entry."""
         costed = [(self._cost(msg_type), n) for msg_type, n in charges]
-        return tuple((name, n, unit * n, pig) for (name, unit, pig), n in costed)
+        plan = _Plan(tuple((name, n, unit * n, pig) for (name, unit, pig), n in costed))
+        self._plans.append(plan)
+        return plan
 
-    def charge(self, plan: tuple) -> None:
+    def charge(self, plan: _Plan) -> None:
         """Charge a :meth:`plan`: counter for counter one :meth:`record`
-        per entry, in entry order (first use inserts the keys in that
-        order -- checkpoints compare the dicts byte for byte)."""
-        counts, nbytes, piggybacked = self._counts, self._bytes, self._piggybacked
-        for name, count, size, pig in plan:
-            counts[name] += count
+        per entry.  The first charge since the plan or a restore is made
+        at once, inserting the keys in entry order (checkpoints compare
+        the dicts byte for byte); later ones are counted, folded at read."""
+        if plan.owed < 0:
+            plan.owed = 0
+            self._add(plan.entries, 1)
+        else:
+            plan.owed += 1
+
+    def _add(self, entries: tuple, times: int) -> None:
+        for name, count, size, pig in entries:
+            self._counts[name] += count * times
             if pig:
-                piggybacked[name] += count
-            nbytes[name] += size
+                self._piggybacked[name] += count * times
+            self._bytes[name] += size * times
+
+    def _fold(self) -> None:
+        """Make the counters whole: add every plan's owed charges."""
+        for plan in self._plans:
+            if plan.owed > 0:
+                self._add(plan.entries, plan.owed)
+                plan.owed = 0
 
     def record_message(self, msg: Message) -> None:
         """Charge a concrete message instance."""
@@ -145,69 +176,69 @@ class MessageLedger:
         self._timeouts[msg_type.wire_name] += count
 
     # -- reading ------------------------------------------------------------
+    def _total(self, table: str, types: Iterable[Type[Message]]) -> int:
+        """``table``'s counters summed over ``types``, owed charges in."""
+        self._fold()
+        counters = getattr(self, "_" + table)
+        return sum(counters[t.wire_name] for t in types)
+
     def count(self, msg_type: Type[Message]) -> int:
         """Messages of one type recorded so far."""
-        return self._counts[msg_type.wire_name]
+        return self._total("counts", (msg_type,))
 
     def bytes_for(self, msg_type: Type[Message]) -> int:
         """Bytes charged to one message type so far."""
-        return self._bytes[msg_type.wire_name]
+        return self._total("bytes", (msg_type,))
 
     def retransmissions_for(self, msg_type: Type[Message]) -> int:
         """Retransmitted messages of one type so far."""
-        return self._retransmissions[msg_type.wire_name]
+        return self._total("retransmissions", (msg_type,))
 
     def timeouts_for(self, msg_type: Type[Message]) -> int:
         """Timed-out attempts of one type so far."""
-        return self._timeouts[msg_type.wire_name]
+        return self._total("timeouts", (msg_type,))
 
     def snapshot(self) -> LedgerSnapshot:
         """Immutable copy of the cumulative counters."""
-        return LedgerSnapshot(
-            counts=dict(self._counts),
-            bytes=dict(self._bytes),
-            piggybacked=dict(self._piggybacked),
-            retransmissions=dict(self._retransmissions),
-            timeouts=dict(self._timeouts),
-        )
+        self._fold()
+        return LedgerSnapshot(*(dict(getattr(self, "_" + t)) for t in _TABLES))
 
     # -- aggregates ---------------------------------------------------------
     @property
     def dlm_messages(self) -> int:
         """Total DLM control messages so far."""
-        return sum(self._counts[t.wire_name] for t in DLM_MESSAGE_TYPES)
+        return self._total("counts", DLM_MESSAGE_TYPES)
 
     @property
     def dlm_bytes(self) -> int:
         """Total DLM control bytes so far."""
-        return sum(self._bytes[t.wire_name] for t in DLM_MESSAGE_TYPES)
+        return self._total("bytes", DLM_MESSAGE_TYPES)
 
     @property
     def dlm_retransmissions(self) -> int:
         """Total DLM messages that were retransmissions."""
-        return sum(self._retransmissions[t.wire_name] for t in DLM_MESSAGE_TYPES)
+        return self._total("retransmissions", DLM_MESSAGE_TYPES)
 
     @property
     def dlm_timeouts(self) -> int:
         """Total DLM request attempts that timed out."""
-        return sum(self._timeouts[t.wire_name] for t in DLM_MESSAGE_TYPES)
+        return self._total("timeouts", DLM_MESSAGE_TYPES)
 
     @property
     def search_messages(self) -> int:
         """Total search-plane messages so far."""
-        return sum(self._counts[t.wire_name] for t in SEARCH_MESSAGE_TYPES)
+        return self._total("counts", SEARCH_MESSAGE_TYPES)
 
     @property
     def search_bytes(self) -> int:
         """Total search-plane bytes so far."""
-        return sum(self._bytes[t.wire_name] for t in SEARCH_MESSAGE_TYPES)
+        return self._total("bytes", SEARCH_MESSAGE_TYPES)
 
     def dlm_overhead_fraction(self) -> float:
         """DLM bytes as a fraction of all bytes (the §6 claim)."""
+        dlm = self.dlm_bytes
         total = sum(self._bytes.values())
-        if total == 0:
-            return 0.0
-        return self.dlm_bytes / total
+        return dlm / total if total else 0.0
 
     # -- checkpointing ---------------------------------------------------------
     # ``snapshot``/``window`` are the public marker API above, so the
@@ -216,46 +247,28 @@ class MessageLedger:
     # rebuilt lazily.
     def snapshot_state(self) -> dict:
         """Full checkpoint state: counters plus the window mark."""
-        mark = self._mark
-        return {
-            "counts": dict(self._counts),
-            "bytes": dict(self._bytes),
-            "piggybacked": dict(self._piggybacked),
-            "retransmissions": dict(self._retransmissions),
-            "timeouts": dict(self._timeouts),
-            "mark": {
-                "counts": dict(mark.counts),
-                "bytes": dict(mark.bytes),
-                "piggybacked": dict(mark.piggybacked),
-                "retransmissions": dict(mark.retransmissions),
-                "timeouts": dict(mark.timeouts),
-            },
-        }
+        current, mark = self.snapshot(), self._mark
+        state = {t: getattr(current, t) for t in _TABLES}
+        state["mark"] = {t: dict(getattr(mark, t)) for t in _TABLES}
+        return state
 
     def restore_state(self, state: dict) -> None:
-        """Replace counters and window mark with a :meth:`snapshot_state`."""
-        self._counts = defaultdict(int, state["counts"])
-        self._bytes = defaultdict(int, state["bytes"])
-        self._piggybacked = defaultdict(int, state["piggybacked"])
-        self._retransmissions = defaultdict(int, state["retransmissions"])
-        self._timeouts = defaultdict(int, state["timeouts"])
+        """Replace counters and window mark with a :meth:`snapshot_state`;
+        charges owed are dropped."""
+        for t in _TABLES:
+            setattr(self, "_" + t, defaultdict(int, state[t]))
         self._mark = LedgerSnapshot(**state["mark"])
+        for plan in self._plans:
+            plan.owed = -1
 
     # -- windows ---------------------------------------------------------------
     def window(self) -> LedgerSnapshot:
         """Counters accumulated since the previous :meth:`window` call."""
-        current = self.snapshot()
-        prev = self._mark
+        current, prev = self.snapshot(), self._mark
 
-        def _diff(cur: Mapping[str, int], old: Mapping[str, int]) -> Dict[str, int]:
+        def diff(table: str) -> Dict[str, int]:
+            cur, old = getattr(current, table), getattr(prev, table)
             return {k: v - old.get(k, 0) for k, v in cur.items() if v - old.get(k, 0)}
 
-        delta = LedgerSnapshot(
-            counts=_diff(current.counts, prev.counts),
-            bytes=_diff(current.bytes, prev.bytes),
-            piggybacked=_diff(current.piggybacked, prev.piggybacked),
-            retransmissions=_diff(current.retransmissions, prev.retransmissions),
-            timeouts=_diff(current.timeouts, prev.timeouts),
-        )
         self._mark = current
-        return delta
+        return LedgerSnapshot(*map(diff, _TABLES))

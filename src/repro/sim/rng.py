@@ -36,14 +36,16 @@ size) and never hand out generators across the process boundary.
 Draw-ahead streams
 ------------------
 
-A stream read one scalar at a time on a hot path (the transport's drop
-and latency draws, one each per message leg) can be read through a
+A stream read on a hot path (the transport's drop and latency scalars,
+the bootstrap stream's bounded integers) can be read through a
 :class:`DrawAhead` (:meth:`RngStreams.prefetch`): one NumPy call per
-:data:`PREFETCH_BLOCK` values instead of one per value.  By NumPy's
-partition invariance (``draw(a + b)`` is ``draw(a)`` then ``draw(b)``,
-values and final state; pinned in ``tests/util/test_indexed_set.py``)
-the values are the scalar stream's, and :meth:`RngStreams.snapshot`
-settles every buffer first, so no snapshot sees a value drawn ahead.
+block instead of one per request.  By NumPy's partition invariance
+(``draw(a + b)`` is ``draw(a)`` then ``draw(b)``, values and final
+state; pinned in ``tests/util/test_indexed_set.py``) the values are the
+per-call stream's, and one settle rule keeps the generator there too: a
+request at another bound, any other use of the generator and
+:meth:`RngStreams.snapshot` first rewind to the state saved before the
+block and redraw what was handed out (DESIGN.md §8).
 """
 
 from __future__ import annotations
@@ -60,12 +62,16 @@ PREFETCH_BLOCK = 256
 
 
 class DrawAhead:
-    """``next()`` returns the values of a partition-invariant
-    ``draw(gen, n)`` one at a time, from a block drawn ahead."""
+    """The values of a partition-invariant ``draw(gen, n)`` handed out
+    from a block drawn ahead: one at a time by :meth:`next`, or as
+    ``gen.integers(bound, size)`` by :meth:`integers`.  Any other
+    attribute is the generator's, read after a :meth:`settle`."""
 
-    __slots__ = ("gen", "draw", "block", "pos", "state")
+    __slots__ = ("gen", "draw", "block", "pos", "state", "bound")
 
-    def __init__(self, gen: np.random.Generator, draw: Callable) -> None:
+    def __init__(
+        self, gen: np.random.Generator, draw: Optional[Callable] = None
+    ) -> None:
         self.gen = gen
         self.draw = draw
         self.drop()
@@ -80,20 +86,51 @@ class DrawAhead:
         self.pos = pos + 1
         return block[pos]
 
+    def integers(self, bound: int, size: Optional[int] = None):
+        """``gen.integers(bound, size)`` (a list for a ``size``).  A new
+        bound settles the old one's block and draws alone: most bounds
+        see one request, so a block starts with the second (DESIGN.md §8)."""
+        if bound != self.bound:
+            self.settle()
+            self.bound = bound
+            self.draw = lambda gen, n: gen.integers(bound, size=n)
+            return self.draw(self.gen, size).tolist()
+        if size is None:
+            return self.next()
+        pos = self.pos
+        block = self.block
+        end = pos + size
+        if end <= len(block):
+            self.pos = end
+            return block[pos:end]
+        # Past the block: its tail, then the head of the next one.
+        out = block[pos:]
+        self.state = self.gen.bit_generator.state
+        self.pos = end = size - len(out)
+        block = self.block = self.draw(self.gen, max(PREFETCH_BLOCK, end)).tolist()
+        return out + block[:end]
+
     def settle(self) -> None:
         """Rewind to the block start and redraw what was handed out:
-        the generator ends where one-at-a-time draws would leave it."""
+        the generator ends where per-call draws would leave it."""
         if self.pos < len(self.block):
             self.gen.bit_generator.state = self.state
-            self.draw(self.gen, self.pos)
+            if self.pos:
+                self.draw(self.gen, self.pos)
         self.drop()
 
     def drop(self) -> None:
-        """Forget the block (its values are void after a restore)."""
-        self.block: List[float] = []
-        self.pos = 0
+        """Forget the block and its bound (void after a restore)."""
+        self.block: List = []
+        self.bound, self.pos = None, 0
         #: The generator state just before ``block`` was drawn.
         self.state: Optional[dict] = None
+
+    def __getattr__(self, name: str):
+        # choice, random, bit_generator, ...: the generator as per-call
+        # draws leave it.
+        self.settle()
+        return getattr(self.gen, name)
 
 
 class RngStreams:
@@ -146,9 +183,10 @@ class RngStreams:
             self._streams[name] = gen
         return gen
 
-    def prefetch(self, name: str, draw: Callable) -> DrawAhead:
+    def prefetch(self, name: str, draw: Optional[Callable] = None) -> DrawAhead:
         """Stream ``name`` read through a :class:`DrawAhead` of ``draw``
-        (one per stream: a second would draw past the first's block)."""
+        (``None``: of its bounded integers), one per stream: a second
+        would draw past the first's block."""
         if name in self._ahead:
             raise ValueError(f"stream {name!r} is already prefetched")
         self._ahead[name] = DrawAhead(self.get(name), draw)

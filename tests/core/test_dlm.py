@@ -111,6 +111,39 @@ class TestEventDrivenTriggering:
         assert drains[0][0] == drains[1][0] and drains[0][1] < drains[1][1]
         assert not policy._pending and not policy._drain
 
+    def test_the_dedup_hold_schedules_no_second_drain(self):
+        """What refusing an evaluation at enqueue would have to keep
+        (ROADMAP 7(b)): two requests for one pid before its drain
+        schedule one DLM_EVALUATE, and a request for a pid still waiting
+        in the running drain schedules none."""
+        ctx, policy = make_system()
+        for _ in range(3):
+            ctx.join.join(0.0, 10.0, 500.0, role=Role.SUPER)
+        scheduled = []
+        schedule = ctx.sim.schedule
+
+        def counted(delay, kind, *args, **kwargs):
+            scheduled.append(kind)
+            return schedule(delay, kind, *args, **kwargs)
+
+        ctx.sim.schedule = counted
+        evaluated = []
+        real = policy.evaluate
+
+        def spy(pid):
+            evaluated.append(pid)
+            if pid == 0:
+                policy.request_evaluation(1)  # 1 still waits in this drain
+            return real(pid)
+
+        policy.evaluate = spy
+        for pid in (0, 0, 1):
+            policy.request_evaluation(pid)
+        assert scheduled == [EventKind.DLM_EVALUATE]
+        ctx.sim.run()
+        assert evaluated == [0, 1]
+        assert scheduled.count(EventKind.DLM_EVALUATE) == 1
+
     def test_an_evaluation_that_raises_mid_drain_leaves_the_two_views_equal(self):
         """The drain swaps the list out before evaluating; a raise at
         position k must not strand the pids behind k in the dedup set

@@ -8,7 +8,8 @@ import pytest
 from repro.overlay.bootstrap import JoinProcedure
 from repro.overlay.maintenance import Maintenance, RepairReport
 from repro.overlay.roles import Role
-from repro.overlay.topology import Overlay, OverlayError
+from repro.overlay.topology import Overlay
+from repro.sim.rng import DrawAhead
 from tests.overlay.reference_sweep import reference_reconnect_orphans
 
 
@@ -211,16 +212,17 @@ class TestSweep:
         ov.check_invariants(aggregates=True)
 
 
-class TestPassesDrawOnce:
-    """A repair pass is the per-orphan loop replayed from one draw per
-    chunk (``tests/overlay/reference_sweep.py`` is that loop)."""
+class TestOrphanPasses:
+    """A repair pass over a bootstrap stream read a block ahead is the
+    per-orphan loop over the generator read call by call
+    (``tests/overlay/reference_sweep.py`` is that loop)."""
 
     @staticmethod
     def twins(n_supers=40, n_leaves=600):
         out = []
-        for _ in range(2):
+        for rng in (DrawAhead(np.random.default_rng(1)), np.random.default_rng(1)):
             ov = Overlay()
-            join = JoinProcedure(ov, m=2, rng=np.random.default_rng(1), k_s=3)
+            join = JoinProcedure(ov, m=2, rng=rng, k_s=3)
             maint = Maintenance(ov, join, m=2, k_s=3)
             for _ in range(n_supers):
                 join.join(0.0, 10.0, 50.0, role=Role.SUPER)
@@ -232,45 +234,40 @@ class TestPassesDrawOnce:
             out.append((ov, join, maint, leaves, links))
         return out
 
-    def test_a_pass_longer_than_a_chunk_with_a_repeated_pid(self, monkeypatch):
-        (ov, join, maint, leaves, links), (_, rjoin, rmaint, _, rlinks) = self.twins()
-        # 600 orphans over 256-pid chunks; the eighth comes round again
-        # while it still wants a link (m = 2 and both were dropped), and
-        # once more when it no longer does.
-        ov.disconnect(leaves[7], ov.peer(leaves[7]).super_neighbors[0])
-        rov = rmaint.overlay
-        rov.disconnect(leaves[7], rov.peer(leaves[7]).super_neighbors[0])
+    def test_a_pass_past_the_block_with_a_repeated_pid(self):
+        (ov, join, maint, leaves, links), (rov, rjoin, rmaint, _, rlinks) = self.twins()
+        # 600 orphans read past several 256-value blocks; the eighth
+        # comes round again while it still wants a link (m = 2 and both
+        # were dropped), and once more when it no longer does.
+        for overlay in (ov, rov):
+            overlay.disconnect(leaves[7], overlay.peer(leaves[7]).super_neighbors[0])
         orphans = leaves[:100] + [leaves[7]] + leaves[100:] + [leaves[7], 10**9]
-        plans = []
-        planned = Overlay.connect_leaves
-        monkeypatch.setattr(
-            Overlay,
-            "connect_leaves",
-            lambda self, rng, reqs: plans.append(len(reqs)) or planned(self, rng, reqs),
-        )
         report = maint.reconnect_orphans(orphans)
         assert report == reference_reconnect_orphans(rmaint, orphans)
         assert report.leaf_reconnections == 601
-        assert plans == [100, 256, 245]  # a new chunk at the repeat, then full ones
         assert links == rlinks
         assert join.rng.bit_generator.state == rjoin.rng.bit_generator.state
         ov.check_invariants(aggregates=True)
 
-    def test_a_listener_that_changes_roles_mid_pass_fails_loudly(self):
-        (ov, join, maint, leaves, links), _ = self.twins(n_supers=6, n_leaves=10)
-        bystander = join.join(2.0, 5.0, 50.0).pid
-        del links[:]
-        promoted = []
+    def test_a_listener_that_changes_roles_mid_pass_moves_no_draw(self):
+        # The bound changes mid-block: the read-ahead settles and
+        # redraws, so the pass is still the per-orphan loop.
+        twins = self.twins(n_supers=6, n_leaves=10)
+        for ov, join, maint, leaves, links in twins:
+            bystander = join.join(2.0, 5.0, 50.0).pid
+            del links[:]
 
-        def promote_once(a, b):
-            if not promoted:
-                promoted.append(bystander)
-                ov.promote(bystander)
+            def promote_once(a, b, ov=ov, bystander=bystander):
+                if ov.peer(bystander).is_leaf:
+                    ov.promote(bystander)
 
-        ov.add_connection_listener(promote_once)
-        with pytest.raises(OverlayError, match="super layer changed"):
-            maint.reconnect_orphans(leaves)
-        assert promoted and len(links) == 10  # the planned chunk, then the check
+            ov.add_connection_listener(promote_once)
+        (ov, join, maint, leaves, links), (rov, rjoin, rmaint, _, rlinks) = twins
+        assert maint.reconnect_orphans(leaves) == (
+            reference_reconnect_orphans(rmaint, leaves)
+        )
+        assert links == rlinks and len(links) == 10 and ov.n_super == 7
+        assert join.rng.bit_generator.state == rjoin.rng.bit_generator.state
 
     def test_links_each_above_the_deficit_is_capped(self):
         (ov, join, maint, leaves, links), (_, rjoin, rmaint, _, rlinks) = self.twins(8, 20)

@@ -289,18 +289,6 @@ class TestRandomSupers:
         ov = build_small_overlay(n_supers=2, leaves_per_super=1)
         assert ov.random_supers(rng, 2, exclude=(0, 1)) == []
 
-    def test_connect_leaves_is_one_sampler_call_per_leaf(self):
-        ov, twin = (build_small_overlay(n_supers=9, leaves_per_super=2) for _ in "ab")
-        requests = [(9, 1), (10, 3), (12, 0), (11, 8), (14, 9), (13, 2)]
-        one, each = np.random.default_rng(3), np.random.default_rng(3)
-        for pid, k in requests:
-            exclude = {pid, *twin.peer(pid).super_neighbors}
-            for sid in twin.random_supers(one, k, exclude=exclude):
-                twin.connect(pid, sid)
-        assert ov.connect_leaves(each, requests) == 1 + 3 + 8 + 8 + 2
-        assert ov.snapshot() == twin.snapshot()
-        assert each.bit_generator.state == one.bit_generator.state
-
 
 class TestListeners:
     def test_connection_listener_fires_on_create_only(self):

@@ -11,14 +11,22 @@ that is right alone but wrong in company (a cache invalidated by one
 plane and read by another) shows here as the first differing component.
 The fast run's overlay must also pass ``check_invariants(aggregates=True)``
 at its end, the carried leaf slots included.
+
+The fast run also checkpoints at a generated interval, and a fresh
+system resumed from its last checkpoint must end in the same state: a
+block drawn ahead or a ledger charge still owed when the checkpoint was
+taken would show here.
 """
 
 from __future__ import annotations
 
+import os
+import tempfile
+
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.experiments.checkpoint import state_digest
+from repro.experiments.checkpoint import resume_run, state_digest
 from repro.experiments.configs import ExperimentConfig, SearchConfig
 from repro.experiments.runner import run_experiment
 from repro.protocol.faults import FaultPlan
@@ -29,6 +37,7 @@ from tests.reference_system import reference_policy_factory, reference_system
 @st.composite
 def run_configs(draw) -> ExperimentConfig:
     warmup = draw(st.sampled_from([20.0, 50.0]))
+    horizon = draw(st.integers(int(warmup) + 10, 150))
     faults = st.builds(
         FaultPlan,
         loss_rate=st.floats(0.0, 0.2),
@@ -43,7 +52,10 @@ def run_configs(draw) -> ExperimentConfig:
         eta=draw(st.sampled_from([10.0, 40.0])),
         m=draw(st.sampled_from([1, 2, 3])),
         warmup=warmup,
-        horizon=draw(st.integers(int(warmup) + 10, 150)),
+        horizon=horizon,
+        # The run's last checkpoint is the resumed run's start.
+        checkpoint_every=float(draw(st.integers(1, horizon - 1))),
+        checkpoint_path="run.ckpt",
         seed=draw(st.integers(0, 2**16)),
         family=draw(st.sampled_from(["superpeer", "chord"])),
         faults=draw(st.none() | faults),
@@ -57,12 +69,21 @@ def run_configs(draw) -> ExperimentConfig:
 @given(config=run_configs())
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_a_run_ends_where_its_reference_run_ends(config):
-    result = run_experiment(config)
-    fast = state_digest(result)
+    with tempfile.TemporaryDirectory() as tmp:
+        config = config.with_(checkpoint_path=os.path.join(tmp, config.checkpoint_path))
+        result = run_experiment(config)
+        fast = state_digest(result)
+        resumed = state_digest(resume_run(config.checkpoint_path))
+    assert result.checkpoint_writes
+    differ = [name for name in fast if fast[name] != resumed[name]]
+    assert not differ, f"components differ in the resumed run: {differ}"
     result.overlay.check_invariants(aggregates=True)
     with reference_system():
         slow = state_digest(
-            run_experiment(config, policy_factory=reference_policy_factory)
+            run_experiment(
+                config.with_(checkpoint_every=None, checkpoint_path=None),
+                policy_factory=reference_policy_factory,
+            )
         )
     assert fast.keys() == slow.keys()
     differ = [name for name in fast if fast[name] != slow[name]]

@@ -4,13 +4,13 @@ per-leaf loops they replaced (``tests/overlay/reference_sweep.py``).
 Two identically seeded systems receive the same operation sequence --
 joins, deaths of leaves and supers (repaired or left for the sweep),
 promotions, demotions.  One repairs through ``Maintenance`` -- the
-by-exception ``sweep``, orphan passes planned from one draw per chunk --
-the other through the references: a full scan calling
-``ensure_leaf_links`` on every leaf, and one sampler call per orphan.
-They must create the same links in the same order, report the same
-repairs, and leave the bootstrap stream in the same state: a pass may
-skip only visits that draw nothing, and may batch only draws the stream
-cannot tell apart.
+by-exception ``sweep`` -- and reads the bootstrap stream a block ahead
+(``repro.sim.rng.DrawAhead``); the other goes through the references, a
+full scan calling ``ensure_leaf_links`` on every leaf and one sampler
+call per orphan, and reads the generator call by call.  They must
+create the same links in the same order, report the same repairs, and
+leave the bootstrap stream in the same state: a pass may skip only
+visits that draw nothing, and the read-ahead may move no draw.
 """
 
 from __future__ import annotations
@@ -23,12 +23,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.overlay import maintenance as maintenance_module
 from repro.overlay.bootstrap import JoinProcedure
 from repro.overlay.family import make_family
 from repro.overlay.maintenance import Maintenance
 from repro.overlay.roles import Role
-from repro.overlay.topology import Overlay, _Replay
+from repro.overlay.topology import Overlay
+from repro.sim import rng as rng_module
+from repro.sim.rng import DrawAhead
 from tests.overlay.reference_sweep import reference_reconnect_orphans, reference_sweep
 
 _PICK = st.integers(min_value=0, max_value=10**6)
@@ -74,9 +75,9 @@ class _SkewedRng:
 class _System:
     def __init__(self, family: str, m: int, *, reference=False, skew=1) -> None:
         self.overlay = ov = Overlay()
-        self.join = JoinProcedure(
-            ov, m, _SkewedRng(skew), k_s=3, family=make_family(family)
-        )
+        self.draws = _SkewedRng(skew)
+        rng = self.draws if reference else DrawAhead(self.draws)
+        self.join = JoinProcedure(ov, m, rng, k_s=3, family=make_family(family))
         self.maint = maint = Maintenance(ov, self.join, m=m, k_s=3)
         if reference:
             # after_super_death / after_demotion / sweep, the slow way.
@@ -120,9 +121,12 @@ class _System:
             return maint.sweep()
         return None
 
-    def same_as(self, ref: "_System") -> None:
+    def same_as(self, ref: "_System", *, stream: bool = True) -> None:
+        """Same links; with ``stream``, also the same generator state --
+        a read that settles the block drawn ahead."""
         assert self.links == ref.links
-        assert self.join.rng.bit_generator.state == ref.join.rng.bit_generator.state
+        if stream:
+            assert self.join.rng.bit_generator.state == ref.join.rng.bit_generator.state
         self.overlay.check_invariants(aggregates=True)
 
 
@@ -145,7 +149,7 @@ def test_sweep_matches_reference_scan(ops, m, family):
     assert new.overlay.snapshot() == ref.overlay.snapshot()
 
 
-# -- orphan passes: one draw per chunk against one draw per orphan ----------
+# -- orphan passes: read ahead against one draw per orphan -----------------
 
 #: Few supers and many repairs: with at most four supers a pick is often
 #: forced, and a skewed stream fills the rest of the rare paths.
@@ -171,31 +175,31 @@ tiny_ops_strategy = st.lists(
 )
 
 
-def _watch_replay(monkeypatch, seen: Counter) -> None:
-    """Count the batch sampler's rare paths as they are taken."""
-    integers, choice, planned = _Replay.integers, _Replay.choice, Overlay.connect_leaves
+def _watch_read_ahead(monkeypatch, seen: Counter) -> None:
+    """Count the read-ahead's and the sampler's rare paths as taken."""
+    integers, other = DrawAhead.integers, DrawAhead.__getattr__
+    sampler = Overlay.random_supers
 
-    def counted_integers(self, n, size):
-        seen["past_the_block"] += self.pos + size > len(self.buf)
-        return integers(self, n, size)
+    def counted_integers(self, bound, size=None):
+        partial = 0 < self.pos < len(self.block)
+        seen["bound_change_mid_block"] += partial and bound != self.bound
+        seen["past_the_block"] += partial and self.pos + (size or 1) > len(self.block)
+        return integers(self, bound, size)
 
-    def counted_choice(self, *args, **kwargs):
-        seen["fallback"] += 1
-        seen["fallback_with_rewind"] += self.pos < len(self.buf)
-        return choice(self, *args, **kwargs)
+    def counted_other(self, name):
+        partial = 0 < self.pos < len(self.block)
+        seen["fallback_after_partial_block"] += partial and name == "choice"
+        return other(self, name)
 
-    def counted_pass(self, rng, requests):
-        seen["passes"] += bool(requests)
-        seen["requests"] += len(requests)
-        for pid, k in requests:
-            avail = self.n_super - len(self.peer(pid).super_neighbors)
-            seen["forced"] += 0 < avail <= k
-            seen["nothing_left"] += avail <= 0
-        return planned(self, rng, requests)
+    def counted_sampler(self, rng, k, exclude=()):
+        avail = sum(1 for s in self.super_ids if s not in set(exclude))
+        seen["forced"] += 0 < avail <= k
+        seen["nothing_left"] += k > 0 and avail <= 0
+        return sampler(self, rng, k, exclude)
 
-    monkeypatch.setattr(_Replay, "integers", counted_integers)
-    monkeypatch.setattr(_Replay, "choice", counted_choice)
-    monkeypatch.setattr(Overlay, "connect_leaves", counted_pass)
+    monkeypatch.setattr(DrawAhead, "integers", counted_integers)
+    monkeypatch.setattr(DrawAhead, "__getattr__", counted_other)
+    monkeypatch.setattr(Overlay, "random_supers", counted_sampler)
 
 
 @pytest.mark.parametrize("family", ["superpeer", "chord"])
@@ -208,13 +212,13 @@ def test_orphan_passes_match_the_per_orphan_loop(family):
         ops=tiny_ops_strategy,
         m=st.sampled_from([1, 2, 3]),
         skew=st.sampled_from([1, 8, 8]),
-        chunk=st.sampled_from([1, 3, 256, 256, 256]),
+        block=st.sampled_from([1, 7, 13, 256, 256]),
     )
     @settings(max_examples=300, deadline=None)
-    def differential(n_supers, n_leaves, ops, m, skew, chunk):
+    def differential(n_supers, n_leaves, ops, m, skew, block):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(maintenance_module, "_CHUNK", chunk)
-            _watch_replay(mp, seen)
+            mp.setattr(rng_module, "PREFETCH_BLOCK", block)
+            _watch_read_ahead(mp, seen)
             new = _System(family, m, skew=skew)
             ref = _System(family, m, skew=skew, reference=True)
             setup = [("join_super", 9.0, None)] * n_supers + [("join", 1.0, None)] * n_leaves
@@ -228,39 +232,45 @@ def test_orphan_passes_match_the_per_orphan_loop(family):
                 for step in steps:
                     del new.links[:], ref.links[:]
                     assert new.apply(*step) == ref.apply(*step)
-                    new.same_as(ref)
+                    # Blocks live on across steps, as in a run.
+                    new.same_as(ref, stream=False)
+            new.same_as(ref)
             assert new.overlay.snapshot() == ref.overlay.snapshot()
-            seen["draws_batched"] += new.join.rng.draws
-            seen["draws_per_orphan"] += ref.join.rng.draws
 
     differential()
-    for path in ("forced", "nothing_left", "past_the_block", "fallback_with_rewind"):
+    for path in (
+        "forced",
+        "nothing_left",
+        "bound_change_mid_block",
+        "past_the_block",
+        "fallback_after_partial_block",
+    ):
         assert seen[path], (path, seen)
-    # What the batch is for: fewer generator calls for the same stream.
-    assert seen["passes"] < seen["requests"]
-    assert seen["draws_batched"] < seen["draws_per_orphan"], seen
 
 
 @given(
-    bound=st.sampled_from([1, 2, 49, 500]),
-    # None is a `choice` (the exact-filtered fallback) at that point.
-    sizes=st.lists(st.one_of(st.none(), st.integers(1, 20)), max_size=12),
-    ahead=st.integers(0, 150),
+    # (bound, size): size None is a scalar draw; bound None is a
+    # `choice` (the exact-filtered fallback), 0 a state read.
+    requests=st.lists(
+        st.tuples(
+            st.sampled_from([None, 0, 1, 2, 49, 500]),
+            st.one_of(st.none(), st.integers(1, 300)),
+        ),
+        max_size=12,
+    ),
 )
 @settings(max_examples=300, deadline=None)
-def test_replay_is_the_sequential_stream(bound, sizes, ahead):
-    real, early = np.random.default_rng(9), np.random.default_rng(9)
-    replay = _Replay(early, bound, ahead)
-    for size in sizes:
-        if size is None:
-            assert replay.choice(7, size=3, replace=False).tolist() == (
-                real.choice(7, size=3, replace=False).tolist()
-            )
+def test_draw_ahead_is_the_per_call_stream(requests):
+    real, ahead = np.random.default_rng(9), DrawAhead(np.random.default_rng(9))
+    for bound, size in requests:
+        if bound is None:
+            got = ahead.choice(7, size=3, replace=False).tolist()
+            want = real.choice(7, size=3, replace=False).tolist()
+        elif bound == 0:
+            got, want = ahead.bit_generator.state, real.bit_generator.state
         else:
-            assert replay.integers(bound, size=size) == (
-                real.integers(bound, size=size).tolist()
-            )
-    # Drawn ahead and never handed out is the one way to end elsewhere;
-    # `connect_leaves` forecasts what its requests consume at least.
-    if None in sizes or ahead <= sum(sizes):
-        assert early.bit_generator.state == real.bit_generator.state
+            got, want = ahead.integers(bound, size), real.integers(bound, size=size)
+            want = want.tolist() if size else int(want)
+        assert got == want
+    ahead.settle()
+    assert ahead.gen.bit_generator.state == real.bit_generator.state

@@ -1,6 +1,6 @@
 """The slow simulator: the plane oracles installed in a whole run.
 
-Inside ``with reference_system():`` two fast paths are replaced *at
+Inside ``with reference_system():`` four fast paths are replaced *at
 class level* by their oracles, the way ``bench/trace.py`` installs its
 spans, and put back on exit, also when the block raises:
 
@@ -9,13 +9,19 @@ spans, and put back on exit, also when the block raises:
   repair);
 * ``FloodRouter.query`` runs :func:`tests.search.reference_flood.
   reference_query` (a per-copy BFS over a freshly built snapshot) and
-  charges the router's ledger the same two totals the router charges.
+  charges the router's ledger the same two totals the router charges;
+* ``RngStreams.prefetch`` hands the bootstrap stream out as the bare
+  generator, so every join and repair draws call by call instead of
+  slicing a block drawn ahead (the transport's scalar streams keep
+  theirs);
+* ``MessageLedger.charge`` is :func:`tests.protocol.reference_charge.
+  eager_charge`, every plan charged into the counters at once.
 
 The DLM verdicts go in through the public hook instead:
 ``run_experiment(config, policy_factory=reference_policy_factory)``
 builds :class:`tests.core.reference_related_set.ReferenceDLMPolicy`.
 A run made that way inside the block differs from a fast run only in how
-those three planes compute their answers, so the two runs'
+those planes compute their answers, so the two runs'
 ``checkpoint.state_digest`` must agree in every component
 (``tests/properties/test_reference_system.py``).
 
@@ -31,10 +37,13 @@ from contextlib import contextmanager
 from typing import Iterator
 
 from repro.overlay.maintenance import Maintenance
+from repro.protocol.accounting import MessageLedger
 from repro.protocol.messages import QueryHitMessage, QueryMessage
 from repro.search.flooding import FloodRouter, QueryOutcome
+from repro.sim.rng import RngStreams
 from tests.core.reference_related_set import ReferenceDLMPolicy
 from tests.overlay.reference_sweep import reference_sweep
+from tests.protocol.reference_charge import eager_charge
 from tests.search.reference_flood import reference_query
 
 __all__ = ["reference_policy_factory", "reference_system"]
@@ -58,12 +67,23 @@ def _reference_flood(router: FloodRouter, source: int, obj: int) -> QueryOutcome
     return out
 
 
+_prefetch = RngStreams.prefetch
+
+
+def _per_call_bootstrap(streams: RngStreams, name: str, draw=None):
+    """``RngStreams.prefetch`` with the bounded-integer reader (the
+    bootstrap stream's) replaced by the generator itself."""
+    return streams.get(name) if draw is None else _prefetch(streams, name, draw)
+
+
 @contextmanager
 def reference_system() -> Iterator[None]:
-    """Install the sweep and flood oracles for the duration of the block."""
+    """Install the oracles for the duration of the block."""
     seams = [
         (Maintenance, "sweep", reference_sweep),
         (FloodRouter, "query", _reference_flood),
+        (RngStreams, "prefetch", _per_call_bootstrap),
+        (MessageLedger, "charge", eager_charge),
     ]
     originals = [(cls, name, vars(cls)[name]) for cls, name, _ in seams]
     try:

@@ -128,6 +128,12 @@ _EXIT_CODES = [
     (["figure6", "--n", "300", "--horizon", "inf"], 2),
     (["figure6", "--n", "300", "--horizon", "150", "--latency-scale", "inf"], 2),
     (["figure6", "--n", "300", "--horizon", "150", "--latency-scale", "nan"], 2),
+    # A worker count below 1 is refused before the run, flag or env
+    # (a leading NAME=VALUE is set in the environment).
+    (["figure6", "--n", "300", "--horizon", "150", "--workers", "0"], 2),
+    (["figure6", "--n", "300", "--horizon", "150", "--workers", "-3"], 2),
+    (["figure6", "--workers", "0", "--shards", "2"], 2),
+    (["REPRO_WORKERS=abc", "figure6", "--shards", "2"], 2),
 ]
 
 
@@ -151,10 +157,13 @@ def inputs(tmp_path):
 
 
 @pytest.mark.parametrize("argv, code", _EXIT_CODES)
-def test_exit_code_contract(inputs, capsys, argv, code):
+def test_exit_code_contract(inputs, capsys, monkeypatch, argv, code):
     """0 OK; 1 for a failed run or verdict; 2 for bad usage or input,
     which is one ``error:`` line on stderr (argparse's own usage errors
     aside)."""
+    if "=" in argv[0]:
+        monkeypatch.setenv(*argv[0].split("=", 1))
+        argv = argv[1:]
     assert main([a.format(tmp=inputs) for a in argv]) == code
     err = capsys.readouterr().err
     if code == 2 and argv[0] != "health":

@@ -102,11 +102,11 @@ class TestSampling:
 
 
 class TestNumpyPartitionInvariance:
-    """The NumPy behaviour a repair pass's single draw rests on
-    (``repro.overlay.topology._Replay``): a bounded-integer request may
+    """The NumPy behaviour the bootstrap stream's read-ahead rests on
+    (``repro.sim.rng.DrawAhead.integers``): a bounded-integer request may
     be split anywhere without moving a value or the generator.  The
     transport's drop and latency draws (``random``, ``lognormal``
-    through ``repro.sim.rng.DrawAhead``) rest on the same property."""
+    through ``DrawAhead.next``) rest on the same property."""
 
     @pytest.mark.parametrize(
         "draw",
