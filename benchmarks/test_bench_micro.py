@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.comparison import scaled_fractions
 from repro.experiments.configs import SearchConfig
 from repro.experiments.runner import run_experiment
 from repro.search.flooding import FloodRouter
 from repro.sim.scheduler import Simulator
 from repro.util.indexed_set import IndexedSet
+from tests.core.reference_related_set import scaled_fractions
 
 
 def test_bench_event_throughput(benchmark):
@@ -40,7 +40,8 @@ def test_bench_event_throughput(benchmark):
 
 
 def test_bench_scaled_comparison_super(benchmark, rng_values=None):
-    """One super-peer evaluation against a full k_l=80 related set."""
+    """The scaled comparison (the reference copy in tests/) against a full
+    k_l=80 related set."""
     rng = np.random.default_rng(0)
     caps = list(rng.uniform(1, 600, 80))
     ages = list(rng.uniform(1, 500, 80))

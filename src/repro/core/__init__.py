@@ -7,9 +7,9 @@ by :class:`DLMPolicy`.
 """
 
 from .capacity import CapacityModel, bandwidth_only_model
-from .comparison import ComparisonResult, scaled_fractions
+from .comparison import ComparisonResult
 from .config import DLMConfig
-from .decisions import Action, Decision, decide
+from .decisions import Action, Decision
 from .dlm import DLMPolicy
 from .equations import (
     expected_leaf_count,
@@ -27,11 +27,9 @@ __all__ = [
     "CapacityModel",
     "bandwidth_only_model",
     "ComparisonResult",
-    "scaled_fractions",
     "DLMConfig",
     "Action",
     "Decision",
-    "decide",
     "DLMPolicy",
     "expected_leaf_count",
     "expected_super_count",

@@ -10,9 +10,11 @@ Directly from the paper's pseudo-code::
 (scaled) metric values exceed the local peer's -- both in [0, 1].  Small
 Y means the local peer is relatively strong; large Y, relatively weak.
 
-The comparison is a plain loop when the related set is small (a leaf's G
-holds a handful of supers) and branchless NumPy when large.  A super's
-leaf links carry each leaf's store slot, so in a run its loop reads two
+A leaf's G holds a handful of supers, so its comparison is a plain loop
+inside :meth:`repro.core.dlm.DLMPolicy._evaluate_leaf`.  A super's is
+:func:`compare_leaves_observed`: a plain loop when the related set is
+small and branchless NumPy when large.  A super's leaf links carry each
+leaf's store slot, so in a run its loop reads two
 columns at a slot, ~0.14 µs a member, while the vector pass costs ~15 µs
 plus ~0.04 µs a member; they cross near 110 members and
 :data:`_VECTOR_THRESHOLD` sits there (DESIGN.md §8 "Leaf links carry
@@ -24,64 +26,28 @@ branch ran cannot be told from the result.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Optional, Tuple
 
 import numpy as np
 
 from ..overlay.peer import Peer
 from ..protocol.knowledge import UNKNOWN, KnowledgeSource, OmniscientKnowledge
 
-__all__ = [
-    "ComparisonResult",
-    "scaled_fractions",
-    "compare_leaves_observed",
-]
+__all__ = ["ComparisonResult", "compare_leaves_observed"]
 
 #: Related sets at or above this size take the vectorized path.
 _VECTOR_THRESHOLD = 112
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ComparisonResult:
-    """The Y counters of one evaluation."""
+    """The Y counters of one evaluation (built once, never mutated; not
+    frozen, because a frozen dataclass pays ``object.__setattr__`` per
+    field on every construction)."""
 
     y_capa: float
     y_age: float
     g_size: int
-
-
-def scaled_fractions(
-    own_capacity: float,
-    own_age: float,
-    capacities: Sequence[float],
-    ages: Sequence[float],
-    x_capa: float,
-    x_age: float,
-) -> ComparisonResult:
-    """Compute (Y_capa, Y_age) for a peer against metric arrays.
-
-    Raises ``ValueError`` on an empty or ragged related set -- callers
-    must gate on |G| before comparing (the policy does).
-    """
-    n = len(capacities)
-    if n == 0:
-        raise ValueError("related set is empty; nothing to compare against")
-    if len(ages) != n:
-        raise ValueError(f"ragged view: {n} capacities vs {len(ages)} ages")
-    if n >= _VECTOR_THRESHOLD:
-        caps = np.asarray(capacities, dtype=float)
-        ags = np.asarray(ages, dtype=float)
-        y_capa = float(np.count_nonzero(caps * x_capa > own_capacity)) / n
-        y_age = float(np.count_nonzero(ags * x_age > own_age)) / n
-        return ComparisonResult(y_capa=y_capa, y_age=y_age, g_size=n)
-    hits_c = 0
-    hits_a = 0
-    for c, a in zip(capacities, ages):
-        if c * x_capa > own_capacity:
-            hits_c += 1
-        if a * x_age > own_age:
-            hits_a += 1
-    return ComparisonResult(y_capa=hits_c / n, y_age=hits_a / n, g_size=n)
 
 
 def compare_leaves_observed(
@@ -150,7 +116,4 @@ def compare_leaves_observed(
                 hits_a += 1
     if usable == 0:
         return None, missing
-    return (
-        ComparisonResult(y_capa=hits_c / usable, y_age=hits_a / usable, g_size=usable),
-        missing,
-    )
+    return ComparisonResult(hits_c / usable, hits_a / usable, usable), missing

@@ -4,7 +4,9 @@ A leaf-peer promotes when *both* Y values are small enough (it beats most
 super-peers it knows on both metrics); a super-peer demotes when *both* Y
 values are large enough (most of its leaves beat it on both metrics).
 The conjunction is the paper's: capacity and age are disjoint metrics and
-a peer must qualify on each.
+a peer must qualify on each.  The rule runs inline at the end of each
+verdict (:class:`repro.core.dlm.DLMPolicy`); this module holds its
+result types.
 """
 
 from __future__ import annotations
@@ -12,11 +14,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from ..overlay.roles import Role
 from .comparison import ComparisonResult
 from .scaling import AdaptedParameters
 
-__all__ = ["Action", "Decision", "decide"]
+__all__ = ["Action", "Decision"]
 
 
 class Action(enum.Enum):
@@ -27,21 +28,12 @@ class Action(enum.Enum):
     DEMOTE = "demote"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Decision:
-    """An action with the evidence that produced it (for tracing/tests)."""
+    """An action with the evidence that produced it (for tracing/tests);
+    not frozen, like :class:`ComparisonResult`.  ``params`` is the µ
+    memo's shared, frozen :class:`AdaptedParameters`."""
 
     action: Action
     y: ComparisonResult
     params: AdaptedParameters
-
-
-def decide(role: Role, y: ComparisonResult, params: AdaptedParameters) -> Decision:
-    """Apply the Phase-4 rule for the given role."""
-    if role is Role.LEAF:
-        if y.y_capa < params.z_promote and y.y_age < params.z_promote:
-            return Decision(Action.PROMOTE, y, params)
-        return Decision(Action.NONE, y, params)
-    if y.y_capa > params.z_demote and y.y_age > params.z_demote:
-        return Decision(Action.DEMOTE, y, params)
-    return Decision(Action.NONE, y, params)

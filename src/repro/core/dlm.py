@@ -54,13 +54,13 @@ import numpy as np
 
 from ..context import SystemContext
 from ..overlay.peer import Peer
-from ..overlay.roles import ROLE_SUPER, Role
-from ..protocol.knowledge import UNKNOWN
+from ..overlay.roles import ROLE_SUPER
+from ..protocol.knowledge import UNKNOWN, OmniscientKnowledge
 from ..sim.events import EventKind
 from ..sim.processes import PeriodicProcess
-from .comparison import compare_leaves_observed, scaled_fractions
+from .comparison import ComparisonResult, compare_leaves_observed
 from .config import DLMConfig
-from .decisions import Action, Decision, decide
+from .decisions import Action, Decision
 from .equations import mu_inappropriateness
 from .estimator import RatioEstimator
 from .policy import LayerPolicy
@@ -68,6 +68,8 @@ from .scaling import ParameterScaler
 from .transitions import TransitionExecutor
 
 __all__ = ["DLMPolicy"]
+
+_PROMOTE, _DEMOTE, _NONE = Action.PROMOTE, Action.DEMOTE, Action.NONE
 
 
 class DLMPolicy(LayerPolicy):
@@ -97,8 +99,9 @@ class DLMPolicy(LayerPolicy):
         self._span = None
         # What every nudge resolves, bound once at install time: the
         # registry's own lookup, the clock as the scheduler advances it,
-        # the scheduler, and the knowledge plane a verdict reads through.
-        self._get = self._clock = self._sim = self._knowledge = None
+        # the scheduler, the knowledge plane a verdict reads through, and
+        # the config's k_l (a property computing m·η).
+        self._get = self._clock = self._sim = self._knowledge = self._k_l = None
         # Run counters (consumed by reports and tests).
         self.evaluations = 0
         self.promotions = 0
@@ -117,6 +120,7 @@ class DLMPolicy(LayerPolicy):
         self._clock = ctx.sim.clock
         self._sim = ctx.sim
         self._knowledge = ctx.knowledge
+        self._k_l = self.config.k_l
         # Phase 1 is the exchange's: it fires the completion listener
         # (-> evaluation) for both endpoints once their requests resolve.
         ctx.overlay.add_connection_listener(ctx.info.on_connection_created)
@@ -229,8 +233,16 @@ class DLMPolicy(LayerPolicy):
 
     # -- phases 2-4: evaluation --------------------------------------------
     def evaluate(self, pid: int) -> Optional[Decision]:
-        """Run phases 2-4 for one peer; returns the decision (or None if
-        the peer is gone or still in cooldown)."""
+        """Run phases 2-4 for one peer and return the decision.
+
+        ``None`` comes from six exits, in this order: the peer is gone;
+        it was evaluated less than ``min_eval_interval`` ago (rate
+        limit); it changed role less than ``transition_cooldown`` ago
+        (cooldown); it is a leaf not eligible for promotion; the verdict
+        was deferred for missing Phase-1 knowledge; or the related set
+        is too small to compare against -- a leaf's G(l), or a super's
+        leaves, where the forced-demotion rule may demote it instead.
+        """
         peer = self._get(pid)
         if peer is None:
             return None
@@ -263,14 +275,14 @@ class DLMPolicy(LayerPolicy):
                     pid,
                     "super" if is_super else "leaf",
                     decision.action.value,
-                    mu=params.mu,
-                    g_size=y.g_size,
-                    y_capa=y.y_capa,
-                    y_age=y.y_age,
-                    x_capa=params.x_capa,
-                    x_age=params.x_age,
-                    z_promote=params.z_promote,
-                    z_demote=params.z_demote,
+                    params.mu,
+                    y.g_size,
+                    y.y_capa,
+                    y.y_age,
+                    params.x_capa,
+                    params.x_age,
+                    params.z_promote,
+                    params.z_demote,
                 )
             self._act(peer, decision)
         return decision
@@ -292,12 +304,14 @@ class DLMPolicy(LayerPolicy):
         self.ctx.info.ensure_fresh(pid)
 
     def _evaluate_leaf(self, peer: Peer, now: float) -> Optional[Decision]:
-        """Phases 2-4 for a leaf in one walk over G(l).
+        """Phases 2-4 for a leaf in one frame: one walk over G(l), then
+        the comparison loop and the Phase-4 rule inline.
 
         G(l) is the ``ct`` column (every super contacted since join), or
         the current links under ``leaf_g_current_only`` (ablation A4).
         Member values come through the knowledge source, never from live
-        state; a member that has left or been demoted is dropped from
+        state -- the omniscient plane's are its store columns, read here
+        directly; a member that has left or been demoted is dropped from
         ``ct`` and from the observation cache (DESIGN.md: ghosts would
         let a leaf compare itself against peers that no longer exist).
         """
@@ -306,26 +320,44 @@ class DLMPolicy(LayerPolicy):
         if not store.eligible[slot]:
             return None  # §2 capability requirements gate promotion
         config = self.config
-        observe = self._knowledge.observe_super
+        knowledge = self._knowledge
         caps: List[float] = []
         ages: List[float] = []
         dead: List[int] = []
         missing = 0
         lnn_sum = 0
         lnn_n = 0
-        for sid in (store.sn if config.leaf_g_current_only else store.ct)[slot]:
-            obs = observe(peer, sid, now)
-            if obs is None:
-                dead.append(sid)
-            elif obs is UNKNOWN:
-                missing += 1
-            else:
-                cap, age, l_nn = obs
-                caps.append(cap)
-                ages.append(age)
-                if l_nn is not None:
-                    lnn_sum += l_nn
-                    lnn_n += 1
+        members = (store.sn if config.leaf_g_current_only else store.ct)[slot]
+        if type(knowledge) is OmniscientKnowledge:
+            # ``observe_super`` without the call: a live super's columns,
+            # and every member observed with its l_nn.
+            get = self._get
+            role, cap_col, join_col = store.role, store.capacity, store.join_time
+            lnn_col = store.n_leaf_links
+            for sid in members:
+                member = get(sid)
+                if member is None or not role[s := member._slot]:
+                    dead.append(sid)
+                else:
+                    caps.append(cap_col[s])
+                    ages.append(now - join_col[s])
+                    lnn_sum += lnn_col[s]
+            lnn_n = len(caps)
+        else:
+            observe = knowledge.observe_super
+            for sid in members:
+                obs = observe(peer, sid, now)
+                if obs is None:
+                    dead.append(sid)
+                elif obs is UNKNOWN:
+                    missing += 1
+                else:
+                    cap, age, l_nn = obs
+                    caps.append(cap)
+                    ages.append(age)
+                    if l_nn is not None:
+                        lnn_sum += l_nn
+                        lnn_n += 1
         if dead:
             # Read the observation cache without vivifying it: omniscient
             # runs never populate one, and pruning must not allocate one
@@ -346,16 +378,25 @@ class DLMPolicy(LayerPolicy):
             self._defer(peer.pid, now, "leaf", "no_mu", g_size, missing)
             return None
         # µ from the mean *observed* l_nn -- over observations, not members.
-        params = self.scaler.adapt(mu_inappropriateness(lnn_sum / lnn_n, config.k_l))
-        y = scaled_fractions(
-            store.capacity[slot],
-            now - store.join_time[slot],
-            caps,
-            ages,
-            params.x_capa,
-            params.x_age,
-        )
-        return decide(Role.LEAF, y, params)
+        params = self.scaler.adapt(mu_inappropriateness(lnn_sum / lnn_n, self._k_l))
+        # Phase 3, the paper's pseudo-code (DESIGN.md §8 "Verdict path").
+        own_cap = store.capacity[slot]
+        own_age = now - store.join_time[slot]
+        x_capa = params.x_capa
+        x_age = params.x_age
+        hits_c = 0
+        hits_a = 0
+        for cap, age in zip(caps, ages):
+            if cap * x_capa > own_cap:
+                hits_c += 1
+            if age * x_age > own_age:
+                hits_a += 1
+        y_capa = hits_c / g_size
+        y_age = hits_a / g_size
+        # Phase 4: promote iff both fractions are under Z_promote(µ).
+        z = params.z_promote
+        action = _PROMOTE if y_capa < z and y_age < z else _NONE
+        return Decision(action, ComparisonResult(y_capa, y_age, g_size), params)
 
     def _evaluate_super(self, peer: Peer, now: float) -> Optional[Decision]:
         config = self.config
@@ -380,7 +421,10 @@ class DLMPolicy(LayerPolicy):
                     missing,
                 )
                 return None
-            return decide(Role.SUPER, y, params)
+            # Phase 4: demote iff both fractions are over Z_demote(µ).
+            z = params.z_demote
+            action = _DEMOTE if y.y_capa > z and y.y_age > z else _NONE
+            return Decision(action, y, params)
         # Too few leaves for a comparison (|G(s)| = l_nn here); fall
         # back to the ratio-only forced-demotion rule.
         if (

@@ -619,7 +619,7 @@ class Overlay:
                 linked.append((slot, state["ln"][i]))
             store.ct[slot] = tuple(state["ct"][i])
             kn = state["knowledge"][i]
-            if kn:
+            if kn is not None:  # an emptied cache stays a cache
                 knowledge = NeighborKnowledge()
                 knowledge.restore(kn)
                 store.kn[slot] = knowledge

@@ -14,7 +14,10 @@ figures DESIGN.md §5 "Flood by lookup" quotes.
 ``evaluate`` is a timer, not a profile: it settles one overlay per
 knowledge plane and prints the cost of one DLM verdict (phases 2-4,
 nothing executed) per role in µs, with the mean related-set size --
-the figure DESIGN.md §8 "Verdict path" quotes, as one command.
+the figure DESIGN.md §8 "Verdict path" quotes, as one command -- the
+audit record's cost per verdict, and how the settling run's
+evaluations exited (gone, rate limit, cooldown, ... verdict) per
+trigger, drain event or evaluation sweep.
 ``repair`` is its sibling for orphan passes: it kills supers of a
 settled overlay and prints µs per reconnected orphan, orphans per pass
 and NumPy calls on the bootstrap stream per pass.  ``join`` prints µs
@@ -151,9 +154,66 @@ def _flooding_workload(config, opts) -> Callable[[], object]:
     return run
 
 
+#: ``evaluate``'s exits, in the order it takes them (``small G``: too
+#: few members to compare against, e.g. the forced-demotion path).
+_EXITS = ("gone", "rate limit", "cooldown", "ineligible", "defer", "small G", "verdict")
+#: The policy's two evaluation loops, by the trigger they count under.
+_TRIGGERS = {"_on_evaluate_event": "drain", "_evaluation_sweep": "sweep"}
+
+
+def _count_exits(policy_cls, counts: dict) -> Callable[[], None]:
+    """Patch ``policy_cls`` so each ``evaluate`` call adds one to
+    ``counts[(trigger, exit)]`` -- trigger ``drain`` (the evaluation
+    event), ``sweep`` or ``other`` -- and return the undo.  The guard
+    exits are read from the columns before the call, the rest from its
+    result and the deferral counter: no policy counter is added."""
+    originals = {n: vars(policy_cls)[n] for n in ("evaluate", *_TRIGGERS)}
+    trigger = ["other"]
+
+    def under(trig: str, fn: Callable) -> Callable:
+        def handler(self, *args):
+            trigger.append(trig)
+            try:
+                return fn(self, *args)
+            finally:
+                trigger.pop()
+
+        return handler
+
+    def evaluate(self, pid):
+        peer, cfg, now = self._get(pid), self.config, self._clock._now
+        deferrals, exit_ = self.deferrals, None
+        if peer is None:
+            exit_ = "gone"
+        else:
+            store, slot, interval = peer._store, peer._slot, cfg.min_eval_interval
+            if interval > 0.0 and now - store.last_eval[slot] < interval:
+                exit_ = "rate limit"
+            elif now - store.role_change_time[slot] < cfg.transition_cooldown:
+                exit_ = "cooldown"
+            elif not (store.role[slot] or store.eligible[slot]):
+                exit_ = "ineligible"
+        decision = originals["evaluate"](self, pid)
+        if exit_ is None:
+            exit_ = "verdict" if decision is not None else "small G"
+            exit_ = "defer" if self.deferrals > deferrals else exit_
+        counts[trigger[-1], exit_] = counts.get((trigger[-1], exit_), 0) + 1
+        return decision
+
+    policy_cls.evaluate = evaluate
+    for name, trig in _TRIGGERS.items():
+        setattr(policy_cls, name, under(trig, originals[name]))
+
+    def undo() -> None:
+        for name, fn in originals.items():
+            setattr(policy_cls, name, fn)
+
+    return undo
+
+
 def _time_verdicts(config, opts) -> None:
     """Print µs per DLM verdict per role over a settled overlay, per
-    knowledge plane.
+    knowledge plane, and how the settling run's ``evaluate`` calls exited.
 
     Times :meth:`DLMPolicy._evaluate_leaf` / ``_evaluate_super`` -- µ, the
     scaled comparison and the threshold rule, without the action -- on
@@ -162,18 +222,32 @@ def _time_verdicts(config, opts) -> None:
     many returned a decision; the rest deferred for missing knowledge
     (observed plane only).  The omniscient super verdict is also timed on
     each comparison branch, the threshold forced to the loop and to the
-    vector pass (DESIGN.md §8 "Leaf links carry their rows").  The
-    settling run is outside the timed region.
+    vector pass (DESIGN.md §8 "Leaf links carry their rows").  Then the
+    whole of ``evaluate`` -- prologue, verdict and audit record, with the
+    rate limit, the cooldown and the action switched off -- is timed
+    with the audit off and with a bound audit log: their difference is
+    the audit's cost per verdict (best of two alternated passes each).
+    The settling run is outside the timed region; its ``evaluate`` exits
+    are counted per trigger (:func:`_count_exits`).
     """
+    from dataclasses import replace
+
     from .core import comparison
+    from .core.dlm import DLMPolicy
     from .experiments.runner import run_experiment
     from .protocol.faults import FaultPlan
+    from .telemetry.records import AuditLog, RecordLog
 
     for plane, faults in (
         ("omniscient", None),
         ("observed", FaultPlan(loss_rate=0.05, latency_scale=0.2)),
     ):
-        result = run_experiment(config.with_(horizon=400.0, faults=faults))
+        exits: dict = {}
+        undo = _count_exits(DLMPolicy, exits)
+        try:
+            result = run_experiment(config.with_(horizon=400.0, faults=faults))
+        finally:
+            undo()
         overlay, policy, now = result.overlay, result.policy, result.ctx.now
         floor = policy.config.min_related_set
         leaves = [p for p in map(overlay.peer, overlay.leaf_ids) if p.eligible]
@@ -206,6 +280,30 @@ def _time_verdicts(config, opts) -> None:
                 f"  mean |G| {g_total / max(decided, 1):5.1f}"
                 f"  decided {decided}/{_VERDICTS}  ({len(peers)} peers)"
             )
+        policy.config = replace(
+            policy.config, min_eval_interval=0.0, transition_cooldown=0.0
+        )
+        policy._act = lambda peer, decision: None
+        for role, peers in (("leaf", leaves), ("super", supers)):
+            pids = [p.pid for p in islice(cycle(peers), _VERDICTS)]
+            cost = dict.fromkeys(("off", "bound"), float("inf"))
+            for audit in ("off", "bound") * 2:  # alternated, best of two
+                policy._audit = None if audit == "off" else AuditLog(RecordLog())
+                t0 = perf_counter()
+                for pid in pids:
+                    policy.evaluate(pid)
+                spent = (perf_counter() - t0) / len(pids) * 1e6
+                cost[audit] = min(cost[audit], spent)
+            print(
+                f"{plane:10s} {role:12s} evaluate: audit off {cost['off']:6.2f}"
+                f"  bound {cost['bound']:6.2f} us/verdict"
+                f"  (audit {cost['bound'] - cost['off']:+.2f} us)"
+            )
+        print(f"{plane:10s} evaluate exits per trigger (settling run):")
+        print(f"  {'trigger':8s}" + "".join(f"{e:>11s}" for e in _EXITS))
+        for trigger in sorted({t for t, _ in exits}):
+            row = "".join(f"{exits.get((trigger, e), 0):11d}" for e in _EXITS)
+            print(f"  {trigger:8s}{row}")
 
 
 class _CountedDraws:

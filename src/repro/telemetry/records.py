@@ -23,11 +23,12 @@ the defer reason when Phase-1 knowledge was missing.
 from __future__ import annotations
 
 import math
+import struct
 import sys
 from array import array
 from itertools import compress, islice, repeat
 from types import NoneType
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -119,45 +120,69 @@ def record_as_dict(record: Record) -> dict:
 #: Exact value type -> ``array`` typecode; any other type is a list column.
 _TYPECODES = {float: "d", int: "q"}
 
+#: Rows a block stages before it seals them into its columns.
+_STAGE = 512
+
 
 class _Block:
     """The records of one **shape** -- the kind plus the exact type of
     ``t`` and of each value -- one column per position (0 is ``t``,
     ``i + 1`` is ``values[i]``) except the always-``None`` ones.  The
-    first ``head`` rows have been evicted by the ring."""
+    first ``head`` rows have been evicted by the ring.
 
-    __slots__ = ("sid", "kind", "types", "present", "columns", "appends", "head")
+    A row arrives as the tuple of its non-``None`` cells and waits in
+    ``staged`` until :meth:`seal` moves the stage into the columns one
+    column at a time: at :data:`_STAGE` rows, or before anything reads
+    :attr:`columns`."""
+
+    __slots__ = ("sid", "kind", "types", "present", "_columns", "staged", "head")
 
     def __init__(self, sid: int, kind: str, types: tuple) -> None:
         self.sid = sid
         self.kind = kind
         self.types = types
         self.present = tuple(tp is not NoneType for tp in types)
-        self.columns = [
+        self._columns = [
             array(_TYPECODES[tp]) if tp in _TYPECODES else []
             for tp in compress(types, self.present)
         ]
-        self.appends = tuple(c.append for c in self.columns)
+        self.staged: List[tuple] = []
         self.head = 0
 
-    def widen(self, row: tuple) -> None:
-        """Finish appending ``row`` after an int overflowed an ``array('q')``:
-        that column holds Python objects from now on."""
-        n = min(map(len, self.columns))
-        for j, value in enumerate(compress(row, self.present)):
-            column = self.columns[j]
-            if len(column) == n:
-                try:
-                    column.append(value)
-                except OverflowError:
-                    self.columns[j] = column.tolist() + [value]
-        self.appends = tuple(c.append for c in self.columns)
+    @property
+    def columns(self) -> list:
+        """One column per present position, every staged row sealed in."""
+        if self.staged:
+            self.seal()
+        return self._columns
+
+    def seal(self) -> None:
+        """Append the staged rows to the columns.  A typed column packs
+        its cells in one ``struct.pack`` (bit-exact, like ``append``); an
+        int beyond int64 makes that column a list of Python objects from
+        then on."""
+        staged, self.staged = self.staged, []
+        columns = self._columns
+        for j, cells in enumerate(zip(*staged)):
+            column = columns[j]
+            if type(column) is list:
+                column.extend(cells)
+                continue
+            try:
+                packed = struct.pack(f"{len(cells)}{column.typecode}", *cells)
+            except struct.error:  # an int beyond int64
+                columns[j] = column.tolist() + list(cells)
+            else:
+                column.frombytes(packed)
 
     def drop_oldest(self) -> None:
         """Evict the oldest row; compact once evicted rows are the majority."""
         self.head += 1
-        if self.columns and 2 * self.head > len(self.columns[0]):
-            for column in self.columns:
+        columns = self._columns
+        if columns and self.head > len(columns[0]):
+            self.seal()  # the evicted row is still staged
+        if columns and 2 * self.head > len(columns[0]):
+            for column in columns:
                 del column[: self.head]
             self.head = 0
 
@@ -185,21 +210,35 @@ class RecordLog:
         self._capacity = math.inf if capacity is None else capacity
         self._next_seq = 0
         self.dropped = 0
+        #: Zero-arg callbacks run by :meth:`clear` (and so by
+        #: :meth:`restore`): whoever holds a :meth:`block` drops it there.
+        self.on_clear: List[Callable[[], None]] = []
         self.clear()
 
     def emit(self, kind: str, t: float, values: tuple) -> None:
         """Append one record (fields per ``SCHEMAS[kind]``)."""
         key = (kind, type(t), *map(type, values))
+        block = self.block(key)
+        self.append(block, tuple(compress((t, *values), block.present)))
+
+    def block(self, key: tuple) -> _Block:
+        """The block of shape ``key`` -- ``(kind, type(t), *value types)``
+        -- created on first use.  A caller that keeps it must re-fetch it
+        after :meth:`clear` (see :attr:`on_clear`)."""
         block = self._shapes.get(key)
         if block is None:
-            block = self._shapes[key] = _Block(len(self.blocks), kind, key[1:])
+            block = self._shapes[key] = _Block(len(self.blocks), key[0], key[1:])
             self.blocks.append(block)
-        row = (t, *values)
-        try:
-            for append, value in zip(block.appends, compress(row, block.present)):
-                append(value)
-        except OverflowError:
-            block.widen(row)
+        return block
+
+    def append(self, block: _Block, cells: tuple) -> None:
+        """Append one record of ``block``'s shape: ``cells`` are its
+        non-``None`` positions (``t`` first).  The caller vouches for the
+        exact types; :meth:`emit` derives them."""
+        staged = block.staged
+        staged.append(cells)
+        if len(staged) >= _STAGE:
+            block.seal()
         ids = self._ids
         ids.append(block.sid)
         self._next_seq += 1
@@ -270,6 +309,8 @@ class RecordLog:
         self.blocks: List[_Block] = []
         self._ids = array("I")
         self._head = 0
+        for unbind in self.on_clear:
+            unbind()
 
     # -- checkpointing -----------------------------------------------------
     def snapshot(self) -> dict:
@@ -291,6 +332,12 @@ class RecordLog:
             self.emit(sys.intern(kind), t, tuple(strings))
 
 
+#: The shape of a decision record from the policy: float ``t``, µ, Y, X
+#: and Z, int pid and |G|, str role and verdict, no reason or missing.
+_DECISION = ("audit", float, int, str, str, NoneType, float, int, NoneType)
+_DECISION += (float,) * 6
+
+
 class AuditLog:
     """DLM decision records in the shared stream, plus exact tallies.
 
@@ -306,6 +353,13 @@ class AuditLog:
         self._log = log
         self.level = level
         self.verdict_counts: Dict[str, int] = {}
+        # The decision shape's block, fetched on the first decision record
+        # and again after every ``log.clear()`` / ``log.restore()``.
+        self._block: Optional[_Block] = None
+        log.on_clear.append(self._unbind)
+
+    def _unbind(self) -> None:
+        self._block = None
 
     def _tally(self, verdict: str) -> None:
         counts = self.verdict_counts
@@ -317,7 +371,6 @@ class AuditLog:
         pid: int,
         role: str,
         verdict: str,
-        *,
         mu: float,
         g_size: int,
         y_capa: float,
@@ -327,29 +380,34 @@ class AuditLog:
         z_promote: float,
         z_demote: float,
     ) -> None:
-        """One evaluation that reached the Phase-4 decision rule."""
-        self._tally(verdict)
+        """One evaluation that reached the Phase-4 decision rule (the
+        policy passes every field by position: no kwargs dict per call).
+
+        A record of :data:`_DECISION`'s exact types is appended straight
+        into that shape's block; any other mix (an int ``t``, an int
+        clamp, ``np.float64``, ``bool``) goes through :meth:`RecordLog.emit`
+        and lands in its own shape.
+        """
+        counts = self.verdict_counts
+        counts[verdict] = counts.get(verdict, 0) + 1
         if verdict == "none" and self.level != "full":
             return
-        self._log.emit(
-            "audit",
-            t,
-            (
-                pid,
-                role,
-                verdict,
-                None,
-                mu,
-                g_size,
-                None,
-                y_capa,
-                y_age,
-                x_capa,
-                x_age,
-                z_promote,
-                z_demote,
-            ),
-        )
+        cells = (t, pid, role, verdict, mu, g_size, y_capa, y_age, x_capa, x_age)
+        cells += (z_promote, z_demote)
+        if (
+            type(t) is type(mu) is type(y_capa) is type(y_age) is float
+            and type(x_capa) is type(x_age) is type(z_promote) is float
+            and type(z_demote) is float
+            and type(pid) is type(g_size) is int
+            and type(role) is type(verdict) is str
+        ):
+            block = self._block
+            if block is None:
+                block = self._block = self._log.block(_DECISION)
+            self._log.append(block, cells)
+        else:
+            values = (pid, role, verdict, None, mu, g_size, None, *cells[6:])
+            self._log.emit("audit", t, values)
 
     def record_defer(
         self,

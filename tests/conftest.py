@@ -1,15 +1,39 @@
-"""Shared fixtures and builders for the test suite."""
+"""Shared fixtures and builders for the test suite.
+
+Hypothesis runs under one of two profiles, picked by the
+``HYPOTHESIS_PROFILE`` environment variable: ``tier1`` (the default)
+keeps Hypothesis' own 100 examples per test, ``deep`` takes ten times
+that.  The record-log and verdict properties state their
+``max_examples`` through :func:`examples`, as a multiple of the
+profile's count (other suites still state a fixed count), so a deep run
+offline is one command::
+
+    HYPOTHESIS_PROFILE=deep PYTHONPATH=src python -m pytest tests/properties
+"""
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.context import SystemContext, build_context
 from repro.overlay.peer import Peer
 from repro.overlay.roles import Role
 from repro.overlay.topology import Overlay
 from repro.sim.scheduler import Simulator
+
+settings.register_profile("tier1", max_examples=100)
+settings.register_profile("deep", max_examples=1000)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "tier1"))
+
+
+def examples(multiple: float) -> int:
+    """``max_examples`` of a suite that runs ``multiple`` times the
+    active profile's example count."""
+    return round(multiple * settings.default.max_examples)
 
 
 def add_peer(

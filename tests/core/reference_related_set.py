@@ -5,7 +5,9 @@ related set G as a :class:`RelatedSetView`, estimate µ from it, then run
 the scaled comparison over it.  The evaluator fuses those steps
 (:meth:`repro.core.dlm.DLMPolicy._evaluate_leaf` for a leaf,
 :func:`repro.core.comparison.compare_leaves_observed` for a super); each
-piece below left ``src/`` verbatim with its last caller and is what
+piece below left ``src/`` verbatim with its last caller -- the last two,
+:func:`scaled_fractions` and :func:`decide`, when the leaf verdict took
+its comparison loop and both verdicts the Phase-4 rule inline -- and is what
 ``tests/core/test_dlm_fastpath.py`` and
 ``tests/properties/test_verdict_props.py`` compare the fused paths with.
 
@@ -33,11 +35,15 @@ observer's cached observation of the departed member.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from repro.core.comparison import ComparisonResult, scaled_fractions
+import numpy as np
+
+from repro.core import comparison
+from repro.core.comparison import ComparisonResult
 from repro.core.config import DLMConfig
-from repro.core.decisions import Decision, decide
+from repro.core.decisions import Action, Decision
+from repro.core.scaling import AdaptedParameters
 from repro.core.dlm import DLMPolicy
 from repro.core.equations import mu_inappropriateness
 from repro.overlay.peer import Peer
@@ -50,6 +56,8 @@ __all__ = [
     "super_related_set",
     "mu_for_leaf",
     "compare_against",
+    "scaled_fractions",
+    "decide",
     "ReferenceDLMPolicy",
 ]
 
@@ -166,6 +174,53 @@ def mu_for_leaf(config: DLMConfig, view: RelatedSetView) -> float | None:
     if len(view) == 0 or not view.leaf_counts:
         return None
     return mu_inappropriateness(view.mean_leaf_count, config.k_l)
+
+
+def scaled_fractions(
+    own_capacity: float,
+    own_age: float,
+    capacities: Sequence[float],
+    ages: Sequence[float],
+    x_capa: float,
+    x_age: float,
+) -> ComparisonResult:
+    """Compute (Y_capa, Y_age) for a peer against metric arrays: a plain
+    loop below ``comparison._VECTOR_THRESHOLD`` (read per call, so tests
+    can move it), NumPy at or above.
+
+    Raises ``ValueError`` on an empty or ragged related set -- callers
+    must gate on |G| before comparing (the policy does).
+    """
+    n = len(capacities)
+    if n == 0:
+        raise ValueError("related set is empty; nothing to compare against")
+    if len(ages) != n:
+        raise ValueError(f"ragged view: {n} capacities vs {len(ages)} ages")
+    if n >= comparison._VECTOR_THRESHOLD:
+        caps = np.asarray(capacities, dtype=float)
+        ags = np.asarray(ages, dtype=float)
+        y_capa = float(np.count_nonzero(caps * x_capa > own_capacity)) / n
+        y_age = float(np.count_nonzero(ags * x_age > own_age)) / n
+        return ComparisonResult(y_capa=y_capa, y_age=y_age, g_size=n)
+    hits_c = 0
+    hits_a = 0
+    for c, a in zip(capacities, ages):
+        if c * x_capa > own_capacity:
+            hits_c += 1
+        if a * x_age > own_age:
+            hits_a += 1
+    return ComparisonResult(y_capa=hits_c / n, y_age=hits_a / n, g_size=n)
+
+
+def decide(role: Role, y: ComparisonResult, params: AdaptedParameters) -> Decision:
+    """Apply the Phase-4 rule for the given role."""
+    if role is Role.LEAF:
+        if y.y_capa < params.z_promote and y.y_age < params.z_promote:
+            return Decision(Action.PROMOTE, y, params)
+        return Decision(Action.NONE, y, params)
+    if y.y_capa > params.z_demote and y.y_age > params.z_demote:
+        return Decision(Action.DEMOTE, y, params)
+    return Decision(Action.NONE, y, params)
 
 
 def compare_against(

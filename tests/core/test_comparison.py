@@ -1,11 +1,16 @@
-"""Unit tests for the Phase-3 scaled comparison."""
+"""Unit tests for the Phase-3 scaled comparison, as the reference
+(``tests/core/reference_related_set.py``) states it."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.comparison import _VECTOR_THRESHOLD, scaled_fractions
-from tests.core.reference_related_set import RelatedSetView, compare_against
+from repro.core.comparison import _VECTOR_THRESHOLD
+from tests.core.reference_related_set import (
+    RelatedSetView,
+    compare_against,
+    scaled_fractions,
+)
 
 
 class TestScaledFractions:

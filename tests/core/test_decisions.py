@@ -1,12 +1,14 @@
-"""Unit tests for the Phase-4 decision rule."""
+"""Unit tests for the Phase-4 decision rule, as the reference
+(``tests/core/reference_related_set.py``) states it; the policy runs it
+inline and ``tests/properties/test_verdict_props.py`` holds the two equal."""
 
 from __future__ import annotations
 
-
 from repro.core.comparison import ComparisonResult
-from repro.core.decisions import Action, decide
+from repro.core.decisions import Action
 from repro.core.scaling import AdaptedParameters
 from repro.overlay.roles import Role
+from tests.core.reference_related_set import decide
 
 
 def params(z_promote=0.3, z_demote=0.7):

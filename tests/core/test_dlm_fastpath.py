@@ -14,10 +14,13 @@ import pytest
 
 from repro.context import build_context
 from repro.core.config import DLMConfig
-from repro.core.decisions import decide
 from repro.core.dlm import DLMPolicy
 from repro.overlay.roles import Role
-from tests.core.reference_related_set import compare_against, super_related_set
+from tests.core.reference_related_set import (
+    compare_against,
+    decide,
+    super_related_set,
+)
 
 
 def reference_super_decision(policy, peer, now):

@@ -369,3 +369,16 @@ class TestInvariants:
         ov.store.ln_add(ov.peer(2)._slot, 0, ov.peer(0)._slot)  # sabotage
         with pytest.raises(OverlayError):
             ov.check_invariants()
+
+
+def test_an_emptied_observation_cache_survives_a_snapshot_round_trip():
+    """A cache whose observations were all forgotten snapshots as ``[]``;
+    restore rebuilds it empty instead of dropping it, or a resumed run's
+    ``state_digest`` differs from the run it resumed."""
+    from repro.overlay.knowledge import NeighborKnowledge
+
+    ov = two_supers_one_leaf()
+    ov.store.kn[ov.peer(2)._slot] = NeighborKnowledge()
+    twin = Overlay()
+    twin.restore(ov.snapshot())
+    assert twin.snapshot()["knowledge"] == ov.snapshot()["knowledge"]

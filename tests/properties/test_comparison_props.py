@@ -7,10 +7,10 @@ import math
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.comparison import scaled_fractions
 from repro.core.config import DLMConfig
 from repro.core.equations import mu_inappropriateness
 from repro.core.scaling import ParameterScaler
+from tests.core.reference_related_set import scaled_fractions
 
 positive = st.floats(min_value=1e-3, max_value=1e6, allow_nan=False)
 metric_lists = st.lists(positive, min_size=1, max_size=120)

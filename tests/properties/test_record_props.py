@@ -27,7 +27,8 @@ from hypothesis import strategies as st
 
 import repro.health.plane  # noqa: F401  (registers the health.* schemas)
 from repro.telemetry.export import _record_lines
-from repro.telemetry.records import HEALTH_FIELDS, SCHEMAS, RecordLog
+from repro.telemetry.records import HEALTH_FIELDS, SCHEMAS, AuditLog, RecordLog
+from tests.conftest import examples
 from tests.telemetry.reference_export import ReferenceRing
 
 UNREGISTERED = "x.unregistered%é"
@@ -99,7 +100,7 @@ def assert_same(log: RecordLog, ref: ReferenceRing) -> None:
     assert digest(log.snapshot()) == digest(ref.snapshot())
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=examples(1.5), deadline=None)
 @given(data=st.data())
 def test_log_and_export_match_the_tuple_ring(data):
     draw = data.draw
@@ -129,4 +130,76 @@ def test_log_and_export_match_the_tuple_ring(data):
         values = tuple(draw(st.sampled_from(pool)) for pool in pools[kind])
         log.emit(kind, t, values)
         ref.emit(kind, t, values)
+    assert_same(log, ref)
+
+
+#: ``record_decision``'s fields in call order, each with the values of
+#: the policy's exact type (the bound block's shape; ints beyond int64
+#: widen a column) and the values the guard must send to ``emit``: an
+#: int ``t`` or int-valued clamp, ``np.float64``, ``bool``.
+_F = (0.25, -0.0, NAN, 1e16, 5e-324, 0.5)
+_F_ODD = (3, 0, np.float64(0.25), np.float64(-0.0), True, False)
+_I = (0, 7, 2**63 - 1, 2**63, -(2**63) - 1)
+_I_ODD = (True, False, 2.0)
+DECISION_FIELDS = (
+    ("t", _F, _F_ODD),
+    ("pid", _I, _I_ODD),
+    ("role", ("leaf", "super"), ()),
+    ("verdict", ("promote", "demote", "none"), ()),
+    ("mu", _F, _F_ODD),
+    ("g_size", _I, _I_ODD),
+    ("y_capa", _F, _F_ODD),
+    ("y_age", _F, _F_ODD),
+    ("x_capa", _F, _F_ODD),
+    ("x_age", _F, _F_ODD),
+    ("z_promote", _F, _F_ODD),
+    ("z_demote", _F, _F_ODD),
+)
+_OPS = ["decision"] * 6 + ["emit"] * 3 + ["clear", "restore"]
+
+
+@settings(max_examples=examples(1.5), deadline=None)
+@given(data=st.data())
+def test_bound_audit_appends_match_the_emit_only_ring(data):
+    """``record_decision`` appends straight into its bound block; the
+    stream must read as if every record had gone through ``emit``, also
+    after ``clear()`` and a snapshot/restore of the same log object (a
+    block kept across either is a stale one)."""
+    draw = data.draw
+    capacity = draw(st.sampled_from(CAPACITIES), label="capacity")
+    level = draw(st.sampled_from(["full", "actions"]), label="level")
+    log, ref = RecordLog(capacity), ReferenceRing(capacity)
+    audit = AuditLog(log, level=level)
+    tallies: dict = {}
+    widths = {kind: draw(st.integers(1, width)) for kind, width in KINDS.items()}
+    for op in draw(st.lists(st.sampled_from(_OPS), max_size=60), label="ops"):
+        if op == "clear":
+            log.clear()
+            ref.clear()
+        elif op == "restore":
+            state = round_trip(log.snapshot())
+            log.restore(state)
+            ref.restore(round_trip(state))
+        elif op == "emit":
+            kind = draw(st.sampled_from(sorted(KINDS)))
+            t = draw(st.sampled_from(TIMES))
+            values = tuple(draw(st.sampled_from(VALUES)) for _ in range(widths[kind]))
+            log.emit(kind, t, values)
+            ref.emit(kind, t, values)
+        else:
+            fields = [draw(st.sampled_from(exact)) for _, exact, _ in DECISION_FIELDS]
+            odd = [i for i, (_, _, values) in enumerate(DECISION_FIELDS) if values]
+            for i in draw(st.lists(st.sampled_from(odd), max_size=2), label="odd"):
+                fields[i] = draw(st.sampled_from(DECISION_FIELDS[i][2]))
+            t, pid, role, verdict, mu, g_size, *rest = fields
+            if draw(st.booleans(), label="by keyword"):
+                named = {name: v for (name, _, _), v in zip(DECISION_FIELDS, fields)}
+                audit.record_decision(**named)
+            else:
+                audit.record_decision(*fields)
+            tallies[verdict] = tallies.get(verdict, 0) + 1
+            if verdict != "none" or level == "full":
+                values = (pid, role, verdict, None, mu, g_size, None, *rest)
+                ref.emit("audit", t, values)
+    assert audit.verdict_counts == tallies
     assert_same(log, ref)

@@ -16,8 +16,10 @@ counters -- and the two systems must agree on all of it, exactly.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,6 +30,7 @@ from repro.core.dlm import DLMPolicy
 from repro.core.transitions import TransitionExecutor
 from repro.overlay.roles import Role
 from repro.protocol.faults import FaultPlan
+from tests.conftest import examples
 from tests.core.reference_related_set import ReferenceDLMPolicy
 
 #: One op is (name, pick, amount): ``pick`` selects the peer a death or
@@ -186,7 +189,7 @@ _shape = dict(
 
 
 @given(**_shape)
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(3), deadline=None)
 def test_fused_verdicts_match_the_oracle_omniscient(
     ops, current_only, min_g, threshold
 ):
@@ -198,7 +201,7 @@ def test_fused_verdicts_match_the_oracle_omniscient(
     loss=st.sampled_from([0.0, 0.3, 0.6]),
     **_shape,
 )
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(3), deadline=None)
 def test_fused_verdicts_match_the_oracle_observed(
     ops, current_only, min_g, threshold, horizon, loss
 ):
@@ -212,3 +215,15 @@ def test_fused_verdicts_match_the_oracle_observed(
         staleness_horizon=horizon,
     )
     _differential(ops, faults, current_only, min_g, threshold)
+
+
+def test_the_mu_memo_shares_frozen_parameters():
+    """``ComparisonResult`` and ``Decision`` are built fresh per verdict
+    and are not frozen; the :class:`AdaptedParameters` they carry is the
+    µ memo's entry, shared by every verdict at that µ, so it must be."""
+    policy = DLMPolicy(DLMConfig())
+    params = policy.scaler.adapt(0.5)
+    assert policy.scaler.adapt(0.5) is params
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        params.x_capa = 2.0
+    assert policy.scaler.adapt(0.5).x_capa == params.x_capa != 2.0

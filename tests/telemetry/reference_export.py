@@ -55,6 +55,10 @@ class ReferenceRing:
             "records": [list(r[:3]) + [list(r[3])] for r in self.ring],
         }
 
+    def clear(self):
+        """Drop the retained records; the sequence number keeps counting."""
+        self.ring.clear()
+
     def restore(self, state):
         self.next_seq = state["next_seq"]
         self.dropped = state["dropped"]
