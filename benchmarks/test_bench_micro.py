@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.comparison import compare_leaves_observed
 from repro.experiments.configs import SearchConfig
 from repro.experiments.runner import run_experiment
 from repro.search.flooding import FloodRouter
 from repro.sim.scheduler import Simulator
 from repro.util.indexed_set import IndexedSet
-from tests.core.reference_related_set import scaled_fractions
 
 
 def test_bench_event_throughput(benchmark):
@@ -39,17 +39,21 @@ def test_bench_event_throughput(benchmark):
     assert benchmark(run) == 50_000
 
 
-def test_bench_scaled_comparison_super(benchmark, rng_values=None):
-    """The scaled comparison (the reference copy in tests/) against a full
-    k_l=80 related set."""
-    rng = np.random.default_rng(0)
-    caps = list(rng.uniform(1, 600, 80))
-    ages = list(rng.uniform(1, 500, 80))
+def test_bench_scaled_comparison_super(benchmark, bench_cfg):
+    """The super verdict's scaled comparison: one observed pass over the
+    leaves of the fullest super in a settled bench-scale overlay."""
+    result = run_experiment(bench_cfg.with_(horizon=300.0))
+    overlay, now = result.overlay, result.ctx.now
+    supers = map(overlay.peer, overlay.super_ids)
+    peer = max(supers, key=lambda p: len(p.leaf_neighbors))
+    members = peer._store.ln[peer._slot]
 
-    result = benchmark(
-        lambda: scaled_fractions(100.0, 100.0, caps, ages, 0.8, 1.2)
+    y, missing = benchmark(
+        lambda: compare_leaves_observed(
+            result.ctx.knowledge, peer, members, now, 0.8, 1.2
+        )
     )
-    assert 0.0 <= result.y_capa <= 1.0
+    assert 0.0 <= y.y_capa <= 1.0 and y.g_size == len(members) and missing == 0
 
 
 def test_bench_indexed_set_churn(benchmark):

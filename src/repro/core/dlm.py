@@ -55,7 +55,7 @@ import numpy as np
 from ..context import SystemContext
 from ..overlay.peer import Peer
 from ..overlay.roles import ROLE_SUPER
-from ..protocol.knowledge import UNKNOWN, OmniscientKnowledge
+from ..protocol.knowledge import UNKNOWN
 from ..sim.events import EventKind
 from ..sim.processes import PeriodicProcess
 from .comparison import ComparisonResult, compare_leaves_observed
@@ -242,6 +242,8 @@ class DLMPolicy(LayerPolicy):
         was deferred for missing Phase-1 knowledge; or the related set
         is too small to compare against -- a leaf's G(l), or a super's
         leaves, where the forced-demotion rule may demote it instead.
+        ``repro profile evaluate`` (``profile._count_exits``) mirrors the
+        first four guards in this order to split the exits.
         """
         peer = self._get(pid)
         if peer is None:
@@ -310,8 +312,7 @@ class DLMPolicy(LayerPolicy):
         G(l) is the ``ct`` column (every super contacted since join), or
         the current links under ``leaf_g_current_only`` (ablation A4).
         Member values come through the knowledge source, never from live
-        state -- the omniscient plane's are its store columns, read here
-        directly; a member that has left or been demoted is dropped from
+        state; a member that has left or been demoted is dropped from
         ``ct`` and from the observation cache (DESIGN.md: ghosts would
         let a leaf compare itself against peers that no longer exist).
         """
@@ -320,44 +321,26 @@ class DLMPolicy(LayerPolicy):
         if not store.eligible[slot]:
             return None  # §2 capability requirements gate promotion
         config = self.config
-        knowledge = self._knowledge
+        observe = self._knowledge.observe_super
         caps: List[float] = []
         ages: List[float] = []
         dead: List[int] = []
         missing = 0
         lnn_sum = 0
         lnn_n = 0
-        members = (store.sn if config.leaf_g_current_only else store.ct)[slot]
-        if type(knowledge) is OmniscientKnowledge:
-            # ``observe_super`` without the call: a live super's columns,
-            # and every member observed with its l_nn.
-            get = self._get
-            role, cap_col, join_col = store.role, store.capacity, store.join_time
-            lnn_col = store.n_leaf_links
-            for sid in members:
-                member = get(sid)
-                if member is None or not role[s := member._slot]:
-                    dead.append(sid)
-                else:
-                    caps.append(cap_col[s])
-                    ages.append(now - join_col[s])
-                    lnn_sum += lnn_col[s]
-            lnn_n = len(caps)
-        else:
-            observe = knowledge.observe_super
-            for sid in members:
-                obs = observe(peer, sid, now)
-                if obs is None:
-                    dead.append(sid)
-                elif obs is UNKNOWN:
-                    missing += 1
-                else:
-                    cap, age, l_nn = obs
-                    caps.append(cap)
-                    ages.append(age)
-                    if l_nn is not None:
-                        lnn_sum += l_nn
-                        lnn_n += 1
+        for sid in (store.sn if config.leaf_g_current_only else store.ct)[slot]:
+            obs = observe(peer, sid, now)
+            if obs is None:
+                dead.append(sid)
+            elif obs is UNKNOWN:
+                missing += 1
+            else:
+                cap, age, l_nn = obs
+                caps.append(cap)
+                ages.append(age)
+                if l_nn is not None:
+                    lnn_sum += l_nn
+                    lnn_n += 1
         if dead:
             # Read the observation cache without vivifying it: omniscient
             # runs never populate one, and pruning must not allocate one

@@ -28,7 +28,7 @@ import sys
 from array import array
 from itertools import compress, islice, repeat
 from types import NoneType
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -210,9 +210,6 @@ class RecordLog:
         self._capacity = math.inf if capacity is None else capacity
         self._next_seq = 0
         self.dropped = 0
-        #: Zero-arg callbacks run by :meth:`clear` (and so by
-        #: :meth:`restore`): whoever holds a :meth:`block` drops it there.
-        self.on_clear: List[Callable[[], None]] = []
         self.clear()
 
     def emit(self, kind: str, t: float, values: tuple) -> None:
@@ -223,8 +220,7 @@ class RecordLog:
 
     def block(self, key: tuple) -> _Block:
         """The block of shape ``key`` -- ``(kind, type(t), *value types)``
-        -- created on first use.  A caller that keeps it must re-fetch it
-        after :meth:`clear` (see :attr:`on_clear`)."""
+        -- created on first use; :meth:`clear` drops every block."""
         block = self._shapes.get(key)
         if block is None:
             block = self._shapes[key] = _Block(len(self.blocks), key[0], key[1:])
@@ -309,8 +305,6 @@ class RecordLog:
         self.blocks: List[_Block] = []
         self._ids = array("I")
         self._head = 0
-        for unbind in self.on_clear:
-            unbind()
 
     # -- checkpointing -----------------------------------------------------
     def snapshot(self) -> dict:
@@ -353,13 +347,6 @@ class AuditLog:
         self._log = log
         self.level = level
         self.verdict_counts: Dict[str, int] = {}
-        # The decision shape's block, fetched on the first decision record
-        # and again after every ``log.clear()`` / ``log.restore()``.
-        self._block: Optional[_Block] = None
-        log.on_clear.append(self._unbind)
-
-    def _unbind(self) -> None:
-        self._block = None
 
     def _tally(self, verdict: str) -> None:
         counts = self.verdict_counts
@@ -401,10 +388,8 @@ class AuditLog:
             and type(pid) is type(g_size) is int
             and type(role) is type(verdict) is str
         ):
-            block = self._block
-            if block is None:
-                block = self._block = self._log.block(_DECISION)
-            self._log.append(block, cells)
+            log = self._log
+            log.append(log.block(_DECISION), cells)
         else:
             values = (pid, role, verdict, None, mu, g_size, None, *cells[6:])
             self._log.emit("audit", t, values)

@@ -134,7 +134,7 @@ def test_log_and_export_match_the_tuple_ring(data):
 
 
 #: ``record_decision``'s fields in call order, each with the values of
-#: the policy's exact type (the bound block's shape; ints beyond int64
+#: the policy's exact type (the decision shape; ints beyond int64
 #: widen a column) and the values the guard must send to ``emit``: an
 #: int ``t`` or int-valued clamp, ``np.float64``, ``bool``.
 _F = (0.25, -0.0, NAN, 1e16, 5e-324, 0.5)
@@ -161,7 +161,7 @@ _OPS = ["decision"] * 6 + ["emit"] * 3 + ["clear", "restore"]
 @settings(max_examples=examples(1.5), deadline=None)
 @given(data=st.data())
 def test_bound_audit_appends_match_the_emit_only_ring(data):
-    """``record_decision`` appends straight into its bound block; the
+    """``record_decision`` appends straight into its shape's block; the
     stream must read as if every record had gone through ``emit``, also
     after ``clear()`` and a snapshot/restore of the same log object (a
     block kept across either is a stale one)."""
