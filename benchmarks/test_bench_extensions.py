@@ -1,8 +1,7 @@
-"""Extension benches E1-E3 (DESIGN.md §4)."""
+"""Extension benches E1-E2 (DESIGN.md §4)."""
 
 from __future__ import annotations
 
-from repro.analysis.validation import validate_equation_a, validate_equation_b
 from repro.baselines.oracle import OraclePolicy
 from repro.experiments.configs import SearchConfig
 from repro.experiments.runner import run_experiment
@@ -110,42 +109,3 @@ def test_bench_e2_dlm_vs_oracle(benchmark, bench_cfg):
     assert d_cap_sep > 1.2
     assert o_age_sep > 1.5 and o_cap_sep > 1.2
 
-
-def test_bench_e3_equation_validation(benchmark, bench_cfg):
-    """E3: Equations a and b hold on a DLM-evolved overlay."""
-    cfg = bench_cfg.with_(horizon=500.0)
-
-    def run():
-        result = run_experiment(cfg)
-        a = validate_equation_a(result.overlay, m=cfg.m)
-        b_achieved = validate_equation_b(
-            result.overlay, eta=result.overlay.layer_size_ratio()
-        )
-        b_target = validate_equation_b(result.overlay, eta=cfg.eta)
-        return a, b_achieved, b_target
-
-    a, b_achieved, b_target = benchmark.pedantic(run, rounds=1, iterations=1)
-    emit(
-        "Extension E3 -- empirical validation of Equations a/b",
-        render_table(
-            ["equation", "predicted", "observed", "rel. error"],
-            [
-                ("a: mean l_nn = m*eta_now", a.predicted, a.observed, a.relative_error),
-                (
-                    "b at achieved eta",
-                    b_achieved.predicted,
-                    b_achieved.observed,
-                    b_achieved.relative_error,
-                ),
-                (
-                    "b at target eta (policy gap)",
-                    b_target.predicted,
-                    b_target.observed,
-                    b_target.relative_error,
-                ),
-            ],
-        ),
-    )
-    assert a.relative_error < 1e-9  # identity
-    assert b_achieved.relative_error < 0.01  # identity up to rounding
-    assert b_target.relative_error < 0.35  # how close DLM drove the ratio

@@ -1,13 +1,8 @@
-"""Offline analysis: graph statistics, equation validation, convergence."""
+"""Offline analysis: graph statistics, concentration, convergence, coverage."""
 
 from .concentration import ConcentrationReport, gini, measure_lnn_concentration
 from .convergence import ConvergenceReport, analyze_ratio_convergence
 from .search_coverage import CoverageReport, measure_coverage
-from .validation import (
-    EquationCheck,
-    validate_equation_a,
-    validate_equation_b,
-)
 
 __all__ = [
     "ConcentrationReport",
@@ -20,9 +15,6 @@ __all__ = [
     "backbone_connectivity",
     "CoverageReport",
     "measure_coverage",
-    "EquationCheck",
-    "validate_equation_a",
-    "validate_equation_b",
 ]
 
 

@@ -5,7 +5,7 @@ subcommand, and so are the tools around the runs::
 
     repro list                       the artifacts, one line each
     repro <id> [run options]         run one; print its render and shape metrics
-    repro report [run options]       regenerate EXPERIMENTS.md on stdout
+    repro report [run options]       regenerate EXPERIMENTS.md; judge the claims
     repro resume PATH [options]      continue a checkpointed run
     repro profile TARGET [options]   cProfile an artifact, or a micro-workload
     repro stats|trace RUN            read an exported telemetry JSONL
@@ -17,13 +17,13 @@ The run options are one parent parser shared by ``<id>``, ``report``,
 they become an ``ExperimentConfig``.  A command refuses an option it
 cannot honour rather than drop it.
 
-Exit codes: 0 OK; 1 the run or its health verdict failed (a shard
-worker died, a flight bundle could not be written mid-run; ``repro
-health`` on an SLO failure); 2 bad usage or input -- an inapplicable
-option, a malformed ``--slo``, an output path that cannot be written
-(checked before the run starts), an unreadable or corrupt checkpoint, a
-missing JSONL or shard, a torn line.  A 1 for a failed run and every 2
-are one ``error: ...`` line on stderr.
+Exit codes: 0 OK; 1 the run or its verdict failed (a shard worker died,
+a flight bundle could not be written mid-run; ``repro health`` on an SLO
+failure; ``repro report`` on a claim's band FAIL); 2 bad usage or input
+-- an inapplicable option, a malformed ``--slo``, an output path that
+cannot be written (checked before the run starts), an unreadable or
+corrupt checkpoint, a missing JSONL or shard, a torn line.  A 1 for a
+failed run or band and every 2 are one ``error: ...`` line on stderr.
 Status lines go through :mod:`logging` on stderr (``-v``/``-q``);
 rendered figures and tables go to stdout, where they can be piped.
 """
@@ -208,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(exp.exp_id, parents=[run], help=help_text)
         p.set_defaults(handler=_cmd_run, exp=exp)
     sub.add_parser("list", help="list the artifacts").set_defaults(handler=_cmd_list)
-    p = sub.add_parser("report", parents=[run], help="print EXPERIMENTS.md")
+    p = sub.add_parser("report", parents=[run], help="print and judge EXPERIMENTS.md")
     p.set_defaults(handler=_cmd_report)
     p = sub.add_parser("resume", parents=[run], help="continue a checkpointed run")
     p.add_argument("path", help="checkpoint file written by --checkpoint-path")
@@ -477,13 +477,16 @@ def _cmd_list(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    """``repro report``: EXPERIMENTS.md content on stdout."""
+    """``repro report``: EXPERIMENTS.md on stdout; 1 if a claim's band FAILed."""
     from .experiments.registry import SINGLE_RUN_OUTPUTS
     from .experiments.report import generate_experiments_report
 
     _refuse(args, ("save", *SINGLE_RUN_OUTPUTS), "report")
-    print(generate_experiments_report(build_config(args)))
-    return 0
+    report, failed = generate_experiments_report(build_config(args))
+    print(report)
+    if failed:
+        print(f"error: band FAIL: {', '.join(failed)}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 def _cmd_resume(args) -> int:

@@ -10,8 +10,9 @@ and with ``n_s + n_l = n`` and ``η = n_l / n_s``,
 
     n_s = n / (1 + η)                                       (Equation b)
 
-These are identities about averages, validated empirically on simulated
-overlays in :mod:`repro.analysis.validation`.
+These are identities about averages: ``Overlay.check_invariants`` proves
+every leaf link from both ends (Equation a), and Equation b at the target
+η is the Figure 6 row's banded ``tail_ratio_error`` in other units.
 """
 
 from __future__ import annotations

@@ -104,15 +104,15 @@ def run_comparison(config: ExperimentConfig | None = None) -> ComparisonRun:
 
 
 def figure7_shape(run: ComparisonRun) -> Dict[str, float]:
-    """Figure 7: per-policy ratio swing and tail error, and both success
-    rates (the caption's "on same success rate")."""
+    """Figure 7: per-policy ratio swing and tail error, both success rates
+    (the caption's "on same success rate"), the swing ratio and rate gap."""
     cfg = run.dlm.config
     t0 = tail_start(cfg)
     dlm_ratio = run.dlm.series["ratio"]
     pre_ratio = run.preconfigured.series["ratio"]
     dlm_q = run.dlm.query_stats
     pre_q = run.preconfigured.query_stats
-    return {
+    s = {
         "eta_target": cfg.eta,
         "dlm_ratio_mean": summarize(dlm_ratio, t0, cfg.horizon).mean,
         "pre_ratio_mean": summarize(pre_ratio, t0, cfg.horizon).mean,
@@ -124,6 +124,9 @@ def figure7_shape(run: ComparisonRun) -> Dict[str, float]:
         "dlm_success_rate": dlm_q.success_rate if dlm_q else float("nan"),
         "pre_success_rate": pre_q.success_rate if pre_q else float("nan"),
     }
+    s["swing_ratio"] = s["pre_ratio_swing"] / max(s["dlm_ratio_swing"], 1e-9)
+    s["success_gap"] = abs(s["dlm_success_rate"] - s["pre_success_rate"])
+    return s
 
 
 def figure7_render(run: ComparisonRun) -> str:
@@ -143,13 +146,14 @@ def figure7_render(run: ComparisonRun) -> str:
 
 
 def figure8_shape(run: ComparisonRun) -> Dict[str, float]:
-    """Figure 8: each policy's age separation and DLM's super-age gap."""
+    """Figure 8: each policy's age separation, DLM's over the baseline's,
+    and DLM's super-age gap."""
     cfg = run.dlm.config
     t0 = tail_start(cfg)
     dlm, pre = run.dlm.series, run.preconfigured.series
     dlm_super_age = summarize(dlm["super_mean_age"], t0, cfg.horizon).mean
     pre_super_age = summarize(pre["super_mean_age"], t0, cfg.horizon).mean
-    return {
+    s = {
         "dlm_age_separation": separation_factor(
             dlm["super_mean_age"], dlm["leaf_mean_age"], t0, cfg.horizon
         ),
@@ -162,6 +166,9 @@ def figure8_shape(run: ComparisonRun) -> Dict[str, float]:
             dlm_super_age / pre_super_age if pre_super_age else float("inf")
         ),
     }
+    pre_sep = max(s["pre_age_separation"], 1e-9)
+    s["age_separation_ratio"] = s["dlm_age_separation"] / pre_sep
+    return s
 
 
 def figure8_render(run: ComparisonRun) -> str:

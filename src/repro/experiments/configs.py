@@ -219,7 +219,7 @@ def table2_config() -> ExperimentConfig:
 
 
 def bench_config() -> ExperimentConfig:
-    """Laptop-scale default used by the benchmark harness.
+    """Laptop-scale default: ``repro report`` and the claims' bands.
 
     Same η/m/k_s/horizon/distributions as Table 2 at 1/25th of the
     population (n = 2 000), which runs one full dynamic scenario in

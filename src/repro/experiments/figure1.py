@@ -62,13 +62,15 @@ class Figure1Result:
         ratios_pre = {mix: pre for mix, pre, _ in self.rows}
         ratios_dlm = {mix: dlm for mix, _, dlm in self.rows}
         (a, b, c) = [m for m, _ in ARRIVAL_MIXES]
-        return {
+        s = {
             "pre_b_over_a": ratios_pre[b] / ratios_pre[a],
             "pre_c_over_a": ratios_pre[c] / ratios_pre[a],
             "dlm_spread": (
                 max(ratios_dlm.values()) / max(1e-9, min(ratios_dlm.values()))
             ),
         }
+        s["spread_vs_pre"] = s["dlm_spread"] * s["pre_b_over_a"] / s["pre_c_over_a"]
+        return s
 
 
 def _run_mix(spec) -> Tuple[str, float, float]:

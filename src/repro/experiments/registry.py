@@ -3,16 +3,19 @@
 Each :class:`Experiment` row carries everything its callers need: how to
 run the artifact on a config, reduce the result to shape metrics and
 render it, and -- for the rows ``repro report`` covers -- the paper's
-claim and how to read the measured shape.  ``repro <id>``, ``repro
+claim, how to read the measured shape, and the claim's bands, which
+``repro report`` judges (:func:`judge`).  ``repro <id>``, ``repro
 report``, ``repro profile`` and :func:`~.replication.replicate` read the
 rows and never branch on an id.  DESIGN.md §3 maps each row to the code
-behind it.
+behind it and gives each band's six-seed spread.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple
+import math
+import numbers
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from .comparison_run import (
     figure7_render,
@@ -40,6 +43,7 @@ from .table3 import PAPER_SIZES, Table3Result, run_table3
 __all__ = [
     "Experiment",
     "EXPERIMENTS",
+    "judge",
     "SINGLE_RUN_OUTPUTS",
     "get_experiment",
     "all_ids",
@@ -50,6 +54,10 @@ __all__ = [
 #: so its row refuses them.
 SINGLE_RUN_OUTPUTS = ("audit_jsonl", "chrome_trace", "flight_recorder")
 SINGLE_RUN_OUTPUTS += ("checkpoint_every", "checkpoint_path")
+
+#: A claim's band: a closed interval; ``INF`` leaves one side open.
+Band = Tuple[float, float]
+INF = math.inf
 
 
 @dataclass(frozen=True)
@@ -80,6 +88,22 @@ class Experiment:
     check: Optional[Callable[[Any], Optional[str]]] = None
     #: ``repro report`` runs the artifact to at most this horizon.
     report_horizon: Optional[float] = None
+    #: The claim's bands at the report's scale: metric -> ``(lo, hi)``.
+    bands: Mapping[str, Band] = field(default_factory=dict)
+
+
+def judge(shape: Mapping[str, object], bands: Mapping[str, Band]) -> List[tuple]:
+    """``(metric, measured, band, "PASS"|"FAIL")`` per banded metric.
+
+    A metric passes when its value lies in the closed band; a missing
+    metric, a NaN or a non-numeric value fails.  A bool reads as 0/1.
+    """
+    rows = []
+    for metric, (lo, hi) in bands.items():
+        value = shape.get(metric)
+        ok = isinstance(value, numbers.Real) and lo <= value <= hi
+        rows.append((metric, value, (lo, hi), "PASS" if ok else "FAIL"))
+    return rows
 
 
 def _run_figure23(config) -> Figure23Result:
@@ -106,11 +130,16 @@ EXPERIMENTS: Dict[str, Experiment] = {
                 "**Reading.** The preconfigured ratio moves by the measured "
                 "`pre_b_over_a`/`pre_c_over_a` factors purely because the "
                 "arrival mix changed; DLM's spread across the same three "
-                "mixes (`dlm_spread`) stays near 1.  Matches Figure 1's "
-                "argument."
+                "mixes (`dlm_spread`) stays near 1, a small share of the "
+                "threshold's (`spread_vs_pre`).  Matches Figure 1's argument."
             ),
             report_horizon=600.0,
             ignores=SINGLE_RUN_OUTPUTS,
+            bands={
+                "pre_b_over_a": (-INF, 0.18),
+                "pre_c_over_a": (8.9, INF),
+                "spread_vs_pre": (-INF, 0.014),
+            },
         ),
         Experiment(
             "figure2_3",
@@ -138,6 +167,11 @@ EXPERIMENTS: Dict[str, Experiment] = {
                 "at every sample after warm-up (`ordering_violations = 0`), "
                 "through the lifetime-mean halving.  Matches the paper."
             ),
+            bands={
+                "separation_factor": (6.8, INF),
+                "ordering_violations": (0, 0),
+                "samples": (180, INF),
+            },
         ),
         Experiment(
             "figure5",
@@ -168,6 +202,11 @@ EXPERIMENTS: Dict[str, Experiment] = {
                 "electing young peers on capacity alone is exactly what the "
                 "paper criticizes the threshold baseline for."
             ),
+            bands={
+                "separation_pre_shift": (1.3, INF),
+                "separation_final": (1.1, INF),
+                "super_capacity_uplift": (1.2, INF),
+            },
         ),
         Experiment(
             "figure6",
@@ -187,6 +226,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
                 "axis the measured swing renders as the same near-flat "
                 "parallel lines."
             ),
+            bands={"tail_ratio_error": (-INF, 0.13), "ratio_swing": (-INF, 1.1)},
         ),
         Experiment(
             "figure7",
@@ -203,10 +243,16 @@ EXPERIMENTS: Dict[str, Experiment] = {
             reading=(
                 "**Reading.** The preconfigured baseline's ratio oscillates "
                 "with the workload period (`pre_ratio_swing`) while DLM's "
-                "stays pinned (`dlm_ratio_swing`), at success rates within a "
-                "few percent of each other -- the paper's 'on same success "
-                "rate' framing."
+                "stays pinned (`dlm_ratio_swing`; `swing_ratio` is the "
+                "first over the second), at success rates within a fraction "
+                "of a percent of each other (`success_gap`) -- the paper's "
+                "'on same success rate' framing."
             ),
+            bands={
+                "dlm_ratio_error": (-INF, 0.072),
+                "swing_ratio": (2.6, INF),
+                "success_gap": (-INF, 0.0063),
+            },
             ignores=SINGLE_RUN_OUTPUTS,
         ),
         Experiment(
@@ -224,10 +270,15 @@ EXPERIMENTS: Dict[str, Experiment] = {
             reading=(
                 "**Reading.** DLM separates the layers by age "
                 "(`dlm_age_separation`) where the capacity threshold cannot "
-                "(`pre_age_separation` ≈ 1 or below: its super-peers are no "
-                "older than its leaves), and DLM's super-layer is older in "
+                "(`pre_age_separation` ≈ 1: its super-peers are barely "
+                "older than its leaves; `age_separation_ratio` is the first "
+                "over the second), and DLM's super-layer is older in "
                 "absolute terms (`super_age_advantage`)."
             ),
+            bands={
+                "age_separation_ratio": (4.9, INF),
+                "super_age_advantage": (4.4, INF),
+            },
             ignores=SINGLE_RUN_OUTPUTS,
         ),
         Experiment(
@@ -245,7 +296,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
             reading=(
                 "**Reading & deviation.** PAO/NLCO stays a small percentage "
                 "and the largest network does no worse than the smallest "
-                "(`monotone_trend`).  The absolute percentages exceed the "
+                "(`trend_ratio` ≤ 1).  The absolute percentages exceed the "
                 "paper's sub-percent values: our calibrated DLM demotes more "
                 "readily at laptop scale (hundreds of super-peers rather "
                 "than thousands, so ``l_nn`` concentration -- the very "
@@ -253,6 +304,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
                 "weaker).  The paper's own explanation thus predicts our "
                 "numbers too."
             ),
+            bands={"max_pao_nlco_percent": (-INF, 12.0), "trend_ratio": (-INF, 1.0)},
             paper_sizes=PAPER_SIZES,
             # Each size runs to settle + window on a single-engine
             # harness that steps its run by hand.

@@ -1,11 +1,12 @@
-"""EXPERIMENTS.md generation: paper-vs-measured for every artifact.
+"""EXPERIMENTS.md generation: paper vs. measured, judged per claim.
 
 Runs every registry row that carries a paper claim at the requested
 scale and renders a markdown report with, per table/figure: the paper's
-claim, the measured shape metrics, the ASCII rendition, and how to read
-them.  The checked-in ``EXPERIMENTS.md`` is the output of::
+claim, the measured shape metrics with each band and its verdict, the
+ASCII rendition, and how to read them.  The checked-in
+``EXPERIMENTS.md`` is the output of::
 
-    repro report            # bench scale, ~4 minutes
+    repro report            # bench scale; exits 1 if a band FAILs
 
 so it can be regenerated after any change.
 """
@@ -14,23 +15,31 @@ from __future__ import annotations
 
 import io
 import time
-from typing import Mapping, Optional
+from typing import List, Mapping, Optional, Tuple
 
 from .configs import ExperimentConfig, bench_config
-from .registry import EXPERIMENTS
+from .registry import EXPERIMENTS, INF, judge
 from .table3 import BENCH_SIZES
 
 __all__ = ["generate_experiments_report"]
 
 
-def _shape_table(shape: Mapping[str, object]) -> str:
-    lines = ["| metric | measured |", "|---|---|"]
-    for key, value in shape.items():
-        if isinstance(value, float):
-            lines.append(f"| {key} | {value:.4g} |")
-        else:
-            lines.append(f"| {key} | {value} |")
-    return "\n".join(lines)
+def _band(lo: float, hi: float) -> str:
+    if lo == -INF or hi == INF:
+        return f"≤ {hi:g}" if lo == -INF else f"≥ {lo:g}"
+    return f"= {lo:g}" if lo == hi else f"[{lo:g}, {hi:g}]"
+
+
+def _shape_table(shape: Mapping, bands: Mapping) -> Tuple[str, List[str]]:
+    """The markdown table and the banded metrics that FAILed."""
+    judged = {m: (_band(*band), v) for m, _, band, v in judge(shape, bands)}
+    lines = ["| metric | measured | band | verdict |", "|---|---|---|---|"]
+    for key in [*shape, *(m for m in bands if m not in shape)]:
+        value = shape.get(key, "missing")
+        cell = f"{value:.4g}" if isinstance(value, float) else value
+        band, verdict = judged.get(key, ("", ""))
+        lines.append(f"| {key} | {cell} | {band} | {verdict} |")
+    return "\n".join(lines), [m for m, (_, v) in judged.items() if v == "FAIL"]
 
 
 def generate_experiments_report(
@@ -40,8 +49,9 @@ def generate_experiments_report(
     table3_sizes: Optional[tuple] = None,
     table3_settle: float = 800.0,
     table3_window: float = 400.0,
-) -> str:
-    """Run every reported artifact and return the markdown report.
+) -> Tuple[str, List[str]]:
+    """Run every reported artifact; return the markdown report and the
+    ``"<id> <metric>"`` names of the bands that FAILed.
 
     ``table3_sizes``/``table3_settle``/``table3_window`` let callers
     shrink the Table-3 sweep (it dominates the report's runtime at the
@@ -55,6 +65,9 @@ def generate_experiments_report(
     }
     out = io.StringIO()
     w = out.write
+    failed: List[str] = []
+    # (run, config) -> (result, artifact): Figures 4-6 and 7-8 share runs.
+    runs: dict = {}
 
     w("# EXPERIMENTS — paper vs. measured\n\n")
     w(
@@ -66,8 +79,10 @@ def generate_experiments_report(
         "to match the authors' unspecified simulator; *shapes* are.\n\n"
     )
     w(
-        "Interpretation notes, including the one deliberate deviation "
-        "(Figure 5's transient inversion), follow each artifact.\n\n"
+        "Each claimed metric is judged against its registry row's band "
+        "(DESIGN.md §3 gives each band's six-seed spread).  Interpretation "
+        "notes, including the one deliberate deviation (Figure 5's "
+        "transient inversion), follow each artifact.\n\n"
     )
 
     for exp in EXPERIMENTS.values():
@@ -76,19 +91,26 @@ def generate_experiments_report(
         run_cfg = cfg
         if exp.report_horizon is not None:
             run_cfg = cfg.with_(horizon=min(exp.report_horizon, cfg.horizon))
-        started = time.perf_counter()
-        result = exp.run(run_cfg, **sweep) if exp.paper_sizes else exp.run(run_cfg)
-        elapsed = time.perf_counter() - started
+        key = (exp.run, run_cfg)
+        if key in runs:
+            result, note = runs[key][0], f"*Same run as {runs[key][1]}.*"
+        else:
+            started = time.perf_counter()
+            result = exp.run(run_cfg, **sweep) if exp.paper_sizes else exp.run(run_cfg)
+            note = f"*Run time: {time.perf_counter() - started:.1f}s.*"
+            runs[key] = (result, exp.paper_artifact)
+        table, fails = _shape_table(exp.shape(result), exp.bands)
+        failed += [f"{exp.exp_id} {m}" for m in fails]
         w(f"## {exp.paper_artifact}\n\n")
         w(f"**Paper claim.** {exp.claim}\n\n")
         w("**Measured shape.**\n\n")
-        w(_shape_table(exp.shape(result)))
+        w(table)
         w("\n\n")
         if include_renders:
             w("```\n")
             w(exp.render(result))
             w("\n```\n\n")
-        w(f"*Run time: {elapsed:.1f}s.*\n\n")
+        w(f"{note}\n\n")
         w(exp.reading)
         w("\n\n")
 
@@ -102,4 +124,4 @@ def generate_experiments_report(
         "tested in `tests/experiments/test_configs.py`; every run above "
         "derives from it.\n"
     )
-    return out.getvalue()
+    return out.getvalue(), failed

@@ -64,12 +64,8 @@ class Table3Result:
         )
 
     def check_shape(self) -> dict:
-        """Shape metrics: all percentages small; the largest size's
-        percentage no worse than the smallest's (``trend_ratio`` <= 1 is
-        the paper's decreasing trend; at laptop sizes the demotion rate
-        is a handful of events per window, so the ratio carries sampling
-        noise -- the full-scale appendix in EXPERIMENTS.md shows the
-        clean monotone decrease at the paper's 5k/20k/80k)."""
+        """Shape metrics: the largest percentage, and the last size's over
+        the first's (``trend_ratio``; its band's seed spread: DESIGN.md §3)."""
         pcts = [r.pao_nlco_percent for r in self.rows]
         return {
             "max_pao_nlco_percent": max(pcts),

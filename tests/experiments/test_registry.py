@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.cli import build_parser, main
-from repro.experiments.registry import EXPERIMENTS, all_ids, get_experiment
+from repro.experiments.registry import EXPERIMENTS, all_ids, get_experiment, judge
 
 
 class TestRegistry:
@@ -36,6 +38,51 @@ class TestRegistry:
     def test_descriptions_non_empty(self):
         for exp in EXPERIMENTS.values():
             assert exp.description
+
+    def test_every_claimed_row_is_banded(self):
+        for exp in EXPERIMENTS.values():
+            assert bool(exp.bands) == bool(exp.claim), exp.exp_id
+            for lo, hi in exp.bands.values():
+                assert lo <= hi
+
+
+class TestJudge:
+    @pytest.mark.parametrize(
+        "value, verdict",
+        [
+            (1.5, "PASS"),
+            (1.0, "PASS"),  # both edges are in the band
+            (2.0, "PASS"),
+            (0.999, "FAIL"),
+            (2.001, "FAIL"),
+            (float("nan"), "FAIL"),
+            (1, "PASS"),
+            (3, "FAIL"),
+            (True, "PASS"),  # a bool reads as 1 ...
+            (False, "FAIL"),  # ... or 0
+            ("1.5", "FAIL"),
+            (None, "FAIL"),
+        ],
+    )
+    def test_verdict(self, value, verdict):
+        ((metric, measured, band, got),) = judge({"m": value}, {"m": (1.0, 2.0)})
+        assert (metric, band, got) == ("m", (1.0, 2.0), verdict)
+        assert measured is value
+
+    def test_missing_metric_fails(self):
+        assert judge({"other": 1.5}, {"m": (1.0, 2.0)}) == [
+            ("m", None, (1.0, 2.0), "FAIL")
+        ]
+
+    def test_open_ends(self):
+        bands = {"lo": (-math.inf, 0.0), "hi": (0.0, math.inf)}
+        rows = judge({"lo": -1e300, "hi": 1e300}, bands)
+        assert [r[3] for r in rows] == ["PASS", "PASS"]
+        rows = judge({"lo": math.inf, "hi": -math.inf}, bands)
+        assert [r[3] for r in rows] == ["FAIL", "FAIL"]
+
+    def test_unbanded_metrics_are_not_judged(self):
+        assert judge({"m": 1.0}, {}) == []
 
 
 class TestCliParser:

@@ -1,8 +1,9 @@
 """Smoke tests for every figure/table harness at miniature scale.
 
-The benchmarks run the real reproductions; these only confirm each
-harness executes end to end, produces its series and shape metrics, and
-renders -- in seconds, not minutes.
+``repro report`` runs the real reproductions and judges each row's
+bands; these only confirm each harness executes end to end, produces its
+series and shape metrics -- including every metric its row bands -- and
+renders, in seconds, not minutes.
 """
 
 from __future__ import annotations
@@ -11,10 +12,15 @@ import pytest
 
 from repro.experiments.configs import bench_config
 from repro.experiments.figure1 import run_figure1
-from repro.experiments.registry import get_experiment
+from repro.experiments.registry import EXPERIMENTS, get_experiment
 from repro.experiments.table3 import run_table3
 
 TINY = bench_config().with_(n=300, horizon=300.0, warmup=30.0, seed=5)
+
+
+def assert_bands_named(exp_id, shape):
+    """Every band on the row names a metric its shape returns."""
+    assert set(EXPERIMENTS[exp_id].bands) <= set(shape), exp_id
 
 
 class TestDynamicFigures:
@@ -24,6 +30,7 @@ class TestDynamicFigures:
 
     def test_figure4_shape_metrics(self, fig4):
         shape = get_experiment("figure4").shape(fig4)
+        assert_bands_named("figure4", shape)
         assert shape["samples"] > 10
         assert shape["separation_factor"] > 1.0
 
@@ -35,9 +42,10 @@ class TestDynamicFigures:
         figure5 = get_experiment("figure5")
         fig5 = figure5.run(TINY)
         shape = figure5.shape(fig5)
+        assert_bands_named("figure5", shape)
         # Smoke only: at n=300 over 300 units the capacity separation is
         # deep in sampling noise (few dozen supers, shift at t=150); the
-        # real shape assertion lives in benchmarks/test_bench_figure5.py.
+        # claim's band is on the figure5 registry row (repro report).
         assert shape["separation_pre_shift"] > 0.5
         assert shape["super_capacity_uplift"] > 0
         assert "Figure 5" in figure5.render(fig5)
@@ -46,6 +54,7 @@ class TestDynamicFigures:
         figure6 = get_experiment("figure6")
         fig6 = figure6.run(TINY)
         shape = figure6.shape(fig6)
+        assert_bands_named("figure6", shape)
         assert shape["eta_target"] == TINY.eta
         assert shape["tail_ratio_mean"] > 0
         assert "log" in figure6.render(fig6)
@@ -58,6 +67,7 @@ class TestComparisonFigures:
 
     def test_figure7_shape_metrics(self, fig7):
         shape = get_experiment("figure7").shape(fig7)
+        assert_bands_named("figure7", shape)
         assert shape["dlm_ratio_mean"] > 0
         assert shape["pre_ratio_mean"] > 0
         assert 0.0 <= shape["dlm_success_rate"] <= 1.0
@@ -69,6 +79,7 @@ class TestComparisonFigures:
         figure8 = get_experiment("figure8")
         fig8 = figure8.run(TINY)
         shape = figure8.shape(fig8)
+        assert_bands_named("figure8", shape)
         assert shape["dlm_age_separation"] > 0
         assert "Figure 8" in figure8.render(fig8)
 
@@ -80,6 +91,7 @@ class TestFigure1:
         out = fig1.render()
         assert "balanced" in out and "high-capacity" in out
         shape = fig1.check_shape()
+        assert_bands_named("figure1", shape)
         # strong arrivals must depress the threshold policy's ratio
         assert shape["pre_b_over_a"] < 1.0
 
@@ -91,6 +103,7 @@ class TestTable3:
         assert all(r.new_leaf_peers_per_unit > 0 for r in result.rows)
         assert "PAO/NLCO" in result.render()
         shape = result.check_shape()
+        assert_bands_named("table3", shape)
         assert "monotone_trend" in shape
 
     def test_validation(self):

@@ -70,7 +70,9 @@ class TestFlagsReachTheHarness:
     def test_report_gets_the_overridden_config(self, monkeypatch, capsys, argv, want):
         seen = []
         monkeypatch.setattr(
-            report, "generate_experiments_report", lambda cfg: seen.append(cfg) or ""
+            report,
+            "generate_experiments_report",
+            lambda cfg: (seen.append(cfg) or "", []),
         )
         assert main(["report", *argv]) == 0
         (cfg,) = seen
