@@ -1,4 +1,4 @@
-"""Topology analysis over overlay snapshots (networkx-based).
+"""Topology analysis over overlay snapshots.
 
 Degree distributions, backbone connectivity, and reachability -- the
 structural health indicators behind the paper's §3 argument that too few
@@ -9,15 +9,18 @@ flooding.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, List
 
-import networkx as nx
 import numpy as np
 
-from ..overlay.graph_export import backbone_graph, to_networkx
 from ..overlay.topology import Overlay
 
-__all__ = ["OverlayStats", "analyze_overlay", "backbone_connectivity"]
+__all__ = [
+    "OverlayStats",
+    "analyze_overlay",
+    "backbone_component_sizes",
+    "backbone_connectivity",
+]
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,14 +68,7 @@ def analyze_overlay(overlay: Overlay) -> OverlayStats:
             leaf_deg.append(peer.degree)
             if peer.degree == 0:
                 isolated += 1
-    bb = backbone_graph(overlay)
-    if bb.number_of_nodes() > 0:
-        comps = list(nx.connected_components(bb))
-        n_comp = len(comps)
-        largest = max(len(c) for c in comps) / bb.number_of_nodes()
-    else:
-        n_comp = 0
-        largest = 0.0
+    sizes = backbone_component_sizes(overlay)
     return OverlayStats(
         n=overlay.n,
         n_super=overlay.n_super,
@@ -81,10 +77,35 @@ def analyze_overlay(overlay: Overlay) -> OverlayStats:
         mean_super_degree=float(np.mean(sup_deg)) if sup_deg else 0.0,
         mean_leaf_degree=float(np.mean(leaf_deg)) if leaf_deg else 0.0,
         mean_backbone_degree=float(np.mean(bb_deg)) if bb_deg else 0.0,
-        backbone_components=n_comp,
-        largest_backbone_fraction=largest,
+        backbone_components=len(sizes),
+        largest_backbone_fraction=max(sizes) / overlay.n_super if sizes else 0.0,
         isolated_leaves=isolated,
     )
+
+
+def backbone_component_sizes(overlay: Overlay) -> List[int]:
+    """Super-peer counts of the backbone's connected components.
+
+    A breadth-first search over the store's ``sn`` column, whose entries
+    on a super-peer row are its super--super links; components come in
+    ``super_ids`` order of their first member.
+    """
+    store = overlay.store
+    sn, slot = store.sn, store.slot
+    seen = set()
+    sizes = []
+    for root in overlay.super_ids:
+        if root in seen:
+            continue
+        seen.add(root)
+        frontier = [root]
+        for pid in frontier:  # the list grows while it is walked: a BFS
+            for other in sn[slot(pid)]:
+                if other not in seen:
+                    seen.add(other)
+                    frontier.append(other)
+        sizes.append(len(frontier))
+    return sizes
 
 
 def backbone_connectivity(overlay: Overlay) -> float:
@@ -93,13 +114,5 @@ def backbone_connectivity(overlay: Overlay) -> float:
     1.0 means every query can, in principle, reach every index; values
     below ~0.95 indicate a partitioned search plane.
     """
-    bb = backbone_graph(overlay)
-    if bb.number_of_nodes() == 0:
-        return 0.0
-    largest = max(len(c) for c in nx.connected_components(bb))
-    return largest / bb.number_of_nodes()
-
-
-def full_overlay_graph(overlay: Overlay, now: float = 0.0) -> nx.Graph:
-    """Snapshot including leaves (attribute-rich; see graph_export)."""
-    return to_networkx(overlay, now=now)
+    sizes = backbone_component_sizes(overlay)
+    return max(sizes) / overlay.n_super if sizes else 0.0

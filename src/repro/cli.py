@@ -47,7 +47,7 @@ logger = logging.getLogger("repro.cli")
 
 #: Run options ``repro resume`` refuses: the checkpoint fixes the
 #: configuration; only the horizon and the observe-only planes change.
-_FIXED_ON_RESUME = ("full", "scale", "n", "family", "seed", "shards", "loss")
+_FIXED_ON_RESUME = ("full", "scale", "n", "seed", "shards", "loss")
 _FIXED_ON_RESUME += ("latency_scale", "save", "checkpoint_every", "checkpoint_path")
 #: Options every command honours: execution and verbosity only.
 _ALWAYS_HONOURED = ("workers", "verbose", "quiet")
@@ -66,7 +66,6 @@ class UsageError(Exception):
 
 def _run_options() -> argparse.ArgumentParser:
     """The parent parser of every command that configures a run."""
-    from .overlay.family import family_names
     from .telemetry.config import AUDIT_LEVELS
 
     p = argparse.ArgumentParser(add_help=False)
@@ -80,12 +79,6 @@ def _run_options() -> argparse.ArgumentParser:
         help="the 100k-peer large-scale preset (shortened churned horizon)",
     )
     p.add_argument("--n", type=int, help="override network size")
-    p.add_argument(
-        "--family",
-        choices=family_names(),
-        help="overlay family of the super-layer (default superpeer, the "
-        "paper's random backbone; chord is a hierarchical ring)",
-    )
     p.add_argument("--horizon", type=float, help="override simulated horizon")
     p.add_argument("--seed", type=int, help="override root seed")
     p.add_argument(
@@ -383,8 +376,6 @@ def build_config(args):
             cfg = cfg.with_(horizon=args.horizon)
         if args.seed is not None:
             cfg = cfg.with_(seed=args.seed)
-        if args.family is not None:
-            cfg = cfg.with_(family=args.family)
         if args.shards is not None:
             cfg = cfg.with_(shards=args.shards)
         if args.loss is not None or args.latency_scale is not None:
@@ -729,10 +720,10 @@ def cmd_postmortem(args, out=None) -> int:
         out.write(json.dumps(bundle, indent=2, sort_keys=True) + "\n")
         return 0
     cfg = bundle.get("config", {})
-    keys = ("name", "n", "seed", "policy", "family", "shards")
+    keys = ("name", "n", "seed", "policy", "shards")
     out.write(
         "postmortem: {name} (n={n}, seed={seed}, policy={policy}, "
-        "family={family}, shards={shards})\n".format(**{k: cfg.get(k) for k in keys})
+        "shards={shards})\n".format(**{k: cfg.get(k) for k in keys})
     )
     out.write(f"reason: {bundle.get('reason')}\n")
     out.write(f"config_hash: {bundle.get('config_hash')}\n")

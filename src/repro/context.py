@@ -24,7 +24,6 @@ from typing import Optional
 
 from .metrics.overhead import OverheadLedger
 from .overlay.bootstrap import JoinProcedure
-from .overlay.family import DEFAULT_FAMILY, OverlayFamily, make_family
 from .overlay.maintenance import Maintenance
 from .overlay.topology import Overlay
 from .protocol.accounting import MessageLedger
@@ -65,16 +64,6 @@ class SystemContext:
         """Current simulated time."""
         return self.sim.now
 
-    @property
-    def family(self) -> "OverlayFamily":
-        """The overlay family owning structure-specific behavior.
-
-        Lives on the join procedure (its single wiring point); exposed
-        here so the runner, checkpoint plane, and policies can reach it
-        without knowing the wiring.
-        """
-        return self.join.family
-
 
 def build_context(
     *,
@@ -86,7 +75,6 @@ def build_context(
     faults: Optional[FaultPlan] = None,
     rng_domain: int = 0,
     telemetry=None,
-    family: "str | OverlayFamily" = DEFAULT_FAMILY,
 ) -> SystemContext:
     """Standard wiring of a fresh system (Table-2 degree parameters).
 
@@ -111,22 +99,13 @@ def build_context(
     telemetry:
         A :class:`~repro.telemetry.Telemetry` plane, or ``None`` for
         the shared disabled singleton.
-    family:
-        The overlay family name (see
-        :func:`~repro.overlay.family.family_names`) or a ready
-        :class:`~repro.overlay.family.OverlayFamily` instance; owns the
-        structure-specific link policy (default: the paper's superpeer
-        family).
     """
     sim = sim if sim is not None else Simulator(seed=seed, rng_domain=rng_domain)
     if telemetry is None:
         telemetry = NULL_TELEMETRY
     telemetry.bind_sim(sim)
     overlay = Overlay()
-    family_obj = make_family(family) if isinstance(family, str) else family
-    join = JoinProcedure(
-        overlay, m, sim.rng.prefetch("bootstrap"), k_s=k_s, family=family_obj
-    )
+    join = JoinProcedure(overlay, m, sim.rng.prefetch("bootstrap"), k_s=k_s)
     maintenance = Maintenance(overlay, join, m=m, k_s=k_s)
     messages = MessageLedger(piggyback=piggyback)
     info = InfoExchange(overlay, messages, sim=sim, faults=faults)

@@ -36,7 +36,6 @@ class TransitionExecutor:
         peer = ctx.overlay.get(pid)
         if peer is None or not peer.is_leaf:
             return False
-        self._check_target(peer.role, Role.SUPER)
         ctx.overlay.promote(pid)
         ctx.overlay.store.role_change_time[peer._slot] = ctx.now
         ctx.maintenance.after_promotion(pid)
@@ -52,32 +51,12 @@ class TransitionExecutor:
             return False
         if ctx.overlay.n_super <= self.min_supers:
             return False
-        self._check_target(peer.role, Role.LEAF)
         rng = ctx.sim.rng.get("transitions")
         orphans = ctx.overlay.demote(pid, ctx.m, rng)
         ctx.overlay.store.role_change_time[peer._slot] = ctx.now
         report = ctx.maintenance.after_demotion(pid, orphans)
         ctx.overhead.record_demotion(len(orphans), report.leaf_reconnections)
         return True
-
-    def _check_target(self, role: Role, expected: Role) -> None:
-        """Ask the bound family where a transition from ``role`` lands.
-
-        This executor implements the two-layer mechanics (Figures 2-3),
-        so it refuses -- loudly, never silently -- any family whose
-        transition mapping lands elsewhere (e.g. a three-tier family
-        promoting into an intermediate tier).  The family's own
-        ``transition_target`` already raises for unmanaged roles and
-        for >2-tier families that have not overridden the default flip.
-        """
-        family = self.ctx.family
-        target = family.transition_target(role)
-        if target is not expected:
-            raise NotImplementedError(
-                f"family {family.name!r} maps {role} transitions to "
-                f"{target}; the two-layer executor only applies "
-                f"{role} -> {expected}"
-            )
 
     def apply(self, pid: int, action_role: Role) -> bool:
         """Move ``pid`` into ``action_role`` if it is not already there."""

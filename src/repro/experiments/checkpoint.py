@@ -93,7 +93,12 @@ __all__ = [
 #: state no longer has an entry for an in-sim writer process, because
 #: writes no longer consume scheduler seqs or count as events.  v8 files
 #: are refused.
-SCHEMA_VERSION = 9
+#: v10: one overlay.  The header no longer records an overlay ``family``
+#: and the state no longer carries a ``family`` entry (it was empty for
+#: every run of the paper's super-peer overlay, the only one left).  The
+#: config lost its ``family`` field with them, so every v9 config hash
+#: is stale, and v9 files are refused.
+SCHEMA_VERSION = 10
 #: First field of a checkpoint file's header line.
 _MAGIC = b"repro-checkpoint"
 
@@ -116,7 +121,7 @@ _HASH_EXCLUDED_FIELDS = frozenset(
 #: Entries every payload carries, and the entries of its header.
 _PAYLOAD_KEYS = frozenset({"header", "config", "scenario", "shard_states"})
 _HEADER_KEYS = frozenset(
-    {"schema", "config_hash", "family", "policy", "time", "shards"}
+    {"schema", "config_hash", "policy", "time", "shards"}
 )
 
 
@@ -150,7 +155,6 @@ def capture_run_state(result) -> dict:
         "sim": ctx.sim.snapshot(),
         "overlay": ctx.overlay.snapshot(),
         "join": ctx.join.snapshot(),
-        "family": ctx.family.snapshot(),
         "messages": ctx.messages.snapshot_state(),
         "overhead": ctx.overhead.snapshot(),
         "info": ctx.info.snapshot(),
@@ -209,9 +213,6 @@ def restore_run_state(result, state: dict, *, restore_rng: bool = True) -> None:
     sim.restore(state["sim"], restore_rng=restore_rng)
     ctx.overlay.restore(state["overlay"])
     ctx.join.restore(state["join"])
-    # After the overlay: family state (e.g. the Chord ring) is rebuilt
-    # from the restored topology plus its checkpointed extras.
-    ctx.family.restore(state["family"])
     ctx.messages.restore_state(state["messages"])
     ctx.overhead.restore(state["overhead"])
     ctx.info.restore(state["info"], sim)
@@ -231,8 +232,8 @@ def restore_run_state(result, state: dict, *, restore_rng: bool = True) -> None:
     if result.directory is not None and state["directory"] is not None:
         result.directory.restore(state["directory"])
     if result.workload is not None:
-        # Routers keep derived lookup state (backbone snapshot, provider
-        # registry) maintained by listeners restore never fires.
+        # The router keeps a derived backbone snapshot, maintained by
+        # listeners restore never fires.
         result.workload.router.resync()
     # Absent in pre-telemetry checkpoints; restore() itself tolerates a
     # disabled-mode snapshot (fresh buffers) and a disabled plane ignores
@@ -270,7 +271,6 @@ def write_checkpoint(
         "header": {
             "schema": SCHEMA_VERSION,
             "config_hash": config_hash(config),
-            "family": config.family,
             "policy": policy,
             "time": time,
             "shards": config.shards,
@@ -340,21 +340,7 @@ class CheckpointManager:
 
     @staticmethod
     def validate(payload: dict, config: ExperimentConfig) -> None:
-        """Refuse to restore under a trajectory-changing config diff.
-
-        The overlay family is checked first and by name: resuming a
-        Chord checkpoint under the superpeer family (or vice versa)
-        would rebuild the wrong structure around the restored topology,
-        so the refusal names the families instead of burying the
-        mismatch in the opaque config hash.
-        """
-        captured_family = payload["header"].get("family")
-        if captured_family != config.family:
-            raise CheckpointError(
-                f"checkpoint was written under overlay family "
-                f"{captured_family!r} but this run uses {config.family!r}; "
-                "a checkpoint can only resume under its own family"
-            )
+        """Refuse to restore under a trajectory-changing config diff."""
         want = payload["header"]["config_hash"]
         have = config_hash(config)
         if want != have:

@@ -81,12 +81,6 @@ class ExperimentConfig:
     dlm: Optional[DLMConfig] = None
     search: Optional[SearchConfig] = None
     faults: Optional[FaultPlan] = None
-    #: Overlay family owning the super-layer's link structure and query
-    #: routing (see :mod:`repro.overlay.family`): ``"superpeer"`` is the
-    #: paper's random backbone, ``"chord"`` the hierarchical ring.
-    #: Trajectory-determining, so it participates in the checkpoint
-    #: config hash (and the checkpoint header records it explicitly).
-    family: str = "superpeer"
     #: Checkpoint cadence: the run loop writes at the first barrier at or
     #: after each multiple of this many time units (None: no writes).
     #: Excluded from the checkpoint-compat config hash: the loop writes
@@ -139,13 +133,6 @@ class ExperimentConfig:
                 raise ValueError("checkpoint_every must be positive")
             if self.checkpoint_path is None:
                 raise ValueError("checkpoint_every requires checkpoint_path")
-        from ..overlay.family import family_names
-
-        if self.family not in family_names():
-            raise ValueError(
-                f"unknown overlay family {self.family!r}; "
-                f"known: {', '.join(family_names())}"
-            )
         if self.shards < 1:
             raise ValueError(f"shards must be >= 1, got {self.shards}")
         if self.shards > 1:

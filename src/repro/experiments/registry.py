@@ -36,7 +36,6 @@ from .dynamic_run import (
 )
 from .figure1 import Figure1Result, run_figure1
 from .figure23 import Figure23Result, run_figure23
-from .figure_families import FigureFamiliesResult, run_figure_families
 from .figure_faults import FigureFaultsResult, run_figure_faults
 from .table3 import PAPER_SIZES, Table3Result, run_table3
 
@@ -320,16 +319,6 @@ EXPERIMENTS: Dict[str, Experiment] = {
             # The sweep's cells are the loss x latency grid, and each
             # cell reads its one system's ledger.
             ignores=("loss", "latency_scale", "shards", *SINGLE_RUN_OUTPUTS),
-        ),
-        Experiment(
-            "families",
-            "Extension",
-            "Ratio tracking and query cost across overlay families",
-            run_figure_families,
-            FigureFamiliesResult.check_shape,
-            FigureFamiliesResult.render,
-            # The sweep runs every family and reads each run's system.
-            ignores=("family", "shards", *SINGLE_RUN_OUTPUTS),
         ),
     )
 }

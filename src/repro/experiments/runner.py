@@ -27,6 +27,7 @@ from ..health.plane import HealthMonitor
 from ..metrics.layerstats import LayerStatsSampler
 from ..metrics.timeseries import SeriesBundle
 from ..search.content import ContentCatalog
+from ..search.flooding import FloodRouter
 from ..search.index import ContentDirectory
 from ..search.workload import QueryWorkload
 from ..sim.processes import PeriodicProcess
@@ -167,7 +168,6 @@ def run_experiment(
         faults=config.faults,
         rng_domain=fresh_rng_domain if fresh_rng_domain is not None else 0,
         telemetry=telemetry,
-        family=config.family,
     )
     policy = policy_factory(config)
     policy.bind(ctx)
@@ -207,7 +207,7 @@ def run_experiment(
             ctx.sim.rng.get("content"),
             files_per_peer=sc.files_per_peer,
         )
-        router = ctx.family.build_router(directory, sc, ledger=ctx.messages)
+        router = FloodRouter(ctx.overlay, directory, ttl=sc.ttl, ledger=ctx.messages)
         workload = QueryWorkload(
             ctx.sim, ctx.overlay, catalog, router, rate=sc.query_rate
         )

@@ -82,7 +82,6 @@ def build_flight_bundle(
             "n": config.n,
             "seed": config.seed,
             "horizon": config.horizon,
-            "family": config.family,
             "shards": config.shards,
             "policy": policy_name,
         },

@@ -1,22 +1,11 @@
 """Layered super-peer overlay substrate.
 
 Peers, roles, the layered adjacency with its structural invariants,
-join/bootstrap procedures, degree maintenance, pluggable overlay
-families (structure-specific link policy: random backbone or Chord
-ring), and networkx export.
+join/bootstrap procedures and degree maintenance.
 """
 
 from .aggregates import LayerAggregate, OverlayAggregates
 from .bootstrap import JoinProcedure
-from .families import ChordRingFamily, SuperPeerFamily, ring_key
-from .family import (
-    DEFAULT_FAMILY,
-    OverlayFamily,
-    family_names,
-    make_family,
-    register_family,
-)
-from .graph_export import backbone_graph, to_networkx
 from .knowledge import NeighborKnowledge, Observation
 from .maintenance import Maintenance, RepairReport
 from .peer import Peer
@@ -27,16 +16,6 @@ __all__ = [
     "LayerAggregate",
     "OverlayAggregates",
     "JoinProcedure",
-    "ChordRingFamily",
-    "SuperPeerFamily",
-    "ring_key",
-    "DEFAULT_FAMILY",
-    "OverlayFamily",
-    "family_names",
-    "make_family",
-    "register_family",
-    "backbone_graph",
-    "to_networkx",
     "NeighborKnowledge",
     "Observation",
     "Maintenance",

@@ -7,12 +7,9 @@ exception is the cold start: while the network has no super-peers at all,
 joiners seed the super-layer directly so that subsequent leaves have
 somewhere to attach.
 
-*What* links a joiner creates is the bound
-:class:`~repro.overlay.family.OverlayFamily`'s decision (random backbone
-picks for the superpeer family, ring insertion for Chord); this module
-owns the family-agnostic parts -- pid allocation, cold-start seeding,
-and the random leaf->super selection helper every family's leaf tier
-shares.
+A joining super makes ``k_s`` random backbone links and a joining leaf
+``m`` random super links, every pick drawn from the ``"bootstrap"``
+stream in join order.
 """
 
 from __future__ import annotations
@@ -21,7 +18,6 @@ from typing import List, Optional
 
 import numpy as np
 
-from .family import OverlayFamily
 from .peer import Peer
 from .roles import Role
 from .topology import Overlay, OverlayError
@@ -45,11 +41,6 @@ class JoinProcedure:
         Cold-start threshold: while ``n_super < seed_supers`` joiners
         become super-peers directly (default 1 -- only the very first
         peer).
-    family:
-        The :class:`~repro.overlay.family.OverlayFamily` owning
-        structure-specific attachment (default: a fresh superpeer
-        family).  The join procedure is the family's single wiring
-        point: it binds the family to this overlay/rng/degree set.
     """
 
     def __init__(
@@ -60,7 +51,6 @@ class JoinProcedure:
         *,
         k_s: int = 3,
         seed_supers: int = 1,
-        family: Optional[OverlayFamily] = None,
     ) -> None:
         if m < 1:
             raise ValueError(f"m must be >= 1, got {m}")
@@ -72,12 +62,6 @@ class JoinProcedure:
         self.rng = rng
         self.seed_supers = seed_supers
         self._next_id = 0
-        if family is None:
-            from .families.superpeer import SuperPeerFamily
-
-            family = SuperPeerFamily()
-        self.family = family
-        family.wire(overlay=overlay, join=self, m=m, k_s=k_s)
 
     def next_pid(self) -> int:
         """Allocate a fresh peer id."""
@@ -111,23 +95,21 @@ class JoinProcedure:
         ``role=None`` the peer joins as a leaf, except during cold start
         (see ``seed_supers``) when it seeds the super-layer.
 
-        Attachment is the bound family's: under the superpeer family a
-        joining leaf makes ``m`` connections to random super-peers and a
-        joining super makes ``k_s`` backbone connections; the Chord
-        family inserts supers into the ring instead.
+        A joining leaf makes ``m`` connections to random super-peers and
+        a joining super makes ``k_s`` backbone connections.
         """
         if pid is None:
             pid = self.next_pid()
         if role is None:
             cold_start = self.overlay.n_super < self.seed_supers
             role = Role.SUPER if cold_start else Role.LEAF
-        peer = self.overlay.add_peer(
-            pid, role, capacity, now, lifetime, eligible=eligible
-        )
+        overlay = self.overlay
+        peer = overlay.add_peer(pid, role, capacity, now, lifetime, eligible=eligible)
         if role is Role.SUPER:
-            self.family.attach_super(pid)
+            for sid in overlay.random_supers(self.rng, self.k_s, exclude=(pid,)):
+                overlay.connect(pid, sid)
         else:
-            self.family.attach_leaf(pid)
+            self.connect_leaf(pid, self.m)
         return peer
 
     def connect_leaf(self, pid: int, want: int) -> List[int]:

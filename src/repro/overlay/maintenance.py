@@ -16,20 +16,18 @@ relies on).  A pass over many leaves -- the orphans of a dead or demoted
 super, the short leaves a sweep finds -- is one such call per leaf, in
 order; the bootstrap stream is read a block ahead, so each call's draw is
 a slice (DESIGN.md §8 "Draw by the block, charge by the count").
-Super-side repair is structure-specific and delegates to
-the bound :class:`~repro.overlay.family.OverlayFamily`: the superpeer
-family tops backbone degree back up with random picks, the Chord family
-stabilizes ring successors/fingers.
+Super-side repair tops a super's backbone degree back up to ``k_s`` with
+random picks from the same stream, so repaired backbone links are as
+random as join-time ones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional
+from typing import Iterable, List
 
 from .bootstrap import JoinProcedure
-from .family import OverlayFamily
-from .peerstore import ROLE_LEAF
+from .peerstore import ROLE_LEAF, ROLE_SUPER
 from .topology import Overlay
 
 __all__ = ["Maintenance", "RepairReport"]
@@ -59,15 +57,11 @@ class Maintenance:
         *,
         m: int,
         k_s: int,
-        family: Optional[OverlayFamily] = None,
     ) -> None:
         self.overlay = overlay
         self.join = join
         self.m = m
         self.k_s = k_s
-        #: Structure-specific super-side repair (default: the family the
-        #: join procedure is already bound to).
-        self.family = family if family is not None else join.family
 
     # -- leaf side -------------------------------------------------------
     def ensure_leaf_links(self, pid: int) -> int:
@@ -101,13 +95,25 @@ class Maintenance:
 
     # -- super side --------------------------------------------------------
     def ensure_super_links(self, pid: int) -> int:
-        """Restore a super's structural links; returns links added.
-
-        Family-delegated: degree top-up for the superpeer family, ring
-        stabilization for Chord.  Safe to call on a departed or demoted
-        pid (returns 0).
-        """
-        return self.family.repair_super(pid)
+        """Top a super's backbone links back up to ``k_s``; returns links
+        added.  Safe to call on a departed or demoted pid (returns 0,
+        draws nothing)."""
+        overlay = self.overlay
+        store = overlay.store
+        slot = store.slot(pid)
+        if slot < 0 or store.role[slot] != ROLE_SUPER:
+            return 0
+        sn = store.sn[slot]
+        deficit = self.k_s - len(sn)
+        if deficit <= 0:
+            return 0
+        exclude = set(sn)
+        exclude.add(pid)
+        added = 0
+        for sid in overlay.random_supers(self.join.rng, deficit, exclude=exclude):
+            if overlay.connect(pid, sid):
+                added += 1
+        return added
 
     def repair_backbone(self, former_supers: Iterable[int]) -> RepairReport:
         """Restore backbone degree of supers that lost a super neighbor."""
@@ -123,26 +129,19 @@ class Maintenance:
     ) -> RepairReport:
         """Repairs after a super-peer leaves the network."""
         report = self.reconnect_orphans(orphans)
-        report.merge(self.repair_backbone(former_supers))
-        report.super_reconnections += self.family.heal_ring()
-        return report
+        return report.merge(self.repair_backbone(former_supers))
 
     def after_demotion(self, demoted: int, orphans: List[int]) -> RepairReport:
         """Repairs after a demotion (Figure 3): orphans reconnect once each;
-        the demoted peer itself is topped up to ``m`` super links; ring
-        families additionally heal the vacated ring position."""
+        the demoted peer itself is topped up to ``m`` super links."""
         report = self.reconnect_orphans(orphans)
         self.ensure_leaf_links(demoted)
-        report.super_reconnections += self.family.heal_ring()
         return report
 
     def after_promotion(self, promoted: int) -> RepairReport:
-        """Repairs after a promotion (Figure 2): the new super-peer is
-        wired into the super-layer structure (backbone degree fill for
-        the superpeer family; ring links for Chord)."""
-        report = RepairReport()
-        report.super_reconnections += self.family.connect_promoted(promoted)
-        return report
+        """Repairs after a promotion (Figure 2): the new super-peer's
+        backbone degree is filled to ``k_s``."""
+        return RepairReport(super_reconnections=self.ensure_super_links(promoted))
 
     def sweep(self) -> RepairReport:
         """Top up every peer's degree targets.

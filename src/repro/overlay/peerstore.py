@@ -86,9 +86,6 @@ _SCALAR_COLUMNS = (
     # Rate-limit bookkeeping for the DLM evaluator: simulated time of the
     # last committed evaluation, -inf = never evaluated.
     ("last_eval", "d", -inf),
-    # Ring successor pid for ring-structured overlay families (the Chord
-    # family); -1 for leaves and non-ring families.
-    ("ring_succ", "q", -1),
     # Pending natural-death bookkeeping, owned by the churn driver's
     # DeathLedger (the calendar queue's lazy-event source): ``dv`` is the
     # unmaterialized death time (+inf = none pending -- never scheduled,
@@ -114,12 +111,10 @@ class PeerStore:
         "n_super_links",
         "n_leaf_links",
         "last_eval",
-        "ring_succ",
         "dv",
         "dseq",
         "sn",
         "ct",
-        "fg",
         "ln",
         "kn",
         "views",
@@ -138,10 +133,6 @@ class PeerStore:
         #: lazy knowledge cache, and the cached Peer view per slot.
         self.sn: List[tuple] = [()] * cap
         self.ct: List[tuple] = [()] * cap
-        #: Ring finger pids (tuple) for ring-structured families; always
-        #: ``()`` outside the Chord family, so non-ring runs pay only the
-        #: list slot.
-        self.fg: List[tuple] = [()] * cap
         self.ln: List[Optional[IdSet]] = [None] * cap
         self.kn: List[Optional[NeighborKnowledge]] = [None] * cap
         self.views: List[Optional[Peer]] = [None] * cap
@@ -168,7 +159,6 @@ class PeerStore:
             getattr(self, name).extend(array(code, (fill,)) * pad)
         self.sn.extend([()] * pad)
         self.ct.extend([()] * pad)
-        self.fg.extend([()] * pad)
         self.ln.extend([None] * pad)
         self.kn.extend([None] * pad)
         self.views.extend([None] * pad)
@@ -195,7 +185,7 @@ class PeerStore:
         """
         cols = [getattr(self, name) for name, _c, _f in _SCALAR_COLUMNS]
         total = sum(len(col) * col.itemsize for col in [*cols, self._slot_by_pid])
-        return total + 6 * 8 * len(self.pid)  # the six object-column list slots
+        return total + 5 * 8 * len(self.pid)  # the five object-column list slots
 
     # -- pid -> slot mapping ------------------------------------------------
     def slot(self, pid: int) -> int:
@@ -267,12 +257,10 @@ class PeerStore:
         self.n_super_links[slot] = 0
         self.n_leaf_links[slot] = 0
         self.last_eval[slot] = -inf
-        self.ring_succ[slot] = -1
         self.dv[slot] = inf
         self.dseq[slot] = -1
         self.sn[slot] = ()
         self.ct[slot] = ()
-        self.fg[slot] = ()
         self.ln[slot] = None
         self.kn[slot] = None
         self.views[slot] = None

@@ -3,15 +3,8 @@
 The paper's super-peer overlay has exactly two layers (§3): the
 *super-layer* whose members relay queries and index their leaves'
 content, and the *leaf-layer* whose members hold ``m`` links into the
-super-layer.  Other overlay families (see :mod:`repro.overlay.family`)
-reuse the same two role codes -- e.g. the hierarchical Chord family's
-supers form a ring -- and a future three-tier family may extend the
-enum.
-
-Which role a promotion or demotion lands in is a *family* decision:
-use :meth:`~repro.overlay.family.OverlayFamily.transition_target`
-rather than assuming the two-layer flip, so that a family with more
-than two tiers cannot silently inherit the wrong mapping.
+super-layer.  A promotion moves a leaf to the super-layer and a demotion
+moves a super to the leaf-layer (Figures 2-3).
 """
 
 from __future__ import annotations

@@ -3,7 +3,6 @@
 from .content import ContentCatalog
 from .flooding import FloodRouter, QueryOutcome
 from .index import ContentDirectory
-from .ring import RingRouter
 from .stats import QueryStats, QueryStatsSnapshot
 from .walkers import RandomWalkRouter, WalkOutcome
 from .workload import QueryWorkload
@@ -15,7 +14,6 @@ __all__ = [
     "ContentDirectory",
     "QueryStats",
     "QueryStatsSnapshot",
-    "RingRouter",
     "RandomWalkRouter",
     "WalkOutcome",
     "QueryWorkload",

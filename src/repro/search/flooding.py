@@ -112,9 +112,8 @@ class FloodRouter:
         """Invalidate derived state after a checkpoint restore.
 
         Restore loads topology without firing link events, so the lazy
-        backbone snapshot must be marked stale explicitly.  (Routers
-        share this protocol; the flood router's state is all derived,
-        so invalidation is the whole job.)
+        backbone snapshot must be marked stale explicitly; the router's
+        state is all derived, so invalidation is the whole job.
         """
         self._dirty = True
 

@@ -79,10 +79,9 @@ class ContentDirectory:
     def hit_tables(self) -> Tuple[Dict[int, Tuple[int, ...]], Dict[int, Counter]]:
         """The live ``(files, index)`` lookup tables, for read-only use.
 
-        The ring router inlines :meth:`super_hit` against these on its
-        greedy walk and re-derives its provider registry from the file
-        table.  Callers must treat both mappings as read-only; they are
-        the directory's live state.
+        A caller testing :meth:`super_hit` for many supers can inline it
+        against these.  Callers must treat both mappings as read-only;
+        they are the directory's live state.
         """
         return self._files, self._index
 

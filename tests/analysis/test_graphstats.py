@@ -2,12 +2,23 @@
 
 from __future__ import annotations
 
-import pytest
+import os
+import subprocess
+import sys
 
-from repro.analysis.graphstats import analyze_overlay, backbone_connectivity
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro
+from repro.analysis.graphstats import (
+    analyze_overlay,
+    backbone_component_sizes,
+    backbone_connectivity,
+)
 from repro.overlay.roles import Role
 from repro.overlay.topology import Overlay
-from tests.conftest import add_peer, build_small_overlay
+from tests.conftest import add_peer, build_small_overlay, examples
 
 
 class TestAnalyzeOverlay:
@@ -58,3 +69,52 @@ class TestBackboneConnectivity:
 
     def test_empty_backbone(self):
         assert backbone_connectivity(Overlay()) == 0.0
+
+
+@given(
+    n_supers=st.integers(0, 25),
+    n_leaves=st.integers(0, 10),
+    links=st.lists(st.tuples(st.integers(0, 24), st.integers(0, 24)), max_size=40),
+    removed=st.lists(st.integers(0, 24), max_size=5),
+)
+@settings(max_examples=examples(1), deadline=None)
+def test_bfs_components_match_networkx(n_supers, n_leaves, links, removed):
+    """The BFS over the ``sn`` column finds networkx's backbone components;
+    leaves, removed supers and their links count in none of them."""
+    nx = pytest.importorskip("networkx")
+    ov = Overlay()
+    for sid in range(n_supers):
+        add_peer(ov, sid, Role.SUPER)
+    for i in range(n_leaves):
+        add_peer(ov, 100 + i, Role.LEAF)
+        if n_supers:
+            ov.connect(100 + i, i % n_supers)
+    for a, b in links:
+        if a < n_supers and b < n_supers and a != b:
+            ov.connect(a, b)
+    for sid in set(removed):
+        if sid < n_supers:
+            ov.remove_peer(sid)
+    g = nx.Graph()
+    g.add_nodes_from(ov.super_ids)
+    g.add_edges_from((s, o) for s in ov.super_ids for o in ov.peer(s).super_neighbors)
+    want = sorted(len(c) for c in nx.connected_components(g))
+    assert sorted(backbone_component_sizes(ov)) == want
+    assert analyze_overlay(ov).backbone_components == len(want)
+
+
+def test_run_path_does_not_import_networkx():
+    """networkx is a test reference only: neither a run nor the analysis
+    package imports it."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    code = (
+        "import sys, repro.experiments.runner, repro.experiments.sharded, "
+        "repro.cli, repro.analysis, repro.experiments.tournament; "
+        "assert 'networkx' not in sys.modules"
+    )
+    subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        check=True,
+        timeout=120,
+    )

@@ -20,6 +20,7 @@ from repro.churn.distributions import (
     default_lifetime_distribution,
 )
 from repro.churn.multimetric import default_multimetric_capacity
+from tests.conftest import examples
 
 ALL_DISTS = [
     LogNormalDistribution(median=60.0, sigma=1.0),
@@ -85,7 +86,7 @@ def test_scalar_cases_cover_every_distribution_class():
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     scale=st.floats(min_value=1e-3, max_value=1e3),
 )
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=examples(0.2), deadline=None)
 def test_sample_one_is_the_vector_stream(dist, seed, scale):
     """``sample_one`` returns the bits ``sample(rng, 1)[0]`` would and
     leaves the generator where that call would (scalar overrides on the

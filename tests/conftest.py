@@ -3,9 +3,8 @@
 Hypothesis runs under one of two profiles, picked by the
 ``HYPOTHESIS_PROFILE`` environment variable: ``tier1`` (the default)
 keeps Hypothesis' own 100 examples per test, ``deep`` takes ten times
-that.  The record-log and verdict properties state their
-``max_examples`` through :func:`examples`, as a multiple of the
-profile's count (other suites still state a fixed count), so a deep run
+that.  Every suite states its ``max_examples`` through
+:func:`examples`, as a multiple of the profile's count, so a deep run
 offline is one command::
 
     HYPOTHESIS_PROFILE=deep PYTHONPATH=src python -m pytest tests/properties

@@ -8,6 +8,7 @@ exactly -- float-equal, not approximately.
 
 from __future__ import annotations
 
+import hashlib
 import pickle
 import subprocess
 import sys
@@ -85,6 +86,14 @@ class TestBitIdenticalResume:
             search=SearchConfig(n_objects=400, query_rate=5.0, files_per_peer=5)
         )
         assert_runs_identical(run_experiment(cfg), interrupt_and_resume(cfg))
+
+    def test_search_plane_resume_point_anywhere(self):
+        cfg = small_config(
+            search=SearchConfig(n_objects=400, query_rate=5.0, files_per_peer=5)
+        )
+        ref = run_experiment(cfg)
+        for at in (25.0, 77.5):
+            assert_runs_identical(ref, interrupt_and_resume(cfg, at=at))
 
     def test_restored_holder_view_equals_the_live_one(self):
         # The directory checkpoints files only; restore() re-derives the
@@ -183,6 +192,18 @@ class TestCheckpointManager:
         path = tmp_path / "old.ckpt"
         path.write_bytes(pickle.dumps({"header": {"schema": 0}}))
         with pytest.raises(CheckpointError, match="schema"):
+            CheckpointManager.load(str(path))
+
+    def test_refuses_a_v9_file(self, tmp_path):
+        # v9 headers named the overlay family; v10 has one overlay.
+        body = pickle.dumps({"header": {"schema": 9, "family": "superpeer"}})
+        path = tmp_path / "v9.ckpt"
+        path.write_bytes(
+            b"repro-checkpoint 9 %s\n" % hashlib.sha256(body).hexdigest().encode()
+            + body
+        )
+        assert SCHEMA_VERSION == 10
+        with pytest.raises(CheckpointError, match="has schema '9'.*reads schema 10"):
             CheckpointManager.load(str(path))
 
 

@@ -22,7 +22,6 @@ class TestRegistry:
             "figure7",
             "figure8",
             "figure_faults",
-            "families",
             "table3",
         }
 

@@ -264,6 +264,15 @@ class TestFlightRecorder:
         assert "postmortem: health-test" in text
         assert "reason: critical:ratio_drift" in text
         assert "config_hash:" in text
+        # A bundle written before the overlay family went still renders,
+        # and renders the same.
+        bundle = json.loads(flight.read_text())
+        assert "family" not in bundle["config"]
+        bundle["config"]["family"] = "superpeer"
+        flight.write_text(json.dumps(bundle))
+        old = io.StringIO()
+        assert cmd_postmortem(Args(), out=old) == 0
+        assert old.getvalue() == text
 
     def test_postmortem_cli_json_roundtrips(self, tmp_path):
         _, flight = self.force_critical(tmp_path)

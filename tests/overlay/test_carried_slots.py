@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.overlay.roles import Role
 from repro.overlay.topology import Overlay
-from tests.conftest import add_peer
+from tests.conftest import add_peer, examples
 
 _OPS = (
     ["join_leaf"] * 3
@@ -92,7 +92,7 @@ def _apply(ov: Overlay, op: str, i: int, j: int, pid: int, rng) -> Overlay:
 
 
 @given(ops=ops_strategy)
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(3), deadline=None)
 def test_leaf_links_carry_the_leafs_own_slot(ops):
     ov = _prelude()
     ov.check_invariants(aggregates=True)

@@ -19,6 +19,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 
 from repro.overlay.roles import Role
 from repro.overlay.topology import Overlay
+from tests.conftest import examples
 
 #: Adversarial float values: non-dyadic decimals, subnormal-ish tiny
 #: values, and large magnitudes that would swamp small addends in a
@@ -111,4 +112,6 @@ class AggregatesMachine(RuleBasedStateMachine):
 
 
 TestAggregatesMachine = AggregatesMachine.TestCase
-TestAggregatesMachine.settings = settings(max_examples=30, stateful_step_count=40)
+TestAggregatesMachine.settings = settings(
+    max_examples=examples(0.3), stateful_step_count=40
+)

@@ -14,6 +14,7 @@ from repro.churn.distributions import (
     WeibullDistribution,
 )
 from repro.search.content import ContentCatalog
+from tests.conftest import examples
 
 
 @given(
@@ -21,7 +22,7 @@ from repro.search.content import ContentCatalog
     st.floats(min_value=0.1, max_value=2.5),
     st.integers(0, 2**31 - 1),
 )
-@settings(max_examples=40)
+@settings(max_examples=examples(0.4))
 def test_lognormal_positive_and_scaled(median, sigma, seed):
     d = LogNormalDistribution(median=median, sigma=sigma)
     rng = np.random.default_rng(seed)
@@ -36,7 +37,7 @@ def test_lognormal_positive_and_scaled(median, sigma, seed):
     st.floats(min_value=1.01, max_value=10.0),
     st.floats(min_value=0.1, max_value=100.0),
 )
-@settings(max_examples=40)
+@settings(max_examples=examples(0.4))
 def test_pareto_respects_minimum(alpha, xmin):
     d = ParetoDistribution(alpha=alpha, xmin=xmin)
     s = d.sample(np.random.default_rng(0), 500)
@@ -48,7 +49,7 @@ def test_pareto_respects_minimum(alpha, xmin):
     st.floats(min_value=0.2, max_value=5.0),
     st.floats(min_value=0.1, max_value=100.0),
 )
-@settings(max_examples=40)
+@settings(max_examples=examples(0.4))
 def test_weibull_mean_formula(k, lam):
     d = WeibullDistribution(k=k, lam=lam)
     s = d.sample(np.random.default_rng(1), 60_000)
@@ -56,7 +57,7 @@ def test_weibull_mean_formula(k, lam):
 
 
 @given(st.floats(min_value=0.01, max_value=1e4))
-@settings(max_examples=40)
+@settings(max_examples=examples(0.4))
 def test_exponential_memoryless_mean(mean):
     d = ExponentialDistribution(mean)
     assert d.base_mean == mean
@@ -73,7 +74,7 @@ def test_exponential_memoryless_mean(mean):
         max_size=6,
     )
 )
-@settings(max_examples=40)
+@settings(max_examples=examples(0.4))
 def test_mixture_mean_is_weighted_center(classes):
     d = BandwidthMixture(classes)
     weights = np.array([c[0] for c in classes])
@@ -83,7 +84,7 @@ def test_mixture_mean_is_weighted_center(classes):
 
 
 @given(st.integers(1, 5000), st.floats(min_value=0.0, max_value=3.0))
-@settings(max_examples=30)
+@settings(max_examples=examples(0.3))
 def test_catalog_probabilities_valid(n_objects, s):
     cat = ContentCatalog(n_objects=n_objects, s=s)
     probs = cat.probabilities
@@ -94,7 +95,7 @@ def test_catalog_probabilities_valid(n_objects, s):
 
 
 @given(st.integers(1, 200), st.integers(0, 50), st.integers(0, 2**31 - 1))
-@settings(max_examples=40)
+@settings(max_examples=examples(0.4))
 def test_shared_sets_within_catalog(n_objects, n_files, seed):
     cat = ContentCatalog(n_objects=n_objects, s=0.8)
     files = cat.sample_shared_set(np.random.default_rng(seed), n_files)

@@ -18,6 +18,7 @@ from repro.overlay.roles import Role
 from repro.overlay.topology import Overlay
 from repro.search.content import ContentCatalog
 from repro.search.index import ContentDirectory
+from tests.conftest import examples
 
 
 class IndexMachine(RuleBasedStateMachine):
@@ -102,4 +103,4 @@ class IndexMachine(RuleBasedStateMachine):
 
 
 TestIndexMachine = IndexMachine.TestCase
-TestIndexMachine.settings = settings(max_examples=30, stateful_step_count=40)
+TestIndexMachine.settings = settings(max_examples=examples(0.3), stateful_step_count=40)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.util.indexed_set import IndexedSet
+from tests.conftest import examples
 
 
 @given(st.lists(st.integers(0, 50)))
@@ -37,7 +38,7 @@ def test_operation_sequences_match_set(ops):
 
 
 @given(st.sets(st.integers(0, 1000), min_size=1, max_size=64), st.integers(0, 80))
-@settings(max_examples=50)
+@settings(max_examples=examples(0.5))
 def test_sample_is_subset_without_duplicates(members, k):
     s = IndexedSet(sorted(members))
     rng = np.random.default_rng(0)

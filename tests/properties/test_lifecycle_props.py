@@ -10,6 +10,7 @@ from repro.churn.distributions import ConstantDistribution
 from repro.churn.failures import FailureInjector
 from repro.churn.lifecycle import ChurnDriver
 from repro.context import build_context
+from tests.conftest import examples
 
 
 def build(seed, lifetime=10_000.0, replacement=True):
@@ -31,7 +32,7 @@ def build(seed, lifetime=10_000.0, replacement=True):
     st.integers(5, 60),
     st.lists(st.floats(min_value=0.01, max_value=0.9), max_size=4),
 )
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=examples(0.25), deadline=None)
 def test_population_conserved_under_failures_with_replacement(
     seed, n, fractions
 ):
@@ -49,7 +50,7 @@ def test_population_conserved_under_failures_with_replacement(
 
 
 @given(st.integers(0, 1000), st.integers(5, 40))
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=examples(0.25), deadline=None)
 def test_population_accounting_without_replacement(seed, n):
     ctx, driver = build(seed, lifetime=30.0, replacement=False)
     driver.populate(n, warmup=5.0)
@@ -59,7 +60,7 @@ def test_population_accounting_without_replacement(seed, n):
 
 
 @given(st.integers(0, 1000), st.integers(5, 40), st.floats(0.1, 0.9))
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=examples(0.25), deadline=None)
 def test_windowed_replacement_eventually_restores(seed, n, frac):
     ctx, driver = build(seed)
     driver.populate(n, warmup=5.0)

@@ -14,6 +14,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 
 from repro.overlay.roles import Role
 from repro.overlay.topology import Overlay
+from tests.conftest import examples
 
 
 class OverlayMachine(RuleBasedStateMachine):
@@ -102,4 +103,6 @@ class OverlayMachine(RuleBasedStateMachine):
 
 
 TestOverlayMachine = OverlayMachine.TestCase
-TestOverlayMachine.settings = settings(max_examples=30, stateful_step_count=40)
+TestOverlayMachine.settings = settings(
+    max_examples=examples(0.3), stateful_step_count=40
+)

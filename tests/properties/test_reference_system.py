@@ -31,6 +31,7 @@ from repro.experiments.configs import ExperimentConfig, SearchConfig
 from repro.experiments.runner import run_experiment
 from repro.protocol.faults import FaultPlan
 from repro.telemetry.config import TelemetryConfig
+from tests.conftest import examples
 from tests.reference_system import reference_policy_factory, reference_system
 
 
@@ -57,7 +58,6 @@ def run_configs(draw) -> ExperimentConfig:
         checkpoint_every=float(draw(st.integers(1, horizon - 1))),
         checkpoint_path="run.ckpt",
         seed=draw(st.integers(0, 2**16)),
-        family=draw(st.sampled_from(["superpeer", "chord"])),
         faults=draw(st.none() | faults),
         search=draw(st.none() | search),
         # The full audit puts every verdict's Y and µ in the digest, so
@@ -67,7 +67,11 @@ def run_configs(draw) -> ExperimentConfig:
 
 
 @given(config=run_configs())
-@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(
+    max_examples=examples(0.25),
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
 def test_a_run_ends_where_its_reference_run_ends(config):
     with tempfile.TemporaryDirectory() as tmp:
         config = config.with_(checkpoint_path=os.path.join(tmp, config.checkpoint_path))

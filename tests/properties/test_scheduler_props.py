@@ -33,6 +33,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.scheduler import Simulator
+from tests.conftest import examples
 from tests.sim.reference_heap import ReferenceHeap
 
 KIND = "lazy_tick"
@@ -252,7 +253,7 @@ WIDTHS = [0.25, 1.0, 2.5]
 
 
 @given(ops=ops_strategy, width=st.sampled_from(WIDTHS))
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=examples(1.2), deadline=None)
 def test_wheel_matches_heap_oracle(ops, width):
     wheel = Script(lazy=True, width=width)
     model = ModelScript()
@@ -264,7 +265,7 @@ def test_wheel_matches_heap_oracle(ops, width):
 
 
 @given(ops=ops_strategy, width=st.sampled_from(WIDTHS))
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=examples(0.8), deadline=None)
 def test_lazy_is_equivalent_to_eager(ops, width):
     lazy = Script(lazy=True, width=width)
     eager = Script(lazy=False, width=width)
@@ -275,7 +276,7 @@ def test_lazy_is_equivalent_to_eager(ops, width):
 
 
 @given(ops=ops_strategy)
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=examples(0.4), deadline=None)
 def test_snapshots_are_engine_independent_mid_script(ops):
     # Force at least one snapshot point by appending one.  Where the
     # windows fall must not leak into the serialized state: every bucket

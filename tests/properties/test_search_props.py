@@ -14,6 +14,7 @@ from repro.search.content import ContentCatalog
 from repro.search.flooding import FloodRouter, QueryOutcome
 from repro.search.index import ContentDirectory
 from repro.search.walkers import RandomWalkRouter
+from tests.conftest import examples
 from tests.search.reference_flood import reference_query
 
 
@@ -46,7 +47,7 @@ def random_overlay(draw):
 
 
 @given(random_overlay(), st.integers(1, 6), st.integers(0, 29), st.data())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(0.6), deadline=None)
 def test_flood_outcome_invariants(system, ttl, obj, data):
     ov, directory, rng = system
     router = FloodRouter(ov, directory, ttl=ttl)
@@ -106,7 +107,7 @@ _OPS = (
     st.lists(st.sampled_from(_OPS), min_size=1, max_size=20),
     st.data(),
 )
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=examples(1), deadline=None)
 def test_flood_equals_the_per_copy_reference(system, ttl, ops, data):
     """One live router == the per-copy BFS, field by field, over queries
     interleaved with every kind of overlay change.
@@ -209,7 +210,7 @@ def test_flood_distances_past_a_byte(ttl):
 
 
 @given(random_overlay(), st.integers(0, 29), st.data())
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=examples(0.4), deadline=None)
 def test_flood_monotone_in_ttl(system, obj, data):
     """More TTL can only visit more supers and find at least as much."""
     ov, directory, rng = system
@@ -222,7 +223,7 @@ def test_flood_monotone_in_ttl(system, obj, data):
 
 
 @given(random_overlay(), st.integers(0, 29), st.data())
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=examples(0.4), deadline=None)
 def test_flood_finds_iff_reachable_holder_exists(system, obj, data):
     """With TTL >= diameter, found == some reachable super resolves obj."""
     ov, directory, rng = system
@@ -250,7 +251,7 @@ def test_flood_finds_iff_reachable_holder_exists(system, obj, data):
 
 
 @given(random_overlay(), st.integers(0, 29), st.data())
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=examples(0.4), deadline=None)
 def test_walker_outcome_invariants(system, obj, data):
     ov, directory, rng = system
     all_pids = sorted(p.pid for p in ov.peers())

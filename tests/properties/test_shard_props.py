@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from repro.metrics.shardstats import reduce_sample_logs
 from repro.overlay.aggregates import _fixed
 from repro.sim.shard import ShardMessage, merge_messages
+from tests.conftest import examples
 
 # -- strategies ---------------------------------------------------------------
 
@@ -98,7 +99,7 @@ def _rows_for(population, ticks):
 # -- properties ---------------------------------------------------------------
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=examples(2), deadline=None)
 @given(inboxes(), st.randoms(use_true_random=False))
 def test_merge_invariant_to_interleaving(messages, rnd):
     expected = merge_messages(messages)
@@ -107,7 +108,7 @@ def test_merge_invariant_to_interleaving(messages, rnd):
     assert merge_messages(shuffled) == expected
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=examples(2), deadline=None)
 @given(inboxes())
 def test_merge_keys_strictly_increase(messages):
     merged = merge_messages(messages)
@@ -115,7 +116,7 @@ def test_merge_keys_strictly_increase(messages):
     assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=examples(1.5), deadline=None)
 @given(
     st.lists(_peers, min_size=1, max_size=40),
     st.integers(min_value=1, max_value=6),

@@ -23,6 +23,7 @@ from repro.experiments.configs import table2_config
 from repro.experiments.runner import run_experiment
 from repro.protocol.faults import FaultPlan
 from repro.sim.scheduler import Simulator
+from tests.conftest import examples
 
 # One op: (opcode, operand).  Schedule delays and cancel indexes are
 # drawn small so ops interact (same-time ties, cancels hitting pending
@@ -56,7 +57,7 @@ def drain(sim: Simulator) -> list:
 
 
 @given(ops=ops_strategy, suffix=ops_strategy)
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(0.6), deadline=None)
 def test_engine_round_trip_under_arbitrary_ops(ops, suffix):
     # Build two identical engines with the same op history...
     a, b = Simulator(seed=3), Simulator(seed=3)
@@ -100,7 +101,7 @@ def _strip_volatile(state: dict) -> dict:
     extra_frac=st.floats(min_value=0.0, max_value=1.0),
     faults=st.booleans(),
 )
-@settings(max_examples=8, deadline=None)
+@settings(max_examples=examples(0.08), deadline=None)
 def test_system_round_trip_is_transparent(seed, fork_frac, extra_frac, faults):
     cfg = table2_config().with_(
         n=120,

@@ -24,12 +24,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.overlay.bootstrap import JoinProcedure
-from repro.overlay.family import make_family
 from repro.overlay.maintenance import Maintenance
 from repro.overlay.roles import Role
 from repro.overlay.topology import Overlay
 from repro.sim import rng as rng_module
 from repro.sim.rng import DrawAhead
+from tests.conftest import examples
 from tests.overlay.reference_sweep import reference_reconnect_orphans, reference_sweep
 
 _PICK = st.integers(min_value=0, max_value=10**6)
@@ -73,11 +73,11 @@ class _SkewedRng:
 
 
 class _System:
-    def __init__(self, family: str, m: int, *, reference=False, skew=1) -> None:
+    def __init__(self, m: int, *, reference=False, skew=1) -> None:
         self.overlay = ov = Overlay()
         self.draws = _SkewedRng(skew)
         rng = self.draws if reference else DrawAhead(self.draws)
-        self.join = JoinProcedure(ov, m, rng, k_s=3, family=make_family(family))
+        self.join = JoinProcedure(ov, m, rng, k_s=3)
         self.maint = maint = Maintenance(ov, self.join, m=m, k_s=3)
         if reference:
             # after_super_death / after_demotion / sweep, the slow way.
@@ -130,14 +130,10 @@ class _System:
         self.overlay.check_invariants(aggregates=True)
 
 
-@given(
-    ops=ops_strategy,
-    m=st.sampled_from([1, 2, 3]),
-    family=st.sampled_from(["superpeer", "chord"]),
-)
-@settings(max_examples=300, deadline=None)
-def test_sweep_matches_reference_scan(ops, m, family):
-    new, ref = _System(family, m), _System(family, m, reference=True)
+@given(ops=ops_strategy, m=st.sampled_from([1, 2, 3]))
+@settings(max_examples=examples(3), deadline=None)
+def test_sweep_matches_reference_scan(ops, m):
+    new, ref = _System(m), _System(m, reference=True)
     for op, x, y in ops + [("sweep", None, None)]:
         if op != "sweep":
             new.apply(op, x, y)
@@ -202,8 +198,7 @@ def _watch_read_ahead(monkeypatch, seen: Counter) -> None:
     monkeypatch.setattr(Overlay, "random_supers", counted_sampler)
 
 
-@pytest.mark.parametrize("family", ["superpeer", "chord"])
-def test_orphan_passes_match_the_per_orphan_loop(family):
+def test_orphan_passes_match_the_per_orphan_loop():
     seen = Counter()
 
     @given(
@@ -214,13 +209,13 @@ def test_orphan_passes_match_the_per_orphan_loop(family):
         skew=st.sampled_from([1, 8, 8]),
         block=st.sampled_from([1, 7, 13, 256, 256]),
     )
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=examples(3), deadline=None)
     def differential(n_supers, n_leaves, ops, m, skew, block):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(rng_module, "PREFETCH_BLOCK", block)
             _watch_read_ahead(mp, seen)
-            new = _System(family, m, skew=skew)
-            ref = _System(family, m, skew=skew, reference=True)
+            new = _System(m, skew=skew)
+            ref = _System(m, skew=skew, reference=True)
             setup = [("join_super", 9.0, None)] * n_supers + [("join", 1.0, None)] * n_leaves
             for op, x, y in setup + ops + [("sweep", None, None)]:
                 # The super layer is held at its drawn size: a dead super
@@ -259,7 +254,7 @@ def test_orphan_passes_match_the_per_orphan_loop(family):
         max_size=12,
     ),
 )
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(3), deadline=None)
 def test_draw_ahead_is_the_per_call_stream(requests):
     real, ahead = np.random.default_rng(9), DrawAhead(np.random.default_rng(9))
     for bound, size in requests:

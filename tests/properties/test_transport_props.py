@@ -28,6 +28,7 @@ from repro.experiments.configs import table2_config
 from repro.experiments.runner import run_experiment
 from repro.protocol.faults import FaultPlan
 from repro.sim.events import EventKind
+from tests.conftest import examples
 
 HORIZON = 50.0
 BARRIER = 5.0
@@ -78,7 +79,7 @@ def _run_to(result, until: float, start: float = 0.0) -> None:
     seed=st.integers(min_value=0, max_value=2**16),
     t_cp=st.floats(min_value=1.0, max_value=HORIZON - 1.0),
 )
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=examples(0.2), deadline=None)
 def test_resume_is_bit_identical_and_live_pending_exact(plan, seed, t_cp):
     cfg = _config(plan, seed)
     whole = run_experiment(cfg, run=False)

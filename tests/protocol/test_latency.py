@@ -17,6 +17,7 @@ from repro.protocol.latency import (
     default_latency_model,
     default_shard_link_model,
 )
+from tests.conftest import examples
 
 
 class TestConstantLatency:
@@ -218,7 +219,7 @@ def test_scalar_cases_cover_every_latency_model_class():
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     parts=st.lists(st.integers(min_value=0, max_value=300), max_size=6),
 )
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=examples(0.2), deadline=None)
 def test_sample_one_is_the_vector_stream(model, seed, parts):
     """Values taken one at a time, or in any split, are the vector
     stream: ``sample(a + b)`` is ``sample(a)`` then ``sample(b)``,

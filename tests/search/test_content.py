@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.search.content import ContentCatalog
+from tests.conftest import examples
 
 
 class TestCatalogConstruction:
@@ -81,7 +82,7 @@ class TestSharedSets:
     n_objects=st.integers(min_value=1, max_value=300),
     s=st.floats(min_value=0.0, max_value=2.0),
 )
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=examples(0.4), deadline=None)
 def test_query_target_is_the_vector_stream(seed, n_objects, s):
     """``query_target`` returns what ``sample_objects(rng, 1)[0]`` would
     and leaves the generator where that call would (the scalar draw on

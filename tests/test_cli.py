@@ -41,13 +41,12 @@ def _capture_row(monkeypatch, exp_id):
 class TestFlagsReachTheHarness:
     def test_table3_gets_the_built_config_as_base(self, monkeypatch):
         calls = _capture_row(monkeypatch, "table3")
-        argv = ["table3", "--seed", "9", "--loss", "0.05", "--family", "chord"]
+        argv = ["table3", "--seed", "9", "--loss", "0.05"]
         argv += ["--audit-level", "actions"]
         assert main(argv) == 0
         (config, sweep), = calls
         assert config.seed == 9
         assert config.faults == FaultPlan(loss_rate=0.05, latency_scale=0.0)
-        assert config.family == "chord"
         assert config.telemetry.audit_level == "actions"
         assert sweep == {}  # the bench sweep
 
@@ -97,7 +96,7 @@ _EXIT_CODES = [
     (["figure6", "--checkpoint-path", "{tmp}/x.ckpt"], 2),
     (["figure6", "--horizon", "50"], 2),  # not past the warm-up
     (["table3", "--horizon", "100"], 2),
-    (["families", "--family", "chord"], 2),
+    (["figure_faults", "--latency-scale", "0.2"], 2),
     (["figure_faults", "--loss", "0.1"], 2),
     (["report", "--save", "{tmp}/out"], 2),
     (["resume", "{tmp}/junk.ckpt", "--seed", "3"], 2),
@@ -105,7 +104,7 @@ _EXIT_CODES = [
     (["profile", "evaluate", "--sort", "tottime"], 2),
     (["profile", "table3", "--horizon", "100"], 2),
     # Each reads its runs' one system, so --shards is refused, not dropped.
-    (["families", "--shards", "2"], 2),
+    (["profile", "table3", "--shards", "2"], 2),
     (["figure_faults", "--shards", "2"], 2),
     (["table3", "--n", "300", "--shards", "2"], 2),
     (["figure5", "--n", "200", "--horizon", "180"], 2),  # horizon <= 2 x warm-up
@@ -174,7 +173,7 @@ def test_exit_code_contract(inputs, capsys, monkeypatch, argv, code):
 
 #: Rows whose harness runs more than one system: one output path would
 #: hold only the last run's file, so each refuses every such flag.
-_MULTI_RUN = ("figure1", "figure7", "figure8", "table3", "figure_faults", "families")
+_MULTI_RUN = ("figure1", "figure7", "figure8", "table3", "figure_faults")
 
 
 @pytest.mark.parametrize("flag", SINGLE_RUN_OUTPUTS)
