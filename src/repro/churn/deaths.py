@@ -55,10 +55,10 @@ class DeathLedger:
     # -- driver-facing API -------------------------------------------------
     def schedule(self, slot: int, pid: int, time: float) -> None:
         """Reserve the death of ``pid`` at ``time`` (lazily if far)."""
-        seq, materialized = self.sim.schedule_lazy(time, self.kind, pid)
+        seq, ev = self.sim.schedule_lazy(time, self.kind, pid)
         store = self.store
         store.dseq[slot] = seq
-        if not materialized:
+        if ev is None:
             store.dv[slot] = time
             self._pending += 1
 

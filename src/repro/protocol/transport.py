@@ -46,7 +46,8 @@ once a peer has no requests left in flight its completion listeners fire
 (which is how :class:`~repro.core.dlm.DLMPolicy` triggers evaluation on
 response arrival).  Retransmissions and timeouts are tallied distinctly
 in the :class:`~repro.protocol.accounting.MessageLedger` so overhead
-reports stay honest under faults.
+reports stay honest under faults; first attempts and responses are
+charged by ledger plan (:meth:`~repro.protocol.accounting.MessageLedger.charge`).
 
 Request lifecycle is observable through :meth:`add_trace_listener`
 (stages: ``sent`` / ``retried`` / ``dropped`` / ``timed_out`` /
@@ -61,6 +62,7 @@ from collections import deque
 from math import inf
 from typing import Callable, Deque, Dict, List, Mapping, Optional, Tuple
 
+from ..overlay.roles import ROLE_SUPER
 from ..overlay.topology import Overlay
 from ..sim.events import EventKind
 from ..sim.scheduler import Simulator
@@ -96,13 +98,8 @@ _REQUEST_TYPES = {
 class _Pending:
     """One logical request occupying a slot in the in-flight table.
 
-    Instances are recycled through a free-list pool: churn-heavy runs
-    put millions of requests in flight, and reinitializing a pooled
-    record is cheaper than allocating a fresh object (and keeps the
-    allocator from thrashing at 100k-peer scale).  Recycling is safe
-    because the engine addresses requests by ``rid`` -- a retired rid is
-    never reused, so a late event for the old rid misses the in-flight
-    table instead of aliasing the recycled record.
+    The engine addresses requests by ``rid``: a retired rid is never
+    reused, so a late event for it misses the in-flight table.
     """
 
     __slots__ = (
@@ -115,10 +112,6 @@ class _Pending:
     )
 
     def __init__(self, rid: int, requester: int, responder: int, kind: str) -> None:
-        self.reset(rid, requester, responder, kind)
-
-    def reset(self, rid: int, requester: int, responder: int, kind: str) -> None:
-        """(Re)initialize for a fresh logical request."""
         self.rid = rid
         self.requester = requester
         self.responder = responder
@@ -127,14 +120,6 @@ class _Pending:
         #: Scheduler seq of the armed timeout (its event or its row).
         self.timeout_seq: Optional[int] = None
 
-    @property
-    def key(self) -> Tuple[int, int, str]:
-        return (self.requester, self.responder, self.kind)
-
-
-#: Upper bound on pooled ``_Pending`` records (memory backstop; the pool
-#: only ever holds what was simultaneously in flight).
-_PENDING_POOL_MAX = 4096
 
 class _TimeoutRows:
     """Armed timeouts beyond the active window, as a lazy event source.
@@ -224,7 +209,19 @@ class InfoExchange:
             self._inflight: Dict[int, _Pending] = {}
             self._by_key: Dict[Tuple[int, int, str], _Pending] = {}
             self._outstanding: Dict[int, int] = {}
-            self._pool: List[_Pending] = []
+            # First attempts and responses are charged by plan, one per
+            # request kind; a retransmission is a ``record`` of its own.
+            self._request_charge = {
+                kind: ledger.plan([(types[0], 1)])
+                for kind, types in _REQUEST_TYPES.items()
+            }
+            self._response_charge = {
+                kind: ledger.plan([(types[1], 1)])
+                for kind, types in _REQUEST_TYPES.items()
+            }
+            #: The drop probability of every leg, or None when bursts make
+            #: it a function of time (``FaultPlan.loss_at``).
+            self._loss = faults.loss_rate if faults.burst_interval is None else None
             self._draw_drop = sim.rng.prefetch(
                 "transport-drop", lambda gen, n: gen.random(n)
             ).next
@@ -265,8 +262,8 @@ class InfoExchange:
     def _trace(
         self, stage: str, pending: _Pending, leg: Optional[str] = None
     ) -> None:
-        if not self._trace_listeners:
-            return  # the common case: build no info dict nobody reads
+        """Tell every trace listener; callers check there is one first,
+        so a run without listeners builds no info dict."""
         info: Dict[str, object] = {
             "rid": pending.rid,
             "requester": pending.requester,
@@ -416,10 +413,9 @@ class InfoExchange:
 
         Pending requests serialize by value with their timeouts
         referenced by scheduler ``seq`` (the simulator's snapshot folds
-        the live rows into its queue); the ``_Pending`` free-list pool
-        is a pure allocation cache and is rebuilt empty on restore.
-        Deliver events in flight live in the scheduler queue and re-bind
-        through the handler registry, not here.
+        the live rows into its queue).  Deliver events in flight live in
+        the scheduler queue and re-bind through the handler registry,
+        not here.
         """
         if self.faults is None:
             return {"message_driven": False}
@@ -454,7 +450,6 @@ class InfoExchange:
         # In place: the timeout rows read liveness through this dict.
         self._inflight.clear()
         self._by_key = {}
-        self._pool = []
         levels: List[list] = [[] for _ in self._delays]
         for rid, requester, responder, kind, attempt, timeout_seq in state[
             "inflight"
@@ -466,146 +461,172 @@ class InfoExchange:
             if not rematerialized:
                 levels[attempt].append((t, timeout_seq, rid, attempt))
             self._inflight[rid] = pending
-            self._by_key[pending.key] = pending
+            self._by_key[requester, responder, kind] = pending
         self._timeouts.levels = [deque(sorted(rows)) for rows in levels]
         self._timeouts.live = sum(map(len, levels))
         self._outstanding = dict(state["outstanding"])
 
     # -- the in-flight engine -------------------------------------------------
+    # Each leg is one frame: the send in ``_start_request`` (a retry's in
+    # ``_on_timeout``), the answer and the caching in ``_on_deliver``.  A
+    # send charges, traces, maybe drops (a ``transport-drop`` draw while
+    # the loss is positive), else delays (a ``transport-latency`` draw)
+    # and schedules the leg; a request then arms its timeout, whose seq
+    # is reserved right after the leg's as an eager ``schedule`` would.
     def _start_request(self, requester: int, responder: int, kind: str) -> bool:
         """Put one logical request in flight; False if already pending."""
         key = (requester, responder, kind)
-        if key in self._by_key:
+        by_key = self._by_key
+        if key in by_key:
             return False
         rid = self._next_rid
         self._next_rid = rid + 1
-        if self._pool:
-            pending = self._pool.pop()
-            pending.reset(rid, requester, responder, kind)
-        else:
-            pending = _Pending(rid, requester, responder, kind)
-        self._by_key[key] = pending
-        self._inflight[pending.rid] = pending
-        self._outstanding[requester] = self._outstanding.get(requester, 0) + 1
-        self._send_attempt(pending)
-        return True
-
-    def _send_attempt(self, pending: _Pending) -> None:
-        """Send (or resend) the request leg and arm its timeout.
-
-        The timeout's seq is reserved right after the request leg's, as
-        an eager ``schedule`` would; beyond the active window it is only
-        a row in its attempt level's FIFO.
-        """
-        attempt = pending.attempt
-        self.ledger.record(
-            _REQUEST_TYPES[pending.kind][0], retransmission=attempt > 0
+        pending = by_key[key] = self._inflight[rid] = _Pending(
+            rid, requester, responder, kind
         )
-        self._trace("retried" if attempt else "sent", pending)
-        self._transmit(pending, "request", None)
-        sim = self.sim
-        t = sim.clock._now + self._delays[attempt]
-        rid = pending.rid
-        seq, materialized = sim.schedule_lazy(
-            t, EventKind.TRANSPORT_TIMEOUT, {"rid": rid, "attempt": attempt}
-        )
-        pending.timeout_seq = seq
-        if not materialized:
-            self._timeouts.levels[attempt].append((t, seq, rid, attempt))
-            self._timeouts.live += 1
-
-    def _transmit(
-        self,
-        pending: _Pending,
-        leg: str,
-        values: Optional[Dict[str, float]],
-    ) -> None:
-        """Carry one message leg across the link: maybe drop, else delay."""
+        outstanding = self._outstanding
+        outstanding[requester] = outstanding.get(requester, 0) + 1
+        self.ledger.charge(self._request_charge[kind])
+        if self._trace_listeners:
+            self._trace("sent", pending)
         sim = self.sim
         now = sim.clock._now
-        p_loss = self.faults.loss_at(now)
-        if p_loss > 0.0 and self._draw_drop() < p_loss:
-            self._trace("dropped", pending, leg)
-            return
-        payload: Dict[str, object] = {"rid": pending.rid, "leg": leg}
-        if values is not None:
-            payload["values"] = values
-            payload["at"] = now
-        sim.schedule_at(
-            now + self._draw_latency(), EventKind.TRANSPORT_DELIVER, payload
-        )
+        loss = self._loss
+        if loss is None:
+            loss = self.faults.loss_at(now)
+        if loss > 0.0 and self._draw_drop() < loss:
+            if self._trace_listeners:
+                self._trace("dropped", pending, "request")
+        else:
+            sim.schedule_at(
+                now + self._draw_latency(),
+                EventKind.TRANSPORT_DELIVER,
+                {"rid": rid, "leg": "request"},
+            )
+        t = now + self._delays[0]
+        seq, ev = sim.schedule_lazy(t, EventKind.TRANSPORT_TIMEOUT)
+        pending.timeout_seq = seq
+        if ev is None:
+            self._timeouts.levels[0].append((t, seq, rid, 0))
+            self._timeouts.live += 1
+        else:
+            ev.payload = {"rid": rid, "attempt": 0}
+        return True
 
     def _on_deliver(self, sim: Simulator, event) -> None:
-        pending = self._inflight.get(event.payload["rid"])
+        payload = event.payload
+        pending = self._inflight.get(payload["rid"])
         if pending is None:
             return  # late duplicate of an already-resolved request
-        if event.payload["leg"] == "request":
-            self._deliver_request(pending)
-        else:
-            self._deliver_response(pending, event.payload)
-
-    def _deliver_request(self, pending: _Pending) -> None:
-        """The responder answers with its current values (if it can)."""
-        responder = self.overlay.get(pending.responder)
-        if responder is None:
-            return  # departed: the requester will time out
-        now = self.sim.now
-        if pending.kind == "neigh_num":
-            if not responder.is_super:
-                return  # demoted: l_nn is meaningless, let it time out
-            values: Dict[str, float] = {"l_nn": len(responder.leaf_neighbors)}
-        else:
-            values = {"capacity": responder.capacity, "age": now - responder.join_time}
-        self.ledger.record(_REQUEST_TYPES[pending.kind][1])
-        self._transmit(pending, "response", values)
-
-    def _deliver_response(
-        self, pending: _Pending, payload: Mapping[str, object]
-    ) -> None:
-        """The response arrives: cache the observation and resolve."""
-        requester = self.overlay.get(pending.requester)
-        if requester is not None:
+        kind = pending.kind
+        if payload["leg"] == "request":
+            # The responder answers with its current values, if it can.
+            peer = self.overlay.get(pending.responder)
+            if peer is None:
+                return  # departed: the requester will time out
+            store = peer._store
+            slot = peer._slot
+            now = sim.clock._now
+            if kind == "neigh_num":
+                if store.role[slot] != ROLE_SUPER:
+                    return  # demoted: l_nn is meaningless, let it time out
+                values: Dict[str, float] = {"l_nn": len(store.ln[slot] or ())}
+            else:
+                values = {
+                    "capacity": store.capacity[slot],
+                    "age": now - store.join_time[slot],
+                }
+            self.ledger.charge(self._response_charge[kind])
+            loss = self._loss
+            if loss is None:
+                loss = self.faults.loss_at(now)
+            if loss > 0.0 and self._draw_drop() < loss:
+                if self._trace_listeners:
+                    self._trace("dropped", pending, "response")
+                return
+            sim.schedule_at(
+                now + self._draw_latency(),
+                EventKind.TRANSPORT_DELIVER,
+                {"rid": pending.rid, "leg": "response", "values": values, "at": now},
+            )
+            return
+        # The response arrives: cache the observation and resolve.
+        peer = self.overlay.get(pending.requester)
+        if peer is not None:
+            store = peer._store
+            slot = peer._slot
+            knowledge = store.kn[slot]
+            if knowledge is None:
+                knowledge = store.knowledge_of(slot)
             values = payload["values"]
-            at = payload["at"]
-            if pending.kind == "neigh_num":
-                requester.knowledge.observe_lnn(
-                    pending.responder, int(values["l_nn"]), at
+            if kind == "neigh_num":
+                knowledge.observe_lnn(
+                    pending.responder, int(values["l_nn"]), payload["at"]
                 )
             else:
-                requester.knowledge.observe_values(
-                    pending.responder, values["capacity"], values["age"], at
+                knowledge.observe_values(
+                    pending.responder, values["capacity"], values["age"], payload["at"]
                 )
         # A timeout already materialized is cancelled in the calendar; a
         # row dies by itself once the request leaves the in-flight table.
-        if not self.sim.cancel_lazy(pending.timeout_seq):
+        if not sim.cancel_lazy(pending.timeout_seq):
             self._timeouts.live -= 1
-        self._trace("satisfied", pending)
+        if self._trace_listeners:
+            self._trace("satisfied", pending)
         self._resolve(pending)
 
     def _on_timeout(self, sim: Simulator, event) -> None:
-        pending = self._inflight.get(event.payload["rid"])
-        if pending is None or event.payload["attempt"] != pending.attempt:
+        payload = event.payload
+        pending = self._inflight.get(payload["rid"])
+        attempt = payload["attempt"]
+        if pending is None or attempt != pending.attempt:
             return  # resolved or superseded in the meantime
         req_type = _REQUEST_TYPES[pending.kind][0]
         self.ledger.record_timeout(req_type)
-        self._trace("timed_out", pending)
+        traced = bool(self._trace_listeners)
+        if traced:
+            self._trace("timed_out", pending)
         if (
-            pending.attempt < self.faults.max_retries
-            and self.overlay.get(pending.requester) is not None
+            attempt >= self.faults.max_retries
+            or self.overlay.get(pending.requester) is None
         ):
-            pending.attempt += 1
-            self._send_attempt(pending)
+            if traced:
+                self._trace("failed", pending)
+            self._resolve(pending)
             return
-        self._trace("failed", pending)
-        self._resolve(pending)
+        # Retry: the request leg again, charged as a retransmission.
+        pending.attempt = attempt = attempt + 1
+        self.ledger.record(req_type, retransmission=True)
+        if traced:
+            self._trace("retried", pending)
+        now = sim.clock._now
+        loss = self._loss
+        if loss is None:
+            loss = self.faults.loss_at(now)
+        rid = pending.rid
+        if loss > 0.0 and self._draw_drop() < loss:
+            if traced:
+                self._trace("dropped", pending, "request")
+        else:
+            sim.schedule_at(
+                now + self._draw_latency(),
+                EventKind.TRANSPORT_DELIVER,
+                {"rid": rid, "leg": "request"},
+            )
+        t = now + self._delays[attempt]
+        seq, ev = sim.schedule_lazy(t, EventKind.TRANSPORT_TIMEOUT)
+        pending.timeout_seq = seq
+        if ev is None:
+            self._timeouts.levels[attempt].append((t, seq, rid, attempt))
+            self._timeouts.live += 1
+        else:
+            ev.payload = {"rid": rid, "attempt": attempt}
 
     def _resolve(self, pending: _Pending) -> None:
         """Retire a request and fire completion when its peer drains."""
-        del self._inflight[pending.rid]
-        del self._by_key[pending.key]
         requester = pending.requester
-        if len(self._pool) < _PENDING_POOL_MAX:
-            self._pool.append(pending)
+        del self._inflight[pending.rid]
+        del self._by_key[requester, pending.responder, pending.kind]
         remaining = self._outstanding[requester] - 1
         if remaining > 0:
             self._outstanding[requester] = remaining

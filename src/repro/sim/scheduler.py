@@ -126,6 +126,14 @@ class LazyEventSource:
         raise NotImplementedError
 
 
+def _staged_event(entry: tuple) -> Event:
+    """The Event of a queue entry ``(time, seq, kind, payload, cancelled)``."""
+    t, seq, kind, payload, cancelled = entry
+    if payload is None:
+        payload = _EMPTY_PAYLOAD
+    return Event(t, kind, payload, seq, cancelled)
+
+
 def _plain_payload(payload):
     """Serialize a payload: dict copies (None when empty), scalars as-is."""
     if isinstance(payload, Mapping):
@@ -253,12 +261,7 @@ class Simulator:
                 yield entry[2]
         for kind, source in self._sources.items():
             for t, seq, payload in sorted(source.pending_lazy()):
-                yield Event(
-                    time=t,
-                    kind=kind,
-                    payload=_EMPTY_PAYLOAD if payload is None else payload,
-                    seq=seq,
-                )
+                yield _staged_event((t, seq, kind, payload, False))
 
     # -- wiring --------------------------------------------------------------
     def on(self, kind: str, handler: Handler) -> None:
@@ -328,12 +331,7 @@ class Simulator:
             raise ValueError(f"cannot schedule in the past: {time} < {now}")
         seq = self._next_seq
         self._next_seq = seq + 1
-        ev = Event(
-            time=time,
-            kind=kind,
-            payload=_EMPTY_PAYLOAD if payload is None else payload,
-            seq=seq,
-        )
+        ev = Event(time, kind, _EMPTY_PAYLOAD if payload is None else payload, seq)
         if time == now:
             self._now_buffer.append((time, seq, ev))
         elif time < self._active_end:
@@ -347,17 +345,18 @@ class Simulator:
         time: float,
         kind: str,
         payload: Any = None,
-    ) -> Tuple[int, bool]:
+    ) -> Tuple[int, Optional[Event]]:
         """Reserve a seq for an event the attached source may own.
 
-        Returns ``(seq, materialized)``.  The seq is allocated exactly
-        where :meth:`schedule_at` would have allocated it, so a run that
+        Returns ``(seq, event)``.  The seq is allocated exactly where
+        :meth:`schedule_at` would have allocated it, so a run that
         schedules lazily is trajectory-identical to one that schedules
         eagerly.  If ``time`` falls inside the active window the Event
-        is materialized immediately and ``materialized`` is True -- the
-        caller must not record the row in the source.  Otherwise the
-        caller owns the ``(time, payload)`` row until the engine
-        harvests it (or the source cancels it).
+        is materialized immediately and returned -- the caller must not
+        record the row in the source, and may still set the event's
+        payload, which nothing reads before it fires.  Otherwise
+        ``event`` is None and the caller owns the ``(time, payload)``
+        row until the engine harvests it (or the source cancels it).
         """
         now = self.clock._now
         if time < now:
@@ -366,23 +365,20 @@ class Simulator:
         self._next_seq = seq + 1
         if time == now or time < self._active_end:
             ev = Event(
-                time=time,
-                kind=kind,
-                payload=_EMPTY_PAYLOAD if payload is None else payload,
-                seq=seq,
+                time, kind, _EMPTY_PAYLOAD if payload is None else payload, seq
             )
             self._lazy_events[seq] = ev
             if time == now:
                 self._now_buffer.append((time, seq, ev))
             else:
                 heappush(self._active, (time, seq, ev))
-            return seq, True
+            return seq, ev
         if kind not in self._sources:
             raise RuntimeError(
                 "schedule_lazy beyond the active window needs a lazy source "
                 f"registered for kind {kind!r} (set_lazy_source)"
             )
-        return seq, False
+        return seq, None
 
     # -- cancellation --------------------------------------------------------
     def cancel(self, ev: Optional[Event]) -> bool:
@@ -497,10 +493,7 @@ class Simulator:
                 lazy = self._lazy_events
                 for t, seq, payload in harvested:
                     ev = Event(
-                        time=t,
-                        kind=kind,
-                        payload=_EMPTY_PAYLOAD if payload is None else payload,
-                        seq=seq,
+                        t, kind, _EMPTY_PAYLOAD if payload is None else payload, seq
                     )
                     lazy[seq] = ev
                     heappush(active, (t, seq, ev))
@@ -737,16 +730,9 @@ class Simulator:
             return ev
         if self._staging is None:
             raise KeyError(seq)
-        t, _seq, kind, payload, cancelled = self._staging.pop(seq)
-        ev = Event(
-            time=t,
-            kind=kind,
-            payload=_EMPTY_PAYLOAD if payload is None else payload,
-            seq=seq,
-            cancelled=cancelled,
-        )
-        self._restored_events[seq] = ev
-        self._insert_restored(t, seq, ev)
+        entry = self._staging.pop(seq)
+        ev = self._restored_events[seq] = _staged_event(entry)
+        self._insert_restored(entry[0], seq, ev)
         return ev
 
     def reclaim_lazy(self, seq: int) -> Tuple[float, Any, bool]:
@@ -761,16 +747,10 @@ class Simulator:
         """
         if self._staging is None:
             raise RuntimeError("reclaim_lazy after the restore was finalized")
-        t, _seq, kind, payload, cancelled = self._staging.pop(seq)
+        entry = self._staging.pop(seq)
+        t, payload = entry[0], entry[3]
         if t < self._active_end:
-            ev = Event(
-                time=t,
-                kind=kind,
-                payload=_EMPTY_PAYLOAD if payload is None else payload,
-                seq=seq,
-                cancelled=cancelled,
-            )
-            self._lazy_events[seq] = ev
+            ev = self._lazy_events[seq] = _staged_event(entry)
             heappush(self._active, (t, seq, ev))
             return t, payload, True
         return t, payload, False
@@ -789,15 +769,9 @@ class Simulator:
             return
         to_active: List[Tuple[float, int, Event]] = []
         restored = self._restored_events
-        for t, seq, kind, payload, cancelled in staging.values():
-            ev = Event(
-                time=t,
-                kind=kind,
-                payload=_EMPTY_PAYLOAD if payload is None else payload,
-                seq=seq,
-                cancelled=cancelled,
-            )
-            restored[seq] = ev
+        for entry in staging.values():
+            t, seq = entry[0], entry[1]
+            ev = restored[seq] = _staged_event(entry)
             if t < self._active_end:
                 to_active.append((t, seq, ev))
             else:

@@ -162,6 +162,15 @@ class TestBandwidthMixture:
         with pytest.raises(ValueError):
             BandwidthMixture([(0.0, 10.0, 0.1)])
 
+    def test_a_vector_draw_is_not_block_splittable(self):
+        # ``sample(rng, n)`` draws all n class picks before any jitter, so
+        # the ``capacity`` stream is read one ``sample_one`` per join and
+        # may not be drawn ahead (DESIGN.md §8, the stream table).
+        d = BandwidthMixture()
+        split_rng, whole_rng = np.random.default_rng(3), np.random.default_rng(3)
+        pieces = [d.sample_one(split_rng) for _ in range(8)]
+        assert pieces != d.sample(whole_rng, 8).tolist()
+
 
 class TestDefaults:
     def test_default_lifetime_is_lognormal_hour_median(self):

@@ -43,6 +43,13 @@ def run_configs(draw) -> ExperimentConfig:
         FaultPlan,
         loss_rate=st.floats(0.0, 0.2),
         latency_scale=st.floats(0.0, 0.5),
+    ) | st.builds(
+        FaultPlan,
+        loss_rate=st.floats(0.0, 0.2),
+        latency_scale=st.floats(0.0, 0.5),
+        burst_loss_rate=st.floats(0.3, 0.9),
+        burst_interval=st.just(20.0),
+        burst_duration=st.floats(2.0, 10.0),
     )
     search = st.builds(
         SearchConfig, n_objects=st.integers(20, 300), query_rate=st.floats(1.0, 10.0)

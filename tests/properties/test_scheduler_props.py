@@ -53,8 +53,8 @@ class DictSource:
 
     # -- driver side -----------------------------------------------------
     def schedule(self, time: float) -> int:
-        seq, materialized = self.sim.schedule_lazy(time, self.kind, None)
-        if not materialized:
+        seq, ev = self.sim.schedule_lazy(time, self.kind, None)
+        if ev is None:
             self.rows[seq] = time
         return seq
 

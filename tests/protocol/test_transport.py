@@ -6,7 +6,10 @@ from collections import Counter
 
 import pytest
 
-from repro.overlay.roles import Role
+from repro.experiments.checkpoint import capture_run_state, state_digest
+from repro.experiments.configs import table2_config
+from repro.experiments.runner import run_experiment
+from repro.overlay.roles import ROLE_LEAF, Role
 from repro.overlay.topology import Overlay
 from repro.protocol.accounting import MessageLedger
 from repro.protocol.faults import FaultPlan
@@ -20,6 +23,8 @@ from repro.protocol.transport import MESSAGES_PER_NEW_LINK, InfoExchange
 from repro.sim.rng import RngStreams
 from repro.sim.scheduler import Simulator
 from tests.conftest import add_peer
+from tests.protocol.reference_charge import eager_charge
+from tests.reference_system import reference_system
 
 
 @pytest.fixture
@@ -191,6 +196,17 @@ class TestMessageDrivenExchange:
         assert ledger.dlm_timeouts == 3 and ledger.dlm_retransmissions == 0
         assert ov.peer(2).knowledge.get(0) is None
 
+    def test_a_demoted_responder_neither_answers_nor_is_charged(self, driven):
+        sim, ov, ledger, make = driven
+        info = make(timeout=1.0, max_retries=0)
+        info.on_connection_created(2, 0)
+        ov.store.role[ov.peer(0)._slot] = ROLE_LEAF  # demoted before delivery
+        sim.run(until=5.0)
+        assert ledger.count(NeighNumResponse) == 0
+        assert ledger.count(ValueResponse) == 2
+        assert ledger.timeouts_for(NeighNumRequest) == 1
+        assert ov.peer(2).knowledge.get(0).l_nn is None
+
     def test_ensure_fresh_requests_only_the_gaps(self, driven):
         sim, ov, ledger, make = driven
         info = make()
@@ -219,3 +235,70 @@ class TestMessageDrivenExchange:
         satisfied = [t for stage, t in stages if stage == "satisfied"]
         assert len(satisfied) == 3
         assert all(t > 0.0 for t in satisfied)
+
+
+#: Lossy, with bursts that push the drop rate up to 0.6: every stage of
+#: a request's life happens in a short run.
+BURSTY = FaultPlan(
+    loss_rate=0.1,
+    latency_scale=0.3,
+    timeout=0.6,
+    backoff=1.5,
+    max_retries=2,
+    burst_loss_rate=0.6,
+    burst_interval=20.0,
+    burst_duration=5.0,
+)
+BURSTY_CONFIG = table2_config().with_(
+    n=150, horizon=60.0, warmup=10.0, seed=11, faults=BURSTY
+)
+
+
+def _bursty_run(*, traced: bool, until: float = BURSTY_CONFIG.horizon):
+    """The bursty run to ``until``, and the stages its listener heard."""
+    result = run_experiment(BURSTY_CONFIG, run=False)
+    stages: list = []
+    if traced:
+        result.ctx.info.add_trace_listener(
+            lambda stage, now, data: stages.append((stage, now, dict(data)))
+        )
+    result.ctx.sim.run(until=until)
+    return result, stages
+
+
+class TestChargeTraceSplit:
+    """First attempts and responses are charged by ledger plan, folded
+    at read, and the trace is built only for a listener: neither may
+    change what a run does, what it is charged, or what it traces."""
+
+    def test_a_listener_hears_the_reference_stages_and_changes_nothing(self):
+        plain, _ = _bursty_run(traced=False)
+        traced, stages = _bursty_run(traced=True)
+        assert traced.ctx.messages.snapshot() == plain.ctx.messages.snapshot()
+        assert state_digest(traced) == state_digest(plain)
+        with reference_system():
+            _, expected = _bursty_run(traced=True)
+        heard = Counter(stage for stage, _, _ in stages)
+        assert set(heard) == {
+            "sent", "retried", "dropped", "timed_out", "satisfied", "failed"
+        }
+        assert stages == expected
+
+    def test_a_mid_run_capture_folds_the_owed_charges(self, monkeypatch):
+        t_cp = 31.0
+        whole, _ = _bursty_run(traced=False)
+        captured, _ = _bursty_run(traced=False, until=t_cp)
+        ledger = captured.ctx.messages
+        assert any(plan.owed > 0 for plan in ledger._plans)
+        state = capture_run_state(captured)
+        with monkeypatch.context() as patch:
+            patch.setattr(MessageLedger, "charge", eager_charge)
+            eager, _ = _bursty_run(traced=False, until=t_cp)
+        assert state["messages"] == eager.ctx.messages.snapshot_state()
+        # Restoring drops what the live ledger still owed: the counters
+        # are the captured ones, not those plus the owed charges.
+        ledger.restore_state(state["messages"])
+        assert ledger.snapshot_state() == state["messages"]
+        resumed = run_experiment(BURSTY_CONFIG, run=False, resume_from={"state": state})
+        resumed.ctx.sim.run(until=BURSTY_CONFIG.horizon)
+        assert state_digest(resumed) == state_digest(whole)

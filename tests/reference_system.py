@@ -1,6 +1,6 @@
 """The slow simulator: the plane oracles installed in a whole run.
 
-Inside ``with reference_system():`` four fast paths are replaced *at
+Inside ``with reference_system():`` five fast paths are replaced *at
 class level* by their oracles, the way ``bench/trace.py`` installs its
 spans, and put back on exit, also when the block raises:
 
@@ -12,10 +12,13 @@ spans, and put back on exit, also when the block raises:
   charges the router's ledger the same two totals the router charges;
 * ``RngStreams.prefetch`` hands the bootstrap stream out as the bare
   generator, so every join and repair draws call by call instead of
-  slicing a block drawn ahead (the transport's scalar streams keep
-  theirs);
+  slicing a block drawn ahead, and the transport's ``transport-drop``
+  and ``transport-latency`` streams as one draw per value;
 * ``MessageLedger.charge`` is :func:`tests.protocol.reference_charge.
-  eager_charge`, every plan charged into the counters at once.
+  eager_charge`, every plan charged into the counters at once;
+* ``InfoExchange._start_request``, ``_on_deliver`` and ``_on_timeout``
+  are the per-leg steps of :mod:`tests.protocol.reference_transport`,
+  every message charged by ``MessageLedger.record``.
 
 The DLM verdicts go in through the public hook instead:
 ``run_experiment(config, policy_factory=reference_policy_factory)``
@@ -38,11 +41,13 @@ from typing import Iterator
 
 from repro.overlay.maintenance import Maintenance
 from repro.protocol.accounting import MessageLedger
+from repro.protocol.transport import InfoExchange
 from repro.protocol.messages import QueryHitMessage, QueryMessage
 from repro.search.flooding import FloodRouter, QueryOutcome
 from repro.sim.rng import RngStreams
 from tests.core.reference_related_set import ReferenceDLMPolicy
 from tests.overlay.reference_sweep import reference_sweep
+from tests.protocol import reference_transport
 from tests.protocol.reference_charge import eager_charge
 from tests.search.reference_flood import reference_query
 
@@ -67,13 +72,23 @@ def _reference_flood(router: FloodRouter, source: int, obj: int) -> QueryOutcome
     return out
 
 
-_prefetch = RngStreams.prefetch
+class _PerCall:
+    """What ``DrawAhead.next`` hands out, drawn when it is asked for."""
+
+    def __init__(self, gen, draw) -> None:
+        self.gen = gen
+        self.draw = draw
+
+    def next(self) -> float:
+        return self.draw(self.gen, 1).tolist()[0]
 
 
-def _per_call_bootstrap(streams: RngStreams, name: str, draw=None):
-    """``RngStreams.prefetch`` with the bounded-integer reader (the
-    bootstrap stream's) replaced by the generator itself."""
-    return streams.get(name) if draw is None else _prefetch(streams, name, draw)
+def _per_call_prefetch(streams: RngStreams, name: str, draw=None):
+    """``RngStreams.prefetch`` without the block: the bounded-integer
+    reader (the bootstrap stream's) is the generator itself, and a
+    ``draw`` reader draws one value per ``next``."""
+    gen = streams.get(name)
+    return gen if draw is None else _PerCall(gen, draw)
 
 
 @contextmanager
@@ -82,8 +97,11 @@ def reference_system() -> Iterator[None]:
     seams = [
         (Maintenance, "sweep", reference_sweep),
         (FloodRouter, "query", _reference_flood),
-        (RngStreams, "prefetch", _per_call_bootstrap),
+        (RngStreams, "prefetch", _per_call_prefetch),
         (MessageLedger, "charge", eager_charge),
+        (InfoExchange, "_start_request", reference_transport.start_request),
+        (InfoExchange, "_on_deliver", reference_transport.on_deliver),
+        (InfoExchange, "_on_timeout", reference_transport.on_timeout),
     ]
     originals = [(cls, name, vars(cls)[name]) for cls, name, _ in seams]
     try:
