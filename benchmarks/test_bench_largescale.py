@@ -16,7 +16,9 @@ What makes 100k reachable (see DESIGN.md "Aggregate plane"):
   :class:`~repro.overlay.aggregates.OverlayAggregates` plane instead of
   scanning every peer per tick;
 * hot state is slotted and series storage is unboxed ``array('d')``;
-* transport ``_Pending`` records recycle through a free-list pool.
+* a pending death is two :class:`~repro.overlay.peerstore.PeerStore`
+  columns (the :class:`~repro.churn.deaths.DeathLedger`), not one
+  queued Event per live peer.
 """
 
 from __future__ import annotations

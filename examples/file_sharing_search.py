@@ -5,8 +5,8 @@ The paper's §3 argument for super-peer systems is search efficiency:
 only super-peers relay queries, each answering for its leaves out of an
 index.  This example builds a KaZaA-style file-sharing workload -- a
 Zipf catalog, 10 shared files per peer, popularity-weighted queries --
-over a churning DLM network, then contrasts backbone flooding with
-k-walker random walks (extension E1) on the *same* overlay snapshot.
+over a churning DLM network, and reports what backbone flooding finds
+and what it costs.
 
 Run:  python examples/file_sharing_search.py
 """
@@ -14,8 +14,6 @@ Run:  python examples/file_sharing_search.py
 from __future__ import annotations
 
 from repro.experiments import SearchConfig, bench_config, run_experiment
-from repro.search import QueryStats, RandomWalkRouter
-from repro.search.flooding import FloodRouter
 from repro.util.tables import render_table
 
 
@@ -48,33 +46,6 @@ def main() -> None:
         )
     )
 
-    # Post-hoc router shoot-out on the settled overlay.
-    overlay, directory = result.overlay, result.directory
-    rng = result.ctx.sim.rng.get("example-queries")
-    catalog = result.workload.catalog
-    flood = FloodRouter(overlay, directory, ttl=7)
-    walkers = RandomWalkRouter(
-        overlay, directory, result.ctx.sim.rng.get("example-walk"),
-        walkers=16, max_steps=48,
-    )
-    flood_stats, walk_stats = QueryStats(), QueryStats()
-    for src in overlay.leaf_ids.sample(rng, 400):
-        obj = catalog.query_target(rng)
-        flood_stats.record(flood.query(src, obj))
-        walk_stats.record(walkers.query(src, obj))
-
-    f, w = flood_stats.snapshot, walk_stats.snapshot
-    print()
-    print(
-        render_table(
-            ["router", "success rate", "msgs/query"],
-            [
-                ("flooding, TTL=7", f.success_rate, f.mean_messages_per_query),
-                ("16 walkers x 48 steps", w.success_rate, w.mean_messages_per_query),
-            ],
-            title="Router comparison on the settled overlay (400 queries)",
-        )
-    )
     ledger = result.ctx.messages
     print(
         f"\nDLM control traffic was {100 * ledger.dlm_overhead_fraction():.2f}% "

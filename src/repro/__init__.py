@@ -13,7 +13,7 @@ discrete-event super-peer overlay simulator built for the purpose:
 * :mod:`repro.search` -- content model, super-peer indexes, flooding;
 * :mod:`repro.metrics` -- layer statistics, PAO/NLCO ledger, summaries;
 * :mod:`repro.experiments` -- one harness per paper table/figure;
-* :mod:`repro.analysis` -- graph statistics, concentration, convergence;
+* :mod:`repro.analysis` -- graph statistics and ratio convergence;
 * :mod:`repro.telemetry` -- metrics registry, span timing, DLM decision
   audit log, and trace export (zero-overhead when disabled).
 

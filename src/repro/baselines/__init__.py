@@ -4,13 +4,10 @@
   capacity threshold, Gnutella-0.6 style).
 * :class:`RandomElectionPolicy` -- ratio-correct but capacity-blind.
 * :class:`OraclePolicy` -- global-knowledge upper bound (extension E2).
-* :class:`AdaptiveThresholdPolicy` -- centrally retuned join threshold
-  (extension: more information than DLM, still slower to adapt).
 * :class:`StaticPolicy` -- no management at all (negative control).
 """
 
 from ..core.policy import LayerPolicy
-from .adaptive_threshold import AdaptiveThresholdPolicy
 from .oracle import OraclePolicy
 from .preconfigured import DEFAULT_THRESHOLD, PreconfiguredPolicy
 from .random_policy import RandomElectionPolicy
@@ -18,7 +15,6 @@ from .static import StaticPolicy
 
 __all__ = [
     "LayerPolicy",
-    "AdaptiveThresholdPolicy",
     "OraclePolicy",
     "DEFAULT_THRESHOLD",
     "PreconfiguredPolicy",

@@ -1,7 +1,6 @@
 """Churn substrate: distributions, arrivals, scenarios, and the driver."""
 
-from .arrivals import poisson_arrival_times, warmup_join_times
-from .failures import MASS_DEPARTURE, FailureInjector, FailureRecord
+from .arrivals import warmup_join_times
 from .distributions import (
     BandwidthMixture,
     ConstantDistribution,
@@ -15,8 +14,6 @@ from .distributions import (
     default_lifetime_distribution,
 )
 from .lifecycle import ChurnDriver
-from .traces import ChurnTrace, TraceDriver, TraceRecord, synthesize_replacement_trace
-from .multimetric import CompositeCapacityDistribution, default_multimetric_capacity
 from .scenarios import (
     Scenario,
     Shift,
@@ -27,10 +24,6 @@ from .scenarios import (
 )
 
 __all__ = [
-    "poisson_arrival_times",
-    "MASS_DEPARTURE",
-    "FailureInjector",
-    "FailureRecord",
     "warmup_join_times",
     "BandwidthMixture",
     "ConstantDistribution",
@@ -43,12 +36,6 @@ __all__ = [
     "default_capacity_distribution",
     "default_lifetime_distribution",
     "ChurnDriver",
-    "ChurnTrace",
-    "TraceDriver",
-    "TraceRecord",
-    "synthesize_replacement_trace",
-    "CompositeCapacityDistribution",
-    "default_multimetric_capacity",
     "Scenario",
     "Shift",
     "figure45_scenario",

@@ -1,4 +1,4 @@
-"""Arrival-time generators.
+"""Warm-up arrival times.
 
 The paper's population model (§5): "the simulation starts cold ... the
 size of the network increases with new peers joining until [it] reaches
@@ -15,7 +15,7 @@ from typing import List
 
 import numpy as np
 
-__all__ = ["warmup_join_times", "poisson_arrival_times"]
+__all__ = ["warmup_join_times"]
 
 
 def warmup_join_times(
@@ -35,27 +35,3 @@ def warmup_join_times(
     times.sort()
     return [float(t) for t in times]
 
-
-def poisson_arrival_times(
-    rate: float, horizon: float, rng: np.random.Generator, *, start: float = 0.0
-) -> List[float]:
-    """Poisson-process arrivals at ``rate`` per unit over ``[start, start+horizon]``.
-
-    Used by the open-network extension scenarios (growing populations).
-    """
-    if rate <= 0:
-        raise ValueError(f"rate must be positive, got {rate}")
-    if horizon <= 0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
-    # Draw slightly more exponential gaps than expected, then trim.
-    expected = int(rate * horizon)
-    out: List[float] = []
-    t = start
-    end = start + horizon
-    while True:
-        gaps = rng.exponential(1.0 / rate, size=max(64, expected // 4 + 1))
-        for g in gaps:
-            t += float(g)
-            if t > end:
-                return out
-            out.append(t)

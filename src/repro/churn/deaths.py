@@ -20,9 +20,10 @@ The ledger is the simulator's :class:`LazyEventSource`: the calendar
 engine asks it for the earliest pending death when picking the next
 window to open and *harvests* the rows falling inside that window, at
 which point real Events exist -- briefly, in the active heap -- until
-delivery.  Cancellation (churn replacement kills, injected failures) is
-a column write while unmaterialized, and falls through to
-:meth:`Simulator.cancel_lazy` once harvested.
+delivery.  A peer only ever leaves at its own death, which the engine
+has harvested before it is delivered, so :meth:`DeathLedger.cancel`
+never meets an unmaterialized row: it releases the reserved seq through
+:meth:`Simulator.cancel_lazy`.
 """
 
 from __future__ import annotations
@@ -63,8 +64,9 @@ class DeathLedger:
             self._pending += 1
 
     def cancel(self, slot: int) -> bool:
-        """Cancel the slot's pending death (a column write when lazy).
+        """Release the slot's death seq, cancelling it if still queued.
 
+        Only a harvested death can be cancelled (``dv`` is ``inf``).
         Returns False when nothing was pending -- including the normal
         case of a peer dying from its own (already delivered) death
         event.
@@ -74,10 +76,6 @@ class DeathLedger:
         if seq < 0:
             return False
         store.dseq[slot] = -1
-        if store.dv[slot] != inf:
-            store.dv[slot] = inf
-            self._pending -= 1
-            return True
         return self.sim.cancel_lazy(seq)
 
     def adopt(self, slot: int, seq: int, sim: Simulator) -> None:

@@ -19,7 +19,7 @@ Event flow:
   reserves the ``PEER_LEAVE`` seq but materializes no Event until the
   calendar engine's window reaches it).
 * ``PEER_LEAVE`` -- remove the peer; if it was a super-peer, repair its
-  orphans and the backbone; if replacement is on, schedule an immediate
+  orphans and the backbone; schedule an immediate replacement
   ``PEER_JOIN`` so the population holds.
 * ``SCENARIO_SHIFT`` -- apply a distribution-mean shift.
 """
@@ -32,7 +32,7 @@ from ..context import SystemContext
 from ..core.policy import LayerPolicy
 from ..sim.events import Event, EventKind
 from ..sim.scheduler import Simulator
-from .arrivals import poisson_arrival_times, warmup_join_times
+from .arrivals import warmup_join_times
 from .deaths import DeathLedger
 from .distributions import ScalableDistribution
 from .scenarios import Scenario
@@ -54,7 +54,6 @@ class ChurnDriver:
         lifetimes: ScalableDistribution,
         capacities: ScalableDistribution,
         *,
-        replacement: bool = True,
         scenario: Optional[Scenario] = None,
         eligible_fraction: float = 1.0,
     ) -> None:
@@ -66,7 +65,6 @@ class ChurnDriver:
         self.policy = policy
         self.lifetimes = lifetimes
         self.capacities = capacities
-        self.replacement = replacement
         self.scenario = scenario
         self.eligible_fraction = eligible_fraction
         self._rng_life = ctx.sim.rng.get("lifetime")
@@ -122,22 +120,6 @@ class ChurnDriver:
         """Schedule one extra join at the current time."""
         self.ctx.sim.schedule(0.0, EventKind.PEER_JOIN)
 
-    def schedule_poisson_arrivals(self, rate: float, horizon: float) -> int:
-        """Open-network mode: schedule Poisson arrivals at ``rate``/unit
-        over the next ``horizon`` units (extension: growing populations).
-
-        Combine with ``replacement=False``: the population then drifts
-        toward ``rate x mean_lifetime`` (an M/G/inf queue) instead of
-        being pinned by death-replacement.  Returns the number of
-        arrivals scheduled.
-        """
-        times = poisson_arrival_times(
-            rate, horizon, self._rng_arrivals, start=self.ctx.now
-        )
-        for t in times:
-            self.ctx.sim.schedule_at(t, EventKind.PEER_JOIN)
-        return len(times)
-
     # -- handlers ------------------------------------------------------------
     def _on_join(self, sim: Simulator, event: Event) -> None:
         # Chain the next warm-up join *before* this join's cascade runs,
@@ -166,14 +148,14 @@ class ChurnDriver:
         self.policy.on_peer_joined(peer)
 
     def _on_leave(self, sim: Simulator, event: Event) -> None:
-        self.kill_peer(event.payload, replace=self.replacement)
+        self.kill_peer(event.payload)
 
-    def kill_peer(self, pid: int, *, replace: bool) -> bool:
-        """Remove a peer now (natural death or injected failure).
+    def kill_peer(self, pid: int) -> bool:
+        """Remove a peer at its own death and spawn its replacement.
 
-        Cancels any pending scheduled death, runs the super-death repair
-        path, and (optionally) spawns a replacement join.  Returns False
-        if the peer was already gone.
+        Releases the death's ledger row, runs the super-death repair
+        path, and schedules the replacement join that holds the
+        population.  Returns False if the peer was already gone.
         """
         peer = self.ctx.overlay.get(pid)
         if peer is None:
@@ -188,8 +170,7 @@ class ChurnDriver:
             )
         self.deaths += 1
         self.policy.on_peer_left(pid)
-        if replace:
-            self.spawn_now()
+        self.spawn_now()
         return True
 
     def _on_shift(self, sim: Simulator, event: Event) -> None:

@@ -73,7 +73,7 @@ class LayerPolicy(ABC):
         lives in the simulator's restored RNG streams).
 
         Policies holding mutable state or recurring processes (DLM,
-        adaptive-threshold, oracle) MUST override both hooks: a silently
+        oracle) MUST override both hooks: a silently
         un-captured sweep process would dangle after restore.
         """
         return {"policy": self.name}

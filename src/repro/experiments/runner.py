@@ -181,9 +181,7 @@ def run_experiment(
     )
 
     lifetimes, capacities = build_distributions(config)
-    driver = ChurnDriver(
-        ctx, policy, lifetimes, capacities, replacement=True, scenario=scenario
-    )
+    driver = ChurnDriver(ctx, policy, lifetimes, capacities, scenario=scenario)
     wire_span.__exit__(None, None, None)
     if resume_from is None and populate:
         with telemetry.span("run.populate"):

@@ -1,10 +1,10 @@
 """Policy tournament: every layer-management strategy on one workload.
 
-Runs DLM, the preconfigured threshold, the adaptive threshold,
-capacity-blind random election, the global-knowledge oracle, and the
-do-nothing control over the same churn trace, then scores them on the
-paper's two goals -- ratio maintenance and electing strong, long-lived
-super-peers -- plus the structural health of the resulting overlay.
+Runs DLM, the preconfigured threshold, capacity-blind random election,
+the global-knowledge oracle, and the do-nothing control over the same
+seeded workload, then scores them on the paper's two goals -- ratio
+maintenance and electing strong, long-lived super-peers -- plus the
+structural health of the resulting overlay.
 
 The arms are independent runs over the *same* config and seed (only the
 policy differs), so they fan across worker processes.  Policies are
@@ -19,7 +19,6 @@ from typing import List, Sequence, Tuple
 
 from ..analysis import analyze_ratio_convergence, backbone_connectivity
 from ..baselines import (
-    AdaptiveThresholdPolicy,
     OraclePolicy,
     PreconfiguredPolicy,
     RandomElectionPolicy,
@@ -45,14 +44,12 @@ def build_policy(name: str, cfg: ExperimentConfig, threshold: float):
     """Construct the named contender policy for ``cfg``.
 
     ``threshold`` is the capacity threshold matched to ``cfg.eta`` (the
-    preconfigured/adaptive baselines start from it).
+    preconfigured baseline uses it).
     """
     if name == "DLM":
         return DLMPolicy(cfg.dlm_config())
     if name == "preconfigured":
         return PreconfiguredPolicy(threshold)
-    if name == "adaptive threshold":
-        return AdaptiveThresholdPolicy(eta=cfg.eta, initial_threshold=threshold)
     if name == "random election":
         return RandomElectionPolicy(eta=cfg.eta)
     if name == "oracle":
@@ -66,7 +63,6 @@ def build_policy(name: str, cfg: ExperimentConfig, threshold: float):
 POLICY_NAMES: Tuple[str, ...] = (
     "DLM",
     "preconfigured",
-    "adaptive threshold",
     "random election",
     "oracle",
     "static (none)",

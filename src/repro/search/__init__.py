@@ -1,10 +1,9 @@
-"""Search substrate: content model, super-peer indexes, flooding, walkers."""
+"""Search substrate: content model, super-peer indexes, flooding."""
 
 from .content import ContentCatalog
 from .flooding import FloodRouter, QueryOutcome
 from .index import ContentDirectory
 from .stats import QueryStats, QueryStatsSnapshot
-from .walkers import RandomWalkRouter, WalkOutcome
 from .workload import QueryWorkload
 
 __all__ = [
@@ -14,7 +13,5 @@ __all__ = [
     "ContentDirectory",
     "QueryStats",
     "QueryStatsSnapshot",
-    "RandomWalkRouter",
-    "WalkOutcome",
     "QueryWorkload",
 ]

@@ -77,7 +77,7 @@ class QueryStats:
         self._mark = QueryStatsSnapshot()
 
     def record(self, outcome) -> None:
-        """Accumulate one outcome (flood or walk; duck-typed fields)."""
+        """Accumulate one flood :class:`QueryOutcome`."""
         n = self._n
         n["issued"] += 1
         if outcome.found:
@@ -86,7 +86,7 @@ class QueryStats:
         n["total_query_messages"] += outcome.query_messages
         n["total_hit_messages"] += outcome.hit_messages
         n["total_supers_visited"] += outcome.supers_visited
-        latency = getattr(outcome, "first_hit_latency", None)
+        latency = outcome.first_hit_latency
         if latency is not None:
             n["total_first_hit_latency"] += latency
             n["latency_samples"] += 1

@@ -9,16 +9,14 @@ clients (§5) in aggregate.
 
 from __future__ import annotations
 
-from typing import Optional, Protocol, Union
+from typing import Optional, Protocol
 
 from ..overlay.topology import Overlay
 from ..sim.events import EventKind
 from ..sim.processes import RenewalProcess
 from ..sim.scheduler import Simulator
 from .content import ContentCatalog
-from .flooding import FloodRouter
 from .stats import QueryStats
-from .walkers import RandomWalkRouter
 
 __all__ = ["QueryWorkload"]
 
@@ -35,8 +33,8 @@ class QueryWorkload:
     Parameters
     ----------
     sim, overlay, catalog, router:
-        The bound system pieces; ``router`` may be a
-        :class:`FloodRouter` or :class:`RandomWalkRouter`.
+        The bound system pieces; ``router`` is a :class:`~.flooding.FloodRouter`
+        or anything with its ``query(source, obj)``.
     rate:
         Mean queries per time unit network-wide.
     stats:
@@ -48,7 +46,7 @@ class QueryWorkload:
         sim: Simulator,
         overlay: Overlay,
         catalog: ContentCatalog,
-        router: Union[FloodRouter, RandomWalkRouter, _Router],
+        router: _Router,
         *,
         rate: float = 10.0,
         stats: Optional[QueryStats] = None,

@@ -178,8 +178,8 @@ def bind_standard_producers(
         reg.bind("churn.joins", lambda: driver.joins)
         reg.bind("churn.deaths", lambda: driver.deaths)
     if policy is not None:
-        # DLM and the adaptive baselines keep these run counters; other
-        # baselines simply don't contribute the namespace entries.
+        # DLM keeps these run counters; the baselines simply don't
+        # contribute the namespace entries.
         for attr in (
             "evaluations",
             "promotions",

@@ -1,10 +1,10 @@
-"""Unit tests for arrival-time generation."""
+"""Unit tests for warm-up arrival times."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.churn.arrivals import poisson_arrival_times, warmup_join_times
+from repro.churn.arrivals import warmup_join_times
 
 
 class TestWarmupJoinTimes:
@@ -33,19 +33,3 @@ class TestWarmupJoinTimes:
         with pytest.raises(ValueError):
             warmup_join_times(1, -1.0, rng)
 
-
-class TestPoissonArrivals:
-    def test_rate_matches(self, rng):
-        times = poisson_arrival_times(10.0, 500.0, rng)
-        assert len(times) == pytest.approx(5000, rel=0.1)
-
-    def test_bounds_and_order(self, rng):
-        times = poisson_arrival_times(5.0, 100.0, rng, start=10.0)
-        assert all(10.0 < t <= 110.0 for t in times)
-        assert times == sorted(times)
-
-    def test_invalid_params(self, rng):
-        with pytest.raises(ValueError):
-            poisson_arrival_times(0.0, 10.0, rng)
-        with pytest.raises(ValueError):
-            poisson_arrival_times(1.0, 0.0, rng)

@@ -19,9 +19,9 @@ from repro.churn.distributions import (
     default_capacity_distribution,
     default_lifetime_distribution,
 )
-from repro.churn.multimetric import default_multimetric_capacity
 from tests.conftest import examples
 
+# One of every distribution class in the package.
 ALL_DISTS = [
     LogNormalDistribution(median=60.0, sigma=1.0),
     ParetoDistribution(alpha=2.0, xmin=10.0),
@@ -68,20 +68,16 @@ class TestCommonContract:
         assert isinstance(dist.sample_one(rng), float)
 
 
-# Every distribution class in the package, overriding ``sample_one`` or not.
-SCALAR_CASES = ALL_DISTS + [default_multimetric_capacity()]
-
-
 def test_scalar_cases_cover_every_distribution_class():
     shipped = {
         cls
         for cls in ScalableDistribution.__subclasses__()
         if cls.__module__.startswith("repro.")
     }
-    assert shipped <= {type(d) for d in SCALAR_CASES}
+    assert shipped <= {type(d) for d in ALL_DISTS}
 
 
-@pytest.mark.parametrize("dist", SCALAR_CASES, ids=lambda d: type(d).__name__)
+@pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: type(d).__name__)
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     scale=st.floats(min_value=1e-3, max_value=1e3),

@@ -11,9 +11,7 @@ from repro.churn.scenarios import Scenario, Shift
 from repro.context import build_context
 
 
-def make_driver(
-    ctx, *, lifetime=50.0, capacity=10.0, replacement=True, scenario=None
-):
+def make_driver(ctx, *, lifetime=50.0, capacity=10.0, scenario=None):
     policy = StaticPolicy()
     policy.bind(ctx)
     return ChurnDriver(
@@ -21,7 +19,6 @@ def make_driver(
         policy,
         ConstantDistribution(lifetime),
         ConstantDistribution(capacity),
-        replacement=replacement,
         scenario=scenario,
     )
 
@@ -40,13 +37,6 @@ class TestPopulation:
         ctx.sim.run(until=200.0)
         assert ctx.overlay.n == 30
         assert driver.deaths > 30  # several generations churned
-
-    def test_no_replacement_decays(self, ctx):
-        driver = make_driver(ctx, lifetime=20.0, replacement=False)
-        driver.populate(30, warmup=5.0)
-        ctx.sim.run(until=200.0)
-        assert ctx.overlay.n == 0
-        assert driver.deaths == 30
 
     def test_spawn_now_adds_one(self, ctx):
         driver = make_driver(ctx, lifetime=10_000.0)
@@ -72,6 +62,11 @@ class TestDeathHandling:
         ctx.sim.run(until=2.0)
         # 10 peers: 1 cold-start super, 9 leaves
         assert ctx.overhead.counters.new_leaf_joins == 9
+
+    def test_kill_missing_peer_returns_false(self, ctx):
+        driver = make_driver(ctx)
+        assert not driver.kill_peer(10_000)
+        assert driver.deaths == 0
 
 
 class TestScenarioShifts:

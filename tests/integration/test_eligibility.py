@@ -10,7 +10,6 @@ from __future__ import annotations
 import pytest
 
 from repro.baselines import (
-    AdaptiveThresholdPolicy,
     OraclePolicy,
     PreconfiguredPolicy,
     RandomElectionPolicy,
@@ -52,7 +51,6 @@ def ineligible_supers(ctx):
 POLICIES = [
     ("dlm", lambda: DLMPolicy(DLMConfig(eta=15.0))),
     ("preconfigured", lambda: PreconfiguredPolicy(100.0)),
-    ("adaptive", lambda: AdaptiveThresholdPolicy(eta=15.0)),
     ("random", lambda: RandomElectionPolicy(eta=15.0)),
     ("oracle", lambda: OraclePolicy(eta=15.0, interval=20.0)),
 ]

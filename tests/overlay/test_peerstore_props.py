@@ -12,6 +12,7 @@ container sizes, and the pid registry round-trips every live slot
 from __future__ import annotations
 
 from array import array
+from math import inf, nextafter
 
 import numpy as np
 from hypothesis import given, settings
@@ -261,6 +262,11 @@ def test_array_columns_and_their_views_agree_across_growth(steps):
         if peer is None:
             continue
         if op == "remove":
+            # A peer leaves only at its own death, which the engine
+            # harvests (with every earlier one) before delivering it.
+            dv = ov.store.dv[peer._slot]
+            if dv != inf:
+                ledger.harvest(nextafter(dv, inf))
             ledger.cancel(peer._slot)
             ov.remove_peer(a)
         elif ov.store.dseq[peer._slot] < 0:

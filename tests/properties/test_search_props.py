@@ -13,7 +13,6 @@ from repro.protocol.latency import ConstantLatency
 from repro.search.content import ContentCatalog
 from repro.search.flooding import FloodRouter, QueryOutcome
 from repro.search.index import ContentDirectory
-from repro.search.walkers import RandomWalkRouter
 from tests.conftest import examples
 from tests.search.reference_flood import reference_query
 
@@ -249,15 +248,3 @@ def test_flood_finds_iff_reachable_holder_exists(system, obj, data):
     expected = any(directory.super_hit(s, obj) for s in seen)
     assert out.found == expected
 
-
-@given(random_overlay(), st.integers(0, 29), st.data())
-@settings(max_examples=examples(0.4), deadline=None)
-def test_walker_outcome_invariants(system, obj, data):
-    ov, directory, rng = system
-    all_pids = sorted(p.pid for p in ov.peers())
-    source = data.draw(st.sampled_from(all_pids))
-    router = RandomWalkRouter(ov, directory, rng, walkers=4, max_steps=8)
-    out = router.query(source, obj)
-    assert out.found == (out.hits > 0)
-    assert out.supers_visited <= ov.n_super
-    assert out.query_messages <= 4 * (8 + 1)
