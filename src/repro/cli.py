@@ -17,12 +17,12 @@ The run options are one parent parser shared by ``<id>``, ``report``,
 they become an ``ExperimentConfig``.  A command refuses an option it
 cannot honour rather than drop it.
 
-Exit codes: 0 OK; 1 the run or its verdict failed (a shard worker died,
-a flight bundle could not be written mid-run; ``repro health`` on an SLO
-failure; ``repro report`` on a claim's band FAIL); 2 bad usage or input
--- an inapplicable option, a malformed ``--slo``, an output path that
-cannot be written (checked before the run starts), an unreadable or
-corrupt checkpoint, a missing JSONL or shard, a torn line.  A 1 for a
+Exit codes: 0 OK; 1 the run or its verdict failed (a shard worker died;
+``repro health`` on an SLO failure; ``repro report`` on a claim's band
+FAIL); 2 bad usage or input -- an inapplicable option, a malformed
+``--slo``, an output path that cannot be written (checked before the run
+starts), an unreadable or corrupt checkpoint, a missing JSONL or shard,
+a torn line, a stream whose record ring dropped health evidence.  A 1 for a
 failed run or band and every 2 are one ``error: ...`` line on stderr.
 Status lines go through :mod:`logging` on stderr (``-v``/``-q``);
 rendered figures and tables go to stdout, where they can be piped.
@@ -155,8 +155,8 @@ def _run_options() -> argparse.ArgumentParser:
     )
     health = p.add_argument_group(
         "run health",
-        "streaming anomaly detectors over the telemetry stream; read the "
-        "verdict back with 'repro health RUN'",
+        "record health evidence in the telemetry stream; 'repro health "
+        "RUN' runs the detectors over it",
     )
     health.add_argument(
         "--health", action="store_true", help="enable the run-health plane"
@@ -171,8 +171,8 @@ def _run_options() -> argparse.ArgumentParser:
     health.add_argument(
         "--flight-recorder",
         metavar="PATH",
-        help="dump a postmortem bundle to PATH on a critical firing "
-        "(PATH.crash on an unhandled exception; implies --health)",
+        help="write a crash bundle to PATH.crash if the run dies on an "
+        "unhandled exception (implies --health)",
     )
     verbosity = p.add_mutually_exclusive_group()
     verbosity.add_argument(
@@ -696,8 +696,9 @@ def cmd_stats(args, out=None) -> int:
 
 
 def cmd_health(args, out=None) -> int:
-    """``repro health RUN``: the SLO report; 1 when it failed (any
-    critical firing), 2 when the run had no health plane."""
+    """``repro health RUN``: the detectors replayed over the run's
+    evidence; 1 when the SLO failed (any critical firing), 2 when the run
+    had no health plane or its record ring dropped evidence."""
     from .health.aggregate import resolve_run_stream
     from .health.slo import build_report, render_report, report_as_json
 
@@ -796,11 +797,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RuntimeError, OSError) as exc:
+    except RuntimeError as exc:
         from .experiments.sharded import ShardWorkerError
-        from .health.flight import FlightRecorderError
 
-        if not isinstance(exc, (ShardWorkerError, FlightRecorderError)):
+        if not isinstance(exc, ShardWorkerError):
             raise
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -98,7 +98,12 @@ __all__ = [
 #: every run of the paper's super-peer overlay, the only one left).  The
 #: config lost its ``family`` field with them, so every v9 config hash
 #: is stale, and v9 files are refused.
-SCHEMA_VERSION = 10
+#: v11: no ``health`` entry.  A run no longer judges itself: it records
+#: ``sample`` and ``role`` records (carried by the ``telemetry`` entry)
+#: and ``repro health`` runs the detectors over them afterwards, so the
+#: detector windows, streaks and dump budget v7 added are gone.  v10
+#: files are refused rather than resumed with state nothing reads.
+SCHEMA_VERSION = 11
 #: First field of a checkpoint file's header line.
 _MAGIC = b"repro-checkpoint"
 
@@ -167,11 +172,6 @@ def capture_run_state(result) -> dict:
             None if result.directory is None else result.directory.snapshot()
         ),
         "telemetry": ctx.telemetry.snapshot(),
-        "health": (
-            None
-            if getattr(result, "health_monitor", None) is None
-            else result.health_monitor.snapshot()
-        ),
     }
     return state
 
@@ -239,13 +239,6 @@ def restore_run_state(result, state: dict, *, restore_rng: bool = True) -> None:
     # disabled-mode snapshot (fresh buffers) and a disabled plane ignores
     # everything, so every old/new combination resumes cleanly.
     ctx.telemetry.restore(state.get("telemetry"))
-    # Same tolerance for the health plane: a monitor wired at resume
-    # time adopts the captured detector state when present, otherwise
-    # starts fresh; captured state without a wired monitor (health
-    # switched off on resume) is simply dropped.
-    monitor = getattr(result, "health_monitor", None)
-    if monitor is not None:
-        monitor.restore(state.get("health"))
 
 
 def write_checkpoint(

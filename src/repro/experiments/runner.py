@@ -23,7 +23,7 @@ from ..churn.scenarios import Scenario
 from ..context import SystemContext, build_context
 from ..core.dlm import DLMPolicy
 from ..core.policy import LayerPolicy
-from ..health.plane import HealthMonitor
+from ..health.evidence import EvidenceRecorder
 from ..metrics.layerstats import LayerStatsSampler
 from ..metrics.timeseries import SeriesBundle
 from ..search.content import ContentCatalog
@@ -59,7 +59,6 @@ class RunResult:
     maintenance_process: PeriodicProcess = None  # set by run_experiment
     workload: Optional[QueryWorkload] = None
     directory: Optional[ContentDirectory] = None
-    health_monitor: Optional["HealthMonitor"] = None
     #: Checkpoints the run loop wrote at its barriers.
     checkpoint_writes: int = 0
 
@@ -154,9 +153,9 @@ def run_experiment(
         )
     telemetry_cfg = config.telemetry
     if telemetry_cfg is None and config.health is not None:
-        # The health plane observes *through* telemetry: detectors need
-        # the record log and registry, so enabling health without an
-        # explicit TelemetryConfig wires the default one.
+        # The health plane records its evidence *into* telemetry, so
+        # enabling health without an explicit TelemetryConfig wires the
+        # default one.
         telemetry_cfg = TelemetryConfig()
     telemetry = telemetry_from_config(telemetry_cfg)
     wire_span = telemetry.span("run.wire")
@@ -213,15 +212,8 @@ def run_experiment(
         telemetry, ctx, driver=driver, policy=policy, workload=workload
     )
 
-    health_monitor = None
     if config.health is not None:
-        health_monitor = HealthMonitor(
-            config.health,
-            telemetry=telemetry,
-            ctx=ctx,
-            policy=policy,
-            run_config=config,
-        ).attach(sampler)
+        EvidenceRecorder(telemetry, ctx, policy).attach(sampler)
 
     result = RunResult(
         config=config,
@@ -233,7 +225,6 @@ def run_experiment(
         maintenance_process=maintenance_process,
         workload=workload,
         directory=directory,
-        health_monitor=health_monitor,
     )
 
     if resume_from is not None:

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from ..churn.scenarios import Scenario
+from ..health.flight import crash_dump
 from ..metrics.shardstats import ShardSampleLog, reduce_sample_logs
 from ..metrics.timeseries import SeriesBundle
 from ..sim.events import Event, EventKind
@@ -182,8 +183,7 @@ class SystemRun:
     # -- the epilogue --------------------------------------------------------
     def crash(self, exc: BaseException) -> None:
         """Write the flight recorder's crash bundle (if one is configured)."""
-        if self.result.health_monitor is not None:
-            self.result.health_monitor.crash_dump(exc)
+        crash_dump(self.result, exc)
 
     def finish(self, wall_time: float):
         """Close ``run.execute``, export telemetry; returns the result."""

@@ -20,10 +20,13 @@ from typing import Optional
 
 __all__ = ["HealthConfig"]
 
+#: Crash-bundle settings: the run's business, not the fold's.
+_RECORDER_FIELDS = ("flight_path", "record_tail", "audit_tail")
+
 
 @dataclass(frozen=True, slots=True)
 class HealthConfig:
-    """SLO thresholds and flight-recorder settings for one run."""
+    """SLO thresholds and crash-bundle settings for one run."""
 
     #: Tolerated windowed-mean relative drift of the leaf/super ratio
     #: from the target η: breach when mean(|ratio - η| / η) exceeds it.
@@ -56,22 +59,20 @@ class HealthConfig:
     #: is far above any healthy run's density.
     stall_events_per_unit: Optional[float] = 500_000.0
     #: Consecutive breached sample ticks before a warning escalates to
-    #: critical (and, with a flight path, triggers the recorder).
+    #: critical.
     critical_after: int = 3
     #: Simulated time before which detectors stay quiet (the layer
     #: forms during warm-up; everything drifts then).  ``None`` uses the
     #: run config's ``warmup``.
     grace: Optional[float] = None
-    #: Where the flight recorder dumps its postmortem bundle (JSON).
-    #: ``None`` disables the recorder.
+    #: The flight recorder writes its crash bundle (JSON) to
+    #: ``<flight_path>.crash`` when the run dies on an unhandled
+    #: exception.  ``None`` disables the recorder.
     flight_path: Optional[str] = None
-    #: Newest structured records included in a flight bundle.
+    #: Newest structured records included in a crash bundle.
     record_tail: int = 500
-    #: Newest audit records included in a flight bundle.
+    #: Newest audit records included in a crash bundle.
     audit_tail: int = 200
-    #: Detector-triggered dumps per run (the first critical wins; crash
-    #: dumps are separate and always fire).
-    max_dumps: int = 1
 
     def __post_init__(self) -> None:
         for name in ("ratio_window", "flap_window", "imbalance_window",
@@ -91,7 +92,7 @@ class HealthConfig:
             raise ValueError("critical_after must be >= 1")
         if self.grace is not None and self.grace < 0:
             raise ValueError("grace must be >= 0")
-        for name in ("record_tail", "audit_tail", "max_dumps"):
+        for name in ("record_tail", "audit_tail"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
         if self.imbalance_min_supers < 1:
@@ -103,3 +104,19 @@ class HealthConfig:
     def field_names(cls) -> tuple:
         """Declared field names (the ``--slo KEY=VALUE`` vocabulary)."""
         return tuple(f.name for f in fields(cls))
+
+    def header(self, run_config) -> dict:
+        """The run header's ``health`` entry: what the fold needs.
+
+        Every detector setting, ``grace`` resolved against the run's
+        warm-up, and the run's η; the crash-bundle settings stay out.
+        """
+        entry = {
+            name: getattr(self, name)
+            for name in self.field_names()
+            if name not in _RECORDER_FIELDS
+        }
+        if self.grace is None:
+            entry["grace"] = run_config.warmup
+        entry["eta"] = run_config.eta
+        return entry

@@ -1,28 +1,26 @@
 """Streaming anomaly detectors over the run's sample ticks.
 
 Each detector consumes one :class:`HealthSample` per ``METRICS_SAMPLE``
-tick -- a plain snapshot of simulation-derived aggregates -- maintains a
-sliding **event-time** window of evidence, and fires typed
-:class:`Firing` records on threshold crossings.  The firing semantics
-latch on the crossing, so a sustained breach fires exactly three times:
+tick -- a plain snapshot of simulation-derived aggregates, read back
+from a ``sample`` record -- maintains a sliding **event-time** window
+of evidence, and fires typed :class:`Firing` records on threshold
+crossings.  The firing semantics latch on the crossing, so a sustained
+breach fires exactly three times:
 
 * ``warning`` on the first breached tick,
 * ``critical`` after ``critical_after`` consecutive breached ticks,
 * ``recovered`` on the first tick back inside the band (carrying the
   breach-streak length as evidence).
 
-Determinism contract (the whole point): detectors read only simulated
-time and simulation-derived values, never the wall clock and never the
-RNG, so the ``health.*`` record stream is part of the reproducible
-trajectory -- bit-identical across worker layouts and checkpoint/resume.
-Window state (including the incremental float sums) is checkpointed
-verbatim for that reason.
+Detectors read only simulated time and simulation-derived values, never
+the wall clock and never the RNG, so their firings are a pure function
+of the record stream they fold (:func:`repro.health.evidence.replay`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional
 
 from ..metrics.windows import SlidingWindow
@@ -78,7 +76,7 @@ class HealthSample:
 
 @dataclass(frozen=True, slots=True)
 class Firing:
-    """One detector firing, shaped for the ``health.*`` record schema."""
+    """One detector firing: a threshold crossing at one sample tick."""
 
     kind: str
     t: float
@@ -89,16 +87,12 @@ class Firing:
     breaches: int
     pid: Optional[int] = None
 
-    def values(self) -> tuple:
-        """The record ``values`` tuple (see ``HEALTH_FIELDS``)."""
-        return (
-            self.severity,
-            self.value,
-            self.threshold,
-            self.window_start,
-            self.breaches,
-            self.pid,
-        )
+    def as_dict(self, shard: Optional[int] = None) -> dict:
+        """The firing as a report row (``None`` fields dropped)."""
+        out = {k: v for k, v in asdict(self).items() if v is not None}
+        if shard is not None:
+            out["shard"] = shard
+        return out
 
 
 class Detector:
@@ -163,20 +157,6 @@ class Detector:
             self.streak = 0
         return firings
 
-    # -- checkpointing -----------------------------------------------------
-    def snapshot(self) -> dict:
-        return {"streak": self.streak, "extra": self._snapshot_extra()}
-
-    def restore(self, state: dict) -> None:
-        self.streak = state["streak"]
-        self._restore_extra(state["extra"])
-
-    def _snapshot_extra(self) -> dict:
-        return {}
-
-    def _restore_extra(self, extra: dict) -> None:
-        pass
-
 
 class _WindowedDetector(Detector):
     """Shared plumbing for detectors holding one SlidingWindow."""
@@ -186,12 +166,6 @@ class _WindowedDetector(Detector):
             threshold, window=window, critical_after=critical_after, grace=grace
         )
         self._window = SlidingWindow(window)
-
-    def _snapshot_extra(self) -> dict:
-        return {"window": self._window.snapshot()}
-
-    def _restore_extra(self, extra: dict) -> None:
-        self._window.restore(extra["window"])
 
 
 class RatioDriftDetector(_WindowedDetector):
@@ -254,13 +228,6 @@ class TimeoutSurgeDetector(_WindowedDetector):
         self._window.push(sample.t, float(delta))
         return self._window.sum()
 
-    def _snapshot_extra(self) -> dict:
-        return {"window": self._window.snapshot(), "prev": self._prev}
-
-    def _restore_extra(self, extra: dict) -> None:
-        self._window.restore(extra["window"])
-        self._prev = extra["prev"]
-
 
 class DeferSpikeDetector(Detector):
     """DLM defer fraction (defers / evaluations) over the window."""
@@ -291,19 +258,6 @@ class DeferSpikeDetector(Detector):
         if evals < self.min_evals:
             return None
         return self._defers.sum() / evals
-
-    def _snapshot_extra(self) -> dict:
-        return {
-            "evals": self._evals.snapshot(),
-            "defers": self._defers.snapshot(),
-            "prev": None if self._prev is None else list(self._prev),
-        }
-
-    def _restore_extra(self, extra: dict) -> None:
-        self._evals.restore(extra["evals"])
-        self._defers.restore(extra["defers"])
-        prev = extra["prev"]
-        self._prev = None if prev is None else tuple(prev)
 
 
 class ClockStallDetector(Detector):
@@ -336,22 +290,11 @@ class ClockStallDetector(Detector):
         self.window = dt  # the firing's window_start is the previous tick
         return (sample.events - prev_events) / dt
 
-    def _snapshot_extra(self) -> dict:
-        return {
-            "prev": None if self._prev is None else list(self._prev),
-            "window": self.window,
-        }
-
-    def _restore_extra(self, extra: dict) -> None:
-        prev = extra["prev"]
-        self._prev = None if prev is None else tuple(prev)
-        self.window = extra["window"]
-
 
 class RoleFlapDetector(Detector):
     """Promotion/demotion oscillation, tracked per peer.
 
-    The monitor feeds every overlay role transition through
+    The fold feeds every ``role`` record through
     :meth:`record_transition`; at each tick, peers with at least
     ``flap_transitions`` transitions inside the window fire one
     per-peer ``warning`` (latched until they calm down).  The streak
@@ -425,20 +368,6 @@ class RoleFlapDetector(Detector):
             firings.append(self._firing(t, "recovered", 0.0, self.streak))
             self.streak = 0
         return firings
-
-    def _snapshot_extra(self) -> dict:
-        return {
-            "transitions": {
-                pid: list(times) for pid, times in self._transitions.items()
-            },
-            "latched": sorted(self._latched),
-        }
-
-    def _restore_extra(self, extra: dict) -> None:
-        self._transitions = {
-            int(pid): list(times) for pid, times in extra["transitions"].items()
-        }
-        self._latched = set(extra["latched"])
 
 
 def build_detectors(config, *, eta: float, grace: float) -> List[Detector]:

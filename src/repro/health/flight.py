@@ -1,11 +1,13 @@
 """The flight recorder: a bounded postmortem bundle for a run gone bad.
 
-When a detector fires at ``critical`` (or the runner dies on an
-unhandled exception), the monitor dumps one JSON bundle with everything
-a postmortem needs and nothing unbounded:
+When a run dies on an unhandled exception, the run loop -- in the
+parent process or in a shard worker -- calls :func:`crash_dump` for
+every system it drives, which writes one JSON bundle to
+``<flight_path>.crash`` with everything a postmortem needs and nothing
+unbounded:
 
 * the newest ``record_tail`` structured records (the RecordLog ring
-  tail -- audit decisions, transport stages, prior health firings);
+  tail -- audit decisions, transport stages, health evidence);
 * the newest ``audit_tail`` DLM audit records, separately, so decision
   evidence survives even when transport records dominate the ring;
 * scheduler state (simulated now, events processed, pending counts)
@@ -23,15 +25,18 @@ record tails and scheduler state.
 ``repro postmortem`` CLI.
 
 A bundle that cannot be written raises :class:`FlightRecorderError` and
-leaves no ``.tmp`` file behind; the CLI refuses an unusable path before
-the run starts (``repro.cli.build_config``).
+leaves no ``.tmp`` file behind; :func:`crash_dump` logs it instead of
+masking the run's own exception, and the CLI refuses an unusable path
+before the run starts (``repro.cli.build_config``).
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
+import logging
 import os
+import traceback
 from pathlib import Path
 from typing import Optional
 
@@ -40,6 +45,7 @@ from ..telemetry.records import record_as_dict
 __all__ = [
     "FLIGHT_SCHEMA_VERSION",
     "FlightRecorderError",
+    "crash_dump",
     "write_flight_bundle",
     "load_flight_bundle",
 ]
@@ -118,6 +124,38 @@ def write_flight_bundle(path: str, **kwargs) -> dict:
         message = f"cannot write flight bundle {path!r}: {exc}"
         raise FlightRecorderError(message) from exc
     return bundle
+
+
+def crash_dump(result, exc: BaseException) -> Optional[dict]:
+    """The crash bundle of ``result``'s run, dying on ``exc``.
+
+    Written to ``<flight_path>.crash``; a no-op (None) without a health
+    flight path.  A bundle that cannot be written never masks ``exc``:
+    the failure is logged as a warning and, on Python 3.11+, added as a
+    note on ``exc``; None is returned for the caller to re-raise ``exc``.
+    """
+    health = result.config.health
+    if health is None or health.flight_path is None:
+        return None
+    tb = "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
+    try:
+        return write_flight_bundle(
+            f"{health.flight_path}.crash",
+            telemetry=result.ctx.telemetry,
+            sim=result.ctx.sim,
+            config=result.config,
+            policy_name=result.policy.name,
+            reason="exception",
+            error=tb,
+            record_tail=health.record_tail,
+            audit_tail=health.audit_tail,
+        )
+    except FlightRecorderError as failure:
+        message = f"flight recorder: no crash bundle: {failure}"
+        logging.getLogger("repro.health").warning(message)
+        if hasattr(exc, "add_note"):  # Python 3.11+
+            exc.add_note(message)
+        return None
 
 
 def load_flight_bundle(path: str) -> dict:

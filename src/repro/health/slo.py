@@ -1,7 +1,9 @@
 """SLO evaluation over an exported stream: the ``repro health`` report.
 
-:func:`build_report` folds a run-level JSONL line stream (classic file
-or merged sharded streams, see :mod:`repro.health.aggregate`) into a
+:func:`build_report` replays the detectors over a run-level JSONL line
+stream (classic file or merged sharded streams, see
+:mod:`repro.health.aggregate`; the fold is
+:func:`repro.health.evidence.replay`) and folds their firings into a
 :class:`HealthReport`: per-detector timelines (firing counts by
 severity, breach episodes, the worst window by threshold overshoot)
 plus the run-level pass/fail verdict -- **pass** means no detector ever
@@ -19,10 +21,9 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
-__all__ = ["DetectorTimeline", "HealthReport", "build_report", "render_report"]
+from .evidence import replay
 
-_HEALTH_PREFIX = "health."
-_META_KINDS = frozenset({"run", "metrics", "spans", "audit_summary", "truncation"})
+__all__ = ["DetectorTimeline", "HealthReport", "build_report", "render_report"]
 
 
 @dataclass
@@ -141,32 +142,17 @@ class HealthReport:
 
 def build_report(lines: Iterable[dict]) -> HealthReport:
     """Fold a run-level JSONL line stream into a :class:`HealthReport`."""
-    run: Optional[dict] = None
+    run, firings, ticks = replay(lines)
     detectors: Dict[str, DetectorTimeline] = {}
-    ticks = 0
-    enabled = False
-    for line in lines:
-        kind = line.get("kind")
-        if kind == "run":
-            run = line
-            continue
-        if kind == "metrics":
-            data = line.get("data", {})
-            ticks = int(data.get("health.ticks", 0))
-            if any(name.startswith(_HEALTH_PREFIX) for name in data):
-                enabled = True
-            continue
-        if kind in _META_KINDS or not isinstance(kind, str):
-            continue
-        if not kind.startswith(_HEALTH_PREFIX):
-            continue
-        enabled = True
-        detector = kind[len(_HEALTH_PREFIX):]
+    for firing in firings or ():
+        detector = firing["kind"].removeprefix("health.")
         timeline = detectors.get(detector)
         if timeline is None:
             timeline = detectors[detector] = DetectorTimeline(detector)
-        timeline.observe(line)
-    return HealthReport(run=run, enabled=enabled, detectors=detectors, ticks=ticks)
+        timeline.observe(firing)
+    return HealthReport(
+        run=run, enabled=firings is not None, detectors=detectors, ticks=ticks
+    )
 
 
 def _format_episode(episode: list) -> str:
@@ -195,8 +181,8 @@ def render_report(report: HealthReport) -> str:
             out.append(f"  merged from {header['shards']} shard streams")
     if not report.enabled:
         out.append(
-            "health: no health records or counters in this stream "
-            "(was the run executed with --health?)"
+            "health: not enabled in this run (its header has no health "
+            "entry; was the run executed with --health?)"
         )
         return "\n".join(out) + "\n"
     verdict = "PASS" if report.passed else "FAIL"

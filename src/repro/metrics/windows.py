@@ -4,9 +4,8 @@ A :class:`SlidingWindow` holds ``(t, value)`` observations over a fixed
 width of **simulated** time: pushing at time ``t`` evicts everything at
 or before ``t - width``, so the retained samples are exactly the
 half-open window ``(t - width, t]``.  The running sum is maintained
-incrementally and checkpointed verbatim, so a resumed window continues
-with bit-identical floating-point state -- the same discipline as the
-exact overlay aggregates.
+incrementally, so a fold over the same observations in the same order
+reproduces it bit for bit.
 
 Used by :mod:`repro.health.detectors`; generic enough for any
 event-time windowed statistic.
@@ -64,15 +63,3 @@ class SlidingWindow:
         if not self._items:
             return 0.0
         return max(v for _, v in self._items)
-
-    # -- checkpointing -----------------------------------------------------
-    def snapshot(self) -> dict:
-        # The running sum is stored, not recomputed: a resumed window
-        # must continue with the same accumulated rounding error.
-        return {"items": [list(item) for item in self._items], "sum": self._sum}
-
-    def restore(self, state: dict) -> None:
-        self._items.clear()
-        for t, value in state["items"]:
-            self._items.append((t, value))
-        self._sum = state["sum"]

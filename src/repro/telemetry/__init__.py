@@ -28,14 +28,7 @@ from .plane import (
     telemetry_from_config,
 )
 from .progress import WindowProgress
-from .records import (
-    HEALTH_FIELDS,
-    SCHEMAS,
-    AuditLog,
-    RecordLog,
-    record_as_dict,
-    register_schema,
-)
+from .records import SCHEMAS, AuditLog, RecordLog, record_as_dict
 from .registry import Counter, Gauge, Histogram, MetricsRegistry
 from .spans import NULL_SPAN, Span, SpanTimer
 
@@ -58,9 +51,7 @@ __all__ = [
     "RecordLog",
     "AuditLog",
     "SCHEMAS",
-    "HEALTH_FIELDS",
     "record_as_dict",
-    "register_schema",
     "WindowProgress",
     "export_run",
     "iter_jsonl",

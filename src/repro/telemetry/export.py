@@ -2,10 +2,12 @@
 
 The JSONL layout is one self-describing JSON object per line:
 
-* a ``run`` header (config name, size, seed, horizon, policy, schema);
-* every retained structured record (``audit`` / ``transport``), each
-  with its global ``seq`` and simulated time ``t`` -- rendered block by
-  block from the record log's columns (see :func:`_record_lines`);
+* a ``run`` header (config name, size, seed, horizon, policy, schema,
+  and the health settings of a health-enabled run);
+* every retained structured record (``audit`` / ``transport`` /
+  ``sample`` / ``role``), each with its global ``seq`` and simulated
+  time ``t`` -- rendered block by block from the record log's columns
+  (see :func:`_record_lines`);
 * a trailing ``metrics`` line -- the registry namespace collected at
   export time;
 * a trailing ``spans`` line -- the span aggregates.
@@ -56,9 +58,10 @@ _ENCODE = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
 
 
 def run_header(result) -> dict:
-    """The ``run`` header line for a finished run."""
+    """The ``run`` header line for a finished run (with the health
+    plane's settings when it is configured; ``repro health`` reads them)."""
     cfg = result.config
-    return {
+    header = {
         "kind": "run",
         "schema": JSONL_SCHEMA_VERSION,
         "name": cfg.name,
@@ -68,6 +71,9 @@ def run_header(result) -> dict:
         "policy": result.policy.name,
         "message_driven": cfg.faults is not None,
     }
+    if cfg.health is not None:
+        header["health"] = cfg.health.header(cfg)
+    return header
 
 
 def write_jsonl(path: str, lines: Iterable[dict]) -> int:

@@ -1,12 +1,13 @@
 """The deterministic structured-record stream and the DLM audit log.
 
 One :class:`RecordLog` per run holds every structured record the run
-emits -- DLM decision audits, transport lifecycle stages -- in **scheduler
-order** under one global sequence number.  Records are plain data keyed
-by a per-kind schema and carry only simulation-derived fields: simulated
-time, peer ids, metric values.  No wall-clock, no memory addresses --
-two runs of the same config produce bit-identical record streams, which
-is what the serial/parallel and checkpoint-resume golden tests assert.
+emits -- DLM decision audits, transport lifecycle stages, health
+evidence -- in **scheduler order** under one global sequence number.
+Records are plain data keyed by a per-kind schema and carry only
+simulation-derived fields: simulated time, peer ids, metric values.  No
+wall-clock, no memory addresses -- two runs of the same config produce
+bit-identical record streams, which is what the serial/parallel and
+checkpoint-resume golden tests assert.
 
 Records read back as ``(seq, t, kind, values)`` tuples whose ``values``
 follow :data:`SCHEMAS`; :func:`record_as_dict` re-inflates one for
@@ -36,9 +37,7 @@ __all__ = [
     "RecordLog",
     "AuditLog",
     "SCHEMAS",
-    "HEALTH_FIELDS",
     "record_as_dict",
-    "register_schema",
 ]
 
 #: Field order of each record kind's ``values`` tuple.
@@ -67,38 +66,21 @@ SCHEMAS: Dict[str, Tuple[str, ...]] = {
         "attempt",
         "leg",
     ),
+    # The health plane's evidence (:mod:`repro.health.evidence`): one
+    # row per layer-stats tick, and one per executed role change.
+    "sample": (
+        "n",
+        "n_super",
+        "ratio",
+        "max_leaf_deg",
+        "mean_leaf_deg",
+        "transport_failures",
+        "evaluations",
+        "deferrals",
+        "events",
+    ),
+    "role": ("pid", "role"),
 }
-
-#: Shared ``values`` layout of every ``health.<detector>`` record kind
-#: (see :mod:`repro.health.detectors`); the detector name lives in the
-#: kind itself.
-HEALTH_FIELDS: Tuple[str, ...] = (
-    "severity",
-    "value",
-    "threshold",
-    "window_start",
-    "breaches",
-    "pid",
-)
-
-
-def register_schema(kind: str, fields: Tuple[str, ...]) -> str:
-    """Register (or re-register, identically) a record kind's schema.
-
-    Planes layered on the record log -- the health plane being the first
-    -- declare their kinds here at import time so
-    :func:`record_as_dict` inflates them by name instead of falling
-    back to the anonymous ``values`` list.  Re-registration with a
-    different field tuple is a wiring bug and refused.
-    """
-    existing = SCHEMAS.get(kind)
-    if existing is not None and existing != tuple(fields):
-        raise ValueError(
-            f"record kind {kind!r} already registered with fields {existing}"
-        )
-    SCHEMAS[kind] = tuple(fields)
-    return kind
-
 
 Record = Tuple[int, float, str, tuple]
 

@@ -202,8 +202,20 @@ class TestCheckpointManager:
             b"repro-checkpoint 9 %s\n" % hashlib.sha256(body).hexdigest().encode()
             + body
         )
-        assert SCHEMA_VERSION == 10
-        with pytest.raises(CheckpointError, match="has schema '9'.*reads schema 10"):
+        assert SCHEMA_VERSION == 11
+        with pytest.raises(CheckpointError, match="has schema '9'.*reads schema 11"):
+            CheckpointManager.load(str(path))
+
+    def test_refuses_a_v10_file(self, tmp_path):
+        # v10 states carried the in-run health monitor's detector state;
+        # v11 runs record health evidence and judge it afterwards.
+        body = pickle.dumps({"header": {"schema": 10}})
+        path = tmp_path / "v10.ckpt"
+        path.write_bytes(
+            b"repro-checkpoint 10 %s\n" % hashlib.sha256(body).hexdigest().encode()
+            + body
+        )
+        with pytest.raises(CheckpointError, match="has schema '10'.*reads schema 11"):
             CheckpointManager.load(str(path))
 
 

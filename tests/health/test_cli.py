@@ -15,6 +15,7 @@ from repro.health.config import HealthConfig
 from repro.health.slo import build_report, render_report
 from repro.telemetry import TelemetryConfig
 from repro.telemetry.export import iter_jsonl
+from tests.telemetry.golden_export import golden_config
 
 
 def run_with_health(tmp_path, name="clirun", health=None, **cfg_kw):
@@ -45,7 +46,18 @@ class TestHealthExitCodes:
         jsonl = run_with_health(tmp_path, health=None)
         out = io.StringIO()
         assert cmd_health(Args(str(jsonl)), out=out) == 2
-        assert "no health records" in out.getvalue()
+        assert "health: not enabled in this run" in out.getvalue()
+
+    def test_a_wrapped_ring_gets_no_verdict(self, tmp_path, capsys):
+        # The ring evicts the oldest records, evidence among them: a
+        # verdict over what is left could PASS a run that went critical.
+        jsonl = tmp_path / "wrapped.jsonl"
+        run_experiment(golden_config("wrapped_ring", str(jsonl)))
+        assert repro_main(["health", str(jsonl)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"error: {jsonl}: the record ring dropped ")
 
     def test_quiet_run_passes_with_exit_0(self, tmp_path):
         # Thresholds far out of reach: the plane runs but stays quiet.
@@ -110,12 +122,12 @@ class TestSloFlagParsing:
             ]
         )
         assert rc == 0
-        kinds = {
-            line["kind"]
-            for line in iter_jsonl("slo.jsonl")
-            if line["kind"].startswith("health.")
-        }
-        assert "health.ratio_drift" in kinds
+        entry = next(iter_jsonl("slo.jsonl"))["health"]
+        assert (entry["ratio_band"], entry["critical_after"]) == (0.0, 1)
+        assert entry["surge_count"] is None
+        report = build_report(iter_jsonl("slo.jsonl"))
+        assert report.detectors["ratio_drift"].criticals >= 1
+        assert "timeout_surge" not in report.detectors
 
     def test_unknown_slo_key_is_exit_2(self):
         assert repro_main(["figure6", "--slo", "bogus_key=1"]) == 2
@@ -171,14 +183,11 @@ class TestShardedReadBack:
                 merged_stats
             )
             assert repro_main(
-                ["trace", str(sharded_run), "--kind", "health", "--limit", "5"]
+                ["trace", str(sharded_run), "--kind", "sample", "--limit", "5"]
             ) == 0
             traced = capsys.readouterr().out.strip().splitlines()
             assert traced
-            assert all(
-                json.loads(line)["kind"].startswith("health.")
-                for line in traced
-            )
+            assert all(json.loads(line)["kind"] == "sample" for line in traced)
         finally:
             renamed.rename(sharded_run)
 

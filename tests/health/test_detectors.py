@@ -9,11 +9,7 @@ firing per breached tick.
 
 from __future__ import annotations
 
-import pickle
-
-from repro.health.config import HealthConfig
 from repro.health.detectors import (
-    DETECTOR_NAMES,
     ClockStallDetector,
     DeferSpikeDetector,
     HealthSample,
@@ -21,7 +17,6 @@ from repro.health.detectors import (
     RatioDriftDetector,
     RoleFlapDetector,
     TimeoutSurgeDetector,
-    build_detectors,
 )
 
 
@@ -239,52 +234,3 @@ class TestClockStall:
         assert firings[0].t == 2.0
         assert firings[0].value == 4_900.0
 
-
-class TestSnapshotRestore:
-    def drive(self, detector, ticks):
-        return [f for s in ticks for f in detector.observe(s)]
-
-    def test_every_detector_resumes_bit_identically(self):
-        # Run each enabled detector over a stressful synthetic sequence
-        # twice: straight through, and snapshot/restored at the midpoint
-        # into a freshly built twin.  Firings must match exactly.
-        def ticks():
-            out = []
-            for t in range(1, 41):
-                out.append(
-                    sample(
-                        float(t),
-                        ratio=20.0 if 10 <= t < 20 else 10.0,
-                        max_leaf_deg=60.0 if 15 <= t < 25 else 10.0,
-                        mean_leaf_deg=9.0,
-                        transport_failures=50 * t if t >= 20 else 0,
-                        evaluations=30 * t,
-                        deferrals=25 * t if t >= 25 else 5 * t,
-                        events=100 * t + (40_000 if t == 30 else 0),
-                    )
-                )
-            return out
-
-        cfg = HealthConfig(critical_after=2)
-
-        def build():
-            dets = build_detectors(cfg, eta=10.0, grace=0.0)
-            flap = next(d for d in dets if isinstance(d, RoleFlapDetector))
-            for t in (12.0, 13.0, 14.0):
-                flap.record_transition(t, pid=4)
-            return dets
-
-        assert [d.name for d in build()] == list(DETECTOR_NAMES)
-        straight = {}
-        for d in build():
-            straight[d.name] = self.drive(d, ticks())
-        assert any(straight.values())  # the sequence exercises firings
-
-        first, rest = ticks()[:20], ticks()[20:]
-        for d in build():
-            prefix = self.drive(d, first)
-            snap = pickle.loads(pickle.dumps(d.snapshot()))
-            twin = next(x for x in build() if x.name == d.name)
-            twin.restore(snap)
-            resumed = prefix + self.drive(twin, rest)
-            assert resumed == straight[d.name], d.name

@@ -1,46 +1,35 @@
-"""Golden determinism: the health stream is part of the trajectory.
+"""Golden determinism: the health verdict is part of the trajectory.
 
-The ``health.*`` record stream and the SLO report derived from it must
-be bit-identical across worker layouts under ``shards = K``, across
-checkpoint/resume (classic and sharded), and between a classic run's
-single file and the same stream read through the shard-prefix path.
-Spans are the one wall-clock meta line and are excluded from stream
-comparisons; merged metrics already drop the wall-derived ``shard.*``
-gauges.
+The fold's firings (``repro.health.evidence.replay``) must equal the
+in-run monitor's firings captured before it was deleted
+(``golden_firings.json``), and must be bit-identical across worker
+layouts under ``shards = K``, across checkpoint/resume (classic and
+sharded), and between a classic run's single file and the same stream
+read through the shard-prefix path.  Spans are the one wall-clock meta
+line and are excluded from stream comparisons; merged metrics already
+drop the wall-derived ``shard.*`` gauges.
 """
 
 from __future__ import annotations
 
+import json
 import pickle
 import shutil
 
+import pytest
+
 from repro.experiments.checkpoint import capture_run_state, resume_run
-from repro.experiments.configs import table2_config
 from repro.experiments.runner import run_experiment
 from repro.experiments.sharded import run_sharded_experiment
-from repro.health.config import HealthConfig
 from repro.health.slo import build_report, render_report
-from repro.telemetry import TelemetryConfig
 from repro.telemetry.export import iter_jsonl
-
-#: Tight band + fast escalation so firings actually span these short
-#: horizons (and any checkpoint boundary inside them).
-_HEALTH = HealthConfig(ratio_band=0.2, critical_after=2)
-
-
-def sharded_config(jsonl_path, **overrides):
-    base = dict(
-        name="goldenh",
-        n=240,
-        horizon=60.0,
-        warmup=10.0,
-        seed=11,
-        shards=2,
-        telemetry=TelemetryConfig(jsonl_path=str(jsonl_path)),
-        health=_HEALTH,
-    )
-    base.update(overrides)
-    return table2_config().with_(**base)
+from tests.health.golden_firings import (
+    FIRING_RUNS,
+    GOLDEN_PATH,
+    fold_rows,
+    run_rows,
+    sharded_config,
+)
 
 
 def stream_payload(path):
@@ -50,16 +39,15 @@ def stream_payload(path):
     ]
 
 
-def health_records(path):
-    return [
-        line
-        for line in iter_jsonl(str(path))
-        if line["kind"].startswith("health.")
-    ]
-
-
 def report_text(path):
     return render_report(build_report(iter_jsonl(str(path))))
+
+
+@pytest.mark.parametrize("name", FIRING_RUNS)
+def test_the_fold_reproduces_the_in_run_firings(name):
+    golden = json.loads(GOLDEN_PATH.read_text())[name]
+    assert golden  # every config fires
+    assert run_rows(name) == golden
 
 
 class TestWorkerLayoutParity:
@@ -73,7 +61,7 @@ class TestWorkerLayoutParity:
         run_sharded_experiment(sharded_config(a), workers=1)
         run_sharded_experiment(sharded_config(b), workers=2)
 
-        assert health_records(a)  # the comparison is non-vacuous
+        assert fold_rows(a)  # the comparison is non-vacuous
         assert stream_payload(a) == stream_payload(b)
         assert report_text(a) == report_text(b)
 
@@ -100,10 +88,10 @@ class TestShardedResumeParity:
         )
         assert partial.checkpoint_writes == 1
         # Resume on a *different* worker count: layout-free by contract.
-        resume_run(str(ckpt), horizon=60.0)
+        resume_run(str(ckpt), horizon=60.0, workers=2)
 
-        assert health_records(ref)
-        assert health_records(ckpt_jsonl) == health_records(ref)
+        assert fold_rows(ref)
+        assert fold_rows(ckpt_jsonl) == fold_rows(ref)
         assert report_text(ckpt_jsonl) == report_text(ref)
 
 
@@ -121,12 +109,11 @@ class TestClassicResumeParity:
         half = run_experiment(res_cfg, run=False)
         half.ctx.sim.run(until=cfg.horizon / 2)
         state = pickle.loads(pickle.dumps(capture_run_state(half)))
-        assert state["health"] is not None  # v7 carries detector state
-        resumed = run_experiment(res_cfg, resume_from={"state": state})
-        assert resumed.health_monitor is not None
+        assert "health" not in state  # the evidence rides in telemetry
+        run_experiment(res_cfg, resume_from={"state": state})
 
-        assert health_records(ref_jsonl)
-        assert health_records(res_jsonl) == health_records(ref_jsonl)
+        assert fold_rows(ref_jsonl)
+        assert fold_rows(res_jsonl) == fold_rows(ref_jsonl)
         assert report_text(res_jsonl) == report_text(ref_jsonl)
 
 

@@ -1,4 +1,4 @@
-"""The HealthMonitor wired into real runs, and the flight recorder."""
+"""The health evidence of real runs, and the crash flight recorder."""
 
 from __future__ import annotations
 
@@ -10,14 +10,19 @@ import pytest
 
 from repro.experiments.configs import bench_config, table2_config
 from repro.health.config import HealthConfig
+from repro.health.detectors import HealthSample, build_detectors
+from repro.health.evidence import replay
 from repro.health.flight import (
     FlightRecorderError,
     build_flight_bundle,
+    crash_dump,
     load_flight_bundle,
+    write_flight_bundle,
 )
 from repro.experiments.runner import run_experiment
 from repro.telemetry import TelemetryConfig
-from repro.telemetry.records import record_as_dict
+from repro.telemetry.export import iter_jsonl
+from repro.telemetry.records import SCHEMAS, record_as_dict
 from repro.cli import main as repro_main
 
 
@@ -27,23 +32,26 @@ def small_config(**kw):
     )
 
 
+def exported(tmp_path, health):
+    """Run :func:`small_config` with ``health`` and return its stream."""
+    jsonl = tmp_path / "run.jsonl"
+    cfg = small_config(
+        telemetry=TelemetryConfig(jsonl_path=str(jsonl)), health=health
+    )
+    return run_experiment(cfg), list(iter_jsonl(str(jsonl)))
+
+
 class TestMonitorWiring:
     def test_health_auto_enables_telemetry(self):
         result = run_experiment(small_config(health=HealthConfig()))
         assert result.telemetry.enabled
-        assert result.health_monitor is not None
-        assert result.telemetry.registry.collect()["health.ticks"] > 0
+        assert result.telemetry.log.records("sample")
 
-    def test_no_health_config_means_no_monitor_and_no_records(self):
-        result = run_experiment(
-            small_config(telemetry=TelemetryConfig())
-        )
-        assert result.health_monitor is None
-        assert not [
-            d for d in result.telemetry.log.dicts()
-            if d["kind"].startswith("health.")
-        ]
-        assert "health.ticks" not in result.telemetry.registry.collect()
+    def test_no_health_config_means_no_monitor_and_no_records(self, tmp_path):
+        _, lines = exported(tmp_path, None)
+        assert "health" not in lines[0]
+        assert not [d for d in lines if d["kind"] in ("sample", "role")]
+        assert replay(iter(lines)) == (lines[0], None, 0)
 
     def test_health_plane_does_not_perturb_the_trajectory(self):
         plain = run_experiment(small_config())
@@ -58,7 +66,7 @@ class TestMonitorWiring:
             == with_health.overlay.total_promotions
         )
 
-    def test_disabled_thresholds_drop_detectors(self):
+    def test_disabled_thresholds_drop_detectors(self, tmp_path):
         cfg = HealthConfig(
             ratio_band=None,
             flap_transitions=None,
@@ -67,36 +75,76 @@ class TestMonitorWiring:
             defer_rate=None,
             stall_events_per_unit=None,
         )
-        result = run_experiment(small_config(health=cfg))
-        assert result.health_monitor.detectors == []
+        assert build_detectors(cfg, eta=40.0, grace=0.0) == []
+        _, lines = exported(tmp_path, cfg)
+        header, firings, ticks = replay(iter(lines))
+        assert firings == [] and ticks > 0
+
+    def test_one_sample_per_tick_and_one_role_record_per_role_change(
+        self, tmp_path
+    ):
+        result, lines = exported(tmp_path, HealthConfig())
+        samples = [d for d in lines if d["kind"] == "sample"]
+        roles = [d for d in lines if d["kind"] == "role"]
+        n_super = result.series["n_super"]
+        assert [d["t"] for d in samples] == list(n_super.times)
+        assert [d["n_super"] for d in samples] == list(n_super.values)
+        # Every executed promotion and demotion, nothing the policy
+        # only decided; the header carries what the fold needs.
+        overlay = result.overlay
+        promoted = [d for d in roles if d["role"] == "super"]
+        assert len(promoted) == overlay.total_promotions > 0
+        assert len(roles) - len(promoted) == overlay.total_demotions
+        entry = lines[0]["health"]
+        assert entry["eta"] == result.config.eta
+        assert entry["grace"] == result.config.warmup
+        assert "flight_path" not in entry
+
+    def test_the_sample_schema_is_the_health_sample(self):
+        fields = HealthSample.__dataclass_fields__
+        assert ("t", *SCHEMAS["sample"]) == tuple(fields)
+
+    def test_a_truncated_stream_is_refused(self, tmp_path):
+        _, lines = exported(tmp_path, HealthConfig())
+        lines.append({"kind": "truncation", "dropped": 1, "retained": 9})
+        with pytest.raises(ValueError, match="dropped 1 records"):
+            replay(iter(lines))
+
+    def test_a_malformed_health_header_is_bad_input(self):
+        header = {"kind": "run", "health": {"eta": 40.0, "bogus": 1}}
+        with pytest.raises(ValueError, match="malformed health entry"):
+            replay(iter([header]))
+        with pytest.raises(ValueError, match="malformed health entry"):
+            replay(iter([{"kind": "run", "health": {}}]))
 
 
 class TestFlightRecorder:
-    def force_critical(self, tmp_path, **health_kw):
+    def crash_bundle(self, tmp_path, **health_kw):
+        """A finished run's crash bundle, written as if it had died."""
         flight = tmp_path / "flight.json"
-        cfg = small_config(
-            health=HealthConfig(
-                ratio_band=0.0,  # every tick breaches
-                critical_after=1,
-                flight_path=str(flight),
-                **health_kw,
-            )
-        )
-        return run_experiment(cfg), flight
+        cfg = small_config(health=HealthConfig(flight_path=str(flight), **health_kw))
+        result = run_experiment(cfg)
+        try:
+            raise RuntimeError("boom for the recorder")
+        except RuntimeError as exc:
+            crash_dump(result, exc)
+        return result, flight
 
-    def test_critical_firing_writes_one_bounded_bundle(self, tmp_path):
-        result, flight = self.force_critical(tmp_path, record_tail=25)
-        monitor = result.health_monitor
-        criticals = result.telemetry.registry.collect()["health.criticals"]
-        assert criticals >= 1
-        assert monitor.dumps == 1  # max_dumps=1 bounds repeated criticals
-        bundle = load_flight_bundle(str(flight))
-        assert bundle["reason"] == "critical:ratio_drift"
-        assert bundle["config"]["name"] == "health-test"
-        assert len(bundle["records"]) <= 25
-        assert bundle["records"]  # tail is non-empty
-        assert bundle["sim"]["events_processed"] > 0
-        assert bundle["config_hash"]
+    def test_a_critical_firing_writes_no_bundle(self, tmp_path):
+        # A critical is the fold's verdict, after the run: the run has
+        # nothing to dump for it.
+        flight = tmp_path / "flight.json"
+        jsonl = tmp_path / "run.jsonl"
+        cfg = small_config(
+            telemetry=TelemetryConfig(jsonl_path=str(jsonl)),
+            health=HealthConfig(
+                ratio_band=0.0, critical_after=1, flight_path=str(flight)
+            ),
+        )
+        run_experiment(cfg)
+        _, firings, _ = replay(iter_jsonl(str(jsonl)))
+        assert any(f["severity"] == "critical" for f in firings)
+        assert list(tmp_path.iterdir()) == [jsonl]
 
     def test_bundle_tails_equal_slices_of_a_wrapped_ring(self):
         cfg = bench_config().with_(
@@ -127,29 +175,27 @@ class TestFlightRecorder:
             assert bundle["audit"] == [
                 record_as_dict(r) for r in log.records("audit")[-audit_tail:]
             ]
-            if record_tail == 400:  # the tail crosses a health firing
+            if record_tail == 400:  # the tail crosses health evidence
                 assert {r["kind"] for r in bundle["records"]} > {"audit"}
 
     def test_crash_dump_writes_a_sibling_bundle_with_the_traceback(
         self, tmp_path
     ):
-        result, flight = self.force_critical(tmp_path)
-        try:
-            raise RuntimeError("boom for the recorder")
-        except RuntimeError as exc:
-            result.health_monitor.crash_dump(exc)
+        result, flight = self.crash_bundle(tmp_path, record_tail=25)
         crash = load_flight_bundle(str(flight) + ".crash")
         assert crash["reason"] == "exception"
         assert "boom for the recorder" in crash["error"]
-        # The detector-triggered bundle was not clobbered.
-        assert load_flight_bundle(str(flight))["reason"].startswith("critical:")
+        assert crash["config"]["name"] == "health-test"
+        assert 0 < len(crash["records"]) <= 25
+        assert crash["sim"]["events_processed"] > 0
+        assert crash["config_hash"]
+        assert not flight.exists()  # only the .crash sibling is written
+        # No flight path, no bundle.
+        assert crash_dump(run_experiment(small_config()), RuntimeError()) is None
 
     def test_crash_dump_fires_on_unhandled_runner_exception(self, tmp_path):
         flight = tmp_path / "flight.json"
-        cfg = small_config(
-            health=HealthConfig(flight_path=str(flight)),
-            # Sample cadence fine enough that the monitor attaches hooks.
-        )
+        cfg = small_config(health=HealthConfig(flight_path=str(flight)))
 
         def exploding_policy(config):
             from repro.core.dlm import DLMPolicy
@@ -199,21 +245,21 @@ class TestFlightRecorder:
         assert not (tmp_path / "new").exists()
 
     def test_a_failed_dump_is_a_typed_error_and_leaves_no_tmp(self, tmp_path):
-        # The directory exists (the pre-run check passes), but the bundle
-        # cannot replace a directory of the same name.
-        flight = tmp_path / "flight.json"
-        flight.mkdir()
-        cfg = small_config(
-            health=HealthConfig(
-                ratio_band=0.0, critical_after=1, flight_path=str(flight)
-            )
-        )
+        # The directory exists, but the bundle cannot replace a directory
+        # of the same name.
+        result, _ = self.crash_bundle(tmp_path)
+        target = tmp_path / "taken"
+        target.mkdir()
         with pytest.raises(FlightRecorderError, match="cannot write flight bundle"):
-            run_experiment(cfg)
+            write_flight_bundle(
+                str(target),
+                telemetry=result.telemetry,
+                sim=result.ctx.sim,
+                config=result.config,
+                policy_name="dlm",
+                reason="test",
+            )
         assert not list(tmp_path.glob("*.tmp"))
-        # The crash half still records why the run died.
-        crash = load_flight_bundle(f"{flight}.crash")
-        assert "FlightRecorderError" in crash["error"]
 
     def test_a_failed_crash_dump_never_masks_the_run_exception(
         self, tmp_path, caplog
@@ -249,7 +295,8 @@ class TestFlightRecorder:
             assert err.value.__notes__ == [record.getMessage()]
 
     def test_postmortem_cli_renders_the_bundle(self, tmp_path):
-        _, flight = self.force_critical(tmp_path)
+        _, flight = self.crash_bundle(tmp_path)
+        flight = flight.with_name(flight.name + ".crash")
         out = io.StringIO()
         from repro.cli import cmd_postmortem
 
@@ -262,7 +309,8 @@ class TestFlightRecorder:
         assert cmd_postmortem(Args(), out=out) == 0
         text = out.getvalue()
         assert "postmortem: health-test" in text
-        assert "reason: critical:ratio_drift" in text
+        assert "reason: exception" in text
+        assert "boom for the recorder" in text
         assert "config_hash:" in text
         # A bundle written before the overlay family went still renders,
         # and renders the same.
@@ -275,12 +323,12 @@ class TestFlightRecorder:
         assert old.getvalue() == text
 
     def test_postmortem_cli_json_roundtrips(self, tmp_path):
-        _, flight = self.force_critical(tmp_path)
+        _, flight = self.crash_bundle(tmp_path)
         out = io.StringIO()
         from repro.cli import cmd_postmortem
 
         class Args:
-            bundle = str(flight)
+            bundle = f"{flight}.crash"
             records = 3
             audit = 2
             json = True

@@ -1,8 +1,6 @@
-"""SlidingWindow: event-time eviction and checkpoint-exact sums."""
+"""SlidingWindow: event-time eviction and running sums."""
 
 from __future__ import annotations
-
-import pickle
 
 from repro.metrics.windows import SlidingWindow
 
@@ -31,19 +29,3 @@ class TestSlidingWindow:
         assert w.sum() == 0.0
         assert w.mean() == 0.0
 
-    def test_snapshot_restore_preserves_the_running_sum_bit_for_bit(self):
-        # Resume must continue the *same* float accumulation, not a
-        # recomputed one -- the incremental sum is the checkpointed truth.
-        w = SlidingWindow(50.0)
-        for i in range(100):
-            w.push(float(i), 0.1 * i)
-        snap = pickle.loads(pickle.dumps(w.snapshot()))
-        restored = SlidingWindow(50.0)
-        restored.restore(snap)
-        assert restored.sum() == w.sum()
-        assert restored.mean() == w.mean()
-        for t in (100.0, 101.0, 130.0):
-            w.push(t, 1.25)
-            restored.push(t, 1.25)
-            assert restored.sum() == w.sum()
-            assert len(restored) == len(w)

@@ -2,8 +2,9 @@
 the tuple ring they replaced (``tests/telemetry/reference_export.py``).
 
 Random emit streams mix the registered kinds (``audit``, ``transport``,
-``health.*``, each with a width around its schema's) and an unregistered
-kind that exports its raw ``values`` list.  Values come from small
+and the health evidence's ``sample`` and ``role``, each with a width
+around its schema's) and an unregistered kind that exports its raw
+``values`` list.  Values come from small
 per-position pools, so shapes repeat and typed columns grow, over the
 values whose JSON or storage is easy to get wrong: signed zeros, NaN,
 infinities, subnormals, ``np.float64``, bools, ints beyond int64, and
@@ -25,9 +26,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.health.plane  # noqa: F401  (registers the health.* schemas)
 from repro.telemetry.export import _record_lines
-from repro.telemetry.records import HEALTH_FIELDS, SCHEMAS, AuditLog, RecordLog
+from repro.telemetry.records import SCHEMAS, AuditLog, RecordLog
 from tests.conftest import examples
 from tests.telemetry.reference_export import ReferenceRing
 
@@ -35,7 +35,8 @@ UNREGISTERED = "x.unregistered%é"
 KINDS = {
     "audit": len(SCHEMAS["audit"]),
     "transport": len(SCHEMAS["transport"]),
-    "health.ratio_drift": len(HEALTH_FIELDS),
+    "sample": len(SCHEMAS["sample"]),
+    "role": len(SCHEMAS["role"]),
     UNREGISTERED: 2,
 }
 CAPACITIES = (None, 1, 3, 17)

@@ -4,8 +4,9 @@
 eager Event; see :mod:`tests.protocol.golden_transport` for what the two
 runs cover and why cancelled queue entries are filtered.  The golden
 also holds the ``family`` component that schema v10 dropped (an empty
-dict in every run it was captured from); the fresh runs must have
-exactly the other components, each unchanged.
+dict in every run it was captured from) and the ``health`` component
+that schema v11 dropped (``None``: neither run enables health); the
+fresh runs must have exactly the other components, each unchanged.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import pytest
 from tests.protocol.golden_transport import GOLDEN_PATH, GOLDEN_RUNS, run_digest
 
 #: Components the golden was captured with that the state no longer has.
-RETIRED = {"family"}
+RETIRED = {"family", "health"}
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))

@@ -9,8 +9,9 @@ one ``JSONEncoder.encode(record_as_dict(r))`` call.
 
 The three runs cover the record shapes the exporter meets:
 
-* ``audit_health`` -- a full audit (``none`` verdicts included) with a
-  tight health band, so ``health.*`` firings interleave the audit rows;
+* ``audit_health`` -- a full audit (``none`` verdicts included) with
+  health on, so its ``sample`` and ``role`` evidence interleaves the
+  audit rows and the header carries the health settings;
 * ``transport_trace`` -- a message-driven run with the Phase-1 lifecycle
   traced: ``transport`` rows and the defer shapes (``None`` where a
   decision row has a number);
@@ -62,7 +63,8 @@ def golden_config(name: str, jsonl_path: str):
         warmup=50.0,
         seed=11,
         telemetry=TelemetryConfig(jsonl_path=jsonl_path, record_capacity=capacity),
-        # A tight band and fast escalation so firings land in this horizon.
+        # A tight band and fast escalation so firings land in this horizon
+        # (tests/health/golden_firings.py replays them).
         health=HealthConfig(ratio_band=0.2, critical_after=2),
     )
 

@@ -146,12 +146,14 @@ def inputs(tmp_path):
     header = {"kind": "run", "name": "t", "n": 10, "seed": 1, "horizon": 50.0}
     header["policy"] = "dlm"
     audit = {"seq": 0, "t": 10.0, "kind": "audit", "pid": 1, "verdict": "promote"}
-    ticks = {"kind": "metrics", "t": 50.0, "data": {"health.ticks": 5}}
-    firing = {"kind": "health.ratio_drift", "t": 20.0, "severity": "critical"}
-    firing.update(value=1.0, threshold=0.5)
+    health = {**header, "health": {"eta": 40.0, "grace": 0.0, "critical_after": 1}}
+    sample = {"seq": 1, "t": 20.0, "kind": "sample", "n": 410, "n_super": 10}
+    sample.update(max_leaf_deg=40.0, mean_leaf_deg=40.0, transport_failures=0)
+    sample.update(evaluations=0, deferrals=0, events=900)
+    off_target = {**sample, "ratio": 80.0}  # twice eta: the ratio band breaks
     write("ok.jsonl", [header, audit])
-    write("healthy.jsonl", [header, ticks])
-    write("critical.jsonl", [header, firing, ticks])
+    write("healthy.jsonl", [health, {**sample, "ratio": 40.0}])
+    write("critical.jsonl", [health, off_target])
     (tmp_path / "torn.jsonl").write_text('{"kind":"run","name":"x"\n')
     (tmp_path / "junk.ckpt").write_bytes(b"not a checkpoint\n")
     return tmp_path
