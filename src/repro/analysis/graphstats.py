@@ -90,8 +90,7 @@ def backbone_component_sizes(overlay: Overlay) -> List[int]:
     on a super-peer row are its super--super links; components come in
     ``super_ids`` order of their first member.
     """
-    store = overlay.store
-    sn, slot = store.sn, store.slot
+    sn, get = overlay.store.sn, overlay.get
     seen = set()
     sizes = []
     for root in overlay.super_ids:
@@ -100,7 +99,7 @@ def backbone_component_sizes(overlay: Overlay) -> List[int]:
         seen.add(root)
         frontier = [root]
         for pid in frontier:  # the list grows while it is walked: a BFS
-            for other in sn[slot(pid)]:
+            for other in sn[get(pid)._slot]:
                 if other not in seen:
                     seen.add(other)
                     frontier.append(other)

@@ -218,9 +218,9 @@ class ChurnDriver:
         """
         self.joins = state["joins"]
         self.deaths = state["deaths"]
-        store = self.ctx.overlay.store
+        peer = self.ctx.overlay.peer
         for pid, seq in state["leave_events"]:
-            self.death_ledger.adopt(store.slot(pid), seq, sim)
+            self.death_ledger.adopt(peer(pid)._slot, seq, sim)
         self._join_backlog = list(state["join_backlog"])
         self.lifetimes.set_scale(state["lifetime_scale"])
         self.capacities.set_scale(state["capacity_scale"])

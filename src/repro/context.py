@@ -28,11 +28,7 @@ from .overlay.maintenance import Maintenance
 from .overlay.topology import Overlay
 from .protocol.accounting import MessageLedger
 from .protocol.faults import FaultPlan
-from .protocol.knowledge import (
-    KnowledgeSource,
-    ObservedKnowledge,
-    OmniscientKnowledge,
-)
+from .protocol.knowledge import ObservedKnowledge, OmniscientKnowledge
 from .protocol.transport import InfoExchange
 from .sim.scheduler import Simulator
 from .telemetry.plane import NULL_TELEMETRY
@@ -50,7 +46,7 @@ class SystemContext:
     maintenance: Maintenance
     messages: MessageLedger
     info: InfoExchange
-    knowledge: KnowledgeSource
+    knowledge: OmniscientKnowledge | ObservedKnowledge
     overhead: OverheadLedger
     m: int
     k_s: int
@@ -109,10 +105,11 @@ def build_context(
     maintenance = Maintenance(overlay, join, m=m, k_s=k_s)
     messages = MessageLedger(piggyback=piggyback)
     info = InfoExchange(overlay, messages, sim=sim, faults=faults)
-    if faults is None:
-        knowledge: KnowledgeSource = OmniscientKnowledge(overlay)
-    else:
-        knowledge = ObservedKnowledge(overlay, faults.staleness_horizon)
+    knowledge = (
+        OmniscientKnowledge(overlay)
+        if faults is None
+        else ObservedKnowledge(overlay, faults.staleness_horizon)
+    )
     overhead = OverheadLedger(m)
     return SystemContext(
         sim=sim,

@@ -31,7 +31,7 @@ from typing import Mapping, Optional, Tuple
 import numpy as np
 
 from ..overlay.peer import Peer
-from ..protocol.knowledge import UNKNOWN, KnowledgeSource, OmniscientKnowledge
+from ..protocol.knowledge import UNKNOWN, ObservedKnowledge, OmniscientKnowledge
 
 __all__ = ["ComparisonResult", "compare_leaves_observed"]
 
@@ -51,7 +51,7 @@ class ComparisonResult:
 
 
 def compare_leaves_observed(
-    knowledge: KnowledgeSource,
+    knowledge: OmniscientKnowledge | ObservedKnowledge,
     peer: Peer,
     members: Mapping[int, int],
     now: float,

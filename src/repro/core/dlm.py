@@ -23,7 +23,7 @@ Per §4, every peer independently runs the four phases:
    executed through :class:`~repro.core.transitions.TransitionExecutor`.
 
 All metric values of phases 2-3 are read through the context's
-:class:`~repro.protocol.knowledge.KnowledgeSource`; when required
+knowledge source (:mod:`repro.protocol.knowledge`); when required
 observations are missing or stale the evaluation is *deferred* -- the
 peer asks the exchange to refresh (:meth:`InfoExchange.ensure_fresh`)
 and will be re-evaluated when the responses arrive.  The evaluator
@@ -342,14 +342,13 @@ class DLMPolicy(LayerPolicy):
                     lnn_sum += l_nn
                     lnn_n += 1
         if dead:
-            # Read the observation cache without vivifying it: omniscient
-            # runs never populate one, and pruning must not allocate one
-            # per evaluated leaf.
+            # Only the transport creates a cache: omniscient runs never
+            # populate one, and pruning must not allocate one.
             cache = store.kn[slot]
             for sid in dead:
                 store.ct_discard(slot, sid)
                 if cache is not None:
-                    cache.forget(sid)
+                    cache.pop(sid, None)
         g_size = len(caps)
         if g_size < config.min_related_set:
             if missing:
@@ -455,8 +454,8 @@ class DLMPolicy(LayerPolicy):
         evaluated", which is the fresh-slot default on restore -- only
         real stamps need to travel in the checkpoint.  Sorted by pid:
         slot order is an allocation-history artifact that differs
-        between a run and its restored twin, and restore writes through
-        the pid->slot map anyway."""
+        between a run and its restored twin, and restore resolves each
+        pid through the overlay's registry anyway."""
         store = self.ctx.overlay.store
         live = store.live_slots()
         pid, le = store.pid, store.last_eval
@@ -498,12 +497,13 @@ class DLMPolicy(LayerPolicy):
         self.deferrals = state["deferrals"]
         self._drain = list(state["pending"])
         self._pending = set(self._drain)
-        store = self.ctx.overlay.store
-        le = store.last_eval
+        overlay = self.ctx.overlay
+        le = overlay.store.last_eval
+        get = overlay.get
         for pid, t in state["last_eval"]:
-            s = store.slot(pid)
-            if s >= 0:
-                le[s] = t
+            peer = get(pid)
+            if peer is not None:
+                le[peer._slot] = t
         for process, proc_state in (
             (self._sweep, state["sweep"]),
             (self._eval_sweep, state["eval_sweep"]),

@@ -4,11 +4,15 @@ Runs every registry row that carries a paper claim at the requested
 scale and renders a markdown report with, per table/figure: the paper's
 claim, the measured shape metrics with each band and its verdict, the
 ASCII rendition, and how to read them.  The checked-in
-``EXPERIMENTS.md`` is the output of::
+``EXPERIMENTS.md`` up to and including its "Tables 1 and 2" section is
+the output of::
 
     repro report            # bench scale; exits 1 if a band FAILs
 
-so it can be regenerated after any change.
+so that part can be regenerated after any change.  The appendices after
+it (full-scale validation, tracing a promotion, the million-peer probe,
+the sharded engine, diagnosing with ``repro health``) are written by
+hand; the report does not produce them.
 """
 
 from __future__ import annotations

@@ -6,7 +6,6 @@ join/bootstrap procedures and degree maintenance.
 
 from .aggregates import LayerAggregate, OverlayAggregates
 from .bootstrap import JoinProcedure
-from .knowledge import NeighborKnowledge, Observation
 from .maintenance import Maintenance, RepairReport
 from .peer import Peer
 from .roles import Role
@@ -16,8 +15,6 @@ __all__ = [
     "LayerAggregate",
     "OverlayAggregates",
     "JoinProcedure",
-    "NeighborKnowledge",
-    "Observation",
     "Maintenance",
     "RepairReport",
     "Peer",

@@ -122,10 +122,8 @@ class JoinProcedure:
         overlay = self.overlay
         if pid not in overlay.leaf_ids._index:
             raise OverlayError(f"connect_leaf: pid {pid} is not a leaf here")
-        store = overlay.store
-        # Column-direct read: this runs on every join and every repair,
-        # so even resolving the pid to its Peer view is measurable here.
-        exclude = set(store.sn[store.slot(pid)])
+        # Column-direct read: this runs on every join and every repair.
+        exclude = set(overlay.store.sn[overlay._peers[pid]._slot])
         exclude.add(pid)
         chosen = overlay.random_supers(self.rng, want, exclude=exclude)
         for sid in chosen:

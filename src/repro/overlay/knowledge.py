@@ -1,18 +1,21 @@
-"""A peer's cache of observed neighbor metric values.
+"""A peer's observations of its neighbors' metric values.
 
 DLM's Phase 1 carries ``l_nn``, ``capacity``, and ``age`` in explicit
 messages (Table 1); what a peer can legitimately evaluate against is the
 last values those messages delivered, not live simulation state.  Each
-:class:`~repro.overlay.peer.Peer` owns one :class:`NeighborKnowledge`
-instance holding an :class:`Observation` per neighbor, stamped with the
-simulated time the values were *sampled at the responder* (so an
-in-flight delay does not silently age the data twice).
+peer row's ``kn`` column (:class:`~repro.overlay.peerstore.PeerStore`)
+holds ``None`` until the transport delivers the peer's first response,
+then a plain ``dict`` of one :class:`Observation` per neighbor pid,
+stamped with the simulated time the values were *sampled at the
+responder* (so an in-flight delay does not silently age the data twice).
+The transport's response arrival is the only writer; readers treat a
+missing cache as empty.
 
 The read policies over this cache -- omniscient vs message-driven,
 staleness horizons, the UNKNOWN sentinel -- live in
 :mod:`repro.protocol.knowledge`; this module is deliberately
-dependency-free so the peer model can embed the cache without layering
-cycles.
+dependency-free so the overlay can hold and checkpoint the cache without
+layering cycles.
 
 Ages extrapolate exactly: age grows linearly in time, so a single
 observation ``(age_at_obs, values_time)`` yields the true age at any
@@ -26,7 +29,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-__all__ = ["Observation", "NeighborKnowledge"]
+__all__ = ["Observation", "snapshot_cache", "restore_cache"]
 
 _NEVER = -math.inf
 
@@ -57,66 +60,17 @@ class Observation:
         return self.age_at_obs + (now - self.values_time)
 
 
-class NeighborKnowledge:
-    """A peer's cache of neighbor observations, keyed by pid."""
+def snapshot_cache(cache: Optional[Dict[int, Observation]]) -> Optional[list]:
+    """A cache as plain tuples in insertion order; ``None`` (never
+    written) stays ``None`` and an emptied cache snapshots as ``[]``."""
+    if cache is None:
+        return None
+    return [
+        (pid, o.capacity, o.age_at_obs, o.values_time, o.l_nn, o.lnn_time)
+        for pid, o in cache.items()
+    ]
 
-    __slots__ = ("_obs",)
 
-    def __init__(self) -> None:
-        self._obs: Dict[int, Observation] = {}
-
-    def __len__(self) -> int:
-        return len(self._obs)
-
-    def __contains__(self, pid: int) -> bool:
-        return pid in self._obs
-
-    def get(self, pid: int) -> Optional[Observation]:
-        """The observation of ``pid``, or None if never observed."""
-        return self._obs.get(pid)
-
-    def _entry(self, pid: int) -> Observation:
-        obs = self._obs.get(pid)
-        if obs is None:
-            obs = Observation()
-            self._obs[pid] = obs
-        return obs
-
-    def observe_values(
-        self, pid: int, capacity: float, age: float, now: float
-    ) -> None:
-        """Record a ``value_response`` from ``pid`` sampled at ``now``."""
-        obs = self._entry(pid)
-        obs.capacity = capacity
-        obs.age_at_obs = age
-        obs.values_time = now
-
-    def observe_lnn(self, pid: int, l_nn: int, now: float) -> None:
-        """Record a ``neigh_num_response`` from ``pid`` sampled at ``now``."""
-        obs = self._entry(pid)
-        obs.l_nn = l_nn
-        obs.lnn_time = now
-
-    def forget(self, pid: int) -> None:
-        """Drop the observation of ``pid`` (the neighbor is gone)."""
-        self._obs.pop(pid, None)
-
-    def snapshot(self) -> list:
-        """All observations as plain tuples, in insertion order."""
-        return [
-            (pid, o.capacity, o.age_at_obs, o.values_time, o.l_nn, o.lnn_time)
-            for pid, o in self._obs.items()
-        ]
-
-    def restore(self, state: list) -> None:
-        """Rebuild the cache from a :meth:`snapshot`, preserving order."""
-        self._obs = {
-            pid: Observation(
-                capacity=capacity,
-                age_at_obs=age_at_obs,
-                values_time=values_time,
-                l_nn=l_nn,
-                lnn_time=lnn_time,
-            )
-            for pid, capacity, age_at_obs, values_time, l_nn, lnn_time in state
-        }
+def restore_cache(rows: list) -> Dict[int, Observation]:
+    """Rebuild a cache from :func:`snapshot_cache`, preserving order."""
+    return {row[0]: Observation(*row[1:]) for row in rows}

@@ -84,11 +84,12 @@ class Maintenance:
         Departed pids, supers and leaves at ``m`` are skipped, undrawn.
         """
         leaves = self.overlay.leaf_ids._index
-        store = self.overlay.store
+        peers = self.overlay._peers
+        n_super_links = self.overlay.store.n_super_links
         report = RepairReport()
         for pid in orphans:
             if pid in leaves:
-                want = min(links_each, self.m - store.n_super_links[store.slot(pid)])
+                want = min(links_each, self.m - n_super_links[peers[pid]._slot])
                 if want > 0:
                     report.leaf_reconnections += len(self.join.connect_leaf(pid, want))
         return report
@@ -100,10 +101,10 @@ class Maintenance:
         draws nothing)."""
         overlay = self.overlay
         store = overlay.store
-        slot = store.slot(pid)
-        if slot < 0 or store.role[slot] != ROLE_SUPER:
+        peer = overlay.get(pid)
+        if peer is None or store.role[peer._slot] != ROLE_SUPER:
             return 0
-        sn = store.sn[slot]
+        sn = store.sn[peer._slot]
         deficit = self.k_s - len(sn)
         if deficit <= 0:
             return 0

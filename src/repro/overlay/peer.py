@@ -19,7 +19,10 @@ A ``Peer`` is a read-only ``(store, slot)`` window on one row of its
 overlay's :class:`~repro.overlay.peerstore.PeerStore`: the scalar state
 lives in the store's typed ``array`` columns, whose reads are already
 plain Python ``int`` and ``float``, and adjacency in its tuple/IdSet
-columns.  Nothing is written through it -- rows are created by
+columns.  The peer's observations of its neighbors (message-driven
+Phase 1) sit in the row's ``kn`` column, which the knowledge sources of
+:mod:`repro.protocol.knowledge` read; the view has no accessor for
+them.  Nothing is written through it -- rows are created by
 :meth:`~repro.overlay.topology.Overlay.add_peer`, changed by ``Overlay``
 / ``PeerStore`` methods and freed by ``remove_peer``, after which any
 read through a view somebody kept raises
@@ -32,7 +35,6 @@ from __future__ import annotations
 from typing import Tuple, Union
 
 from ..util.idset import IdSet
-from .knowledge import NeighborKnowledge
 from .roles import ROLE_LEAF, ROLE_SUPER, Role
 
 __all__ = ["Peer"]
@@ -71,12 +73,6 @@ class Peer:
     role_change_time:
         When the peer last changed layer (join counts); drives the DLM
         anti-flapping cooldown.
-    knowledge:
-        The peer's :class:`~repro.overlay.knowledge.NeighborKnowledge`
-        cache of observed neighbor metric values, populated by Phase-1
-        responses (message-driven mode) and read by the evaluator
-        through a :class:`~repro.protocol.knowledge.KnowledgeSource`.
-        Created on first touch: omniscient runs never allocate one.
     eligible:
         Whether the peer meets the super-peer capability requirements
         the Gnutella Ultrapeer proposal lists besides capacity -- "not
@@ -124,10 +120,6 @@ class Peer:
     @property
     def contacted_supers(self) -> Tuple[int, ...]:
         return self._store.ct[self._slot]
-
-    @property
-    def knowledge(self) -> NeighborKnowledge:
-        return self._store.knowledge_of(self._slot)
 
     # -- derived quantities --------------------------------------------------
     def age(self, now: float) -> float:

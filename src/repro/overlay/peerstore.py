@@ -38,12 +38,16 @@ the degree columns exact through every add and discard:
   add/discard, and the super comparison reads the leaves' columns at
   the carried slots; only super-peers ever allocate one, so a million
   leaves pay nothing;
-* ``kn`` (the message-driven observation cache) is lazily created --
-  omniscient runs never allocate a single cache.
+* ``kn`` (the message-driven observation cache) is ``None`` until the
+  transport's response arrival writes a ``dict`` of
+  :class:`~repro.overlay.knowledge.Observation` there -- omniscient runs
+  never allocate a single cache.
 
-Slots are recycled through a LIFO free list, so a slot number outlives
-the peer that held it; the overlay invalidates a departed peer's view
-when it frees the slot.
+The store knows slots, not pids: the overlay's registry is the one map
+from a pid to its :class:`~repro.overlay.peer.Peer` view, whose
+``_slot`` names the row.  Slots are recycled through a LIFO free list,
+so a slot number outlives the peer that held it; the overlay invalidates
+a departed peer's view when it frees the slot.
 
 Iteration-order discipline is unchanged from the IdSet design: tuples
 append on add and preserve order on discard, so neighbor iteration
@@ -60,16 +64,10 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..util.idset import IdSet
-from .knowledge import NeighborKnowledge
-from .peer import Peer
+from .knowledge import Observation
 from .roles import ROLE_LEAF, ROLE_SUPER
 
 __all__ = ["PeerStore", "ROLE_LEAF", "ROLE_SUPER"]
-
-#: pids below this bound map to slots through a dense array; larger
-#: (or negative) pids spill to a dict so a stray huge pid cannot force
-#: a giant allocation.
-_DENSE_PID_LIMIT = 1 << 24
 
 #: ``(name, array typecode, fill)``; booleans are ``b`` columns of 0/1.
 _SCALAR_COLUMNS = (
@@ -117,11 +115,8 @@ class PeerStore:
         "ct",
         "ln",
         "kn",
-        "views",
         "_free",
         "_size",
-        "_slot_by_pid",
-        "_slot_spill",
         "_np",
     )
 
@@ -129,17 +124,14 @@ class PeerStore:
         cap = 64
         for name, code, fill in _SCALAR_COLUMNS:
             setattr(self, name, array(code, (fill,)) * cap)
-        #: Object columns: super/contacted link tuples, lazy leaf IdSet,
-        #: lazy knowledge cache, and the cached Peer view per slot.
+        #: Object columns: super/contacted link tuples, lazy leaf IdSet
+        #: and lazy observation cache.
         self.sn: List[tuple] = [()] * cap
         self.ct: List[tuple] = [()] * cap
         self.ln: List[Optional[IdSet]] = [None] * cap
-        self.kn: List[Optional[NeighborKnowledge]] = [None] * cap
-        self.views: List[Optional[Peer]] = [None] * cap
+        self.kn: List[Optional[Dict[int, Observation]]] = [None] * cap
         self._free: List[int] = []
         self._size = 0  # high-water mark: slots ever handed out
-        self._slot_by_pid = array("q")
-        self._slot_spill: Dict[int, int] = {}
         #: Cached whole-length NumPy views, column name -> ndarray.
         self._np: Dict[str, np.ndarray] = {}
 
@@ -161,7 +153,6 @@ class PeerStore:
         self.ct.extend([()] * pad)
         self.ln.extend([None] * pad)
         self.kn.extend([None] * pad)
-        self.views.extend([None] * pad)
 
     def column(self, name: str) -> np.ndarray:
         """A zero-copy, writable NumPy view of the used slots of scalar
@@ -179,40 +170,15 @@ class PeerStore:
     def nbytes(self) -> int:
         """Approximate resident bytes of the columnar state.
 
-        Counts the scalar columns and the pid->slot map exactly, plus a
-        per-entry estimate for the object columns (list slots only; the
-        tuples/IdSets themselves are shared Python objects).
+        Counts the scalar columns exactly, plus a per-entry estimate for
+        the object columns (list slots only; the tuples/IdSets themselves
+        are shared Python objects).
         """
-        cols = [getattr(self, name) for name, _c, _f in _SCALAR_COLUMNS]
-        total = sum(len(col) * col.itemsize for col in [*cols, self._slot_by_pid])
-        return total + 5 * 8 * len(self.pid)  # the five object-column list slots
-
-    # -- pid -> slot mapping ------------------------------------------------
-    def slot(self, pid: int) -> int:
-        """The live slot of ``pid``, or -1 if absent."""
-        if 0 <= pid < len(self._slot_by_pid):
-            return self._slot_by_pid[pid]
-        return self._slot_spill.get(pid, -1)
-
-    def _register(self, pid: int, slot: int) -> None:
-        if 0 <= pid < _DENSE_PID_LIMIT:
-            dense = self._slot_by_pid
-            if pid >= len(dense):
-                new_len = min(max(1024, len(dense) * 2, pid + 1), _DENSE_PID_LIMIT)
-                dense.extend(array("q", (-1,)) * (new_len - len(dense)))
-            if dense[pid] != -1:
-                raise ValueError(f"duplicate pid {pid} in store")
-            dense[pid] = slot
-        else:
-            if pid in self._slot_spill:
-                raise ValueError(f"duplicate pid {pid} in store")
-            self._slot_spill[pid] = slot
-
-    def _unregister(self, pid: int) -> None:
-        if 0 <= pid < len(self._slot_by_pid):
-            self._slot_by_pid[pid] = -1
-        else:
-            self._slot_spill.pop(pid, None)
+        total = sum(
+            len(col) * col.itemsize
+            for col in (getattr(self, name) for name, _c, _f in _SCALAR_COLUMNS)
+        )
+        return total + 4 * 8 * len(self.pid)  # the four object-column list slots
 
     # -- slot lifecycle ----------------------------------------------------
     def alloc(
@@ -245,13 +211,11 @@ class PeerStore:
         self.role_change_time[s] = role_change_time
         self.eligible[s] = eligible
         self.alive[s] = True
-        self._register(pid, s)
         return s
 
     def free(self, slot: int) -> None:
         """Release a slot to the free list with every degree, bookkeeping
         and object column back at its default (:meth:`alloc` relies on it)."""
-        self._unregister(self.pid[slot])
         self.pid[slot] = -1
         self.alive[slot] = False
         self.n_super_links[slot] = 0
@@ -263,31 +227,9 @@ class PeerStore:
         self.ct[slot] = ()
         self.ln[slot] = None
         self.kn[slot] = None
-        self.views[slot] = None
         self._free.append(slot)
 
-    # -- views -------------------------------------------------------------
-    def view(self, slot: int, pid: int) -> Peer:
-        """The cached :class:`Peer` view of ``slot`` (created on demand for
-        ``pid``, which the caller has just allocated the slot to)."""
-        v = self.views[slot]
-        if v is None:
-            v = Peer.__new__(Peer)
-            v.pid = pid
-            v._store = self
-            v._slot = slot
-            self.views[slot] = v
-        return v
-
     # -- adjacency helpers --------------------------------------------------
-    def knowledge_of(self, slot: int) -> NeighborKnowledge:
-        """The slot's observation cache, vivified on first use."""
-        kn = self.kn[slot]
-        if kn is None:
-            kn = NeighborKnowledge()
-            self.kn[slot] = kn
-        return kn
-
     def sn_add(self, slot: int, pid: int) -> None:
         t = self.sn[slot]
         if pid not in t:

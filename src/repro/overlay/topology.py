@@ -24,7 +24,7 @@ freed, and the methods here (through the store's ``sn_``/``ln_``/``ct_``
 helpers, which keep the ``n_super_links``/``n_leaf_links`` degree columns
 the DLM evaluator reads as ``l_nn``) are the only writers of its role and
 link columns.  The registry maps pids to read-only :class:`Peer` views of
-the rows.  ``remove_peer`` fires its leave listeners while the severed
+the rows; it is the only map from a pid to its slot.  ``remove_peer`` fires its leave listeners while the severed
 row is still in place, then frees the slot for reuse and invalidates the
 view: any later read through it raises :class:`OverlayError`.
 
@@ -58,6 +58,7 @@ import numpy as np
 from ..util.idset import IdSet
 from ..util.indexed_set import IndexedSet
 from .aggregates import OverlayAggregates
+from .knowledge import restore_cache, snapshot_cache
 from .peer import Peer
 from .peerstore import ROLE_LEAF, ROLE_SUPER, PeerStore
 from .roles import Role
@@ -93,6 +94,15 @@ class _Departed:
 
 _DEPARTED = _Departed()
 
+
+def _view(store: PeerStore, slot: int, pid: int) -> Peer:
+    """The one :class:`Peer` view of the row ``pid`` was just given."""
+    v = Peer.__new__(Peer)
+    v.pid = pid
+    v._store = store
+    v._slot = slot
+    return v
+
 #: The store columns a snapshot carries, in snapshot order -- which is
 #: also :meth:`PeerStore.alloc`'s argument order.
 _SNAPSHOT_COLUMNS = (
@@ -104,8 +114,8 @@ class Overlay:
     """Registry + adjacency for a two-layer super-peer network."""
 
     def __init__(self) -> None:
-        #: Columnar state for every registered peer (plus the pid->slot
-        #: map behind the super comparison's vectorized gather).
+        #: Columnar state for every registered peer; the registry below
+        #: is the one map from a pid to its row (``_peers[pid]._slot``).
         self.store = PeerStore()
         self._peers: Dict[int, Peer] = {}
         # Bound-lookup cache: `get` is the hottest overlay call -- DLM's
@@ -222,11 +232,11 @@ class Overlay:
             raise ValueError(f"lifetime must be > 0, got {lifetime}")
         store = self.store
         code = ROLE_SUPER if role is Role.SUPER else ROLE_LEAF
-        peer = store.view(
+        peer = self._peers[pid] = _view(
+            store,
             store.alloc(pid, code, capacity, join_time, lifetime, join_time, eligible),
             pid,
         )
-        self._peers[pid] = peer
         (self.super_ids if role is Role.SUPER else self.leaf_ids).add(pid)
         self.total_joins += 1
         for fn in self._membership_listeners:
@@ -578,10 +588,7 @@ class Overlay:
             "sn": [store.sn[s] for s in slots],
             "ln": [tuple(store.ln[s]) if store.ln[s] else None for s in slots],
             "ct": [store.ct[s] for s in slots],
-            "knowledge": [
-                store.kn[s].snapshot() if store.kn[s] is not None else None
-                for s in slots
-            ],
+            "knowledge": [snapshot_cache(store.kn[s]) for s in slots],
             "super_ids": self.super_ids.snapshot(),
             "leaf_ids": self.leaf_ids.snapshot(),
             "total_joins": self.total_joins,
@@ -601,16 +608,17 @@ class Overlay:
         rebuild.  The registry dict is mutated in place: ``self.get`` is
         a bound method of that exact dict.
         """
-        if self._peers:
+        peers = self._peers
+        if peers:
             raise OverlayError("restore requires an empty overlay")
-        from .knowledge import NeighborKnowledge
-
         store = self.store
         raw = state["columns"]
         cols = [array(getattr(store, c).typecode, raw[c]) for c in _SNAPSHOT_COLUMNS]
         linked = []
         for i, row in enumerate(zip(*cols)):
             pid = row[0]
+            if pid in peers:
+                raise OverlayError(f"duplicate pid {pid} in snapshot")
             slot = store.alloc(*row)
             sn = tuple(state["sn"][i])
             store.sn[slot] = sn
@@ -620,12 +628,9 @@ class Overlay:
             store.ct[slot] = tuple(state["ct"][i])
             kn = state["knowledge"][i]
             if kn is not None:  # an emptied cache stays a cache
-                knowledge = NeighborKnowledge()
-                knowledge.restore(kn)
-                store.kn[slot] = knowledge
-            self._peers[pid] = store.view(slot, pid)
+                store.kn[slot] = restore_cache(kn)
+            peers[pid] = _view(store, slot, pid)
         # Each leaf link carries the leaf's slot: the int its view holds.
-        peers = self._peers
         for slot, ln in linked:
             store.ln[slot] = IdSet({lid: peers[lid]._slot for lid in ln})
             store.n_leaf_links[slot] = len(ln)

@@ -4,14 +4,15 @@ The DLM evaluator (phases 2-3) compares a peer against the metric values
 of its related set.  Those values are carried by Phase-1 messages, so
 what a peer can legitimately use is its cache of observations -- the
 last ``l_nn``, ``capacity``, and ``age`` each response reported (the
-:class:`~repro.overlay.knowledge.NeighborKnowledge` cache each peer
-owns).  This module defines the single read API core code goes through
-(:class:`KnowledgeSource`) and its two implementations:
+row's ``kn`` column, a dict of :class:`~repro.overlay.knowledge.Observation`
+the transport writes on each response arrival).  Two sources answer the
+evaluator's two questions (``observe_super``, ``observe_leaf``):
 
 * :class:`ObservedKnowledge` -- the honest source: reads only the
-  observer's cache (populated by the transport's responses), reports
-  :data:`UNKNOWN` for neighbors with no usable or non-stale observation
-  so the evaluator can defer instead of fabricating values.
+  observer's cache (a peer no response has reached yet has none, which
+  reads as empty), reports :data:`UNKNOWN` for neighbors with no usable
+  or non-stale observation so the evaluator can defer instead of
+  fabricating values.
 * :class:`OmniscientKnowledge` -- the degenerate source modeling the
   paper's implicit assumption of instant, free, perfect information:
   an observation request is answered synchronously from live state.
@@ -26,22 +27,13 @@ exactly the liveness pruning the pre-refactor evaluator did inline.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Optional, Tuple
-
-from ..overlay.knowledge import NeighborKnowledge, Observation
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..overlay.peer import Peer
     from ..overlay.topology import Overlay
 
-__all__ = [
-    "UNKNOWN",
-    "Observation",
-    "NeighborKnowledge",
-    "KnowledgeSource",
-    "OmniscientKnowledge",
-    "ObservedKnowledge",
-]
+__all__ = ["UNKNOWN", "OmniscientKnowledge", "ObservedKnowledge"]
 
 
 class _Unknown:
@@ -59,30 +51,8 @@ class _Unknown:
 #: (departed or demoted) and should be pruned from related sets.
 UNKNOWN = _Unknown()
 
-#: (capacity, age, l_nn-or-None) of an observed super-peer.
-SuperObservation = Tuple[float, float, Optional[int]]
-#: (capacity, age) of an observed leaf-peer.
-LeafObservation = Tuple[float, float]
 
-
-class KnowledgeSource:
-    """Read API the evaluator uses for every neighbor metric value.
-
-    Both methods return ``None`` when the target is gone (departed or
-    changed layer -- prune it), :data:`UNKNOWN` when it is alive but the
-    observer has nothing usable (defer), or the value tuple.
-    """
-
-    def observe_super(self, observer: "Peer", sid: int, now: float):
-        """What ``observer`` knows about super-peer ``sid``."""
-        raise NotImplementedError
-
-    def observe_leaf(self, observer: "Peer", lid: int, now: float):
-        """What ``observer`` knows about leaf-peer ``lid``."""
-        raise NotImplementedError
-
-
-class OmniscientKnowledge(KnowledgeSource):
+class OmniscientKnowledge:
     """Instant perfect knowledge, read live (the paper's assumption).
 
     Reads go straight to the overlay's columnar store: one registry
@@ -125,7 +95,7 @@ class OmniscientKnowledge(KnowledgeSource):
         return (store.capacity[slot], now - store.join_time[slot])
 
 
-class ObservedKnowledge(KnowledgeSource):
+class ObservedKnowledge:
     """Knowledge limited to what Phase-1 responses actually delivered."""
 
     __slots__ = ("_get", "horizon")
@@ -141,7 +111,8 @@ class ObservedKnowledge(KnowledgeSource):
         p = self._get(sid)
         if p is None or not p.is_super:
             return None
-        obs = observer.knowledge.get(sid)
+        cache = observer._store.kn[observer._slot]
+        obs = None if cache is None else cache.get(sid)
         if obs is None or not obs.has_values:
             return UNKNOWN
         if now - obs.values_time > self.horizon:
@@ -156,7 +127,8 @@ class ObservedKnowledge(KnowledgeSource):
         p = self._get(lid)
         if p is None or not p.is_leaf:
             return None
-        obs = observer.knowledge.get(lid)
+        cache = observer._store.kn[observer._slot]
+        obs = None if cache is None else cache.get(lid)
         if obs is None or not obs.has_values:
             return UNKNOWN
         if now - obs.values_time > self.horizon:

@@ -40,8 +40,10 @@ timeout that retries with exponential backoff up to
 drawn a block ahead (:meth:`~repro.sim.rng.RngStreams.prefetch`), and a
 timeout is a lazy row (:class:`_TimeoutRows`) that becomes an Event only
 if its window opens before the response arrives.  Responses carry the values
-sampled *at the responder at response time* and populate the requester's
-:class:`~repro.overlay.knowledge.NeighborKnowledge` cache on arrival;
+sampled *at the responder at response time* and write the requester's
+observation of the responder (an
+:class:`~repro.overlay.knowledge.Observation` in the row's ``kn`` dict,
+which the first arrival creates) -- the only writer of that cache;
 once a peer has no requests left in flight its completion listeners fire
 (which is how :class:`~repro.core.dlm.DLMPolicy` triggers evaluation on
 response arrival).  Retransmissions and timeouts are tallied distinctly
@@ -62,6 +64,7 @@ from collections import deque
 from math import inf
 from typing import Callable, Deque, Dict, List, Mapping, Optional, Tuple
 
+from ..overlay.knowledge import Observation
 from ..overlay.roles import ROLE_SUPER
 from ..overlay.topology import Overlay
 from ..sim.events import EventKind
@@ -393,16 +396,17 @@ class InfoExchange:
         now = self.sim.now
         horizon = self.faults.staleness_horizon
         started = 0
+        cache = peer._store.kn[peer._slot] or {}  # none yet reads as empty
         if peer.is_leaf:
             for sid in peer.super_neighbors:
-                obs = peer.knowledge.get(sid)
+                obs = cache.get(sid)
                 if obs is None or not obs.has_values or now - obs.values_time > horizon:
                     started += self._start_request(pid, sid, "value")
                 if obs is None or obs.l_nn is None or now - obs.lnn_time > horizon:
                     started += self._start_request(pid, sid, "neigh_num")
         else:
             for lid in peer.leaf_neighbors:
-                obs = peer.knowledge.get(lid)
+                obs = cache.get(lid)
                 if obs is None or not obs.has_values or now - obs.values_time > horizon:
                     started += self._start_request(pid, lid, "value")
         return started
@@ -553,20 +557,21 @@ class InfoExchange:
         # The response arrives: cache the observation and resolve.
         peer = self.overlay.get(pending.requester)
         if peer is not None:
-            store = peer._store
-            slot = peer._slot
-            knowledge = store.kn[slot]
-            if knowledge is None:
-                knowledge = store.knowledge_of(slot)
+            kn = peer._store.kn
+            cache = kn[peer._slot]
+            if cache is None:
+                cache = kn[peer._slot] = {}
+            obs = cache.get(pending.responder)
+            if obs is None:
+                obs = cache[pending.responder] = Observation()
             values = payload["values"]
             if kind == "neigh_num":
-                knowledge.observe_lnn(
-                    pending.responder, int(values["l_nn"]), payload["at"]
-                )
+                obs.l_nn = int(values["l_nn"])
+                obs.lnn_time = payload["at"]
             else:
-                knowledge.observe_values(
-                    pending.responder, values["capacity"], values["age"], payload["at"]
-                )
+                obs.capacity = values["capacity"]
+                obs.age_at_obs = values["age"]
+                obs.values_time = payload["at"]
         # A timeout already materialized is cancelled in the calendar; a
         # row dies by itself once the request leaves the in-flight table.
         if not sim.cancel_lazy(pending.timeout_seq):

@@ -13,12 +13,14 @@ offline is one command::
 from __future__ import annotations
 
 import os
+from typing import Optional
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from repro.context import SystemContext, build_context
+from repro.overlay.knowledge import Observation
 from repro.overlay.peer import Peer
 from repro.overlay.roles import Role
 from repro.overlay.topology import Overlay
@@ -46,6 +48,42 @@ def add_peer(
 ) -> Peer:
     """Add an unconnected peer with sensible defaults to ``ov``."""
     return ov.add_peer(pid, role, capacity, join_time, lifetime)
+
+
+def observation(peer: Peer, pid: int) -> Optional[Observation]:
+    """``peer``'s observation of ``pid`` (None: never observed, or no
+    response has reached ``peer`` yet)."""
+    cache = peer._store.kn[peer._slot]
+    return None if cache is None else cache.get(pid)
+
+
+def _observation_entry(peer: Peer, pid: int) -> Observation:
+    kn = peer._store.kn
+    cache = kn[peer._slot]
+    if cache is None:
+        cache = kn[peer._slot] = {}
+    obs = cache.get(pid)
+    if obs is None:
+        obs = cache[pid] = Observation()
+    return obs
+
+
+def observe_values(
+    peer: Peer, pid: int, capacity: float, age: float, at: float
+) -> None:
+    """Write a ``value_response`` from ``pid`` sampled at ``at`` into
+    ``peer``'s cache, as the transport's response arrival does."""
+    obs = _observation_entry(peer, pid)
+    obs.capacity = capacity
+    obs.age_at_obs = age
+    obs.values_time = at
+
+
+def observe_lnn(peer: Peer, pid: int, l_nn: int, at: float) -> None:
+    """Write a ``neigh_num_response`` from ``pid`` sampled at ``at``."""
+    obs = _observation_entry(peer, pid)
+    obs.l_nn = l_nn
+    obs.lnn_time = at
 
 
 def super_with_lnn(l_nn: int) -> Peer:

@@ -19,7 +19,7 @@ network", which is what the overlay records in ``Peer.contacted_supers``.
 
 Member *identity* comes from the peer's own adjacency and contact
 history (local knowledge); member *metric values* are read through a
-:class:`~repro.protocol.knowledge.KnowledgeSource`, never from live
+knowledge source (:mod:`repro.protocol.knowledge`), never from live
 overlay state -- in message-driven mode that is the peer's observation
 cache, and a member whose values were never delivered (or have gone
 stale) is counted in :attr:`RelatedSetView.missing` instead of being
@@ -48,7 +48,7 @@ from repro.core.dlm import DLMPolicy
 from repro.core.equations import mu_inappropriateness
 from repro.overlay.peer import Peer
 from repro.overlay.roles import Role
-from repro.protocol.knowledge import UNKNOWN, KnowledgeSource
+from repro.protocol.knowledge import UNKNOWN, ObservedKnowledge, OmniscientKnowledge
 
 __all__ = [
     "RelatedSetView",
@@ -93,7 +93,7 @@ class RelatedSetView:
 
 
 def leaf_related_set(
-    knowledge: KnowledgeSource,
+    knowledge: OmniscientKnowledge | ObservedKnowledge,
     peer: Peer,
     now: float,
     *,
@@ -132,21 +132,20 @@ def leaf_related_set(
             lnn.append(obs[2])
     if dead:
         store, slot = peer._store, peer._slot
-        # Read the observation cache without vivifying it: in omniscient
-        # mode no cache is ever populated, and pruning a dead member must
-        # not allocate one per evaluated leaf.
+        # Only the transport creates a cache: in omniscient mode none is
+        # ever populated, and pruning must not allocate one.
         cache = store.kn[slot]
         for sid in dead:
             store.ct_discard(slot, sid)
             if cache is not None:
-                cache.forget(sid)
+                cache.pop(sid, None)
     return RelatedSetView(
         tuple(members), tuple(caps), tuple(ages), tuple(lnn), missing=missing
     )
 
 
 def super_related_set(
-    knowledge: KnowledgeSource, peer: Peer, now: float
+    knowledge: OmniscientKnowledge | ObservedKnowledge, peer: Peer, now: float
 ) -> RelatedSetView:
     """G(s): the super-peer's current leaf neighbors, as observed."""
     members: List[int] = []

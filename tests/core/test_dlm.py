@@ -113,7 +113,7 @@ class TestEventDrivenTriggering:
 
     def test_the_dedup_hold_schedules_no_second_drain(self):
         """What refusing an evaluation at enqueue would have to keep
-        (ROADMAP 7(b)): two requests for one pid before its drain
+        (ROADMAP 8(b)): two requests for one pid before its drain
         schedule one DLM_EVALUATE, and a request for a pid still waiting
         in the running drain schedules none."""
         ctx, policy = make_system()
@@ -346,14 +346,16 @@ class TestNoOpNudges:
         assert policy.evaluations == 0
         assert store.last_eval[slot] == -math.inf  # the freed row's default
 
-    def test_ineligible_leaf_counts_but_walks_and_prunes_nothing(self):
+    def test_ineligible_leaf_counts_but_walks_and_prunes_nothing(self, monkeypatch):
         ctx, policy, s0, leaf = self.system()
         store, slot = leaf._store, leaf._slot
         store.eligible[slot] = False
         ctx.overlay.remove_peer(s0.pid)  # a ghost in G(l) a walk would prune
         assert s0.pid in leaf.contacted_supers
         observed = []
-        ctx.knowledge.observe_super = lambda *a: observed.append(a)
+        monkeypatch.setattr(
+            type(ctx.knowledge), "observe_super", lambda *a: observed.append(a)
+        )
         assert policy.evaluate(leaf.pid) is None
         assert (policy.evaluations, self.last_eval(leaf)) == (1, 50.0)
         assert observed == []

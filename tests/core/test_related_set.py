@@ -7,7 +7,7 @@ import pytest
 from repro.overlay.roles import Role
 from repro.overlay.topology import Overlay
 from repro.protocol.knowledge import ObservedKnowledge, OmniscientKnowledge
-from tests.conftest import add_peer
+from tests.conftest import add_peer, observation, observe_lnn, observe_values
 from tests.core.reference_related_set import leaf_related_set, super_related_set
 
 
@@ -104,8 +104,8 @@ class TestObservedViews:
         know = ObservedKnowledge(overlay)
         leaf = overlay.peer(10)
         # The value response reported capacity 250 at t=15 with age 15.
-        leaf.knowledge.observe_values(0, 250.0, 15.0, 15.0)
-        leaf.knowledge.observe_lnn(0, 7, 15.0)
+        observe_values(leaf, 0, 250.0, 15.0, 15.0)
+        observe_lnn(leaf, 0, 7, 15.0)
         view = leaf_related_set(know, leaf, now=20.0)
         assert view.members == (0,)
         assert view.capacities == (250.0,)  # reported, not live 200.0
@@ -116,7 +116,7 @@ class TestObservedViews:
     def test_stale_observation_is_missing(self, overlay):
         know = ObservedKnowledge(overlay, horizon=2.0)
         leaf = overlay.peer(10)
-        leaf.knowledge.observe_values(0, 250.0, 15.0, 15.0)
+        observe_values(leaf, 0, 250.0, 15.0, 15.0)
         view = leaf_related_set(know, leaf, now=20.0)  # 5 > horizon 2
         assert len(view) == 0 and view.missing == 2
 
@@ -124,9 +124,9 @@ class TestObservedViews:
         """A member with values but no l_nn compares but cannot feed µ."""
         know = ObservedKnowledge(overlay)
         leaf = overlay.peer(10)
-        leaf.knowledge.observe_values(0, 250.0, 15.0, 15.0)
-        leaf.knowledge.observe_values(1, 300.0, 10.0, 15.0)
-        leaf.knowledge.observe_lnn(1, 4, 15.0)
+        observe_values(leaf, 0, 250.0, 15.0, 15.0)
+        observe_values(leaf, 1, 300.0, 10.0, 15.0)
+        observe_lnn(leaf, 1, 4, 15.0)
         view = leaf_related_set(know, leaf, now=20.0)
         assert sorted(view.members) == [0, 1]
         assert view.leaf_counts == (4,)
@@ -134,16 +134,16 @@ class TestObservedViews:
     def test_departed_member_pruned_and_forgotten(self, overlay):
         know = ObservedKnowledge(overlay)
         leaf = overlay.peer(10)
-        leaf.knowledge.observe_values(1, 300.0, 10.0, 15.0)
+        observe_values(leaf, 1, 300.0, 10.0, 15.0)
         overlay.remove_peer(1)
         leaf_related_set(know, leaf, now=20.0)
         assert 1 not in leaf.contacted_supers
-        assert leaf.knowledge.get(1) is None
+        assert observation(leaf, 1) is None
 
     def test_super_view_from_observations(self, overlay):
         know = ObservedKnowledge(overlay)
         sup = overlay.peer(0)
-        sup.knowledge.observe_values(10, 50.0, 8.0, 18.0)
+        observe_values(sup, 10, 50.0, 8.0, 18.0)
         view = super_related_set(know, sup, now=20.0)
         assert view.members == (10,)
         assert view.ages == (10.0,)  # 8 at obs + 2 elapsed

@@ -37,9 +37,10 @@ def reference_reconnect_orphans(
     report = RepairReport()
     store = maint.overlay.store
     for lid in orphans:
-        slot = store.slot(lid)
-        if slot < 0 or store.role[slot] != ROLE_LEAF:
+        peer = maint.overlay.get(lid)
+        if peer is None or store.role[peer._slot] != ROLE_LEAF:
             continue
+        slot = peer._slot
         want = min(links_each, max(0, maint.m - int(store.n_super_links[slot])))
         if want:
             report.leaf_reconnections += len(maint.join.connect_leaf(lid, want))

@@ -5,8 +5,8 @@ operation sequences is **column/view coherence**: after any interleaving
 of adds, removes, connects, disconnects, promotions, and demotions, every
 scalar column of the overlay's :class:`PeerStore` equals a fresh scan
 through the ``Peer`` view API, the degree columns equal the adjacency
-container sizes, and the pid registry round-trips every live slot
-(including slots recycled through the free list).
+container sizes, and the overlay's registry maps every live pid to its
+own slot (including slots recycled through the free list).
 """
 
 from __future__ import annotations
@@ -79,8 +79,8 @@ def test_columns_match_fresh_view_scan(ops):
         assert peer is not None
         slot = peer._slot
         seen_slots.add(slot)
-        # pid registry round-trips the slot.
-        assert store.slot(pid) == slot
+        # The registry's view names the row that holds the pid.
+        assert store.pid[slot] == pid
         # Scalar columns equal the view properties (builtins both ways).
         assert peer.pid == int(store.pid[slot]) == pid
         assert peer.capacity == float(store.capacity[slot])
@@ -110,7 +110,7 @@ def _scribble(store, slot) -> None:
     store.ct_add(slot, 900)
     store.last_eval[slot] = 3.0
     store.dv[slot], store.dseq[slot] = 8.0, 7
-    store.knowledge_of(slot)
+    store.kn[slot] = {}
 
 
 @given(
@@ -136,43 +136,13 @@ def test_allocated_slot_reads_documented_defaults(ops):
             assert store.last_eval[slot] == -np.inf and store.dv[slot] == np.inf
             assert store.dseq[slot] == -1
             assert (store.sn[slot], store.ct[slot]) == ((), ())
-            assert store.ln[slot] is store.kn[slot] is store.views[slot] is None
-            assert store.view(slot, pid).pid == pid == store.pid[slot]
+            assert store.ln[slot] is store.kn[slot] is None
+            assert store.pid[slot] == pid
         elif op == "scribble":
             _scribble(store, live[i % len(live)])
         else:
             store.free(live.pop(i % len(live)))
     assert len(store) == len(live)
-
-
-#: Dense-range pids, pids around the dense map's first length (1024),
-#: spill pids (at or beyond ``_DENSE_PID_LIMIT``) and negatives.
-_ANY_PID = st.one_of(
-    st.integers(0, 40),
-    st.integers(1020, 1030),
-    st.integers(1 << 24, (1 << 24) + 3),
-    st.integers(-5, -1),
-)
-
-
-@given(
-    registered=st.lists(_ANY_PID, unique=True, max_size=24),
-    freed=st.lists(st.integers(0, 23), max_size=6),
-    queries=st.lists(_ANY_PID, max_size=40),
-)
-@settings(max_examples=examples(1), deadline=None)
-def test_slot_maps_every_registered_pid(registered, freed, queries):
-    """The pid map -- dense array or spill dict -- answers each live pid's
-    slot, and -1 for a freed, negative, out-of-range or unknown pid."""
-    from repro.overlay.peerstore import PeerStore
-
-    store = PeerStore()
-    live = {pid: store.alloc(pid, 0, 1.0, 0.0, 1.0, 0.0, True) for pid in registered}
-    for i in freed:
-        if live:
-            store.free(live.pop(sorted(live)[i % len(live)]))
-    for pid in queries + registered:
-        assert store.slot(pid) == live.get(pid, -1)
 
 
 # -- the storage contract: array columns, NumPy views -------------------------
@@ -199,7 +169,7 @@ def _check_scalar_reads(ov) -> None:
         s = peer._slot
         assert type(store.capacity[s]) is float and type(store.dv[s]) is float
         assert type(store.role[s]) is int and type(store.n_leaf_links[s]) is int
-        assert type(store.pid[s]) is int and type(store.slot(peer.pid)) is int
+        assert type(store.pid[s]) is int and type(store.last_eval[s]) is float
         assert type(peer.is_super) is bool and type(peer.eligible) is bool
         assert type(peer.capacity) is float and type(peer.degree) is int
 

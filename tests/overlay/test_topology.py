@@ -375,10 +375,24 @@ def test_an_emptied_observation_cache_survives_a_snapshot_round_trip():
     """A cache whose observations were all forgotten snapshots as ``[]``;
     restore rebuilds it empty instead of dropping it, or a resumed run's
     ``state_digest`` differs from the run it resumed."""
-    from repro.overlay.knowledge import NeighborKnowledge
-
     ov = two_supers_one_leaf()
-    ov.store.kn[ov.peer(2)._slot] = NeighborKnowledge()
+    ov.store.kn[ov.peer(2)._slot] = {}
     twin = Overlay()
     twin.restore(ov.snapshot())
     assert twin.snapshot()["knowledge"] == ov.snapshot()["knowledge"]
+
+
+def test_restore_refuses_a_snapshot_listing_a_pid_twice():
+    """The registry is the one pid -> row map, so restore itself must
+    refuse a duplicate row instead of leaving an orphaned slot."""
+    snap = two_supers_one_leaf().snapshot()
+    n = snap["n"]
+    # Repeat the last row (the leaf, pid 2) in every per-row field.
+    snap["columns"] = {
+        name: raw + raw[len(raw) * (n - 1) // n :]
+        for name, raw in snap["columns"].items()
+    }
+    for key in ("sn", "ln", "ct", "knowledge"):
+        snap[key] = snap[key] + snap[key][-1:]
+    with pytest.raises(OverlayError, match="duplicate pid 2"):
+        Overlay().restore(snap)

@@ -28,6 +28,7 @@ from repro.core import comparison
 from repro.core.config import DLMConfig
 from repro.core.dlm import DLMPolicy
 from repro.core.transitions import TransitionExecutor
+from repro.overlay.knowledge import snapshot_cache
 from repro.overlay.roles import Role
 from repro.protocol.faults import FaultPlan
 from tests.conftest import examples
@@ -136,11 +137,10 @@ class _System:
         ov, policy = self.ctx.overlay, self.policy
         rows = {}
         for pid, peer in sorted(ov._peers.items()):
-            cache = peer._store.kn[peer._slot]
             rows[pid] = (
                 peer.role,
                 peer.contacted_supers,
-                None if cache is None else cache.snapshot(),
+                snapshot_cache(peer._store.kn[peer._slot]),
             )
         return {
             "rows": rows,
@@ -171,7 +171,7 @@ def _differential(ops, faults, current_only, min_g, threshold) -> None:
             assert state == ref.state()
             if omniscient:
                 # No verdict draws, none defers, and pruning a ghost must
-                # not vivify an observation cache.
+                # not create an observation cache.
                 assert state["rng"] == rng_before
                 assert state["counters"][1] == 0
                 assert all(cache is None for _, _, cache in state["rows"].values())

@@ -23,6 +23,7 @@ from typing import Dict, Mapping, Optional
 from repro.protocol.transport import _REQUEST_TYPES, InfoExchange, _Pending
 from repro.sim.events import EventKind
 from repro.sim.scheduler import Simulator
+from tests.conftest import observe_lnn, observe_values
 
 __all__ = ["on_deliver", "on_timeout", "start_request"]
 
@@ -135,10 +136,10 @@ def deliver_response(
         values = payload["values"]
         at = payload["at"]
         if pending.kind == "neigh_num":
-            requester.knowledge.observe_lnn(pending.responder, int(values["l_nn"]), at)
+            observe_lnn(requester, pending.responder, int(values["l_nn"]), at)
         else:
-            requester.knowledge.observe_values(
-                pending.responder, values["capacity"], values["age"], at
+            observe_values(
+                requester, pending.responder, values["capacity"], values["age"], at
             )
     if not info.sim.cancel_lazy(pending.timeout_seq):
         info._timeouts.live -= 1

@@ -22,7 +22,7 @@ from repro.protocol.messages import (
 from repro.protocol.transport import MESSAGES_PER_NEW_LINK, InfoExchange
 from repro.sim.rng import RngStreams
 from repro.sim.scheduler import Simulator
-from tests.conftest import add_peer
+from tests.conftest import add_peer, observation
 from tests.protocol.reference_charge import eager_charge
 from tests.reference_system import reference_system
 
@@ -139,10 +139,10 @@ class TestMessageDrivenExchange:
         sim.run(until=1.0)
         assert info.in_flight == 0
         # The leaf learned the super's values and l_nn from responses...
-        obs = ov.peer(2).knowledge.get(0)
+        obs = observation(ov.peer(2), 0)
         assert obs.capacity == 200.0 and obs.l_nn == 1
         # ...and the super learned the leaf's values.
-        assert ov.peer(0).knowledge.get(2).capacity == 50.0
+        assert observation(ov.peer(0), 2).capacity == 50.0
         assert ledger.dlm_messages == MESSAGES_PER_NEW_LINK
         assert ledger.dlm_retransmissions == 0 and ledger.dlm_timeouts == 0
         assert sorted(completions) == [0, 2]
@@ -194,7 +194,7 @@ class TestMessageDrivenExchange:
         assert counts["failed"] == 3
         assert ledger.dlm_messages == 3  # sends are charged even if dropped
         assert ledger.dlm_timeouts == 3 and ledger.dlm_retransmissions == 0
-        assert ov.peer(2).knowledge.get(0) is None
+        assert observation(ov.peer(2), 0) is None
 
     def test_a_demoted_responder_neither_answers_nor_is_charged(self, driven):
         sim, ov, ledger, make = driven
@@ -205,7 +205,7 @@ class TestMessageDrivenExchange:
         assert ledger.count(NeighNumResponse) == 0
         assert ledger.count(ValueResponse) == 2
         assert ledger.timeouts_for(NeighNumRequest) == 1
-        assert ov.peer(2).knowledge.get(0).l_nn is None
+        assert observation(ov.peer(2), 0).l_nn is None
 
     def test_ensure_fresh_requests_only_the_gaps(self, driven):
         sim, ov, ledger, make = driven
@@ -213,7 +213,7 @@ class TestMessageDrivenExchange:
         assert info.ensure_fresh(2) == 2  # value + neigh_num toward super 0
         sim.run(until=1.0)
         assert info.ensure_fresh(2) == 0  # cache is fresh (horizon = inf)
-        assert ov.peer(2).knowledge.get(0).has_values
+        assert observation(ov.peer(2), 0).has_values
 
     def test_refresh_starts_requests_instead_of_charging(self, driven):
         sim, ov, ledger, make = driven
@@ -223,7 +223,7 @@ class TestMessageDrivenExchange:
         assert ledger.count(NeighNumResponse) == 0  # nothing answered yet
         sim.run(until=1.0)
         assert ledger.count(NeighNumResponse) == 1
-        assert ov.peer(0).knowledge.get(2).capacity == 50.0
+        assert observation(ov.peer(0), 2).capacity == 50.0
 
     def test_latency_delays_delivery(self, driven):
         sim, ov, ledger, make = driven
