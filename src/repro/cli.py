@@ -52,7 +52,7 @@ _FIXED_ON_RESUME += ("latency_scale", "save", "checkpoint_every", "checkpoint_pa
 #: Options every command honours: execution and verbosity only.
 _ALWAYS_HONOURED = ("workers", "verbose", "quiet")
 #: The ``repro profile`` options beside the run options.
-_PROFILE_OPTIONS = ("events", "queries", "sort", "limit", "out")
+_PROFILE_OPTIONS = ("queries", "sort", "limit", "out")
 #: Meta line kinds of a telemetry JSONL (everything else is a record).
 _META_KINDS = frozenset({"run", "metrics", "spans", "audit_summary", "truncation"})
 
@@ -209,7 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("profile", parents=[run], help="profile (see repro.profile)")
     p.add_argument("target", choices=[*EXPERIMENTS, *MICRO_WORKLOADS])
-    p.add_argument("--events", type=int, help="scheduler workload size (100000)")
     p.add_argument("--queries", type=int, help="flooding workload size (200)")
     p.add_argument("--sort", choices=("cumulative", "tottime"), help="report order")
     p.add_argument("--limit", type=int, help="rows per report (25)")
@@ -529,7 +528,7 @@ def _cmd_profile(args) -> int:
     command = f"profile {args.target}"
     exp = EXPERIMENTS.get(args.target)
     if exp is not None:
-        _refuse(args, (*exp.ignores, "save", "events", "queries"), command)
+        _refuse(args, (*exp.ignores, "save", "queries"), command)
         cfg = _checked(exp, build_config(args))
         sweep = _sweep(exp, args, cfg)
 

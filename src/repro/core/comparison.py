@@ -17,10 +17,10 @@ small and branchless NumPy when large.  A super's leaf links carry each
 leaf's store slot, so in a run its loop reads two
 columns at a slot, ~0.14 µs a member, while the vector pass costs ~15 µs
 plus ~0.04 µs a member; they cross near 110 members and
-:data:`_VECTOR_THRESHOLD` sits there (DESIGN.md §8 "Leaf links carry
-their rows").  Either way the hit counts are exact integers and each
-element's multiply/compare is the same IEEE-double operation, so which
-branch ran cannot be told from the result.
+:data:`_VECTOR_THRESHOLD` sits there (DESIGN.md §5 "Verdict path").
+Either way the hit counts are exact integers and each element's
+multiply/compare is the same IEEE-double operation, so which branch ran
+cannot be told from the result.
 """
 
 from __future__ import annotations

@@ -361,7 +361,7 @@ class DLMPolicy(LayerPolicy):
             return None
         # µ from the mean *observed* l_nn -- over observations, not members.
         params = self.scaler.adapt(mu_inappropriateness(lnn_sum / lnn_n, self._k_l))
-        # Phase 3, the paper's pseudo-code (DESIGN.md §8 "Verdict path").
+        # Phase 3, the paper's pseudo-code (DESIGN.md §5 "Verdict path").
         own_cap = store.capacity[slot]
         own_age = now - store.join_time[slot]
         x_capa = params.x_capa

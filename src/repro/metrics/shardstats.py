@@ -6,10 +6,10 @@ reconstructed by *reducing* the shards' samples.  Reducing the derived
 floats (mean of means) would be both wrong (shards have different
 populations) and drifty; instead every shard logs the **raw aggregate
 state** at each tick -- layer counts plus the exact fixed-point big-int
-Σcapacity / Σjoin_time counters from PR 3's
-:mod:`repro.overlay.aggregates` discipline -- and the reduction sums
-those integers exactly, then derives the means with the *same
-arithmetic* as :class:`~repro.overlay.aggregates.LayerAggregate`.
+Σcapacity / Σjoin_time counters of :mod:`repro.overlay.aggregates` --
+and the reduction sums those integers exactly, then derives the means
+with the *same arithmetic* as
+:class:`~repro.overlay.aggregates.LayerAggregate`.
 
 Because big-int addition is exact and order-independent, the reduced
 series for K shards equal what a single sampler reading a merged

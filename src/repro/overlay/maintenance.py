@@ -15,7 +15,7 @@ indistinguishable from join-time links (the randomness assumption §3
 relies on).  A pass over many leaves -- the orphans of a dead or demoted
 super, the short leaves a sweep finds -- is one such call per leaf, in
 order; the bootstrap stream is read a block ahead, so each call's draw is
-a slice (DESIGN.md §8 "Draw by the block, charge by the count").
+a slice (DESIGN.md §8 "Draw by the block").
 Super-side repair tops a super's backbone degree back up to ``k_s`` with
 random picks from the same stream, so repaired backbone links are as
 random as join-time ones.

@@ -44,7 +44,7 @@ this):
   has re-filed the peer's links.
 
 :meth:`random_supers` draws call by call from a stream a run reads a
-block ahead (DESIGN.md §8 "Draw by the block, charge by the count").
+block ahead (DESIGN.md §8 "Draw by the block").
 """
 
 from __future__ import annotations

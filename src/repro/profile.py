@@ -14,7 +14,7 @@ figures DESIGN.md §5 "Flood by lookup" quotes.
 ``evaluate`` is a timer, not a profile: it settles one overlay per
 knowledge plane and prints the cost of one DLM verdict (phases 2-4,
 nothing executed) per role in µs, with the mean related-set size --
-the figure DESIGN.md §8 "Verdict path" quotes, as one command -- the
+the figure DESIGN.md §5 "Verdict path" quotes, as one command -- the
 audit record's cost per verdict, and how the settling run's
 evaluations exited (gone, rate limit, cooldown, ... verdict) per
 trigger, drain event or evaluation sweep.
@@ -22,11 +22,10 @@ trigger, drain event or evaluation sweep.
 settled overlay and prints µs per reconnected orphan, orphans per pass
 and NumPy calls on the bootstrap stream per pass.  ``join`` prints µs
 per leaf join, split into the sampler draw, the row write, the links and
-the evaluation requests (DESIGN.md §8 "Draw by the block, charge by the
-count").  ``transport``
-times the message-driven Phase-1 exchange per link (DESIGN.md §10
-"Lazy timeouts") with its timeouts armed, fired and materialized, and
-the drop/latency NumPy calls per 1000 legs.
+the evaluation requests (DESIGN.md §8 "Draw by the block").
+``transport`` times the message-driven Phase-1 exchange per link
+(DESIGN.md §9 "Lazy timeouts") with its timeouts armed, fired and
+materialized, and the drop/latency NumPy calls per 1000 legs.
 
 This is the tool that guided the scheduler/flooding/topology hot-path
 optimizations; re-run it after touching the simulation core to see where
@@ -35,7 +34,6 @@ the time went.
 Examples::
 
     repro profile figure6 --n 500 --horizon 300
-    repro profile scheduler --events 200000
     repro profile flooding --queries 500 --sort tottime
     repro profile evaluate --n 2000
     repro profile repair --n 2000
@@ -57,34 +55,10 @@ __all__ = ["MICRO_WORKLOADS", "profile_call"]
 
 #: Verdicts timed per role and knowledge plane by ``evaluate``.
 _VERDICTS = 20_000
-#: Default sizes of the scheduler and flooding workloads.
-_EVENTS = 100_000
+#: Default size of the flooding workload.
 _QUERIES = 200
 #: Leaves ``join`` adds to its settled overlay.
 _JOINS = 2_000
-
-
-def _scheduler_workload(config, opts) -> Callable[[], object]:
-    """Self-perpetuating event chain: pure scheduler overhead."""
-    from .sim.scheduler import Simulator
-
-    events = opts.events if opts.events is not None else _EVENTS
-
-    def run() -> int:
-        sim = Simulator(seed=0)
-        remaining = [events]
-
-        def handler(s, e):
-            remaining[0] -= 1
-            if remaining[0] > 0:
-                s.schedule(0.01, "tick")
-
-        sim.on("tick", handler)
-        sim.schedule(0.01, "tick")
-        sim.run()
-        return sim.events_processed
-
-    return run
 
 
 def _flooding_workload(config, opts) -> Callable[[], object]:
@@ -222,7 +196,7 @@ def _time_verdicts(config, opts) -> None:
     many returned a decision; the rest deferred for missing knowledge
     (observed plane only).  The omniscient super verdict is also timed on
     each comparison branch, the threshold forced to the loop and to the
-    vector pass (DESIGN.md §8 "Leaf links carry their rows").  Then the
+    vector pass (DESIGN.md §5 "Verdict path").  Then the
     whole of ``evaluate`` -- prologue, verdict and audit record, with the
     rate limit, the cooldown and the action switched off -- is timed
     with the audit off and with a bound audit log: their difference is
@@ -455,7 +429,6 @@ def _time_transport(config, opts) -> None:
 #: returns the callable to profile, or None for a timer that printed its
 #: own figures.
 MICRO_WORKLOADS: Dict[str, Tuple[Callable, Tuple[str, ...]]] = {
-    "scheduler": (_scheduler_workload, ("events", "sort", "limit", "out")),
     "flooding": (
         _flooding_workload,
         ("n", "seed", "queries", "sort", "limit", "out"),

@@ -7,11 +7,11 @@ assumption) to the *message-driven* engine: every ``neigh_num`` /
 and is retried with exponential backoff.  The plan collects every knob
 of that engine so experiment configs can carry it as one value.
 
-``None`` (no plan) is the omniscient mode and reproduces pre-refactor
-sample paths bit for bit; any plan -- even one with zero loss and zero
-latency -- routes knowledge through messages, which is how the
-``figure_faults`` harness isolates the cost of the protocol itself from
-the cost of the faults.
+``None`` (no plan) is the omniscient mode, whose sample paths
+``tests/experiments/golden_phase1.json`` pins per seed; any plan -- even
+one with zero loss and zero latency -- routes knowledge through
+messages, which is how the ``figure_faults`` harness isolates the cost
+of the protocol itself from the cost of the faults.
 """
 
 from __future__ import annotations

@@ -16,12 +16,11 @@ evaluator's two questions (``observe_super``, ``observe_leaf``):
 * :class:`OmniscientKnowledge` -- the degenerate source modeling the
   paper's implicit assumption of instant, free, perfect information:
   an observation request is answered synchronously from live state.
-  With faults disabled this reproduces the pre-refactor evaluator bit
-  for bit (same reads, same float expressions).
+  With faults disabled the evaluator's sample paths are the ones
+  ``tests/experiments/golden_phase1.json`` pins per seed.
 
 Both return ``None`` for a target that is gone for good (departed or
-changed layer), which callers treat as "prune from the related set" --
-exactly the liveness pruning the pre-refactor evaluator did inline.
+changed layer), which callers treat as "prune from the related set".
 """
 
 from __future__ import annotations

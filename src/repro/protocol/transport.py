@@ -27,8 +27,9 @@ synchronously -- the ledger is charged the Table-1 traffic and the
 requesting peers' completion listeners fire immediately.  The evaluator
 then reads values through
 :class:`~repro.protocol.knowledge.OmniscientKnowledge`, reproducing the
-paper's implicit instant-perfect-information assumption (and the
-pre-refactor sample paths, bit for bit).
+paper's implicit instant-perfect-information assumption; the sample
+paths this mode produces are pinned per seed by
+``tests/experiments/golden_phase1.json``.
 
 **Message-driven** (a :class:`~repro.protocol.faults.FaultPlan` plus a
 simulator): every request really travels.  Each attempt occupies a slot

@@ -46,7 +46,8 @@ handler may deregister (or register) handlers for its own kind without
 skipping or double-firing anything mid-dispatch.  Handlers may schedule
 further events (at or after the current time).
 
-Hot-path notes (profiled with ``repro profile scheduler``):
+Hot-path notes (dispatch profiled inside a real run with
+``repro profile figure6``):
 
 * Heap and bucket entries are ``(time, seq, event)`` tuples, not
   events, so comparisons run in C instead of dispatching

@@ -27,9 +27,9 @@ fabricated, so the evaluator can defer.
 
 Departed super-peers are pruned lazily at view-construction time: their
 metric values are no longer observable, and keeping ghosts would let a
-leaf compare itself against peers that no longer exist.  (DESIGN.md
-documents this as an interpretation decision.)  Pruning also drops the
-observer's cached observation of the departed member.
+leaf compare itself against peers that no longer exist (DESIGN.md §5
+"Verdict path").  Pruning also drops the observer's cached observation
+of the departed member.
 """
 
 from __future__ import annotations

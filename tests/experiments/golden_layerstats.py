@@ -19,7 +19,7 @@ Regeneration history: recaptured for the columnar-core PR, whose
 vectorized rejection samplers (``Overlay.random_supers``,
 ``IndexedSet.sample``) and coalesced evaluation drain consume the
 RNG stream differently -- an intended sample-path change; see
-DESIGN.md §8.
+DESIGN.md §8 (samplers) and §5 (the drain).
 
 Regenerate (only when a change is *intended* to alter sample paths)::
 

@@ -100,7 +100,7 @@ _EXIT_CODES = [
     (["figure_faults", "--loss", "0.1"], 2),
     (["report", "--save", "{tmp}/out"], 2),
     (["resume", "{tmp}/junk.ckpt", "--seed", "3"], 2),
-    (["profile", "scheduler", "--n", "500"], 2),
+    (["profile", "flooding", "--loss", "0.1"], 2),
     (["profile", "evaluate", "--sort", "tottime"], 2),
     (["profile", "table3", "--horizon", "100"], 2),
     # Each reads its runs' one system, so --shards is refused, not dropped.

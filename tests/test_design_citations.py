@@ -1,12 +1,14 @@
-"""Every ``DESIGN.md §n`` cited in the code names a section that exists.
+"""Every ``DESIGN.md §n`` cited in the code or docs names a section that exists.
 
-Code under ``src/``, ``tests/`` and ``bench/`` points readers at design
-notes by section number ("DESIGN.md §8", "DESIGN.md section 3"), and
-often at a subsection by name ("DESIGN.md §8 \"Verdict path\"", or
-"DESIGN.md \"Interpretation decisions\"" without a number).  When
-DESIGN.md is renumbered or a section or subsection is retired or
-renamed, such a pointer silently leads nowhere; this check fails
-instead, naming the file and line.  A quoted name matches when it
+Code under ``src/``, ``tests/``, ``bench/``, ``examples/`` and
+``benchmarks/``, and the docs (``README.md``, ``EXPERIMENTS.md``,
+``docs/``), point readers at design notes by section number
+("DESIGN.md §8", "DESIGN.md section 3"), and often at a subsection by
+name ("DESIGN.md §8 \"Verdict path\"", "DESIGN.md §\"Observed
+knowledge\"", or "DESIGN.md \"Interpretation decisions\"" without a
+number).  When DESIGN.md is renumbered or a section or subsection is
+retired or renamed, such a pointer silently leads nowhere; this check
+fails instead, naming the file and line.  A quoted name matches when it
 occurs, case-insensitively and with its line breaks and comment markers
 folded to single spaces, in a ``### `` heading under the cited
 ``## n.`` section (under any section when no number is given).
@@ -21,17 +23,26 @@ _ROOT = Path(__file__).resolve().parent.parent
 #: A citation: the file name, then ``§n`` or ``section n``, possibly
 #: across a line break inside a comment.
 _CITATION = re.compile(r"DESIGN\.md,?[\s#]+(?:§\s*|section\s+)(\d+)")
-#: A subsection citation: the file name, an optional section number,
-#: then the subsection's name in double quotes.
+#: A subsection citation: the file name, an optional section number
+#: (or a bare ``§``), then the subsection's name in double quotes.
 _QUOTED = re.compile(
-    r'DESIGN\.md,?[\s#]+(?:(?:§\s*|section\s+)(\d+),?[\s#]+)?"([^"]+)"'
+    r'DESIGN\.md,?[\s#]+(?:(?:§\s*|section\s+)(\d+),?[\s#]+|§\s*)?"([^"]+)"'
 )
 _HEADING = re.compile(r"^## (\d+)\. ", re.M)
 
 
+#: Where citations are read: code trees, doc trees and top-level docs.
+_ROOTS = ("src", "tests", "bench", "examples", "benchmarks", "docs")
+_ROOTS += ("README.md", "EXPERIMENTS.md")
+#: The cited file's name, spelt so that this module's own fixtures below
+#: are not read as citations by the scan above.
+_DOC = "DESIGN" + ".md"
+
+
 def _sources():
-    for tree in ("src", "tests", "bench"):
-        for path in sorted((_ROOT / tree).rglob("*")):
+    for root in _ROOTS:
+        top = _ROOT / root
+        for path in sorted([top] if top.is_file() else top.rglob("*")):
             if path.suffix in (".py", ".md") and path.is_file():
                 yield path.relative_to(_ROOT), path.read_text(encoding="utf-8")
 
@@ -101,13 +112,15 @@ def test_every_quoted_subsection_exists():
 
 
 def test_the_pattern_reads_each_citation_form():
-    text = "see DESIGN.md §8; DESIGN.md, §10\nDESIGN.md section 3\n# DESIGN.md\n# §5"
+    text = f"see {_DOC} §8; {_DOC}, §10\n{_DOC} section 3\n# {_DOC}\n# §5"
     assert [int(n) for n in _CITATION.findall(text)] == [8, 10, 3, 5]
-    quoted = """see DESIGN.md §8 "Verdict
-    # path"; DESIGN.md "Aggregate plane"."""
+    quoted = f"""see {_DOC} §8 "Verdict
+    # path"; {_DOC} "Aggregate plane"; {_DOC} §"Observed
+    knowledge"."""
     assert _QUOTED.findall(quoted) == [
         ("8", "Verdict\n    # path"),
         ("", "Aggregate plane"),
+        ("", "Observed\n    knowledge"),
     ]
     design = "## 5. Notes\n### Aggregate plane: O(1)\n## 8. Core\n### Verdict path (PR 21)\n"
     cited = [("a", "8", "Verdict\n# path"), ("b", None, "aggregate PLANE")]
