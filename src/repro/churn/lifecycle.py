@@ -30,6 +30,7 @@ from typing import Optional
 
 from ..context import SystemContext
 from ..core.policy import LayerPolicy
+from ..overlay.roles import ROLE_LEAF, ROLE_SUPER
 from ..sim.events import Event, EventKind
 from ..sim.scheduler import Simulator
 from .arrivals import warmup_join_times
@@ -133,17 +134,17 @@ class ChurnDriver:
             or self._rng_cap.random() < self.eligible_fraction
         )
         role = self.policy.role_for_new_peer(capacity, eligible=eligible)
-        peer = self.ctx.join.join(
-            sim.now, capacity, lifetime, role=role, eligible=eligible
-        )
+        ctx = self.ctx
+        peer = ctx.join.join(sim.now, capacity, lifetime, role=role, eligible=eligible)
         # The death rides in the store's ``dv``/``dseq`` columns (not an
         # Event on the heap: a million far-future deaths cost ~200MB as
         # objects) and its payload is the bare pid -- a shared int, not
         # a fresh one-key dict per peer.
         store, slot = peer._store, peer._slot
-        self.death_ledger.schedule(slot, peer.pid, peer.death_time)
-        if peer.is_leaf:
-            self.ctx.overhead.record_leaf_join(store.n_super_links[slot])
+        death = store.join_time[slot] + store.lifetime[slot]  # Peer.death_time
+        self.death_ledger.schedule(slot, peer.pid, death)
+        if store.role[slot] == ROLE_LEAF:
+            ctx.overhead.record_leaf_join(store.n_super_links[slot])
         self.joins += 1
         self.policy.on_peer_joined(peer)
 
@@ -161,7 +162,7 @@ class ChurnDriver:
         if peer is None:
             return False
         self.death_ledger.cancel(peer._slot)
-        was_super = peer.is_super
+        was_super = peer._store.role[peer._slot] == ROLE_SUPER
         orphans, former_supers = self.ctx.overlay.remove_peer(pid)
         if was_super:
             report = self.ctx.maintenance.after_super_death(orphans, former_supers)

@@ -63,12 +63,6 @@ class JoinProcedure:
         self.seed_supers = seed_supers
         self._next_id = 0
 
-    def next_pid(self) -> int:
-        """Allocate a fresh peer id."""
-        pid = self._next_id
-        self._next_id = pid + 1
-        return pid
-
     def snapshot(self) -> dict:
         """The id-allocation watermark (pids are never reused)."""
         return {"next_pid": self._next_id}
@@ -98,18 +92,22 @@ class JoinProcedure:
         A joining leaf makes ``m`` connections to random super-peers and
         a joining super makes ``k_s`` backbone connections.
         """
-        if pid is None:
-            pid = self.next_pid()
-        if role is None:
-            cold_start = self.overlay.n_super < self.seed_supers
-            role = Role.SUPER if cold_start else Role.LEAF
         overlay = self.overlay
+        if pid is None:
+            pid = self._next_id
+            self._next_id = pid + 1
+        # One `Role.X` read here, one in `add_peer`: ~0.16 µs each on 3.11.
+        if role is None:
+            leaf = len(overlay.super_ids._items) >= self.seed_supers
+            role = Role.LEAF if leaf else Role.SUPER
+        else:
+            leaf = role is Role.LEAF or Role(role) is Role.LEAF
         peer = overlay.add_peer(pid, role, capacity, now, lifetime, eligible=eligible)
-        if role is Role.SUPER:
+        if leaf:
+            self.connect_leaf(pid, self.m)
+        else:
             for sid in overlay.random_supers(self.rng, self.k_s, exclude=(pid,)):
                 overlay.connect(pid, sid)
-        else:
-            self.connect_leaf(pid, self.m)
         return peer
 
     def connect_leaf(self, pid: int, want: int) -> List[int]:
@@ -117,15 +115,18 @@ class JoinProcedure:
 
         Used both at join time (``want = m``) and when maintenance
         restores links lost to super-peer deaths/demotions.  Returns the
-        super-peers actually connected.
+        super-peers picked.  The draw is ``Overlay.random_supers``' own
+        (:meth:`IndexedSet._fresh`) and the links go in one
+        ``Overlay.link_leaf`` frame; ``tests/overlay/reference_join.py``
+        is the same chain with a ``connect`` per pick.
         """
         overlay = self.overlay
         if pid not in overlay.leaf_ids._index:
             raise OverlayError(f"connect_leaf: pid {pid} is not a leaf here")
+        if want <= 0:
+            return []
         # Column-direct read: this runs on every join and every repair.
-        exclude = set(overlay.store.sn[overlay._peers[pid]._slot])
-        exclude.add(pid)
-        chosen = overlay.random_supers(self.rng, want, exclude=exclude)
-        for sid in chosen:
-            overlay.connect(pid, sid)
+        seen = {pid, *overlay.store.sn[overlay._peers[pid]._slot]}
+        chosen = overlay.super_ids._fresh(self.rng, want, seen, 16 * want)
+        overlay.link_leaf(pid, chosen)
         return chosen

@@ -22,8 +22,9 @@ owned by the overlay, and a row lives nowhere else: :meth:`add_peer` is
 the one place a row is created, :meth:`remove_peer` the one place it is
 freed, and the methods here (through the store's ``sn_``/``ln_``/``ct_``
 helpers, which keep the ``n_super_links``/``n_leaf_links`` degree columns
-the DLM evaluator reads as ``l_nn``) are the only writers of its role and
-link columns.  The registry maps pids to read-only :class:`Peer` views of
+the DLM evaluator reads as ``l_nn``, or with the same writes inline on
+the per-join path of :meth:`link_leaf`) are the only writers of its role
+and link columns.  The registry maps pids to read-only :class:`Peer` views of
 the rows; it is the only map from a pid to its slot.  ``remove_peer`` fires its leave listeners while the severed
 row is still in place, then frees the slot for reuse and invalidates the
 view: any later read through it raises :class:`OverlayError`.
@@ -225,19 +226,19 @@ class Overlay:
         """
         if pid in self._peers:
             raise OverlayError(f"duplicate pid {pid}")
-        role = Role(role)
+        leaf = role is Role.LEAF or Role(role) is Role.LEAF
         if capacity < 0:
             raise ValueError(f"capacity must be >= 0, got {capacity}")
         if lifetime <= 0:
             raise ValueError(f"lifetime must be > 0, got {lifetime}")
         store = self.store
-        code = ROLE_SUPER if role is Role.SUPER else ROLE_LEAF
+        code = ROLE_LEAF if leaf else ROLE_SUPER
         peer = self._peers[pid] = _view(
             store,
             store.alloc(pid, code, capacity, join_time, lifetime, join_time, eligible),
             pid,
         )
-        (self.super_ids if role is Role.SUPER else self.leaf_ids).add(pid)
+        (self.leaf_ids if leaf else self.super_ids).add(pid)
         self.total_joins += 1
         for fn in self._membership_listeners:
             fn(peer, True)
@@ -261,10 +262,10 @@ class Overlay:
         ln = store.ln[slot]
         orphans = list(ln) if ln else []
         # Notify drops while both endpoints are still registered.
-        for other in former_supers:
-            self._notify_link(pid, other, False)
-        for other in orphans:
-            self._notify_link(pid, other, False)
+        link_listeners = self._link_listeners
+        for other in (*former_supers, *orphans):
+            for fn in link_listeners:
+                fn(pid, other, False)
         # Sever.
         peers = self._peers
         for sid in former_supers:
@@ -314,9 +315,6 @@ class Overlay:
         b_leaf = b in leaf_index
         if a_leaf and b_leaf:
             raise OverlayError(f"leaf-leaf link {a}--{b} is not allowed")
-        # Inlined `connected` check against the already-resolved slot:
-        # connect fires on every join/repair, so duplicate lookups were
-        # measurable at Table-3 scale.
         ln_a = store.ln[sa]
         if b in store.sn[sa] or (ln_a is not None and b in ln_a):
             return False
@@ -335,6 +333,36 @@ class Overlay:
         self.total_connections_created += 1
         self._notify_link(a, b, True)
         return True
+
+    def link_leaf(self, pid: int, sids: Iterable[int]) -> None:
+        """Link leaf ``pid`` to each super of ``sids`` in order, as a
+        :meth:`connect` per pick would, in one frame: the link writes and
+        the link then the connection listeners, inline.  Every leaf join
+        and leaf repair links through here (``JoinProcedure.connect_leaf``);
+        a pick a listener made invalid goes through :meth:`connect`.
+        """
+        store, peers = self.store, self._peers
+        leaf_index, super_index = self.leaf_ids._index, self.super_ids._index
+        slot = peers[pid]._slot
+        sn, ln, ct = store.sn, store.ln, store.ct
+        for sid in sids:
+            if pid not in leaf_index or sid not in super_index or sid in sn[slot]:
+                self.connect(pid, sid)
+                continue
+            sn[slot] += (sid,)
+            store.n_super_links[slot] += 1
+            sslot = peers[sid]._slot
+            if ln[sslot] is None:
+                ln[sslot] = IdSet()
+            ln[sslot][pid] = slot
+            store.n_leaf_links[sslot] += 1
+            if sid not in ct[slot]:
+                ct[slot] += (sid,)
+            self.total_connections_created += 1
+            for fn in self._link_listeners:
+                fn(pid, sid, True)
+            for fn in self._connection_listeners:
+                fn(pid, sid)
 
     def disconnect(self, a: int, b: int) -> bool:
         """Remove the link between ``a`` and ``b``; False if absent."""
@@ -442,48 +470,23 @@ class Overlay:
 
         Models the paper's assumption that "new peers randomly select
         active peers as neighbors based on the bootstrapping and joining
-        mechanisms currently used" (§3).
-
-        Sampling is block-rejection over the super layer's dense member
-        list (:meth:`IndexedSet._fresh`).  One ``rng.integers`` call
-        costs microseconds whether it returns 5 indices or 500, more than
-        everything else in this method, so a run reads the stream through
-        a :class:`~repro.sim.rng.DrawAhead`, which makes it a slice of a
-        block (DESIGN.md §8).  When exclusion leaves at most ``k``
-        candidates the result is forced, so no randomness is consumed
-        at all.
+        mechanisms currently used" (§3), for a joining super's backbone
+        and a super's top-up (``JoinProcedure.connect_leaf`` calls the
+        same :meth:`IndexedSet._fresh` for a leaf's picks): block
+        rejection over the super layer, read a block ahead (DESIGN.md §8
+        "Draw by the block"); a forced result draws nothing.
 
         ``exclude`` is any iterable of pids, never mutated (a set is read
         in place, anything else copied into one); non-supers in it are
         ignored.  A caller linked to every super gets ``[]`` undrawn.
         """
         supers = self.super_ids
-        items = supers._items
-        if k <= 0 or not items:
+        if k <= 0 or not supers._items:
             return []
         excl = exclude if isinstance(exclude, (set, frozenset)) else set(exclude)
         if not excl:
             return supers.sample(rng, k)
-        index = supers._index
-        avail = len(items)
-        for x in excl:
-            if x in index:
-                avail -= 1
-        if avail <= 0:
-            return []
-        if avail <= k:
-            # Every non-excluded super is chosen: the outcome is forced,
-            # draw nothing.
-            return [s for s in items if s not in excl]
-        seen = set(excl)
-        out = supers._fresh(rng, k, seen, 16 * k)
-        if len(out) < k:
-            # Dense exclusion defeated rejection; exact filtered draw.
-            pool = [s for s in items if s not in seen]
-            size = min(k - len(out), len(pool))
-            idx = rng.choice(len(pool), size=size, replace=False)
-            out.extend(pool[int(i)] for i in np.atleast_1d(idx))
-        return out
+        return supers._fresh(rng, k, set(excl), 16 * k)
 
     # -- invariants -------------------------------------------------------------
     def check_invariants(self, *, aggregates: bool = False) -> None:

@@ -324,9 +324,10 @@ def _time_repairs(config, opts) -> None:
 
 def _time_joins(config, opts) -> None:
     """Print µs per leaf join over a settled overlay, split into the
-    sampler draw (``random_supers``), the row write with its membership
-    listeners (``add_peer``), the links with their listeners
-    (``connect``, less the requests) and the evaluation requests.  Each
+    sampler draw (``connect_leaf`` less its links), the row write with
+    its membership listeners (``add_peer``), the links with their
+    listeners (``link_leaf``, less the requests) and the evaluation
+    requests.  Each
     part carries its timing wrapper (about 0.2 µs a call); the settling
     run and each join's evaluation drain are outside the timed region.
     """
@@ -345,9 +346,9 @@ def _time_joins(config, opts) -> None:
 
         return call
 
-    overlay.random_supers = timed(overlay.random_supers, "draw")
+    ctx.join.connect_leaf = timed(ctx.join.connect_leaf, "draw")
     overlay.add_peer = timed(overlay.add_peer, "row")
-    overlay.connect = timed(overlay.connect, "links")
+    overlay.link_leaf = timed(overlay.link_leaf, "links")
     listeners = ctx.info._completion_listeners
     listeners[:] = [timed(fn, "requests") for fn in listeners]
     capacities = cycle(store.column("capacity")[store.live_slots()].tolist())
@@ -357,6 +358,7 @@ def _time_joins(config, opts) -> None:
         ctx.join.join(ctx.now, next(capacities), 1e9)
         elapsed += perf_counter() - t0
         ctx.sim.run(until=ctx.now)
+    spent["draw"] -= spent["links"]
     spent["links"] -= spent["requests"]
     parts = "  ".join(f"{k} {v / _JOINS * 1e6:.2f}" for k, v in spent.items())
     print(f"{elapsed / _JOINS * 1e6:7.2f} us/join  ({parts})  ({_JOINS} joins)")

@@ -71,15 +71,20 @@ class IndexedSet:
         return [self._items[int(i)] for i in idx]
 
     def _fresh(self, rng, k: int, seen: set, limit: float) -> List[int]:
-        """Block rejection: the first ``k`` members outside ``seen``
-        (which grows by them), in draw order, from at most ``limit``
-        indices.  Indices come in blocks of four more than are still
-        needed -- one ``rng.integers`` call each, since the call and not
-        the count is what costs (DESIGN.md §8) -- and a block's tail past
-        the last pick is discarded.  Short only when ``limit`` ran out.
+        """Up to ``k`` members outside ``seen``.
+
+        Forced when at most ``k`` are left: all of them, in member order,
+        nothing drawn.  Else block rejection in draw order (each pick
+        joins ``seen``) from at most ``limit`` indices, in blocks of four
+        more than still needed -- one ``rng.integers`` call each, since
+        the call and not the count is what costs (DESIGN.md §8), a
+        block's tail past the last pick discarded -- then, if ``limit``
+        ran out (dense exclusion), an exact ``rng.choice`` over the rest.
         """
         items = self._items
         n = len(items)
+        if n - len(self._index.keys() & seen) <= k:
+            return [x for x in items if x not in seen]
         out: List[int] = []
         need = k
         drawn = 0
@@ -94,6 +99,10 @@ class IndexedSet:
                     need -= 1
                     if not need:
                         break
+        if need:
+            pool = [x for x in items if x not in seen]
+            idx = rng.choice(len(pool), size=min(need, len(pool)), replace=False)
+            out.extend(pool[int(i)] for i in np.atleast_1d(idx))
         return out
 
     def snapshot(self) -> List[int]:

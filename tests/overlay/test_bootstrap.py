@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pytest
 
 from repro.overlay.bootstrap import JoinProcedure
 from repro.overlay.roles import Role
 from repro.overlay.topology import Overlay, OverlayError
+from tests.overlay import reference_join
 
 
 @pytest.fixture
@@ -108,6 +111,132 @@ class TestConnectLeaf:
     def test_pids_are_unique_and_monotone(self, join):
         pids = [join.join(0.0, 1.0, 1.0).pid for _ in range(5)]
         assert pids == sorted(set(pids))
+
+
+class _ZeroRng:
+    """A generator whose bounded integers are all 0 -- the first super,
+    which the leaf already holds -- so block rejection runs dry and the
+    exact ``choice`` fallback picks.  Counts the fallback's calls."""
+
+    def __init__(self) -> None:
+        self.gen = np.random.default_rng(11)
+        self.choices = 0
+
+    def integers(self, n, size=None):
+        return np.zeros(size, dtype=np.int64) if size else 0
+
+    def choice(self, *args, **kwargs):
+        self.choices += 1
+        return self.gen.choice(*args, **kwargs)
+
+
+class TestListenerOrder:
+    """A leaf join and a leaf repair, linked in one ``Overlay.link_leaf``
+    frame, make the listener calls and draws of the per-call chain
+    (``reference_join``): the membership event first, then per pick in
+    draw order the link listener ``(pid, sid, True)`` and the connection
+    listener ``(pid, sid)``."""
+
+    @staticmethod
+    def system(fused, *, n_supers=6, m=2, rng=None):
+        ov = Overlay()
+        join = JoinProcedure(ov, m=m, rng=rng or np.random.default_rng(3), k_s=3)
+        if not fused:
+            join.join = partial(reference_join.join, join)
+            join.connect_leaf = partial(reference_join.connect_leaf, join)
+        for _ in range(n_supers):
+            join.join(0.0, 10.0, 50.0, role=Role.SUPER)
+        calls = []
+        ov.add_membership_listener(lambda p, joined: calls.append((p.pid, joined)))
+        ov.add_link_listener(lambda a, b, created: calls.append((a, b, created)))
+        ov.add_connection_listener(lambda a, b: calls.append((a, b)))
+        return ov, join, calls
+
+    @staticmethod
+    def state(join):
+        rng = join.rng
+        return (rng.gen if isinstance(rng, _ZeroRng) else rng).bit_generator.state
+
+    @staticmethod
+    def per_link(links):
+        return [c for a, b in links for c in ((a, b, True), (a, b))]
+
+    def test_a_leaf_join_is_the_per_call_chain(self):
+        runs = []
+        for fused in (True, False):
+            ov, join, calls = self.system(fused)
+            leaf = join.join(1.0, 5.0, 50.0).pid
+            runs.append((calls, ov.peer(leaf).super_neighbors, self.state(join)))
+        assert runs[0] == runs[1]
+        calls, picks, _ = runs[0]
+        assert len(picks) == 2
+        assert calls == [(leaf, True)] + self.per_link((leaf, s) for s in picks)
+
+    def test_a_repair_is_the_per_call_chain(self):
+        runs = []
+        for fused in (True, False):
+            ov, join, calls = self.system(fused)
+            for _ in range(30):
+                join.join(1.0, 5.0, 50.0)
+            orphans, _ = ov.remove_peer(ov.super_ids._items[0])
+            del calls[:]
+            links = [(lid, s) for lid in orphans for s in join.connect_leaf(lid, 1)]
+            runs.append((calls, links, self.state(join)))
+        assert runs[0] == runs[1]
+        calls, links, _ = runs[0]
+        assert len(links) == len(orphans) > 0
+        assert calls == self.per_link(links)
+
+    @pytest.mark.parametrize("n_supers, m", [(1, 2), (2, 2), (2, 3)])
+    def test_at_most_m_supers_are_all_linked_undrawn(self, n_supers, m):
+        ov, join, calls = self.system(True, n_supers=n_supers, m=m)
+        before = self.state(join)
+        leaf = join.join(1.0, 5.0, 50.0).pid
+        assert ov.peer(leaf).super_neighbors == tuple(ov.super_ids)
+        assert calls == [(leaf, True)] + self.per_link((leaf, s) for s in ov.super_ids)
+        assert self.state(join) == before
+
+    def test_with_no_supers_nothing_is_linked_or_drawn(self):
+        ov, join, calls = self.system(True, n_supers=0)
+        before = self.state(join)
+        leaf = join.join(1.0, 5.0, 50.0, role=Role.LEAF).pid
+        assert join.connect_leaf(leaf, 2) == []
+        assert calls == [(leaf, True)]
+        assert ov.peer(leaf).super_neighbors == ()
+        assert self.state(join) == before
+
+    def test_a_listener_that_promotes_the_joiner_mid_join_is_the_oracle(self):
+        # After its first link the leaf is a super: the second pick is a
+        # backbone link, made by `Overlay.connect` as in the chain.
+        runs = []
+        for fused in (True, False):
+            ov, join, calls = self.system(fused)
+            ov.add_connection_listener(
+                lambda a, b, ov=ov: ov.peer(a).is_leaf and ov.promote(a)
+            )
+            leaf = join.join(1.0, 5.0, 50.0).pid
+            runs.append((calls, ov.snapshot(), self.state(join)))
+            ov.check_invariants(aggregates=True)
+        assert runs[0] == runs[1]
+        assert ov.peer(leaf).is_super and len(ov.peer(leaf).super_neighbors) == 2
+
+    def test_a_dense_exclusion_repair_takes_the_fallback_like_the_oracle(self):
+        runs = []
+        for fused in (True, False):
+            ov, join, calls = self.system(fused, rng=_ZeroRng())
+            fallbacks = join.rng.choices
+            leaf = join.join(1.0, 5.0, 50.0).pid
+            first, second = ov.peer(leaf).super_neighbors
+            assert first == ov.super_ids._items[0]
+            ov.disconnect(leaf, second)
+            del calls[:]
+            picks = join.connect_leaf(leaf, 1)
+            fallbacks = join.rng.choices - fallbacks
+            runs.append((calls, picks, fallbacks, self.state(join)))
+        assert runs[0] == runs[1]
+        calls, picks, fallbacks, _ = runs[0]
+        assert fallbacks == 2  # the join's second pick and the repair's pick
+        assert calls == self.per_link((leaf, s) for s in picks) and len(picks) == 1
 
 
 class TestValidation:

@@ -185,11 +185,21 @@ class TestSweep:
             lambda self, rng, k, exclude: asked.append(k)
             or sampler(self, rng, k, exclude),
         )
+        # A leaf's draw is `connect_leaf`'s own, not a `random_supers` call.
+        linked = []
+        connect_leaf = JoinProcedure.connect_leaf
+        monkeypatch.setattr(
+            JoinProcedure,
+            "connect_leaf",
+            lambda self, pid, want: linked.append(pid)
+            or connect_leaf(self, pid, want),
+        )
         before = join.rng.bit_generator.state
         report = maint.sweep()
         # Only the lone super's (forced-empty) attempt at k_s backbone
         # links; the full scan also asked once per leaf.
         assert asked == [3]
+        assert linked == []
         assert (report.leaf_reconnections, report.super_reconnections) == (0, 0)
         assert join.rng.bit_generator.state == before
 

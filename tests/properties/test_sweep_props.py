@@ -7,10 +7,13 @@ promotions, demotions.  One repairs through ``Maintenance`` -- the
 by-exception ``sweep`` -- and reads the bootstrap stream a block ahead
 (``repro.sim.rng.DrawAhead``); the other goes through the references, a
 full scan calling ``ensure_leaf_links`` on every leaf and one sampler
-call per orphan, and reads the generator call by call.  They must
-create the same links in the same order, report the same repairs, and
-leave the bootstrap stream in the same state: a pass may skip only
-visits that draw nothing, and the read-ahead may move no draw.
+call per orphan, links every joining or repaired leaf by the per-call
+chain of ``tests/overlay/reference_join.py`` (one ``random_supers``
+call, one ``connect`` per pick), and reads the generator call by call.
+They must create the same links in the same order, report the same
+repairs, and leave the bootstrap stream in the same state: a pass may
+skip only visits that draw nothing, the read-ahead may move no draw,
+and the fused leaf link may move no draw or listener call.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from repro.overlay.topology import Overlay
 from repro.sim import rng as rng_module
 from repro.sim.rng import DrawAhead
 from tests.conftest import examples
+from tests.overlay import reference_join
 from tests.overlay.reference_sweep import reference_reconnect_orphans, reference_sweep
 
 _PICK = st.integers(min_value=0, max_value=10**6)
@@ -80,9 +84,12 @@ class _System:
         self.join = JoinProcedure(ov, m, rng, k_s=3)
         self.maint = maint = Maintenance(ov, self.join, m=m, k_s=3)
         if reference:
-            # after_super_death / after_demotion / sweep, the slow way.
+            # after_super_death / after_demotion / sweep, the slow way,
+            # and every join and leaf repair by the per-call chain.
             maint.reconnect_orphans = partial(reference_reconnect_orphans, maint)
             maint.sweep = partial(reference_sweep, maint)
+            self.join.join = partial(reference_join.join, self.join)
+            self.join.connect_leaf = partial(reference_join.connect_leaf, self.join)
         self.links = []
         ov.add_connection_listener(lambda a, b: self.links.append((a, b)))
         self.t = 0.0

@@ -1,9 +1,14 @@
 """The slow simulator: the plane oracles installed in a whole run.
 
-Inside ``with reference_system():`` five fast paths are replaced *at
+Inside ``with reference_system():`` six fast paths are replaced *at
 class level* by their oracles, the way ``bench/trace.py`` installs its
 spans, and put back on exit, also when the block raises:
 
+* ``ChurnDriver._on_join``, ``JoinProcedure.join`` and
+  ``JoinProcedure.connect_leaf`` are the per-call chain of
+  :mod:`tests.overlay.reference_join`: the new peer read by its view,
+  one ``Overlay.random_supers`` call and one ``Overlay.connect`` per
+  pick, for every join and every leaf repair;
 * ``Maintenance.sweep`` runs :func:`tests.overlay.reference_sweep.
   reference_sweep` (every leaf in registry order, one sampler call per
   repair);
@@ -39,6 +44,8 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Iterator
 
+from repro.churn.lifecycle import ChurnDriver
+from repro.overlay.bootstrap import JoinProcedure
 from repro.overlay.maintenance import Maintenance
 from repro.protocol.accounting import MessageLedger
 from repro.protocol.transport import InfoExchange
@@ -46,6 +53,7 @@ from repro.protocol.messages import QueryHitMessage, QueryMessage
 from repro.search.flooding import FloodRouter, QueryOutcome
 from repro.sim.rng import RngStreams
 from tests.core.reference_related_set import ReferenceDLMPolicy
+from tests.overlay import reference_join
 from tests.overlay.reference_sweep import reference_sweep
 from tests.protocol import reference_transport
 from tests.protocol.reference_charge import eager_charge
@@ -95,6 +103,9 @@ def _per_call_prefetch(streams: RngStreams, name: str, draw=None):
 def reference_system() -> Iterator[None]:
     """Install the oracles for the duration of the block."""
     seams = [
+        (ChurnDriver, "_on_join", reference_join.on_join),
+        (JoinProcedure, "join", reference_join.join),
+        (JoinProcedure, "connect_leaf", reference_join.connect_leaf),
         (Maintenance, "sweep", reference_sweep),
         (FloodRouter, "query", _reference_flood),
         (RngStreams, "prefetch", _per_call_prefetch),

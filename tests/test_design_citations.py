@@ -24,9 +24,10 @@ _ROOT = Path(__file__).resolve().parent.parent
 #: across a line break inside a comment.
 _CITATION = re.compile(r"DESIGN\.md,?[\s#]+(?:§\s*|section\s+)(\d+)")
 #: A subsection citation: the file name, an optional section number
-#: (or a bare ``§``), then the subsection's name in double quotes.
+#: (or a bare ``§``), then the subsection's name in double quotes, which
+#: may open a parenthesis (``§11 ("Name")``).
 _QUOTED = re.compile(
-    r'DESIGN\.md,?[\s#]+(?:(?:§\s*|section\s+)(\d+),?[\s#]+|§\s*)?"([^"]+)"'
+    r'DESIGN\.md,?[\s#]+(?:(?:§\s*|section\s+)(\d+),?[\s#]+|§\s*)?\(?"([^"]+)"'
 )
 _HEADING = re.compile(r"^## (\d+)\. ", re.M)
 
@@ -116,11 +117,13 @@ def test_the_pattern_reads_each_citation_form():
     assert [int(n) for n in _CITATION.findall(text)] == [8, 10, 3, 5]
     quoted = f"""see {_DOC} §8 "Verdict
     # path"; {_DOC} "Aggregate plane"; {_DOC} §"Observed
-    knowledge"."""
+    knowledge"; {_DOC} §11 ("Partition map"); {_DOC} §9, ("Lazy timeouts")."""
     assert _QUOTED.findall(quoted) == [
         ("8", "Verdict\n    # path"),
         ("", "Aggregate plane"),
         ("", "Observed\n    knowledge"),
+        ("11", "Partition map"),
+        ("9", "Lazy timeouts"),
     ]
     design = "## 5. Notes\n### Aggregate plane: O(1)\n## 8. Core\n### Verdict path (PR 21)\n"
     cited = [("a", "8", "Verdict\n# path"), ("b", None, "aggregate PLANE")]
