@@ -12,9 +12,9 @@ memory probe of EXPERIMENTS.md.
 
 What makes 100k reachable (see DESIGN.md "Aggregate plane"):
 
-* ``LayerStatsSampler.sample()`` reads the O(1) incremental
-  :class:`~repro.overlay.aggregates.OverlayAggregates` plane instead of
-  scanning every peer per tick;
+* ``LayerStatsSampler.sample()`` reads one vectorised fold of the
+  store's columns (:class:`~repro.overlay.aggregates.OverlayAggregates`)
+  per tick instead of walking every peer;
 * hot state is slotted and series storage is unboxed ``array('d')``;
 * a pending death is two :class:`~repro.overlay.peerstore.PeerStore`
   columns (the :class:`~repro.churn.deaths.DeathLedger`), not one
@@ -66,9 +66,9 @@ def test_bench_largescale_churned_run(benchmark):
     assert cfg.n - 5 <= run.overlay.n <= cfg.n
     assert run.driver.deaths > 0
     assert run.driver.joins > cfg.n  # replacement churn really happened
-    # Sampler recorded the whole horizon through the O(1) path.
+    # Sampler recorded the whole horizon.
     assert len(run.series["ratio"]) >= cfg.horizon / cfg.sample_interval - 1
-    # The incremental aggregate plane is exactly consistent at the end.
+    # The aggregate fold equals the brute-force scan at the end.
     run.overlay.check_invariants(aggregates=True)
 
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024

@@ -224,7 +224,7 @@ def largescale_config() -> ExperimentConfig:
     The horizon is shortened to 240 units: with the 60-unit log-normal
     lifetime median most of the population still turns over at least
     once after warm-up, so the run exercises sustained replacement churn,
-    role transitions, and O(1) sampling at a memory footprint the
+    role transitions, and layer sampling at a memory footprint the
     per-peer-object design has to carry (~10⁵ live peers, ~10⁶ churn
     events end to end).
     """

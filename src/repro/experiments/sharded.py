@@ -240,14 +240,12 @@ class ShardRun(SystemRun):
 
     # -- the cross-shard workload -------------------------------------------
     def _gossip(self, sim: Simulator, now: float) -> None:
-        """Send this shard's aggregate summary to its ring successor."""
-        agg = self.result.ctx.overlay.aggregates
-        self.view[self.index] = agg.n
+        """Send this shard's layer sizes to its ring successor."""
+        overlay = self.result.ctx.overlay
+        self.view[self.index] = overlay.n
         dest = (self.index + 1) % self.nshards
         delay = float(self.link.sample(self._link_rng, 1)[0])
-        self.shard.send(
-            dest, delay, {"n": agg.n, "n_super": agg.super_layer.count}
-        )
+        self.shard.send(dest, delay, {"n": overlay.n, "n_super": overlay.n_super})
 
     def _on_deliver(self, sim: Simulator, event: Event) -> None:
         payload = event.payload
@@ -314,7 +312,7 @@ class ShardRun(SystemRun):
         if self._idle_gauge is not None:
             self._idle_gauge.set(idle)
         result = super().finish(wall_time)
-        agg = result.ctx.overlay.aggregates
+        overlay = result.ctx.overlay
         spans = None
         if self.telemetry.enabled:
             spans = list(self.telemetry.spans.intervals())
@@ -325,8 +323,8 @@ class ShardRun(SystemRun):
             "joins": result.driver.joins,
             "deaths": result.driver.deaths,
             "events": result.ctx.sim.events_processed,
-            "n_super": agg.super_layer.count,
-            "n_leaf": agg.leaf_layer.count,
+            "n_super": overlay.n_super,
+            "n_leaf": overlay.n_leaf,
             "sent": self.shard.sent,
             "received": self.shard.received,
             "sync_rounds": self.shard.sync_rounds,

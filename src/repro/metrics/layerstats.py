@@ -6,12 +6,9 @@ and the super-layer's mean leaf-neighbor count (the quantity DLM's µ
 estimator observes).  Series names are stable strings so the figure
 harnesses can pull them out by name.
 
-Sampling is O(1) per tick: all values are constant-time reads of the
-overlay's incremental :class:`~repro.overlay.aggregates.OverlayAggregates`
-plane, not a walk over ``overlay.peers()``.  The exact brute-force
-rebuild those counters are audited against is
-:meth:`OverlayAggregates.scan`, which ``check_invariants(aggregates=True)``
-runs.
+Every value of a tick comes from one exact fold of the store's columns,
+:class:`~repro.overlay.aggregates.OverlayAggregates`, which the tick's
+sample listeners share; no sample walks ``overlay.peers()``.
 """
 
 from __future__ import annotations
@@ -41,7 +38,7 @@ SERIES_NAMES = (
 
 
 class LayerStatsSampler:
-    """Periodic layer-statistics sampler (O(1) per sample)."""
+    """Periodic layer-statistics sampler."""
 
     __slots__ = ("overlay", "bundle", "_process", "_listeners")
 

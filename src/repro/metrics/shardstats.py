@@ -6,14 +6,14 @@ reconstructed by *reducing* the shards' samples.  Reducing the derived
 floats (mean of means) would be both wrong (shards have different
 populations) and drifty; instead every shard logs the **raw aggregate
 state** at each tick -- layer counts plus the exact fixed-point big-int
-Σcapacity / Σjoin_time counters of :mod:`repro.overlay.aggregates` --
+Σcapacity / Σjoin_time sums of :mod:`repro.overlay.aggregates`' fold --
 and the reduction sums those integers exactly, then derives the means
 with the *same arithmetic* as
 :class:`~repro.overlay.aggregates.LayerAggregate`.
 
 Because big-int addition is exact and order-independent, the reduced
-series for K shards equal what a single sampler reading a merged
-aggregate plane would have produced, bit for bit, regardless of shard
+series for K shards equal what a single sampler folding the merged
+population would have produced, bit for bit, regardless of shard
 count, worker layout, or reduction order.  The Hypothesis suite
 (``tests/properties/test_shard_props.py``) pins exactly that: an
 arbitrary partition of an arbitrary peer population reduces to the

@@ -1,64 +1,53 @@
-"""O(1) incremental per-layer aggregates (the data behind Figures 4-8).
+"""Per-layer aggregates (the data behind Figures 4-8), folded from the
+store's columns when read.
 
-Every layer-level statistic the figure harnesses and the DLM-side
-consumers read -- layer sizes, the size ratio, mean age, mean capacity,
-the super-layer's mean leaf-neighbor count -- reduces to a handful of
-per-layer counters:
+Every layer statistic the samplers and the health evidence read --
+layer sizes, the size ratio, mean age and capacity, the super layer's
+mean leaf-neighbor count -- reduces to per-layer counts (the registries'
+lengths), ``Σ capacity`` and ``Σ join_time`` over the layer's live rows,
+and the number of leaf--super links (``Σ n_super_links`` over live leaf
+rows).  :attr:`Overlay.aggregates <repro.overlay.topology.Overlay.aggregates>`
+folds them on first read and keeps the fold until the overlay's next
+mutation, so no join, leave, role change or link pays for the plane.
 
-* ``count`` -- layer population;
-* ``Σ capacity`` -- capacities are session-constant, so the sum only
-  changes on membership and role events;
-* ``Σ join_time`` -- likewise constant per peer; the layer's mean age at
-  ``now`` is ``now - Σ join_time / count``;
-* the number of leaf--super links -- identically ``Σ |leaf_neighbors|``
-  over super-peers, so the super-layer's mean leaf-neighbor count is
-  ``links / n_super``.
-
-:class:`OverlayAggregates` maintains these via the overlay's existing
-listener hooks (membership, role, link -- see
-:class:`~repro.overlay.topology.Overlay`), turning every
-``LayerStatsSampler.sample()`` from an O(n) full scan into an O(1) read.
-
-Float-drift policy (exact fixed-point Σ counters)
--------------------------------------------------
-
-A float accumulator that adds on join and subtracts on leave drifts:
-``(a + b) - b != a`` in general, so after enough churn the incremental
-sum diverges from a fresh scan and no equivalence test can be exact.
-Instead the Σ counters store *exact* integers: every finite float is an
-integer multiple of 2**-1074 (the subnormal quantum), so
-``capacity_sum`` and ``join_time_sum`` hold ``Σ round_exact(x · 2**1074)``
-as Python big ints.  Addition and subtraction are exact and
-order-independent, which makes the counters *permanently* equal to a
-brute-force scan (the Hypothesis property test asserts exact equality
-after arbitrary operation sequences), and the derived means are
-correctly rounded.  The cost is one ``float.as_integer_ratio`` plus one
-~1100-bit integer add per membership/role event -- a few hundred
-nanoseconds, paid only a handful of times per peer lifetime, never on
-the per-sample path.
-
-The derived means can differ from the retired per-sample float loop by
-up to ~n ulps (the loop's own accumulated rounding); the golden test
-``tests/experiments/test_golden_layerstats.py`` pins integer-valued
-series bit-for-bit and mean-valued series to 1e-9 relative tolerance
-against the pre-change scan output.
+The Σs are exact integers in units of 2**-1074, of which every finite
+float is a multiple, so any order of summation -- the fold, a scan,
+§11's shard reduction -- gives the same big int, and the means are
+correctly rounded.  :func:`fold_columns` takes each value's signed
+53-bit mantissa ``M`` and exponent ``e`` from ``np.frexp``
+(``x · 2**1074 == M << (e + 1021)``), bincounts ``M``'s two 26-bit
+halves per exponent and role (exact: every bucket stays below 2**53),
+and combines the buckets that hold rows in Python ints.  A subnormal's
+negative shift is exact because its mantissa carries that many trailing
+zeros.  Rows go ``_CHUNK`` at a time, so a fold's temporaries stay small
+at any population.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List
+from typing import TYPE_CHECKING, List, Tuple
+
+import numpy as np
 
 from .peer import Peer
-from .roles import Role
+from .roles import ROLE_LEAF, ROLE_SUPER
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (topology imports us)
     from .topology import Overlay
 
-__all__ = ["LayerAggregate", "OverlayAggregates"]
+__all__ = ["LayerAggregate", "OverlayAggregates", "fold_columns"]
 
 #: Exponent of the fixed-point scale: every finite float is an exact
 #: integer multiple of 2**-1074, so scaling by 2**1074 loses nothing.
 _FRACTION_BITS = 1074
+
+#: Rows per fold step.
+_CHUNK = 4096
+#: A mantissa splits into halves of this many bits; a bucket sums at
+#: most ``_CHUNK`` halves per step, far below 2**53.
+_HALF = 26
+#: The store columns a fold reads, in :func:`fold_columns`' order.
+_FOLDED = ("alive", "role", "capacity", "join_time", "n_super_links")
 
 
 def _fixed(x: float) -> int:
@@ -67,29 +56,57 @@ def _fixed(x: float) -> int:
     return p << (_FRACTION_BITS - q.bit_length() + 1)
 
 
+def fold_columns(
+    alive: np.ndarray,
+    role: np.ndarray,
+    capacity: np.ndarray,
+    join_time: np.ndarray,
+    n_super_links: np.ndarray,
+) -> Tuple[List[int], List[int], int]:
+    """Exact sums over the live rows of the given columns.
+
+    Returns ``(capacity_sums, join_time_sums, leaf_links)``: the first
+    two indexed by role code, in units of 2**-1074; the last
+    ``Σ n_super_links`` over live leaf rows.
+    """
+    sums: List[List[int]] = [[0, 0], [0, 0]]
+    links = 0
+    for a in range(0, len(alive), _CHUNK):
+        live = alive[a : a + _CHUNK].view(np.bool_)
+        codes = role[a : a + _CHUNK][live]
+        if not codes.size:
+            continue
+        links += int(n_super_links[a : a + _CHUNK][live][codes == ROLE_LEAF].sum())
+        for column, out in zip((capacity, join_time), sums):
+            m, e = np.frexp(column[a : a + _CHUNK][live])
+            mant = (m * 2.0**53).astype(np.int64)
+            low = int(e.min())
+            key = (e - low) * 2 + codes
+            hi = np.bincount(key, weights=mant >> _HALF)
+            lo = np.bincount(key, weights=mant & ((1 << _HALF) - 1))
+            for k in np.flatnonzero(np.bincount(key)).tolist():
+                v = (int(hi[k]) << _HALF) + int(lo[k])
+                shift = (k >> 1) + low + _FRACTION_BITS - 53
+                out[k & 1] += v << shift if shift >= 0 else v >> -shift
+    return sums[0], sums[1], links
+
+
 class LayerAggregate:
-    """Incremental counters of one layer (see module docstring)."""
+    """Count and exact Σs of one layer (see module docstring)."""
 
     __slots__ = ("count", "capacity_sum", "join_time_sum")
 
-    def __init__(self) -> None:
-        self.count = 0
-        #: Σ capacity in units of 2**-1074 (exact).
-        self.capacity_sum = 0
-        #: Σ join_time in units of 2**-1074 (exact).
-        self.join_time_sum = 0
+    def __init__(self, count: int = 0, capacity_sum: int = 0, join_time_sum: int = 0):
+        self.count = count
+        #: Σ capacity and Σ join_time in units of 2**-1074 (exact).
+        self.capacity_sum = capacity_sum
+        self.join_time_sum = join_time_sum
 
     def add(self, peer: Peer) -> None:
         """Count ``peer`` into this layer."""
         self.count += 1
         self.capacity_sum += _fixed(peer.capacity)
         self.join_time_sum += _fixed(peer.join_time)
-
-    def remove(self, peer: Peer) -> None:
-        """Remove ``peer`` from this layer (exact inverse of :meth:`add`)."""
-        self.count -= 1
-        self.capacity_sum -= _fixed(peer.capacity)
-        self.join_time_sum -= _fixed(peer.join_time)
 
     def mean_capacity(self) -> float:
         """Layer mean capacity, correctly rounded; 0.0 when empty."""
@@ -112,46 +129,25 @@ class LayerAggregate:
             and self.join_time_sum == other.join_time_sum
         )
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"LayerAggregate(count={self.count}, "
-            f"mean_capacity={self.mean_capacity():.2f})"
-        )
-
 
 class OverlayAggregates:
-    """The O(1) aggregate plane of one overlay.
-
-    Counter maintenance, by listener:
-
-    * **membership** -- join adds the peer to its layer's aggregate,
-      leave removes it (the leave notification fires after the peer's
-      links have dropped, so the link counter is already settled);
-    * **role** -- moves the peer's count/Σcapacity/Σjoin_time between
-      layers.  The hook fires *after* the overlay re-files the peer's
-      links, so ``peer.super_neighbors`` is the re-filed set: a
-      promotion's retained links stop being leaf--super
-      (``leaf_link_count -= |super_neighbors|``), a demotion's kept
-      links become leaf--super (``+= |super_neighbors|``);
-    * **link** -- fires with both endpoints registered under their
-      at-event-time roles, so a mixed-role pair identifies a leaf--super
-      link: created ``+= 1``, dropped ``-= 1``.  (Demotion's leaf-link
-      drops arrive here while the peer is still a super-peer; the
-      re-filings that fire no link event are exactly the role hook's
-      job.)
-    """
+    """The aggregate plane of one overlay at one state: the exact fold
+    of its columns.  Read it as ``overlay.aggregates``, which keeps the
+    fold until the overlay's next mutation."""
 
     __slots__ = ("_overlay", "super_layer", "leaf_layer", "leaf_link_count")
 
     def __init__(self, overlay: "Overlay") -> None:
         self._overlay = overlay
-        self.super_layer = LayerAggregate()
-        self.leaf_layer = LayerAggregate()
+        caps, times, links = fold_columns(*map(overlay.store.column, _FOLDED))
+        self.super_layer = LayerAggregate(
+            len(overlay.super_ids), caps[ROLE_SUPER], times[ROLE_SUPER]
+        )
+        self.leaf_layer = LayerAggregate(
+            len(overlay.leaf_ids), caps[ROLE_LEAF], times[ROLE_LEAF]
+        )
         #: Number of leaf--super links == Σ |leaf_neighbors| over supers.
-        self.leaf_link_count = 0
-        overlay.add_membership_listener(self._on_membership)
-        overlay.add_role_listener(self._on_role)
-        overlay.add_link_listener(self._on_link)
+        self.leaf_link_count = links
 
     # -- reads ---------------------------------------------------------------
     @property
@@ -173,45 +169,13 @@ class OverlayAggregates:
             return 0.0
         return self.leaf_link_count / n_super
 
-    def layer(self, role: Role) -> LayerAggregate:
-        """The aggregate of ``role``'s layer."""
-        return self.super_layer if role is Role.SUPER else self.leaf_layer
-
-    # -- listener hooks ------------------------------------------------------
-    def _on_membership(self, peer: Peer, joined: bool) -> None:
-        agg = self.super_layer if peer.is_super else self.leaf_layer
-        if joined:
-            agg.add(peer)
-        else:
-            agg.remove(peer)
-
-    def _on_role(self, peer: Peer, old_role: Role) -> None:
-        if old_role is Role.SUPER:
-            self.super_layer.remove(peer)
-            self.leaf_layer.add(peer)
-            # Demotion: the kept super links were re-filed to leaf--super.
-            self.leaf_link_count += len(peer.super_neighbors)
-        else:
-            self.leaf_layer.remove(peer)
-            self.super_layer.add(peer)
-            # Promotion: the retained links stopped being leaf--super.
-            self.leaf_link_count -= len(peer.super_neighbors)
-
-    def _on_link(self, a: int, b: int, created: bool) -> None:
-        # Layer membership (kept role-consistent at every link event) is
-        # a dict probe; resolving two Peer views and their role columns
-        # was measurably slower on this per-link hot path.
-        leaf_index = self._overlay.leaf_ids._index
-        if (a in leaf_index) != (b in leaf_index):
-            self.leaf_link_count += 1 if created else -1
-
     # -- verification --------------------------------------------------------
     def scan(self) -> "OverlayAggregates":
-        """A fresh aggregate built by brute-force scan (O(n); tests only).
+        """The same aggregates by a Python-level walk over the views
+        (O(n); the reference the fold is checked against).
 
         The scan sums through the same exact fixed-point representation,
-        so an incrementally maintained plane must compare *exactly*
-        equal -- any mismatch is a maintenance bug, never float drift.
+        so the fold must compare *exactly* equal.
         """
         fresh = object.__new__(OverlayAggregates)
         fresh._overlay = self._overlay
@@ -225,20 +189,6 @@ class OverlayAggregates:
             else:
                 fresh.leaf_layer.add(peer)
         return fresh
-
-    def resync(self) -> None:
-        """Rebuild the counters in place from a brute-force scan.
-
-        The checkpoint-restore path: aggregates are derived state, so they
-        are recomputed from the restored topology rather than pickled.  The
-        scan uses the same exact fixed-point arithmetic as the incremental
-        maintenance, so the rebuilt counters equal what the uninterrupted
-        run's counters would be -- bit for bit, big-int for big-int.
-        """
-        fresh = self.scan()
-        self.super_layer = fresh.super_layer
-        self.leaf_layer = fresh.leaf_layer
-        self.leaf_link_count = fresh.leaf_link_count
 
     def mismatches(self) -> List[str]:
         """Differences against a brute-force scan (empty == consistent)."""
@@ -263,9 +213,3 @@ class OverlayAggregates:
                 f"{fresh.leaf_link_count}"
             )
         return out
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"OverlayAggregates(supers={self.super_layer.count}, "
-            f"leaves={self.leaf_layer.count}, links={self.leaf_link_count})"
-        )

@@ -138,10 +138,9 @@ class Overlay:
         self.total_promotions = 0
         self.total_demotions = 0
         self.total_connections_created = 0
-        # The O(1) aggregate plane rides the listener hooks above; it
-        # must register first so derived state (samplers, DLM probes)
-        # reading it from a later listener sees post-event values.
-        self.aggregates = OverlayAggregates(self)
+        self.total_disconnections = 0  # a memo key only; not in snapshots
+        self._fold_key: Optional[tuple] = None
+        self._fold: Optional[OverlayAggregates] = None
 
     # -- registry --------------------------------------------------------
     def __contains__(self, pid: int) -> bool:
@@ -164,6 +163,18 @@ class Overlay:
     def n_leaf(self) -> int:
         """Size of the leaf-layer."""
         return len(self.leaf_ids)
+
+    @property
+    def aggregates(self) -> OverlayAggregates:
+        """The layer aggregates: an exact fold of the columns, kept until
+        one of the mutation counters moves (see :mod:`.aggregates`)."""
+        key = (self.total_joins, self.total_leaves, self.total_promotions,
+               self.total_demotions, self.total_connections_created,
+               self.total_disconnections)
+        if key != self._fold_key:
+            self._fold = OverlayAggregates(self)
+            self._fold_key = key
+        return self._fold
 
     def layer_size_ratio(self) -> float:
         """η = n_leaf / n_super (paper §3); ``inf`` with no super-peers."""
@@ -373,6 +384,7 @@ class Overlay:
         if b not in store.sn[sa] and (ln_a is None or b not in ln_a):
             return False
         self._notify_link(a, b, False)
+        self.total_disconnections += 1
         store.sn_discard(sa, b)
         store.ln_discard(sa, b)
         store.sn_discard(sb, a)
@@ -493,8 +505,8 @@ class Overlay:
         """Verify the structural rules; raises :class:`OverlayError`.
 
         Intended for tests and debugging -- O(edges).  With
-        ``aggregates=True`` the O(1) aggregate counters are additionally
-        verified against a brute-force scan.  Also cross-verifies the
+        ``aggregates=True`` the aggregate fold is additionally verified
+        against a brute-force scan.  Also cross-verifies the
         store's degree columns against the actual adjacency containers.
         """
         if aggregates:
@@ -572,8 +584,8 @@ class Overlay:
 
         The scalar columns are emitted in registry (insertion) order --
         compact to pickle and exactly sufficient to rebuild the store.
-        Listener lists are wiring, not state, and the aggregates are
-        derived -- both are re-established by the composition root.
+        Listener lists are wiring, not state, re-established by the
+        composition root; the aggregates are a fold of the columns.
         """
         store = self.store
         n = len(self._peers)
@@ -606,10 +618,10 @@ class Overlay:
 
         Must be called on a freshly wired (empty) overlay.  Rows are
         rebuilt in snapshot order (preserving registry iteration order);
-        no membership/link listeners fire, since derived state
-        (aggregates, search index) restores from its own snapshot or a
-        rebuild.  The registry dict is mutated in place: ``self.get`` is
-        a bound method of that exact dict.
+        no membership/link listeners fire, since derived state (the
+        search index) restores from its own snapshot or a rebuild, and
+        the aggregates' memo is dropped.  The registry dict is mutated
+        in place: ``self.get`` is a bound method of that exact dict.
         """
         peers = self._peers
         if peers:
@@ -644,7 +656,7 @@ class Overlay:
         self.total_promotions = state["total_promotions"]
         self.total_demotions = state["total_demotions"]
         self.total_connections_created = state["total_connections_created"]
-        self.aggregates.resync()
+        self._fold_key = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

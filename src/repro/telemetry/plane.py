@@ -152,10 +152,9 @@ def bind_standard_producers(
     reg.bind("sim.pending_events", lambda: sim.live_pending)
 
     overlay = ctx.overlay
-    agg = overlay.aggregates
-    reg.bind("overlay.n", lambda: agg.super_layer.count + agg.leaf_layer.count)
-    reg.bind("overlay.n_super", lambda: agg.super_layer.count)
-    reg.bind("overlay.n_leaf", lambda: agg.leaf_layer.count)
+    reg.bind("overlay.n", lambda: overlay.n)
+    reg.bind("overlay.n_super", lambda: overlay.n_super)
+    reg.bind("overlay.n_leaf", lambda: overlay.n_leaf)
     reg.bind("overlay.ratio", lambda: overlay.layer_size_ratio())
     reg.bind("overlay.promotions", lambda: overlay.total_promotions)
     reg.bind("overlay.demotions", lambda: overlay.total_demotions)

@@ -1,7 +1,7 @@
-"""Golden baseline for the O(1) aggregate-plane sampler refactor.
+"""Golden baseline for the aggregate-plane sampler refactor.
 
-The incremental :class:`~repro.overlay.aggregates.OverlayAggregates`
-plane replaces the per-sample full overlay scan inside
+The exact-sum :class:`~repro.overlay.aggregates.OverlayAggregates`
+plane replaced the per-sample full overlay scan inside
 :class:`~repro.metrics.layerstats.LayerStatsSampler`.  The refactor must
 be *trajectory-preserving*: per seed, the dynamic-scenario run behind
 Figures 4 and 6 has to visit the same peers, fire the same transitions,

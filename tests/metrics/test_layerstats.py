@@ -125,11 +125,11 @@ class TestSampling:
 
 class TestConstantTimeSampling:
     def test_sample_never_iterates_peers(self, system, monkeypatch):
-        """O(1) contract: a sample reads aggregates, not the population.
+        """A sample folds the columns; it never walks the population.
 
-        Any per-peer path would have to go through ``Overlay.peers`` (or
-        the layer registries' iterators); poisoning them proves the
-        sampler touches neither, independent of timing noise.
+        A Python-level per-peer path would have to go through
+        ``Overlay.peers`` (or the layer registries' iterators);
+        poisoning them proves the sampler touches neither.
         """
         sim, ov = system
 

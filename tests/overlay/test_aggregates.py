@@ -1,9 +1,8 @@
-"""Unit tests for the O(1) incremental aggregate plane.
+"""Unit tests for the aggregate plane, the memoised fold of the columns.
 
-Each overlay mutation path -- join, leave, promote, demote, connect,
-disconnect -- must leave :class:`~repro.overlay.aggregates.OverlayAggregates`
-exactly equal to a brute-force scan; the derived reads (means, ratio,
-mean leaf-neighbor count) must match the definitions in
+Every overlay mutator must hand the next reader a fresh fold exactly
+equal to a brute-force scan; the derived reads (means, ratio, mean
+leaf-neighbor count) must match the definitions in
 :mod:`repro.metrics.layerstats`.
 """
 
@@ -17,22 +16,68 @@ import pytest
 from repro.overlay.aggregates import OverlayAggregates
 from repro.overlay.roles import Role
 from repro.overlay.topology import Overlay, OverlayError
-
-
-def add_peer(ov, pid, role, capacity=1.0, join_time=0.0):
-    return ov.add_peer(pid, role, capacity, join_time, lifetime=100.0)
+from tests.conftest import add_peer
 
 
 def assert_consistent(overlay):
     assert overlay.aggregates.mismatches() == []
 
 
+def _linked():
+    """Supers 0-2 (0--1 linked), leaves 3-5: 3 on 0 and 1, 4 on 1."""
+    ov = Overlay()
+    for pid, cap, jt in ((0, 8.0, 1.0), (1, 6.0, 2.0), (2, 5.0, 2.5)):
+        add_peer(ov, pid, Role.SUPER, capacity=cap, join_time=jt)
+    for pid, cap, jt in ((3, 2.0, 3.0), (4, 1.0, 4.0), (5, 0.1, 0.3)):
+        add_peer(ov, pid, Role.LEAF, capacity=cap, join_time=jt)
+    for a, b in ((0, 1), (3, 0), (3, 1), (4, 1)):
+        ov.connect(a, b)
+    return ov
+
+
+#: One call of each overlay mutator, each moving some aggregate.
+_MUTATORS = {
+    "add_peer": lambda ov: add_peer(ov, 9, capacity=0.2, join_time=5e-324),
+    "remove_peer": lambda ov: ov.remove_peer(1),
+    "connect": lambda ov: ov.connect(5, 2),
+    "link_leaf": lambda ov: ov.link_leaf(5, (0, 2)),
+    "disconnect": lambda ov: ov.disconnect(3, 0),
+    "promote": lambda ov: ov.promote(3),
+    "demote": lambda ov: ov.demote(1, 1, np.random.default_rng(7)),
+}
+
+
+class TestMemo:
+    @pytest.mark.parametrize("name", sorted(_MUTATORS))
+    def test_each_mutator_yields_a_fresh_fold_equal_to_the_scan(self, name):
+        ov = _linked()
+        before = ov.aggregates
+        _MUTATORS[name](ov)
+        after = ov.aggregates
+        assert before.mismatches() != []  # so a stale memo would fail here
+        assert after is not before and after.mismatches() == []
+        assert ov.aggregates is after  # kept until the next mutation
+
+    def test_restore_drops_the_memo(self):
+        state = _linked().snapshot()
+        twin = Overlay()
+        # Memoise an empty fold under the counter values restore writes.
+        twin.__dict__.update((k, v) for k, v in state.items() if k.startswith("total_"))
+        assert twin.aggregates.n == 0
+        twin.restore(state)
+        assert_consistent(twin)
+        assert twin.aggregates.n == 6 and twin.aggregates.leaf_link_count == 3
+
+    def test_a_fresh_overlay_registers_no_listener(self):
+        ov = Overlay()
+        assert ov._connection_listeners == ov._link_listeners == []
+        assert ov._membership_listeners == ov._role_listeners == []
+
+
 class TestMembership:
     def test_fresh_overlay_is_empty(self):
         agg = Overlay().aggregates
-        assert agg.n == 0
-        assert agg.super_layer.count == 0
-        assert agg.leaf_layer.count == 0
+        assert agg.n == agg.super_layer.count == agg.leaf_layer.count == 0
         assert agg.leaf_link_count == 0
 
     def test_join_counts_into_role_layer(self):
@@ -40,36 +85,10 @@ class TestMembership:
         add_peer(ov, 0, Role.SUPER, capacity=8.0, join_time=2.0)
         add_peer(ov, 1, Role.LEAF, capacity=3.0, join_time=5.0)
         agg = ov.aggregates
-        assert agg.super_layer.count == 1
-        assert agg.leaf_layer.count == 1
-        assert agg.super_layer.mean_capacity() == 8.0
+        assert agg.super_layer.count == agg.leaf_layer.count == 1
+        assert agg.super_layer.mean_capacity() == agg.super_layer.mean_age(10.0) == 8.0
         assert agg.leaf_layer.mean_capacity() == 3.0
-        assert agg.super_layer.mean_age(10.0) == 8.0
         assert agg.leaf_layer.mean_age(10.0) == 5.0
-        assert_consistent(ov)
-
-    def test_leave_is_exact_inverse_of_join(self):
-        ov = Overlay()
-        add_peer(ov, 0, Role.SUPER, capacity=0.1, join_time=0.3)
-        add_peer(ov, 1, Role.SUPER, capacity=0.2, join_time=0.7)
-        ov.remove_peer(1)
-        agg = ov.aggregates
-        # Exact fixed-point sums: after removal the counters equal those
-        # of an overlay that never saw peer 1, even though
-        # (0.1 + 0.2) - 0.2 != 0.1 in float arithmetic.
-        solo = Overlay()
-        add_peer(solo, 0, Role.SUPER, capacity=0.1, join_time=0.3)
-        assert agg.super_layer == solo.aggregates.super_layer
-        assert_consistent(ov)
-
-    def test_leave_drops_leaf_links(self):
-        ov = Overlay()
-        add_peer(ov, 0, Role.SUPER)
-        add_peer(ov, 1, Role.LEAF)
-        ov.connect(0, 1)
-        assert ov.aggregates.leaf_link_count == 1
-        ov.remove_peer(0)
-        assert ov.aggregates.leaf_link_count == 0
         assert_consistent(ov)
 
 
@@ -85,63 +104,23 @@ class TestLinks:
         assert ov.aggregates.leaf_link_count == 0
         assert_consistent(ov)
 
-    def test_super_super_link_not_counted(self):
-        ov = Overlay()
-        add_peer(ov, 0, Role.SUPER)
-        add_peer(ov, 1, Role.SUPER)
-        ov.connect(0, 1)
-        assert ov.aggregates.leaf_link_count == 0
-        assert_consistent(ov)
-
 
 class TestRoleTransitions:
-    def _backbone(self):
-        """Two supers, each with a leaf; supers interconnected."""
-        ov = Overlay()
-        add_peer(ov, 0, Role.SUPER, capacity=8.0, join_time=1.0)
-        add_peer(ov, 1, Role.SUPER, capacity=6.0, join_time=2.0)
-        add_peer(ov, 2, Role.LEAF, capacity=2.0, join_time=3.0)
-        add_peer(ov, 3, Role.LEAF, capacity=1.0, join_time=4.0)
-        ov.connect(0, 1)
-        ov.connect(0, 2)
-        ov.connect(1, 3)
-        return ov
-
-    def test_promote_moves_aggregate_and_refiles_links(self):
-        ov = self._backbone()
-        ov.promote(2)  # leaf 2 (attached to super 0) becomes a super
-        agg = ov.aggregates
-        assert agg.super_layer.count == 3
-        assert agg.leaf_layer.count == 1
-        # 2's link to super 0 stopped being leaf--super; 1--3 remains.
-        assert agg.leaf_link_count == 1
-        assert_consistent(ov)
-
-    def test_demote_moves_aggregate_and_refiles_links(self):
-        ov = self._backbone()
-        rng = np.random.default_rng(7)
-        ov.demote(1, 2, rng)  # super 1 drops to leaf
-        agg = ov.aggregates
-        assert agg.super_layer.count == 1
-        assert agg.leaf_layer.count == 3
-        assert_consistent(ov)
-
     def test_means_follow_the_moved_peer(self):
-        ov = self._backbone()
-        ov.promote(2)
+        ov = _linked()
+        ov.promote(3)
         agg = ov.aggregates
-        assert agg.super_layer.mean_capacity() == pytest.approx((8 + 6 + 2) / 3)
-        assert agg.leaf_layer.mean_capacity() == pytest.approx(1.0)
-        assert agg.super_layer.mean_age(10.0) == pytest.approx(10 - (1 + 2 + 3) / 3)
+        assert agg.leaf_link_count == 1  # 3's links became backbone; 1--4 stays
+        assert agg.super_layer.mean_capacity() == pytest.approx((8 + 6 + 5 + 2) / 4)
+        assert agg.leaf_layer.mean_capacity() == pytest.approx((1 + 0.1) / 2)
+        assert agg.super_layer.mean_age(10.0) == pytest.approx(10 - 8.5 / 4)
 
 
 class TestDerivedReads:
     def test_ratio_matches_definition(self):
         ov = Overlay()
-        for pid in range(3):
-            add_peer(ov, pid, Role.SUPER)
-        for pid in range(3, 9):
-            add_peer(ov, pid, Role.LEAF)
+        for pid in range(9):
+            add_peer(ov, pid, Role.SUPER if pid < 3 else Role.LEAF)
         assert ov.aggregates.ratio() == 2.0
         assert ov.aggregates.n == 9
 
@@ -167,9 +146,8 @@ class TestExactness:
             add_peer(ov, pid, Role.LEAF, capacity=0.2, join_time=0.3 * round_)
             ov.remove_peer(pid)
         agg = ov.aggregates
-        assert agg.leaf_layer.count == 0
-        assert agg.leaf_layer.capacity_sum == 0
-        assert agg.leaf_layer.join_time_sum == 0
+        leaf = agg.leaf_layer
+        assert leaf.count == leaf.capacity_sum == leaf.join_time_sum == 0
         assert agg.super_layer.mean_capacity() == 0.1
         assert_consistent(ov)
 
@@ -178,7 +156,7 @@ class TestVerification:
     def _corrupted(self):
         ov = Overlay()
         add_peer(ov, 0, Role.SUPER)
-        ov.aggregates.super_layer.count += 1  # simulate a maintenance bug
+        ov.aggregates.super_layer.count += 1  # the memo keeps the edit
         return ov
 
     def test_mismatches_reports_divergence(self):
@@ -199,8 +177,8 @@ class TestVerification:
         add_peer(ov, 0, Role.SUPER, capacity=5.0)
         add_peer(ov, 1, Role.LEAF, capacity=2.0, join_time=1.0)
         ov.connect(0, 1)
-        fresh = ov.aggregates.scan()
+        agg, fresh = ov.aggregates, ov.aggregates.scan()
         assert isinstance(fresh, OverlayAggregates)
-        assert fresh.super_layer == ov.aggregates.super_layer
-        assert fresh.leaf_layer == ov.aggregates.leaf_layer
-        assert fresh.leaf_link_count == ov.aggregates.leaf_link_count
+        assert fresh.super_layer == agg.super_layer
+        assert fresh.leaf_layer == agg.leaf_layer
+        assert fresh.leaf_link_count == agg.leaf_link_count

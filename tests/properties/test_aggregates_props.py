@@ -1,34 +1,64 @@
-"""Property test: the incremental aggregate plane never drifts.
+"""Property tests: the aggregate fold is exact and never goes stale.
 
-A stateful machine drives random joins (with adversarial float
-capacities and join times), deaths, link churn, promotions, and
-demotions, and after every step asserts the incrementally maintained
-:class:`~repro.overlay.aggregates.OverlayAggregates` is **exactly**
-equal to a brute-force rebuild -- counts, exact fixed-point sums, and
-the leaf-link counter, not just approximately.  Exactness is the point:
-the Σ counters are big-int fixed-point, so any difference at all is a
-maintenance bug, never float drift.
+* :func:`~repro.overlay.aggregates.fold_columns` equals ``Fraction``
+  sums over arbitrary columns: zeros, subnormals, powers of two over the
+  whole exponent range, both signs, and more rows than one fold chunk.
+* A stateful machine drives random joins (with adversarial float
+  capacities and join times), deaths, link churn, promotions, and
+  demotions, and after every step asserts that ``overlay.aggregates`` is
+  **exactly** equal to a brute-force scan -- counts, exact fixed-point
+  sums, and the leaf-link count -- so the memo never outlives a
+  mutation.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
-from hypothesis import settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from repro.overlay.roles import Role
+from repro.overlay.aggregates import _CHUNK, fold_columns
+from repro.overlay.roles import ROLE_LEAF, Role
 from repro.overlay.topology import Overlay
 from tests.conftest import examples
+
+_fold_values = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 0.1]),
+    st.integers(min_value=-1074, max_value=1023).map(lambda k: 2.0**k),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@given(
+    values=st.lists(_fold_values, min_size=1, max_size=40),
+    rows=st.one_of(st.integers(0, 64), st.integers(_CHUNK - 2, 2 * _CHUNK + 2)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=examples(0.5), deadline=None)
+def test_fold_equals_fraction_sums(values, rows, seed):
+    rng = np.random.default_rng(seed)
+    capacity = np.resize(np.array(values), rows)
+    join_time = rng.permutation(capacity)
+    alive, role = rng.integers(0, 2, (2, rows), dtype=np.int8)
+    n_super_links = rng.integers(0, 6, rows, dtype=np.int32)
+    caps, times, links = fold_columns(alive, role, capacity, join_time, n_super_links)
+    for code in (0, 1):
+        rows_of = (alive == 1) & (role == code)
+        for column, got in ((capacity, caps[code]), (join_time, times[code])):
+            distinct, counts = np.unique(column[rows_of], return_counts=True)
+            exact = sum(Fraction(float(x)) * int(c) for x, c in zip(distinct, counts))
+            assert Fraction(got, 2**1074) == exact
+    assert links == n_super_links[(alive == 1) & (role == ROLE_LEAF)].sum()
+
 
 #: Adversarial float values: non-dyadic decimals, subnormal-ish tiny
 #: values, and large magnitudes that would swamp small addends in a
 #: naive float accumulator.
-_capacities = st.one_of(
-    st.just(0.1),
-    st.just(1e-300),
-    st.just(1e12),
-    st.floats(min_value=0.001, max_value=1e6, allow_nan=False),
+_capacities = st.sampled_from([0.1, 1e-300, 1e12]) | st.floats(
+    min_value=0.001, max_value=1e6, allow_nan=False
 )
 _join_times = st.floats(min_value=0.0, max_value=1e9, allow_nan=False)
 
@@ -40,18 +70,10 @@ class AggregatesMachine(RuleBasedStateMachine):
         self.rng = np.random.default_rng(23)
         self.next_pid = 0
 
-    def _new_peer(self, role, capacity, join_time):
-        pid = self.next_pid
+    @rule(role=st.sampled_from(Role), capacity=_capacities, join_time=_join_times)
+    def join(self, role, capacity, join_time):
+        self.overlay.add_peer(self.next_pid, role, capacity, join_time, lifetime=1.0)
         self.next_pid += 1
-        self.overlay.add_peer(pid, role, capacity, join_time, lifetime=1.0)
-
-    @rule(capacity=_capacities, join_time=_join_times)
-    def join_super(self, capacity, join_time):
-        self._new_peer(Role.SUPER, capacity, join_time)
-
-    @rule(capacity=_capacities, join_time=_join_times)
-    def join_leaf(self, capacity, join_time):
-        self._new_peer(Role.LEAF, capacity, join_time)
 
     @precondition(lambda self: self.overlay.n >= 2)
     @rule(data=st.data())
@@ -59,10 +81,9 @@ class AggregatesMachine(RuleBasedStateMachine):
         pids = sorted(p.pid for p in self.overlay.peers())
         a = data.draw(st.sampled_from(pids))
         b = data.draw(st.sampled_from(pids))
-        pa, pb = self.overlay.peer(a), self.overlay.peer(b)
-        if a == b or (pa.is_leaf and pb.is_leaf):
-            return
-        self.overlay.connect(a, b)
+        ov = self.overlay
+        if a != b and not (ov.peer(a).is_leaf and ov.peer(b).is_leaf):
+            ov.connect(a, b)
 
     @precondition(lambda self: self.overlay.n >= 1)
     @rule(data=st.data())
@@ -95,20 +116,8 @@ class AggregatesMachine(RuleBasedStateMachine):
 
     @invariant()
     def aggregates_exactly_equal_fresh_scan(self):
-        agg = self.overlay.aggregates
-        assert agg.mismatches() == []
-        fresh = agg.scan()
         # Exact big-int equality, not tolerance-based comparison.
-        assert agg.super_layer == fresh.super_layer
-        assert agg.leaf_layer == fresh.leaf_layer
-        assert agg.leaf_link_count == fresh.leaf_link_count
-
-    @invariant()
-    def derived_reads_match_registries(self):
-        ov = self.overlay
-        assert ov.aggregates.n == ov.n
-        assert ov.aggregates.super_layer.count == ov.n_super
-        assert ov.aggregates.leaf_layer.count == ov.n_leaf
+        assert self.overlay.aggregates.mismatches() == []
 
 
 TestAggregatesMachine = AggregatesMachine.TestCase

@@ -7,8 +7,11 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from repro.experiments.configs import bench_config
 from repro.experiments.runner import run_experiment
+from repro.overlay.topology import OverlayError
 
 _TRACE = Path(__file__).resolve().parent.parent / "bench" / "trace.py"
 
@@ -46,3 +49,11 @@ def test_a_finished_run_has_what_bench_verify_reads():
     assert ledger.total_count() > 0 and ledger.total_bytes() > 0
     for tally in (ledger.counts, ledger.bytes, ledger.retransmissions, ledger.timeouts):
         assert sum(tally.values()) >= 0
+
+
+def test_an_edited_aggregate_fails_the_invariant_check():
+    # bench/tests' verifier check: the fold is kept until the next mutation.
+    overlay = run_experiment(bench_config().with_(n=60, horizon=110.0)).ctx.overlay
+    overlay.aggregates.leaf_link_count += 1
+    with pytest.raises(OverlayError, match="leaf_link_count"):
+        overlay.check_invariants(aggregates=True)
