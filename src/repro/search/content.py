@@ -70,7 +70,7 @@ class ContentCatalog:
         deduplicated (a peer holds one copy of an object)."""
         if n_files <= 0:
             return ()
-        return tuple(set(int(x) for x in self.sample_objects(rng, n_files)))
+        return tuple(set(self.sample_objects(rng, n_files).tolist()))
 
     def query_target(self, rng: np.random.Generator) -> int:
         """One query target drawn by popularity.

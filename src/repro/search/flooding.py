@@ -55,9 +55,10 @@ from .index import ContentDirectory
 __all__ = ["FloodRouter", "QueryOutcome"]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class QueryOutcome:
-    """What one query did."""
+    """What one query did (built once, never mutated; not frozen, because
+    a frozen dataclass pays ``object.__setattr__`` per field per query)."""
 
     obj: int
     source: int
@@ -182,19 +183,10 @@ class FloodRouter:
         starts the flood itself.
         """
         directory = self.directory
-        timed = self.latency is not None
         if obj in directory.files(source):
             # Local storage satisfies the query without any traffic.
             return QueryOutcome(
-                obj=obj,
-                source=source,
-                found=True,
-                hits=1,
-                supers_visited=0,
-                query_messages=0,
-                hit_messages=0,
-                first_hit_hops=0,
-                first_hit_latency=0.0 if timed else None,
+                obj, source, True, 1, 0, 0, 0, 0, None if self.latency is None else 0.0
             )
 
         if self._dirty:
@@ -214,11 +206,12 @@ class FloodRouter:
         query_messages += len(entry)  # one copy per access link
 
         ttl = self.ttl
+        at = pos.get
         absent = len(pos)
         hits = hit_messages = 0
         first_hit_hops: Optional[int] = None
         for h in directory.holders(obj):
-            d = dist[pos.get(h, absent)]
+            d = dist[at(h, absent)]
             if d <= ttl:
                 hits += 1
                 hit_messages += d  # a QueryHit back along the inverse path
@@ -230,19 +223,19 @@ class FloodRouter:
             self.ledger.record(QueryHitMessage, hit_messages)
 
         first_hit_latency: Optional[float] = None
-        if timed and first_hit_hops is not None:
+        if self.latency is not None and first_hit_hops is not None:
             # d hops out along a shortest path, d back along its inverse.
             first_hit_latency = float(
                 self.latency.sample(self.rng, 2 * first_hit_hops).sum()
             )
         return QueryOutcome(
-            obj=obj,
-            source=source,
-            found=hits > 0,
-            hits=hits,
-            supers_visited=visited,
-            query_messages=query_messages,
-            hit_messages=hit_messages,
-            first_hit_hops=first_hit_hops,
-            first_hit_latency=first_hit_latency,
+            obj,
+            source,
+            hits > 0,
+            hits,
+            visited,
+            query_messages,
+            hit_messages,
+            first_hit_hops,
+            first_hit_latency,
         )

@@ -89,23 +89,19 @@ class QueryWorkload:
 
     def _random_source(self) -> Optional[int]:
         ov = self.overlay
-        total = ov.n
-        if total == 0:
+        n_leaf = len(ov.leaf_ids)
+        total = n_leaf + len(ov.super_ids)
+        if not total:
             return None
         # Uniform over all peers: pick the layer by size, then a member.
-        if self._rng.random() < ov.n_leaf / total and ov.n_leaf > 0:
-            return ov.leaf_ids.choice(self._rng)
-        if ov.n_super > 0:
-            return ov.super_ids.choice(self._rng)
-        return ov.leaf_ids.choice(self._rng)
+        layer = ov.leaf_ids if self._rng.random() < n_leaf / total else ov.super_ids
+        return layer.choice(self._rng)
 
     def _issue(self, sim: Simulator, now: float) -> None:
         source = self._random_source()
-        if source is None:
-            return
-        obj = self.catalog.query_target(self._rng)
-        outcome = self.router.query(source, obj)
-        self.stats.record(outcome)
+        if source is not None:
+            obj = self.catalog.query_target(self._rng)
+            self.stats.record(self.router.query(source, obj))
 
     def issue_one(self, source: Optional[int] = None, obj: Optional[int] = None):
         """Issue a single query immediately (tests and examples)."""

@@ -59,10 +59,11 @@ class PeriodicProcess:
         self._kind = kind
         self._stopped = False
         self._token = sim.next_process_token()
+        self._payload = {"process": self._token}  # read-only, shared by firings
         self._pending: Optional[Event] = None
         sim.on(kind, self._fire)
         first = sim.now + self._interval if start is None else float(start)
-        self._pending = sim.schedule_at(first, kind, {"process": self._token})
+        self._pending = sim.schedule_at(first, kind, self._payload)
 
     @property
     def interval(self) -> float:
@@ -74,9 +75,7 @@ class PeriodicProcess:
             return
         # Reschedule first: the action may snapshot the system (checkpoint
         # writer) or stop() this process (stop cancels the event just made).
-        self._pending = sim.schedule(
-            self._interval, self._kind, {"process": self._token}
-        )
+        self._pending = sim.schedule(self._interval, self._kind, self._payload)
         self._action(sim, sim.now)
 
     def stop(self) -> None:
@@ -136,15 +135,14 @@ class RenewalProcess:
         self._kind = kind
         self._stopped = False
         self._token = sim.next_process_token()
+        self._payload = {"process": self._token}  # see PeriodicProcess
         self._pending: Optional[Event] = None
         sim.on(kind, self._fire)
         self._schedule_next()
 
     def _schedule_next(self) -> None:
         gap = max(float(self._gap_sampler()), self._EPS)
-        self._pending = self._sim.schedule(
-            gap, self._kind, {"process": self._token}
-        )
+        self._pending = self._sim.schedule(gap, self._kind, self._payload)
 
     def _fire(self, sim: Simulator, event: Event) -> None:
         if self._stopped or event.payload.get("process") != self._token:

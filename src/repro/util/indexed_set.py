@@ -49,7 +49,7 @@ class IndexedSet:
         """One uniformly random member; raises ``IndexError`` if empty."""
         if not self._items:
             raise IndexError("choice from an empty IndexedSet")
-        return self._items[int(rng.integers(len(self._items)))]
+        return self._items[rng.integers(len(self._items))]
 
     def sample(self, rng: np.random.Generator, k: int) -> List[int]:
         """Up to ``k`` distinct uniformly random members.

@@ -68,6 +68,20 @@ class TestSharedSets:
         assert len(files) == len(set(files))
         assert all(0 <= f < 5 for f in files)
 
+    @pytest.mark.parametrize("k", [0, 1, 10, 50])
+    def test_shared_set_is_the_deduplicated_draw_in_order(self, k):
+        """The set and its tuple order: the checkpoint's ``directory``
+        component writes the tuple, and the leaf index appends holders in
+        its order, so neither may move."""
+        cat = ContentCatalog(n_objects=10_000, s=0.8)
+        rng, twin = np.random.default_rng(17), np.random.default_rng(17)
+        for _ in range(20):
+            expected = tuple(set(int(x) for x in cat.sample_objects(twin, k)))
+            files = cat.sample_shared_set(rng, k)
+            assert files == expected
+            assert all(type(f) is int for f in files)
+        assert rng.bit_generator.state == twin.bit_generator.state
+
     def test_zero_files(self, rng):
         assert ContentCatalog(10).sample_shared_set(rng, 0) == ()
 

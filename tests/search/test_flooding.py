@@ -8,6 +8,7 @@ import pytest
 from repro.overlay.roles import Role
 from repro.overlay.topology import Overlay
 from repro.protocol.accounting import MessageLedger
+from repro.protocol.latency import ConstantLatency
 from repro.search.content import ContentCatalog
 from repro.search.flooding import FloodRouter
 from repro.search.index import ContentDirectory
@@ -49,11 +50,22 @@ class TestFloodReach:
         assert out.supers_visited == 3  # depths 0,1,2
 
     def test_leaf_source_enters_via_its_supers(self):
-        ov, directory, ledger = build_chain(n_supers=3)
-        router = FloodRouter(ov, directory, ttl=5)
-        out = router.query(100, 42)  # the leaf itself holds 42
-        assert out.found and out.first_hit_hops == 0
-        assert out.query_messages == 0  # local storage, no traffic
+        for timed in (False, True):
+            ov, directory, ledger = build_chain(n_supers=3)
+            rng = np.random.default_rng(5)
+            before = rng.bit_generator.state
+            latency = ConstantLatency(2.0) if timed else None
+            router = FloodRouter(
+                ov, directory, ttl=5, ledger=ledger, latency=latency, rng=rng
+            )
+            out = router.query(100, 42)  # the leaf itself holds 42
+            assert out.found and out.hits == 1 and out.first_hit_hops == 0
+            assert out.supers_visited == 0
+            # local storage, no traffic
+            assert out.query_messages == out.hit_messages == out.total_messages == 0
+            assert ledger.search_messages == 0
+            assert out.first_hit_latency == (0.0 if timed else None)
+            assert rng.bit_generator.state == before  # no hop drawn
 
     def test_leaf_source_without_local_copy(self):
         ov, directory, ledger = build_chain(n_supers=3)
@@ -63,6 +75,23 @@ class TestFloodReach:
         out = router.query(101, 42)
         assert out.found
         assert out.first_hit_hops == 3  # 1 to super 0, 2 along the chain
+
+
+class TestRestoredDirectory:
+    def test_router_answers_from_the_restored_tables(self):
+        """``ContentDirectory.restore`` replaces its file and holder
+        dicts, so a router built before it must not keep the old ones."""
+        ov, directory, _ = build_chain(n_supers=3)
+        router = FloodRouter(ov, directory, ttl=5)
+        assert router.query(0, 42).found
+        state = directory.snapshot()
+        state["files"] = [(0, (44,)), (100, (43,))]
+        directory.restore(state)
+        assert not router.query(0, 42).found
+        far = router.query(0, 43)  # now on the far leaf, two hops out
+        assert far.found and far.first_hit_hops == 2
+        own = router.query(0, 44)  # now the source's own file
+        assert own.found and own.first_hit_hops == 0 and own.total_messages == 0
 
 
 class TestMessageAccounting:

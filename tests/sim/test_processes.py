@@ -84,3 +84,25 @@ class TestRenewalProcess:
         proc.stop()
         sim.run(until=10.0)
         assert fired == [1.0, 2.0, 3.0]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda sim: PeriodicProcess(sim, 1.0, lambda s, now: None),
+        lambda sim: RenewalProcess(sim, lambda: 1.0, lambda s, now: None),
+    ],
+)
+def test_firings_share_one_payload_and_snapshots_copy_it(sim, make):
+    """Every firing carries the process's one read-only payload, and a
+    snapshot writes a copy of it: the queue's bytes are those of a fresh
+    ``{"process": token}`` per event."""
+    proc = make(sim)
+    payloads = []
+    for _ in range(3):
+        payloads.append(proc._pending.payload)
+        sim.run(until=sim.now + 1.0)
+    assert all(p is payloads[0] for p in payloads)
+    assert payloads[0] == {"process": proc._token}
+    (entry,) = sim.snapshot()["queue"]
+    assert entry[3] == {"process": proc._token} and entry[3] is not payloads[0]
