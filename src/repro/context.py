@@ -69,7 +69,6 @@ def build_context(
     piggyback: bool = False,
     sim: Optional[Simulator] = None,
     faults: Optional[FaultPlan] = None,
-    rng_domain: int = 0,
     telemetry=None,
 ) -> SystemContext:
     """Standard wiring of a fresh system (Table-2 degree parameters).
@@ -88,15 +87,11 @@ def build_context(
         ``None`` for omniscient information collection; a
         :class:`FaultPlan` for the message-driven engine with its loss,
         latency, and timeout parameters.
-    rng_domain:
-        RNG stream namespace (see :class:`~repro.sim.rng.RngStreams`);
-        nonzero domains give warm-start forks fresh randomness that
-        never collides with the checkpointed prefix's streams.
     telemetry:
         A :class:`~repro.telemetry.Telemetry` plane, or ``None`` for
         the shared disabled singleton.
     """
-    sim = sim if sim is not None else Simulator(seed=seed, rng_domain=rng_domain)
+    sim = sim if sim is not None else Simulator(seed=seed)
     if telemetry is None:
         telemetry = NULL_TELEMETRY
     telemetry.bind_sim(sim)

@@ -5,8 +5,7 @@ checkpoints -- so a process that runs one simulation imports no figure,
 sweep or report.  Everything else is imported from its own module: the
 artifacts from :mod:`.registry` (the ``repro`` CLI's table, indexed in
 DESIGN.md section 3), the report from :mod:`.report`, the sweeps from
-:mod:`.sweeps`, :mod:`.replication`, :mod:`.warmstart` and
-:mod:`.tournament`.
+:mod:`.sweeps`, :mod:`.replication` and :mod:`.tournament`.
 """
 
 from .checkpoint import (

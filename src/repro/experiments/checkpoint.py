@@ -200,17 +200,12 @@ def state_digest(result) -> dict:
     return digests
 
 
-def restore_run_state(result, state: dict, *, restore_rng: bool = True) -> None:
-    """Load captured state into a freshly wired (never-run) system.
-
-    ``restore_rng=False`` keeps the fresh system's own RNG streams --
-    the warm-start path, where forks deliberately diverge from the
-    prefix (the fork runs in a different RNG domain so its draws are
-    independent of the checkpointed streams by construction).
-    """
+def restore_run_state(result, state: dict) -> None:
+    """Load captured state, RNG streams included, into a freshly wired
+    (never-run) system."""
     ctx = result.ctx
     sim = ctx.sim
-    sim.restore(state["sim"], restore_rng=restore_rng)
+    sim.restore(state["sim"])
     ctx.overlay.restore(state["overlay"])
     ctx.join.restore(state["join"])
     ctx.messages.restore_state(state["messages"])

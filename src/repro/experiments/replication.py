@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Mapping, Sequence
+from typing import TYPE_CHECKING, Dict, List, Sequence
 
 from ..util.tables import render_table
 from .configs import ExperimentConfig, bench_config
@@ -24,7 +24,6 @@ __all__ = [
     "ReplicationResult",
     "replicate",
     "aggregate_metric",
-    "aggregate_shapes",
 ]
 
 
@@ -89,30 +88,6 @@ def aggregate_metric(name: str, values: List[float]) -> MetricStats:
     )
 
 
-def aggregate_shapes(
-    shapes: Sequence[Mapping[str, object]],
-) -> Dict[str, MetricStats]:
-    """Aggregate per-run shape dicts into per-metric statistics.
-
-    Booleans aggregate as the fraction of runs where they held; a metric
-    missing (or non-finite) in any run is dropped rather than averaged
-    over a partial sample.  Shared by :func:`replicate` and the
-    warm-start replication engine.
-    """
-    collected: Dict[str, List[float]] = {}
-    for shape in shapes:
-        for key, value in shape.items():
-            if isinstance(value, bool):
-                value = 1.0 if value else 0.0
-            if isinstance(value, (int, float)) and math.isfinite(float(value)):
-                collected.setdefault(key, []).append(float(value))
-    return {
-        name: aggregate_metric(name, values)
-        for name, values in collected.items()
-        if len(values) == len(shapes)
-    }
-
-
 def _shape_worker(spec) -> Dict[str, object]:
     """Worker: one seeded run, reduced to its picklable shape metrics.
 
@@ -133,7 +108,9 @@ def replicate(
     """Run a registry row on ``config``-with-seed per seed and aggregate
     its shape metrics.
 
-    Boolean metrics aggregate as the fraction of seeds where they held.
+    Boolean metrics aggregate as the fraction of seeds where they held;
+    a metric missing (or non-finite) in any seed is dropped rather than
+    averaged over a partial sample.
     Seeds are independent runs, so they fan across processes
     (``n_workers`` / ``REPRO_WORKERS``; see :mod:`.parallel`).  Each
     worker derives all randomness from its own ``cfg.with_(seed=s)``, so
@@ -146,7 +123,18 @@ def replicate(
     cfg0 = config if config is not None else bench_config()
     specs = [(experiment, cfg0.with_(seed=int(seed))) for seed in seeds]
     shapes = parallel_map(_shape_worker, specs, n_workers=n_workers)
-    metrics = aggregate_shapes(shapes)
+    collected: Dict[str, List[float]] = {}
+    for shape in shapes:
+        for key, value in shape.items():
+            if isinstance(value, bool):
+                value = 1.0 if value else 0.0
+            if isinstance(value, (int, float)) and math.isfinite(float(value)):
+                collected.setdefault(key, []).append(float(value))
+    metrics = {
+        name: aggregate_metric(name, values)
+        for name, values in collected.items()
+        if len(values) == len(shapes)
+    }
     return ReplicationResult(
         experiment=experiment.exp_id, seeds=tuple(seeds), metrics=metrics
     )

@@ -101,7 +101,6 @@ def run_experiment(
     scenario: Optional[Scenario] = None,
     run: bool = True,
     resume_from: Optional[dict] = None,
-    fresh_rng_domain: Optional[int] = None,
     populate: bool = True,
 ) -> "RunResult":
     """Wire and (by default) execute one run to ``config.horizon``.
@@ -119,21 +118,17 @@ def run_experiment(
     ``resume_from`` takes ``{"state": capture_run_state(...)}``: the
     system is wired exactly as for a fresh run -- which re-derives all
     listeners, handlers, and process tokens -- then the captured state
-    replaces the fresh state before the run continues.
-    ``fresh_rng_domain`` (warm-start forks) keeps the captured RNG
-    streams *out*: the wired system draws from the given RNG domain
-    instead, so forked futures are independent of the prefix's draws.
+    replaces the fresh state, RNG streams included, before the run
+    continues.
 
     ``populate=False`` wires without seeding the population: the loop's
     resume path, which restores captured state *after* attaching a
     shard's mailbox processes so their wiring order (and hence process
     tokens) matches a fresh run.
     """
-    if config.shards > 1 and (
-        not run or resume_from is not None or fresh_rng_domain is not None
-    ):
+    if config.shards > 1 and (not run or resume_from is not None):
         raise ValueError(
-            "run=False, resume_from and warm-start forks wire one system; "
+            "run=False and resume_from wire one system; "
             "a sharded config (shards > 1) only runs through the loop "
             "(resume it from its checkpoint with resume_run)"
         )
@@ -149,7 +144,6 @@ def run_experiment(
             scenario,
             t_start=state["sim"]["clock"],
             states=[{"run": state}],
-            fresh_rng_domain=fresh_rng_domain,
         )
     telemetry_cfg = config.telemetry
     if telemetry_cfg is None and config.health is not None:
@@ -165,7 +159,6 @@ def run_experiment(
         m=config.m,
         k_s=config.k_s,
         faults=config.faults,
-        rng_domain=fresh_rng_domain if fresh_rng_domain is not None else 0,
         telemetry=telemetry,
     )
     policy = policy_factory(config)
@@ -228,7 +221,5 @@ def run_experiment(
     )
 
     if resume_from is not None:
-        restore_run_state(
-            result, resume_from["state"], restore_rng=fresh_rng_domain is None
-        )
+        restore_run_state(result, resume_from["state"])
     return result

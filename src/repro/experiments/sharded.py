@@ -50,7 +50,7 @@ from ..sim.shard import (
     shard_seed,
 )
 from ..telemetry import WindowProgress, export_run
-from ..telemetry.export import write_sharded_chrome_trace
+from ..telemetry.export import write_chrome_trace
 from .checkpoint import (
     CheckpointError,
     capture_run_state,
@@ -134,7 +134,6 @@ class SystemRun:
         policy_factory=default_policy_factory,
         scenario: Optional[Scenario] = None,
         populate: bool = True,
-        fresh_rng_domain: Optional[int] = None,
     ) -> None:
         self.index = index
         self.result: RunResult = run_experiment(
@@ -143,9 +142,7 @@ class SystemRun:
             scenario=scenario,
             run=False,
             populate=populate,
-            fresh_rng_domain=fresh_rng_domain,
         )
-        self._restore_rng = fresh_rng_domain is None
         self.telemetry = self.result.ctx.telemetry
         self._execute_span = self.telemetry.span("run.execute")
 
@@ -178,7 +175,7 @@ class SystemRun:
 
     def restore_state(self, state: Mapping[str, Any]) -> None:
         """Adopt captured state into this freshly wired (unpopulated) system."""
-        restore_run_state(self.result, state["run"], restore_rng=self._restore_rng)
+        restore_run_state(self.result, state["run"])
 
     # -- the epilogue --------------------------------------------------------
     def crash(self, exc: BaseException) -> None:
@@ -415,9 +412,7 @@ def _route(messages: Sequence[ShardMessage], nshards: int) -> List[List[ShardMes
 class _SerialExecutor:
     """Shards in this process: the reference executor, and each worker's."""
 
-    def __init__(
-        self, config, shard_ids, policy_factory, scenario, states, fresh_rng_domain
-    ) -> None:
+    def __init__(self, config, shard_ids, policy_factory, scenario, states) -> None:
         cls = ShardRun if config.shards > 1 else SystemRun
         self.runs = []
         for k in shard_ids:
@@ -427,7 +422,6 @@ class _SerialExecutor:
                 policy_factory=policy_factory,
                 scenario=scenario,
                 populate=states is None,
-                fresh_rng_domain=fresh_rng_domain,
             )
             run.start(None if states is None else states[k])
             self.runs.append(run)
@@ -469,9 +463,7 @@ def _shard_worker(conn, config, policy_factory, scenario, shard_ids, states):
     """
     local = None
     try:
-        local = _SerialExecutor(
-            config, shard_ids, policy_factory, scenario, states, None
-        )
+        local = _SerialExecutor(config, shard_ids, policy_factory, scenario, states)
         conn.send(("ready", local.policy_name))
         while True:
             op, *args = conn.recv()
@@ -622,13 +614,11 @@ def execute(
     workers: Optional[int] = None,
     t_start: float = 0.0,
     states: Optional[List[dict]] = None,
-    fresh_rng_domain: Optional[int] = None,
 ):
     """Wire ``config.shards`` systems and drive them to the horizon.
 
     ``states`` (one per shard, index order) resumes captured systems
-    from ``t_start``; ``fresh_rng_domain`` is the warm-start fork's
-    (K = 1 only).  Returns the system's
+    from ``t_start``.  Returns the system's
     :class:`~repro.experiments.runner.RunResult` when K = 1, a
     :class:`ShardedRunResult` otherwise.
     """
@@ -658,7 +648,7 @@ def execute(
         )
     else:
         executor = _SerialExecutor(
-            config, range(nshards), policy_factory, scenario, states, fresh_rng_domain
+            config, range(nshards), policy_factory, scenario, states
         )
 
     checkpoint_writes = 0
@@ -743,9 +733,7 @@ def _reduce(config, payloads, policy_name, n_workers, wall, checkpoint_writes):
             if p["spans"] is not None
         }
         if lanes:
-            write_sharded_chrome_trace(
-                config.telemetry.chrome_trace_path, lanes
-            )
+            write_chrome_trace(config.telemetry.chrome_trace_path, lanes)
     if config.telemetry is not None and config.telemetry.jsonl_path:
         # The run-level stream: per-shard exports merged by the
         # (t, shard, seq) total order, so every read-back CLI sees a

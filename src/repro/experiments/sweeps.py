@@ -116,21 +116,11 @@ def _evaluate_point(spec) -> SweepPoint:
     return _score_point(result, run_cfg.eta, params)
 
 
-def _evaluate_point_warm(spec) -> SweepPoint:
-    """Worker: fork one grid point from the shared prefix and score it."""
-    from .warmstart import fork_run
-
-    warm, dlm_cfg, params = spec
-    result = fork_run(warm, dlm=dlm_cfg, policy_factory=_dlm_factory)
-    return _score_point(result, warm.config.eta, params)
-
-
 def sweep_dlm_parameters(
     grid: Mapping[str, Sequence[object]],
     *,
     config: ExperimentConfig | None = None,
     n_workers: int | None = None,
-    warm_start_at: float | None = None,
 ) -> SweepResult:
     """Run one experiment per grid combination and score each.
 
@@ -141,16 +131,6 @@ def sweep_dlm_parameters(
     Grid points are independent runs and fan across processes
     (``n_workers`` / ``REPRO_WORKERS``; see :mod:`.parallel`); results
     keep grid-product order regardless of completion order.
-
-    ``warm_start_at`` switches to warm-start forking: the shared
-    warm-up prefix -- identical for every point up to that time under
-    the base parameters -- is simulated once and each grid point forks
-    from the snapshot with its own DLM parameters, paying only the
-    suffix.  Scores then measure how each parameterization *steers* the
-    same established network, and the sweep's wall-clock drops by
-    roughly ``points * prefix_fraction``.  Fields that change which
-    processes exist (e.g. toggling ``periodic_interval`` between None
-    and a value) cannot be swept warm; the fork raises.
     """
     if not grid:
         raise ValueError("grid must name at least one parameter")
@@ -162,23 +142,9 @@ def sweep_dlm_parameters(
         raise ValueError(f"unknown DLMConfig fields: {sorted(unknown)}")
 
     names: Tuple[str, ...] = tuple(grid)
-    combos = []
+    specs = []
     for combo in itertools.product(*(grid[name] for name in names)):
         params: Dict[str, object] = dict(zip(names, combo))
-        combos.append((dataclasses.replace(base_dlm, **params), params))
-
-    if warm_start_at is not None:
-        from .warmstart import build_warm_start
-
-        warm = build_warm_start(
-            cfg.with_(dlm=base_dlm),
-            fork_at=warm_start_at,
-            policy_factory=_dlm_factory,
-        )
-        warm_specs = [(warm, dlm_cfg, params) for dlm_cfg, params in combos]
-        points = parallel_map(_evaluate_point_warm, warm_specs, n_workers=n_workers)
-        return SweepResult(points=points, config=cfg)
-
-    specs = [(cfg.with_(dlm=dlm_cfg), params) for dlm_cfg, params in combos]
+        specs.append((cfg.with_(dlm=dataclasses.replace(base_dlm, **params)), params))
     points = parallel_map(_evaluate_point, specs, n_workers=n_workers)
     return SweepResult(points=points, config=cfg)

@@ -15,13 +15,14 @@ from __future__ import annotations
 
 from typing import Optional
 
+from ..overlay.aggregates import LayerAggregate
 from ..overlay.topology import Overlay
 from ..sim.events import EventKind
 from ..sim.processes import PeriodicProcess
 from ..sim.scheduler import Simulator
 from .timeseries import SeriesBundle
 
-__all__ = ["LayerStatsSampler", "SERIES_NAMES"]
+__all__ = ["LayerStatsSampler", "SERIES_NAMES", "record_tick"]
 
 #: All series a sampler produces.
 SERIES_NAMES = (
@@ -35,6 +36,37 @@ SERIES_NAMES = (
     "leaf_mean_capacity",
     "super_mean_lnn",
 )
+
+
+def record_tick(
+    bundle: SeriesBundle,
+    now: float,
+    sup: LayerAggregate,
+    leaf: LayerAggregate,
+    links: int,
+) -> None:
+    """Record the :data:`SERIES_NAMES` values of one tick at ``now``.
+
+    ``sup``/``leaf`` are the two layers' aggregates and ``links`` the
+    leaf-link count; the sampler passes its overlay's live fold, the
+    shard reduction the summed logs, so both derive every series with
+    the same arithmetic.
+    """
+    n_sup = sup.count
+    n_leaf = leaf.count
+    values = (
+        n_sup + n_leaf,
+        n_sup,
+        n_leaf,
+        n_leaf / n_sup if n_sup else float("inf"),
+        sup.mean_age(now),
+        leaf.mean_age(now),
+        sup.mean_capacity(),
+        leaf.mean_capacity(),
+        links / n_sup if n_sup else 0.0,
+    )
+    for name, value in zip(SERIES_NAMES, values):
+        bundle.record(name, now, value)
 
 
 class LayerStatsSampler:
@@ -87,19 +119,8 @@ class LayerStatsSampler:
     def sample(self, sim: Simulator, now: float) -> None:
         """Take one sample at ``now`` (also callable directly in tests)."""
         agg = self.overlay.aggregates
-        sup = agg.super_layer
-        leaf = agg.leaf_layer
-        n_sup = sup.count
-        n_leaf = leaf.count
-        b = self.bundle
-        b.record("n", now, n_sup + n_leaf)
-        b.record("n_super", now, n_sup)
-        b.record("n_leaf", now, n_leaf)
-        b.record("ratio", now, n_leaf / n_sup if n_sup else float("inf"))
-        b.record("super_mean_age", now, sup.mean_age(now))
-        b.record("leaf_mean_age", now, leaf.mean_age(now))
-        b.record("super_mean_capacity", now, sup.mean_capacity())
-        b.record("leaf_mean_capacity", now, leaf.mean_capacity())
-        b.record("super_mean_lnn", now, agg.super_mean_lnn())
+        record_tick(
+            self.bundle, now, agg.super_layer, agg.leaf_layer, agg.leaf_link_count
+        )
         for listener in self._listeners:
             listener(now, agg)

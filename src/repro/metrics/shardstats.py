@@ -25,6 +25,7 @@ from __future__ import annotations
 from typing import List, Sequence, Tuple
 
 from ..overlay.aggregates import LayerAggregate, OverlayAggregates
+from .layerstats import record_tick
 from .timeseries import SeriesBundle
 
 __all__ = ["ShardSampleLog", "reduce_sample_logs"]
@@ -80,7 +81,7 @@ def reduce_sample_logs(logs: Sequence[Sequence[Row]]) -> SeriesBundle:
     All logs must be tick-aligned (same length, same times) -- shards
     share ``sample_interval`` and start, so this is an invariant, and a
     violation is a scheduling bug worth a loud error.  The derived
-    series use :class:`LayerAggregate`'s own mean formulas, so a K=1
+    series come from the sampler's own :func:`record_tick`, so a K=1
     "reduction" reproduces the classic sampler bit for bit and a K>1
     reduction is the exact merged-population statistic.
     """
@@ -110,15 +111,5 @@ def reduce_sample_logs(logs: Sequence[Sequence[Row]]) -> SeriesBundle:
             leaf.capacity_sum += leaf_cap
             leaf.join_time_sum += leaf_jt
             links += lnk
-        n_sup = sup.count
-        n_leaf = leaf.count
-        bundle.record("n", now, n_sup + n_leaf)
-        bundle.record("n_super", now, n_sup)
-        bundle.record("n_leaf", now, n_leaf)
-        bundle.record("ratio", now, n_leaf / n_sup if n_sup else float("inf"))
-        bundle.record("super_mean_age", now, sup.mean_age(now))
-        bundle.record("leaf_mean_age", now, leaf.mean_age(now))
-        bundle.record("super_mean_capacity", now, sup.mean_capacity())
-        bundle.record("leaf_mean_capacity", now, leaf.mean_capacity())
-        bundle.record("super_mean_lnn", now, links / n_sup if n_sup else 0.0)
+        record_tick(bundle, now, sup, leaf, links)
     return bundle

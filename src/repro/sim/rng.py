@@ -136,19 +136,14 @@ class DrawAhead:
 class RngStreams:
     """Factory and cache of named child generators under one root seed.
 
-    ``domain`` partitions the stream family: domain 0 (the default) keeps
-    the historical ``spawn_key=(crc32(name),)`` derivation bit-for-bit,
-    while a nonzero domain appends itself to the spawn key, yielding
-    streams statistically independent of every domain-0 stream of the same
-    seed.  Warm-start forks run under domain 1 so their post-fork draws
-    never replay the prefix's sample path.
+    Each stream derives from ``spawn_key=(crc32(name),)`` under the root
+    seed, so a name always maps to the same sample path.
     """
 
-    def __init__(self, seed: int, *, domain: int = 0) -> None:
+    def __init__(self, seed: int) -> None:
         if not isinstance(seed, (int, np.integer)):
             raise TypeError(f"seed must be an int, got {type(seed).__name__}")
         self._seed = int(seed)
-        self._domain = int(domain)
         self._root = np.random.SeedSequence(self._seed)
         self._streams: Dict[str, np.random.Generator] = {}
         self._ahead: Dict[str, DrawAhead] = {}
@@ -158,26 +153,20 @@ class RngStreams:
         """The root seed this collection was built from."""
         return self._seed
 
-    @property
-    def domain(self) -> int:
-        """The derivation domain (0 = the historical stream family)."""
-        return self._domain
-
     def get(self, name: str) -> np.random.Generator:
         """Return the generator for ``name``, creating it on first use.
 
         The same name always maps to the same stream within one
         :class:`RngStreams` instance, and to an identically-seeded stream
-        in any other instance built from the same root seed and domain.
+        in any other instance built from the same root seed.
         """
         if not name:
             raise ValueError("stream name must be non-empty")
         gen = self._streams.get(name)
         if gen is None:
-            key = zlib.crc32(name.encode("utf-8"))
-            spawn_key = (key,) if self._domain == 0 else (key, self._domain)
             child = np.random.SeedSequence(
-                entropy=self._root.entropy, spawn_key=spawn_key
+                entropy=self._root.entropy,
+                spawn_key=(zlib.crc32(name.encode("utf-8")),),
             )
             gen = np.random.default_rng(child)
             self._streams[name] = gen

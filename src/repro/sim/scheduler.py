@@ -163,13 +163,12 @@ class Simulator:
         seed: int = 0,
         start: float = 0.0,
         *,
-        rng_domain: int = 0,
         bucket_width: float = 1.0,
     ) -> None:
         if bucket_width <= 0:
             raise ValueError(f"bucket_width must be positive, got {bucket_width}")
         self.clock = SimClock(start)
-        self.rng = RngStreams(seed, domain=rng_domain)
+        self.rng = RngStreams(seed)
         self._width = bucket_width
         #: Active window: heap of (time, seq, Event) due before _active_end.
         self._active: List[Tuple[float, int, Event]] = []
@@ -662,7 +661,7 @@ class Simulator:
             "rng": self.rng.snapshot(),
         }
 
-    def restore(self, state: dict, *, restore_rng: bool = True) -> None:
+    def restore(self, state: dict) -> None:
         """Replace the engine state with a :meth:`snapshot`.
 
         Any events scheduled during re-wiring (first periodic firings,
@@ -676,10 +675,6 @@ class Simulator:
         and whatever remains is
         finalized into the calendar at the first :meth:`run` /
         :meth:`step`.
-
-        With ``restore_rng=False`` the stream states are left untouched --
-        the warm-start fork path, where each fork runs on fresh streams
-        derived under a different domain (see :class:`RngStreams`).
         """
         self.clock._now = state["clock"]
         self._events_processed = state["events_processed"]
@@ -702,8 +697,7 @@ class Simulator:
         self._staging = staging
         self._cancelled_pending = cancelled
         self._restored_events = {}
-        if restore_rng:
-            self.rng.restore(state["rng"])
+        self.rng.restore(state["rng"])
 
     def _insert_restored(self, time: float, seq: int, ev: Event) -> None:
         # Never the now-buffer: entries at exactly the restored clock go

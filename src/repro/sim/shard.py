@@ -55,7 +55,7 @@ __all__ = [
 
 #: Spawn-key tag for per-shard seed derivation, disjoint by construction
 #: from every ``RngStreams`` stream key (those live in the crc32 stream
-#: namespace) and from the warm-start fork domain.  ASCII "SHRD".
+#: namespace).  ASCII "SHRD".
 SHARD_RNG_DOMAIN_KEY = 0x53485244
 
 

@@ -16,10 +16,10 @@ The JSONL layout is one self-describing JSON object per line:
 ``grep``/``jq``, which is the point of JSONL.
 
 The Chrome-trace export writes the span *intervals* as ``X`` (complete)
-events in the JSON Object Format, loadable by ``chrome://tracing`` and
-`Perfetto <https://ui.perfetto.dev>`_.  Wall-clock timestamps appear
-only here: traces are performance artifacts, not part of the
-deterministic record stream.
+events in the JSON Object Format, one ``pid`` lane per shard, loadable
+by ``chrome://tracing`` and `Perfetto <https://ui.perfetto.dev>`_.
+Wall-clock timestamps appear only here: traces are performance
+artifacts, not part of the deterministic record stream.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from array import array
 from itertools import chain, compress, islice
 from pathlib import Path
 from types import NoneType
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 import numpy as np
 
@@ -43,7 +43,6 @@ __all__ = [
     "write_jsonl",
     "iter_jsonl",
     "write_chrome_trace",
-    "write_sharded_chrome_trace",
     "export_run",
 ]
 
@@ -221,81 +220,51 @@ def _summary_lines(result) -> Iterator[dict]:
     yield {"kind": "spans", "data": telemetry.spans.aggregates()}
 
 
-def write_chrome_trace(path: str, spans) -> int:
-    """Write span intervals as Chrome-trace ``X`` events; returns count.
+def write_chrome_trace(path: str, lanes: Mapping[int, Iterable[tuple]]) -> int:
+    """Write span intervals as one Chrome trace (atomically, through
+    :func:`_write_lines`); returns the number of ``X`` events.
 
+    ``lanes`` maps a lane index -> span interval tuples (the
+    :meth:`SpanTimer.intervals` layout); each lane is its own ``pid``.
     ``ts``/``dur`` are wall-clock microseconds since the span timer's
     origin; the nesting depth maps to the ``tid`` so overlapping phases
-    land on separate tracks in the viewer.
+    land on separate tracks in the viewer.  A trace of several lanes (a
+    sharded run's, one per shard) names each ``shard k`` by a
+    ``process_name`` metadata event, so the viewer shows the K shards'
+    phases side by side -- the idle gaps between a shard's windows are
+    the synchronization cost made visible.
     """
-    events = [
-        {
-            "name": name,
-            "ph": "X",
-            "ts": round(start * 1e6, 1),
-            "dur": round(duration * 1e6, 1),
-            "pid": 0,
-            "tid": depth,
-            "cat": "repro",
-        }
-        for name, start, duration, depth in spans.intervals()
-    ]
-    payload = {
-        "traceEvents": events,
-        "displayTimeUnit": "ms",
-        "otherData": {"exporter": "repro.telemetry", "schema": 1},
-    }
-    target = Path(path)
-    if target.parent != Path(""):
-        target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(json.dumps(payload, indent=1) + "\n")
-    return len(events)
-
-
-def write_sharded_chrome_trace(path: str, shard_intervals: dict) -> int:
-    """Write per-shard span intervals as one multi-lane Chrome trace.
-
-    ``shard_intervals`` maps shard index -> span interval tuples (the
-    :meth:`SpanTimer.intervals` layout).  Each shard becomes its own
-    ``pid`` lane, named via ``process_name`` metadata events, so the
-    viewer shows the K shards' phases side by side -- the idle gaps
-    between a shard's windows are the synchronization cost made
-    visible.  Returns the number of ``X`` events written.
-    """
+    named = len(lanes) > 1
     events = []
-    count = 0
-    for index in sorted(shard_intervals):
-        events.append(
-            {
-                "name": "process_name",
-                "ph": "M",
-                "pid": index,
-                "args": {"name": f"shard {index}"},
-            }
-        )
-        for name, start, duration, depth in shard_intervals[index]:
+    for index in sorted(lanes):
+        if named:
             events.append(
                 {
-                    "name": name,
-                    "ph": "X",
-                    "ts": round(start * 1e6, 1),
-                    "dur": round(duration * 1e6, 1),
+                    "name": "process_name",
+                    "ph": "M",
                     "pid": index,
-                    "tid": depth,
-                    "cat": "repro",
+                    "args": {"name": f"shard {index}"},
                 }
             )
-            count += 1
+        events.extend(
+            {
+                "name": name,
+                "ph": "X",
+                "ts": round(start * 1e6, 1),
+                "dur": round(duration * 1e6, 1),
+                "pid": index,
+                "tid": depth,
+                "cat": "repro",
+            }
+            for name, start, duration, depth in lanes[index]
+        )
     payload = {
         "traceEvents": events,
         "displayTimeUnit": "ms",
         "otherData": {"exporter": "repro.telemetry", "schema": 1},
     }
-    target = Path(path)
-    if target.parent != Path(""):
-        target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(json.dumps(payload, indent=1) + "\n")
-    return count
+    _write_lines(path, [json.dumps(payload, indent=1)])
+    return len(events) - (len(lanes) if named else 0)
 
 
 def export_run(
@@ -326,6 +295,6 @@ def export_run(
             written["jsonl"] = _write_lines(jsonl_path, _jsonl_lines(result))
         if chrome_trace_path:
             written["chrome_trace"] = write_chrome_trace(
-                chrome_trace_path, telemetry.spans
+                chrome_trace_path, {0: telemetry.spans.intervals()}
             )
     return written

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
 from repro.experiments.configs import table2_config
 from repro.experiments.runner import run_experiment
 from repro.telemetry import TelemetryConfig, export_run, iter_jsonl, write_jsonl
-from repro.telemetry.export import _CHUNK
+from repro.telemetry.export import _CHUNK, write_chrome_trace
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +80,44 @@ class TestChromeTrace:
             assert e["ph"] == "X"
             assert e["dur"] >= 0.0
 
+    def test_lanes_become_named_pids(self, tmp_path):
+        target = tmp_path / "trace.json"
+        lanes = {1: [("b", 0.5, 0.25, 1)], 0: [("a", 0.0, 1.0, 0)]}
+        assert write_chrome_trace(str(target), lanes) == 2
+        events = json.loads(target.read_text())["traceEvents"]
+        assert [(e["ph"], e["pid"], e["name"]) for e in events] == [
+            ("M", 0, "process_name"),
+            ("X", 0, "a"),
+            ("M", 1, "process_name"),
+            ("X", 1, "b"),
+        ]
+        assert events[2]["args"] == {"name": "shard 1"}
+        assert (events[3]["ts"], events[3]["dur"], events[3]["tid"]) == (
+            500000.0,
+            250000.0,
+            1,
+        )
+
+    def test_a_two_shard_run_writes_one_lane_per_shard(self, tmp_path):
+        trace = tmp_path / "trace.json"
+        cfg = table2_config().with_(
+            name="export-k2",
+            n=250,
+            horizon=60.0,
+            warmup=10.0,
+            seed=11,
+            shards=2,
+            telemetry=TelemetryConfig(chrome_trace_path=str(trace)),
+        )
+        run_experiment(cfg)
+        events = json.loads(trace.read_text())["traceEvents"]
+        lanes = {e["pid"]: e["args"]["name"] for e in events if e["ph"] == "M"}
+        assert lanes == {0: "shard 0", 1: "shard 1"}
+        for k in lanes:
+            names = {e["name"] for e in events if e["ph"] == "X" and e["pid"] == k}
+            assert {"run.wire", "run.execute"} <= names
+        assert {e["ph"] for e in events} == {"M", "X"}
+
 
 class TestExportRun:
     def test_disabled_plane_exports_nothing(self):
@@ -110,6 +149,21 @@ class TestAtomicWrite:
 
         with pytest.raises(RuntimeError, match="writer died"):
             write_jsonl(str(target), lines())
+        assert target.read_text() == "previous\n"
+        assert sorted(tmp_path.iterdir()) == [target]
+
+    def test_a_failed_chrome_trace_write_leaves_the_old_file(
+        self, tmp_path, monkeypatch
+    ):
+        target = tmp_path / "trace.json"
+        target.write_text("previous\n")
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            write_chrome_trace(str(target), {0: [("run.wire", 0.0, 1.0, 0)]})
         assert target.read_text() == "previous\n"
         assert sorted(tmp_path.iterdir()) == [target]
 

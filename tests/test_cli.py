@@ -331,7 +331,7 @@ def test_run_path_imports_no_harness():
         timeout=120,
     ).stdout.split()
     harnesses = ("figure", "table3", "sweeps", "tournament", "replication")
-    harnesses += ("warmstart", "report", "registry")
+    harnesses += ("report", "registry")
     loaded = [
         m
         for m in out
