@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from bisect import bisect_right
-from typing import Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
@@ -80,11 +80,14 @@ class ScalableDistribution(ABC):
             raise ValueError(f"n must be >= 0, got {n}")
         return self.scale * self._sample_base(rng, n)
 
-    def sample_one(self, rng: np.random.Generator) -> float:
-        """Draw a single sample as a float.  Overrides (the per-join path's
-        scalar draws) must return ``sample(rng, 1)[0]``'s value and leave
-        ``rng`` at the same stream position."""
-        return float(self.sample(rng, 1)[0])
+    def block(self, gen: np.random.Generator, n: int) -> np.ndarray:
+        """``n`` partition-invariant draws, the values :meth:`take` reads."""
+        return self._sample_base(gen, n)
+
+    def take(self, next_value: Callable[[], float]) -> float:
+        """``sample(rng, 1)[0]``, from the :meth:`block` values handed out
+        one at a time by ``next_value`` (a ``DrawAhead.next``)."""
+        return self.scale * next_value()
 
 
 class LogNormalDistribution(ScalableDistribution):
@@ -101,10 +104,6 @@ class LogNormalDistribution(ScalableDistribution):
 
     def _sample_base(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.lognormal(self.mu, self.sigma, size=n)
-
-    def sample_one(self, rng: np.random.Generator) -> float:
-        # ``size=None`` and ``size=1`` run the same C sampler once.
-        return self.scale * rng.lognormal(self.mu, self.sigma)
 
     @property
     def base_mean(self) -> float:
@@ -248,7 +247,7 @@ class BandwidthMixture(ScalableDistribution):
         # re-cumsums the weights on every call (~50us), which dominates
         # per-join capacity sampling.  Generator.choice with ``p`` is
         # defined as searchsorted over this exact cdf against
-        # ``rng.random(n)``, so the fast path below is bit-identical --
+        # ``rng.random(n)``, so the paths below are bit-identical --
         # same values, same stream position (locked by the golden tests).
         cdf = self.weights.cumsum()
         cdf /= cdf[-1]
@@ -264,12 +263,16 @@ class BandwidthMixture(ScalableDistribution):
         low = 1.0 - jit
         return centers * (low + rng.random(n) * ((1.0 + jit) - low))
 
-    def sample_one(self, rng: np.random.Generator) -> float:
-        # ``_sample_base`` at n = 1 without the arrays: bisect_right is
-        # searchsorted(side="right"), the jitter math the same IEEE ops.
-        center, jit = self._class_list[bisect_right(self._cdf_list, rng.random())]
+    def block(self, gen: np.random.Generator, n: int) -> np.ndarray:
+        # ``_sample_base``'s two passes do not split; their uniforms do.
+        return gen.random(n)
+
+    def take(self, next_value: Callable[[], float]) -> float:
+        # ``_sample_base`` at n = 1 from two uniforms, class then jitter:
+        # bisect_right is searchsorted(side="right"), the same IEEE ops.
+        center, jit = self._class_list[bisect_right(self._cdf_list, next_value())]
         low = 1.0 - jit
-        return self.scale * (center * (low + rng.random() * ((1.0 + jit) - low)))
+        return self.scale * (center * (low + next_value() * ((1.0 + jit) - low)))
 
     @property
     def base_mean(self) -> float:

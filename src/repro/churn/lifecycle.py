@@ -35,7 +35,7 @@ from ..sim.events import Event, EventKind
 from ..sim.scheduler import Simulator
 from .arrivals import warmup_join_times
 from .deaths import DeathLedger
-from .distributions import ScalableDistribution
+from .distributions import BandwidthMixture, ScalableDistribution
 from .scenarios import Scenario
 
 __all__ = ["ChurnDriver"]
@@ -68,11 +68,16 @@ class ChurnDriver:
         self.capacities = capacities
         self.scenario = scenario
         self.eligible_fraction = eligible_fraction
-        self._rng_life = ctx.sim.rng.get("lifetime")
-        self._rng_cap = ctx.sim.rng.get("capacity")
-        self._rng_arrivals = ctx.sim.rng.get("arrivals")
-        self.death_ledger = DeathLedger(ctx.sim, ctx.overlay.store)
         sim = ctx.sim
+        # Both laws read a block ahead (DESIGN.md §8).  The eligibility
+        # draw is the mixture's next uniform; any other law settles first.
+        self._rng_life = life = sim.rng.prefetch("lifetime", lifetimes.block)
+        self._rng_cap = cap = sim.rng.prefetch("capacity", capacities.block)
+        self._next_life, self._next_cap = life.next, cap.next
+        mixture = isinstance(capacities, BandwidthMixture)
+        self._next_uniform = cap.next if mixture else lambda: cap.random()
+        self._rng_arrivals = sim.rng.get("arrivals")
+        self.death_ledger = DeathLedger(sim, ctx.overlay.store)
         sim.on(EventKind.PEER_JOIN, self._on_join)
         sim.on(EventKind.PEER_LEAVE, self._on_leave)
         sim.on(EventKind.SCENARIO_SHIFT, self._on_shift)
@@ -127,12 +132,7 @@ class ChurnDriver:
         # mirroring the schedule-all-upfront ordering it replaces.
         if event.payload == _BACKLOG:
             self._advance_backlog()
-        capacity = self.capacities.sample_one(self._rng_cap)
-        lifetime = self.lifetimes.sample_one(self._rng_life)
-        eligible = (
-            self.eligible_fraction >= 1.0
-            or self._rng_cap.random() < self.eligible_fraction
-        )
+        capacity, lifetime, eligible = self._draw_peer()
         role = self.policy.role_for_new_peer(capacity, eligible=eligible)
         ctx = self.ctx
         peer = ctx.join.join(sim.now, capacity, lifetime, role=role, eligible=eligible)
@@ -147,6 +147,13 @@ class ChurnDriver:
             ctx.overhead.record_leaf_join(store.n_super_links[slot])
         self.joins += 1
         self.policy.on_peer_joined(peer)
+
+    def _draw_peer(self) -> tuple:
+        """A joining peer's capacity, lifetime and eligibility, in draw order."""
+        capacity = self.capacities.take(self._next_cap)
+        lifetime = self.lifetimes.take(self._next_life)
+        fraction = self.eligible_fraction
+        return capacity, lifetime, fraction >= 1.0 or self._next_uniform() < fraction
 
     def _on_leave(self, sim: Simulator, event: Event) -> None:
         self.kill_peer(event.payload)

@@ -21,8 +21,8 @@ trigger, drain event or evaluation sweep.
 ``repair`` is its sibling for orphan passes: it kills supers of a
 settled overlay and prints µs per reconnected orphan, orphans per pass
 and NumPy calls on the bootstrap stream per pass.  ``join`` prints µs
-per leaf join, split into the sampler draw, the row write, the links and
-the evaluation requests (DESIGN.md §8 "Draw by the block").
+per leaf join, split into the driver's takes, the sampler draw, the row
+write, the links and the requests (DESIGN.md §8 "Draw by the block").
 ``transport`` times the message-driven Phase-1 exchange per link
 (DESIGN.md §9 "Lazy timeouts") with its timeouts armed, fired and
 materialized, and the drop/latency NumPy calls per 1000 legs.
@@ -324,18 +324,19 @@ def _time_repairs(config, opts) -> None:
 
 def _time_joins(config, opts) -> None:
     """Print µs per leaf join over a settled overlay, split into the
-    sampler draw (``connect_leaf`` less its links), the row write with
-    its membership listeners (``add_peer``), the links with their
-    listeners (``link_leaf``, less the requests) and the evaluation
-    requests.  Each
-    part carries its timing wrapper (about 0.2 µs a call); the settling
-    run and each join's evaluation drain are outside the timed region.
+    driver's capacity, lifetime and eligibility takes from the run's own
+    streams (``sample``), the sampler draw (``connect_leaf`` less its
+    links), the row write with its membership listeners (``add_peer``),
+    the links with their listeners (``link_leaf``, less the requests)
+    and the evaluation requests.  Each part carries its timing wrapper
+    (about 0.2 µs a call); the settling run and each join's evaluation
+    drain are outside the timed region.
     """
     from .experiments.runner import run_experiment
 
     result = run_experiment(config.with_(horizon=400.0))
-    ctx, overlay, store = result.ctx, result.overlay, result.overlay.store
-    spent = dict.fromkeys(("draw", "row", "links", "requests"), 0.0)
+    ctx, overlay = result.ctx, result.overlay
+    spent = dict.fromkeys(("sample", "draw", "row", "links", "requests"), 0.0)
 
     def timed(fn, part):
         def call(*args, **kwargs):
@@ -351,11 +352,12 @@ def _time_joins(config, opts) -> None:
     overlay.link_leaf = timed(overlay.link_leaf, "links")
     listeners = ctx.info._completion_listeners
     listeners[:] = [timed(fn, "requests") for fn in listeners]
-    capacities = cycle(store.column("capacity")[store.live_slots()].tolist())
+    draw_peer = timed(result.driver._draw_peer, "sample")
     elapsed = 0.0
     for _ in range(_JOINS):
         t0 = perf_counter()
-        ctx.join.join(ctx.now, next(capacities), 1e9)
+        capacity, lifetime, eligible = draw_peer()
+        ctx.join.join(ctx.now, capacity, lifetime, eligible=eligible)
         elapsed += perf_counter() - t0
         ctx.sim.run(until=ctx.now)
     spent["draw"] -= spent["links"]

@@ -19,7 +19,9 @@ from repro.churn.distributions import (
     default_capacity_distribution,
     default_lifetime_distribution,
 )
+from repro.sim.rng import PREFETCH_BLOCK, RngStreams
 from tests.conftest import examples
+from tests.overlay.reference_join import sample_one
 
 # One of every distribution class in the package.
 ALL_DISTS = [
@@ -65,7 +67,7 @@ class TestCommonContract:
             dist.set_scale(0.0)
 
     def test_sample_one_is_scalar(self, dist, rng):
-        assert isinstance(dist.sample_one(rng), float)
+        assert isinstance(sample_one(dist, rng), float)
 
 
 def test_scalar_cases_cover_every_distribution_class():
@@ -84,16 +86,45 @@ def test_scalar_cases_cover_every_distribution_class():
 )
 @settings(max_examples=examples(0.2), deadline=None)
 def test_sample_one_is_the_vector_stream(dist, seed, scale):
-    """``sample_one`` returns the bits ``sample(rng, 1)[0]`` would and
-    leaves the generator where that call would (scalar overrides on the
-    per-join path must not move a single draw)."""
+    """The per-call oracle returns the bits ``sample(rng, 1)[0]`` would
+    and leaves the generator where that call would (its scalar forms
+    must not move a single draw)."""
     scalar_rng, vector_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     dist.set_scale(scale)
     try:
         for _ in range(50):
-            one = dist.sample_one(scalar_rng)
+            one = sample_one(dist, scalar_rng)
             assert one.hex() == float(dist.sample(vector_rng, 1)[0]).hex()
         assert scalar_rng.bit_generator.state == vector_rng.bit_generator.state
+    finally:
+        dist.set_scale(1.0)
+
+
+@pytest.mark.parametrize("k", [0, 1, 255, PREFETCH_BLOCK, 257, 600])
+@pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: type(d).__name__)
+def test_takes_through_a_block_are_the_per_call_draws(dist, k):
+    """``take`` over a ``DrawAhead`` of ``block`` hands out the per-call
+    oracle's values bit for bit, across scale shifts and snapshots taken
+    mid-block, with the driver's eligibility draw interleaved (under the
+    mixture the block's next uniform, otherwise a settled ``random()``);
+    after a settle the generator is where the oracle's is."""
+    streams = RngStreams(2004)
+    ahead = streams.prefetch("law", dist.block)
+    oracle = RngStreams(2004).get("law")
+    eligibility = ahead.next if isinstance(dist, BandwidthMixture) else None
+    try:
+        for i in range(k):
+            if i % 101 == 50:
+                dist.set_scale(0.5 + i / 100)
+            if i % 67 == 13:
+                assert streams.snapshot()["law"] == oracle.bit_generator.state
+            taken = dist.take(ahead.next)
+            assert taken.hex() == sample_one(dist, oracle).hex()
+            if i % 3 == 1:
+                u = eligibility() if eligibility else ahead.random()
+                assert u.hex() == oracle.random().hex()
+        ahead.settle()
+        assert ahead.gen.bit_generator.state == oracle.bit_generator.state
     finally:
         dist.set_scale(1.0)
 
@@ -160,11 +191,11 @@ class TestBandwidthMixture:
 
     def test_a_vector_draw_is_not_block_splittable(self):
         # ``sample(rng, n)`` draws all n class picks before any jitter, so
-        # the ``capacity`` stream is read one ``sample_one`` per join and
-        # may not be drawn ahead (DESIGN.md §8, the stream table).
+        # the ``capacity`` stream reads ahead by uniforms (``block``), not
+        # by samples (DESIGN.md §8, the stream table).
         d = BandwidthMixture()
         split_rng, whole_rng = np.random.default_rng(3), np.random.default_rng(3)
-        pieces = [d.sample_one(split_rng) for _ in range(8)]
+        pieces = [sample_one(d, split_rng) for _ in range(8)]
         assert pieces != d.sample(whole_rng, 8).tolist()
 
 

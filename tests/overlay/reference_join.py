@@ -10,29 +10,57 @@ through its view (``death_time``, ``is_leaf``), :func:`join` ->
 -> ``Overlay.connect`` per pick, whose ``_notify_link`` fires the link
 and then the connection listeners.
 
+The driver takes each joining peer's capacity and lifetime out of
+blocks drawn ahead (``ScalableDistribution.take`` over a ``DrawAhead``
+of ``block``).  :func:`sample_one` is the per-call draw it replaced, and
+:func:`on_join` draws through it, one generator call per value.
+
 ``tests/reference_system.py`` installs :func:`on_join`, :func:`join` and
 :func:`connect_leaf` at the seams of the same names for a whole run.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import List, Optional
 
+from repro.churn.distributions import (
+    BandwidthMixture,
+    LogNormalDistribution,
+    ScalableDistribution,
+)
 from repro.churn.lifecycle import _BACKLOG, ChurnDriver
 from repro.overlay.bootstrap import JoinProcedure
 from repro.overlay.peer import Peer
 from repro.overlay.roles import Role
 from repro.overlay.topology import OverlayError
 
-__all__ = ["connect_leaf", "join", "on_join"]
+__all__ = ["connect_leaf", "join", "on_join", "sample_one"]
+
+
+def sample_one(law: ScalableDistribution, rng) -> float:
+    """One sample of ``law`` at its scale, drawn from ``rng`` call by
+    call: ``law.sample(rng, 1)[0]``, and the scalar forms the join path
+    used for the two default laws."""
+    if isinstance(law, BandwidthMixture):
+        # ``_sample_base`` at n = 1 without the arrays: bisect_right is
+        # searchsorted(side="right"), the jitter math the same IEEE ops.
+        center, jit = law._class_list[bisect_right(law._cdf_list, rng.random())]
+        low = 1.0 - jit
+        return law.scale * (center * (low + rng.random() * ((1.0 + jit) - low)))
+    if isinstance(law, LogNormalDistribution):
+        # ``size=None`` and ``size=1`` run the same C sampler once.
+        return law.scale * rng.lognormal(law.mu, law.sigma)
+    return float(law.sample(rng, 1)[0])
 
 
 def on_join(churn: ChurnDriver, sim, event) -> None:
-    """``ChurnDriver._on_join``, reading the new peer through its view."""
+    """``ChurnDriver._on_join``, drawing call by call and reading the new
+    peer through its view."""
     if event.payload == _BACKLOG:
         churn._advance_backlog()
-    capacity = churn.capacities.sample_one(churn._rng_cap)
-    lifetime = churn.lifetimes.sample_one(churn._rng_life)
+    capacity = sample_one(churn.capacities, churn._rng_cap)
+    lifetime = sample_one(churn.lifetimes, churn._rng_life)
     eligible = (
         churn.eligible_fraction >= 1.0
         or churn._rng_cap.random() < churn.eligible_fraction

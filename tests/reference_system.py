@@ -1,6 +1,6 @@
 """The slow simulator: the plane oracles installed in a whole run.
 
-Inside ``with reference_system():`` six fast paths are replaced *at
+Inside ``with reference_system():`` seven fast paths are replaced *at
 class level* by their oracles, the way ``bench/trace.py`` installs its
 spans, and put back on exit, also when the block raises:
 
@@ -17,8 +17,12 @@ spans, and put back on exit, also when the block raises:
   charges the router's ledger the same two totals the router charges;
 * ``RngStreams.prefetch`` hands the bootstrap stream out as the bare
   generator, so every join and repair draws call by call instead of
-  slicing a block drawn ahead, and the transport's ``transport-drop``
-  and ``transport-latency`` streams as one draw per value;
+  slicing a block drawn ahead, and every other read-ahead stream as a
+  reader that draws when it is asked: the transport's ``transport-drop``
+  and ``transport-latency`` one draw per value, the churn driver's
+  ``capacity`` and ``lifetime`` one generator call per value through
+  :func:`tests.overlay.reference_join.sample_one` (the eligibility
+  draw a plain ``random()`` of the ``capacity`` generator);
 * ``MessageLedger.charge`` is :func:`tests.protocol.reference_charge.
   eager_charge`, every plan charged into the counters at once;
 * ``InfoExchange._start_request``, ``_on_deliver`` and ``_on_timeout``
@@ -81,7 +85,8 @@ def _reference_flood(router: FloodRouter, source: int, obj: int) -> QueryOutcome
 
 
 class _PerCall:
-    """What ``DrawAhead.next`` hands out, drawn when it is asked for."""
+    """What ``DrawAhead.next`` hands out, drawn when it is asked for;
+    any other attribute is the generator's, as on a ``DrawAhead``."""
 
     def __init__(self, gen, draw) -> None:
         self.gen = gen
@@ -89,6 +94,9 @@ class _PerCall:
 
     def next(self) -> float:
         return self.draw(self.gen, 1).tolist()[0]
+
+    def __getattr__(self, name: str):
+        return getattr(self.gen, name)
 
 
 def _per_call_prefetch(streams: RngStreams, name: str, draw=None):
