@@ -1,7 +1,7 @@
 """Micro-benchmarks of the hot paths.
 
 These are the throughput numbers that justify the implementation
-choices (calendar-queue scheduler, O(1) sampling set, loop/NumPy hybrid
+choices (the event queue, O(1) sampling set, loop/NumPy hybrid
 in the scaled comparison).  They are indicative, not gated: a speed
 claim about a change is made with ``python3 bench/run.py``.
 """

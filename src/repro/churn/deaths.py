@@ -16,10 +16,10 @@ instead:
   ``schedule_at`` allocated it, so trajectories (and checkpoint bytes)
   are identical to eager scheduling.
 
-The ledger is the simulator's :class:`LazyEventSource`: the calendar
-engine asks it for the earliest pending death when picking the next
+The ledger is the simulator's :class:`LazyEventSource`: the event
+queue asks it for the earliest pending death when picking the next
 window to open and *harvests* the rows falling inside that window, at
-which point real Events exist -- briefly, in the active heap -- until
+which point real Events exist -- briefly, in the queue's heap -- until
 delivery.  A peer only ever leaves at its own death, which the engine
 has harvested before it is delivered, so :meth:`DeathLedger.cancel`
 never meets an unmaterialized row: it releases the reserved seq through

@@ -17,7 +17,7 @@ Event flow:
 * ``PEER_JOIN`` -- sample capacity/lifetime, ask the policy for a layer,
   wire the peer in, record its death in the :class:`DeathLedger` (which
   reserves the ``PEER_LEAVE`` seq but materializes no Event until the
-  calendar engine's window reaches it).
+  event queue's window reaches it).
 * ``PEER_LEAVE`` -- remove the peer; if it was a super-peer, repair its
   orphans and the backbone; schedule an immediate replacement
   ``PEER_JOIN`` so the population holds.

@@ -65,7 +65,7 @@ __all__ = [
 #: v5: the scheduler queue is canonical -- sorted by ``(time, seq)``,
 #: with unmaterialized lazy deaths folded in from the store columns and
 #: cancelled lazy tombstones dropped -- so the bytes do not depend on
-#: the calendar's window layout.  v4 checkpoints
+#: the scheduler's window layout.  v4 checkpoints
 #: serialized the raw heap array (arbitrary sibling order, tombstones
 #: included), so they are refused rather than reinterpreted.
 #: v6: the header records the logical shard count; sharded runs write
@@ -286,7 +286,10 @@ class CheckpointManager:
         Every way a file can fail to be a checkpoint this code wrote --
         unreadable, not a checkpoint, another schema, a digest mismatch
         (a flipped byte, a truncation), a missing entry -- raises
-        :class:`CheckpointError`.
+        :class:`CheckpointError`.  The payload's config names ``path`` as
+        its ``checkpoint_path`` (hash-excluded), so a run resumed from a
+        copy writes its checkpoints to the copy, never to the file the
+        first run wrote.
         """
         try:
             with open(path, "rb") as fh:
@@ -324,6 +327,7 @@ class CheckpointManager:
             and _HEADER_KEYS <= payload["header"].keys()
         ):
             raise CheckpointError(f"checkpoint {path!r} is missing entries")
+        payload["config"] = payload["config"].with_(checkpoint_path=str(path))
         return payload
 
     @staticmethod

@@ -85,9 +85,9 @@ _SCALAR_COLUMNS = (
     # last committed evaluation, -inf = never evaluated.
     ("last_eval", "d", -inf),
     # Pending natural-death bookkeeping, owned by the churn driver's
-    # DeathLedger (the calendar queue's lazy-event source): ``dv`` is the
+    # DeathLedger (the event queue's lazy-event source): ``dv`` is the
     # unmaterialized death time (+inf = none pending -- never scheduled,
-    # already harvested into the scheduler's active window, or cancelled)
+    # already harvested into the scheduler's heap, or cancelled)
     # and ``dseq`` the scheduler seq reserved for it (-1 = none).
     ("dv", "d", inf),
     ("dseq", "q", -1),

@@ -390,7 +390,7 @@ def _time_transport(config, opts) -> None:
     ledger = MessageLedger()
     info = InfoExchange(overlay, ledger, sim=sim, faults=faults)
     # Block draws of the drop/latency streams, and timeout Events built:
-    # a timeout of >= one calendar window is never materialized when it
+    # a timeout of >= one window is never materialized when it
     # is armed, so the rows harvested are every timeout Event.
     counts = {"draws": 0, "built": 0}
 

@@ -190,10 +190,6 @@ class MessageLedger:
         """Bytes charged to one message type so far."""
         return self._total("bytes", (msg_type,))
 
-    def retransmissions_for(self, msg_type: Type[Message]) -> int:
-        """Retransmitted messages of one type so far."""
-        return self._total("retransmissions", (msg_type,))
-
     def timeouts_for(self, msg_type: Type[Message]) -> int:
         """Timed-out attempts of one type so far."""
         return self._total("timeouts", (msg_type,))
@@ -228,11 +224,6 @@ class MessageLedger:
     def search_messages(self) -> int:
         """Total search-plane messages so far."""
         return self._total("counts", SEARCH_MESSAGE_TYPES)
-
-    @property
-    def search_bytes(self) -> int:
-        """Total search-plane bytes so far."""
-        return self._total("bytes", SEARCH_MESSAGE_TYPES)
 
     def dlm_overhead_fraction(self) -> float:
         """DLM bytes as a fraction of all bytes (the §6 claim)."""

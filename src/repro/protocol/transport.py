@@ -573,7 +573,7 @@ class InfoExchange:
                 obs.capacity = values["capacity"]
                 obs.age_at_obs = values["age"]
                 obs.values_time = payload["at"]
-        # A timeout already materialized is cancelled in the calendar; a
+        # A timeout already materialized is cancelled in the event queue; a
         # row dies by itself once the request leaves the in-flight table.
         if not sim.cancel_lazy(pending.timeout_seq):
             self._timeouts.live -= 1

@@ -8,7 +8,7 @@ and a scheduled time.
 
 Events with equal timestamps are delivered in insertion order (FIFO), which
 makes runs deterministic for a fixed seed.  Cancellation is lazy: a
-cancelled event stays in the heap but is skipped at pop time.
+cancelled event stays in the queue but is skipped at pop time.
 """
 
 from __future__ import annotations
@@ -79,7 +79,8 @@ class Event:
         Arbitrary read-only data for the handler (peer ids, query ids...).
     seq:
         Monotone tie-breaker; guarantees FIFO order among same-time events
-        and total ordering for ``heapq``.  :meth:`Simulator.schedule_at`
+        (queue entries are ``(time, seq, event)`` tuples, so the seq, not
+        the Event, totally orders the queue).  :meth:`Simulator.schedule_at`
         assigns it from a per-simulator counter (deterministic across
         processes, so it doubles as a stable event identity in
         checkpoints); events constructed directly fall back to a
@@ -104,12 +105,6 @@ class Event:
         restore has already discarded).
         """
         self.cancelled = True
-
-    # heapq ordering -------------------------------------------------------
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flag = " cancelled" if self.cancelled else ""

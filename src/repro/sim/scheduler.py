@@ -1,13 +1,11 @@
-"""The discrete-event scheduler: a calendar-queue engine.
+"""The discrete-event scheduler: one event queue, one pop loop.
 
-The engine orders events by ``(time, seq)`` -- global FIFO within a
-timestamp -- exactly as the original binary-heap core did, but the
-backing structure is a calendar queue (hashed timing wheel) so that the
-hot operations are O(1) instead of O(log n):
+The engine delivers events in ``(time, seq)`` order -- global FIFO
+within a timestamp.  Pending events live in three places:
 
-* **Active window** -- events due inside the current time window
-  (``[start, start + bucket_width)``) live in a small binary heap of
-  ``(time, seq, event)`` tuples, popped in exact ``(time, seq)`` order.
+* **Heap** -- every event scheduled ahead of the clock is a ``(time,
+  seq, event)`` tuple in one binary heap, popped in exact ``(time,
+  seq)`` order.
 * **Now-buffer** -- events scheduled at exactly the current time
   (zero-delay follow-ups, the dominant pattern: DLM evaluation requests
   fired from connection events) bypass the heap into a FIFO deque.  The
@@ -16,25 +14,26 @@ hot operations are O(1) instead of O(log n):
   the same timestamp was necessarily scheduled earlier (smaller seq), so
   a plain tuple comparison between the buffer front and the heap top
   reproduces the exact global FIFO order at O(1).
-* **Buckets** -- events beyond the active window are appended to a
-  per-window list (``dict[int, list]`` keyed by absolute window index);
-  scheduling is one dict lookup + append.  When the active window
-  drains, the next occupied window's bucket is merged into the active
-  heap (:meth:`_advance`).  Each event is touched O(1) times amortized.
-* **Lazy events** -- far-future events whose parameters live in an
+* **Lazy sources** -- future events whose parameters live in an
   external *source*, one per event kind (peer death times in the
   PeerStore ``dv`` column, transport timeouts in per-attempt FIFOs), are
   never materialized at schedule time: :meth:`schedule_lazy` reserves a
   seq (keeping trajectories bit-identical to eager scheduling) and the
-  source hands back ``(time, seq, payload)`` rows per window via
-  ``harvest``, at which point the engine builds the Event.  A million
-  pending peer deaths therefore cost two store columns, not a million
-  Event objects on a heap, and a timeout answered in time costs no
-  Event at all.
+  source hands back ``(time, seq, payload)`` rows one *window* at a time
+  via ``harvest``, at which point the engine builds the Event.  A
+  million pending peer deaths therefore cost two store columns, not a
+  million Event objects on a heap, and a timeout answered in time costs
+  no Event at all.
+
+Windows are ``bucket_width`` wide and exist only for the sources: every
+source row due before the current window's end has been harvested into
+the heap, so a heap head inside the window is the true next event.  A
+head at or past the end opens the next window that holds an event
+(:meth:`_advance`) and harvests the sources up to its end first.
 
 Snapshots are canonical (sorted by ``(time, seq)``, unmaterialized lazy
 entries folded in), so the serialized state does not depend on where the
-windows fall.  The flat heap survives as an independent model in
+windows fall.  An independent flat-heap model lives in
 ``tests/sim/reference_heap.py``, which the property tests hold the
 engine's pop order, counters and snapshots against.
 
@@ -49,9 +48,8 @@ further events (at or after the current time).
 Hot-path notes (dispatch profiled inside a real run with
 ``repro profile figure6``):
 
-* Heap and bucket entries are ``(time, seq, event)`` tuples, not
-  events, so comparisons run in C instead of dispatching
-  ``Event.__lt__``.
+* Queue entries are ``(time, seq, event)`` tuples with unique seqs, so
+  comparisons run in C and never reach the Event.
 * :meth:`run` inlines the pop/dispatch loop with the structures, clock,
   and handler registry bound to locals; handler tuples are resolved
   with one dict lookup per event.
@@ -66,7 +64,7 @@ Hot-path notes (dispatch profiled inside a real run with
 from __future__ import annotations
 
 from collections import deque
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from math import inf
 from types import MappingProxyType
 from typing import Any, Callable, Dict, List, Mapping, Optional, Set, Tuple
@@ -102,7 +100,7 @@ class LazyEventSource:
       when empty); used to pick the next window to open.
     * ``harvest(t_end) -> list[(time, seq, payload)]`` -- remove and
       return every row with ``time < t_end``; the engine materializes
-      them into the active window.
+      them into its heap.
     * ``pending_lazy() -> list[(time, seq, payload)]`` -- non-destructive
       enumeration for :meth:`Simulator.snapshot` (order irrelevant; the
       snapshot sorts).
@@ -143,7 +141,7 @@ def _plain_payload(payload):
 
 
 class Simulator:
-    """Calendar-queue discrete-event simulator.
+    """Discrete-event simulator over one event queue.
 
     Parameters
     ----------
@@ -153,9 +151,9 @@ class Simulator:
     start:
         Initial clock value (time units).
     bucket_width:
-        Calendar window width in time units.  Pop order is
-        width-independent; width only trades bucket count against
-        active-heap size.
+        Width in time units of the window at which lazy sources are
+        harvested.  Pop order is width-independent; width only trades
+        harvest calls against materialized lazy events.
     """
 
     def __init__(
@@ -170,20 +168,18 @@ class Simulator:
         self.clock = SimClock(start)
         self.rng = RngStreams(seed)
         self._width = bucket_width
-        #: Active window: heap of (time, seq, Event) due before _active_end.
-        self._active: List[Tuple[float, int, Event]] = []
+        #: Every queued event ahead of the clock: heap of (time, seq, Event).
+        self._heap: List[Tuple[float, int, Event]] = []
         self._now_buffer: "deque[Tuple[float, int, Event]]" = deque()
-        #: Future windows: absolute window index -> list of entries.
-        self._buckets: Dict[int, List[Tuple[float, int, Event]]] = {}
-        self._bucket_heap: List[int] = []  # occupied window indices
-        self._bucket_count = 0
+        #: End of the current window: every source row due before it
+        #: has been harvested into the heap.
         self._active_end = (self._bucket_of(start) + 1) * bucket_width
         #: Attached lazy sources, one per event kind (peer deaths,
         #: transport timeouts).
         self._sources: Dict[str, LazyEventSource] = {}
         #: Materialized-but-undelivered lazy events, by seq (cancel path).
         self._lazy_events: Dict[int, Event] = {}
-        #: Seqs of cancelled lazy events still sitting in the active heap
+        #: Seqs of cancelled lazy events still sitting in the heap
         #: as tombstones; snapshots skip them so the canonical queue does
         #: not depend on whether a cancelled row had been materialized
         #: (one cancelled while still in the source is simply gone).
@@ -197,7 +193,7 @@ class Simulator:
         self._next_token = 0
         #: Post-restore staging: seq -> plain queue entry, materialized
         #: on demand (restored_event / reclaim_lazy) and finalized into
-        #: the live structures at the first run()/step().
+        #: the live structures at the first run().
         self._staging: Optional[Dict[int, tuple]] = None
         self._restored_events: Dict[int, Event] = {}
 
@@ -218,7 +214,7 @@ class Simulator:
         tombstones and unmaterialized lazy entries.  For the count of
         events that will actually fire, see :attr:`live_pending`.
         """
-        n = len(self._active) + len(self._now_buffer) + self._bucket_count
+        n = len(self._heap) + len(self._now_buffer)
         if self._staging:
             n += len(self._staging)
         for source in self._sources.values():
@@ -244,21 +240,18 @@ class Simulator:
     def queued_events(self):
         """Iterate the queued events (cancelled included).
 
-        Introspection helper for tests and debugging -- active-heap
-        array order, then the now-buffer, then future buckets by window.
+        Introspection helper for tests and debugging -- heap array
+        order, then the now-buffer, then each source's rows.
         Unmaterialized lazy rows are yielded as freshly built throwaway
         Events (identity is not stable for those).  A pending
         post-restore staging area is finalized first.
         """
         if self._staging is not None:
             self._finalize_restore()
-        for entry in self._active:
+        for entry in self._heap:
             yield entry[2]
         for entry in self._now_buffer:
             yield entry[2]
-        for idx in sorted(self._buckets):
-            for entry in self._buckets[idx]:
-                yield entry[2]
         for kind, source in self._sources.items():
             for t, seq, payload in sorted(source.pending_lazy()):
                 yield _staged_event((t, seq, kind, payload, False))
@@ -292,8 +285,8 @@ class Simulator:
     def set_lazy_source(self, source: LazyEventSource) -> None:
         """Attach the source that owns unmaterialized events of its kind.
 
-        One source per event kind; the engine merges every source's rows
-        per window.  Re-attaching the same object is a no-op; attaching
+        One source per event kind; the engine harvests every source's
+        rows per window.  Re-attaching the same object is a no-op; attaching
         a second source for a kind is a wiring bug and raises.
         """
         owner = self._sources.get(source.kind)
@@ -334,10 +327,8 @@ class Simulator:
         ev = Event(time, kind, _EMPTY_PAYLOAD if payload is None else payload, seq)
         if time == now:
             self._now_buffer.append((time, seq, ev))
-        elif time < self._active_end:
-            heappush(self._active, (time, seq, ev))
         else:
-            self._bucket_push(time, seq, ev)
+            heappush(self._heap, (time, seq, ev))
         return ev
 
     def schedule_lazy(
@@ -351,7 +342,7 @@ class Simulator:
         Returns ``(seq, event)``.  The seq is allocated exactly where
         :meth:`schedule_at` would have allocated it, so a run that
         schedules lazily is trajectory-identical to one that schedules
-        eagerly.  If ``time`` falls inside the active window the Event
+        eagerly.  If ``time`` falls inside the current window the Event
         is materialized immediately and returned -- the caller must not
         record the row in the source, and may still set the event's
         payload, which nothing reads before it fires.  Otherwise
@@ -371,11 +362,11 @@ class Simulator:
             if time == now:
                 self._now_buffer.append((time, seq, ev))
             else:
-                heappush(self._active, (time, seq, ev))
+                heappush(self._heap, (time, seq, ev))
             return seq, ev
         if kind not in self._sources:
             raise RuntimeError(
-                "schedule_lazy beyond the active window needs a lazy source "
+                "schedule_lazy beyond the current window needs a lazy source "
                 f"registered for kind {kind!r} (set_lazy_source)"
             )
         return seq, None
@@ -423,7 +414,7 @@ class Simulator:
         self._next_token = token + 1
         return token
 
-    # -- calendar internals --------------------------------------------------
+    # -- windows ---------------------------------------------------------------
     def _bucket_of(self, t: float) -> int:
         """Absolute window index of ``t``, robust to float rounding.
 
@@ -440,32 +431,18 @@ class Simulator:
             idx += 1
         return idx
 
-    def _bucket_push(self, time: float, seq: int, ev: Event) -> None:
-        idx = self._bucket_of(time)
-        bucket = self._buckets.get(idx)
-        if bucket is None:
-            self._buckets[idx] = [(time, seq, ev)]
-            heappush(self._bucket_heap, idx)
-        else:
-            bucket.append((time, seq, ev))
-        self._bucket_count += 1
-
     def _advance(self, until: Optional[float]) -> bool:
-        """Open the next occupied window; False when none is due.
+        """Open the next window that holds an event; False when none is due.
 
-        Candidates: the active heap's own head (a head at/past
-        ``_active_end`` just means the window moved on without draining
-        it), the earliest occupied bucket, and each lazy source's
-        earliest row.  Windows only move forward, so a bucket index is
-        pushed to ``_bucket_heap`` once and never goes stale.
+        The window is the earliest of the heap head's and each lazy
+        source's earliest row; every source row due before its end is
+        harvested into the heap.  Windows only move forward.
         """
         width = self._width
+        heap = self._heap
         best: Optional[int] = None
-        if self._active:
-            best = self._bucket_of(self._active[0][0])
-        heap = self._bucket_heap
-        if heap and (best is None or heap[0] < best):
-            best = heap[0]
+        if heap:
+            best = self._bucket_of(heap[0][0])
         sources = self._sources
         for source in sources.values():
             t = source.next_lazy_time()
@@ -480,13 +457,6 @@ class Simulator:
             return False
         end = start + width
         self._active_end = end
-        active = self._active
-        if heap and heap[0] == best:
-            heappop(heap)
-            entries = self._buckets.pop(best)
-            self._bucket_count -= len(entries)
-            for entry in entries:
-                heappush(active, entry)
         for kind, source in sources.items():
             harvested = source.harvest(end)
             if harvested:
@@ -496,45 +466,10 @@ class Simulator:
                         t, kind, _EMPTY_PAYLOAD if payload is None else payload, seq
                     )
                     lazy[seq] = ev
-                    heappush(active, (t, seq, ev))
+                    heappush(heap, (t, seq, ev))
         return True
 
     # -- execution -----------------------------------------------------------
-    def step(self) -> Optional[Event]:
-        """Deliver the next non-cancelled event; return it (or None if empty)."""
-        if self._staging is not None:
-            self._finalize_restore()
-        active = self._active
-        buffer = self._now_buffer
-        while True:
-            if buffer and (not active or buffer[0] < active[0]):
-                head = buffer.popleft()
-            elif active:
-                if active[0][0] >= self._active_end:
-                    if self._advance(None):
-                        continue
-                    return None
-                head = heappop(active)
-            else:
-                if self._advance(None):
-                    continue
-                return None
-            ev = head[2]
-            if ev.cancelled:
-                if self._cancelled_pending:
-                    self._cancelled_pending -= 1
-                if self._cancelled_lazy:
-                    self._cancelled_lazy.discard(head[1])
-                continue
-            # Pop order makes this monotone; skip advance_to's check.
-            self.clock._now = head[0]
-            self._events_processed += 1
-            if self._lazy_events:
-                self._lazy_events.pop(head[1], None)
-            for handler in self._handlers.get(ev.kind, ()):
-                handler(self, ev)
-            return ev
-
     def run(
         self,
         until: Optional[float] = None,
@@ -545,51 +480,45 @@ class Simulator:
 
         Events scheduled exactly at ``until`` are delivered (the horizon is
         inclusive), matching the "run to time T" convention the experiment
-        harness uses for its final metrics sample.
+        harness uses for its final metrics sample.  The run stops as soon
+        as the last allowed event is delivered, so ``run(max_events=1)``
+        delivers exactly the next live event and pops no tombstone after it.
         """
         if self._staging is not None:
             self._finalize_restore()
         self._running = True
         delivered = 0
-        active = self._active
+        heap = self._heap
         buffer = self._now_buffer
         registry = self._handlers
         clock = self.clock
         try:
             while True:
-                if buffer and (not active or buffer[0] < active[0]):
+                if max_events is not None and delivered >= max_events:
+                    break
+                if buffer and (not heap or buffer[0] < heap[0]):
                     use_buffer = True
                     head = buffer[0]
-                elif active:
-                    if active[0][0] >= self._active_end:
-                        if self._advance(until):
-                            continue
-                        break
+                elif heap and heap[0][0] < self._active_end:
                     use_buffer = False
-                    head = active[0]
+                    head = heap[0]
                 else:
                     if self._advance(until):
                         continue
                     break
                 if until is not None and head[0] > until:
                     break
+                if use_buffer:
+                    buffer.popleft()
+                else:
+                    heappop(heap)
                 ev = head[2]
                 if ev.cancelled:
-                    if use_buffer:
-                        buffer.popleft()
-                    else:
-                        heappop(active)
                     if self._cancelled_pending:
                         self._cancelled_pending -= 1
                     if self._cancelled_lazy:
                         self._cancelled_lazy.discard(head[1])
                     continue
-                if max_events is not None and delivered >= max_events:
-                    break
-                if use_buffer:
-                    buffer.popleft()
-                else:
-                    heappop(active)
                 clock._now = head[0]
                 self._events_processed += 1
                 if self._lazy_events:
@@ -622,7 +551,7 @@ class Simulator:
         payload, cancelled)`` tuples sorted by ``(time, seq)``, with
         unmaterialized lazy rows folded in from the source and cancelled
         lazy tombstones skipped.  The bytes therefore do not depend on
-        the bucket width or on which rows had been materialized, and a
+        the window width or on which rows had been materialized, and a
         sorted array is a valid heap for the restore path.  Payloads
         must be plain data (ints/floats/strings and dicts thereof),
         which every built-in subsystem honors.
@@ -631,21 +560,12 @@ class Simulator:
         """
         skip = self._cancelled_lazy
         entries = []
-        for t, seq, ev in self._active:
-            if seq not in skip:
-                entries.append(
-                    (t, seq, ev.kind, _plain_payload(ev.payload), ev.cancelled)
-                )
-        for t, seq, ev in self._now_buffer:
-            if seq not in skip:
-                entries.append(
-                    (t, seq, ev.kind, _plain_payload(ev.payload), ev.cancelled)
-                )
-        for bucket in self._buckets.values():
-            for t, seq, ev in bucket:
-                entries.append(
-                    (t, seq, ev.kind, _plain_payload(ev.payload), ev.cancelled)
-                )
+        for queued in (self._heap, self._now_buffer):
+            for t, seq, ev in queued:
+                if seq not in skip:
+                    entries.append(
+                        (t, seq, ev.kind, _plain_payload(ev.payload), ev.cancelled)
+                    )
         if self._staging:
             entries.extend(self._staging.values())
         for kind, source in self._sources.items():
@@ -673,18 +593,14 @@ class Simulator:
         pending deaths and timeouts straight back to their lazy sources
         via :meth:`reclaim_lazy` (never building their Events at all),
         and whatever remains is
-        finalized into the calendar at the first :meth:`run` /
-        :meth:`step`.
+        finalized into the heap at the first :meth:`run`.
         """
         self.clock._now = state["clock"]
         self._events_processed = state["events_processed"]
         self._next_seq = state["next_seq"]
         self._next_token = state["next_token"]
-        self._active = []
+        self._heap = []
         self._now_buffer.clear()
-        self._buckets = {}
-        self._bucket_heap = []
-        self._bucket_count = 0
         self._lazy_events = {}
         self._cancelled_lazy = set()
         self._active_end = (self._bucket_of(self.clock._now) + 1) * self._width
@@ -698,16 +614,6 @@ class Simulator:
         self._cancelled_pending = cancelled
         self._restored_events = {}
         self.rng.restore(state["rng"])
-
-    def _insert_restored(self, time: float, seq: int, ev: Event) -> None:
-        # Never the now-buffer: entries at exactly the restored clock go
-        # to the active heap, where the pure (time, seq) merge rule pops
-        # them identically (the pre-restore buffer was serialized the
-        # same way).
-        if time < self._active_end:
-            heappush(self._active, (time, seq, ev))
-        else:
-            self._bucket_push(time, seq, ev)
 
     def restored_event(self, seq: Optional[int]) -> Optional[Event]:
         """Look up a queue event by seq after :meth:`restore` (None-safe).
@@ -726,16 +632,19 @@ class Simulator:
         if self._staging is None:
             raise KeyError(seq)
         entry = self._staging.pop(seq)
+        # Never the now-buffer: an entry at exactly the restored clock
+        # goes to the heap, where the (time, seq) merge rule pops it
+        # identically.
         ev = self._restored_events[seq] = _staged_event(entry)
-        self._insert_restored(entry[0], seq, ev)
+        heappush(self._heap, (entry[0], seq, ev))
         return ev
 
     def reclaim_lazy(self, seq: int) -> Tuple[float, Any, bool]:
         """Hand a staged entry back to the lazy source after restore.
 
         Returns ``(time, payload, rematerialized)``.  When the entry's
-        time falls inside the active window it is materialized into the
-        calendar instead -- ``rematerialized`` is True and the caller
+        time falls inside the current window it is materialized into the
+        heap instead -- ``rematerialized`` is True and the caller
         must not record the row in the source.
         Raises ``KeyError`` for an unknown seq and ``RuntimeError`` once
         the staging area has been finalized.
@@ -746,37 +655,28 @@ class Simulator:
         t, payload = entry[0], entry[3]
         if t < self._active_end:
             ev = self._lazy_events[seq] = _staged_event(entry)
-            heappush(self._active, (t, seq, ev))
+            heappush(self._heap, (t, seq, ev))
             return t, payload, True
         return t, payload, False
 
     def _finalize_restore(self) -> None:
         """Materialize whatever is still staged and resume normal service.
 
-        By the time this runs (first ``run()``/``step()`` after a
-        restore) the churn driver and the transport have reclaimed every
-        lazy death and timeout, so what remains is the small eager set:
-        periodic firings, scenario shifts, messages in flight.
+        By the time this runs (first ``run()`` after a restore) the
+        churn driver and the transport have reclaimed every lazy death
+        and timeout, so what remains is the small eager set: periodic
+        firings, scenario shifts, messages in flight.
         """
         staging = self._staging
         self._staging = None
         if not staging:
             return
-        to_active: List[Tuple[float, int, Event]] = []
         restored = self._restored_events
+        heap = self._heap
         for entry in staging.values():
-            t, seq = entry[0], entry[1]
-            ev = restored[seq] = _staged_event(entry)
-            if t < self._active_end:
-                to_active.append((t, seq, ev))
-            else:
-                self._bucket_push(t, seq, ev)
-        if self._active:
-            for entry in to_active:
-                heappush(self._active, entry)
-        else:
-            to_active.sort(key=lambda e: (e[0], e[1]))
-            self._active = to_active
+            ev = restored[entry[1]] = _staged_event(entry)
+            heap.append((entry[0], entry[1], ev))
+        heapify(heap)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -1,7 +1,7 @@
 """Sim-layer primitives for conservative sharded simulation.
 
 A sharded run partitions the peer population into K *logical shards*,
-each a complete sub-system with its own calendar-wheel scheduler, named
+each a complete sub-system with its own event queue, named
 RNG streams, and columnar peer store slice.  Shards interact **only**
 through timestamped mailbox messages carried over the shard-link
 latency model, whose exact lower bound (``LatencyModel.min_delay()``)

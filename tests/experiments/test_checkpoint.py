@@ -165,6 +165,20 @@ class TestCheckpointManager:
                 ref.series[name].values, resumed.series[name].values
             )
 
+    @pytest.mark.parametrize("loaded", [False, True], ids=["path", "payload"])
+    def test_resuming_a_copy_leaves_the_original_alone(self, tmp_path, loaded):
+        orig = tmp_path / "orig.ckpt"
+        cfg = small_config(checkpoint_every=60.0, checkpoint_path=str(orig))
+        run_experiment(cfg)
+        copy = tmp_path / "copy.ckpt"
+        copy.write_bytes(orig.read_bytes())
+        before = orig.read_bytes()
+        # A loaded payload is what ``repro resume`` hands over.
+        source = CheckpointManager.load(str(copy)) if loaded else str(copy)
+        resume_run(source, horizon=180.0)
+        assert orig.read_bytes() == before
+        assert CheckpointManager.load(str(copy))["header"]["time"] == 180.0
+
     def test_refuses_mismatched_config(self, tmp_path):
         path = str(tmp_path / "run.ckpt")
         cfg = small_config(checkpoint_every=60.0, checkpoint_path=path)

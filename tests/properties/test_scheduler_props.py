@@ -1,18 +1,19 @@
-"""Property tests: the calendar-queue engine against a flat-heap model.
+"""Property tests: the event engine against a flat-heap model.
 
-The wheel engine's contract is *bit-identical pop order* with the flat
-binary heap it replaced, including zero-delay follow-ups, cancellation,
-lazy (source-owned) events, and snapshot/restore at arbitrary points.
-The oracle is :class:`tests.sim.reference_heap.ReferenceHeap`, an
-independent model that shares no code with the engine.  These properties
-drive both through identical randomized op scripts, at several bucket
-widths, and require:
+The engine's contract is *bit-identical pop order* with one flat binary
+heap, including zero-delay follow-ups (the now-buffer), cancellation,
+lazy (source-owned) events harvested by the window, and snapshot/restore
+at arbitrary points.  The oracle is
+:class:`tests.sim.reference_heap.ReferenceHeap`, an independent model
+that shares no code with the engine.  These properties drive both
+through identical randomized op scripts, at several window widths, and
+require:
 
 * identical ``(time, seq, kind)`` delivery sequences,
 * identical ``(now, events_processed, live_pending)`` at every
   observation point (``pending`` is not compared: a
-  cancelled-but-unmaterialized lazy row vanishes from the wheel's
-  columns immediately but is a tombstone in a heap until popped),
+  cancelled-but-unmaterialized lazy row vanishes from the engine's
+  source immediately but is a tombstone in a heap until popped),
 * identical canonical queues at every snapshot point and at the end,
 
 and separately that lazy scheduling is *equivalent to eager
@@ -169,7 +170,7 @@ class Script:
                 sim.run(until=sim.now + float(arg))
                 self.observe()
             elif op == "step":
-                sim.step()
+                sim.run(max_events=1)
                 self.observe()
             else:
                 self.restore_roundtrip()
@@ -255,13 +256,13 @@ WIDTHS = [0.25, 1.0, 2.5]
 @given(ops=ops_strategy, width=st.sampled_from(WIDTHS))
 @settings(max_examples=examples(1.2), deadline=None)
 def test_wheel_matches_heap_oracle(ops, width):
-    wheel = Script(lazy=True, width=width)
+    engine = Script(lazy=True, width=width)
     model = ModelScript()
-    wheel.apply(ops)
+    engine.apply(ops)
     model.apply(ops)
-    assert wheel.log == model.log
-    assert wheel.observed == model.observed
-    assert wheel.queues == model.queues
+    assert engine.log == model.log
+    assert engine.observed == model.observed
+    assert engine.queues == model.queues
 
 
 @given(ops=ops_strategy, width=st.sampled_from(WIDTHS))
@@ -279,7 +280,7 @@ def test_lazy_is_equivalent_to_eager(ops, width):
 @settings(max_examples=examples(0.4), deadline=None)
 def test_snapshots_are_engine_independent_mid_script(ops):
     # Force at least one snapshot point by appending one.  Where the
-    # windows fall must not leak into the serialized state: every bucket
+    # windows fall must not leak into the serialized state: every window
     # width writes the same bytes, and they carry the model's queue.
     ops = list(ops) + [("snaprestore", None)]
     scripts = [Script(lazy=True, width=width) for width in WIDTHS]

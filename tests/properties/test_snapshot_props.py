@@ -46,7 +46,7 @@ def apply_ops(sim: Simulator, ops, created: list) -> None:
             if created:
                 created[arg % len(created)].cancel()
         else:
-            sim.step()
+            sim.run(max_events=1)
 
 
 def drain(sim: Simulator) -> list:

@@ -12,7 +12,7 @@ neither ever fires.  ``golden_transport.json`` next to it holds the
 digests captured before timeouts became lazy rows.
 
 The first run is the ``msg_faults`` shape at small n (timeouts far
-beyond the calendar window, so they stay rows).  The second takes the
+beyond the harvest window, so they stay rows).  The second takes the
 other branches: a timeout shorter than the window (materialized at
 schedule time), backoff, more retries, and periodic burst loss.
 

@@ -1,10 +1,11 @@
 """Reference model for :class:`repro.sim.scheduler.Simulator`.
 
-The flat binary heap the calendar queue replaced, kept as the oracle
-``tests/properties/test_scheduler_props.py`` compares the wheel against:
-one ``heapq`` of ``[time, seq, kind, cancelled, lazy]`` entries popped in
-``(time, seq)`` order.  It has no windows, no now-buffer, no lazy source
-and no staging area, and shares no code with the engine it checks -- a
+A flat binary heap, kept as the oracle
+``tests/properties/test_scheduler_props.py`` compares the event queue
+against: one ``heapq`` of ``[time, seq, kind, cancelled, lazy]`` entries
+popped in ``(time, seq)`` order.  It has no windows, no now-buffer, no
+lazy source and no staging area, and shares no code with the engine it
+checks -- a
 lazy event is an ordinary entry that remembers it was scheduled lazily,
 because two engine behaviours depend on that and nothing else does.
 

@@ -2,30 +2,10 @@
 
 from __future__ import annotations
 
-import heapq
-
 from repro.sim.events import Event, EventKind
 
 
 class TestEventOrdering:
-    def test_earlier_time_sorts_first(self):
-        a = Event(time=1.0, kind="a")
-        b = Event(time=2.0, kind="b")
-        assert a < b
-        assert not b < a
-
-    def test_equal_time_fifo_by_sequence(self):
-        a = Event(time=5.0, kind="a")
-        b = Event(time=5.0, kind="b")
-        assert a < b  # created first, delivered first
-
-    def test_heap_pops_in_time_order(self):
-        events = [Event(time=t, kind="k") for t in (3.0, 1.0, 2.0, 0.5)]
-        heap = list(events)
-        heapq.heapify(heap)
-        popped = [heapq.heappop(heap).time for _ in range(len(events))]
-        assert popped == sorted(popped)
-
     def test_sequence_numbers_are_unique_and_increasing(self):
         a = Event(time=0.0, kind="a")
         b = Event(time=0.0, kind="b")

@@ -127,11 +127,19 @@ class TestRunBounds:
         assert sim.events_processed == 3
         assert sim.pending == 7
 
-    def test_step_returns_event_or_none(self, sim):
-        assert sim.step() is None
-        sim.schedule(1.0, "x")
-        ev = sim.step()
-        assert ev is not None and ev.kind == "x"
+    def test_max_events_one_delivers_the_next_event(self, sim):
+        fired = []
+        collect(sim, "x", fired)
+        sim.run(max_events=1)
+        assert fired == [] and sim.events_processed == 0
+        sim.schedule(1.0, "x", {"tag": "first"})
+        dropped = sim.schedule(1.5, "x")
+        sim.schedule(2.0, "x", {"tag": "second"})
+        sim.cancel(dropped)
+        sim.run(max_events=1)
+        assert [t for _, t in fired] == ["first"]
+        # The tombstone behind the delivered event stays queued.
+        assert sim.pending == 2 and sim.live_pending == 1
 
 
 class TestStopSimulation:
